@@ -33,9 +33,8 @@ from .scaling import (EfficiencyReport, detect_crossover,
                       report_text, saturation)
 from .spectral import decompose, degeneracies_csv, spectrum_csv
 from .transport import (TimeGrid, TransportSeries, chi_csv, chi_matrix,
-                        classical_return, exact_average_return, linear_grid,
-                        log_grid, merge_grids, quantum_return_bound,
-                        series_csv)
+                        linear_grid, log_grid, merge_grids, series_csv,
+                        transport_series)
 
 DEFAULT_GRID_SPEC = "log:1e-2,1e4,600"
 
@@ -288,11 +287,8 @@ def run_experiment(config: ExperimentConfig,
         if config.chi:
             _write(out_dir, "chi.csv", chi_csv(chi_matrix(spectrum)), manifest)
         if "series" in stages:
-            pi = exact_average_return(spectrum, grid) if config.vectors else None
-            series = TransportSeries(grid=grid,
-                                     p_bar=classical_return(spectrum, grid),
-                                     alpha_bar_sq=quantum_return_bound(spectrum, grid),
-                                     pi_bar=pi)
+            series = transport_series(spectrum, grid,
+                                      with_exact_quantum=config.vectors)
     else:
         dos = parse_dos_spec(config.dos)
         if config.fit_model == "auto" and isinstance(dos, Lifshits):

@@ -6,14 +6,18 @@ low-eigenvalue suppression (Lifshits tail) and an algebraic lam**-b high
 tail. The classical return probability is the Laplace transform of the
 density, the quantum bound the squared modulus of its Fourier transform.
 
-Numerics: bounded supports use QUADPACK directly, with the oscillatory
-(QAWO) weights for the Fourier case. The Lifshits Fourier integral is
-evaluated on the complex ray lam = r * exp(-i pi/4), which passes through
-the saddle of the phase; there the integrand magnitude matches the result
-magnitude, so the catastrophic cancellation that kills real-axis
-quadrature beyond t of a few hundred never appears. On the ray the
-integrand is analytic, both endpoints decay, and adaptive quadrature in
-pure relative mode stays accurate down to results of order 1e-280.
+Numerics: both families have Bessel closed forms, evaluated vectorised
+over the whole grid. For the power semicircle, with v = nu + 1/2 and
+x = lam_max t / 2, the Poisson integrals (DLMF 10.9.4, 10.32.2) give
+p = Gamma(v+1) (2/x)**v ive(v, x) = exp(-x) 0F1(;v+1;x**2/4) and
+alpha = Gamma(v+1) (2/x)**v J_v(x) exp(-ix) = exp(-ix) 0F1(;v+1;-x**2/4).
+While x**2/4 <= v+1 the 0F1 series is summed directly (exactly 1 at t=0,
+no cancellation, no Gamma overflow at large nu); beyond it the Bessel form
+runs with its prefactor in log space, which holds up to nu of about 340.
+For the Lifshits family u = 1/lam gives (DLMF 10.32.10, Gradshteyn & Ryzhik
+3.471.9) p = 2 t**((b-1)/2) K_{b-1}(2 sqrt t) / Gamma(b-1), and alpha is
+the same with t -> i t on the principal branch; the exponentially scaled
+kve keeps both accurate down to double underflow (|alpha|**2 ~ 1e-300).
 """
 
 from __future__ import annotations
@@ -22,13 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import NumericalError, ParseError
-from .transport import TimeGrid
+from .transport import TimeGrid, clamp_unit_interval
 
 _SQRT2 = math.sqrt(2.0)
-# log-magnitude below which integrand values flush to zero (double underflow)
+# log-magnitude below which density values flush to zero (double underflow)
 _LOG_TINY = -740.0
 
 
@@ -97,143 +101,97 @@ class Lifshits:
 ContinuousDOS = PowerSemicircle | Lifshits
 
 
-# -- quadrature helpers -------------------------------------------------------
+# -- closed-form transforms ---------------------------------------------------
 
-def _scalar_density(dos):
-    """Plain-math scalar density closure; QUADPACK calls it millions of times,
-    so the vectorized ndarray path is too slow there."""
-    if isinstance(dos, PowerSemicircle):
-        nu, lam_max, log_norm = dos.nu, dos.lam_max, dos.log_norm
-
-        def f(lam):
-            if lam <= 0.0 or lam >= lam_max:
-                return 0.0
-            return math.exp(nu * (math.log(lam) + math.log(lam_max - lam)) - log_norm)
-
-        return f
-    if isinstance(dos, Lifshits):
-        b, log_norm = dos.b, dos.log_norm
-
-        def f(lam):
-            if lam <= 0.0:
-                return 0.0
-            logv = -b * math.log(lam) - 1.0 / lam - log_norm
-            return math.exp(logv) if logv > _LOG_TINY else 0.0
-
-        return f
-    density = dos.density
-    return lambda lam: float(density(lam))
+# terms of the 0F1 series summed where its argument is small; see _hyp0f1_small
+_SERIES_TERMS = 20
+# bound on the log-magnitude of the Bessel-form prefactor times exp(x) at the
+# series/Bessel switch-over: exp(-709) leaves the normal double range
+_LOG_HUGE = 700.0
 
 
-def _quad(f, a, b, t, **kw):
-    """quad wrapper that turns a flagged, materially inaccurate result into
-    NumericalError naming the offending time."""
-    res = integrate.quad(f, a, b, full_output=1, **kw)
-    val, abserr = res[0], res[1]
-    if len(res) > 3 and abserr > 1e-8:
-        raise NumericalError(
-            f"quadrature failed at t={t!r}: {res[3].splitlines()[0]} "
-            f"(estimated error {abserr:.2e})"
-        )
-    return val
+def _hyp0f1_small(a, z):
+    """0F1(;a;z) by direct summation, for |z| <= a.
 
-
-def _classical_finite(density, hi, t):
-    # at large t all mass sits near lam=0; an explicit split keeps QUADPACK
-    # honest there (a `points` hint silently loses singular-endpoint mass
-    # once the scales separate by several orders of magnitude)
-    if t == 0:
-        return 1.0
-    f = lambda lam: density(lam) * math.exp(-lam * t)
-    kw = dict(limit=400, epsabs=1e-300, epsrel=1e-10)
-    split = 20.0 / t
-    if split >= hi / 2:
-        return _quad(f, 0.0, hi, t, **kw)
-    return _quad(f, 0.0, split, t, **kw) + _quad(f, split, hi, t, **kw)
-
-
-def _quantum_finite(density, hi, t):
-    if t == 0:
-        return 1.0 + 0.0j
-    re = _quad(density, 0.0, hi, t, weight="cos", wvar=t, limit=2000,
-               epsabs=1e-13, epsrel=1e-10)
-    im = _quad(density, 0.0, hi, t, weight="sin", wvar=t, limit=2000,
-               epsabs=1e-13, epsrel=1e-10)
-    return complex(re, -im)
-
-
-def _classical_lifshits(b, t):
-    # u = 1/lam maps the integral to int u**(b-2) exp(-u - t/u) du / Gamma(b-1),
-    # a smooth bump peaked at u = sqrt(t); split there so quad cannot miss it.
-    if t == 0:
-        return 1.0
-    log_norm = float(special.gammaln(b - 1))
-
-    def f(u):
-        if u <= 0.0:
-            return 0.0
-        logv = (b - 2) * math.log(u) - u - t / u - log_norm
-        return math.exp(logv) if logv > _LOG_TINY else 0.0
-
-    split = math.sqrt(t)
-    kw = dict(limit=400, epsabs=1e-300, epsrel=1e-11)
-    lo = _quad(f, 0.0, split, t, **kw)
-    hi = _quad(f, split, np.inf, t, **kw)
-    return lo + hi
-
-
-def _quantum_lifshits(b, t):
-    # Fourier transform on the ray lam = r exp(-i pi/4): the exponent
-    # -1/lam - i lam t has real part -(r t + 1/r)/sqrt(2), peaked at the
-    # saddle r = 1/sqrt(t) with height exp(-sqrt(2 t)), the size of the
-    # answer itself, so the evaluation keeps relative accuracy at any t.
-    if t == 0:
-        return 1.0 + 0.0j
-    w = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
-    log_norm = float(special.gammaln(b - 1))
-
-    def g(r):
-        if r <= 0.0:
-            return 0.0j
-        if -b * math.log(r) - (r * t + 1.0 / r) / _SQRT2 - log_norm < _LOG_TINY:
-            return 0.0j
-        lam = r * w
-        return lam**-b * np.exp(-1.0 / lam - 1j * lam * t) * w / math.exp(log_norm)
-
-    split = 1.0 / math.sqrt(t)
-    kw = dict(limit=800, epsabs=1e-300, epsrel=1e-9)
-    total = 0.0j
-    for lo, hi in ((0.0, split), (split, np.inf)):
-        re = _quad(lambda r: g(r).real, lo, hi, t, **kw)
-        im = _quad(lambda r: g(r).imag, lo, hi, t, **kw)
-        total += complex(re, im)
+    Term k+1 over term k is z / ((a + k)(k + 1)), at most 1/(k + 1) in
+    modulus when |z| <= a, so the terms fall at least as fast as 1/k!:
+    twenty of them reach double precision and, for z < 0, the alternating
+    sum cannot cancel.
+    """
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    for k in range(1, _SERIES_TERMS):
+        term = term * z / ((a + k - 1) * k)
+        total += term
     return total
+
+
+def _semicircle_factor(v, x, quantum: bool) -> np.ndarray:
+    """Gamma(v+1) (2/x)**v times ive(v, x) (Laplace) or J_v(x) (Fourier):
+    the 0F1 series up to x**2/4 = v+1, the Bessel form beyond."""
+    out = np.empty_like(x)
+    x0 = 2 * math.sqrt(v + 1)
+    near = x <= x0
+    z = x[near] ** 2 / 4
+    out[near] = (_hyp0f1_small(v + 1, -z) if quantum
+                 else np.exp(-x[near]) * _hyp0f1_small(v + 1, z))
+    far = x[~near]
+    if far.size:
+        # the Bessel factor at the switch-over is about exp(-log prefactor - x0)
+        # and grows past it; it must not start below the normal double range
+        if special.gammaln(v + 1) + v * math.log(2 / x0) + x0 > _LOG_HUGE:
+            raise NumericalError(
+                f"nu={v - 0.5} is beyond the range of the Bessel closed form "
+                f"(nu up to about 340)")
+        bessel = special.jv(v, far) if quantum else special.ive(v, far)
+        out[~near] = np.exp(special.gammaln(v + 1) + v * np.log(2 / far)) * bessel
+    return out
+
+
+def _lifshits_transform(dos: Lifshits, s: np.ndarray) -> np.ndarray:
+    """2 s**((b-1)/2) K_{b-1}(2 sqrt s) / Gamma(b-1): the Laplace transform
+    at s = t, the Fourier transform at s = i t."""
+    nu = dos.b - 1
+    out = np.ones_like(s)
+    pos = s != 0
+    w = 2 * np.sqrt(s[pos])
+    out[pos] = 2 * np.exp(0.5 * nu * np.log(s[pos]) - w - dos.log_norm) \
+        * special.kve(nu, w)
+    return out
+
+
+def _transform(dos, times: np.ndarray, quantum: bool) -> np.ndarray:
+    """Laplace (classical) or Fourier (quantum) transform of the density."""
+    if isinstance(dos, PowerSemicircle):
+        x = 0.5 * dos.lam_max * times
+        factor = _semicircle_factor(dos.nu + 0.5, x, quantum)
+        values = factor * np.exp(-1j * x) if quantum else factor
+    elif isinstance(dos, Lifshits):
+        values = _lifshits_transform(dos, 1j * times if quantum else times)
+    else:
+        raise TypeError(f"unknown DOS family: {type(dos).__name__}")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise NumericalError(f"closed form for {dos} is not finite at "
+                             f"t={float(times[bad][0])!r}")
+    return values
 
 
 # -- public operations --------------------------------------------------------
 
 def classical_return_continuum(dos, grid: TimeGrid) -> np.ndarray:
     """Laplace transform of the density on the grid: p_bar(t), with p_bar(0)=1."""
-    if isinstance(dos, Lifshits):
-        return np.array([_classical_lifshits(dos.b, t) for t in grid.times])
-    density = _scalar_density(dos)
-    return np.array([_classical_finite(density, dos.lam_max, t)
-                     for t in grid.times])
+    return _transform(dos, grid.times, quantum=False)
 
 
 def quantum_amplitude_continuum(dos, grid: TimeGrid) -> np.ndarray:
     """Complex average amplitude: Fourier transform of the density."""
-    if isinstance(dos, Lifshits):
-        return np.array([_quantum_lifshits(dos.b, t) for t in grid.times])
-    density = _scalar_density(dos)
-    return np.array([_quantum_finite(density, dos.lam_max, t)
-                     for t in grid.times])
+    return _transform(dos, grid.times, quantum=True)
 
 
 def quantum_return_bound_continuum(dos, grid: TimeGrid) -> np.ndarray:
-    """|alpha_bar(t)|^2 for a continuous density; values clipped to [0, 1]."""
-    amp = quantum_amplitude_continuum(dos, grid)
-    return np.clip(np.abs(amp) ** 2, 0.0, 1.0)
+    """|alpha_bar(t)|^2 for a continuous density, checked to lie in [0, 1]."""
+    return clamp_unit_interval(np.abs(quantum_amplitude_continuum(dos, grid)) ** 2)
 
 
 def lattice_return_1d_product(d: int, grid: TimeGrid) -> np.ndarray:

@@ -16,7 +16,7 @@ class ParseError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """An eigensolver or quadrature routine failed to converge."""
+    """An eigensolver failed to converge, or a result left its valid range."""
 
 
 class ResourceLimitError(ValueError):

@@ -190,14 +190,28 @@ def to_edge_list(g: Graph) -> str:
 
 
 def from_edge_list(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
-        raise ParseError("edge list must start with 'n <count>'", text=lines[0] if lines else "", position=0)
-    n = int(lines[0].split()[1])
-    edges = []
-    for ln in lines[1:]:
-        i, j = (int(tok) for tok in ln.split())
-        edges.append((i, j))
+    """Inverse of `to_edge_list`; blank lines are skipped.
+
+    A line that is not two integers, or that repeats an edge, raises
+    ParseError naming its 1-based line number.
+    """
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    header = lines[0][1].split() if lines else []
+    if len(header) != 2 or header[0] != "n" or not header[1].isdigit():
+        raise ParseError("edge list must start with 'n <count>'",
+                         text=lines[0][1] if lines else "", position=0)
+    n = int(header[1])
+    edges = set()
+    for no, ln in lines[1:]:
+        try:
+            i, j = map(int, ln.split())
+        except ValueError:
+            raise ParseError(f"line {no}: expected two integer node indices",
+                             text=ln, position=0) from None
+        edge = (i, j) if i < j else (j, i)
+        if edge in edges:
+            raise ParseError(f"line {no}: duplicate edge {edge}", text=ln, position=0)
+        edges.add(edge)
     return _make_graph(n, edges)
 
 

@@ -13,9 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .spectral import Spectrum, cluster_slices
 
 EIG_CLAMP_TOL = 1e-8
+# rounding may push a probability past [0, 1] by a few ulps, never by more
+PROB_CLAMP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,16 @@ def _clamped_eigenvalues(spectrum: Spectrum) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
+def clamp_unit_interval(values: np.ndarray) -> np.ndarray:
+    """Clip probabilities to [0, 1], raising NumericalError if rounding
+    cannot explain the overshoot (more than PROB_CLAMP_TOL outside)."""
+    worst = int(np.argmax(np.maximum(-values, values - 1.0)))
+    if not -PROB_CLAMP_TOL <= values[worst] <= 1.0 + PROB_CLAMP_TOL:
+        raise NumericalError(
+            f"probability {values[worst]!r} at index {worst} lies outside [0, 1]")
+    return np.clip(values, 0.0, 1.0)
+
+
 def classical_return(spectrum: Spectrum, grid: TimeGrid) -> np.ndarray:
     """Average classical return probability: mean over n of exp(-lam_n t).
 
@@ -108,7 +121,7 @@ def quantum_return_bound(spectrum: Spectrum, grid: TimeGrid) -> np.ndarray:
     """
     lam = _clamped_eigenvalues(spectrum)
     phases = np.exp(-1j * np.outer(grid.times, lam))
-    return np.clip(np.abs(phases.mean(axis=1)) ** 2, 0.0, 1.0)
+    return clamp_unit_interval(np.abs(phases.mean(axis=1)) ** 2)
 
 
 def _squared_vectors(spectrum: Spectrum) -> np.ndarray:
@@ -128,7 +141,7 @@ def exact_average_return(spectrum: Spectrum, grid: TimeGrid) -> np.ndarray:
     lam = _clamped_eigenvalues(spectrum)
     phases = np.exp(-1j * np.outer(grid.times, lam))
     amps = phases @ w.T
-    return np.clip((np.abs(amps) ** 2).mean(axis=1), 0.0, 1.0)
+    return clamp_unit_interval((np.abs(amps) ** 2).mean(axis=1))
 
 
 def transport_series(spectrum: Spectrum, grid: TimeGrid,

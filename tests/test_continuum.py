@@ -1,5 +1,8 @@
 import math
+import warnings
 from dataclasses import dataclass
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -46,6 +49,95 @@ def lifshits_quantum_oracle(b, t):
     amp = 2 * (1j * t) ** ((b - 1) / 2) * special.kv(b - 1, 2 * np.sqrt(1j * t)) \
         / special.gamma(b - 1)
     return np.abs(amp) ** 2
+
+
+# quadrature oracle: the transforms integrated numerically by QUADPACK, one
+# time point at a time, independently of the library's closed forms
+
+def _quad(f, a, b, **kw):
+    # QUADPACK flags roundoff at tolerances below double precision; only a
+    # flagged result with a material error estimate is unusable
+    res = integrate.quad(f, a, b, full_output=1, **kw)
+    assert len(res) == 3 or res[1] <= 1e-8, f"oracle failed: {res[3].splitlines()[0]}"
+    return res[0]
+
+
+def _scalar_density(dos):
+    if isinstance(dos, PowerSemicircle):
+        def f(lam):
+            if lam <= 0.0 or lam >= dos.lam_max:
+                return 0.0
+            return math.exp(dos.nu * (math.log(lam) + math.log(dos.lam_max - lam))
+                            - dos.log_norm)
+        return f
+    return lambda lam: float(dos.density(lam))
+
+
+def quad_classical(dos, t):
+    # at large t all mass sits near lam=0: split there so QUADPACK sees it
+    if t == 0:
+        return 1.0
+    density = _scalar_density(dos)
+    f = lambda lam: density(lam) * math.exp(-lam * t)
+    kw = dict(limit=400, epsabs=1e-300, epsrel=1e-10)
+    split = 20.0 / t
+    if split >= dos.lam_max / 2:
+        return _quad(f, 0.0, dos.lam_max, **kw)
+    return _quad(f, 0.0, split, **kw) + _quad(f, split, dos.lam_max, **kw)
+
+
+def quad_amplitude(dos, t):
+    # QUADPACK's oscillatory (QAWO) weights
+    if t == 0:
+        return 1.0 + 0.0j
+    density = _scalar_density(dos)
+    kw = dict(wvar=t, limit=2000, epsabs=1e-13, epsrel=1e-10)
+    re = _quad(density, 0.0, dos.lam_max, weight="cos", **kw)
+    im = _quad(density, 0.0, dos.lam_max, weight="sin", **kw)
+    return complex(re, -im)
+
+
+def quad_lifshits_classical(b, t):
+    # u = 1/lam: int u^{b-2} e^{-u - t/u} du / Gamma(b-1), peaked at u = sqrt(t)
+    if t == 0:
+        return 1.0
+    log_norm = special.gammaln(b - 1)
+    f = lambda u: math.exp((b - 2) * math.log(u) - u - t / u - log_norm) if u > 0 else 0.0
+    kw = dict(limit=400, epsabs=1e-300, epsrel=1e-11)
+    split = math.sqrt(t)
+    return _quad(f, 0.0, split, **kw) + _quad(f, split, np.inf, **kw)
+
+
+def quad_lifshits_amplitude(b, t):
+    # on the ray lam = r e^{-i pi/4} through the saddle of the phase the
+    # integrand peak matches the result, so no cancellation at any t
+    if t == 0:
+        return 1.0 + 0.0j
+    w = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
+    log_norm = special.gammaln(b - 1)
+
+    def g(r):
+        if r <= 0.0 or -b * math.log(r) - (r * t + 1 / r) / math.sqrt(2) - log_norm < -740:
+            return 0.0j
+        lam = r * w
+        return lam**-b * np.exp(-1 / lam - 1j * lam * t - log_norm) * w
+
+    kw = dict(limit=800, epsabs=1e-300, epsrel=1e-9)
+    total = 0.0j
+    for lo, hi in ((0.0, 1 / math.sqrt(t)), (1 / math.sqrt(t), np.inf)):
+        total += complex(_quad(lambda r: g(r).real, lo, hi, **kw),
+                         _quad(lambda r: g(r).imag, lo, hi, **kw))
+    return total
+
+
+def mp_semicircle(nu, lam_max, t):
+    # (p, alpha) from 0F1 at 40 digits: exp(-x) 0F1(;v+1;x^2/4), exp(-ix) 0F1(;v+1;-x^2/4)
+    with mpmath.workdps(40):
+        v = mpmath.mpf(nu) + mpmath.mpf(1) / 2
+        x = mpmath.mpf(lam_max) * mpmath.mpf(t) / 2
+        p = mpmath.exp(-x) * mpmath.hyp0f1(v + 1, x**2 / 4)
+        alpha = mpmath.exp(-1j * x) * mpmath.hyp0f1(v + 1, -x**2 / 4)
+        return float(p), complex(alpha)
 
 
 class TestDensities:
@@ -189,6 +281,88 @@ class TestQuantumContinuum:
         assert crossings[0] < crossings[1]
 
 
+class TestClosedFormsAgainstOracles:
+    # 60 log-spaced times over the span of fig1a/fig1b, plus t=0
+    TIMES = np.concatenate(([0.0], np.geomspace(0.05, 220.0, 60)))
+
+    @pytest.mark.parametrize("nu", [-0.9, -0.5, 0.5, 1.3, 2.5, 200.0])
+    def test_semicircle_matches_quadrature(self, nu):
+        dos = PowerSemicircle(nu=nu, lam_max=2.0)
+        grid = TimeGrid(self.TIMES)
+        p = [quad_classical(dos, t) for t in self.TIMES]
+        amp = [quad_amplitude(dos, t) for t in self.TIMES]
+        np.testing.assert_allclose(classical_return_continuum(dos, grid), p, rtol=1e-9)
+        # QAWO keeps about 1e-8 absolute next to the lam^-0.9 endpoint
+        # singularity; the mpmath test below pins those values tighter
+        np.testing.assert_allclose(quantum_amplitude_continuum(dos, grid), amp,
+                                   rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("b", [1.5, 2.0, 3.0])
+    def test_lifshits_matches_quadrature(self, b):
+        # down to |alpha|^2 of about 1e-210 at t = 3e4
+        times = np.concatenate(([0.0], np.geomspace(1e-3, 3e4, 40)))
+        dos = Lifshits(b=b)
+        grid = TimeGrid(times)
+        p = [quad_lifshits_classical(b, t) for t in times]
+        amp = [quad_lifshits_amplitude(b, t) for t in times]
+        np.testing.assert_allclose(classical_return_continuum(dos, grid), p, rtol=1e-9)
+        np.testing.assert_allclose(quantum_amplitude_continuum(dos, grid), amp,
+                                   rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("nu", [-0.99, -0.9, 200.0, 300.0])
+    def test_extreme_nu_matches_mpmath(self, nu):
+        # points on both sides of the series/Bessel switch at x^2/4 = nu + 3/2
+        x0 = 2 * math.sqrt(nu + 1.5)
+        times = np.unique([0.3 * x0, 0.999 * x0, 1.001 * x0, 2 * x0, 50.0, 1000.0])
+        grid = TimeGrid(times)
+        p = classical_return_continuum(PowerSemicircle(nu=nu, lam_max=2.0), grid)
+        amp = quantum_amplitude_continuum(PowerSemicircle(nu=nu, lam_max=2.0), grid)
+        for k, t in enumerate(times):
+            want_p, want_amp = mp_semicircle(nu, 2.0, t)
+            assert p[k] == pytest.approx(want_p, rel=1e-11, abs=1e-300)
+            assert abs(amp[k] - want_amp) <= 1e-11 * abs(want_amp) + 1e-300
+
+    @pytest.mark.parametrize("dos", [
+        PowerSemicircle(nu=-0.9, lam_max=2.0),
+        PowerSemicircle(nu=0.5, lam_max=2.0),
+        PowerSemicircle(nu=200.0, lam_max=2.0),
+        Lifshits(b=1.5),
+        Lifshits(b=3.0),
+    ])
+    def test_exactly_one_at_zero(self, dos):
+        grid = TimeGrid(np.array([0.0, 1.0]))
+        assert classical_return_continuum(dos, grid)[0] == 1.0
+        assert quantum_amplitude_continuum(dos, grid)[0] == 1.0 + 0.0j
+
+    @pytest.mark.parametrize("dos,times", [
+        # x = lam_max t / 2 from 700 to 1e6
+        (PowerSemicircle(nu=-0.9, lam_max=2.0), np.geomspace(700.0, 1e6, 30)),
+        (PowerSemicircle(nu=0.5, lam_max=2.0), np.geomspace(700.0, 1e6, 30)),
+        (PowerSemicircle(nu=200.0, lam_max=2.0), np.geomspace(700.0, 1e6, 30)),
+        # the Lifshits series underflow to zero here
+        (Lifshits(b=1.5), np.geomspace(2e5, 1e8, 30)),
+        (Lifshits(b=3.0), np.geomspace(2e5, 1e8, 30)),
+    ])
+    def test_far_past_switch_over_finite_and_quiet(self, dos, times):
+        grid = TimeGrid(times)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = classical_return_continuum(dos, grid)
+            a = quantum_return_bound_continuum(dos, grid)
+        assert np.all(np.isfinite(p)) and np.all(np.isfinite(a))
+        assert np.all((p >= 0) & (p <= 1)) and np.all((a >= 0) & (a <= 1))
+        assert np.all(np.diff(p) <= 0)
+
+    def test_nu_beyond_bessel_range_raises(self):
+        # the scaled Bessel factor would leave the double range at the switch
+        dos = PowerSemicircle(nu=400.0, lam_max=2.0)
+        grid = TimeGrid(np.array([0.0, 1.0, 100.0]))
+        with pytest.raises(NumericalError, match="nu=400"):
+            classical_return_continuum(dos, grid)
+        with pytest.raises(NumericalError, match="nu=400"):
+            quantum_amplitude_continuum(dos, grid)
+
+
 class TestPurePowerIdentity:
     def test_amplitude_equals_classical_for_soft_spectrum(self):
         # for a density ~ lam^nu with nu < 0 the band edge contributes only
@@ -215,9 +389,8 @@ class TestPurePowerIdentity:
         cases = [(-0.5, [2000.0, 5000.0], 0.03), (-0.3, [2e4, 5e4], 0.08)]
         for nu, times, tol in cases:
             dos = PurePower(nu=nu, lam_max=1.0)
-            grid = TimeGrid(np.array(times))
-            p = classical_return_continuum(dos, grid)
-            amp = np.abs(quantum_amplitude_continuum(dos, grid))
+            p = np.array([quad_classical(dos, t) for t in times])
+            amp = np.abs([quad_amplitude(dos, t) for t in times])
             np.testing.assert_allclose(amp / p, 1.0, atol=tol)
 
 
@@ -316,17 +489,20 @@ class TestQuadratureMatchesAsymptotics:
         assert p[0] / math.exp(-1.0 * 2.0) == pytest.approx(1.0, abs=0.01)
 
 
-class TestQuadratureFailure:
-    def test_nonintegrable_density_raises(self):
+class TestUnsupportedDOS:
+    def test_unknown_family_raises_type_error(self):
         @dataclass(frozen=True)
-        class Divergent:
+        class Gaussian:
             lam_max: float = 1.0
 
             def density(self, lam):
-                return 1.0 / lam if lam > 0 else 0.0
+                return np.exp(-lam**2)
 
-        with pytest.raises(NumericalError, match="t="):
-            classical_return_continuum(Divergent(), TimeGrid(np.array([1.0])))
+        grid = TimeGrid(np.array([0.0, 1.0]))
+        for fn in (classical_return_continuum, quantum_amplitude_continuum,
+                   quantum_return_bound_continuum):
+            with pytest.raises(TypeError, match="Gaussian"):
+                fn(Gaussian(), grid)
 
 
 class TestParseDOSSpec:

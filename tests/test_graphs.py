@@ -201,6 +201,21 @@ class TestEdgeList:
         with pytest.raises(ParseError):
             from_edge_list("4\n0 1\n")
 
+    @pytest.mark.parametrize("text", ["n\n0 1\n", "n x\n0 1\n", "n 3 4\n", ""])
+    def test_malformed_header(self, text):
+        with pytest.raises(ParseError, match="must start with 'n <count>'"):
+            from_edge_list(text)
+
+    @pytest.mark.parametrize("line", ["0 1 2", "0", "0 x"])
+    def test_malformed_line_names_line_number(self, line):
+        with pytest.raises(ParseError, match="line 4: expected two integer"):
+            from_edge_list(f"n 3\n0 1\n\n{line}\n")
+
+    @pytest.mark.parametrize("text", ["n 3\n0 1\n0 1", "n 3\n0 1\n1 0"])
+    def test_duplicate_edge_names_line_number(self, text):
+        with pytest.raises(ParseError, match=r"line 3: duplicate edge \(0, 1\)"):
+            from_edge_list(text)
+
 
 class TestParseGraphSpec:
     @pytest.mark.parametrize("spec,n,edges", [

@@ -4,6 +4,8 @@ from scipy.linalg import expm
 
 from specwalk import (
     Graph,
+    NumericalError,
+    Spectrum,
     build_dendrimer,
     build_erdos_renyi,
     build_hypercubic,
@@ -25,7 +27,7 @@ from specwalk import (
     quantum_return_bound,
     transport_series,
 )
-from specwalk.transport import TimeGrid, chi_csv, series_csv
+from specwalk.transport import TimeGrid, chi_csv, clamp_unit_interval, series_csv
 
 
 def spectrum_of(g, vectors=False):
@@ -152,6 +154,24 @@ class TestExactAverageReturn:
             grid = log_grid(1e-2, 1e3, 150)
             gap = exact_average_return(s, grid) - quantum_return_bound(s, grid)
             assert gap.min() >= -1e-10
+
+    def test_unnormalized_vectors_raise(self):
+        # vectors scaled by 1.1 give pi_bar(0) = 1.1**4, no rounding slip
+        s = spectrum_of(build_star(6), vectors=True)
+        bad = Spectrum(eigenvalues=s.eigenvalues, eigenvectors=1.1 * s.eigenvectors)
+        with pytest.raises(NumericalError, match="outside"):
+            exact_average_return(bad, default_grid())
+
+
+class TestClampUnitInterval:
+    def test_rounding_slips_are_clipped(self):
+        got = clamp_unit_interval(np.array([-1e-13, 0.5, 1.0 + 1e-13]))
+        np.testing.assert_array_equal(got, [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("bad", [-2e-12, 1.0 + 2e-12, np.nan])
+    def test_material_overshoot_raises(self, bad):
+        with pytest.raises(NumericalError, match="index 1"):
+            clamp_unit_interval(np.array([0.5, bad, 0.25]))
 
 
 class TestPairwise:
