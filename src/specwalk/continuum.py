@@ -150,10 +150,20 @@ def _semicircle_factor(v, x, quantum: bool) -> np.ndarray:
 
 def _lifshits_transform(dos: Lifshits, s: np.ndarray) -> np.ndarray:
     """2 s**((b-1)/2) K_{b-1}(2 sqrt s) / Gamma(b-1): the Laplace transform
-    at s = t, the Fourier transform at s = i t."""
+    at s = t, the Fourier transform at s = i t.
+
+    Its distance from 1 is below |s|**m (1 + |ln|s||), m = min(b-1, 1)
+    (the leading small-argument terms of K_{b-1}, checked against mpmath
+    for b-1 in [0.1, 10]). Where that falls below a quarter ulp of 1 the
+    value is 1 to double precision and is taken from the s = 0 branch,
+    before kve overflows and the power underflows.
+    """
     nu = dos.b - 1
     out = np.ones_like(s)
-    pos = s != 0
+    size = np.abs(s)
+    pos = size > 0
+    pos[pos] = (size[pos] ** min(nu, 1.0) * (1 + np.abs(np.log(size[pos])))
+                >= 0.25 * np.finfo(float).eps)
     w = 2 * np.sqrt(s[pos])
     out[pos] = 2 * np.exp(0.5 * nu * np.log(s[pos]) - w - dos.log_norm) \
         * special.kve(nu, w)

@@ -192,8 +192,9 @@ def to_edge_list(g: Graph) -> str:
 def from_edge_list(text: str) -> Graph:
     """Inverse of `to_edge_list`; blank lines are skipped.
 
-    A line that is not two integers, or that repeats an edge, raises
-    ParseError naming its 1-based line number.
+    A line that is not two integers, names a node outside [0, n), makes a
+    self-loop or repeats an edge raises ParseError naming its 1-based line
+    number.
     """
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     header = lines[0][1].split() if lines else []
@@ -208,6 +209,10 @@ def from_edge_list(text: str) -> Graph:
         except ValueError:
             raise ParseError(f"line {no}: expected two integer node indices",
                              text=ln, position=0) from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise ParseError(f"line {no}: node out of range for n={n}", text=ln, position=0)
+        if i == j:
+            raise ParseError(f"line {no}: self-loop at node {i}", text=ln, position=0)
         edge = (i, j) if i < j else (j, i)
         if edge in edges:
             raise ParseError(f"line {no}: duplicate edge {edge}", text=ln, position=0)

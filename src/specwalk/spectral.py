@@ -7,7 +7,8 @@ unlike iterative methods, deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,74 @@ class Spectrum:
         """Size of the near-zero cluster; equals the number of components."""
         tol = default_cluster_tol(self.eigenvalues) if cluster_tol is None else cluster_tol
         return int(np.sum(np.abs(self.eigenvalues) <= tol))
+
+    @cached_property
+    def clusters(self) -> ClusterView:
+        """Degeneracy clusters at the default tolerance, built on first use.
+
+        The spectrum is treated as immutable: the view is never rebuilt.
+        """
+        return ClusterView.of(self, default_cluster_tol(self.eigenvalues))
+
+    def clusters_at(self, cluster_tol: float | None) -> ClusterView:
+        """`clusters`, or a fresh view when a tolerance is given."""
+        return self.clusters if cluster_tol is None else ClusterView.of(self, cluster_tol)
+
+
+@dataclass(frozen=True)
+class ClusterView:
+    """The distinct eigenvalues of a spectrum and, with vectors, the cluster
+    projector diagonals that every transport kernel reads.
+
+    Cluster E covers eigenvalue indices starts[E] .. starts[E] + mult[E] - 1;
+    `values` are the cluster means. Near-equal eigenvalues join a cluster
+    while they stay within cluster_tol of its running mean, so the
+    multiplicities sum to n.
+    """
+
+    values: np.ndarray
+    mult: np.ndarray
+    starts: np.ndarray
+    vectors: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def of(cls, spectrum: Spectrum, cluster_tol: float) -> ClusterView:
+        if cluster_tol <= 0:
+            raise ValueError(f"cluster tolerance must be positive, got {cluster_tol}")
+        values, mult = [], []
+        run_sum, run_count = 0.0, 0
+        for lam in np.asarray(spectrum.eigenvalues, dtype=float).tolist():
+            if run_count and abs(lam - run_sum / run_count) <= cluster_tol:
+                run_sum += lam
+                run_count += 1
+            else:
+                if run_count:
+                    values.append(run_sum / run_count)
+                    mult.append(run_count)
+                run_sum, run_count = lam, 1
+        if run_count:
+            values.append(run_sum / run_count)
+            mult.append(run_count)
+        mult = np.array(mult, dtype=np.int64)
+        return cls(values=np.array(values, dtype=float), mult=mult,
+                   starts=np.cumsum(mult) - mult, vectors=spectrum.eigenvectors)
+
+    def __len__(self):
+        return len(self.values)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """W[j, E] = sum over n in E of v_jn**2, an n x K array: the diagonal
+        of the projector onto cluster E, whatever basis the solver picked
+        inside the cluster."""
+        if self.vectors is None:
+            raise ValueError("operation needs eigenvectors; decompose with with_vectors=True")
+        return np.add.reduceat(self.vectors**2, self.starts, axis=1)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G = W^T W, K x K."""
+        return self.weights.T @ self.weights
 
 
 def _fix_signs(vecs):
@@ -101,35 +170,14 @@ def degeneracy_table(spectrum: Spectrum, cluster_tol: float | None = None):
     A value joins the current cluster while it stays within cluster_tol of
     the running cluster mean. Multiplicities sum to n.
     """
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(spectrum.eigenvalues)
-    if cluster_tol <= 0:
-        raise ValueError(f"cluster tolerance must be positive, got {cluster_tol}")
-    table = []
-    run_sum = 0.0
-    run_count = 0
-    for lam in spectrum.eigenvalues:
-        if run_count and abs(lam - run_sum / run_count) <= cluster_tol:
-            run_sum += lam
-            run_count += 1
-        else:
-            if run_count:
-                table.append((run_sum / run_count, run_count))
-            run_sum, run_count = lam, 1
-    if run_count:
-        table.append((run_sum / run_count, run_count))
-    return table
+    view = spectrum.clusters_at(cluster_tol)
+    return list(zip(view.values.tolist(), view.mult.tolist()))
 
 
 def cluster_slices(spectrum: Spectrum, cluster_tol: float | None = None):
     """Index ranges [(start, stop), ...] of the degeneracy clusters."""
-    table = degeneracy_table(spectrum, cluster_tol)
-    out = []
-    start = 0
-    for _, mult in table:
-        out.append((start, start + mult))
-        start += mult
-    return out
+    view = spectrum.clusters_at(cluster_tol)
+    return [(start, start + m) for start, m in zip(view.starts.tolist(), view.mult.tolist())]
 
 
 @dataclass(frozen=True)

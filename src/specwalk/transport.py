@@ -5,6 +5,13 @@ by the Laplacian itself, both at unit hop rate. Averaged over start nodes
 the classical return probability and the quantum lower bound need only
 eigenvalues; the exact quantum average and anything pairwise need the
 eigenvectors as well.
+
+The averaged kernels and chi read the spectrum's degeneracy clusters
+(`Spectrum.clusters`, built once): K distinct values with their
+multiplicities and, with vectors, the cluster projector diagonals. They
+work in real arithmetic on blocks of about CHUNK_ELEMS / K times, so
+their cost scales with K rather than n and their memory does not grow
+with the grid.
 """
 
 from __future__ import annotations
@@ -14,11 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .spectral import Spectrum, cluster_slices
+from .spectral import ClusterView, Spectrum
 
 EIG_CLAMP_TOL = 1e-8
 # rounding may push a probability past [0, 1] by a few ulps, never by more
 PROB_CLAMP_TOL = 1e-12
+# elements of one times x clusters block in the averaged kernels
+CHUNK_ELEMS = 1 << 20
+# exp(-708) = 3.3e-308 is still a normal double
+EXP_FLOOR = -708.0
+SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -83,6 +95,8 @@ class TransportSeries:
 
 
 def _clamped_eigenvalues(spectrum: Spectrum) -> np.ndarray:
+    """Eigenvalues clipped to >= 0; a value below -EIG_CLAMP_TOL * max(1,
+    |lam|_max) is not rounding and raises ValueError."""
     lam = np.asarray(spectrum.eigenvalues, dtype=float)
     tol = EIG_CLAMP_TOL * max(1.0, float(np.abs(lam).max(initial=0.0)))
     if lam.min(initial=0.0) < -tol:
@@ -90,6 +104,45 @@ def _clamped_eigenvalues(spectrum: Spectrum) -> np.ndarray:
             f"spectrum has eigenvalue {lam.min():.3e} below -{tol:.1e}; not a Laplacian"
         )
     return np.clip(lam, 0.0, None)
+
+
+def _levels(spectrum: Spectrum) -> tuple[ClusterView, np.ndarray]:
+    """The cached clusters and their values clipped to >= 0, after the
+    eigenvalue check of `_clamped_eigenvalues`."""
+    _clamped_eigenvalues(spectrum)
+    view = spectrum.clusters
+    return view, np.clip(view.values, 0.0, None)
+
+
+def _vectors(spectrum: Spectrum) -> np.ndarray:
+    if not spectrum.has_vectors():
+        raise ValueError("operation needs eigenvectors; decompose with with_vectors=True")
+    return spectrum.eigenvectors
+
+
+def _chunked(grid: TimeGrid, k: int, kernel) -> np.ndarray:
+    """kernel(times) on consecutive blocks of the grid, each block's
+    times x K arrays holding about CHUNK_ELEMS elements."""
+    t = grid.times
+    step = max(1, CHUNK_ELEMS // max(k, 1))
+    return np.concatenate([kernel(t[lo:lo + step]) for lo in range(0, len(t), step)])
+
+
+def _cos_sin(t: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of outer(t, lam) from the tangent u of the half angle:
+    cos = 2/(1+u^2) - 1, sin = 2u/(1+u^2), accurate to about one ulp of 1.
+
+    One tangent replaces a sine and a cosine, and numpy vectorises tan
+    with SIMD where its float64 sin and cos run scalar (numpy 2.4 on an
+    AVX-512 Xeon: about 2.5 ns against 23 ns an element).
+    """
+    u = np.tan(np.outer(t, 0.5 * lam))
+    one_plus_cos = u * u
+    one_plus_cos += 1.0
+    np.divide(2.0, one_plus_cos, out=one_plus_cos)
+    sin = u * one_plus_cos
+    one_plus_cos -= 1.0
+    return one_plus_cos, sin
 
 
 def clamp_unit_interval(values: np.ndarray) -> np.ndarray:
@@ -103,45 +156,59 @@ def clamp_unit_interval(values: np.ndarray) -> np.ndarray:
 
 
 def classical_return(spectrum: Spectrum, grid: TimeGrid) -> np.ndarray:
-    """Average classical return probability: mean over n of exp(-lam_n t).
+    """Average classical return probability: sum over clusters E of
+    (m_E / N) exp(-lam_E t).
 
     Monotonically non-increasing; tends to 1/N on a connected graph.
-    Underflowing terms flush to zero, which is harmless in the average.
+    Terms below exp(EXP_FLOOR) flush to zero, which is harmless in the
+    average and skips numpy's slow path for subnormal results.
     """
-    lam = _clamped_eigenvalues(spectrum)
-    with np.errstate(under="ignore"):
-        return np.exp(-np.outer(grid.times, lam)).mean(axis=1)
+    view, lam = _levels(spectrum)
+    mult = view.mult.astype(float)
+
+    def kernel(t):
+        rates = -np.outer(t, lam)
+        terms = np.exp(rates, out=np.zeros_like(rates), where=rates > EXP_FLOOR)
+        return terms @ mult / spectrum.n
+
+    return _chunked(grid, len(view), kernel)
 
 
 def quantum_return_bound(spectrum: Spectrum, grid: TimeGrid) -> np.ndarray:
-    """Eigenvalue-only lower bound |mean_n exp(-i lam_n t)|^2 on the quantum return.
+    """Eigenvalue-only lower bound |mean_n exp(-i lam_n t)|^2 on the quantum
+    return, as ((C m)^2 + (S m)^2) / N^2 with C, S = cos, sin(lam_E t) and
+    m the multiplicities.
 
     Exact on regular graphs; elsewhere it reproduces the local maxima of
     the true average well.
     """
-    lam = _clamped_eigenvalues(spectrum)
-    phases = np.exp(-1j * np.outer(grid.times, lam))
-    return clamp_unit_interval(np.abs(phases.mean(axis=1)) ** 2)
+    view, lam = _levels(spectrum)
+    mult = view.mult.astype(float)
 
+    def kernel(t):
+        cos, sin = _cos_sin(t, lam)
+        return ((cos @ mult) ** 2 + (sin @ mult) ** 2) / spectrum.n**2
 
-def _squared_vectors(spectrum: Spectrum) -> np.ndarray:
-    if not spectrum.has_vectors():
-        raise ValueError("operation needs eigenvectors; decompose with with_vectors=True")
-    return spectrum.eigenvectors**2
+    return clamp_unit_interval(_chunked(grid, len(view), kernel))
 
 
 def exact_average_return(spectrum: Spectrum, grid: TimeGrid) -> np.ndarray:
-    """Exact average quantum return probability, from squared eigenvector weights.
+    """Exact average quantum return probability, from the cluster projectors.
 
-    pi_bar(t) = mean over j of |sum_n exp(-i lam_n t) v_jn^2|^2. Only the
-    diagonal transition amplitudes are needed, so this is one dense
-    matrix-vector product per time point.
+    pi_bar(t) = mean over j of |sum_E exp(-i lam_E t) W_jE|^2, with W_jE
+    the diagonal of the projector onto cluster E. Expanded, that is
+    (1/N) sum_{E,E'} G_EE' cos((lam_E - lam_E') t) with G = W^T W, which
+    is evaluated as rowsum((C G) o C + (S G) o S) / N: T x K^2 real
+    flops.
     """
-    w = _squared_vectors(spectrum)
-    lam = _clamped_eigenvalues(spectrum)
-    phases = np.exp(-1j * np.outer(grid.times, lam))
-    amps = phases @ w.T
-    return clamp_unit_interval((np.abs(amps) ** 2).mean(axis=1))
+    view, lam = _levels(spectrum)
+    gram = view.gram
+
+    def kernel(t):
+        cos, sin = _cos_sin(t, lam)
+        return ((cos @ gram) * cos + (sin @ gram) * sin).sum(axis=1) / spectrum.n
+
+    return clamp_unit_interval(_chunked(grid, len(view), kernel))
 
 
 def transport_series(spectrum: Spectrum, grid: TimeGrid,
@@ -165,42 +232,30 @@ def _check_node(spectrum, *nodes):
 
 def classical_transition_matrix(spectrum: Spectrum, t: float) -> np.ndarray:
     """exp(-L t) reconstructed from the eigenpairs; columns sum to 1."""
-    if not spectrum.has_vectors():
-        raise ValueError("operation needs eigenvectors; decompose with with_vectors=True")
-    lam = _clamped_eigenvalues(spectrum)
-    v = spectrum.eigenvectors
+    v = _vectors(spectrum)
     with np.errstate(under="ignore"):
-        return (v * np.exp(-lam * t)) @ v.T
+        return (v * np.exp(-_clamped_eigenvalues(spectrum) * t)) @ v.T
 
 
 def quantum_amplitude_matrix(spectrum: Spectrum, t: float) -> np.ndarray:
     """Unitary exp(-i L t) reconstructed from the eigenpairs."""
-    if not spectrum.has_vectors():
-        raise ValueError("operation needs eigenvectors; decompose with with_vectors=True")
-    lam = _clamped_eigenvalues(spectrum)
-    v = spectrum.eigenvectors
-    return (v * np.exp(-1j * lam * t)) @ v.T
+    v = _vectors(spectrum)
+    return (v * np.exp(-1j * _clamped_eigenvalues(spectrum) * t)) @ v.T
 
 
 def pairwise_classical(spectrum: Spectrum, j: int, k: int, t: float) -> float:
     """Probability to sit at node k at time t after starting at node j."""
     _check_node(spectrum, j, k)
-    if not spectrum.has_vectors():
-        raise ValueError("operation needs eigenvectors; decompose with with_vectors=True")
-    lam = _clamped_eigenvalues(spectrum)
-    v = spectrum.eigenvectors
+    v = _vectors(spectrum)
     with np.errstate(under="ignore"):
-        return float(np.sum(np.exp(-lam * t) * v[k] * v[j]))
+        return float(np.sum(np.exp(-_clamped_eigenvalues(spectrum) * t) * v[k] * v[j]))
 
 
 def pairwise_quantum(spectrum: Spectrum, j: int, k: int, t: float) -> float:
     """Quantum transition probability |<k| exp(-i L t) |j>|^2."""
     _check_node(spectrum, j, k)
-    if not spectrum.has_vectors():
-        raise ValueError("operation needs eigenvectors; decompose with with_vectors=True")
-    lam = _clamped_eigenvalues(spectrum)
-    v = spectrum.eigenvectors
-    amp = np.sum(np.exp(-1j * lam * t) * v[k] * v[j])
+    v = _vectors(spectrum)
+    amp = np.sum(np.exp(-1j * _clamped_eigenvalues(spectrum) * t) * v[k] * v[j])
     return float(np.abs(amp) ** 2)
 
 
@@ -208,21 +263,30 @@ def chi_matrix(spectrum: Spectrum, cluster_tol: float | None = None) -> np.ndarr
     """Long-time average of the quantum transition probabilities.
 
     Time-averaging kills every cross term between distinct eigenvalues, so
-    chi_kj = sum over degenerate clusters E of |sum_{n in E} v_kn v_jn|^2.
-    Cross terms inside a cluster survive, which is why the degeneracy
-    clustering (same tolerance as the degeneracy table) is load-bearing:
-    splitting a true cluster would push chi toward the naive diagonal form.
-    Columns sum to 1.
+    chi = sum over degenerate clusters E of P_E o P_E, with P_E the
+    projector onto cluster E. Cross terms inside a cluster survive, which
+    is why the degeneracy clustering (same tolerance as the degeneracy
+    table) is load-bearing: splitting a true cluster would push chi toward
+    the naive diagonal form. Columns sum to 1.
+
+    Clusters of one or two vectors a, b contribute rank-one terms
+    (a o a)(a o a)^T, (b o b)(b o b)^T and 2 (a o b)(a o b)^T, which go
+    into a single product Z Z^T; only larger clusters build an n x n
+    projector.
     """
-    if not spectrum.has_vectors():
-        raise ValueError("operation needs eigenvectors; decompose with with_vectors=True")
-    v = spectrum.eigenvectors
-    n = spectrum.n
-    chi = np.zeros((n, n))
-    for start, stop in cluster_slices(spectrum, cluster_tol):
-        block = v[:, start:stop]
+    v = _vectors(spectrum)
+    view = spectrum.clusters_at(cluster_tol)
+    starts = view.starts
+    single = starts[view.mult == 1]
+    pair = starts[view.mult == 2]
+    a, b = v[:, pair], v[:, pair + 1]
+    z = np.hstack([v[:, single] ** 2, a * a, b * b, SQRT2 * a * b])
+    chi = z @ z.T
+    large = view.mult > 2
+    for start, m in zip(starts[large].tolist(), view.mult[large].tolist()):
+        block = v[:, start:start + m]
         proj = block @ block.T
-        chi += proj**2
+        chi += proj * proj
     return chi
 
 
@@ -243,9 +307,16 @@ def series_csv(series: TransportSeries) -> str:
 
 
 def chi_csv(chi: np.ndarray) -> str:
-    """Matrix CSV with a node-index header row."""
+    """Matrix CSV with a node-index header row.
+
+    chi is symmetric and often highly degenerate, so each distinct bit
+    pattern is formatted once and scattered back into place.
+    """
     n = chi.shape[0]
+    chi = np.ascontiguousarray(chi, dtype=float)
+    bits, inverse = np.unique(chi.view(np.uint64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+    rows = text[inverse.reshape(chi.shape)].tolist()
     lines = ["node," + ",".join(str(k) for k in range(n))]
-    for j in range(n):
-        lines.append(f"{j}," + ",".join(repr(float(x)) for x in chi[j]))
+    lines.extend(f"{j}," + ",".join(row) for j, row in enumerate(rows))
     return "\n".join(lines) + "\n"

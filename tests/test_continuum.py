@@ -232,6 +232,32 @@ class TestQuantumContinuum:
         want = lifshits_quantum_oracle(b, grid.times)
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
+    @pytest.mark.parametrize("b", [1.1, 2.0, 4.0])
+    @pytest.mark.parametrize("transform", [classical_return_continuum,
+                                           quantum_return_bound_continuum])
+    def test_lifshits_tiny_times(self, b, transform):
+        # kve(b-1, 2 sqrt t) overflows near t = 1e-300 at b = 4; the value
+        # is 1 to double precision long before that
+        grid = TimeGrid(np.concatenate(([1e-300, 1e-200], np.geomspace(1e-190, 1e-6, 400))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = transform(Lifshits(b=b), grid)
+        t = grid.times
+        # 1 - p(s) is below |s|^m (1 + |ln|s||), m = min(b-1, 1); squaring
+        # doubles it on the quantum side
+        bound = 2 * t ** min(b - 1, 1.0) * (1 + np.abs(np.log(t))) + 1e-13
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got[:2], 1.0)
+        assert np.all(np.abs(got - 1) <= bound)
+        quantum = transform is quantum_return_bound_continuum
+        for tk, value in zip(t[2::40], got[2::40]):
+            with mpmath.workdps(30):
+                s = mpmath.mpc(0, tk) if quantum else mpmath.mpf(tk)
+                amp = 2 * s ** ((b - 1) / 2) * mpmath.besselk(b - 1, 2 * mpmath.sqrt(s)) \
+                    / mpmath.gamma(b - 1)
+                want = float(abs(amp) ** 2) if quantum else float(amp.real)
+            assert value == pytest.approx(want, abs=1e-13)
+
     def test_lifshits_does_not_oscillate(self):
         dos = Lifshits(b=2.0)
         grid = log_grid(1.0, 1e4, 120, include_zero=False)

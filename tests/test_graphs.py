@@ -216,6 +216,16 @@ class TestEdgeList:
         with pytest.raises(ParseError, match=r"line 3: duplicate edge \(0, 1\)"):
             from_edge_list(text)
 
+    @pytest.mark.parametrize("text", ["n 3\n0 5", "n 3\n0 1\n-1 2"])
+    def test_out_of_range_node_names_line_number(self, text):
+        line = len(text.splitlines())
+        with pytest.raises(ParseError, match=f"line {line}: node out of range for n=3"):
+            from_edge_list(text)
+
+    def test_self_loop_names_line_number(self):
+        with pytest.raises(ParseError, match="line 2: self-loop at node 1"):
+            from_edge_list("n 3\n1 1")
+
 
 class TestParseGraphSpec:
     @pytest.mark.parametrize("spec,n,edges", [

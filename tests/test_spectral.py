@@ -14,7 +14,7 @@ from specwalk import (
     dos_histogram,
     laplacian,
 )
-from specwalk.spectral import degeneracies_csv, spectrum_csv
+from specwalk.spectral import default_cluster_tol, degeneracies_csv, spectrum_csv
 
 
 def path_graph(n):
@@ -148,6 +148,64 @@ class TestDegeneracyTable:
         s = decompose(laplacian(build_ring(5)))
         with pytest.raises(ValueError):
             degeneracy_table(s, cluster_tol=0.0)
+
+
+def running_mean_table(eigenvalues, tol):
+    # the clustering rule written out once more, element by element
+    table, run = [], []
+    for lam in eigenvalues:
+        if run and abs(lam - sum(run) / len(run)) <= tol:
+            run.append(lam)
+        else:
+            if run:
+                table.append((sum(run) / len(run), len(run)))
+            run = [lam]
+    return table + [(sum(run) / len(run), len(run))]
+
+
+class TestClusterView:
+    graphs = [build_star(12), build_dendrimer(3, 3), build_ring(40),
+              build_erdos_renyi(30, 0.2, seed=4)]
+
+    @pytest.mark.parametrize("g", graphs)
+    def test_matches_running_mean_rule(self, g):
+        s = decompose(laplacian(g))
+        view = s.clusters
+        want = running_mean_table(s.eigenvalues.tolist(), 1e-8 * max(1.0, s.eigenvalues[-1]))
+        assert list(zip(view.values.tolist(), view.mult.tolist())) == want
+        assert view.mult.sum() == s.n
+        np.testing.assert_array_equal(view.starts, np.cumsum(view.mult) - view.mult)
+
+    def test_built_once(self):
+        s = decompose(laplacian(build_star(9)), with_vectors=True)
+        assert s.clusters is s.clusters
+        assert s.clusters.weights is s.clusters.weights
+        assert s.clusters_at(None) is s.clusters
+        assert s.clusters_at(1e-3) is not s.clusters
+
+    @pytest.mark.parametrize("g", graphs)
+    def test_weights_are_projector_diagonals(self, g):
+        s = decompose(laplacian(g), with_vectors=True)
+        view = s.clusters
+        v = s.eigenvectors
+        for e, (start, m) in enumerate(zip(view.starts, view.mult)):
+            block = v[:, start:start + m]
+            np.testing.assert_allclose(view.weights[:, e], np.diag(block @ block.T), atol=1e-14)
+        np.testing.assert_allclose(view.weights.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(view.gram, view.weights.T @ view.weights, atol=0)
+        assert view.gram.sum() == pytest.approx(s.n, rel=1e-12)
+
+    def test_weights_need_vectors(self):
+        s = decompose(laplacian(build_ring(6)))
+        with pytest.raises(ValueError, match="eigenvector"):
+            s.clusters.weights
+
+    def test_degeneracies_csv_unchanged(self):
+        # the table goes through float means, exactly as the scalar loop did
+        s = decompose(laplacian(build_dendrimer(4, 3)))
+        want = running_mean_table(list(s.eigenvalues), default_cluster_tol(s.eigenvalues))
+        lines = ["value,multiplicity"] + [f"{repr(float(v))},{m}" for v, m in want]
+        assert degeneracies_csv(s) == "\n".join(lines) + "\n"
 
 
 class TestDOSHistogram:

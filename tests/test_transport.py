@@ -1,6 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+
+from specwalk import transport
 
 from specwalk import (
     Graph,
@@ -21,6 +27,7 @@ from specwalk import (
     linear_grid,
     log_grid,
     merge_grids,
+    parse_graph_spec,
     pairwise_classical,
     pairwise_quantum,
     quantum_amplitude_matrix,
@@ -32,6 +39,81 @@ from specwalk.transport import TimeGrid, chi_csv, clamp_unit_interval, series_cs
 
 def spectrum_of(g, vectors=False):
     return decompose(laplacian(g), with_vectors=vectors)
+
+
+def disjoint_union(*graphs):
+    edges, offset = set(), 0
+    for g in graphs:
+        edges |= {(i + offset, j + offset) for i, j in g.edges}
+        offset += g.n
+    return Graph(n=offset, edges=frozenset(edges))
+
+
+def relabel(g, perm):
+    return Graph(n=g.n, edges=frozenset(
+        (min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in g.edges))
+
+
+# per-eigenvalue oracle: every eigenvalue and eigenvector on its own, in
+# complex arithmetic over the whole grid at once
+
+def oracle_classical(s, grid):
+    lam = np.clip(s.eigenvalues, 0.0, None)
+    with np.errstate(under="ignore"):
+        return np.exp(-np.outer(grid.times, lam)).mean(axis=1)
+
+
+def oracle_quantum_bound(s, grid):
+    lam = np.clip(s.eigenvalues, 0.0, None)
+    return np.abs(np.exp(-1j * np.outer(grid.times, lam)).mean(axis=1)) ** 2
+
+
+def oracle_exact_average(s, grid):
+    lam = np.clip(s.eigenvalues, 0.0, None)
+    amps = np.exp(-1j * np.outer(grid.times, lam)) @ (s.eigenvectors**2).T
+    return (np.abs(amps) ** 2).mean(axis=1)
+
+
+def oracle_chi(s):
+    # one projector per cluster of the running-mean rule at the default
+    # tolerance, singletons included
+    lam, v = s.eigenvalues, s.eigenvectors
+    tol = 1e-8 * max(1.0, lam[-1])
+    bounds, start = [], 0
+    for k in range(1, s.n + 1):
+        if k == s.n or abs(lam[k] - lam[start:k].mean()) > tol:
+            bounds.append((start, k))
+            start = k
+    chi = np.zeros((s.n, s.n))
+    for start, stop in bounds:
+        proj = v[:, start:stop] @ v[:, start:stop].T
+        chi += proj**2
+    return chi
+
+
+def oracle_chi_csv(chi):
+    n = chi.shape[0]
+    lines = ["node," + ",".join(str(k) for k in range(n))]
+    for j in range(n):
+        lines.append(f"{j}," + ",".join(repr(float(x)) for x in chi[j]))
+    return "\n".join(lines) + "\n"
+
+
+ORACLE_GRAPHS = ["star:1500", "ring:600", "dendrimer:8,3", "er:800,0.02,seed=1", "union"]
+
+
+@pytest.fixture(scope="module")
+def oracle_spectra():
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            g = (disjoint_union(build_ring(30), build_star(25)) if name == "union"
+                 else parse_graph_spec(name))
+            cache[name] = spectrum_of(g, vectors=True)
+        return cache[name]
+
+    return get
 
 
 class TestTimeGrid:
@@ -328,3 +410,132 @@ class TestSeriesInvariants:
         series = transport_series(s, default_grid(), with_exact_quantum=True)
         for arr in (series.p_bar, series.alpha_bar_sq, series.pi_bar):
             assert arr.min() >= 0.0 and arr.max() <= 1.0
+
+
+class TestClusterKernelsAgainstOracle:
+    """The cluster-compressed kernels against the per-eigenvalue oracle.
+
+    Both sides round each phase lam * t to double precision, the kernels
+    once per cluster mean and the oracle once per eigenvalue, so they part
+    by about eps * lam_max * t_max; t_max = 1e3 keeps that below 1e-12.
+    """
+
+    grid = merge_grids(linear_grid(0.0, 20.0, 401), log_grid(20.0, 1e3, 200))
+
+    @pytest.mark.parametrize("name", ORACLE_GRAPHS)
+    @pytest.mark.parametrize("kernel,oracle", [
+        (classical_return, oracle_classical),
+        (quantum_return_bound, oracle_quantum_bound),
+        (exact_average_return, oracle_exact_average),
+    ], ids=["p_bar", "alpha_bar_sq", "pi_bar"])
+    def test_series(self, oracle_spectra, name, kernel, oracle):
+        s = oracle_spectra(name)
+        np.testing.assert_allclose(kernel(s, self.grid), oracle(s, self.grid),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ORACLE_GRAPHS)
+    def test_chi(self, oracle_spectra, name):
+        s = oracle_spectra(name)
+        np.testing.assert_allclose(chi_matrix(s), oracle_chi(s), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("times", [[0.0], [7.5], [1e4]])
+    def test_one_point_grid(self, oracle_spectra, times):
+        s = oracle_spectra("dendrimer:8,3")
+        grid = TimeGrid(np.array(times))
+        for kernel, oracle in [(classical_return, oracle_classical),
+                               (quantum_return_bound, oracle_quantum_bound),
+                               (exact_average_return, oracle_exact_average)]:
+            got = kernel(s, grid)
+            assert got.shape == (1,)
+            assert got[0] == pytest.approx(oracle(s, grid)[0], abs=1e-11)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunk_edges(self, oracle_spectra, monkeypatch, extra):
+        # chunks of 7 times: grids one short of, equal to and one past a
+        # multiple of the chunk length
+        s = oracle_spectra("union")
+        k = len(s.clusters)
+        monkeypatch.setattr(transport, "CHUNK_ELEMS", 7 * k)
+        grid = linear_grid(0.0, 30.0, 21 + extra)
+        for kernel, oracle in [(classical_return, oracle_classical),
+                               (quantum_return_bound, oracle_quantum_bound),
+                               (exact_average_return, oracle_exact_average)]:
+            got = kernel(s, grid)
+            assert got.shape == (len(grid),)
+            np.testing.assert_allclose(got, oracle(s, grid), rtol=0, atol=1e-12)
+
+    def test_chunk_smaller_than_one_row(self, oracle_spectra, monkeypatch):
+        s = oracle_spectra("union")
+        monkeypatch.setattr(transport, "CHUNK_ELEMS", 1)
+        grid = linear_grid(0.0, 5.0, 3)
+        np.testing.assert_allclose(exact_average_return(s, grid),
+                                   oracle_exact_average(s, grid), rtol=0, atol=1e-12)
+
+    def test_memory_is_bounded_on_long_grids(self, oracle_spectra):
+        # the oracle would hold two 100k x 1500 complex arrays, 4.8 GB
+        s = oracle_spectra("star:1500")
+        s.clusters.gram  # the one-off n x n work is not the grid's
+        grid = linear_grid(0.0, 1e3, 100_000)
+        tracemalloc.start()
+        try:
+            pi = exact_average_return(s, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert pi.shape == (100_000,)
+
+
+class TestChiCSVFormat:
+    @pytest.mark.parametrize("g", [build_ring(12), build_star(7), build_dendrimer(3, 3),
+                                   build_erdos_renyi(25, 0.3, seed=2)])
+    def test_byte_identical_to_plain_writer(self, g):
+        chi = chi_matrix(spectrum_of(g, vectors=True))
+        assert chi_csv(chi) == oracle_chi_csv(chi)
+
+    def test_special_values(self):
+        chi = np.array([[0.0, -0.0, np.nan], [np.inf, 1e-300, 5e-324], [1.0, 0.1, 1 / 3]])
+        assert chi_csv(chi) == oracle_chi_csv(chi)
+
+
+small_graphs = st.builds(
+    build_erdos_renyi, st.integers(2, 12), st.floats(0.15, 0.9),
+    seed=st.integers(0, 2**32 - 1))
+graphs_with_unions = st.one_of(small_graphs, st.builds(disjoint_union, small_graphs,
+                                                       small_graphs))
+
+
+# a fixed example sequence keeps the suite reproducible run to run
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestInvariantProperties:
+    grid = log_grid(1e-2, 1e3, 80)
+
+    @PROPERTY_SETTINGS
+    @given(graphs_with_unions)
+    def test_bound_below_exact_below_one(self, g):
+        s = spectrum_of(g, vectors=True)
+        alpha = quantum_return_bound(s, self.grid)
+        pi = exact_average_return(s, self.grid)
+        assert np.all(alpha <= pi + 1e-12)
+        assert np.all(pi <= 1.0)
+        assert pi[0] == pytest.approx(1.0, abs=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(graphs_with_unions)
+    def test_chi_columns_sum_to_one(self, g):
+        chi = chi_matrix(spectrum_of(g, vectors=True))
+        np.testing.assert_allclose(chi.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_relabelling_leaves_pi_and_chi_unchanged(self, data):
+        g = data.draw(graphs_with_unions)
+        perm = np.array(data.draw(st.permutations(range(g.n))))
+        s, s_perm = spectrum_of(g, vectors=True), spectrum_of(relabel(g, perm), vectors=True)
+        np.testing.assert_allclose(exact_average_return(s_perm, self.grid),
+                                   exact_average_return(s, self.grid), rtol=0, atol=1e-10)
+        chi = chi_matrix(s)
+        chi_perm = chi_matrix(s_perm)
+        np.testing.assert_allclose(chi_perm[np.ix_(perm, perm)], chi, rtol=0, atol=1e-10)
