@@ -6,7 +6,7 @@ into a power law; quantum mechanically the degenerate levels keep the
 average return two orders of magnitude above the classical plateau. Both
 effects fall out of the eigenvalues alone.
 
-Run: python demos/dendrimer_non_scaling.py  (~10 s, one dense eigensolve)
+Run: python demos/dendrimer_non_scaling.py
 """
 
 import specwalk as sw
@@ -14,14 +14,14 @@ import specwalk as sw
 graph = sw.build_dendrimer(10, 3)
 print(f"nodes: {graph.n} (closed form 3*2^10 - 2 = {sw.dendrimer_node_count(10, 3)})")
 
-spec = sw.decompose(sw.laplacian(graph))  # eigenvalues only
+spec = sw.graph_spectrum(graph)  # eigenvalues only, from the closed form
 table = sw.degeneracy_table(spec)
 top = sorted(table, key=lambda vm: -vm[1])[:4]
 print("largest degeneracies:", [(round(float(v), 6), m) for v, m in top])
 
 grid = sw.default_grid()
 p = sw.classical_return(spec, grid)
-ring = sw.decompose(sw.laplacian(sw.build_ring(200)))
+ring = sw.graph_spectrum(sw.build_ring(200))
 p_ring = sw.classical_return(ring, grid)
 
 print("power-law fit residuals per decade (dendrimer vs 200-ring):")

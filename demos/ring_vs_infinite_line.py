@@ -13,7 +13,7 @@ import numpy as np
 import specwalk as sw
 
 N = 200
-spec = sw.decompose(sw.laplacian(sw.build_ring(N)))
+spec = sw.graph_spectrum(sw.build_ring(N))
 
 # classical side: log grid, slope over the intermediate decade pair
 grid = sw.default_grid()
@@ -29,7 +29,7 @@ qfit = sw.fit_power_law(env.times, env.values, (1.0, 100.0))
 print(f"quantum envelope exponent:          {qfit.exponent:+.3f}  (infinite line: -1.0)")
 
 # the same ring, held against the exact infinite-line law
-big = sw.decompose(sw.laplacian(sw.build_ring(1000)))
+big = sw.graph_spectrum(sw.build_ring(1000))
 window = sw.linear_grid(1.0, 240.0, 960)
 gap = np.abs(sw.quantum_return_bound(big, window)
              - sw.lattice_return_1d_product(1, window)).max()

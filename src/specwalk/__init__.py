@@ -25,7 +25,7 @@ from .scaling import (EfficiencyRatioSeries, EfficiencyReport, Envelope,
                       extract_envelope, fit_power_law, fit_stretched_exp,
                       saturation)
 from .spectral import (DOSHistogram, Spectrum, decompose, degeneracy_table,
-                       dos_histogram)
+                       dos_histogram, graph_spectrum)
 from .transport import (TimeGrid, TransportSeries, chi_matrix,
                         classical_return, classical_transition_matrix,
                         default_grid, exact_average_return, linear_grid,

@@ -26,12 +26,12 @@ from . import __version__
 from .continuum import (Lifshits, classical_return_continuum, parse_dos_spec,
                         quantum_return_bound_continuum)
 from .errors import NumericalError, ParseError
-from .graphs import laplacian, parse_graph_spec
+from .graphs import parse_graph_spec
 from .scaling import (EfficiencyReport, detect_crossover,
                       efficiency_ratio_series, extract_envelope,
                       fit_power_law, fit_stretched_exp, ratio_csv,
                       report_text, saturation)
-from .spectral import decompose, degeneracies_csv, spectrum_csv
+from .spectral import degeneracies_csv, graph_spectrum, spectrum_csv
 from .transport import (TimeGrid, TransportSeries, chi_csv, chi_matrix,
                         linear_grid, log_grid, merge_grids, series_csv,
                         transport_series)
@@ -194,17 +194,20 @@ def preset(name: str) -> ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """Record of one run: config echo, artifact checksums, version, duration."""
+    """Record of one run: config echo, artifact checksums, version, duration,
+    and diagnostics such as which path produced the spectrum."""
 
     config: dict[str, str]
     files: dict[str, str] = field(default_factory=dict)
     version: str = __version__
     duration_s: float = 0.0
+    diagnostics: dict[str, str] = field(default_factory=dict)
 
     def to_text(self) -> str:
         lines = [f"version = {self.version}",
                  f"duration_s = {repr(self.duration_s)}"]
         lines += [f"config.{k} = {v}" for k, v in sorted(self.config.items())]
+        lines += [f"{k} = {v}" for k, v in sorted(self.diagnostics.items())]
         lines += [f"file.{name} = {digest}"
                   for name, digest in sorted(self.files.items())]
         return "\n".join(lines) + "\n"
@@ -279,8 +282,8 @@ def run_experiment(config: ExperimentConfig,
     stretched = config.fit_model == "stretched"
     if config.graph is not None:
         graph = parse_graph_spec(config.graph, default_seed=config.seed)
-        spectrum = decompose(laplacian(graph),
-                             with_vectors=config.vectors or config.chi)
+        spectrum = graph_spectrum(graph, with_vectors=config.vectors or config.chi)
+        manifest.diagnostics["spectrum.path"] = spectrum.path
         if "spectrum" in stages:
             _write(out_dir, "spectrum.csv", spectrum_csv(spectrum), manifest)
             _write(out_dir, "degeneracies.csv", degeneracies_csv(spectrum), manifest)

@@ -10,8 +10,9 @@ Hamiltonian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -22,10 +23,20 @@ DEFAULT_SIZE_CAP = 5000
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph: node count plus a set of (i, j) pairs, i < j."""
+    """Undirected simple graph: node count plus a set of (i, j) pairs, i < j.
+
+    `family` is set by the builders of the symmetric families, as
+    ("ring", n), ("star", n), ("torus", side, d) or ("dendrimer", G, z),
+    so that `spectral.graph_spectrum` can use their closed-form spectra.
+    Equality and hashing ignore it: a graph read back from an edge list
+    equals the one built, and simply takes the general path. It is not
+    checked against the edges, so a copy with other edges (say from
+    `dataclasses.replace`) must not keep it.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
+    family: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -40,12 +51,14 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    def edge_index(self) -> np.ndarray:
+        """The edges as an (m, 2) int64 array, in the set's iteration order."""
+        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
+                           count=2 * len(self.edges))
+        return flat.reshape(-1, 2)
+
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self.edge_index().ravel(), minlength=self.n)
 
     @cached_property
     def connected(self) -> bool:
@@ -69,23 +82,23 @@ class Graph:
         return sorted(self.edges)
 
 
-def _make_graph(n, edge_iter):
+def _make_graph(n, edge_iter, family=None):
     edges = frozenset((i, j) if i < j else (j, i) for i, j in edge_iter)
-    return Graph(n=n, edges=edges)
+    return Graph(n=n, edges=edges, family=family)
 
 
 def build_ring(n: int) -> Graph:
     """Cycle of n nodes with periodic boundary; every degree is 2."""
     if n < 3:
         raise ValueError(f"ring needs n >= 3, got {n}")
-    return _make_graph(n, ((i, (i + 1) % n) for i in range(n)))
+    return _make_graph(n, ((i, (i + 1) % n) for i in range(n)), ("ring", n))
 
 
 def build_star(n: int) -> Graph:
     """Node 0 is the core, nodes 1..n-1 hang off it and nothing else."""
     if n < 3:
         raise ValueError(f"star needs n >= 3, got {n}")
-    return _make_graph(n, ((0, i) for i in range(1, n)))
+    return _make_graph(n, ((0, i) for i in range(1, n)), ("star", n))
 
 
 def build_dendrimer(generation: int, z: int = 3) -> Graph:
@@ -110,7 +123,7 @@ def build_dendrimer(generation: int, z: int = 3) -> Graph:
                 new_shell.append(nxt)
                 nxt += 1
         shell = new_shell
-    return _make_graph(nxt, edges)
+    return _make_graph(nxt, edges, ("dendrimer", generation, z))
 
 
 def dendrimer_node_count(generation: int, z: int = 3) -> int:
@@ -142,7 +155,7 @@ def build_hypercubic(side: int, d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Gra
             c = (v // strides[axis]) % side
             w = v + ((c + 1) % side - c) * strides[axis]
             edges.append((v, w))
-    return _make_graph(n, edges)
+    return _make_graph(n, edges, ("torus", side, d))
 
 
 def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -171,12 +184,12 @@ def laplacian(g: Graph) -> np.ndarray:
     Rows sum to zero exactly (integer-valued entries), and the matrix is
     symmetric positive semi-definite.
     """
+    index = g.edge_index()
+    i, j = index.T
     L = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        L[i, j] = -1.0
-        L[j, i] = -1.0
-        L[i, i] += 1.0
-        L[j, j] += 1.0
+    L[i, j] = -1.0
+    L[j, i] = -1.0
+    L.flat[::g.n + 1] = np.bincount(index.ravel(), minlength=g.n)
     return L
 
 

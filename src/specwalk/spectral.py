@@ -1,8 +1,12 @@
-"""Dense eigendecomposition of Laplacians, degeneracy clustering, DOS histograms.
+"""Laplacian spectra, degeneracy clustering, DOS histograms.
 
-Everything here works on the full spectrum: the graphs of interest stay
-below a few thousand nodes, where a dense symmetric solve is cheap and,
-unlike iterative methods, deterministic.
+Everything here works on the full spectrum. `graph_spectrum` takes the
+eigenvalues of the symmetric families (ring, torus, star, dendrimer) from
+their closed forms; every other graph, and every request for
+eigenvectors, goes through `decompose`, a dense symmetric solve. The
+graphs of interest stay below a few thousand nodes, where that solve is
+affordable and, unlike iterative methods, deterministic; it is also the
+oracle the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError
+from .graphs import Graph, laplacian
 
 RESIDUAL_RTOL = 1e-9
 
@@ -34,10 +39,13 @@ class Spectrum:
     Column k of `eigenvectors` pairs with `eigenvalues[k]`. Vector signs
     follow the convention that the first component of magnitude above
     1e-12 is positive, which keeps downstream matrices reproducible.
+    `path` says how the eigenvalues were obtained: "dense" (the symmetric
+    solver) or "closed_form".
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
+    path: str = "dense"
 
     @property
     def n(self) -> int:
@@ -164,6 +172,75 @@ def decompose(lap: np.ndarray, with_vectors: bool = False) -> Spectrum:
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
+def graph_spectrum(graph: Graph, with_vectors: bool = False) -> Spectrum:
+    """The Laplacian spectrum of a graph, from a closed form where one exists.
+
+    Eigenvalue-only requests on graphs from `build_ring`, `build_star`,
+    `build_hypercubic` and `build_dendrimer` skip the dense solve; every
+    other graph, and every request for eigenvectors, is decomposed densely.
+    """
+    if with_vectors or graph.family is None:
+        return decompose(laplacian(graph), with_vectors=with_vectors)
+    name, *params = graph.family
+    return Spectrum(eigenvalues=_CLOSED_FORMS[name](*params), path="closed_form")
+
+
+def _torus_eigenvalues(side, d):
+    # Fourier modes: 2 - 2cos(2 pi k / side) = 4 sin^2(pi k / side) per axis,
+    # with k folded onto min(k, side - k) so that +k and -k give equal bits
+    k = np.arange(side)
+    axis = 4.0 * np.sin(np.pi * np.minimum(k, side - k) / side) ** 2
+    values = np.zeros(1)
+    for _ in range(d):
+        values = np.add.outer(values, axis).ravel()
+    return np.sort(values)
+
+
+def _star_eigenvalues(n):
+    values = np.ones(n)
+    values[0], values[-1] = 0.0, float(n)
+    return values
+
+
+def _dendrimer_eigenvalues(generation, z):
+    """Shell-symmetric reduction of the dendrimer Laplacian (Cai & Chen,
+    Macromolecules 30, 5104 (1997); Muelken, Bierbaum & Blumen, J. Chem.
+    Phys. 124, 124905 (2006)).
+
+    Eigenvectors constant on the shells of a subtree, and antisymmetric
+    between sibling subtrees, reduce L to tridiagonal blocks with diagonal
+    z, ..., z, 1 and off-diagonal -sqrt(z-1): the symmetric block of size
+    G+1 (first off-diagonal -sqrt(z)), the core-antisymmetric block of size
+    G with multiplicity z-1, and for 1 <= g <= G-1 the block of size G-g
+    below each shell-g node, with multiplicity z (z-1)^(g-1) (z-2).
+    """
+    if generation == 0:
+        return np.zeros(1)
+
+    branch = np.sqrt(z - 1.0)
+
+    def block(size, first=branch):
+        diag = np.full(size, float(z))
+        diag[-1] = 1.0
+        off = np.full(size - 1, -branch)
+        off[:1] = -first
+        return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+    parts = [block(generation + 1, first=np.sqrt(float(z))),
+             np.repeat(block(generation), z - 1)]
+    for g in range(1, generation):
+        parts.append(np.repeat(block(generation - g), z * (z - 1) ** (g - 1) * (z - 2)))
+    return np.sort(np.concatenate(parts))
+
+
+_CLOSED_FORMS = {
+    "ring": lambda n: _torus_eigenvalues(n, 1),
+    "torus": _torus_eigenvalues,
+    "star": _star_eigenvalues,
+    "dendrimer": _dendrimer_eigenvalues,
+}
+
+
 def degeneracy_table(spectrum: Spectrum, cluster_tol: float | None = None):
     """Cluster near-equal eigenvalues; returns [(mean value, multiplicity), ...].
 
@@ -172,12 +249,6 @@ def degeneracy_table(spectrum: Spectrum, cluster_tol: float | None = None):
     """
     view = spectrum.clusters_at(cluster_tol)
     return list(zip(view.values.tolist(), view.mult.tolist()))
-
-
-def cluster_slices(spectrum: Spectrum, cluster_tol: float | None = None):
-    """Index ranges [(start, stop), ...] of the degeneracy clusters."""
-    view = spectrum.clusters_at(cluster_tol)
-    return [(start, start + m) for start, m in zip(view.starts.tolist(), view.mult.tolist())]
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,26 @@ class TestManifest:
         for name, digest in manifest.files.items():
             assert f"file.{name} = {digest}" in text
 
+    @pytest.mark.parametrize("graph, vectors, path", [
+        ("ring:12", False, "closed_form"),
+        ("dendrimer:3,3", False, "closed_form"),
+        ("ring:12", True, "dense"),
+        ("er:20,0.3,seed=2", False, "dense"),
+    ])
+    def test_records_spectrum_path(self, tmp_path, graph, vectors, path):
+        cfg = ExperimentConfig(graph=graph, out=str(tmp_path / "p"),
+                              grid="log:1e-2,1e2,80", vectors=vectors)
+        manifest = run_experiment(cfg)
+        lines = (tmp_path / "p" / "manifest.txt").read_text().splitlines()
+        assert f"spectrum.path = {path}" in lines
+        assert manifest.verify(tmp_path / "p")
+
+    def test_dos_run_records_no_spectrum_path(self, tmp_path):
+        cfg = ExperimentConfig(dos="lifshits:b=2", out=str(tmp_path / "d"),
+                              grid="log:1e-2,1e2,40", fit_window=(1.0, 100.0))
+        run_experiment(cfg)
+        assert "spectrum.path" not in (tmp_path / "d" / "manifest.txt").read_text()
+
     def test_verify_detects_tampering(self, tmp_path):
         cfg = ExperimentConfig(graph="ring:12", out=str(tmp_path / "t"),
                               grid="log:1e-2,1e2,80")

@@ -170,6 +170,23 @@ class TestLaplacian:
             lam = np.linalg.eigvalsh(laplacian(g))
             assert lam.min() > -1e-9
 
+    @pytest.mark.parametrize("g", [
+        Graph(n=1, edges=frozenset()), build_star(9), build_dendrimer(3, 3),
+        build_hypercubic(4, 3), build_erdos_renyi(200, 0.1, seed=3),
+    ])
+    def test_matches_per_edge_loop(self, g):
+        # the assembly written out edge by edge, as it was before vectorising
+        L = np.zeros((g.n, g.n))
+        deg = np.zeros(g.n, dtype=np.int64)
+        for i, j in g.edges:
+            L[i, j] = L[j, i] = -1.0
+            L[i, i] += 1.0
+            L[j, j] += 1.0
+            deg[i] += 1
+            deg[j] += 1
+        assert np.array_equal(laplacian(g), L)
+        assert np.array_equal(g.degrees(), deg) and g.degrees().dtype == np.int64
+
 
 class TestGraphType:
     def test_rejects_self_loop(self):

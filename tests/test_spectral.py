@@ -7,12 +7,17 @@ from specwalk import (
     Spectrum,
     build_dendrimer,
     build_erdos_renyi,
+    build_hypercubic,
     build_ring,
     build_star,
     decompose,
     degeneracy_table,
+    dendrimer_node_count,
     dos_histogram,
+    from_edge_list,
+    graph_spectrum,
     laplacian,
+    to_edge_list,
 )
 from specwalk.spectral import default_cluster_tol, degeneracies_csv, spectrum_csv
 
@@ -206,6 +211,60 @@ class TestClusterView:
         want = running_mean_table(list(s.eigenvalues), default_cluster_tol(s.eigenvalues))
         lines = ["value,multiplicity"] + [f"{repr(float(v))},{m}" for v, m in want]
         assert degeneracies_csv(s) == "\n".join(lines) + "\n"
+
+
+SYMMETRIC_FAMILIES = (
+    [build_ring(n) for n in range(3, 41)]
+    + [build_hypercubic(side, d) for side in range(3, 8) for d in (1, 2, 3)]
+    + [build_star(n) for n in range(3, 41)]
+    + [build_dendrimer(g, z) for z in (3, 4, 5) for g in range(10)
+       if dendrimer_node_count(g, z) <= 1500]
+    + [build_dendrimer(10, 3)]
+)
+
+
+class TestGraphSpectrum:
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        # (closed form, dense oracle) for every member of the sweep
+        return [(graph_spectrum(g), decompose(laplacian(g))) for g in SYMMETRIC_FAMILIES]
+
+    def test_equals_dense_as_multiset(self, pairs):
+        for g, (exact, dense) in zip(SYMMETRIC_FAMILIES, pairs):
+            assert exact.path == "closed_form" and dense.path == "dense"
+            assert exact.n == g.n and not exact.has_vectors()
+            assert np.all(np.diff(exact.eigenvalues) >= 0), g.family
+            np.testing.assert_allclose(exact.eigenvalues, dense.eigenvalues,
+                                       rtol=0, atol=1e-10, err_msg=str(g.family))
+
+    def test_degeneracies_match_dense(self, pairs):
+        for g, (exact, dense) in zip(SYMMETRIC_FAMILIES, pairs):
+            got, want = degeneracy_table(exact), degeneracy_table(dense)
+            assert [m for _, m in got] == [m for _, m in want], g.family
+            np.testing.assert_allclose([v for v, _ in got], [v for v, _ in want],
+                                       rtol=0, atol=1e-10, err_msg=str(g.family))
+
+    def test_generation_zero_is_one_node(self):
+        np.testing.assert_array_equal(graph_spectrum(build_dendrimer(0, 4)).eigenvalues, [0.0])
+
+    @pytest.mark.parametrize("g", [build_ring(12), build_dendrimer(3, 3)])
+    def test_vectors_take_the_dense_path(self, g):
+        s = graph_spectrum(g, with_vectors=True)
+        assert s.path == "dense" and s.has_vectors()
+        L = laplacian(g)
+        resid = np.linalg.norm(L @ s.eigenvectors - s.eigenvectors * s.eigenvalues, axis=0)
+        assert resid.max() <= 1e-9 * max(1.0, s.eigenvalues[-1])
+        np.testing.assert_array_equal(s.eigenvectors, decompose(L, with_vectors=True).eigenvectors)
+
+    def test_other_graphs_take_the_dense_path(self):
+        ring = build_ring(9)
+        read_back = from_edge_list(to_edge_list(ring))
+        assert read_back == ring and hash(read_back) == hash(ring)
+        assert read_back.family is None
+        for g in (read_back, build_erdos_renyi(30, 0.2, seed=5)):
+            s = graph_spectrum(g)
+            assert s.path == "dense"
+            np.testing.assert_array_equal(s.eigenvalues, decompose(laplacian(g)).eigenvalues)
 
 
 class TestDOSHistogram:
