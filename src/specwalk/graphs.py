@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -21,9 +20,15 @@ from .errors import ParseError, ResourceLimitError
 DEFAULT_SIZE_CAP = 5000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph: node count plus a set of (i, j) pairs, i < j.
+    """Undirected simple graph: node count plus its edges as an (m, 2) array.
+
+    `edges` is read-only int64, one row (i, j) per edge with i < j, rows
+    sorted and unique. The constructor also accepts any iterable of pairs,
+    in any order or orientation and with repeats, and canonicalises it;
+    input that is already canonical (as every builder's is) is not sorted
+    again. Two graphs are equal when their node counts and edge arrays are.
 
     `family` is set by the builders of the symmetric families, as
     ("ring", n), ("star", n), ("torus", side, d) or ("dendrimer", G, z),
@@ -35,70 +40,91 @@ class Graph:
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
     family: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"graph needs at least one node, got n={self.n}")
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
+        edges = self.edges
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edges = np.array(edges, dtype=np.int64)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must be (i, j) pairs, got shape {edges.shape}")
+        i, j = edges.T
+        keys = i * self.n + j
+        in_range = edges.size == 0 or (edges.min() >= 0 and edges.max() < self.n)
+        if not (in_range and (i < j).all() and (keys[1:] > keys[:-1]).all()):
+            edges = _canonical_edges(self.n, edges)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edges, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges.tobytes()))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def edge_index(self) -> np.ndarray:
-        """The edges as an (m, 2) int64 array, in the set's iteration order."""
-        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64,
-                           count=2 * len(self.edges))
-        return flat.reshape(-1, 2)
-
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_index().ravel(), minlength=self.n)
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     @cached_property
     def connected(self) -> bool:
-        """True if a single component spans all nodes (union-find)."""
-        parent = list(range(self.n))
+        """True if a single component spans all nodes."""
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import connected_components
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in self.edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        root = find(0)
-        return all(find(v) == root for v in range(self.n))
+        i, j = self.edges.T
+        adjacency = csr_array((np.ones(len(i)), (i, j)), shape=(self.n, self.n))
+        return connected_components(adjacency, directed=False,
+                                    return_labels=False) == 1
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(map(tuple, self.edges.tolist()))
 
 
-def _make_graph(n, edge_iter, family=None):
-    edges = frozenset((i, j) if i < j else (j, i) for i, j in edge_iter)
-    return Graph(n=n, edges=edges, family=family)
+def _canonical_edges(n, edges):
+    """Sorted unique (min, max) rows of an (m, 2) array; rejects self-loops
+    and nodes outside [0, n)."""
+    i, j = edges.T
+    loops = np.flatnonzero(i == j)
+    if loops.size:
+        raise ValueError(f"self-loop at node {i[loops[0]]}")
+    bad = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"edge ({i[bad[0]]}, {j[bad[0]]}) out of range for n={n}")
+    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    return np.column_stack(np.divmod(keys, n))
 
 
 def build_ring(n: int) -> Graph:
     """Cycle of n nodes with periodic boundary; every degree is 2."""
     if n < 3:
         raise ValueError(f"ring needs n >= 3, got {n}")
-    return _make_graph(n, ((i, (i + 1) % n) for i in range(n)), ("ring", n))
+    # rows (0, 1), (0, n-1), then (v, v+1) for v = 1..n-2
+    i = np.arange(-1, n - 1)
+    i[:2] = 0
+    j = i + 1
+    j[1] = n - 1
+    return Graph(n=n, edges=np.column_stack((i, j)), family=("ring", n))
 
 
 def build_star(n: int) -> Graph:
     """Node 0 is the core, nodes 1..n-1 hang off it and nothing else."""
     if n < 3:
         raise ValueError(f"star needs n >= 3, got {n}")
-    return _make_graph(n, ((0, i) for i in range(1, n)), ("star", n))
+    edges = np.zeros((n - 1, 2), dtype=np.int64)
+    edges[:, 1] = np.arange(1, n)
+    return Graph(n=n, edges=edges, family=("star", n))
 
 
 def build_dendrimer(generation: int, z: int = 3) -> Graph:
@@ -112,18 +138,17 @@ def build_dendrimer(generation: int, z: int = 3) -> Graph:
         raise ValueError(f"dendrimer functionality must be >= 3, got z={z}")
     if generation < 0:
         raise ValueError(f"generation must be >= 0, got {generation}")
-    edges = []
-    shell = [0]
-    nxt = 1
-    for g in range(1, generation + 1):
-        new_shell = []
-        for parent in shell:
-            for _ in range(z if g == 1 else z - 1):
-                edges.append((parent, nxt))
-                new_shell.append(nxt)
-                nxt += 1
-        shell = new_shell
-    return _make_graph(nxt, edges, ("dendrimer", generation, z))
+    n = dendrimer_node_count(generation, z)
+    if generation == 0:
+        return Graph(n=n, edges=np.empty((0, 2), dtype=np.int64),
+                     family=("dendrimer", generation, z))
+    # the core's z children, then z-1 children for each node of shells
+    # 1..G-1 in index order: node v >= 1 + z has parent 1 + (v - 1 - z) // (z-1)
+    inner = dendrimer_node_count(generation - 1, z)
+    parent = np.concatenate([np.zeros(z, dtype=np.int64),
+                             np.repeat(np.arange(1, inner), z - 1)])
+    return Graph(n=n, edges=np.column_stack((parent, np.arange(1, n))),
+                 family=("dendrimer", generation, z))
 
 
 def dendrimer_node_count(generation: int, z: int = 3) -> int:
@@ -148,14 +173,22 @@ def build_hypercubic(side: int, d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Gra
         raise ResourceLimitError(
             f"torus {side}^{d} = {n} nodes exceeds size cap {size_cap}"
         )
-    strides = [side**k for k in range(d)]
-    edges = []
-    for v in range(n):
-        for axis in range(d):
-            c = (v // strides[axis]) % side
-            w = v + ((c + 1) % side - c) * strides[axis]
-            edges.append((v, w))
-    return _make_graph(n, edges, ("torus", side, d))
+    # each node v owns, per axis of stride s and coordinate c, the edge to
+    # v + s when c < side-1 and the wrap-around edge to v + (side-1) s when
+    # c == 0; since s < (side-1) s < side s, taking the axes in order lists
+    # every row's partners in ascending order
+    v = np.arange(n)
+    partners = []
+    for axis in range(d):
+        stride = side**axis
+        c = (v // stride) % side
+        partners.append(np.where(c < side - 1, v + stride, -1))
+        partners.append(np.where(c == 0, v + (side - 1) * stride, -1))
+    partners = np.column_stack(partners)
+    owners = np.broadcast_to(v[:, None], partners.shape)
+    keep = partners >= 0
+    return Graph(n=n, edges=np.column_stack((owners[keep], partners[keep])),
+                 family=("torus", side, d))
 
 
 def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -170,12 +203,16 @@ def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"need n >= 1, got {n}")
     if not (0 < p <= 1):
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
-    iu, ju = np.triu_indices(n, k=1)
-    raw = np.random.Philox(key=seed).random_raw(len(iu))
+    pairs = n * (n - 1) // 2
     if p < 1:
-        mask = raw < int(p * 2**64)
-        iu, ju = iu[mask], ju[mask]
-    return _make_graph(n, zip(iu.tolist(), ju.tolist()))
+        k = np.flatnonzero(np.random.Philox(key=seed).random_raw(pairs) < int(p * 2**64))
+    else:
+        k = np.arange(pairs)
+    # row i's pairs (i, i+1), ..., (i, n-1) start at k = i*(2n-i-1)/2
+    rows = np.arange(n)
+    offsets = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(offsets, k, side="right") - 1
+    return Graph(n=n, edges=np.column_stack((i, k - offsets[i] + i + 1)))
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -184,12 +221,11 @@ def laplacian(g: Graph) -> np.ndarray:
     Rows sum to zero exactly (integer-valued entries), and the matrix is
     symmetric positive semi-definite.
     """
-    index = g.edge_index()
-    i, j = index.T
+    i, j = g.edges.T
     L = np.zeros((g.n, g.n))
     L[i, j] = -1.0
     L[j, i] = -1.0
-    L.flat[::g.n + 1] = np.bincount(index.ravel(), minlength=g.n)
+    L.flat[::g.n + 1] = g.degrees()
     return L
 
 
@@ -198,7 +234,7 @@ def laplacian(g: Graph) -> np.ndarray:
 def to_edge_list(g: Graph) -> str:
     """Text form: first line 'n <count>', then one 'i j' line per edge, ascending."""
     lines = [f"n {g.n}"]
-    lines.extend(f"{i} {j}" for i, j in g.sorted_edges())
+    lines.extend(f"{i} {j}" for i, j in g.edges.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -230,7 +266,7 @@ def from_edge_list(text: str) -> Graph:
         if edge in edges:
             raise ParseError(f"line {no}: duplicate edge {edge}", text=ln, position=0)
         edges.add(edge)
-    return _make_graph(n, edges)
+    return Graph(n=n, edges=edges)
 
 
 # -- spec-string parsing ------------------------------------------------------
@@ -278,7 +314,11 @@ def parse_graph_spec(spec: str, default_seed: int = 0,
                     raise ParseError("third er parameter must be seed=<int>",
                                      text=spec, position=spec.find(parts[2]))
                 seed = int(val)
-            return build_erdos_renyi(int(parts[0]), float(parts[1]), seed)
+            n = int(parts[0])
+            if n > size_cap:
+                raise ResourceLimitError(
+                    f"Erdos-Renyi graph of {n} nodes exceeds size cap {size_cap}")
+            return build_erdos_renyi(n, float(parts[1]), seed)
     except ValueError as exc:
         if isinstance(exc, (ParseError, ResourceLimitError)):
             raise

@@ -97,6 +97,8 @@ def _fit_window(times, values, window):
     mask = (t >= lo) & (t <= hi)
     if mask.sum() < 5:
         raise ValueError(f"only {int(mask.sum())} points in window {window}; need >= 5")
+    if not np.all(np.isfinite(v[mask])):
+        raise ValueError(f"non-finite values inside fit window {window}")
     if np.any(v[mask] <= 0):
         raise ValueError(f"non-positive values inside fit window {window}")
     return t[mask], v[mask]

@@ -20,6 +20,7 @@ from .errors import NumericalError
 from .graphs import Graph, laplacian
 
 RESIDUAL_RTOL = 1e-9
+_SYMMETRY_BAND = 256
 
 
 def default_cluster_tol(eigenvalues) -> float:
@@ -138,6 +139,21 @@ def _fix_signs(vecs):
     return v
 
 
+def _is_symmetric(a):
+    """|a - a^T| <= 1e-12 everywhere, so a NaN or an infinity fails.
+
+    Rows lo..hi of the upper part are compared with the matching columns
+    one band at a time, so no n x n temporary is made.
+    """
+    n = a.shape[0]
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, n, _SYMMETRY_BAND):
+            hi = min(lo + _SYMMETRY_BAND, n)
+            if not np.all(np.abs(a[lo:hi, lo:] - a[lo:, lo:hi].T) <= 1e-12):
+                return False
+    return True
+
+
 def decompose(lap: np.ndarray, with_vectors: bool = False) -> Spectrum:
     """Eigendecompose a symmetric Laplacian, ascending eigenvalues.
 
@@ -148,7 +164,7 @@ def decompose(lap: np.ndarray, with_vectors: bool = False) -> Spectrum:
     lap = np.asarray(lap, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {lap.shape}")
-    if not np.allclose(lap, lap.T, rtol=0, atol=1e-12):
+    if not _is_symmetric(lap):
         raise ValueError("matrix is not symmetric")
     try:
         if with_vectors:

@@ -233,6 +233,19 @@ class TestAnalyzeSeriesFile:
                 if ln.startswith("delta_p_asymptotic")][0]
         assert float(line.split(" = ")[1]) == pytest.approx(2.0, abs=0.05)
 
+    def test_nan_in_fit_window_exits_one(self, tmp_path, capsys):
+        t = np.geomspace(0.5, 200, 60)
+        p = t**-0.5
+        p[20] = np.nan  # t about 6.6, inside the default window (1, 100)
+        series = tmp_path / "series.csv"
+        series.write_text("t,p_bar,alpha_bar_sq\n" + "".join(
+            f"{x!r},{y!r},{x**-1.0!r}\n" for x, y in zip(t.tolist(), p.tolist())))
+        rc = main(["fit", "--series", str(series), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "non-finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "report.txt").exists()
+
     def test_missing_column_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import specwalk.graphs as graphs
 from specwalk import (
     Graph,
     ParseError,
@@ -21,6 +22,42 @@ from specwalk import (
 def ring_eigenvalues(n):
     # closed form for the cycle Laplacian
     return np.sort(2 - 2 * np.cos(2 * np.pi * np.arange(n) / n))
+
+
+def triu_mask_erdos_renyi(n, p, seed):
+    # the construction over all n(n-1)/2 index pairs, kept as the oracle
+    # for the pair mapping of build_erdos_renyi
+    iu, ju = np.triu_indices(n, k=1)
+    raw = np.random.Philox(key=seed).random_raw(len(iu))
+    if p < 1:
+        mask = raw < int(p * 2**64)
+        iu, ju = iu[mask], ju[mask]
+    return np.column_stack((iu, ju))
+
+
+def per_edge_torus(side, d):
+    # the builder written out node by node, as it was before vectorising
+    n = side**d
+    edges = []
+    for v in range(n):
+        for axis in range(d):
+            stride = side**axis
+            c = (v // stride) % side
+            edges.append((v, v + ((c + 1) % side - c) * stride))
+    return Graph(n=n, edges=frozenset((min(e), max(e)) for e in edges))
+
+
+def per_edge_dendrimer(generation, z):
+    edges, shell, nxt = [], [0], 1
+    for g in range(1, generation + 1):
+        new_shell = []
+        for parent in shell:
+            for _ in range(z if g == 1 else z - 1):
+                edges.append((parent, nxt))
+                new_shell.append(nxt)
+                nxt += 1
+        shell = new_shell
+    return Graph(n=nxt, edges=frozenset(edges))
 
 
 class TestRing:
@@ -97,12 +134,28 @@ class TestDendrimer:
             build_dendrimer(3, 2)
 
 
+class TestBuildersMatchPerEdgeLoops:
+    @pytest.mark.parametrize("side,d", [(3, 1), (3, 2), (3, 3), (4, 3), (7, 2), (5, 4)])
+    def test_torus(self, side, d):
+        assert build_hypercubic(side, d) == per_edge_torus(side, d)
+
+    @pytest.mark.parametrize("generation,z", [(0, 3), (1, 3), (2, 3), (6, 3), (1, 4),
+                                              (4, 4), (3, 5)])
+    def test_dendrimer(self, generation, z):
+        assert build_dendrimer(generation, z) == per_edge_dendrimer(generation, z)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 200])
+    def test_ring_and_star(self, n):
+        assert build_ring(n) == Graph(n=n, edges=[(i, (i + 1) % n) for i in range(n)])
+        assert build_star(n) == Graph(n=n, edges=[(0, i) for i in range(1, n)])
+
+
 class TestHypercubic:
     def test_1d_equals_ring(self):
-        assert build_hypercubic(200, 1).edges == build_ring(200).edges
+        assert build_hypercubic(200, 1) == build_ring(200)
 
     def test_triangle(self):
-        assert build_hypercubic(3, 1).edges == build_ring(3).edges
+        assert build_hypercubic(3, 1) == build_ring(3)
 
     def test_2d_spectrum_is_tensor_sum(self):
         lam = np.linalg.eigvalsh(laplacian(build_hypercubic(4, 2)))
@@ -123,7 +176,7 @@ class TestHypercubic:
 class TestErdosRenyi:
     def test_two_nodes_full(self):
         g = build_erdos_renyi(2, 1.0, seed=42)
-        assert g.edges == frozenset({(0, 1)})
+        assert np.array_equal(g.edges, [[0, 1]])
 
     def test_complete_graph_spectrum(self):
         g = build_erdos_renyi(100, 1.0, seed=0)
@@ -134,14 +187,25 @@ class TestErdosRenyi:
     def test_bit_reproducible(self):
         a = build_erdos_renyi(60, 0.2, seed=7)
         b = build_erdos_renyi(60, 0.2, seed=7)
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
         c = build_erdos_renyi(60, 0.2, seed=8)
-        assert a.edges != c.edges
+        assert not np.array_equal(a.edges, c.edges)
 
     def test_connectivity_flag(self):
         sparse = build_erdos_renyi(12, 0.08, seed=3)
         assert not sparse.connected
         assert build_erdos_renyi(12, 1.0, seed=3).connected
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    @pytest.mark.parametrize("p", [0.01, 0.2, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 400])
+    def test_matches_triu_mask_oracle(self, n, p, seed):
+        g = build_erdos_renyi(n, p, seed=seed)
+        assert np.array_equal(g.edges, triu_mask_erdos_renyi(n, p, seed))
+
+    def test_benchmark_size_matches_oracle(self):
+        g = parse_graph_spec("er:3000,0.05,seed=1")
+        assert np.array_equal(g.edges, triu_mask_erdos_renyi(3000, 0.05, 1))
 
     @pytest.mark.parametrize("p", [0.0, -0.1, 1.5])
     def test_bad_probability(self, p):
@@ -197,6 +261,48 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(n=3, edges=frozenset({(0, 3)}))
 
+    def test_edges_are_canonical_read_only_array(self):
+        g = build_erdos_renyi(40, 0.3, seed=4)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (g.edge_count, 2)
+        assert np.all(g.edges[:, 0] < g.edges[:, 1])
+        keys = g.edges[:, 0] * g.n + g.edges[:, 1]
+        assert np.all(np.diff(keys) > 0)
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 1
+
+    def test_input_array_is_copied(self):
+        edges = np.array([[0, 1], [1, 2]])
+        g = Graph(n=3, edges=edges)
+        edges[0] = [0, 2]
+        assert np.array_equal(g.edges, [[0, 1], [1, 2]])
+
+    def test_unsorted_and_repeated_pairs_canonicalise(self):
+        messy = Graph(n=5, edges=[(3, 4), (1, 0), (0, 1), (4, 3), (2, 0)])
+        assert np.array_equal(messy.edges, [[0, 1], [0, 2], [3, 4]])
+        tidy = Graph(n=5, edges=np.array([[0, 1], [0, 2], [3, 4]]))
+        assert messy == tidy and hash(messy) == hash(tidy)
+        assert to_edge_list(messy) == to_edge_list(tidy)
+
+    @pytest.mark.parametrize("g", [
+        build_ring(9), build_star(7), build_dendrimer(3, 4), build_hypercubic(4, 2),
+        build_erdos_renyi(60, 0.1, seed=5), Graph(n=1, edges=frozenset()),
+    ])
+    def test_edge_list_round_trip_equality_and_hash(self, g):
+        back = from_edge_list(to_edge_list(g))
+        assert back == g and hash(back) == hash(g)
+        assert back.family is None
+        assert to_edge_list(back).encode() == to_edge_list(g).encode()
+
+    def test_equality_needs_same_node_count_and_edges(self):
+        assert Graph(n=3, edges=[(0, 1)]) != Graph(n=4, edges=[(0, 1)])
+        assert Graph(n=3, edges=[(0, 1)]) != Graph(n=3, edges=[(0, 2)])
+        assert Graph(n=3, edges=[(0, 1)]) != Graph(n=3, edges=[(0, 1), (1, 2)])
+        assert Graph(n=3, edges=[(0, 1)]) != "graph"
+
+    def test_rejects_pairs_of_wrong_shape(self):
+        with pytest.raises(ValueError, match="pairs"):
+            Graph(n=3, edges=[(0, 1, 2)])
+
     def test_path_graph_by_hand(self):
         g = Graph(n=4, edges=frozenset({(0, 1), (1, 2), (2, 3)}))
         assert g.connected
@@ -212,7 +318,7 @@ class TestEdgeList:
 
     def test_round_trip(self):
         for g in [build_star(7), build_dendrimer(2, 3), build_erdos_renyi(15, 0.4, seed=9)]:
-            assert from_edge_list(to_edge_list(g)).edges == g.edges
+            assert np.array_equal(from_edge_list(to_edge_list(g)).edges, g.edges)
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
@@ -257,11 +363,11 @@ class TestParseGraphSpec:
 
     def test_er_with_seed(self):
         g = parse_graph_spec("er:30,0.2,seed=5")
-        assert g.edges == build_erdos_renyi(30, 0.2, seed=5).edges
+        assert np.array_equal(g.edges, build_erdos_renyi(30, 0.2, seed=5).edges)
 
     def test_er_default_seed(self):
         g = parse_graph_spec("er:30,0.2", default_seed=11)
-        assert g.edges == build_erdos_renyi(30, 0.2, seed=11).edges
+        assert np.array_equal(g.edges, build_erdos_renyi(30, 0.2, seed=11).edges)
 
     @pytest.mark.parametrize("bad", [
         "ring", "ring:", "ring:2", "ring:2,3", "blob:5", "er:10,0.5,foo=1",
@@ -275,6 +381,20 @@ class TestParseGraphSpec:
         with pytest.raises(ParseError) as err:
             parse_graph_spec("blob:5")
         assert err.value.position is not None
+
+    def test_er_size_cap_raises_before_any_draw(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew or built before checking the size cap")
+
+        monkeypatch.setattr(graphs, "build_erdos_renyi", forbidden)
+        monkeypatch.setattr(np.random, "Philox", forbidden)
+        with pytest.raises(ResourceLimitError, match="200000 nodes exceeds size cap 5000"):
+            parse_graph_spec("er:200000,0.001")
+        with pytest.raises(ResourceLimitError):
+            parse_graph_spec("er:51,0.5,seed=2", size_cap=50)
+
+    def test_er_at_size_cap_builds(self):
+        assert parse_graph_spec("er:50,0.5,seed=2", size_cap=50).n == 50
 
     def test_size_cap_is_not_a_parse_error(self):
         with pytest.raises(ResourceLimitError):

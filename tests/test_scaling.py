@@ -116,6 +116,19 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError, match="positive"):
             fit_power_law(t, v, (1, 10))
 
+    @pytest.mark.parametrize("fit", [fit_power_law, fit_stretched_exp])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values(self, fit, bad):
+        t = np.geomspace(1, 10, 20)
+        v = t**-1.0
+        v[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(t, v, (1, 10))
+        # outside the window a non-finite value is not read
+        v[7] = 1 / t[7]
+        v[-1] = bad
+        assert fit(t, v, (1, 9)).npoints == 19
+
     def test_exponent_invariant_under_prefactor(self):
         t = np.geomspace(1, 100, 50)
         v = t**-1.25

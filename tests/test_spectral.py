@@ -94,6 +94,24 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("row,col", [(290, 5), (280, 270)])
+    def test_symmetry_tolerance_beyond_first_band(self, row, col):
+        # n = 300 spans two 256-row bands of the check; both entries lie
+        # outside the first band's rows
+        L = laplacian(build_ring(300))
+        L[row, col] = 2e-12
+        with pytest.raises(ValueError, match="not symmetric"):
+            decompose(L)
+        L[row, col] = 5e-13
+        assert decompose(L).n == 300
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        L = laplacian(build_ring(300))
+        L[280, 270] = L[270, 280] = value
+        with pytest.raises(ValueError, match="not symmetric"):
+            decompose(L)
+
     def test_numerical_error_reports_size(self):
         bad = np.full((3, 3), np.nan)
         with pytest.raises((NumericalError, ValueError)) as err:
