@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .continuum import (Lifshits, classical_return_continuum, parse_dos_spec,
                         quantum_return_bound_continuum)
-from .errors import NumericalError, ParseError
+from .errors import NumericalError, ParseError, ResourceLimitError
 from .graphs import parse_graph_spec
 from .scaling import (EfficiencyReport, detect_crossover,
                       efficiency_ratio_series, extract_envelope,
@@ -37,13 +37,18 @@ from .transport import (TimeGrid, TransportSeries, chi_csv, chi_matrix,
                         transport_series)
 
 DEFAULT_GRID_SPEC = "log:1e-2,1e4,600"
+# the series and its CSV are O(points) in memory: a million points write a
+# 70 MB series.csv, and its rows take several hundred MB while being built
+MAX_GRID_POINTS = 1_000_000
 
 
 def parse_grid_spec(spec: str) -> TimeGrid:
     """Parse 'log:LO,HI,N' or 'linear:LO,HI,N', optionally joined with '+'.
 
     Log segments get t=0 prepended so normalization shows up in the series;
-    joined segments are merged and deduplicated.
+    joined segments are merged and deduplicated. Each N must be positive,
+    and a total N above MAX_GRID_POINTS raises ResourceLimitError before
+    any grid is made.
     """
     segments = []
     for part in spec.split("+"):
@@ -55,14 +60,20 @@ def parse_grid_spec(spec: str) -> TimeGrid:
         except ValueError as exc:
             raise ParseError(f"grid segment needs LO,HI,N: {part!r}", text=spec,
                              position=spec.find(part)) from exc
-        if kind == "log":
-            segments.append(log_grid(lo, hi, num))
-        elif kind == "linear":
-            segments.append(linear_grid(lo, hi, num))
-        else:
+        if kind not in ("log", "linear"):
             raise ParseError(f"unknown grid kind {kind!r}", text=spec,
                              position=spec.find(part))
-    return segments[0] if len(segments) == 1 else merge_grids(*segments)
+        if num < 1:
+            raise ParseError(f"grid segment needs N >= 1: {part!r}", text=spec,
+                             position=spec.find(part))
+        segments.append((kind, lo, hi, num))
+    total = sum(num for *_, num in segments)
+    if total > MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"grid of {total} points exceeds the limit of {MAX_GRID_POINTS}")
+    grids = [(log_grid if kind == "log" else linear_grid)(lo, hi, num)
+             for kind, lo, hi, num in segments]
+    return grids[0] if len(grids) == 1 else merge_grids(*grids)
 
 
 @dataclass(frozen=True)
@@ -195,7 +206,9 @@ def preset(name: str) -> ExperimentConfig:
 @dataclass
 class RunManifest:
     """Record of one run: config echo, artifact checksums, version, duration,
-    and diagnostics such as which path produced the spectrum."""
+    and diagnostics: for graph runs which path produced the spectrum, its
+    cluster count and, where built, where the projector weights came from
+    and the eigenpair residual."""
 
     config: dict[str, str]
     files: dict[str, str] = field(default_factory=dict)
@@ -263,6 +276,16 @@ def _analyze(series: TransportSeries, config: ExperimentConfig,
     )
 
 
+def _spectrum_diagnostics(spectrum) -> dict[str, str]:
+    out = {"spectrum.path": spectrum.path,
+           "spectrum.clusters": str(len(spectrum.clusters))}
+    if spectrum.weights_path is not None:
+        out["spectrum.vectors"] = spectrum.weights_path
+    if spectrum.residual is not None:
+        out["spectrum.residual"] = repr(spectrum.residual)
+    return out
+
+
 def run_experiment(config: ExperimentConfig,
                    stages: tuple[str, ...] = ("series", "spectrum", "analysis"),
                    ) -> RunManifest:
@@ -273,17 +296,18 @@ def run_experiment(config: ExperimentConfig,
     """
     config.validate()
     started = time.monotonic()
+    grid = parse_grid_spec(config.grid)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config=config.echo())
-    grid = parse_grid_spec(config.grid)
 
     series = None
     stretched = config.fit_model == "stretched"
     if config.graph is not None:
         graph = parse_graph_spec(config.graph, default_seed=config.seed)
-        spectrum = graph_spectrum(graph, with_vectors=config.vectors or config.chi)
-        manifest.diagnostics["spectrum.path"] = spectrum.path
+        need = "vectors" if config.chi else "weights" if config.vectors else "values"
+        spectrum = graph_spectrum(graph, need=need)
+        manifest.diagnostics.update(_spectrum_diagnostics(spectrum))
         if "spectrum" in stages:
             _write(out_dir, "spectrum.csv", spectrum_csv(spectrum), manifest)
             _write(out_dir, "degeneracies.csv", degeneracies_csv(spectrum), manifest)
@@ -317,20 +341,43 @@ def run_experiment(config: ExperimentConfig,
     return manifest
 
 
+def _read_series_csv(path) -> TransportSeries:
+    """A series CSV as written by `series_csv`: a header naming t, p_bar,
+    alpha_bar_sq and optionally pi_bar, then rows of as many numbers.
+
+    A missing column, or a row that is short, long or not numeric, raises
+    ParseError naming its 1-based line; blank lines are skipped.
+    """
+    lines = [(no, ln) for no, ln in
+             enumerate(Path(path).read_text().splitlines(), start=1) if ln.strip()]
+    if not lines:
+        raise ParseError("series CSV is empty", text=str(path), position=0)
+    names = [name.strip() for name in lines[0][1].split(",")]
+    for name in ("t", "p_bar", "alpha_bar_sq"):
+        if name not in names:
+            raise ParseError(f"series CSV needs a {name!r} column",
+                             text=lines[0][1], position=0)
+    rows = []
+    for no, ln in lines[1:]:
+        try:
+            row = [float(tok) for tok in ln.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != len(names):
+            raise ParseError(f"line {no}: expected {len(names)} comma-separated "
+                             "numbers", text=ln, position=0)
+        rows.append(row)
+    columns = dict(zip(names, np.array(rows, dtype=float).reshape(-1, len(names)).T))
+    return TransportSeries(grid=TimeGrid(columns["t"], spacing="linear"),
+                           p_bar=columns["p_bar"],
+                           alpha_bar_sq=columns["alpha_bar_sq"],
+                           pi_bar=columns.get("pi_bar"))
+
+
 def analyze_series_file(path, config: ExperimentConfig) -> RunManifest:
     """The `fit` subcommand: decay analysis of an existing series CSV."""
     started = time.monotonic()
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    if raw.dtype.names is None or "t" not in raw.dtype.names:
-        raise ParseError("series CSV needs a 't' column", text=str(path), position=0)
-    names = raw.dtype.names
-    grid = TimeGrid(np.atleast_1d(raw["t"]),
-                    spacing="linear")
-    series = TransportSeries(
-        grid=grid,
-        p_bar=np.atleast_1d(raw["p_bar"]),
-        alpha_bar_sq=np.atleast_1d(raw["alpha_bar_sq"]),
-        pi_bar=np.atleast_1d(raw["pi_bar"]) if "pi_bar" in names else None)
+    series = _read_series_csv(path)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config={**config.echo(), "series_file": str(path)})

@@ -1,17 +1,20 @@
 """Laplacian spectra, degeneracy clustering, DOS histograms.
 
-Everything here works on the full spectrum. `graph_spectrum` takes the
-eigenvalues of the symmetric families (ring, torus, star, dendrimer) from
-their closed forms; every other graph, and every request for
-eigenvectors, goes through `decompose`, a dense symmetric solve. The
-graphs of interest stay below a few thousand nodes, where that solve is
-affordable and, unlike iterative methods, deterministic; it is also the
-oracle the closed forms are tested against.
+Everything here works on the full spectrum. `graph_spectrum` serves
+three needs: eigenvalues, projector weights (for the exact quantum
+average) and eigenvectors (for chi and pairwise quantities). The
+symmetric families (ring, torus, star, dendrimer) take their eigenvalues
+and, being symmetric, their projector weights from closed forms; ring and
+torus also take their eigenvectors from the real Fourier basis. Every
+other graph, and star and dendrimer eigenvectors, go through `decompose`,
+a dense symmetric solve. The graphs of interest stay below a few thousand
+nodes, where that solve is affordable and, unlike iterative methods,
+deterministic; it is also the oracle the closed forms are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -21,6 +24,7 @@ from .graphs import Graph, laplacian
 
 RESIDUAL_RTOL = 1e-9
 _SYMMETRY_BAND = 256
+NEEDS = ("values", "weights", "vectors")
 
 
 def default_cluster_tol(eigenvalues) -> float:
@@ -35,18 +39,29 @@ def default_cluster_tol(eigenvalues) -> float:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted Laplacian eigenvalues, optionally with orthonormal eigenvectors.
+    """Sorted Laplacian eigenvalues, optionally with orthonormal eigenvectors
+    or orbit weights.
 
     Column k of `eigenvectors` pairs with `eigenvalues[k]`. Vector signs
     follow the convention that the first component of magnitude above
     1e-12 is positive, which keeps downstream matrices reproducible.
     `path` says how the eigenvalues were obtained: "dense" (the symmetric
-    solver) or "closed_form".
+    solver) or "closed_form". `residual` is the largest eigenpair residual
+    ||L v - lam v|| over ||L||_2, where eigenvectors were checked.
+
+    `orbits`, when set, is (s, w): the graph's nodes fall into orbits of
+    sizes s, contiguous in node order, on which every eigenspace projector
+    has a constant diagonal, and w[r, k] is the weight eigenvalue k puts on
+    each node of orbit r (in the sum over a degenerate eigenspace, the
+    squared eigenvector components). It carries the projector weights of
+    the exact quantum average without n x n eigenvectors.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
     path: str = "dense"
+    orbits: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    residual: float | None = None
 
     @property
     def n(self) -> int:
@@ -54,6 +69,15 @@ class Spectrum:
 
     def has_vectors(self) -> bool:
         return self.eigenvectors is not None
+
+    @property
+    def weights_path(self) -> str | None:
+        """Where the projector weights come from: "dense" (solver
+        eigenvectors), "fourier" (closed-form eigenvectors), "orbit"
+        (closed-form orbit weights alone), or None without any."""
+        if self.has_vectors():
+            return "fourier" if self.path == "closed_form" else "dense"
+        return "orbit" if self.orbits is not None else None
 
     def zero_multiplicity(self, cluster_tol: float | None = None) -> int:
         """Size of the near-zero cluster; equals the number of components."""
@@ -75,19 +99,26 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class ClusterView:
-    """The distinct eigenvalues of a spectrum and, with vectors, the cluster
-    projector diagonals that every transport kernel reads.
+    """The distinct eigenvalues of a spectrum and, with vectors or orbit
+    weights, the cluster projector diagonals that every transport kernel
+    reads.
 
     Cluster E covers eigenvalue indices starts[E] .. starts[E] + mult[E] - 1;
     `values` are the cluster means. Near-equal eigenvalues join a cluster
     while they stay within cluster_tol of its running mean, so the
     multiplicities sum to n.
+
+    The projector diagonals are constant on the spectrum's orbits, so they
+    are held per orbit: `sizes` s (o orbits) and `orbit_weights` Omega
+    (o x K). Eigenvectors without orbits are the case of n singleton
+    orbits, so one representation serves every kernel.
     """
 
     values: np.ndarray
     mult: np.ndarray
     starts: np.ndarray
     vectors: np.ndarray | None = field(default=None, repr=False)
+    orbits: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
     def of(cls, spectrum: Spectrum, cluster_tol: float) -> ClusterView:
@@ -109,24 +140,45 @@ class ClusterView:
             mult.append(run_count)
         mult = np.array(mult, dtype=np.int64)
         return cls(values=np.array(values, dtype=float), mult=mult,
-                   starts=np.cumsum(mult) - mult, vectors=spectrum.eigenvectors)
+                   starts=np.cumsum(mult) - mult, vectors=spectrum.eigenvectors,
+                   orbits=spectrum.orbits)
 
     def __len__(self):
         return len(self.values)
 
     @cached_property
+    def _per_orbit(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.orbits is not None:
+            sizes, per_value = self.orbits
+        elif self.vectors is not None:
+            sizes, per_value = np.ones(len(self.vectors), dtype=np.int64), self.vectors**2
+        else:
+            raise ValueError("operation needs eigenvectors or orbit weights; "
+                             "use graph_spectrum(graph, need='weights')")
+        return sizes, np.add.reduceat(per_value, self.starts, axis=1)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Orbit sizes s, summing to n; all 1 when the weights come from
+        eigenvectors alone."""
+        return self._per_orbit[0]
+
+    @property
+    def orbit_weights(self) -> np.ndarray:
+        """Omega[r, E]: the diagonal of the projector onto cluster E at each
+        node of orbit r, an o x K array, whatever basis spans the cluster."""
+        return self._per_orbit[1]
+
+    @cached_property
     def weights(self) -> np.ndarray:
-        """W[j, E] = sum over n in E of v_jn**2, an n x K array: the diagonal
-        of the projector onto cluster E, whatever basis the solver picked
-        inside the cluster."""
-        if self.vectors is None:
-            raise ValueError("operation needs eigenvectors; decompose with with_vectors=True")
-        return np.add.reduceat(self.vectors**2, self.starts, axis=1)
+        """W[j, E]: the projector diagonals expanded to the n nodes, n x K."""
+        return np.repeat(self.orbit_weights, self.sizes, axis=0)
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """G = W^T W, K x K."""
-        return self.weights.T @ self.weights
+        """G = W^T W = Omega^T diag(s) Omega, K x K."""
+        scaled = self.orbit_weights * np.sqrt(self.sizes)[:, None]
+        return scaled.T @ scaled
 
 
 def _fix_signs(vecs):
@@ -154,12 +206,26 @@ def _is_symmetric(a):
     return True
 
 
+def _checked_residual(lap_vecs, vecs, vals) -> float:
+    """max ||L v - lam v|| / ||L||_2 over the eigenpairs, given L v; above
+    RESIDUAL_RTOL it raises NumericalError with the matrix size."""
+    scale = max(1.0, float(np.abs(vals).max()))
+    resid = np.linalg.norm(lap_vecs - vecs * vals, axis=0).max()
+    if resid > RESIDUAL_RTOL * scale:
+        raise NumericalError(
+            f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||L|| "
+            f"for a {len(vecs)}x{len(vecs)} matrix"
+        )
+    return float(resid / scale)
+
+
 def decompose(lap: np.ndarray, with_vectors: bool = False) -> Spectrum:
     """Eigendecompose a symmetric Laplacian, ascending eigenvalues.
 
     When vectors are requested the residual ||L v - lam v|| is checked
-    against 1e-9 * ||L||_2 per pair; a violation or a LAPACK failure
-    raises NumericalError with the matrix size.
+    against 1e-9 * ||L||_2 per pair and recorded on the spectrum; a
+    violation or a LAPACK failure raises NumericalError with the matrix
+    size.
     """
     lap = np.asarray(lap, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
@@ -176,84 +242,160 @@ def decompose(lap: np.ndarray, with_vectors: bool = False) -> Spectrum:
         raise NumericalError(
             f"symmetric eigensolver failed on a {lap.shape[0]}x{lap.shape[0]} matrix: {exc}"
         ) from exc
-    if vecs is not None:
-        vecs = _fix_signs(vecs)
-        scale = max(1.0, float(np.abs(vals).max()))
-        resid = np.linalg.norm(lap @ vecs - vecs * vals, axis=0).max()
-        if resid > RESIDUAL_RTOL * scale:
-            raise NumericalError(
-                f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||L|| "
-                f"for a {lap.shape[0]}x{lap.shape[0]} matrix"
-            )
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+    if vecs is None:
+        return Spectrum(eigenvalues=vals)
+    vecs = _fix_signs(vecs)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs,
+                    residual=_checked_residual(lap @ vecs, vecs, vals))
 
 
-def graph_spectrum(graph: Graph, with_vectors: bool = False) -> Spectrum:
-    """The Laplacian spectrum of a graph, from a closed form where one exists.
+def graph_spectrum(graph: Graph, need: str = "values") -> Spectrum:
+    """The Laplacian spectrum of a graph, from closed forms where they exist.
 
-    Eigenvalue-only requests on graphs from `build_ring`, `build_star`,
-    `build_hypercubic` and `build_dendrimer` skip the dense solve; every
-    other graph, and every request for eigenvectors, is decomposed densely.
+    `need` is one of NEEDS:
+
+    - "values": eigenvalues only;
+    - "weights": also the projector weights that `exact_average_return`
+      reads;
+    - "vectors": also orthonormal eigenvectors, for `chi_matrix` and the
+      pairwise functions.
+
+    Graphs from `build_ring`, `build_hypercubic`, `build_star` and
+    `build_dendrimer` take eigenvalues and orbit weights from closed
+    forms; ring and torus eigenvectors are the real Fourier basis, checked
+    against the graph's Laplacian like the dense ones. Every other graph,
+    and star and dendrimer eigenvectors, take the dense solve.
     """
-    if with_vectors or graph.family is None:
-        return decompose(laplacian(graph), with_vectors=with_vectors)
-    name, *params = graph.family
-    return Spectrum(eigenvalues=_CLOSED_FORMS[name](*params), path="closed_form")
+    if need not in NEEDS:
+        raise ValueError(f"need must be one of {NEEDS}, got {need!r}")
+    name, *params = graph.family or (None,)
+    if name is None or (need == "vectors" and name not in _FOURIER):
+        return decompose(laplacian(graph), with_vectors=need != "values")
+    values, orbits = _CLOSED_FORMS[name](*params, weights=need != "values")
+    order = np.argsort(values, kind="stable")
+    if need == "values":
+        return Spectrum(eigenvalues=values[order], path="closed_form")
+    sizes, per_value = orbits
+    spectrum = Spectrum(eigenvalues=values[order], path="closed_form",
+                        orbits=(sizes, per_value[:, order]))
+    if need == "weights":
+        return spectrum
+    vecs = _FOURIER[name](*params)[:, order]
+    return replace(spectrum, eigenvectors=vecs, residual=_checked_residual(
+        _laplacian_times(graph, vecs), vecs, spectrum.eigenvalues))
 
 
-def _torus_eigenvalues(side, d):
+def _laplacian_times(graph, vecs):
+    """L @ vecs from the edge list, without a dense L."""
+    from scipy.sparse import coo_array
+
+    i, j = graph.edges.T
+    adjacency = coo_array((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])),
+                          shape=(graph.n, graph.n))
+    return graph.degrees()[:, None] * vecs - adjacency.tocsr() @ vecs
+
+
+def _torus_eigenvalues(side, d, weights=False):
     # Fourier modes: 2 - 2cos(2 pi k / side) = 4 sin^2(pi k / side) per axis,
-    # with k folded onto min(k, side - k) so that +k and -k give equal bits
+    # with k folded onto min(k, side - k) so that +k and -k give equal bits;
+    # the order is that of the Kronecker products in `_fourier_basis`.
+    # A vertex-transitive graph is one orbit, of weight 1/n per eigenvalue.
     k = np.arange(side)
     axis = 4.0 * np.sin(np.pi * np.minimum(k, side - k) / side) ** 2
     values = np.zeros(1)
     for _ in range(d):
         values = np.add.outer(values, axis).ravel()
-    return np.sort(values)
+    n = len(values)
+    return values, (np.array([n]), np.full((1, n), 1.0 / n)) if weights else None
 
 
-def _star_eigenvalues(n):
+def _fourier_basis(side, d):
+    """Real orthonormal eigenvectors of the torus, column for column with
+    `_torus_eigenvalues`: Kronecker products over the axes (node index
+    base `side`, axis 0 fastest) of the ring modes. Ring column k is the
+    mode of min(k, side - k): the constant at k = 0, the cosine below
+    side/2, the sine above it and the alternating vector at side/2."""
+    k = np.arange(side)
+    # node j of mode k sits at angle 2 pi ((j k) mod side) / side
+    turns = (k[:, None] * np.minimum(k, side - k)) % side
+    angle = 2.0 * np.pi * k / side
+    scale = np.sqrt(2.0 / side)
+    ring = np.where(2 * k < side, (scale * np.cos(angle))[turns],
+                    (scale * np.sin(angle))[turns])
+    ring[:, 0] = 1.0 / np.sqrt(side)
+    if side % 2 == 0:
+        ring[:, side // 2] = np.cos(angle)[turns[:, side // 2]] / np.sqrt(side)
+    basis = ring
+    for _ in range(d - 1):
+        basis = np.kron(ring, basis)
+    return basis
+
+
+def _star_eigenvalues(n, weights=False):
+    # orbits: the centre, then the n - 1 leaves; per eigenvalue 0, 1 (each
+    # of the n - 2 leaf-antisymmetric vectors) and n, the weight on one
+    # centre node and on one leaf node
     values = np.ones(n)
     values[0], values[-1] = 0.0, float(n)
-    return values
+    if not weights:
+        return values, None
+    centre, leaf = np.zeros(n), np.full(n, 1.0 / (n - 1))
+    centre[0], centre[-1] = 1.0 / n, (n - 1.0) / n
+    leaf[0], leaf[-1] = 1.0 / n, 1.0 / (n * (n - 1.0))
+    return values, (np.array([1, n - 1]), np.vstack((centre, leaf)))
 
 
-def _dendrimer_eigenvalues(generation, z):
+def _dendrimer_eigenvalues(generation, z, weights=False):
     """Shell-symmetric reduction of the dendrimer Laplacian (Cai & Chen,
     Macromolecules 30, 5104 (1997); Muelken, Bierbaum & Blumen, J. Chem.
     Phys. 124, 124905 (2006)).
 
     Eigenvectors constant on the shells of a subtree, and antisymmetric
     between sibling subtrees, reduce L to tridiagonal blocks with diagonal
-    z, ..., z, 1 and off-diagonal -sqrt(z-1): the symmetric block of size
-    G+1 (first off-diagonal -sqrt(z)), the core-antisymmetric block of size
-    G with multiplicity z-1, and for 1 <= g <= G-1 the block of size G-g
-    below each shell-g node, with multiplicity z (z-1)^(g-1) (z-2).
+    z, ..., z, 1 and off-diagonal -sqrt(z-1). The block starting at shell
+    g0 has size G+1-g0: g0 = 0 is the symmetric block (first off-diagonal
+    -sqrt(z)), g0 = 1 the core-antisymmetric block with multiplicity z-1,
+    and for 2 <= g0 <= G the block below each shell-(g0-1) node, with
+    multiplicity z (z-1)^(g0-2) (z-2).
+
+    The shells are the orbits. A block eigenvector u puts weight
+    u_k^2 / N_(g0+k) on each of the N_(g0+k) nodes of shell g0 + k, per
+    copy (exactly so in the sum over its copies).
     """
     if generation == 0:
-        return np.zeros(1)
+        return np.zeros(1), (np.ones(1, dtype=np.int64), np.ones((1, 1))) if weights else None
 
     branch = np.sqrt(z - 1.0)
-
-    def block(size, first=branch):
+    shells = np.array([1] + [z * (z - 1) ** (g - 1) for g in range(1, generation + 1)])
+    values, columns = [], []
+    for g0 in range(generation + 1):
+        size = generation + 1 - g0
+        mult = 1 if g0 == 0 else z - 1 if g0 == 1 else z * (z - 1) ** (g0 - 2) * (z - 2)
         diag = np.full(size, float(z))
         diag[-1] = 1.0
         off = np.full(size - 1, -branch)
-        off[:1] = -first
-        return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-
-    parts = [block(generation + 1, first=np.sqrt(float(z))),
-             np.repeat(block(generation), z - 1)]
-    for g in range(1, generation):
-        parts.append(np.repeat(block(generation - g), z * (z - 1) ** (g - 1) * (z - 2)))
-    return np.sort(np.concatenate(parts))
+        if g0 == 0:
+            off[:1] = -np.sqrt(float(z))
+        block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        values.append(np.repeat(np.linalg.eigvalsh(block), mult))
+        if weights:
+            per_shell = np.zeros((generation + 1, size))
+            per_shell[g0:] = np.linalg.eigh(block)[1] ** 2 / shells[g0:, None]
+            columns.append(np.repeat(per_shell, mult, axis=1))
+    values = np.concatenate(values)
+    return values, (shells, np.concatenate(columns, axis=1)) if weights else None
 
 
 _CLOSED_FORMS = {
-    "ring": lambda n: _torus_eigenvalues(n, 1),
+    "ring": lambda n, weights=False: _torus_eigenvalues(n, 1, weights),
     "torus": _torus_eigenvalues,
     "star": _star_eigenvalues,
     "dendrimer": _dendrimer_eigenvalues,
+}
+
+_FOURIER = {
+    "ring": lambda n: _fourier_basis(n, 1),
+    "torus": _fourier_basis,
 }
 
 

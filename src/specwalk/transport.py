@@ -8,7 +8,8 @@ eigenvectors as well.
 
 The averaged kernels and chi read the spectrum's degeneracy clusters
 (`Spectrum.clusters`, built once): K distinct values with their
-multiplicities and, with vectors, the cluster projector diagonals. They
+multiplicities and, with vectors or orbit weights, the cluster projector
+diagonals. They
 work in real arithmetic on blocks of about CHUNK_ELEMS / K times, so
 their cost scales with K rather than n and their memory does not grow
 with the grid.
@@ -116,7 +117,8 @@ def _levels(spectrum: Spectrum) -> tuple[ClusterView, np.ndarray]:
 
 def _vectors(spectrum: Spectrum) -> np.ndarray:
     if not spectrum.has_vectors():
-        raise ValueError("operation needs eigenvectors; decompose with with_vectors=True")
+        raise ValueError("operation needs eigenvectors; use graph_spectrum(graph, "
+                         "need='vectors') or decompose(lap, with_vectors=True)")
     return spectrum.eigenvectors
 
 
@@ -174,6 +176,14 @@ def classical_return(spectrum: Spectrum, grid: TimeGrid) -> np.ndarray:
     return _chunked(grid, len(view), kernel)
 
 
+def _bound_terms(cos, sin, mult, n):
+    return ((cos @ mult) ** 2 + (sin @ mult) ** 2) / n**2
+
+
+def _exact_terms(cos, sin, gram, n):
+    return ((cos @ gram) * cos + (sin @ gram) * sin).sum(axis=1) / n
+
+
 def quantum_return_bound(spectrum: Spectrum, grid: TimeGrid) -> np.ndarray:
     """Eigenvalue-only lower bound |mean_n exp(-i lam_n t)|^2 on the quantum
     return, as ((C m)^2 + (S m)^2) / N^2 with C, S = cos, sin(lam_E t) and
@@ -186,8 +196,7 @@ def quantum_return_bound(spectrum: Spectrum, grid: TimeGrid) -> np.ndarray:
     mult = view.mult.astype(float)
 
     def kernel(t):
-        cos, sin = _cos_sin(t, lam)
-        return ((cos @ mult) ** 2 + (sin @ mult) ** 2) / spectrum.n**2
+        return _bound_terms(*_cos_sin(t, lam), mult, spectrum.n)
 
     return clamp_unit_interval(_chunked(grid, len(view), kernel))
 
@@ -199,27 +208,41 @@ def exact_average_return(spectrum: Spectrum, grid: TimeGrid) -> np.ndarray:
     the diagonal of the projector onto cluster E. Expanded, that is
     (1/N) sum_{E,E'} G_EE' cos((lam_E - lam_E') t) with G = W^T W, which
     is evaluated as rowsum((C G) o C + (S G) o S) / N: T x K^2 real
-    flops.
+    flops. G comes from the orbit weights (`ClusterView.gram`), so a
+    closed-form spectrum needs no eigenvectors.
     """
     view, lam = _levels(spectrum)
     gram = view.gram
 
     def kernel(t):
-        cos, sin = _cos_sin(t, lam)
-        return ((cos @ gram) * cos + (sin @ gram) * sin).sum(axis=1) / spectrum.n
+        return _exact_terms(*_cos_sin(t, lam), gram, spectrum.n)
 
     return clamp_unit_interval(_chunked(grid, len(view), kernel))
 
 
 def transport_series(spectrum: Spectrum, grid: TimeGrid,
                      with_exact_quantum: bool = False) -> TransportSeries:
-    pi = exact_average_return(spectrum, grid) if with_exact_quantum else None
-    return TransportSeries(
-        grid=grid,
-        p_bar=classical_return(spectrum, grid),
-        alpha_bar_sq=quantum_return_bound(spectrum, grid),
-        pi_bar=pi,
-    )
+    """p_bar and |alpha_bar|^2, and pi_bar with `with_exact_quantum`.
+
+    The columns equal those of the three kernels bit for bit; with pi_bar,
+    one half-angle block per chunk feeds both quantum columns.
+    """
+    p = classical_return(spectrum, grid)
+    if not with_exact_quantum:
+        return TransportSeries(grid=grid, p_bar=p,
+                               alpha_bar_sq=quantum_return_bound(spectrum, grid))
+    view, lam = _levels(spectrum)
+    mult, gram = view.mult.astype(float), view.gram
+
+    def kernel(t):
+        cos, sin = _cos_sin(t, lam)
+        return np.column_stack((_exact_terms(cos, sin, gram, spectrum.n),
+                                _bound_terms(cos, sin, mult, spectrum.n)))
+
+    both = _chunked(grid, len(view), kernel)
+    pi = clamp_unit_interval(both[:, 0])
+    return TransportSeries(grid=grid, p_bar=p,
+                           alpha_bar_sq=clamp_unit_interval(both[:, 1]), pi_bar=pi)
 
 
 # -- pairwise quantities ------------------------------------------------------

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import specwalk.cli as cli
-from specwalk import NumericalError, ParseError
+import specwalk.transport as transport
+from specwalk import NumericalError, ParseError, ResourceLimitError
 from specwalk.cli import (ExperimentConfig, analyze_series_file, main,
                           parse_grid_spec, preset, read_config_file,
                           run_experiment)
@@ -27,6 +28,36 @@ class TestParseGridSpec:
     def test_bad_specs(self, bad):
         with pytest.raises(ParseError):
             parse_grid_spec(bad)
+
+    @pytest.mark.parametrize("bad", ["linear:0,10,0", "log:1,10,-5+linear:0,1,3"])
+    def test_segments_need_points(self, bad):
+        with pytest.raises(ParseError, match="N >= 1"):
+            parse_grid_spec(bad)
+
+    @pytest.mark.parametrize("spec", [
+        "linear:0,10,2000000000",
+        f"linear:0,1,{cli.MAX_GRID_POINTS // 2}+log:1,10,{cli.MAX_GRID_POINTS // 2 + 1}",
+    ])
+    def test_size_cap_before_allocation(self, spec, monkeypatch, capsys, tmp_path):
+        def boom(*args, **kwargs):
+            raise AssertionError("grid built before the size check")
+
+        for module in (cli, transport):
+            monkeypatch.setattr(module, "linear_grid", boom)
+            monkeypatch.setattr(module, "log_grid", boom)
+        with pytest.raises(ResourceLimitError, match="exceeds the limit"):
+            parse_grid_spec(spec)
+        out = tmp_path / "o"
+        assert main(["run", "--graph", "ring:10", "--grid", spec, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid of") and err.count("\n") == 1
+
+    def test_size_cap_is_inclusive(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(cli, "linear_grid", lambda *args: made.append(args))
+        parse_grid_spec(f"linear:0,1,{cli.MAX_GRID_POINTS}")
+        assert made == [(0.0, 1.0, cli.MAX_GRID_POINTS)]
 
 
 class TestConfig:
@@ -246,6 +277,28 @@ class TestAnalyzeSeriesFile:
         assert "non-finite" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "report.txt").exists()
 
+    @pytest.mark.parametrize("rows, line", [
+        ("1.0,0.5,0.25\n2.0,0.4\n", 3),
+        ("1.0,0.5,0.25\n\n2.0,0.4,0.1,9\n", 4),
+        ("1.0,0.5,abc\n", 2),
+    ])
+    def test_ragged_row_names_its_line(self, tmp_path, capsys, rows, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,p_bar,alpha_bar_sq\n" + rows)
+        with pytest.raises(ParseError, match=f"^line {line}: expected 3 "):
+            analyze_series_file(bad, ExperimentConfig(out=str(tmp_path / "o")))
+        assert main(["fit", "--series", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}:") and "Traceback" not in err
+        assert not (tmp_path / "o" / "report.txt").exists()
+
+    def test_reads_what_run_writes(self, tmp_path):
+        run_experiment(ExperimentConfig(graph="star:8", vectors=True, out=str(tmp_path / "r"),
+                                        grid="log:1e-2,1e2,80"))
+        series = cli._read_series_csv(tmp_path / "r" / "series.csv")
+        text = (tmp_path / "r" / "series.csv").read_text()
+        assert cli.series_csv(series) == text
+
     def test_missing_column_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
@@ -266,7 +319,7 @@ class TestManifest:
     @pytest.mark.parametrize("graph, vectors, path", [
         ("ring:12", False, "closed_form"),
         ("dendrimer:3,3", False, "closed_form"),
-        ("ring:12", True, "dense"),
+        ("ring:12", True, "closed_form"),
         ("er:20,0.3,seed=2", False, "dense"),
     ])
     def test_records_spectrum_path(self, tmp_path, graph, vectors, path):
@@ -276,6 +329,31 @@ class TestManifest:
         lines = (tmp_path / "p" / "manifest.txt").read_text().splitlines()
         assert f"spectrum.path = {path}" in lines
         assert manifest.verify(tmp_path / "p")
+
+    @pytest.mark.parametrize("graph, vectors, chi, kind, clusters", [
+        ("ring:12", False, False, None, 7),
+        ("ring:12", True, False, "orbit", 7),
+        ("ring:12", False, True, "fourier", 7),
+        ("star:12", True, False, "orbit", 3),
+        ("star:12", True, True, "dense", 3),
+        ("dendrimer:3,3", True, True, "dense", 10),
+        ("er:20,0.3,seed=2", True, False, "dense", 20),
+    ])
+    def test_records_spectrum_diagnostics(self, tmp_path, graph, vectors, chi, kind,
+                                          clusters):
+        cfg = ExperimentConfig(graph=graph, out=str(tmp_path / "p"), chi=chi,
+                              grid="log:1e-2,1e2,80", vectors=vectors)
+        run_experiment(cfg)
+        lines = (tmp_path / "p" / "manifest.txt").read_text().splitlines()
+        diag = dict(ln.split(" = ") for ln in lines if ln.startswith("spectrum."))
+        assert diag["spectrum.clusters"] == str(clusters)
+        degeneracies = (tmp_path / "p" / "degeneracies.csv").read_text().splitlines()
+        assert len(degeneracies) == clusters + 1
+        assert diag.get("spectrum.vectors") == kind
+        if kind in ("dense", "fourier"):
+            assert 0 <= float(diag["spectrum.residual"]) <= 1e-9
+        else:
+            assert "spectrum.residual" not in diag
 
     def test_dos_run_records_no_spectrum_path(self, tmp_path):
         cfg = ExperimentConfig(dos="lifshits:b=2", out=str(tmp_path / "d"),

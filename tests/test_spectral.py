@@ -19,7 +19,10 @@ from specwalk import (
     laplacian,
     to_edge_list,
 )
+from specwalk.cli import ExperimentConfig, run_experiment
 from specwalk.spectral import default_cluster_tol, degeneracies_csv, spectrum_csv
+from specwalk.transport import (chi_matrix, default_grid, exact_average_return,
+                                quantum_return_bound)
 
 
 def path_graph(n):
@@ -244,13 +247,15 @@ SYMMETRIC_FAMILIES = (
 class TestGraphSpectrum:
     @pytest.fixture(scope="class")
     def pairs(self):
-        # (closed form, dense oracle) for every member of the sweep
-        return [(graph_spectrum(g), decompose(laplacian(g))) for g in SYMMETRIC_FAMILIES]
+        # (closed form, dense oracle with vectors) for every member of the sweep
+        return [(graph_spectrum(g), decompose(laplacian(g), with_vectors=True))
+                for g in SYMMETRIC_FAMILIES]
 
     def test_equals_dense_as_multiset(self, pairs):
         for g, (exact, dense) in zip(SYMMETRIC_FAMILIES, pairs):
             assert exact.path == "closed_form" and dense.path == "dense"
             assert exact.n == g.n and not exact.has_vectors()
+            assert exact.orbits is None and exact.weights_path is None
             assert np.all(np.diff(exact.eigenvalues) >= 0), g.family
             np.testing.assert_allclose(exact.eigenvalues, dense.eigenvalues,
                                        rtol=0, atol=1e-10, err_msg=str(g.family))
@@ -262,17 +267,81 @@ class TestGraphSpectrum:
             np.testing.assert_allclose([v for v, _ in got], [v for v, _ in want],
                                        rtol=0, atol=1e-10, err_msg=str(g.family))
 
+    def test_orbit_weights_match_dense(self, pairs):
+        # the default grid reaches t = 1e4, where the dense solver's
+        # eigenvalue rounding alone moves pi_bar by up to about 1e-11
+        grid = default_grid()
+        for g, (_, dense) in zip(SYMMETRIC_FAMILIES, pairs):
+            orbit = graph_spectrum(g, need="weights")
+            assert orbit.weights_path == "orbit" and not orbit.has_vectors()
+            np.testing.assert_array_equal(orbit.eigenvalues, graph_spectrum(g).eigenvalues)
+            got, want = orbit.clusters, dense.clusters
+            np.testing.assert_array_equal(got.mult, want.mult, err_msg=str(g.family))
+            assert got.sizes.sum() == g.n and (len(got.sizes) < g.n or g.n == 1)
+            for name in ("weights", "gram"):
+                np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0,
+                                           atol=1e-11, err_msg=f"{g.family} {name}")
+            np.testing.assert_allclose(exact_average_return(orbit, grid),
+                                       exact_average_return(dense, grid), rtol=0,
+                                       atol=1e-11, err_msg=str(g.family))
+
     def test_generation_zero_is_one_node(self):
         np.testing.assert_array_equal(graph_spectrum(build_dendrimer(0, 4)).eigenvalues, [0.0])
 
-    @pytest.mark.parametrize("g", [build_ring(12), build_dendrimer(3, 3)])
+    @pytest.mark.parametrize("g", [build_star(12), build_dendrimer(3, 3)])
     def test_vectors_take_the_dense_path(self, g):
-        s = graph_spectrum(g, with_vectors=True)
-        assert s.path == "dense" and s.has_vectors()
+        s = graph_spectrum(g, need="vectors")
+        assert s.path == "dense" and s.weights_path == "dense" and s.has_vectors()
         L = laplacian(g)
         resid = np.linalg.norm(L @ s.eigenvectors - s.eigenvectors * s.eigenvalues, axis=0)
         assert resid.max() <= 1e-9 * max(1.0, s.eigenvalues[-1])
+        assert s.residual == pytest.approx(resid.max() / max(1.0, s.eigenvalues[-1]))
         np.testing.assert_array_equal(s.eigenvectors, decompose(L, with_vectors=True).eigenvectors)
+
+    def test_ring_and_torus_vectors_are_fourier(self, pairs):
+        for g, (exact, dense) in zip(SYMMETRIC_FAMILIES, pairs):
+            if g.family[0] not in ("ring", "torus"):
+                continue
+            s = graph_spectrum(g, need="vectors")
+            assert s.path == "closed_form" and s.weights_path == "fourier", g.family
+            np.testing.assert_array_equal(s.eigenvalues, exact.eigenvalues)
+            v = s.eigenvectors
+            np.testing.assert_allclose(v.T @ v, np.eye(g.n), rtol=0, atol=1e-12,
+                                       err_msg=str(g.family))
+            resid = np.linalg.norm(laplacian(g) @ v - v * s.eigenvalues, axis=0).max()
+            scale = max(1.0, s.eigenvalues[-1])
+            assert resid <= 1e-9 * scale and s.residual == pytest.approx(resid / scale)
+            np.testing.assert_allclose(chi_matrix(s), chi_matrix(dense), rtol=0,
+                                       atol=1e-12, err_msg=str(g.family))
+
+    def test_vertex_transitive_pi_equals_bound(self):
+        for g in (build_ring(600), build_hypercubic(12, 3)):
+            s = graph_spectrum(g, need="weights")
+            np.testing.assert_allclose(exact_average_return(s, default_grid()),
+                                       quantum_return_bound(s, default_grid()),
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("spec", ["star:1500", "dendrimer:10,3"])
+    def test_vectors_run_skips_the_dense_solve(self, spec, tmp_path, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def small_only(a, *args, **kwargs):
+            # the dendrimer's shell blocks are at most G + 1 = 11 rows
+            if len(a) > 32:
+                raise AssertionError(f"dense solve of a {len(a)}-row matrix")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", small_only)
+        out = tmp_path / "v"
+        run_experiment(ExperimentConfig(graph=spec, vectors=True, out=str(out),
+                                        grid="log:1e-2,1e3,200"))
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "spectrum.vectors = orbit" in manifest
+        assert "pi_bar" in (out / "series.csv").read_text().splitlines()[0]
+
+    def test_unknown_need(self):
+        with pytest.raises(ValueError, match="need"):
+            graph_spectrum(build_ring(5), need="eigenvectors")
 
     def test_other_graphs_take_the_dense_path(self):
         ring = build_ring(9)
@@ -283,6 +352,9 @@ class TestGraphSpectrum:
             s = graph_spectrum(g)
             assert s.path == "dense"
             np.testing.assert_array_equal(s.eigenvalues, decompose(laplacian(g)).eigenvalues)
+            for need in ("weights", "vectors"):
+                s = graph_spectrum(g, need=need)
+                assert s.path == "dense" and s.weights_path == "dense" and s.has_vectors()
 
 
 class TestDOSHistogram:

@@ -23,6 +23,7 @@ from specwalk import (
     decompose,
     default_grid,
     exact_average_return,
+    graph_spectrum,
     laplacian,
     linear_grid,
     log_grid,
@@ -395,6 +396,24 @@ class TestSeriesCSV:
         lines = chi_csv(chi).splitlines()
         assert lines[0] == "node,0,1,2,3"
         assert len(lines) == 5
+
+
+class TestSharedHalfAngleBlock:
+    """transport_series evaluates one half-angle block for both quantum
+    columns; each column still equals its own kernel bit for bit."""
+
+    @pytest.mark.parametrize("g", [build_star(40), build_dendrimer(4, 3), build_ring(30),
+                                   build_erdos_renyi(60, 0.1, seed=3)])
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_columns_equal_the_kernels(self, g, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(transport, "CHUNK_ELEMS", chunk)
+        grid = merge_grids(default_grid(), linear_grid(0.05, 250, 500))
+        for s in (graph_spectrum(g, need="weights"), spectrum_of(g, vectors=True)):
+            series = transport_series(s, grid, with_exact_quantum=True)
+            np.testing.assert_array_equal(series.p_bar, classical_return(s, grid))
+            np.testing.assert_array_equal(series.alpha_bar_sq, quantum_return_bound(s, grid))
+            np.testing.assert_array_equal(series.pi_bar, exact_average_return(s, grid))
 
 
 class TestSeriesInvariants:
