@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -206,21 +207,32 @@ def preset(name: str) -> ExperimentConfig:
 @dataclass
 class RunManifest:
     """Record of one run: config echo, artifact checksums, version, duration,
-    and diagnostics: for graph runs which path produced the spectrum, its
-    cluster count and, where built, where the projector weights came from
-    and the eigenpair residual."""
+    the seconds spent in each stage that ran, and diagnostics: for graph
+    runs which path produced the spectrum, its cluster count and, where
+    built, where the projector weights came from and the eigenpair
+    residual; for analysed runs the envelope point count."""
 
     config: dict[str, str]
     files: dict[str, str] = field(default_factory=dict)
     version: str = __version__
     duration_s: float = 0.0
     diagnostics: dict[str, str] = field(default_factory=dict)
+    timings: dict[str, float] = field(default_factory=dict)
+
+    @contextmanager
+    def stage(self, name: str):
+        """Add the time spent in the block to `timing.<name>_s`."""
+        started = time.perf_counter()
+        yield
+        self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - started
 
     def to_text(self) -> str:
         lines = [f"version = {self.version}",
                  f"duration_s = {repr(self.duration_s)}"]
         lines += [f"config.{k} = {v}" for k, v in sorted(self.config.items())]
-        lines += [f"{k} = {v}" for k, v in sorted(self.diagnostics.items())]
+        diagnostics = {**self.diagnostics, **{
+            f"timing.{k}_s": repr(v) for k, v in self.timings.items()}}
+        lines += [f"{k} = {v}" for k, v in sorted(diagnostics.items())]
         lines += [f"file.{name} = {digest}"
                   for name, digest in sorted(self.files.items())]
         return "\n".join(lines) + "\n"
@@ -236,10 +248,13 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write(out_dir: Path, name: str, text: str, manifest: RunManifest):
-    path = out_dir / name
-    path.write_text(text)
-    manifest.files[name] = _sha256(path)
+def _write(out_dir: Path, name: str, render, arg, manifest: RunManifest):
+    """Write render(arg) to out_dir/name and record its sha256; the
+    formatting counts as writing time."""
+    with manifest.stage("writing"):
+        data = render(arg).encode()
+        (out_dir / name).write_bytes(data)
+        manifest.files[name] = hashlib.sha256(data).hexdigest()
 
 
 def _quantum_envelope(series: TransportSeries, width: int):
@@ -249,8 +264,9 @@ def _quantum_envelope(series: TransportSeries, width: int):
 
 
 def _analyze(series: TransportSeries, config: ExperimentConfig,
-             stretched: bool) -> EfficiencyReport:
+             stretched: bool, manifest: RunManifest) -> EfficiencyReport:
     env = _quantum_envelope(series, config.envelope_width)
+    manifest.diagnostics["analysis.envelope_points"] = str(len(env.times))
     window_cl = config.fit_window
     window_qm = config.fit_window_quantum or window_cl
     positive = series.times > 0
@@ -304,35 +320,42 @@ def run_experiment(config: ExperimentConfig,
     series = None
     stretched = config.fit_model == "stretched"
     if config.graph is not None:
-        graph = parse_graph_spec(config.graph, default_seed=config.seed)
         need = "vectors" if config.chi else "weights" if config.vectors else "values"
-        spectrum = graph_spectrum(graph, need=need)
+        with manifest.stage("spectrum"):
+            graph = parse_graph_spec(config.graph, default_seed=config.seed)
+            spectrum = graph_spectrum(graph, need=need)
         manifest.diagnostics.update(_spectrum_diagnostics(spectrum))
         if "spectrum" in stages:
-            _write(out_dir, "spectrum.csv", spectrum_csv(spectrum), manifest)
-            _write(out_dir, "degeneracies.csv", degeneracies_csv(spectrum), manifest)
+            _write(out_dir, "spectrum.csv", spectrum_csv, spectrum, manifest)
+            _write(out_dir, "degeneracies.csv", degeneracies_csv, spectrum, manifest)
         if config.chi:
-            _write(out_dir, "chi.csv", chi_csv(chi_matrix(spectrum)), manifest)
+            with manifest.stage("chi"):
+                chi = chi_matrix(spectrum)
+            _write(out_dir, "chi.csv", chi_csv, chi, manifest)
+            del chi  # n x n: not kept through the series stage
         if "series" in stages:
-            series = transport_series(spectrum, grid,
-                                      with_exact_quantum=config.vectors)
+            with manifest.stage("series"):
+                series = transport_series(spectrum, grid,
+                                          with_exact_quantum=config.vectors)
     else:
         dos = parse_dos_spec(config.dos)
         if config.fit_model == "auto" and isinstance(dos, Lifshits):
             stretched = True
         if "series" in stages:
-            series = TransportSeries(
-                grid=grid,
-                p_bar=classical_return_continuum(dos, grid),
-                alpha_bar_sq=quantum_return_bound_continuum(dos, grid))
+            with manifest.stage("series"):
+                series = TransportSeries(
+                    grid=grid,
+                    p_bar=classical_return_continuum(dos, grid),
+                    alpha_bar_sq=quantum_return_bound_continuum(dos, grid))
 
     if series is not None:
-        _write(out_dir, "series.csv", series_csv(series), manifest)
+        _write(out_dir, "series.csv", series_csv, series, manifest)
         if "analysis" in stages:
-            report = _analyze(series, config, stretched)
-            _write(out_dir, "report.txt", report_text(report), manifest)
+            with manifest.stage("analysis"):
+                report = _analyze(series, config, stretched, manifest)
+            _write(out_dir, "report.txt", report_text, report, manifest)
             if report.ratio is not None:
-                _write(out_dir, "deltap.csv", ratio_csv(report.ratio), manifest)
+                _write(out_dir, "deltap.csv", ratio_csv, report.ratio, manifest)
 
     manifest.duration_s = time.monotonic() - started
     (out_dir / "manifest.txt").write_text(manifest.to_text())
@@ -381,10 +404,11 @@ def analyze_series_file(path, config: ExperimentConfig) -> RunManifest:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config={**config.echo(), "series_file": str(path)})
-    report = _analyze(series, config, stretched=config.fit_model == "stretched")
-    _write(out_dir, "report.txt", report_text(report), manifest)
+    with manifest.stage("analysis"):
+        report = _analyze(series, config, config.fit_model == "stretched", manifest)
+    _write(out_dir, "report.txt", report_text, report, manifest)
     if report.ratio is not None:
-        _write(out_dir, "deltap.csv", ratio_csv(report.ratio), manifest)
+        _write(out_dir, "deltap.csv", ratio_csv, report.ratio, manifest)
     manifest.duration_s = time.monotonic() - started
     (out_dir / "manifest.txt").write_text(manifest.to_text())
     return manifest

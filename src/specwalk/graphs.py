@@ -88,9 +88,6 @@ class Graph:
         return connected_components(adjacency, directed=False,
                                     return_labels=False) == 1
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return list(map(tuple, self.edges.tolist()))
-
 
 def _canonical_edges(n, edges):
     """Sorted unique (min, max) rows of an (m, 2) array; rejects self-loops

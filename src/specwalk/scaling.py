@@ -47,15 +47,13 @@ def extract_envelope(times, values, half_width: int = DEFAULT_HALF_WIDTH) -> Env
         raise ValueError(
             f"series of {n} points is too short for half_width={half_width}"
         )
-    keep = []
-    for i in range(n):
-        left = v[max(0, i - half_width):i]
-        right = v[i + 1:i + 1 + half_width]
-        if (left < v[i]).all() and (right <= v[i]).all():
-            keep.append(i)
-    if not keep:  # unreachable for finite data; safety net
-        keep = [int(np.argmax(v))]
-    idx = np.array(keep)
+    keep = np.ones(n, dtype=bool)
+    for d in range(1, half_width + 1):
+        keep[d:] &= v[:-d] < v[d:]
+        keep[:-d] &= v[d:] <= v[:-d]
+    idx = np.flatnonzero(keep)
+    if not idx.size:  # unreachable for finite data; safety net
+        idx = np.array([np.argmax(v)])
     return Envelope(times=t[idx], values=v[idx], half_width=half_width)
 
 
@@ -209,15 +207,15 @@ def detect_crossover(times, values) -> float | None:
     """First time the ratio crosses 1 from below, linearly interpolated."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    for i in range(len(v) - 1):
-        if not (np.isfinite(v[i]) and np.isfinite(v[i + 1])):
-            continue
-        if v[i] < 1.0 <= v[i + 1]:
-            if v[i + 1] == 1.0:
-                return float(t[i + 1])
-            frac = (1.0 - v[i]) / (v[i + 1] - v[i])
-            return float(t[i] + frac * (t[i + 1] - t[i]))
-    return None
+    a, b = v[:-1], v[1:]
+    hits = np.flatnonzero(np.isfinite(a) & np.isfinite(b) & (a < 1.0) & (1.0 <= b))
+    if not hits.size:
+        return None
+    i = hits[0]
+    if v[i + 1] == 1.0:
+        return float(t[i + 1])
+    frac = (1.0 - v[i]) / (v[i + 1] - v[i])
+    return float(t[i] + frac * (t[i + 1] - t[i]))
 
 
 @dataclass(frozen=True)
@@ -298,7 +296,6 @@ def report_text(report: EfficiencyReport) -> str:
 
 
 def ratio_csv(ratio: EfficiencyRatioSeries) -> str:
-    lines = ["t,delta_p"]
-    lines.extend(f"{repr(float(t))},{repr(float(v))}"
-                 for t, v in zip(ratio.times, ratio.values))
-    return "\n".join(lines) + "\n"
+    rows = zip(*(map(repr, np.asarray(col, dtype=float).tolist())
+                 for col in (ratio.times, ratio.values)))
+    return "\n".join(["t,delta_p", *map(",".join, rows)]) + "\n"

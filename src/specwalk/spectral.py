@@ -183,11 +183,9 @@ class ClusterView:
 
 def _fix_signs(vecs):
     v = vecs.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            v[:, k] = -col
+    nonzero = np.abs(v) > 1e-12
+    first = v[nonzero.argmax(axis=0), np.arange(v.shape[1])]
+    np.negative(v, out=v, where=nonzero.any(axis=0) & (first < 0))
     return v
 
 
@@ -429,10 +427,18 @@ def dos_histogram(spectrum: Spectrum, bins: int) -> DOSHistogram:
 
 # -- CSV export ---------------------------------------------------------------
 
+def _float_reprs(values) -> np.ndarray:
+    """repr of each element, as an object array of the same shape; each
+    distinct bit pattern is formatted once and scattered back."""
+    a = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(a.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return text[inverse.reshape(a.shape)]
+
+
 def spectrum_csv(spectrum: Spectrum) -> str:
-    lines = ["index,eigenvalue"]
-    lines.extend(f"{k},{repr(float(v))}" for k, v in enumerate(spectrum.eigenvalues))
-    return "\n".join(lines) + "\n"
+    rows = enumerate(_float_reprs(spectrum.eigenvalues).tolist())
+    return "\n".join(["index,eigenvalue", *(f"{k},{text}" for k, text in rows)]) + "\n"
 
 
 def degeneracies_csv(spectrum: Spectrum, cluster_tol: float | None = None) -> str:

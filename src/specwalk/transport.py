@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .spectral import ClusterView, Spectrum
+from .spectral import ClusterView, Spectrum, _float_reprs
 
 EIG_CLAMP_TOL = 1e-8
 # rounding may push a probability past [0, 1] by a few ulps, never by more
@@ -319,14 +319,11 @@ def series_csv(series: TransportSeries) -> str:
     """Columns t,p_bar,alpha_bar_sq[,pi_bar]; shortest round-trip floats."""
     has_pi = series.pi_bar is not None
     header = "t,p_bar,alpha_bar_sq" + (",pi_bar" if has_pi else "")
-    lines = [header]
-    for idx, t in enumerate(series.times):
-        row = [repr(float(t)), repr(float(series.p_bar[idx])),
-               repr(float(series.alpha_bar_sq[idx]))]
-        if has_pi:
-            row.append(repr(float(series.pi_bar[idx])))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    columns = (series.times, series.p_bar, series.alpha_bar_sq) + (
+        (series.pi_bar,) if has_pi else ())
+    rows = zip(*(map(repr, np.asarray(col, dtype=float).tolist())
+                 for col in columns))
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
 def chi_csv(chi: np.ndarray) -> str:
@@ -336,10 +333,7 @@ def chi_csv(chi: np.ndarray) -> str:
     pattern is formatted once and scattered back into place.
     """
     n = chi.shape[0]
-    chi = np.ascontiguousarray(chi, dtype=float)
-    bits, inverse = np.unique(chi.view(np.uint64), return_inverse=True)
-    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
-    rows = text[inverse.reshape(chi.shape)].tolist()
+    rows = _float_reprs(chi).tolist()
     lines = ["node," + ",".join(str(k) for k in range(n))]
     lines.extend(f"{j}," + ",".join(row) for j, row in enumerate(rows))
     return "\n".join(lines) + "\n"

@@ -361,6 +361,53 @@ class TestManifest:
         run_experiment(cfg)
         assert "spectrum.path" not in (tmp_path / "d" / "manifest.txt").read_text()
 
+    @pytest.mark.parametrize("spec, stages, timed", [
+        (dict(graph="star:12", vectors=True, chi=True),
+         ("series", "spectrum", "analysis"),
+         {"spectrum", "chi", "series", "analysis", "writing"}),
+        (dict(graph="ring:12"), ("spectrum",), {"spectrum", "writing"}),
+        (dict(dos="semicircle:nu=0.5,lmax=2"), ("series", "spectrum", "analysis"),
+         {"series", "analysis", "writing"}),
+    ])
+    def test_records_stage_timings(self, tmp_path, spec, stages, timed):
+        out = tmp_path / "s"
+        cfg = ExperimentConfig(**spec, out=str(out), grid="log:1e-2,1e2,80")
+        manifest = run_experiment(cfg, stages=stages)
+        lines = (out / "manifest.txt").read_text().splitlines()
+        diag = dict(ln.split(" = ") for ln in lines
+                    if ln.startswith(("timing.", "analysis.")))
+        assert {k for k in diag if k.startswith("timing.")} == {
+            f"timing.{stage}_s" for stage in timed}
+        assert all(0 <= float(v) <= manifest.duration_s
+                   for k, v in diag.items() if k.startswith("timing."))
+        assert manifest.verify(out)
+        if "analysis" not in timed:
+            assert "analysis.envelope_points" not in diag
+            return
+        series = cli._read_series_csv(out / "series.csv")
+        envelope = cli._quantum_envelope(series, cfg.envelope_width)
+        assert diag["analysis.envelope_points"] == str(len(envelope.times))
+
+    def test_stage_time_accumulates(self, monkeypatch):
+        clock = iter([0.0, 1.0, 5.0, 7.5])
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+        manifest = cli.RunManifest(config={})
+        for _ in range(2):
+            with manifest.stage("writing"):
+                pass
+        assert "timing.writing_s = 3.5" in manifest.to_text().splitlines()
+
+    def test_fit_records_analysis(self, tmp_path):
+        run_experiment(ExperimentConfig(graph="ring:12", out=str(tmp_path / "r"),
+                                        grid="log:1e-2,1e2,80"))
+        analyze_series_file(tmp_path / "r" / "series.csv",
+                            ExperimentConfig(out=str(tmp_path / "f")))
+        lines = (tmp_path / "f" / "manifest.txt").read_text().splitlines()
+        keys = {ln.split(" = ")[0] for ln in lines}
+        assert {"timing.analysis_s", "timing.writing_s",
+                "analysis.envelope_points"} <= keys
+        assert "timing.series_s" not in keys
+
     def test_verify_detects_tampering(self, tmp_path):
         cfg = ExperimentConfig(graph="ring:12", out=str(tmp_path / "t"),
                               grid="log:1e-2,1e2,80")

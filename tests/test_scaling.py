@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specwalk import (
     build_star,
@@ -16,6 +18,61 @@ from specwalk import (
 )
 from specwalk.scaling import (EfficiencyReport, Envelope, ratio_csv,
                               report_text)
+
+# a fixed example sequence keeps the suite reproducible run to run
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                             database=None)
+ONE_BELOW, ONE_ABOVE = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+
+
+def oracle_extract_envelope(times, values, half_width):
+    """The per-point loop extract_envelope replaced: strict against earlier
+    neighbours, non-strict against later ones, windows cut at the ends."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    keep = []
+    for i in range(len(v)):
+        left = v[max(0, i - half_width):i]
+        right = v[i + 1:i + 1 + half_width]
+        if (left < v[i]).all() and (right <= v[i]).all():
+            keep.append(i)
+    if not keep:
+        keep = [int(np.argmax(v))]
+    idx = np.array(keep)
+    return Envelope(times=t[idx], values=v[idx], half_width=half_width)
+
+
+def oracle_detect_crossover(times, values):
+    """The per-point loop detect_crossover replaced."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    for i in range(len(v) - 1):
+        if not (np.isfinite(v[i]) and np.isfinite(v[i + 1])):
+            continue
+        if v[i] < 1.0 <= v[i + 1]:
+            if v[i + 1] == 1.0:
+                return float(t[i + 1])
+            frac = (1.0 - v[i]) / (v[i + 1] - v[i])
+            return float(t[i] + frac * (t[i + 1] - t[i]))
+    return None
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def plateau_series(draw, pool):
+    """Runs of 1-4 equal values, so ties and plateaus are common; the
+    half width is drawn so the series is long enough for it."""
+    element = st.one_of(st.sampled_from(pool),
+                        st.floats(allow_nan=True, allow_infinity=True))
+    runs = draw(st.lists(st.tuples(element, st.integers(1, 4)), min_size=3,
+                         max_size=30))
+    v = np.array([x for x, repeat in runs for _ in range(repeat)], dtype=float)
+    half_width = draw(st.integers(1, min(5, (len(v) - 1) // 2)))
+    return v, half_width
 
 
 class TestExtractEnvelope:
@@ -192,6 +249,38 @@ class TestEfficiencyRatio:
         t = np.geomspace(1, 10, 20)
         with pytest.raises(ValueError):
             efficiency_ratio_series(t, np.full(20, 2.0), (t, np.full(20, 2.0)))
+
+
+class TestEnvelopeOracle:
+    @PROPERTY_SETTINGS
+    @given(plateau_series([0.0, -0.0, 1.0, 2.0, -1.0, np.nan, np.inf, -np.inf]))
+    def test_equals_per_point_loop(self, case):
+        v, half_width = case
+        t = np.arange(len(v), dtype=float)
+        env = extract_envelope(t, v, half_width=half_width)
+        ref = oracle_extract_envelope(t, v, half_width)
+        assert same_bits(env.times, ref.times)
+        assert same_bits(env.values, ref.values)
+        assert env.half_width == half_width
+
+    def test_safety_net_on_all_nan(self):
+        env = extract_envelope(np.arange(5.0), np.full(5, np.nan), half_width=2)
+        assert list(env.times) == [0.0]
+
+
+class TestCrossoverOracle:
+    @PROPERTY_SETTINGS
+    @given(plateau_series([0.5, 1.0, 1.5, ONE_BELOW, ONE_ABOVE, -0.0, np.nan,
+                           np.inf, -np.inf]),
+           st.floats(1e-3, 1e3))
+    def test_equals_per_point_loop(self, case, step):
+        v, _ = case
+        t = step * np.arange(len(v), dtype=float)
+        assert repr(detect_crossover(t, v)) == repr(oracle_detect_crossover(t, v))
+
+    @pytest.mark.parametrize("v", [[], [0.5], [1.5]])
+    def test_too_short_for_a_crossing(self, v):
+        assert detect_crossover(np.arange(len(v), dtype=float), v) is None
 
 
 class TestDetectCrossover:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from specwalk import (
     Graph,
@@ -20,7 +23,8 @@ from specwalk import (
     to_edge_list,
 )
 from specwalk.cli import ExperimentConfig, run_experiment
-from specwalk.spectral import default_cluster_tol, degeneracies_csv, spectrum_csv
+from specwalk.spectral import (_fix_signs, default_cluster_tol, degeneracies_csv,
+                               spectrum_csv)
 from specwalk.transport import (chi_matrix, default_grid, exact_average_return,
                                 quantum_return_bound)
 
@@ -120,6 +124,44 @@ class TestDecompose:
         with pytest.raises((NumericalError, ValueError)) as err:
             decompose(bad, with_vectors=True)
         assert "3" in str(err.value) or "symmetric" in str(err.value)
+
+
+def oracle_fix_signs(vecs):
+    """The per-column loop _fix_signs replaced."""
+    v = vecs.copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size and col[nz[0]] < 0:
+            v[:, k] = -col
+    return v
+
+
+TINY = [0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 5e-324, -5e-324]
+
+
+@st.composite
+def sign_matrices(draw):
+    """Columns of exact zeros and sub-threshold entries, some entirely so."""
+    n, k = draw(st.integers(1, 7)), draw(st.integers(0, 7))
+    tiny = st.sampled_from(TINY)
+    any_entry = st.one_of(tiny, st.sampled_from([0.5, -0.5, 2.0, -3.0]),
+                          st.floats(-1.0, 1.0))
+    columns = [draw(arrays(float, n, elements=draw(st.sampled_from([tiny, any_entry]))))
+               for _ in range(k)]
+    return np.column_stack(columns) if columns else np.zeros((n, 0))
+
+
+class TestFixSignsOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(sign_matrices())
+    def test_equals_per_column_loop(self, vecs):
+        before = vecs.copy()
+        fixed = _fix_signs(vecs)
+        ref = oracle_fix_signs(vecs)
+        assert fixed.shape == ref.shape
+        assert np.array_equal(fixed.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(vecs.view(np.uint64), before.view(np.uint64))
 
 
 class TestTraceIdentity:

@@ -35,7 +35,10 @@ from specwalk import (
     quantum_return_bound,
     transport_series,
 )
-from specwalk.transport import TimeGrid, chi_csv, clamp_unit_interval, series_csv
+from specwalk.scaling import EfficiencyRatioSeries, ratio_csv
+from specwalk.spectral import spectrum_csv
+from specwalk.transport import (TimeGrid, TransportSeries, chi_csv, clamp_unit_interval,
+                                series_csv)
 
 
 def spectrum_of(g, vectors=False):
@@ -514,6 +517,64 @@ class TestChiCSVFormat:
 
     def test_special_values(self):
         chi = np.array([[0.0, -0.0, np.nan], [np.inf, 1e-300, 5e-324], [1.0, 0.1, 1 / 3]])
+        assert chi_csv(chi) == oracle_chi_csv(chi)
+
+
+# values whose repr is easy to get wrong: signed zero, non-finite values,
+# the smallest subnormal, the first integer-valued float written with an
+# exponent, and the neighbours of 1e-4, where repr switches notation
+SPECIAL_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-4,
+                  np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0)]
+csv_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                       st.floats(allow_nan=True, allow_infinity=True))
+CSV_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def oracle_csv(header, *columns):
+    """Rows of per-element repr(float(x)), the form every writer must keep."""
+    rows = [",".join(repr(float(col[i])) for col in columns)
+            for i in range(len(columns[0]))]
+    return "\n".join([header, *rows]) + "\n"
+
+
+class TestCSVWritersOracle:
+    @CSV_SETTINGS
+    @given(st.data(), st.booleans())
+    def test_series_csv(self, data, with_pi):
+        times = data.draw(st.lists(st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-4, np.nextafter(1e-4, 0.0),
+                             np.nextafter(1e-4, 1.0), 1e16]),
+            st.floats(0.0, 1e300)), min_size=1, max_size=40, unique=True))
+        times = np.sort(times)
+        cols = [np.array(data.draw(st.lists(csv_floats, min_size=len(times),
+                                            max_size=len(times))))
+                for _ in range(3 if with_pi else 2)]
+        series = TransportSeries(grid=TimeGrid(times), p_bar=cols[0],
+                                 alpha_bar_sq=cols[1],
+                                 pi_bar=cols[2] if with_pi else None)
+        header = "t,p_bar,alpha_bar_sq" + (",pi_bar" if with_pi else "")
+        assert series_csv(series) == oracle_csv(header, times, *cols)
+
+    @CSV_SETTINGS
+    @given(st.lists(st.tuples(csv_floats, csv_floats), min_size=1, max_size=40))
+    def test_ratio_csv(self, pairs):
+        t, v = (np.array(col) for col in zip(*pairs))
+        ratio = EfficiencyRatioSeries(times=t, values=v, asymptotic=1.0,
+                                      excluded_points=0)
+        assert ratio_csv(ratio) == oracle_csv("t,delta_p", t, v)
+
+    @CSV_SETTINGS
+    @given(st.lists(csv_floats, min_size=1, max_size=40))
+    def test_spectrum_csv(self, values):
+        lam = np.array(values)
+        rows = [f"{k},{repr(float(x))}" for k, x in enumerate(lam)]
+        assert spectrum_csv(Spectrum(lam)) == "\n".join(["index,eigenvalue", *rows]) + "\n"
+
+    @CSV_SETTINGS
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(csv_floats, min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_chi_csv(self, rows):
+        chi = np.array(rows)
         assert chi_csv(chi) == oracle_chi_csv(chi)
 
 
