@@ -8,7 +8,8 @@ scripts trivial: series.csv, spectrum.csv, degeneracies.csv, report.txt,
 deltap.csv, manifest.txt.
 
 Subcommands: run, spectrum, transport, fit, preset. Exit codes: 0 on
-success, 1 on a parse/config error, 2 on a numerical failure.
+success, 1 on a parse/config error or a failed write, 2 on a numerical
+failure.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,8 @@ from .scaling import (EfficiencyReport, detect_crossover,
                       efficiency_ratio_series, extract_envelope,
                       fit_power_law, fit_stretched_exp, ratio_csv,
                       report_text, saturation)
-from .spectral import degeneracies_csv, graph_spectrum, spectrum_csv
+from .spectral import (default_cluster_tol, degeneracies_csv, graph_spectrum,
+                       spectrum_csv)
 from .transport import (TimeGrid, TransportSeries, chi_csv, chi_matrix,
                         linear_grid, log_grid, merge_grids, series_csv,
                         transport_series)
@@ -210,7 +213,9 @@ class RunManifest:
     the seconds spent in each stage that ran, and diagnostics: for graph
     runs which path produced the spectrum, its cluster count and, where
     built, where the projector weights came from and the eigenpair
-    residual; for analysed runs the envelope point count."""
+    residual, and with two or more clusters the smallest gap between
+    adjacent cluster values over the cluster tolerance; for analysed runs
+    the envelope point count."""
 
     config: dict[str, str]
     files: dict[str, str] = field(default_factory=dict)
@@ -250,11 +255,26 @@ def _sha256(path) -> str:
 
 def _write(out_dir: Path, name: str, render, arg, manifest: RunManifest):
     """Write render(arg) to out_dir/name and record its sha256; the
-    formatting counts as writing time."""
+    formatting counts as writing time. render returns a str, or an
+    iterable of byte blocks, which are written and hashed one at a time."""
     with manifest.stage("writing"):
-        data = render(arg).encode()
-        (out_dir / name).write_bytes(data)
-        manifest.files[name] = hashlib.sha256(data).hexdigest()
+        text = render(arg)
+        digest = hashlib.sha256()
+        with open(out_dir / name, "wb") as out:
+            for block in [text.encode()] if isinstance(text, str) else text:
+                out.write(block)
+                digest.update(block)
+        manifest.files[name] = digest.hexdigest()
+
+
+def _finish(manifest: RunManifest, out_dir: Path, started: float) -> RunManifest:
+    """Record the duration, write manifest.txt and check every artifact
+    against its checksum; a mismatch raises OSError."""
+    manifest.duration_s = time.monotonic() - started
+    (out_dir / "manifest.txt").write_text(manifest.to_text())
+    if not manifest.verify(out_dir):
+        raise OSError(f"artifacts in {out_dir} do not match their manifest checksums")
+    return manifest
 
 
 def _quantum_envelope(series: TransportSeries, width: int):
@@ -293,8 +313,11 @@ def _analyze(series: TransportSeries, config: ExperimentConfig,
 
 
 def _spectrum_diagnostics(spectrum) -> dict[str, str]:
-    out = {"spectrum.path": spectrum.path,
-           "spectrum.clusters": str(len(spectrum.clusters))}
+    view = spectrum.clusters
+    out = {"spectrum.path": spectrum.path, "spectrum.clusters": str(len(view))}
+    if len(view) >= 2:
+        tol = default_cluster_tol(spectrum.eigenvalues)
+        out["spectrum.min_gap_over_tol"] = repr(float(np.diff(view.values).min() / tol))
     if spectrum.weights_path is not None:
         out["spectrum.vectors"] = spectrum.weights_path
     if spectrum.residual is not None:
@@ -331,7 +354,7 @@ def run_experiment(config: ExperimentConfig,
         if config.chi:
             with manifest.stage("chi"):
                 chi = chi_matrix(spectrum)
-            _write(out_dir, "chi.csv", chi_csv, chi, manifest)
+            _write(out_dir, "chi.csv", partial(chi_csv, blocks=True), chi, manifest)
             del chi  # n x n: not kept through the series stage
         if "series" in stages:
             with manifest.stage("series"):
@@ -357,11 +380,7 @@ def run_experiment(config: ExperimentConfig,
             if report.ratio is not None:
                 _write(out_dir, "deltap.csv", ratio_csv, report.ratio, manifest)
 
-    manifest.duration_s = time.monotonic() - started
-    (out_dir / "manifest.txt").write_text(manifest.to_text())
-    if not manifest.verify(out_dir):
-        raise NumericalError("manifest verification failed after writing artifacts")
-    return manifest
+    return _finish(manifest, out_dir, started)
 
 
 def _read_series_csv(path) -> TransportSeries:
@@ -409,9 +428,7 @@ def analyze_series_file(path, config: ExperimentConfig) -> RunManifest:
     _write(out_dir, "report.txt", report_text, report, manifest)
     if report.ratio is not None:
         _write(out_dir, "deltap.csv", ratio_csv, report.ratio, manifest)
-    manifest.duration_s = time.monotonic() - started
-    (out_dir / "manifest.txt").write_text(manifest.to_text())
-    return manifest
+    return _finish(manifest, out_dir, started)
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -498,7 +515,7 @@ def main(argv=None) -> int:
             run_experiment(_config_from_args(args), stages=("series",))
         elif args.command == "fit":
             analyze_series_file(args.series, _config_from_args(args))
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

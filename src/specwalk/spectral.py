@@ -24,6 +24,8 @@ from .graphs import Graph, laplacian
 
 RESIDUAL_RTOL = 1e-9
 _SYMMETRY_BAND = 256
+# elements of one column block in the sign fix and the residual check
+_BLOCK_ELEMS = 1 << 18
 NEEDS = ("values", "weights", "vectors")
 
 
@@ -78,11 +80,6 @@ class Spectrum:
         if self.has_vectors():
             return "fourier" if self.path == "closed_form" else "dense"
         return "orbit" if self.orbits is not None else None
-
-    def zero_multiplicity(self, cluster_tol: float | None = None) -> int:
-        """Size of the near-zero cluster; equals the number of components."""
-        tol = default_cluster_tol(self.eigenvalues) if cluster_tol is None else cluster_tol
-        return int(np.sum(np.abs(self.eigenvalues) <= tol))
 
     @cached_property
     def clusters(self) -> ClusterView:
@@ -181,12 +178,24 @@ class ClusterView:
         return scaled.T @ scaled
 
 
+def _column_blocks(shape):
+    """Slices of consecutive column blocks of an array of this shape, each
+    block holding about _BLOCK_ELEMS elements."""
+    rows, cols = shape
+    step = max(1, _BLOCK_ELEMS // max(rows, 1))
+    return [slice(lo, lo + step) for lo in range(0, cols, step)]
+
+
 def _fix_signs(vecs):
-    v = vecs.copy()
-    nonzero = np.abs(v) > 1e-12
-    first = v[nonzero.argmax(axis=0), np.arange(v.shape[1])]
-    np.negative(v, out=v, where=nonzero.any(axis=0) & (first < 0))
-    return v
+    """Negate, in place, each column whose first component of magnitude
+    above 1e-12 is negative; returns vecs. Works one column block at a
+    time, so its temporaries stay small."""
+    for cols in _column_blocks(vecs.shape):
+        v = vecs[:, cols]
+        nonzero = np.abs(v) > 1e-12
+        first = v[nonzero.argmax(axis=0), np.arange(v.shape[1])]
+        np.negative(v, out=v, where=nonzero.any(axis=0) & (first < 0))
+    return vecs
 
 
 def _is_symmetric(a):
@@ -204,47 +213,64 @@ def _is_symmetric(a):
     return True
 
 
-def _checked_residual(lap_vecs, vecs, vals) -> float:
-    """max ||L v - lam v|| / ||L||_2 over the eigenpairs, given L v; above
+def _checked_residual(times, vecs, vals) -> float:
+    """max ||L v - lam v|| / ||L||_2 over the eigenpairs, where times(block)
+    is L @ block, evaluated one column block at a time; above
     RESIDUAL_RTOL it raises NumericalError with the matrix size."""
     scale = max(1.0, float(np.abs(vals).max()))
-    resid = np.linalg.norm(lap_vecs - vecs * vals, axis=0).max()
+    resid = 0.0
+    for cols in _column_blocks(vecs.shape):
+        block = vecs[:, cols]
+        diff = times(block)
+        diff -= block * vals[cols]
+        resid = max(resid, float(np.linalg.norm(diff, axis=0).max()))
     if resid > RESIDUAL_RTOL * scale:
         raise NumericalError(
             f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||L|| "
             f"for a {len(vecs)}x{len(vecs)} matrix"
         )
-    return float(resid / scale)
+    return resid / scale
 
 
-def decompose(lap: np.ndarray, with_vectors: bool = False) -> Spectrum:
+def decompose(lap: np.ndarray | Graph, with_vectors: bool = False) -> Spectrum:
     """Eigendecompose a symmetric Laplacian, ascending eigenvalues.
+
+    `lap` is a symmetric matrix or a Graph. LAPACK ?syevd runs in one
+    n x n buffer and leaves the eigenvectors in it: for a Graph that is
+    its Laplacian, assembled here; a matrix is copied into it and never
+    modified.
 
     When vectors are requested the residual ||L v - lam v|| is checked
     against 1e-9 * ||L||_2 per pair and recorded on the spectrum; a
     violation or a LAPACK failure raises NumericalError with the matrix
     size.
     """
-    lap = np.asarray(lap, dtype=float)
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {lap.shape}")
-    if not _is_symmetric(lap):
-        raise ValueError("matrix is not symmetric")
+    from scipy.linalg import eigh
+
+    if isinstance(lap, Graph):
+        # exactly symmetric by construction; its transpose is the
+        # Fortran-ordered view of the same matrix that LAPACK works in
+        work, times = laplacian(lap).T, _laplacian_times(lap)
+    else:
+        lap = np.asarray(lap, dtype=float)
+        if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {lap.shape}")
+        if not _is_symmetric(lap):
+            raise ValueError("matrix is not symmetric")
+        work, times = np.array(lap, order="F"), lambda block: lap @ block
+    n = len(work)
     try:
-        if with_vectors:
-            vals, vecs = np.linalg.eigh(lap)
-        else:
-            vals = np.linalg.eigvalsh(lap)
-            vecs = None
+        result = eigh(work, overwrite_a=True, check_finite=False, driver="evd",
+                      eigvals_only=not with_vectors)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"symmetric eigensolver failed on a {lap.shape[0]}x{lap.shape[0]} matrix: {exc}"
-        ) from exc
-    if vecs is None:
-        return Spectrum(eigenvalues=vals)
+            f"symmetric eigensolver failed on a {n}x{n} matrix: {exc}") from exc
+    if not with_vectors:
+        return Spectrum(eigenvalues=result)
+    vals, vecs = result
     vecs = _fix_signs(vecs)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs,
-                    residual=_checked_residual(lap @ vecs, vecs, vals))
+                    residual=_checked_residual(times, vecs, vals))
 
 
 def graph_spectrum(graph: Graph, need: str = "values") -> Spectrum:
@@ -268,7 +294,7 @@ def graph_spectrum(graph: Graph, need: str = "values") -> Spectrum:
         raise ValueError(f"need must be one of {NEEDS}, got {need!r}")
     name, *params = graph.family or (None,)
     if name is None or (need == "vectors" and name not in _FOURIER):
-        return decompose(laplacian(graph), with_vectors=need != "values")
+        return decompose(graph, with_vectors=need != "values")
     values, orbits = _CLOSED_FORMS[name](*params, weights=need != "values")
     order = np.argsort(values, kind="stable")
     if need == "values":
@@ -280,17 +306,18 @@ def graph_spectrum(graph: Graph, need: str = "values") -> Spectrum:
         return spectrum
     vecs = _FOURIER[name](*params)[:, order]
     return replace(spectrum, eigenvectors=vecs, residual=_checked_residual(
-        _laplacian_times(graph, vecs), vecs, spectrum.eigenvalues))
+        _laplacian_times(graph), vecs, spectrum.eigenvalues))
 
 
-def _laplacian_times(graph, vecs):
-    """L @ vecs from the edge list, without a dense L."""
+def _laplacian_times(graph):
+    """The map vecs -> L @ vecs, from the edge list without a dense L."""
     from scipy.sparse import coo_array
 
     i, j = graph.edges.T
     adjacency = coo_array((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])),
-                          shape=(graph.n, graph.n))
-    return graph.degrees()[:, None] * vecs - adjacency.tocsr() @ vecs
+                          shape=(graph.n, graph.n)).tocsr()
+    degrees = graph.degrees()[:, None]
+    return lambda vecs: degrees * vecs - adjacency @ vecs
 
 
 def _torus_eigenvalues(side, d, weights=False):
@@ -427,18 +454,66 @@ def dos_histogram(spectrum: Spectrum, bins: int) -> DOSHistogram:
 
 # -- CSV export ---------------------------------------------------------------
 
-def _float_reprs(values) -> np.ndarray:
-    """repr of each element, as an object array of the same shape; each
-    distinct bit pattern is formatted once and scattered back."""
-    a = np.ascontiguousarray(values, dtype=float)
-    bits, inverse = np.unique(a.view(np.uint64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-    return text[inverse.reshape(a.shape)]
+# repr of a double is at most 24 characters, as in "-2.2250738585072014e-308"
+_REPR_WIDTH = 24
+# cells of one block of CSV rows
+_CSV_BLOCK_CELLS = 1 << 15
+
+
+def _repr_table(values):
+    """Each distinct bit pattern of the elements formatted once, by repr:
+    (text, index), where text is a fixed-width bytes array of the distinct
+    patterns' text, zero-padded, and index[i] the row of text that
+    element i of the flattened array reads. Neither holds a Python object
+    per element."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64).ravel()
+    order = np.argsort(bits)
+    ranked = bits[order]
+    new = np.empty(len(bits), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    distinct = ranked[new].view(float)
+    del ranked
+    rank = np.cumsum(new, dtype=np.int64 if len(bits) >= 2**31 else np.int32)
+    rank -= 1
+    index = np.empty_like(rank)
+    index[order] = rank
+    del order, rank, new
+    text = np.empty(len(distinct), dtype=f"S{_REPR_WIDTH}")
+    for lo in range(0, len(distinct), _CSV_BLOCK_CELLS):
+        text[lo:lo + _CSV_BLOCK_CELLS] = list(map(
+            repr, distinct[lo:lo + _CSV_BLOCK_CELLS].tolist()))
+    return text, index
+
+
+def _csv_blocks(header, text, index, shape):
+    """ASCII blocks of a CSV whose row j is "j," and then the cells of row
+    j of a matrix of this shape, comma-separated: the header line first,
+    then consecutive rows, each block holding about _CSV_BLOCK_CELLS cells.
+
+    Each cell, the row label included, is copied into a zero-padded slot
+    of _REPR_WIDTH bytes followed by its separator, and the zero bytes are
+    dropped; no repr text contains one.
+    """
+    rows, cols = shape
+    yield header.encode()
+    step = max(1, _CSV_BLOCK_CELLS // (cols + 1))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        slots = np.zeros((hi - lo, cols + 1, _REPR_WIDTH + 1), dtype=np.uint8)
+        labels = np.array([str(j) for j in range(lo, hi)], dtype=f"S{_REPR_WIDTH}")
+        slots[:, 0, :-1] = labels.view(np.uint8).reshape(hi - lo, _REPR_WIDTH)
+        cells = text[index[lo * cols:hi * cols]]
+        slots[:, 1:, :-1] = cells.view(np.uint8).reshape(hi - lo, cols, _REPR_WIDTH)
+        slots[:, :, -1] = ord(",")
+        slots[:, -1, -1] = ord("\n")
+        yield slots[slots != 0].tobytes()
 
 
 def spectrum_csv(spectrum: Spectrum) -> str:
-    rows = enumerate(_float_reprs(spectrum.eigenvalues).tolist())
-    return "\n".join(["index,eigenvalue", *(f"{k},{text}" for k, text in rows)]) + "\n"
+    values = np.asarray(spectrum.eigenvalues, dtype=float)[:, None]
+    blocks = _csv_blocks("index,eigenvalue\n", *_repr_table(values), values.shape)
+    return b"".join(blocks).decode()
 
 
 def degeneracies_csv(spectrum: Spectrum, cluster_tol: float | None = None) -> str:

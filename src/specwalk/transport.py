@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .spectral import ClusterView, Spectrum, _float_reprs
+from .spectral import ClusterView, Spectrum, _csv_blocks, _repr_table
 
 EIG_CLAMP_TOL = 1e-8
 # rounding may push a probability past [0, 1] by a few ulps, never by more
@@ -326,14 +326,16 @@ def series_csv(series: TransportSeries) -> str:
     return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
-def chi_csv(chi: np.ndarray) -> str:
+def chi_csv(chi: np.ndarray, *, blocks: bool = False):
     """Matrix CSV with a node-index header row.
 
     chi is symmetric and often highly degenerate, so each distinct bit
-    pattern is formatted once and scattered back into place.
+    pattern is formatted once, into compact text, before the call returns.
+    With `blocks`, the result is an iterator of ASCII byte blocks whose
+    concatenation is the same text: rows are assembled a block at a time
+    as it is consumed, so the whole text is never held at once.
     """
     n = chi.shape[0]
-    rows = _float_reprs(chi).tolist()
-    lines = ["node," + ",".join(str(k) for k in range(n))]
-    lines.extend(f"{j}," + ",".join(row) for j, row in enumerate(rows))
-    return "\n".join(lines) + "\n"
+    header = "node," + ",".join(map(str, range(n))) + "\n"
+    parts = _csv_blocks(header, *_repr_table(chi), chi.shape)
+    return parts if blocks else b"".join(parts).decode()

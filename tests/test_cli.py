@@ -1,9 +1,14 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import specwalk.cli as cli
 import specwalk.transport as transport
-from specwalk import NumericalError, ParseError, ResourceLimitError
+from specwalk import (NumericalError, ParseError, ResourceLimitError, graph_spectrum,
+                      parse_graph_spec)
+from specwalk.spectral import default_cluster_tol
 from specwalk.cli import (ExperimentConfig, analyze_series_file, main,
                           parse_grid_spec, preset, read_config_file,
                           run_experiment)
@@ -407,6 +412,69 @@ class TestManifest:
         assert {"timing.analysis_s", "timing.writing_s",
                 "analysis.envelope_points"} <= keys
         assert "timing.series_s" not in keys
+
+    @pytest.mark.parametrize("command", ["run", "fit"])
+    def test_failed_verification_exits_one(self, tmp_path, monkeypatch, capsys, command):
+        run_experiment(ExperimentConfig(graph="ring:12", out=str(tmp_path / "r"),
+                                        grid="log:1e-2,1e2,80"))
+        monkeypatch.setattr(cli.RunManifest, "verify", lambda self, out_dir: False)
+        args = (["run", "--graph", "ring:12", "--grid", "log:1e-2,1e2,80"]
+                if command == "run" else ["fit", "--series", str(tmp_path / "r" / "series.csv")])
+        rc = main([*args, "--out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert (tmp_path / "v" / "manifest.txt").is_file()
+
+    @pytest.mark.parametrize("graph", ["ring:12", "star:12", "er:20,0.3,seed=2",
+                                       "er:300,0.05,seed=4"])
+    def test_records_min_gap_over_tol(self, tmp_path, graph):
+        run_experiment(ExperimentConfig(graph=graph, out=str(tmp_path / "g")),
+                       stages=("spectrum",))
+        lines = (tmp_path / "g" / "manifest.txt").read_text().splitlines()
+        recorded = dict(ln.split(" = ") for ln in lines)["spectrum.min_gap_over_tol"]
+        spectrum = graph_spectrum(parse_graph_spec(graph))
+        view = spectrum.clusters
+        expected = np.diff(view.values).min() / default_cluster_tol(spectrum.eigenvalues)
+        assert float(recorded) == expected
+        assert expected > 1.0
+
+    @pytest.mark.parametrize("spec", [dict(graph="er:3,1e-9"),
+                                      dict(dos="semicircle:nu=0.5,lmax=2")])
+    def test_min_gap_needs_two_clusters(self, tmp_path, spec):
+        run_experiment(ExperimentConfig(**spec, out=str(tmp_path / "o"),
+                                        grid="log:1e-2,1e2,80"),
+                       stages=("spectrum", "series"))
+        text = (tmp_path / "o" / "manifest.txt").read_text()
+        assert "spectrum.min_gap_over_tol" not in text
+        if "graph" in spec:
+            assert "spectrum.clusters = 1" in text
+
+    def test_streamed_chi_write_memory(self, tmp_path, monkeypatch):
+        peaks, write = {}, cli._write
+
+        def traced_write(out_dir, name, render, arg, manifest):
+            if name != "chi.csv":
+                return write(out_dir, name, render, arg, manifest)
+            tracemalloc.start()
+            try:
+                write(out_dir, name, render, arg, manifest)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_write", traced_write)
+        graph = "er:800,0.02,seed=1"
+        manifest = run_experiment(ExperimentConfig(graph=graph, chi=True, out=str(tmp_path)),
+                                  stages=("spectrum",))
+        chi = transport.chi_matrix(graph_spectrum(parse_graph_spec(graph), need="vectors"))
+        # the distinct values' text and their indices, and one block of
+        # rows; the whole text as a str and its encoding take about 6
+        assert peaks["chi.csv"] <= 4 * chi.nbytes
+        data = (tmp_path / "chi.csv").read_bytes()
+        assert data.decode() == transport.chi_csv(chi)
+        assert manifest.files["chi.csv"] == hashlib.sha256(data).hexdigest()
 
     def test_verify_detects_tampering(self, tmp_path):
         cfg = ExperimentConfig(graph="ring:12", out=str(tmp_path / "t"),

@@ -1,3 +1,9 @@
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,17 +26,25 @@ from specwalk import (
     from_edge_list,
     graph_spectrum,
     laplacian,
+    parse_graph_spec,
     to_edge_list,
 )
 from specwalk.cli import ExperimentConfig, run_experiment
-from specwalk.spectral import (_fix_signs, default_cluster_tol, degeneracies_csv,
-                               spectrum_csv)
+from specwalk.spectral import (_checked_residual, _column_blocks, _fix_signs,
+                               default_cluster_tol, degeneracies_csv, spectrum_csv)
 from specwalk.transport import (chi_matrix, default_grid, exact_average_return,
                                 quantum_return_bound)
 
 
 def path_graph(n):
     return Graph(n=n, edges=frozenset((i, i + 1) for i in range(n - 1)))
+
+
+def zero_multiplicity(spectrum):
+    """Size of the near-zero cluster at the default tolerance; equals the
+    number of components."""
+    lam = spectrum.eigenvalues
+    return int(np.sum(np.abs(lam) <= default_cluster_tol(lam)))
 
 
 def component_count(g):
@@ -152,16 +166,100 @@ def sign_matrices(draw):
     return np.column_stack(columns) if columns else np.zeros((n, 0))
 
 
+# a path, a triangle and an isolated node, read back without a family
+DISCONNECTED = from_edge_list("n 8\n0 1\n1 2\n2 3\n4 5\n5 6\n4 6\n")
+
+
+class TestOwnedBufferSolve:
+    """decompose(graph) solves in the Laplacian's own buffer and must give
+    what numpy's eigvalsh and eigh (plus the sign fix) give, bit for bit."""
+
+    @pytest.mark.parametrize("g", [
+        parse_graph_spec("er:800,0.02,seed=1"), build_dendrimer(8, 3), build_star(12),
+        DISCONNECTED,
+    ], ids=["er800", "dendrimer8", "star12", "disconnected"])
+    def test_bit_identical_to_numpy(self, g):
+        lap = laplacian(g)
+        values = decompose(g).eigenvalues
+        assert np.array_equal(values.view(np.uint64),
+                              np.linalg.eigvalsh(lap).view(np.uint64))
+        ref_values, ref_vectors = np.linalg.eigh(lap)
+        s = decompose(g, with_vectors=True)
+        assert np.array_equal(s.eigenvalues.view(np.uint64), ref_values.view(np.uint64))
+        assert np.array_equal(s.eigenvectors.view(np.uint64),
+                              oracle_fix_signs(ref_vectors).view(np.uint64))
+        assert 0 <= s.residual <= 1e-9
+
+    def test_residual_checks_every_column_block(self):
+        n = 600
+        assert len(_column_blocks((n, n))) > 1
+        vals = np.ones(n)
+        vals[-1] += 1e-3  # L = I: only the last pair is off
+        with pytest.raises(NumericalError, match="residual 1.000e-03"):
+            _checked_residual(lambda block: block.copy(), np.eye(n), vals)
+
+    @pytest.mark.parametrize("with_vectors", [False, True])
+    def test_matrix_argument_is_not_modified(self, with_vectors):
+        lap = laplacian(build_erdos_renyi(60, 0.2, seed=5))
+        before = lap.copy()
+        s = decompose(lap, with_vectors=with_vectors)
+        assert np.array_equal(lap.view(np.uint64), before.view(np.uint64))
+        assert not with_vectors or not np.shares_memory(s.eigenvectors, lap)
+
+    def test_vectors_memory_is_bounded(self):
+        g = parse_graph_spec("er:800,0.02,seed=1")
+        graph_spectrum(build_erdos_renyi(30, 0.2, seed=1), need="vectors")  # imports
+        tracemalloc.start()
+        try:
+            graph_spectrum(g, need="vectors")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the Laplacian, which becomes the eigenvectors, and the 2 n^2
+        # ?syevd workspace; a copy of the input or a dense L @ V breaks it
+        assert peak <= 3.2 * 8 * g.n**2
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                        reason="needs the VmHWM line of /proc/self/status")
+    def test_values_rss_growth_is_one_matrix(self, tmp_path):
+        # VmHWM, the peak RSS of the process's own address space, starts
+        # afresh at exec; ru_maxrss would carry the high-water mark of the
+        # forking test process into the child and hide the growth
+        g = parse_graph_spec("er:2000,0.05,seed=1")
+        # the edges are read back, so the child makes nothing near n x n
+        # before it measures, and every page of the Laplacian gets written
+        np.save(tmp_path / "edges.npy", g.edges)
+        script = textwrap.dedent(f"""
+            import sys
+            sys.path.insert(0, {str(Path(__file__).parents[1] / "src")!r})
+            import numpy as np
+            from specwalk import Graph, build_ring, graph_spectrum
+
+            def peak_rss():
+                with open("/proc/self/status") as status:
+                    line = next(ln for ln in status if ln.startswith("VmHWM:"))
+                return 1024 * int(line.split()[1])
+
+            g = Graph({g.n}, np.load({str(tmp_path / "edges.npy")!r}))
+            graph_spectrum(Graph(30, build_ring(30).edges))  # imports, BLAS set-up
+            before = peak_rss()
+            graph_spectrum(g, need="values")
+            print(peak_rss() - before)
+        """)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True)
+        assert int(out.stdout) <= 1.5 * 8 * g.n**2
+
+
 class TestFixSignsOracle:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(sign_matrices())
     def test_equals_per_column_loop(self, vecs):
-        before = vecs.copy()
-        fixed = _fix_signs(vecs)
         ref = oracle_fix_signs(vecs)
+        fixed = _fix_signs(vecs)
+        assert fixed is vecs  # in place
         assert fixed.shape == ref.shape
         assert np.array_equal(fixed.view(np.uint64), ref.view(np.uint64))
-        assert np.array_equal(vecs.view(np.uint64), before.view(np.uint64))
 
 
 class TestTraceIdentity:
@@ -179,7 +277,7 @@ class TestZeroCluster:
     def test_connected_families_have_one_zero(self):
         for g in [build_ring(20), build_star(8), build_dendrimer(3, 3)]:
             s = decompose(laplacian(g))
-            assert s.zero_multiplicity() == 1
+            assert zero_multiplicity(s) == 1
 
     def test_disconnected_er_counts_components(self):
         g = build_erdos_renyi(12, 0.08, seed=3)
@@ -187,7 +285,7 @@ class TestZeroCluster:
         s = decompose(laplacian(g))
         comps = component_count(g)
         assert comps > 1
-        assert s.zero_multiplicity() == comps
+        assert zero_multiplicity(s) == comps
 
 
 class TestDegeneracyTable:

@@ -175,7 +175,9 @@ class TestClassicalReturn:
         p = classical_return(s, TimeGrid(np.array([1e8])))
         # near-zero eigenvalues sit at ~1e-16, so the plateau is exact
         # only to ~1e-16 * t at this horizon
-        assert p[0] == pytest.approx(s.zero_multiplicity() / 12, abs=1e-7)
+        zero_cluster = s.clusters.mult[0]
+        assert zero_cluster == 4
+        assert p[0] == pytest.approx(zero_cluster / 12, abs=1e-7)
 
     def test_underflow_is_flushed(self):
         s = spectrum_of(build_star(10))
@@ -518,6 +520,12 @@ class TestChiCSVFormat:
     def test_special_values(self):
         chi = np.array([[0.0, -0.0, np.nan], [np.inf, 1e-300, 5e-324], [1.0, 0.1, 1 / 3]])
         assert chi_csv(chi) == oracle_chi_csv(chi)
+
+    def test_blocks_join_to_the_text(self, oracle_spectra):
+        chi = chi_matrix(oracle_spectra("er:800,0.02,seed=1"))
+        blocks = list(chi_csv(chi, blocks=True))
+        assert len(blocks) > 2 and all(isinstance(b, bytes) for b in blocks)
+        assert b"".join(blocks).decode() == chi_csv(chi) == oracle_chi_csv(chi)
 
 
 # values whose repr is easy to get wrong: signed zero, non-finite values,
