@@ -19,10 +19,10 @@ table = sw.degeneracy_table(spec)
 top = sorted(table, key=lambda vm: -vm[1])[:4]
 print("largest degeneracies:", [(round(float(v), 6), m) for v, m in top])
 
-grid = sw.default_grid()
-p = sw.classical_return(spec, grid)
+grid = sw.log_grid()  # 600 log points on [1e-2, 1e4], plus t=0
+p = sw.transport_series(spec, grid).p_bar
 ring = sw.graph_spectrum(sw.build_ring(200))
-p_ring = sw.classical_return(ring, grid)
+p_ring = sw.transport_series(ring, grid).p_bar
 
 print("power-law fit residuals per decade (dendrimer vs 200-ring):")
 for lo in (2.0, 10.0, 100.0):
@@ -31,6 +31,6 @@ for lo in (2.0, 10.0, 100.0):
     print(f"  t in [{lo:5.0f}, {10 * lo:5.0f}]: {rd:.4f} vs {rr:.5f}  (ratio {rd / rr:.0f})")
 
 late = sw.log_grid(1e3, 1e4, 300, include_zero=False)
-qm_tail = sw.quantum_return_bound(spec, late).mean()
+qm_tail = sw.transport_series(spec, late).alpha_bar_sq.mean()
 print(f"quantum tail mean {qm_tail:.4f} vs classical plateau {1 / graph.n:.6f} "
       f"(x{qm_tail * graph.n:.0f})")

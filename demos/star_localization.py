@@ -18,9 +18,8 @@ print("degeneracy table:", [(round(float(v), 9), m) for v, m in sw.degeneracy_ta
 
 grid = sw.merge_grids(sw.linear_grid(0.01, 100.0, 5000),
                       sw.log_grid(100.0, 1e4, 150, include_zero=False))
-p = sw.classical_return(spec, grid)
-alpha = sw.quantum_return_bound(spec, grid)
-pi = sw.exact_average_return(spec, grid)
+series = sw.transport_series(spec, grid, with_exact_quantum=True)
+p, alpha, pi = series.p_bar, series.alpha_bar_sq, series.pi_bar
 
 print(f"classical p(t) always below exact quantum pi(t): {bool(np.all(p < pi))}")
 print(f"classical plateau: {p[-1]:.6f}      (1/N = {1 / N})")

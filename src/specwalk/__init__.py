@@ -24,11 +24,6 @@ from .scaling import (EfficiencyRatioSeries, EfficiencyReport, Envelope,
                       detect_crossover, efficiency_ratio_series,
                       extract_envelope, fit_power_law, fit_stretched_exp,
                       saturation)
-from .spectral import (DOSHistogram, Spectrum, decompose, degeneracy_table,
-                       dos_histogram, graph_spectrum)
-from .transport import (TimeGrid, TransportSeries, chi_matrix,
-                        classical_return, classical_transition_matrix,
-                        default_grid, exact_average_return, linear_grid,
-                        log_grid, merge_grids, pairwise_classical,
-                        pairwise_quantum, quantum_amplitude_matrix,
-                        quantum_return_bound, transport_series)
+from .spectral import Spectrum, decompose, degeneracy_table, graph_spectrum
+from .transport import (TimeGrid, TransportSeries, chi_matrix, linear_grid,
+                        log_grid, merge_grids, transport_series)

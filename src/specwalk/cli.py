@@ -127,15 +127,30 @@ def _parse_window(text):
                          position=0) from exc
 
 
-_BOOL_FIELDS = {"vectors", "chi"}
-_INT_FIELDS = {"envelope_width", "seed"}
-_FLOAT_FIELDS = {"tail_fraction"}
-_WINDOW_FIELDS = {"fit_window", "fit_window_quantum"}
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+
+
+def _parse_bool(text):
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {', '.join(_BOOLS)}: {text!r}") from None
+
+
+# text parser of each annotated config field type; strings stay as they are
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float,
+            "tuple[float, float]": _parse_window}
+_FIELD_PARSERS = {f.name: _PARSERS.get(f.type.removesuffix(" | None"), str)
+           for f in fields(ExperimentConfig)}
 
 
 def read_config_file(path) -> dict:
-    """Key = value lines; '#' starts a comment. Keys match config fields."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    """Key = value lines; '#' starts a comment. Keys match config fields.
+
+    A line that is not key = value, names no field, or holds a value its
+    field cannot take raises ParseError naming its 1-based line.
+    """
     out = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -144,19 +159,14 @@ def read_config_file(path) -> dict:
             continue
         key, eq, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if not eq or key not in known:
+        if not eq or key not in _FIELD_PARSERS:
             raise ParseError(f"bad config line {lineno}: {raw!r}", text=raw,
                              position=0)
-        if key in _BOOL_FIELDS:
-            out[key] = val.lower() in ("1", "true", "yes", "on")
-        elif key in _INT_FIELDS:
-            out[key] = int(val)
-        elif key in _FLOAT_FIELDS:
-            out[key] = float(val)
-        elif key in _WINDOW_FIELDS:
-            out[key] = _parse_window(val)
-        else:
-            out[key] = val
+        try:
+            out[key] = _FIELD_PARSERS[key](val)
+        except ValueError as exc:
+            raise ParseError(f"bad value on config line {lineno}: {exc}", text=raw,
+                             position=0) from None
     return out
 
 
@@ -410,7 +420,7 @@ def _read_series_csv(path) -> TransportSeries:
                              "numbers", text=ln, position=0)
         rows.append(row)
     columns = dict(zip(names, np.array(rows, dtype=float).reshape(-1, len(names)).T))
-    return TransportSeries(grid=TimeGrid(columns["t"], spacing="linear"),
+    return TransportSeries(grid=TimeGrid(columns["t"]),
                            p_bar=columns["p_bar"],
                            alpha_bar_sq=columns["alpha_bar_sq"],
                            pi_bar=columns.get("pi_bar"))
@@ -456,19 +466,13 @@ def _config_from_args(args, base: ExperimentConfig | None = None) -> ExperimentC
     cfg = base or ExperimentConfig()
     if getattr(args, "config", None):
         cfg = replace(cfg, **read_config_file(args.config))
+    # each field's flag has the field's name; argparse has typed the
+    # numbers and booleans, the rest arrive as text
     updates = {}
-    for flag, key in [("graph", "graph"), ("dos", "dos"), ("out", "out"),
-                      ("grid", "grid"), ("envelope_width", "envelope_width"),
-                      ("tail_fraction", "tail_fraction"), ("seed", "seed"),
-                      ("vectors", "vectors"), ("chi", "chi"),
-                      ("fit_model", "fit_model")]:
-        val = getattr(args, flag, None)
+    for key, parse in _FIELD_PARSERS.items():
+        val = getattr(args, key, None)
         if val is not None:
-            updates[key] = val
-    if getattr(args, "fit_window", None):
-        updates["fit_window"] = _parse_window(args.fit_window)
-    if getattr(args, "fit_window_quantum", None):
-        updates["fit_window_quantum"] = _parse_window(args.fit_window_quantum)
+            updates[key] = parse(val) if isinstance(val, str) else val
     return replace(cfg, **updates)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ParseError, ResourceLimitError
 
+# node cap of every n x n array: dense Laplacian, eigenvectors, chi
 DEFAULT_SIZE_CAP = 5000
 
 
@@ -155,20 +156,21 @@ def dendrimer_node_count(generation: int, z: int = 3) -> int:
     return 1 + z * ((z - 1) ** generation - 1) // (z - 2)
 
 
-def build_hypercubic(side: int, d: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
+def build_hypercubic(side: int, d: int) -> Graph:
     """Periodic d-dimensional torus with `side` nodes per axis; degree 2d.
 
     Node index encodes coordinates base `side`, axis 0 fastest. The 1D
-    case is the ring under the identity relabeling.
+    case is the ring under the identity relabeling. More than
+    DEFAULT_SIZE_CAP nodes raise ResourceLimitError.
     """
     if side < 3:
         raise ValueError(f"torus needs side >= 3, got {side}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     n = side**d
-    if n > size_cap:
+    if n > DEFAULT_SIZE_CAP:
         raise ResourceLimitError(
-            f"torus {side}^{d} = {n} nodes exceeds size cap {size_cap}"
+            f"torus {side}^{d} = {n} nodes exceeds size cap {DEFAULT_SIZE_CAP}"
         )
     # each node v owns, per axis of stride s and coordinate c, the edge to
     # v + s when c < side-1 and the wrap-around edge to v + (side-1) s when
@@ -268,13 +270,13 @@ def from_edge_list(text: str) -> Graph:
 
 # -- spec-string parsing ------------------------------------------------------
 
-def parse_graph_spec(spec: str, default_seed: int = 0,
-                     size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
+def parse_graph_spec(spec: str, default_seed: int = 0) -> Graph:
     """Build a graph from a compact family spec.
 
     Accepted forms: ring:N, star:N, dendrimer:G,Z, torus:SIDE,D,
     er:N,P[,seed=S]. The ER seed falls back to `default_seed` when the
-    spec does not carry one.
+    spec does not carry one. An ER graph of more than DEFAULT_SIZE_CAP
+    nodes raises ResourceLimitError before any draw.
     """
     if ":" not in spec:
         raise ParseError("expected '<family>:<params>'", text=spec, position=len(spec))
@@ -299,7 +301,7 @@ def parse_graph_spec(spec: str, default_seed: int = 0,
             return build_dendrimer(int(parts[0]), int(parts[1]))
         if family == "torus":
             want(2)
-            return build_hypercubic(int(parts[0]), int(parts[1]), size_cap=size_cap)
+            return build_hypercubic(int(parts[0]), int(parts[1]))
         if family == "er":
             if len(parts) not in (2, 3):
                 raise ParseError("er spec is er:N,P[,seed=S]", text=spec,
@@ -312,9 +314,9 @@ def parse_graph_spec(spec: str, default_seed: int = 0,
                                      text=spec, position=spec.find(parts[2]))
                 seed = int(val)
             n = int(parts[0])
-            if n > size_cap:
+            if n > DEFAULT_SIZE_CAP:
                 raise ResourceLimitError(
-                    f"Erdos-Renyi graph of {n} nodes exceeds size cap {size_cap}")
+                    f"Erdos-Renyi graph of {n} nodes exceeds size cap {DEFAULT_SIZE_CAP}")
             return build_erdos_renyi(n, float(parts[1]), seed)
     except ValueError as exc:
         if isinstance(exc, (ParseError, ResourceLimitError)):

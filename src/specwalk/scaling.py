@@ -26,7 +26,6 @@ class Envelope:
 
     times: np.ndarray
     values: np.ndarray
-    half_width: int
 
 
 def extract_envelope(times, values, half_width: int = DEFAULT_HALF_WIDTH) -> Envelope:
@@ -54,7 +53,7 @@ def extract_envelope(times, values, half_width: int = DEFAULT_HALF_WIDTH) -> Env
     idx = np.flatnonzero(keep)
     if not idx.size:  # unreachable for finite data; safety net
         idx = np.array([np.argmax(v)])
-    return Envelope(times=t[idx], values=v[idx], half_width=half_width)
+    return Envelope(times=t[idx], values=v[idx])
 
 
 # -- decay-law fits -----------------------------------------------------------
@@ -168,16 +167,12 @@ def efficiency_ratio_series(classical_times, classical_values,
                             envelope) -> EfficiencyRatioSeries:
     """Ratio of decay logs, with the envelope interpolated log-linearly.
 
-    The envelope may be an Envelope or a (times, values) pair; a
-    non-oscillatory quantum series can be passed directly as its own
-    envelope. Evaluation is restricted to the envelope's time range (no
-    extrapolation). The asymptotic value is the mean over the last decade
-    of surviving points.
+    The envelope is a (times, values) pair; a non-oscillatory quantum
+    series can be passed directly as its own envelope. Evaluation is
+    restricted to the envelope's time range (no extrapolation). The
+    asymptotic value is the mean over the last decade of surviving points.
     """
-    if isinstance(envelope, Envelope):
-        env_t, env_v = envelope.times, envelope.values
-    else:
-        env_t, env_v = (np.asarray(a, dtype=float) for a in envelope)
+    env_t, env_v = (np.asarray(a, dtype=float) for a in envelope)
     ct = np.asarray(classical_times, dtype=float)
     cv = np.asarray(classical_values, dtype=float)
     if np.any(env_v <= 0):

@@ -1,15 +1,17 @@
-"""Laplacian spectra, degeneracy clustering, DOS histograms.
+"""Laplacian spectra and degeneracy clustering.
 
 Everything here works on the full spectrum. `graph_spectrum` serves
 three needs: eigenvalues, projector weights (for the exact quantum
-average) and eigenvectors (for chi and pairwise quantities). The
-symmetric families (ring, torus, star, dendrimer) take their eigenvalues
-and, being symmetric, their projector weights from closed forms; ring and
-torus also take their eigenvectors from the real Fourier basis. Every
+average) and eigenvectors (for chi). The symmetric families (ring,
+torus, star, dendrimer) take their eigenvalues and, being symmetric,
+their projector weights from closed forms; ring and torus also take
+their eigenvectors from the real Fourier basis. Every
 other graph, and star and dendrimer eigenvectors, go through `decompose`,
 a dense symmetric solve. The graphs of interest stay below a few thousand
 nodes, where that solve is affordable and, unlike iterative methods,
 deterministic; it is also the oracle the closed forms are tested against.
+An n x n solve, dense or Fourier, above the node cap
+`graphs.DEFAULT_SIZE_CAP` raises ResourceLimitError before it allocates.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError
+from . import graphs
+from .errors import NumericalError, ResourceLimitError
 from .graphs import Graph, laplacian
 
 RESIDUAL_RTOL = 1e-9
@@ -87,11 +90,7 @@ class Spectrum:
 
         The spectrum is treated as immutable: the view is never rebuilt.
         """
-        return ClusterView.of(self, default_cluster_tol(self.eigenvalues))
-
-    def clusters_at(self, cluster_tol: float | None) -> ClusterView:
-        """`clusters`, or a fresh view when a tolerance is given."""
-        return self.clusters if cluster_tol is None else ClusterView.of(self, cluster_tol)
+        return ClusterView.of(self)
 
 
 @dataclass(frozen=True)
@@ -102,13 +101,15 @@ class ClusterView:
 
     Cluster E covers eigenvalue indices starts[E] .. starts[E] + mult[E] - 1;
     `values` are the cluster means. Near-equal eigenvalues join a cluster
-    while they stay within cluster_tol of its running mean, so the
-    multiplicities sum to n.
+    while they stay within `default_cluster_tol` of its running mean, so
+    the multiplicities sum to n.
 
     The projector diagonals are constant on the spectrum's orbits, so they
-    are held per orbit: `sizes` s (o orbits) and `orbit_weights` Omega
-    (o x K). Eigenvectors without orbits are the case of n singleton
-    orbits, so one representation serves every kernel.
+    are held per orbit: sizes s (o orbits) and weights Omega (o x K),
+    Omega[r, E] being the diagonal of the projector onto cluster E at each
+    node of orbit r, whatever basis spans the cluster. Eigenvectors
+    without orbits are the case of n singleton orbits, so one
+    representation serves every kernel.
     """
 
     values: np.ndarray
@@ -118,13 +119,12 @@ class ClusterView:
     orbits: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
-    def of(cls, spectrum: Spectrum, cluster_tol: float) -> ClusterView:
-        if cluster_tol <= 0:
-            raise ValueError(f"cluster tolerance must be positive, got {cluster_tol}")
+    def of(cls, spectrum: Spectrum) -> ClusterView:
+        tol = default_cluster_tol(spectrum.eigenvalues)
         values, mult = [], []
         run_sum, run_count = 0.0, 0
         for lam in np.asarray(spectrum.eigenvalues, dtype=float).tolist():
-            if run_count and abs(lam - run_sum / run_count) <= cluster_tol:
+            if run_count and abs(lam - run_sum / run_count) <= tol:
                 run_sum += lam
                 run_count += 1
             else:
@@ -154,27 +154,12 @@ class ClusterView:
                              "use graph_spectrum(graph, need='weights')")
         return sizes, np.add.reduceat(per_value, self.starts, axis=1)
 
-    @property
-    def sizes(self) -> np.ndarray:
-        """Orbit sizes s, summing to n; all 1 when the weights come from
-        eigenvectors alone."""
-        return self._per_orbit[0]
-
-    @property
-    def orbit_weights(self) -> np.ndarray:
-        """Omega[r, E]: the diagonal of the projector onto cluster E at each
-        node of orbit r, an o x K array, whatever basis spans the cluster."""
-        return self._per_orbit[1]
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """W[j, E]: the projector diagonals expanded to the n nodes, n x K."""
-        return np.repeat(self.orbit_weights, self.sizes, axis=0)
-
     @cached_property
     def gram(self) -> np.ndarray:
-        """G = W^T W = Omega^T diag(s) Omega, K x K."""
-        scaled = self.orbit_weights * np.sqrt(self.sizes)[:, None]
+        """G = W^T W = Omega^T diag(s) Omega, K x K, where W[j, E] is the
+        diagonal of the projector onto cluster E at node j."""
+        sizes, weights = self._per_orbit
+        scaled = weights * np.sqrt(sizes)[:, None]
         return scaled.T @ scaled
 
 
@@ -279,20 +264,24 @@ def graph_spectrum(graph: Graph, need: str = "values") -> Spectrum:
     `need` is one of NEEDS:
 
     - "values": eigenvalues only;
-    - "weights": also the projector weights that `exact_average_return`
-      reads;
-    - "vectors": also orthonormal eigenvectors, for `chi_matrix` and the
-      pairwise functions.
+    - "weights": also the projector weights that pi_bar in
+      `transport_series` reads;
+    - "vectors": also orthonormal eigenvectors, for `chi_matrix`.
 
     Graphs from `build_ring`, `build_hypercubic`, `build_star` and
     `build_dendrimer` take eigenvalues and orbit weights from closed
     forms; ring and torus eigenvectors are the real Fourier basis, checked
     against the graph's Laplacian like the dense ones. Every other graph,
-    and star and dendrimer eigenvectors, take the dense solve.
+    and star and dendrimer eigenvectors, take the dense solve. Either n x n
+    path raises ResourceLimitError first when n exceeds
+    `graphs.DEFAULT_SIZE_CAP`.
     """
     if need not in NEEDS:
         raise ValueError(f"need must be one of {NEEDS}, got {need!r}")
     name, *params = graph.family or (None,)
+    if (name is None or need == "vectors") and graph.n > graphs.DEFAULT_SIZE_CAP:
+        raise ResourceLimitError(f"graph of {graph.n} nodes exceeds size cap "
+                                 f"{graphs.DEFAULT_SIZE_CAP} for an n x n spectrum")
     if name is None or (need == "vectors" and name not in _FOURIER):
         return decompose(graph, with_vectors=need != "values")
     values, orbits = _CLOSED_FORMS[name](*params, weights=need != "values")
@@ -424,32 +413,15 @@ _FOURIER = {
 }
 
 
-def degeneracy_table(spectrum: Spectrum, cluster_tol: float | None = None):
+def degeneracy_table(spectrum: Spectrum):
     """Cluster near-equal eigenvalues; returns [(mean value, multiplicity), ...].
 
-    A value joins the current cluster while it stays within cluster_tol of
-    the running cluster mean. Multiplicities sum to n.
+    A value joins the current cluster while it stays within
+    `default_cluster_tol` of the running cluster mean. Multiplicities sum
+    to n.
     """
-    view = spectrum.clusters_at(cluster_tol)
+    view = spectrum.clusters
     return list(zip(view.values.tolist(), view.mult.tolist()))
-
-
-@dataclass(frozen=True)
-class DOSHistogram:
-    """Normalized eigenvalue histogram: sum(counts * widths) = 1."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-
-    def bin_mass(self) -> np.ndarray:
-        return self.counts * np.diff(self.bin_edges)
-
-
-def dos_histogram(spectrum: Spectrum, bins: int) -> DOSHistogram:
-    if bins < 1:
-        raise ValueError(f"need at least one bin, got {bins}")
-    counts, edges = np.histogram(spectrum.eigenvalues, bins=bins, density=True)
-    return DOSHistogram(bin_edges=edges, counts=counts)
 
 
 # -- CSV export ---------------------------------------------------------------
@@ -516,7 +488,7 @@ def spectrum_csv(spectrum: Spectrum) -> str:
     return b"".join(blocks).decode()
 
 
-def degeneracies_csv(spectrum: Spectrum, cluster_tol: float | None = None) -> str:
+def degeneracies_csv(spectrum: Spectrum) -> str:
     lines = ["value,multiplicity"]
-    lines.extend(f"{repr(float(v))},{m}" for v, m in degeneracy_table(spectrum, cluster_tol))
+    lines.extend(f"{repr(float(v))},{m}" for v, m in degeneracy_table(spectrum))
     return "\n".join(lines) + "\n"

@@ -1,18 +1,17 @@
 """Return probabilities of continuous-time walks from a discrete spectrum.
 
 The classical walk is generated by the negated Laplacian, the quantum walk
-by the Laplacian itself, both at unit hop rate. Averaged over start nodes
-the classical return probability and the quantum lower bound need only
-eigenvalues; the exact quantum average and anything pairwise need the
-eigenvectors as well.
+by the Laplacian itself, both at unit hop rate. `transport_series`
+evaluates the three series the efficiency measure needs, each averaged
+over start nodes: the classical return p_bar and the quantum lower bound
+|alpha_bar|^2 need only eigenvalues; the exact quantum average pi_bar
+needs the projector weights as well, and `chi_matrix` the eigenvectors.
 
-The averaged kernels and chi read the spectrum's degeneracy clusters
-(`Spectrum.clusters`, built once): K distinct values with their
-multiplicities and, with vectors or orbit weights, the cluster projector
-diagonals. They
-work in real arithmetic on blocks of about CHUNK_ELEMS / K times, so
-their cost scales with K rather than n and their memory does not grow
-with the grid.
+Both read the spectrum's degeneracy clusters (`Spectrum.clusters`, built
+once): K distinct values with their multiplicities and, with vectors or
+orbit weights, the cluster projector diagonals. The series work in real
+arithmetic on blocks of about CHUNK_ELEMS / K times, so their cost scales
+with K rather than n and their memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -36,10 +35,9 @@ SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing, non-negative times with a spacing label."""
+    """Strictly increasing, non-negative times."""
 
     times: np.ndarray
-    spacing: str = "linear"
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -58,27 +56,22 @@ class TimeGrid:
 
 
 def linear_grid(lo: float, hi: float, num: int) -> TimeGrid:
-    return TimeGrid(np.linspace(lo, hi, num), spacing="linear")
+    return TimeGrid(np.linspace(lo, hi, num))
 
 
 def log_grid(lo: float = 1e-2, hi: float = 1e4, num: int = 600,
              include_zero: bool = True) -> TimeGrid:
-    """Logarithmic grid, optionally with t=0 prepended for normalization checks."""
+    """Logarithmic grid, optionally with t=0 prepended for normalization
+    checks; the defaults give 600 points on [1e-2, 1e4] plus t=0."""
     t = np.geomspace(lo, hi, num)
     if include_zero:
         t = np.concatenate(([0.0], t))
-    return TimeGrid(t, spacing="logarithmic")
-
-
-def default_grid() -> TimeGrid:
-    """600 log-spaced points on [1e-2, 1e4] plus t=0."""
-    return log_grid()
+    return TimeGrid(t)
 
 
 def merge_grids(*grids: TimeGrid) -> TimeGrid:
-    """Union of several grids, deduplicated; spacing becomes 'composite'."""
-    t = np.unique(np.concatenate([g.times for g in grids]))
-    return TimeGrid(t, spacing="composite")
+    """Union of several grids, deduplicated."""
+    return TimeGrid(np.unique(np.concatenate([g.times for g in grids])))
 
 
 @dataclass(frozen=True)
@@ -95,31 +88,17 @@ class TransportSeries:
         return self.grid.times
 
 
-def _clamped_eigenvalues(spectrum: Spectrum) -> np.ndarray:
-    """Eigenvalues clipped to >= 0; a value below -EIG_CLAMP_TOL * max(1,
-    |lam|_max) is not rounding and raises ValueError."""
-    lam = np.asarray(spectrum.eigenvalues, dtype=float)
-    tol = EIG_CLAMP_TOL * max(1.0, float(np.abs(lam).max(initial=0.0)))
-    if lam.min(initial=0.0) < -tol:
-        raise ValueError(
-            f"spectrum has eigenvalue {lam.min():.3e} below -{tol:.1e}; not a Laplacian"
-        )
-    return np.clip(lam, 0.0, None)
-
-
 def _levels(spectrum: Spectrum) -> tuple[ClusterView, np.ndarray]:
-    """The cached clusters and their values clipped to >= 0, after the
-    eigenvalue check of `_clamped_eigenvalues`."""
-    _clamped_eigenvalues(spectrum)
+    """The cached clusters and their values clipped to >= 0. An eigenvalue
+    below -EIG_CLAMP_TOL * max(1, |lam|_max) is not rounding and raises
+    ValueError."""
+    lam = np.asarray(spectrum.eigenvalues, dtype=float)
+    lo, hi = float(lam.min(initial=0.0)), float(lam.max(initial=0.0))
+    tol = EIG_CLAMP_TOL * max(1.0, -lo, hi)
+    if lo < -tol:
+        raise ValueError(f"spectrum has eigenvalue {lo:.3e} below -{tol:.1e}; not a Laplacian")
     view = spectrum.clusters
     return view, np.clip(view.values, 0.0, None)
-
-
-def _vectors(spectrum: Spectrum) -> np.ndarray:
-    if not spectrum.has_vectors():
-        raise ValueError("operation needs eigenvectors; use graph_spectrum(graph, "
-                         "need='vectors') or decompose(lap, with_vectors=True)")
-    return spectrum.eigenvectors
 
 
 def _chunked(grid: TimeGrid, k: int, kernel) -> np.ndarray:
@@ -157,148 +136,70 @@ def clamp_unit_interval(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def classical_return(spectrum: Spectrum, grid: TimeGrid) -> np.ndarray:
-    """Average classical return probability: sum over clusters E of
-    (m_E / N) exp(-lam_E t).
+def transport_series(spectrum: Spectrum, grid: TimeGrid,
+                     with_exact_quantum: bool = False) -> TransportSeries:
+    """p_bar and |alpha_bar|^2, and pi_bar with `with_exact_quantum`, from
+    the K clusters E of the spectrum, with values lam_E, multiplicities
+    m_E and C, S = cos, sin(lam_E t):
 
-    Monotonically non-increasing; tends to 1/N on a connected graph.
-    Terms below exp(EXP_FLOOR) flush to zero, which is harmless in the
-    average and skips numpy's slow path for subnormal results.
+    - p_bar(t) = sum_E (m_E / N) exp(-lam_E t), the average classical
+      return probability. It falls monotonically to 1/N on a connected
+      graph. Terms below exp(EXP_FLOOR) flush to zero, which is harmless
+      in the average and skips numpy's slow path for subnormal results.
+    - |alpha_bar(t)|^2 = ((C m)^2 + (S m)^2) / N^2, the eigenvalue-only
+      lower bound |mean_n exp(-i lam_n t)|^2 on the quantum return. It is
+      exact on regular graphs; elsewhere it reproduces the local maxima of
+      the true average well.
+    - pi_bar(t) = mean over j of |sum_E exp(-i lam_E t) W_jE|^2, the exact
+      average quantum return, with W_jE the diagonal of the projector onto
+      cluster E. Expanded, that is (1/N) sum_{E,E'} G_EE' cos((lam_E -
+      lam_E') t) with G = W^T W, evaluated as rowsum((C G) o C + (S G) o
+      S) / N: T x K^2 real flops. G comes from the orbit weights
+      (`ClusterView.gram`), so a closed-form spectrum needs no
+      eigenvectors.
+
+    One half-angle block per chunk of times feeds both quantum columns.
     """
     view, lam = _levels(spectrum)
-    mult = view.mult.astype(float)
+    n, mult = spectrum.n, view.mult.astype(float)
+    gram = view.gram if with_exact_quantum else None
 
     def kernel(t):
         rates = -np.outer(t, lam)
-        terms = np.exp(rates, out=np.zeros_like(rates), where=rates > EXP_FLOOR)
-        return terms @ mult / spectrum.n
-
-    return _chunked(grid, len(view), kernel)
-
-
-def _bound_terms(cos, sin, mult, n):
-    return ((cos @ mult) ** 2 + (sin @ mult) ** 2) / n**2
-
-
-def _exact_terms(cos, sin, gram, n):
-    return ((cos @ gram) * cos + (sin @ gram) * sin).sum(axis=1) / n
-
-
-def quantum_return_bound(spectrum: Spectrum, grid: TimeGrid) -> np.ndarray:
-    """Eigenvalue-only lower bound |mean_n exp(-i lam_n t)|^2 on the quantum
-    return, as ((C m)^2 + (S m)^2) / N^2 with C, S = cos, sin(lam_E t) and
-    m the multiplicities.
-
-    Exact on regular graphs; elsewhere it reproduces the local maxima of
-    the true average well.
-    """
-    view, lam = _levels(spectrum)
-    mult = view.mult.astype(float)
-
-    def kernel(t):
-        return _bound_terms(*_cos_sin(t, lam), mult, spectrum.n)
-
-    return clamp_unit_interval(_chunked(grid, len(view), kernel))
-
-
-def exact_average_return(spectrum: Spectrum, grid: TimeGrid) -> np.ndarray:
-    """Exact average quantum return probability, from the cluster projectors.
-
-    pi_bar(t) = mean over j of |sum_E exp(-i lam_E t) W_jE|^2, with W_jE
-    the diagonal of the projector onto cluster E. Expanded, that is
-    (1/N) sum_{E,E'} G_EE' cos((lam_E - lam_E') t) with G = W^T W, which
-    is evaluated as rowsum((C G) o C + (S G) o S) / N: T x K^2 real
-    flops. G comes from the orbit weights (`ClusterView.gram`), so a
-    closed-form spectrum needs no eigenvectors.
-    """
-    view, lam = _levels(spectrum)
-    gram = view.gram
-
-    def kernel(t):
-        return _exact_terms(*_cos_sin(t, lam), gram, spectrum.n)
-
-    return clamp_unit_interval(_chunked(grid, len(view), kernel))
-
-
-def transport_series(spectrum: Spectrum, grid: TimeGrid,
-                     with_exact_quantum: bool = False) -> TransportSeries:
-    """p_bar and |alpha_bar|^2, and pi_bar with `with_exact_quantum`.
-
-    The columns equal those of the three kernels bit for bit; with pi_bar,
-    one half-angle block per chunk feeds both quantum columns.
-    """
-    p = classical_return(spectrum, grid)
-    if not with_exact_quantum:
-        return TransportSeries(grid=grid, p_bar=p,
-                               alpha_bar_sq=quantum_return_bound(spectrum, grid))
-    view, lam = _levels(spectrum)
-    mult, gram = view.mult.astype(float), view.gram
-
-    def kernel(t):
+        p = np.exp(rates, out=np.zeros_like(rates), where=rates > EXP_FLOOR) @ mult / n
+        del rates
         cos, sin = _cos_sin(t, lam)
-        return np.column_stack((_exact_terms(cos, sin, gram, spectrum.n),
-                                _bound_terms(cos, sin, mult, spectrum.n)))
+        columns = [p, ((cos @ mult) ** 2 + (sin @ mult) ** 2) / n**2]
+        if gram is not None:
+            columns.append(((cos @ gram) * cos + (sin @ gram) * sin).sum(axis=1) / n)
+        return np.column_stack(columns)
 
-    both = _chunked(grid, len(view), kernel)
-    pi = clamp_unit_interval(both[:, 0])
-    return TransportSeries(grid=grid, p_bar=p,
-                           alpha_bar_sq=clamp_unit_interval(both[:, 1]), pi_bar=pi)
-
-
-# -- pairwise quantities ------------------------------------------------------
-
-def _check_node(spectrum, *nodes):
-    for v in nodes:
-        if not (0 <= v < spectrum.n):
-            raise IndexError(f"node {v} out of range for n={spectrum.n}")
+    columns = _chunked(grid, len(view), kernel).T
+    return TransportSeries(
+        grid=grid, p_bar=columns[0], alpha_bar_sq=clamp_unit_interval(columns[1]),
+        pi_bar=None if gram is None else clamp_unit_interval(columns[2]))
 
 
-def classical_transition_matrix(spectrum: Spectrum, t: float) -> np.ndarray:
-    """exp(-L t) reconstructed from the eigenpairs; columns sum to 1."""
-    v = _vectors(spectrum)
-    with np.errstate(under="ignore"):
-        return (v * np.exp(-_clamped_eigenvalues(spectrum) * t)) @ v.T
-
-
-def quantum_amplitude_matrix(spectrum: Spectrum, t: float) -> np.ndarray:
-    """Unitary exp(-i L t) reconstructed from the eigenpairs."""
-    v = _vectors(spectrum)
-    return (v * np.exp(-1j * _clamped_eigenvalues(spectrum) * t)) @ v.T
-
-
-def pairwise_classical(spectrum: Spectrum, j: int, k: int, t: float) -> float:
-    """Probability to sit at node k at time t after starting at node j."""
-    _check_node(spectrum, j, k)
-    v = _vectors(spectrum)
-    with np.errstate(under="ignore"):
-        return float(np.sum(np.exp(-_clamped_eigenvalues(spectrum) * t) * v[k] * v[j]))
-
-
-def pairwise_quantum(spectrum: Spectrum, j: int, k: int, t: float) -> float:
-    """Quantum transition probability |<k| exp(-i L t) |j>|^2."""
-    _check_node(spectrum, j, k)
-    v = _vectors(spectrum)
-    amp = np.sum(np.exp(-1j * _clamped_eigenvalues(spectrum) * t) * v[k] * v[j])
-    return float(np.abs(amp) ** 2)
-
-
-def chi_matrix(spectrum: Spectrum, cluster_tol: float | None = None) -> np.ndarray:
+def chi_matrix(spectrum: Spectrum) -> np.ndarray:
     """Long-time average of the quantum transition probabilities.
 
     Time-averaging kills every cross term between distinct eigenvalues, so
     chi = sum over degenerate clusters E of P_E o P_E, with P_E the
     projector onto cluster E. Cross terms inside a cluster survive, which
-    is why the degeneracy clustering (same tolerance as the degeneracy
-    table) is load-bearing: splitting a true cluster would push chi toward
-    the naive diagonal form. Columns sum to 1.
+    is why the degeneracy clustering (`Spectrum.clusters`) is
+    load-bearing: splitting a true cluster would push chi toward the
+    naive diagonal form. Columns sum to 1.
 
     Clusters of one or two vectors a, b contribute rank-one terms
     (a o a)(a o a)^T, (b o b)(b o b)^T and 2 (a o b)(a o b)^T, which go
     into a single product Z Z^T; only larger clusters build an n x n
     projector.
     """
-    v = _vectors(spectrum)
-    view = spectrum.clusters_at(cluster_tol)
+    if not spectrum.has_vectors():
+        raise ValueError("chi needs eigenvectors; use graph_spectrum(graph, "
+                         "need='vectors') or decompose(lap, with_vectors=True)")
+    v = spectrum.eigenvectors
+    view = spectrum.clusters
     starts = view.starts
     single = starts[view.mult == 1]
     pair = starts[view.mult == 2]

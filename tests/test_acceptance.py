@@ -33,25 +33,35 @@ def _spectrum(graph, vectors=False):
     return sw.decompose(sw.laplacian(graph), with_vectors=vectors)
 
 
+def _series(spec, grid, exact=False):
+    return sw.transport_series(spec, grid, with_exact_quantum=exact)
+
+
+def _rebuilt(spec, rates):
+    """V diag(exp(rates * lam)) V^T from the eigenpairs: exp(-L t) for
+    rates -t, exp(-i L t) for rates -i t."""
+    return (spec.eigenvectors * np.exp(rates * spec.eigenvalues)) @ spec.eigenvectors.T
+
+
 def test_criterion_1_ring_scaling():
     started = time.monotonic()
     failures = []
     spec = _spectrum(sw.build_ring(200))
 
-    p = sw.classical_return(spec, sw.default_grid())
-    cl_fit = sw.fit_power_law(sw.default_grid().times[1:], p[1:], (1.0, 100.0))
+    p = _series(spec, sw.log_grid()).p_bar
+    cl_fit = sw.fit_power_law(sw.log_grid().times[1:], p[1:], (1.0, 100.0))
     _check(failures, abs(cl_fit.exponent - (-0.50)) <= 0.05,
            f"classical exponent {cl_fit.exponent:.3f} not within -0.50 +- 0.05")
 
     dense = sw.linear_grid(0.5, 200.0, 9976)
-    alpha = sw.quantum_return_bound(spec, dense)
+    alpha = _series(spec, dense).alpha_bar_sq
     env = sw.extract_envelope(dense.times, alpha, half_width=3)
     qm_fit = sw.fit_power_law(env.times, env.values, (1.0, 100.0))
     _check(failures, abs(qm_fit.exponent - (-1.00)) <= 0.10,
            f"quantum envelope exponent {qm_fit.exponent:.3f} not within -1.00 +- 0.10")
 
     late = sw.log_grid(1e3, 1e4, 400, include_zero=False)
-    tail = sw.quantum_return_bound(spec, late)
+    tail = _series(spec, late).alpha_bar_sq
     first, second = tail[:200].mean(), tail[200:].mean()
     level = (first + second) / 2
     _check(failures, abs(first - second) <= 0.2 * level,
@@ -96,7 +106,7 @@ def test_criterion_3_one_dimensional_continuum():
 
     spec = _spectrum(sw.build_ring(1000))
     grid = sw.linear_grid(0.5, 249.5, 996)
-    alpha = sw.quantum_return_bound(spec, grid)
+    alpha = _series(spec, grid).alpha_bar_sq
     reference = sw.lattice_return_1d_product(1, grid)
     worst = np.abs(alpha - reference).max()
     _check(failures, worst <= 1e-6,
@@ -130,18 +140,18 @@ def test_criterion_5_star_localization():
     spec = _spectrum(sw.build_star(10), vectors=True)
 
     window = sw.linear_grid(10.0, 100.0, 2000)
-    tail_mean = sw.quantum_return_bound(spec, window).mean()
+    tail_mean = _series(spec, window).alpha_bar_sq.mean()
     _check(failures, abs(tail_mean - 16 / 25) <= 0.05,
            f"|alpha|^2 mean {tail_mean:.4f} not within 0.64 +- 0.05")
 
     grid = sw.merge_grids(sw.linear_grid(0.01, 100.0, 5000),
                           sw.log_grid(100.0, 1e4, 200, include_zero=False))
-    p = sw.classical_return(spec, grid)
-    pi = sw.exact_average_return(spec, grid)
+    series = _series(spec, grid, exact=True)
+    p, pi = series.p_bar, series.pi_bar
     _check(failures, bool(np.all(p < pi)),
            "classical return not strictly below exact quantum return")
 
-    final = sw.classical_return(spec, TimeGrid(np.array([1e4])))[0]
+    final = _series(spec, TimeGrid(np.array([1e4]))).p_bar[0]
     _check(failures, abs(final - 0.1) <= 1e-6,
            f"classical plateau {final!r} not within 1e-6 of 1/10")
     _report(5, "star N=10 localization", failures)
@@ -157,10 +167,10 @@ def test_criterion_6_dendrimer_non_scaling():
     _check(failures, eig_elapsed < 60.0,
            f"eigenvalue-only runtime {eig_elapsed:.1f}s >= 60s")
 
-    grid = sw.default_grid()
+    grid = sw.log_grid()
     t = grid.times[1:]
-    p_dend = sw.classical_return(spec, grid)[1:]
-    p_ring = sw.classical_return(_spectrum(sw.build_ring(200)), grid)[1:]
+    p_dend = _series(spec, grid).p_bar[1:]
+    p_ring = _series(_spectrum(sw.build_ring(200)), grid).p_bar[1:]
 
     matched = (1.0, 100.0)
     resid_dend = sw.fit_power_law(t, p_dend, matched).residual
@@ -176,7 +186,7 @@ def test_criterion_6_dendrimer_non_scaling():
                f"decade [{lo},{10 * lo}] residual ratio {rd / rr:.2f} <= 3")
 
     late = sw.log_grid(1e3, 1e4, 400, include_zero=False)
-    qm_tail = sw.quantum_return_bound(spec, late).mean()
+    qm_tail = _series(spec, late).alpha_bar_sq.mean()
     _check(failures, qm_tail > 10.0 / graph.n,
            f"quantum tail {qm_tail:.4f} not 10x above 1/N={1 / graph.n:.2e}")
     _report(6, "dendrimer generation 10 non-scaling", failures)
@@ -214,20 +224,20 @@ def test_criterion_7_property_suite():
         _check(failures, trace_gap <= 1e-10 * max(1, 2 * graph.edge_count),
                f"{name}: trace identity off by {trace_gap:.2e}")
 
-        alpha = sw.quantum_return_bound(spec, grid)
-        pi = sw.exact_average_return(spec, grid)
+        series = _series(spec, grid, exact=True)
+        alpha, pi = series.alpha_bar_sq, series.pi_bar
         _check(failures, float((pi - alpha).min()) >= -1e-10,
                f"{name}: Cauchy-Schwarz bound violated by {(alpha - pi).max():.2e}")
 
         for t in spot_times:
-            trans = sw.classical_transition_matrix(spec, t)
+            trans = _rebuilt(spec, -t)
             col_gap = np.abs(trans.sum(axis=0) - 1).max()
             _check(failures, col_gap <= 1e-9,
                    f"{name}: stochasticity off by {col_gap:.2e} at t={t}")
             _check(failures,
                    trans.min() >= -1e-9 and trans.max() <= 1 + 1e-9,
                    f"{name}: transition entries leave [0,1] at t={t}")
-            prob = np.abs(sw.quantum_amplitude_matrix(spec, t)) ** 2
+            prob = np.abs(_rebuilt(spec, -1j * t)) ** 2
             row_gap = np.abs(prob.sum(axis=1) - 1).max()
             _check(failures, row_gap <= 1e-9,
                    f"{name}: unitarity off by {row_gap:.2e} at t={t}")
@@ -240,8 +250,8 @@ def test_criterion_7_property_suite():
 
     for name in ("ring", "torus"):
         spec = _spectrum(FAMILIES[name], vectors=True)
-        gap = np.abs(sw.exact_average_return(spec, grid)
-                     - sw.quantum_return_bound(spec, grid)).max()
+        series = _series(spec, grid, exact=True)
+        gap = np.abs(series.pi_bar - series.alpha_bar_sq).max()
         _check(failures, gap <= 1e-9,
                f"{name}: regular-graph exactness off by {gap:.2e}")
 
@@ -249,9 +259,8 @@ def test_criterion_7_property_suite():
         spec = _spectrum(graph, vectors=True)
         lap = sw.laplacian(graph)
         for t in spot_times:
-            cl_gap = np.abs(sw.classical_transition_matrix(spec, t)
-                            - expm(-lap * t)).max()
-            qm_gap = np.abs(np.abs(sw.quantum_amplitude_matrix(spec, t)) ** 2
+            cl_gap = np.abs(_rebuilt(spec, -t) - expm(-lap * t)).max()
+            qm_gap = np.abs(np.abs(_rebuilt(spec, -1j * t)) ** 2
                             - np.abs(expm(-1j * lap * t)) ** 2).max()
             _check(failures, cl_gap <= 1e-8,
                    f"{name}: classical expm oracle off by {cl_gap:.2e}")

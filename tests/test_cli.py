@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import specwalk.cli as cli
+import specwalk.graphs as graphs
+import specwalk.spectral as spectral
 import specwalk.transport as transport
-from specwalk import (NumericalError, ParseError, ResourceLimitError, graph_spectrum,
-                      parse_graph_spec)
+from specwalk import (Graph, NumericalError, ParseError, ResourceLimitError,
+                      graph_spectrum, parse_graph_spec)
 from specwalk.spectral import default_cluster_tol
 from specwalk.cli import (ExperimentConfig, analyze_series_file, main,
                           parse_grid_spec, preset, read_config_file,
@@ -26,7 +28,6 @@ class TestParseGridSpec:
 
     def test_composite(self):
         grid = parse_grid_spec("linear:0.1,5,50+log:5,100,20")
-        assert grid.spacing == "composite"
         assert np.all(np.diff(grid.times) > 0)
 
     @pytest.mark.parametrize("bad", ["log:1,10", "weird:1,10,5", "log:a,b,c"])
@@ -97,6 +98,26 @@ class TestConfig:
         with pytest.raises(ParseError):
             read_config_file(cfg_file)
 
+    @pytest.mark.parametrize("text,value", [
+        ("true", True), ("Yes", True), ("ON", True), ("1", True),
+        ("FALSE", False), ("no", False), ("Off", False), ("0", False)])
+    def test_config_file_booleans(self, tmp_path, text, value):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"vectors = {text}\n")
+        assert read_config_file(cfg_file) == {"vectors": value}
+
+    @pytest.mark.parametrize("line", ["vectors = ture", "chi = 2", "seed = nine",
+                                      "envelope_width = 3.5", "tail_fraction = lots",
+                                      "fit_window = 1", "fit_window_quantum = a,b"])
+    def test_config_file_bad_value_names_its_line(self, tmp_path, capsys, line):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"graph = ring:12\n# a comment\n{line}\n")
+        with pytest.raises(ParseError, match="config line 3"):
+            read_config_file(cfg_file)
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value on config line 3") and err.count("\n") == 1
+
     def test_flags_override_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("graph = star:10\ngrid = log:1e-2,1e2,50\n")
@@ -106,6 +127,37 @@ class TestConfig:
         assert rc == 0
         manifest = (out / "manifest.txt").read_text()
         assert "config.graph = ring:12" in manifest
+
+
+class TestNodeCap:
+    """Every n x n array checks the node cap before it is allocated."""
+
+    @pytest.fixture
+    def cap_50(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("n x n array built above the node cap")
+
+        monkeypatch.setattr(graphs, "DEFAULT_SIZE_CAP", 50)
+        monkeypatch.setattr(spectral, "laplacian", boom)
+        monkeypatch.setattr(spectral, "_fourier_basis", boom)
+
+    @pytest.mark.parametrize("spec", ["dendrimer:5,3", "star:60", "ring:60"])
+    def test_chi_above_the_cap_exits_one(self, cap_50, spec, capsys, tmp_path):
+        rc = main(["run", "--graph", spec, "--chi", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "size cap 50" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("need", ["values", "weights", "vectors"])
+    def test_general_graph_above_the_cap(self, cap_50, need):
+        with pytest.raises(ResourceLimitError, match="51 nodes exceeds size cap 50"):
+            graph_spectrum(Graph(n=51, edges=[(0, 1)]), need=need)
+
+    @pytest.mark.parametrize("args", [["spectrum", "--graph", "dendrimer:5,3"],
+                                      ["spectrum", "--graph", "ring:60"],
+                                      ["transport", "--graph", "star:60", "--vectors"]])
+    def test_closed_forms_pass_the_cap(self, cap_50, args, tmp_path):
+        assert main([*args, "--grid", "log:1e-2,1e2,50", "--out", str(tmp_path / "o")]) == 0
 
 
 class TestPresets:

@@ -166,11 +166,13 @@ class TestHypercubic:
     def test_degrees(self):
         assert set(build_hypercubic(3, 3).degrees().tolist()) == {6}
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         with pytest.raises(ResourceLimitError):
             build_hypercubic(100, 3)
-        # configurable cap
-        assert build_hypercubic(10, 3, size_cap=1000).n == 1000
+        monkeypatch.setattr(graphs, "DEFAULT_SIZE_CAP", 1000)
+        assert build_hypercubic(10, 3).n == 1000
+        with pytest.raises(ResourceLimitError, match="1331 nodes exceeds size cap 1000"):
+            build_hypercubic(11, 3)
 
 
 class TestErdosRenyi:
@@ -390,11 +392,13 @@ class TestParseGraphSpec:
         monkeypatch.setattr(np.random, "Philox", forbidden)
         with pytest.raises(ResourceLimitError, match="200000 nodes exceeds size cap 5000"):
             parse_graph_spec("er:200000,0.001")
+        monkeypatch.setattr(graphs, "DEFAULT_SIZE_CAP", 50)
         with pytest.raises(ResourceLimitError):
-            parse_graph_spec("er:51,0.5,seed=2", size_cap=50)
+            parse_graph_spec("er:51,0.5,seed=2")
 
-    def test_er_at_size_cap_builds(self):
-        assert parse_graph_spec("er:50,0.5,seed=2", size_cap=50).n == 50
+    def test_er_at_size_cap_builds(self, monkeypatch):
+        monkeypatch.setattr(graphs, "DEFAULT_SIZE_CAP", 50)
+        assert parse_graph_spec("er:50,0.5,seed=2").n == 50
 
     def test_size_cap_is_not_a_parse_error(self):
         with pytest.raises(ResourceLimitError):

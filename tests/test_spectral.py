@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 from specwalk import (
     Graph,
     NumericalError,
-    Spectrum,
     build_dendrimer,
     build_erdos_renyi,
     build_hypercubic,
@@ -22,7 +21,6 @@ from specwalk import (
     decompose,
     degeneracy_table,
     dendrimer_node_count,
-    dos_histogram,
     from_edge_list,
     graph_spectrum,
     laplacian,
@@ -32,8 +30,7 @@ from specwalk import (
 from specwalk.cli import ExperimentConfig, run_experiment
 from specwalk.spectral import (_checked_residual, _column_blocks, _fix_signs,
                                default_cluster_tol, degeneracies_csv, spectrum_csv)
-from specwalk.transport import (chi_matrix, default_grid, exact_average_return,
-                                quantum_return_bound)
+from specwalk.transport import chi_matrix, log_grid, transport_series
 
 
 def path_graph(n):
@@ -291,7 +288,7 @@ class TestZeroCluster:
 class TestDegeneracyTable:
     def test_star10(self):
         s = decompose(laplacian(build_star(10)))
-        table = degeneracy_table(s, cluster_tol=1e-8)
+        table = degeneracy_table(s)
         assert [(round(v), m) for v, m in table] == [(0, 1), (1, 8), (10, 1)]
 
     def test_all_distinct(self):
@@ -310,10 +307,13 @@ class TestDegeneracyTable:
         s = decompose(laplacian(build_erdos_renyi(35, 0.3, seed=8)))
         assert sum(m for _, m in degeneracy_table(s)) == s.n
 
-    def test_bad_tolerance(self):
-        s = decompose(laplacian(build_ring(5)))
-        with pytest.raises(ValueError):
-            degeneracy_table(s, cluster_tol=0.0)
+
+def projector_diagonals(s):
+    """W[j, E]: the diagonal of the projector onto cluster E at node j,
+    from the eigenvectors of each cluster."""
+    v, view = s.eigenvectors, s.clusters
+    return np.column_stack([np.diag(v[:, a:a + m] @ v[:, a:a + m].T)
+                            for a, m in zip(view.starts, view.mult)])
 
 
 def running_mean_table(eigenvalues, tol):
@@ -345,26 +345,20 @@ class TestClusterView:
     def test_built_once(self):
         s = decompose(laplacian(build_star(9)), with_vectors=True)
         assert s.clusters is s.clusters
-        assert s.clusters.weights is s.clusters.weights
-        assert s.clusters_at(None) is s.clusters
-        assert s.clusters_at(1e-3) is not s.clusters
+        assert s.clusters.gram is s.clusters.gram
 
     @pytest.mark.parametrize("g", graphs)
     def test_weights_are_projector_diagonals(self, g):
         s = decompose(laplacian(g), with_vectors=True)
-        view = s.clusters
-        v = s.eigenvectors
-        for e, (start, m) in enumerate(zip(view.starts, view.mult)):
-            block = v[:, start:start + m]
-            np.testing.assert_allclose(view.weights[:, e], np.diag(block @ block.T), atol=1e-14)
-        np.testing.assert_allclose(view.weights.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(view.gram, view.weights.T @ view.weights, atol=0)
-        assert view.gram.sum() == pytest.approx(s.n, rel=1e-12)
+        w = projector_diagonals(s)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(s.clusters.gram, w.T @ w, rtol=0, atol=1e-13)
+        assert s.clusters.gram.sum() == pytest.approx(s.n, rel=1e-12)
 
     def test_weights_need_vectors(self):
         s = decompose(laplacian(build_ring(6)))
         with pytest.raises(ValueError, match="eigenvector"):
-            s.clusters.weights
+            s.clusters.gram
 
     def test_degeneracies_csv_unchanged(self):
         # the table goes through float means, exactly as the scalar loop did
@@ -410,20 +404,24 @@ class TestGraphSpectrum:
     def test_orbit_weights_match_dense(self, pairs):
         # the default grid reaches t = 1e4, where the dense solver's
         # eigenvalue rounding alone moves pi_bar by up to about 1e-11
-        grid = default_grid()
+        grid = log_grid()
         for g, (_, dense) in zip(SYMMETRIC_FAMILIES, pairs):
             orbit = graph_spectrum(g, need="weights")
             assert orbit.weights_path == "orbit" and not orbit.has_vectors()
             np.testing.assert_array_equal(orbit.eigenvalues, graph_spectrum(g).eigenvalues)
             got, want = orbit.clusters, dense.clusters
             np.testing.assert_array_equal(got.mult, want.mult, err_msg=str(g.family))
-            assert got.sizes.sum() == g.n and (len(got.sizes) < g.n or g.n == 1)
-            for name in ("weights", "gram"):
-                np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0,
-                                           atol=1e-11, err_msg=f"{g.family} {name}")
-            np.testing.assert_allclose(exact_average_return(orbit, grid),
-                                       exact_average_return(dense, grid), rtol=0,
-                                       atol=1e-11, err_msg=str(g.family))
+            sizes, per_value = orbit.orbits
+            assert sizes.sum() == g.n and (len(sizes) < g.n or g.n == 1)
+            weights = np.repeat(np.add.reduceat(per_value, got.starts, axis=1), sizes, axis=0)
+            np.testing.assert_allclose(weights, projector_diagonals(dense), rtol=0,
+                                       atol=1e-11, err_msg=f"{g.family} weights")
+            np.testing.assert_allclose(got.gram, want.gram, rtol=0,
+                                       atol=1e-11, err_msg=f"{g.family} gram")
+            np.testing.assert_allclose(
+                transport_series(orbit, grid, with_exact_quantum=True).pi_bar,
+                transport_series(dense, grid, with_exact_quantum=True).pi_bar,
+                rtol=0, atol=1e-11, err_msg=str(g.family))
 
     def test_generation_zero_is_one_node(self):
         np.testing.assert_array_equal(graph_spectrum(build_dendrimer(0, 4)).eigenvalues, [0.0])
@@ -457,9 +455,8 @@ class TestGraphSpectrum:
     def test_vertex_transitive_pi_equals_bound(self):
         for g in (build_ring(600), build_hypercubic(12, 3)):
             s = graph_spectrum(g, need="weights")
-            np.testing.assert_allclose(exact_average_return(s, default_grid()),
-                                       quantum_return_bound(s, default_grid()),
-                                       rtol=0, atol=1e-14)
+            series = transport_series(s, log_grid(), with_exact_quantum=True)
+            np.testing.assert_allclose(series.pi_bar, series.alpha_bar_sq, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("spec", ["star:1500", "dendrimer:10,3"])
     def test_vectors_run_skips_the_dense_solve(self, spec, tmp_path, monkeypatch):
@@ -495,30 +492,6 @@ class TestGraphSpectrum:
             for need in ("weights", "vectors"):
                 s = graph_spectrum(g, need=need)
                 assert s.path == "dense" and s.weights_path == "dense" and s.has_vectors()
-
-
-class TestDOSHistogram:
-    def test_star10_two_bins(self):
-        s = decompose(laplacian(build_star(10)))
-        hist = dos_histogram(s, bins=2)
-        np.testing.assert_allclose(hist.bin_mass(), [0.9, 0.1], atol=1e-12)
-
-    def test_single_eigenvalue(self):
-        hist = dos_histogram(Spectrum(eigenvalues=np.array([2.0])), bins=3)
-        mass = hist.bin_mass()
-        assert mass.sum() == pytest.approx(1.0)
-        assert (mass > 0).sum() == 1
-
-    def test_normalized(self):
-        s = decompose(laplacian(build_erdos_renyi(80, 0.15, seed=2)))
-        hist = dos_histogram(s, bins=17)
-        assert np.all(hist.counts >= 0)
-        assert hist.bin_mass().sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_bad_bins(self):
-        s = decompose(laplacian(build_ring(5)))
-        with pytest.raises(ValueError):
-            dos_histogram(s, bins=0)
 
 
 def test_er_semicircle_ks():

@@ -18,21 +18,13 @@ from specwalk import (
     build_ring,
     build_star,
     chi_matrix,
-    classical_return,
-    classical_transition_matrix,
     decompose,
-    default_grid,
-    exact_average_return,
     graph_spectrum,
     laplacian,
     linear_grid,
     log_grid,
     merge_grids,
     parse_graph_spec,
-    pairwise_classical,
-    pairwise_quantum,
-    quantum_amplitude_matrix,
-    quantum_return_bound,
     transport_series,
 )
 from specwalk.scaling import EfficiencyRatioSeries, ratio_csv
@@ -43,6 +35,28 @@ from specwalk.transport import (TimeGrid, TransportSeries, chi_csv, clamp_unit_i
 
 def spectrum_of(g, vectors=False):
     return decompose(laplacian(g), with_vectors=vectors)
+
+
+def p_bar(s, grid):
+    return transport_series(s, grid).p_bar
+
+
+def alpha_bar_sq(s, grid):
+    return transport_series(s, grid).alpha_bar_sq
+
+
+def pi_bar(s, grid):
+    return transport_series(s, grid, with_exact_quantum=True).pi_bar
+
+
+def transition_matrix(s, t):
+    """exp(-L t) rebuilt from the eigenpairs."""
+    return (s.eigenvectors * np.exp(-np.clip(s.eigenvalues, 0.0, None) * t)) @ s.eigenvectors.T
+
+
+def amplitude_matrix(s, t):
+    """exp(-i L t) rebuilt from the eigenpairs."""
+    return (s.eigenvectors * np.exp(-1j * s.eigenvalues * t)) @ s.eigenvectors.T
 
 
 def disjoint_union(*graphs):
@@ -122,7 +136,7 @@ def oracle_spectra():
 
 class TestTimeGrid:
     def test_default_grid(self):
-        grid = default_grid()
+        grid = log_grid()
         assert grid.times[0] == 0.0
         assert len(grid) == 601
         assert grid.times[1] == pytest.approx(1e-2)
@@ -134,7 +148,6 @@ class TestTimeGrid:
 
     def test_merge_dedups(self):
         merged = merge_grids(linear_grid(0, 1, 11), linear_grid(0.5, 2, 16))
-        assert merged.spacing == "composite"
         assert np.all(np.diff(merged.times) > 0)
 
     @pytest.mark.parametrize("times", [
@@ -148,7 +161,7 @@ class TestTimeGrid:
 class TestClassicalReturn:
     def test_starts_at_one(self):
         s = spectrum_of(build_erdos_renyi(20, 0.4, seed=3))
-        p = classical_return(s, default_grid())
+        p = p_bar(s, log_grid())
         assert p[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_star_closed_form(self):
@@ -157,22 +170,22 @@ class TestClassicalReturn:
         s = spectrum_of(build_star(10))
         grid = linear_grid(0.0, 20.0, 81)
         expected = (1 + 8 * np.exp(-grid.times) + np.exp(-10 * grid.times)) / 10
-        np.testing.assert_allclose(classical_return(s, grid), expected, atol=1e-12)
+        np.testing.assert_allclose(p_bar(s, grid), expected, atol=1e-12)
 
     def test_monotone_non_increasing(self):
         for g in [build_ring(30), build_dendrimer(3, 3), build_erdos_renyi(25, 0.3, seed=1)]:
-            p = classical_return(spectrum_of(g), default_grid())
+            p = p_bar(spectrum_of(g), log_grid())
             assert np.all(np.diff(p) <= 1e-15)
 
     def test_connected_limit_is_one_over_n(self):
         g = build_ring(16)
-        p = classical_return(spectrum_of(g), TimeGrid(np.array([1e6])))
+        p = p_bar(spectrum_of(g), TimeGrid(np.array([1e6])))
         assert p[0] == pytest.approx(1 / 16, abs=1e-12)
 
     def test_disconnected_limit_counts_components(self):
         g = build_erdos_renyi(12, 0.08, seed=3)  # 4 components
         s = spectrum_of(g)
-        p = classical_return(s, TimeGrid(np.array([1e8])))
+        p = p_bar(s, TimeGrid(np.array([1e8])))
         # near-zero eigenvalues sit at ~1e-16, so the plateau is exact
         # only to ~1e-16 * t at this horizon
         zero_cluster = s.clusters.mult[0]
@@ -181,7 +194,7 @@ class TestClassicalReturn:
 
     def test_underflow_is_flushed(self):
         s = spectrum_of(build_star(10))
-        p = classical_return(s, TimeGrid(np.array([1e5])))
+        p = p_bar(s, TimeGrid(np.array([1e5])))
         assert np.isfinite(p[0])
         assert p[0] == pytest.approx(0.1, abs=1e-15)
 
@@ -189,24 +202,24 @@ class TestClassicalReturn:
 class TestQuantumReturnBound:
     def test_starts_at_one(self):
         s = spectrum_of(build_dendrimer(2, 3))
-        a = quantum_return_bound(s, default_grid())
+        a = alpha_bar_sq(s, log_grid())
         assert a[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_ring4_revival_at_pi(self):
         # spectrum {0, 2, 2, 4}: all phases realign at t = pi
         s = spectrum_of(build_ring(4))
-        a = quantum_return_bound(s, TimeGrid(np.array([np.pi])))
+        a = alpha_bar_sq(s, TimeGrid(np.array([np.pi])))
         assert a[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_star_fluctuates_about_dominant_term(self):
         s = spectrum_of(build_star(10))
         grid = linear_grid(10, 100, 1800)
-        a = quantum_return_bound(s, grid)
+        a = alpha_bar_sq(s, grid)
         assert a.mean() == pytest.approx((10 - 2) ** 2 / 10**2, abs=0.05)
 
     def test_bounded_by_one(self):
         s = spectrum_of(build_erdos_renyi(30, 0.3, seed=9))
-        a = quantum_return_bound(s, default_grid())
+        a = alpha_bar_sq(s, log_grid())
         assert np.all((a >= 0) & (a <= 1))
 
 
@@ -214,11 +227,11 @@ class TestExactAverageReturn:
     def test_needs_vectors(self):
         s = spectrum_of(build_ring(8))
         with pytest.raises(ValueError, match="eigenvector"):
-            exact_average_return(s, default_grid())
+            pi_bar(s, log_grid())
 
     def test_starts_at_one(self):
         s = spectrum_of(build_star(6), vectors=True)
-        pi = exact_average_return(s, default_grid())
+        pi = pi_bar(s, log_grid())
         assert pi[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("g", [build_ring(50), build_hypercubic(5, 2)],
@@ -226,21 +239,21 @@ class TestExactAverageReturn:
     def test_exact_on_regular_graphs(self, g):
         s = spectrum_of(g, vectors=True)
         grid = log_grid(1e-2, 1e3, 200)
-        pi = exact_average_return(s, grid)
-        alpha = quantum_return_bound(s, grid)
+        pi = pi_bar(s, grid)
+        alpha = alpha_bar_sq(s, grid)
         np.testing.assert_allclose(pi, alpha, atol=1e-9)
 
     def test_star_classical_below_exact_quantum(self):
         s = spectrum_of(build_star(10), vectors=True)
         grid = log_grid(1e-2, 1e3, 300, include_zero=False)
-        assert np.all(classical_return(s, grid) < exact_average_return(s, grid))
+        assert np.all(p_bar(s, grid) < pi_bar(s, grid))
 
     def test_cauchy_schwarz_bound(self):
         for g in [build_star(12), build_dendrimer(3, 3),
                   build_erdos_renyi(24, 0.3, seed=5)]:
             s = spectrum_of(g, vectors=True)
             grid = log_grid(1e-2, 1e3, 150)
-            gap = exact_average_return(s, grid) - quantum_return_bound(s, grid)
+            gap = pi_bar(s, grid) - alpha_bar_sq(s, grid)
             assert gap.min() >= -1e-10
 
     def test_unnormalized_vectors_raise(self):
@@ -248,7 +261,7 @@ class TestExactAverageReturn:
         s = spectrum_of(build_star(6), vectors=True)
         bad = Spectrum(eigenvalues=s.eigenvalues, eigenvectors=1.1 * s.eigenvectors)
         with pytest.raises(NumericalError, match="outside"):
-            exact_average_return(bad, default_grid())
+            pi_bar(bad, log_grid())
 
 
 class TestClampUnitInterval:
@@ -263,40 +276,35 @@ class TestClampUnitInterval:
 
 
 class TestPairwise:
+    """The eigenpairs carry the transition probabilities between nodes."""
+
     def test_return_at_zero(self):
         s = spectrum_of(build_ring(7), vectors=True)
-        assert pairwise_classical(s, 3, 3, 0.0) == pytest.approx(1.0)
-        assert pairwise_quantum(s, 3, 3, 0.0) == pytest.approx(1.0)
+        assert transition_matrix(s, 0.0)[3, 3] == pytest.approx(1.0)
+        assert abs(amplitude_matrix(s, 0.0)[3, 3]) ** 2 == pytest.approx(1.0)
 
     def test_triangle_equipartition(self):
         s = spectrum_of(build_ring(3), vectors=True)
-        assert pairwise_classical(s, 0, 1, 1e6) == pytest.approx(1 / 3, abs=1e-12)
+        assert transition_matrix(s, 1e6)[1, 0] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_star_core_to_leaf_equipartition(self):
         s = spectrum_of(build_star(10), vectors=True)
-        assert pairwise_classical(s, 0, 5, 1e6) == pytest.approx(1 / 10, abs=1e-12)
+        assert transition_matrix(s, 1e6)[5, 0] == pytest.approx(1 / 10, abs=1e-12)
 
     def test_classical_row_normalization(self):
         s = spectrum_of(build_dendrimer(2, 3), vectors=True)
         for t in (0.3, 2.0, 50.0):
-            total = sum(pairwise_classical(s, 4, k, t) for k in range(s.n))
-            assert total == pytest.approx(1.0, abs=1e-9)
+            assert transition_matrix(s, t)[:, 4].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_quantum_unitarity(self):
         s = spectrum_of(build_erdos_renyi(12, 0.5, seed=7), vectors=True)
-        total = sum(pairwise_quantum(s, 2, k, 7.3) for k in range(s.n))
+        total = (np.abs(amplitude_matrix(s, 7.3)[:, 2]) ** 2).sum()
         assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_index_out_of_range(self):
-        s = spectrum_of(build_ring(5), vectors=True)
-        with pytest.raises(IndexError):
-            pairwise_classical(s, 0, 5, 1.0)
-        with pytest.raises(IndexError):
-            pairwise_quantum(s, -6, 0, 1.0)
 
 
 class TestMatrixExponentialOracle:
-    """Everything pairwise must agree with dense expm on small graphs."""
+    """The eigenpairs and the averaged series must agree with dense expm on
+    small graphs."""
 
     small_graphs = [
         build_ring(6),
@@ -312,14 +320,14 @@ class TestMatrixExponentialOracle:
     def test_classical_matches_expm(self, g, t):
         s = spectrum_of(g, vectors=True)
         oracle = expm(-laplacian(g) * t)
-        np.testing.assert_allclose(classical_transition_matrix(s, t), oracle, atol=1e-8)
+        np.testing.assert_allclose(transition_matrix(s, t), oracle, atol=1e-8)
 
     @pytest.mark.parametrize("g", small_graphs)
     @pytest.mark.parametrize("t", [0.0, 0.4, np.pi / 2, 7.3])
     def test_quantum_matches_expm(self, g, t):
         s = spectrum_of(g, vectors=True)
         oracle = expm(-1j * laplacian(g) * t)
-        np.testing.assert_allclose(np.abs(quantum_amplitude_matrix(s, t)) ** 2,
+        np.testing.assert_allclose(np.abs(amplitude_matrix(s, t)) ** 2,
                                    np.abs(oracle) ** 2, atol=1e-8)
 
     def test_ring4_pairwise_quantum_value(self):
@@ -327,7 +335,7 @@ class TestMatrixExponentialOracle:
         s = spectrum_of(g, vectors=True)
         t = np.pi / 2
         oracle = np.abs(expm(-1j * laplacian(g) * t)[2, 0]) ** 2
-        assert pairwise_quantum(s, 0, 2, t) == pytest.approx(oracle, abs=1e-10)
+        assert abs(amplitude_matrix(s, t)[2, 0]) ** 2 == pytest.approx(oracle, abs=1e-10)
 
     def test_averages_match_expm(self):
         g = build_erdos_renyi(7, 0.6, seed=3)
@@ -336,8 +344,8 @@ class TestMatrixExponentialOracle:
         for idx, t in enumerate(grid.times):
             cl = np.trace(expm(-laplacian(g) * t)) / g.n
             qm = np.mean(np.abs(np.diag(expm(-1j * laplacian(g) * t))) ** 2)
-            assert classical_return(s, grid)[idx] == pytest.approx(cl, abs=1e-8)
-            assert exact_average_return(s, grid)[idx] == pytest.approx(qm, abs=1e-8)
+            assert p_bar(s, grid)[idx] == pytest.approx(cl, abs=1e-8)
+            assert pi_bar(s, grid)[idx] == pytest.approx(qm, abs=1e-8)
 
 
 class TestChiMatrix:
@@ -404,34 +412,38 @@ class TestSeriesCSV:
 
 
 class TestSharedHalfAngleBlock:
-    """transport_series evaluates one half-angle block for both quantum
-    columns; each column still equals its own kernel bit for bit."""
+    """transport_series evaluates one half-angle block per chunk of times
+    for both quantum columns; at every chunk length, chunks of a single
+    time included, each column equals the per-eigenvalue oracle kernels
+    (see TestClusterKernelsAgainstOracle for the tolerance)."""
 
     @pytest.mark.parametrize("g", [build_star(40), build_dendrimer(4, 3), build_ring(30),
                                    build_erdos_renyi(60, 0.1, seed=3)])
-    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("chunk", [None, 7, 1])
     def test_columns_equal_the_kernels(self, g, chunk, monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(transport, "CHUNK_ELEMS", chunk)
-        grid = merge_grids(default_grid(), linear_grid(0.05, 250, 500))
-        for s in (graph_spectrum(g, need="weights"), spectrum_of(g, vectors=True)):
+        grid = merge_grids(linear_grid(0.0, 20.0, 401), log_grid(20.0, 1e3, 200))
+        dense = spectrum_of(g, vectors=True)
+        for s in (graph_spectrum(g, need="weights"), dense):
             series = transport_series(s, grid, with_exact_quantum=True)
-            np.testing.assert_array_equal(series.p_bar, classical_return(s, grid))
-            np.testing.assert_array_equal(series.alpha_bar_sq, quantum_return_bound(s, grid))
-            np.testing.assert_array_equal(series.pi_bar, exact_average_return(s, grid))
+            for got, oracle in [(series.p_bar, oracle_classical),
+                                (series.alpha_bar_sq, oracle_quantum_bound),
+                                (series.pi_bar, oracle_exact_average)]:
+                np.testing.assert_allclose(got, oracle(dense, grid), rtol=0, atol=1e-12)
 
 
 class TestSeriesInvariants:
     def test_t0_values(self):
         s = spectrum_of(build_dendrimer(2, 3), vectors=True)
-        series = transport_series(s, default_grid(), with_exact_quantum=True)
+        series = transport_series(s, log_grid(), with_exact_quantum=True)
         assert series.p_bar[0] == pytest.approx(1.0, abs=1e-12)
         assert series.alpha_bar_sq[0] == pytest.approx(1.0, abs=1e-12)
         assert series.pi_bar[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_values_in_unit_interval(self):
         s = spectrum_of(build_erdos_renyi(30, 0.2, seed=13), vectors=True)
-        series = transport_series(s, default_grid(), with_exact_quantum=True)
+        series = transport_series(s, log_grid(), with_exact_quantum=True)
         for arr in (series.p_bar, series.alpha_bar_sq, series.pi_bar):
             assert arr.min() >= 0.0 and arr.max() <= 1.0
 
@@ -448,9 +460,9 @@ class TestClusterKernelsAgainstOracle:
 
     @pytest.mark.parametrize("name", ORACLE_GRAPHS)
     @pytest.mark.parametrize("kernel,oracle", [
-        (classical_return, oracle_classical),
-        (quantum_return_bound, oracle_quantum_bound),
-        (exact_average_return, oracle_exact_average),
+        (p_bar, oracle_classical),
+        (alpha_bar_sq, oracle_quantum_bound),
+        (pi_bar, oracle_exact_average),
     ], ids=["p_bar", "alpha_bar_sq", "pi_bar"])
     def test_series(self, oracle_spectra, name, kernel, oracle):
         s = oracle_spectra(name)
@@ -466,9 +478,9 @@ class TestClusterKernelsAgainstOracle:
     def test_one_point_grid(self, oracle_spectra, times):
         s = oracle_spectra("dendrimer:8,3")
         grid = TimeGrid(np.array(times))
-        for kernel, oracle in [(classical_return, oracle_classical),
-                               (quantum_return_bound, oracle_quantum_bound),
-                               (exact_average_return, oracle_exact_average)]:
+        for kernel, oracle in [(p_bar, oracle_classical),
+                               (alpha_bar_sq, oracle_quantum_bound),
+                               (pi_bar, oracle_exact_average)]:
             got = kernel(s, grid)
             assert got.shape == (1,)
             assert got[0] == pytest.approx(oracle(s, grid)[0], abs=1e-11)
@@ -481,9 +493,9 @@ class TestClusterKernelsAgainstOracle:
         k = len(s.clusters)
         monkeypatch.setattr(transport, "CHUNK_ELEMS", 7 * k)
         grid = linear_grid(0.0, 30.0, 21 + extra)
-        for kernel, oracle in [(classical_return, oracle_classical),
-                               (quantum_return_bound, oracle_quantum_bound),
-                               (exact_average_return, oracle_exact_average)]:
+        for kernel, oracle in [(p_bar, oracle_classical),
+                               (alpha_bar_sq, oracle_quantum_bound),
+                               (pi_bar, oracle_exact_average)]:
             got = kernel(s, grid)
             assert got.shape == (len(grid),)
             np.testing.assert_allclose(got, oracle(s, grid), rtol=0, atol=1e-12)
@@ -492,7 +504,7 @@ class TestClusterKernelsAgainstOracle:
         s = oracle_spectra("union")
         monkeypatch.setattr(transport, "CHUNK_ELEMS", 1)
         grid = linear_grid(0.0, 5.0, 3)
-        np.testing.assert_allclose(exact_average_return(s, grid),
+        np.testing.assert_allclose(pi_bar(s, grid),
                                    oracle_exact_average(s, grid), rtol=0, atol=1e-12)
 
     def test_memory_is_bounded_on_long_grids(self, oracle_spectra):
@@ -502,7 +514,7 @@ class TestClusterKernelsAgainstOracle:
         grid = linear_grid(0.0, 1e3, 100_000)
         tracemalloc.start()
         try:
-            pi = exact_average_return(s, grid)
+            pi = pi_bar(s, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -604,8 +616,8 @@ class TestInvariantProperties:
     @given(graphs_with_unions)
     def test_bound_below_exact_below_one(self, g):
         s = spectrum_of(g, vectors=True)
-        alpha = quantum_return_bound(s, self.grid)
-        pi = exact_average_return(s, self.grid)
+        alpha = alpha_bar_sq(s, self.grid)
+        pi = pi_bar(s, self.grid)
         assert np.all(alpha <= pi + 1e-12)
         assert np.all(pi <= 1.0)
         assert pi[0] == pytest.approx(1.0, abs=1e-12)
@@ -622,8 +634,8 @@ class TestInvariantProperties:
         g = data.draw(graphs_with_unions)
         perm = np.array(data.draw(st.permutations(range(g.n))))
         s, s_perm = spectrum_of(g, vectors=True), spectrum_of(relabel(g, perm), vectors=True)
-        np.testing.assert_allclose(exact_average_return(s_perm, self.grid),
-                                   exact_average_return(s, self.grid), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(pi_bar(s_perm, self.grid),
+                                   pi_bar(s, self.grid), rtol=0, atol=1e-10)
         chi = chi_matrix(s)
         chi_perm = chi_matrix(s_perm)
         np.testing.assert_allclose(chi_perm[np.ix_(perm, perm)], chi, rtol=0, atol=1e-10)
