@@ -105,6 +105,9 @@ class ExperimentConfig:
         if self.fit_model not in ("auto", "power", "stretched"):
             raise ParseError(f"unknown fit model {self.fit_model!r}",
                              text=self.fit_model, position=0)
+        if self.dos is not None and (self.vectors or self.chi):
+            raise ParseError("vectors and chi need a graph; a DOS has no eigenvectors",
+                             text=f"dos={self.dos!r}", position=0)
 
     def echo(self) -> dict[str, str]:
         out = {}
@@ -451,9 +454,9 @@ def _add_common(sub, with_specs=True):
     sub.add_argument("--grid", help=f"time grid spec (default: {DEFAULT_GRID_SPEC})")
     sub.add_argument("--fit-window", help="classical fit window LO,HI")
     sub.add_argument("--fit-window-quantum", help="quantum fit window LO,HI")
-    sub.add_argument("--envelope-width", type=int, help="envelope half width (grid points)")
-    sub.add_argument("--tail-fraction", type=float, help="tail fraction for saturation stats")
-    sub.add_argument("--seed", type=int, help="default seed for seeded graph families")
+    sub.add_argument("--envelope-width", help="envelope half width (grid points)")
+    sub.add_argument("--tail-fraction", help="tail fraction for saturation stats")
+    sub.add_argument("--seed", help="default seed for seeded graph families")
     sub.add_argument("--vectors", action="store_true", default=None,
                      help="compute eigenvectors (enables exact quantum average)")
     sub.add_argument("--chi", action="store_true", default=None,
@@ -466,18 +469,31 @@ def _config_from_args(args, base: ExperimentConfig | None = None) -> ExperimentC
     cfg = base or ExperimentConfig()
     if getattr(args, "config", None):
         cfg = replace(cfg, **read_config_file(args.config))
-    # each field's flag has the field's name; argparse has typed the
-    # numbers and booleans, the rest arrive as text
+    # each field's flag has the field's name; the booleans arrive typed,
+    # the rest as text that the field's parser reads
     updates = {}
     for key, parse in _FIELD_PARSERS.items():
         val = getattr(args, key, None)
+        if isinstance(val, str):
+            try:
+                val = parse(val)
+            except ValueError as exc:
+                raise ParseError(f"bad value for --{key.replace('_', '-')}: {exc}") from None
         if val is not None:
-            updates[key] = parse(val) if isinstance(val, str) else val
+            updates[key] = val
     return replace(cfg, **updates)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so they exit 1 with one line like
+    any other malformed input."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specwalk",
         description="Classical vs quantum transport efficiency from graph spectra")
     parser.add_argument("--version", action="version", version=__version__)
@@ -503,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "preset":
             cfg = _config_from_args(args, base=preset(args.name))
             run_experiment(cfg)

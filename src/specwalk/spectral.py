@@ -144,23 +144,26 @@ class ClusterView:
         return len(self.values)
 
     @cached_property
-    def _per_orbit(self) -> tuple[np.ndarray, np.ndarray]:
+    def gram(self) -> np.ndarray:
+        """G = W^T W = Omega^T diag(s) Omega, K x K, where W[j, E] is the
+        diagonal of the projector onto cluster E at node j.
+
+        Dense vectors build one n x n array, their squares: singleton
+        clusters need no sum and singleton orbits no sqrt(s) scaling, so
+        that array is Omega itself, and nothing of it outlives G.
+        """
         if self.orbits is not None:
-            sizes, per_value = self.orbits
+            sizes, weights = self.orbits
         elif self.vectors is not None:
-            sizes, per_value = np.ones(len(self.vectors), dtype=np.int64), self.vectors**2
+            sizes, weights = None, self.vectors**2
         else:
             raise ValueError("operation needs eigenvectors or orbit weights; "
                              "use graph_spectrum(graph, need='weights')")
-        return sizes, np.add.reduceat(per_value, self.starts, axis=1)
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """G = W^T W = Omega^T diag(s) Omega, K x K, where W[j, E] is the
-        diagonal of the projector onto cluster E at node j."""
-        sizes, weights = self._per_orbit
-        scaled = weights * np.sqrt(sizes)[:, None]
-        return scaled.T @ scaled
+        if len(self) < weights.shape[1]:
+            weights = np.add.reduceat(weights, self.starts, axis=1)
+        if sizes is not None:
+            weights = weights * np.sqrt(sizes)[:, None]
+        return weights.T @ weights
 
 
 def _column_blocks(shape):

@@ -296,6 +296,39 @@ class TestMainSubcommands:
         rc = main(["preset", "fig99", "--out", str(tmp_path / "p")])
         assert rc == 1
 
+    @pytest.mark.parametrize("args, flag", [
+        (["run", "--graph", "ring:10", "--seed", "abc"], "--seed"),
+        (["run", "--graph", "ring:10", "--envelope-width", "2.5"], "--envelope-width"),
+        (["run", "--graph", "ring:10", "--tail-fraction", "tenth"], "--tail-fraction"),
+        (["fit"], "--series"),
+    ])
+    def test_usage_errors_exit_one(self, tmp_path, capsys, args, flag):
+        # exit code 2 is kept for numerical failures
+        rc = main([*args, "--out", str(tmp_path / "u")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err and "usage" not in err
+        assert not (tmp_path / "u").exists()
+
+    @pytest.mark.parametrize("flag", ["--vectors", "--chi"])
+    def test_dos_run_refuses_vectors_and_chi(self, tmp_path, capsys, flag):
+        out = tmp_path / "d"
+        rc = main(["run", "--dos", "semicircle:nu=0.5,lmax=2", flag, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "need a graph" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["vectors", "chi"])
+    def test_dos_config_file_refuses_vectors_and_chi(self, tmp_path, key):
+        cfg_file = tmp_path / "dos.cfg"
+        cfg_file.write_text(f"dos = semicircle:nu=0.5,lmax=2\n{key} = true\n")
+        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "d")]) == 1
+        with pytest.raises(ParseError, match="need a graph"):
+            run_experiment(ExperimentConfig(**read_config_file(cfg_file),
+                                            out=str(tmp_path / "e")))
+
     def test_numerical_failure_exit_two(self, monkeypatch, tmp_path):
         def boom(config, stages=("series", "spectrum", "analysis")):
             raise NumericalError("synthetic failure")
@@ -527,6 +560,21 @@ class TestManifest:
         data = (tmp_path / "chi.csv").read_bytes()
         assert data.decode() == transport.chi_csv(chi)
         assert manifest.files["chi.csv"] == hashlib.sha256(data).hexdigest()
+
+    def test_vectors_chi_run_memory(self, tmp_path):
+        # the series stage stays below the chi.csv write: the eigenvectors,
+        # the Gram and three 2 MB blocks; 8 MB blocks take it to about 7
+        n = 800
+        cfg = ExperimentConfig(graph=f"er:{n},0.02,seed=1", vectors=True, chi=True,
+                               grid=cli.PRESETS["fig2a"].grid, out=str(tmp_path))
+        run_experiment(cfg)  # one-off imports and caches are not the run's
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * n * n * 8
 
     def test_verify_detects_tampering(self, tmp_path):
         cfg = ExperimentConfig(graph="ring:12", out=str(tmp_path / "t"),

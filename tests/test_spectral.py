@@ -216,6 +216,20 @@ class TestOwnedBufferSolve:
         # ?syevd workspace; a copy of the input or a dense L @ V breaks it
         assert peak <= 3.2 * 8 * g.n**2
 
+    def test_dense_gram_makes_no_copies(self):
+        s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), need="weights")
+        view = s.clusters
+        assert len(view) == s.n  # singleton clusters: the squares are W
+        tracemalloc.start()
+        try:
+            gram = view.gram
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the squared vectors, then G; only G outlives the call
+        assert peak <= 2.1 * 8 * s.n**2
+        assert kept <= 1.1 * gram.nbytes
+
     @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
                         reason="needs the VmHWM line of /proc/self/status")
     def test_values_rss_growth_is_one_matrix(self, tmp_path):

@@ -521,6 +521,36 @@ class TestClusterKernelsAgainstOracle:
         assert peak < 64 * 2**20
         assert pi.shape == (100_000,)
 
+    def test_dense_working_set(self):
+        # fig2a's grid on a graph of 800 singleton clusters: the Gram (the
+        # squared vectors, then G) and three 2 MB times x K blocks; with
+        # 8 MB blocks the peak more than doubles
+        s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), need="weights")
+        assert len(s.clusters) == 800
+        grid = merge_grids(linear_grid(0.05, 250.0, 5000), log_grid(250.0, 1e4, 350))
+        tracemalloc.start()
+        try:
+            series = transport_series(s, grid, with_exact_quantum=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
+        assert series.pi_bar.shape == (5350,)
+
+    def test_kernel_keeps_three_blocks(self):
+        # with G built beforehand: three 2 MB times x K blocks and the
+        # output columns, where separate products would hold five blocks
+        s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), need="weights")
+        s.clusters.gram
+        grid = merge_grids(linear_grid(0.05, 250.0, 5000), log_grid(250.0, 1e4, 350))
+        tracemalloc.start()
+        try:
+            transport_series(s, grid, with_exact_quantum=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2**20
+
 
 class TestChiCSVFormat:
     @pytest.mark.parametrize("g", [build_ring(12), build_star(7), build_dendrimer(3, 3),
