@@ -4,8 +4,8 @@ One invocation runs one experiment: build a graph (or pick an analytic
 DOS), obtain the spectrum, evaluate the transport series on a time grid,
 analyze decay laws, and write CSV artifacts plus a manifest with checksums
 into the output directory. Fixed artifact names keep downstream plotting
-scripts trivial: series.csv, spectrum.csv, degeneracies.csv, report.txt,
-deltap.csv, manifest.txt.
+scripts trivial: series.csv, spectrum.csv, degeneracies.csv, chi.csv (with
+--chi), report.txt, deltap.csv, manifest.txt.
 
 Subcommands: run, spectrum, transport, fit, preset. Exit codes: 0 on
 success, 1 on a parse/config error or a failed write, 2 on a numerical
@@ -20,7 +20,6 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +41,8 @@ from .transport import (TimeGrid, TransportSeries, chi_csv, chi_matrix,
 
 DEFAULT_GRID_SPEC = "log:1e-2,1e4,600"
 # the series and its CSV are O(points) in memory: a million points write a
-# 70 MB series.csv, and its rows take several hundred MB while being built
+# 70 MB series.csv, which is streamed a block of rows at a time from 24
+# bytes of text per value (72 MB for three columns)
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -356,7 +356,10 @@ def run_experiment(config: ExperimentConfig,
     series = None
     stretched = config.fit_model == "stretched"
     if config.graph is not None:
-        need = "vectors" if config.chi else "weights" if config.vectors else "values"
+        # the spectrum stage writes eigenvalues only; --vectors serves the
+        # series, --chi its own artifact
+        need = ("vectors" if config.chi else
+                "weights" if config.vectors and "series" in stages else "values")
         with manifest.stage("spectrum"):
             graph = parse_graph_spec(config.graph, default_seed=config.seed)
             spectrum = graph_spectrum(graph, need=need)
@@ -367,7 +370,7 @@ def run_experiment(config: ExperimentConfig,
         if config.chi:
             with manifest.stage("chi"):
                 chi = chi_matrix(spectrum)
-            _write(out_dir, "chi.csv", partial(chi_csv, blocks=True), chi, manifest)
+            _write(out_dir, "chi.csv", chi_csv, chi, manifest)
             del chi  # n x n: not kept through the series stage
         if "series" in stages:
             with manifest.stage("series"):
@@ -431,6 +434,9 @@ def _read_series_csv(path) -> TransportSeries:
 
 def analyze_series_file(path, config: ExperimentConfig) -> RunManifest:
     """The `fit` subcommand: decay analysis of an existing series CSV."""
+    if config.vectors or config.chi:
+        raise ParseError("fit reads a series, not a spectrum: vectors and chi "
+                         "need a graph run")
     started = time.monotonic()
     series = _read_series_csv(path)
     out_dir = Path(config.out)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvtext import _columns, _csv_blocks, float_text
+
 DEFAULT_HALF_WIDTH = 3
 DEFAULT_TAIL_FRACTION = 0.1
 
@@ -290,7 +292,8 @@ def report_text(report: EfficiencyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ratio_csv(ratio: EfficiencyRatioSeries) -> str:
-    rows = zip(*(map(repr, np.asarray(col, dtype=float).tolist())
-                 for col in (ratio.times, ratio.values)))
-    return "\n".join(["t,delta_p", *map(",".join, rows)]) + "\n"
+def ratio_csv(ratio: EfficiencyRatioSeries):
+    """Columns t,delta_p, as byte blocks formatted and assembled as
+    `series_csv`'s are."""
+    texts = float_text(ratio.times), float_text(ratio.values)
+    return _csv_blocks("t,delta_p\n", len(texts[0]), 2, _columns(*texts))

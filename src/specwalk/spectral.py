@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import graphs
+from ._csvtext import _columns, _csv_blocks, _labelled, _repr_table, float_text, int_text
 from .errors import NumericalError, ResourceLimitError
 from .graphs import Graph, laplacian
 
@@ -429,69 +430,17 @@ def degeneracy_table(spectrum: Spectrum):
 
 # -- CSV export ---------------------------------------------------------------
 
-# repr of a double is at most 24 characters, as in "-2.2250738585072014e-308"
-_REPR_WIDTH = 24
-# cells of one block of CSV rows
-_CSV_BLOCK_CELLS = 1 << 15
-
-
-def _repr_table(values):
-    """Each distinct bit pattern of the elements formatted once, by repr:
-    (text, index), where text is a fixed-width bytes array of the distinct
-    patterns' text, zero-padded, and index[i] the row of text that
-    element i of the flattened array reads. Neither holds a Python object
-    per element."""
-    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64).ravel()
-    order = np.argsort(bits)
-    ranked = bits[order]
-    new = np.empty(len(bits), dtype=bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    distinct = ranked[new].view(float)
-    del ranked
-    rank = np.cumsum(new, dtype=np.int64 if len(bits) >= 2**31 else np.int32)
-    rank -= 1
-    index = np.empty_like(rank)
-    index[order] = rank
-    del order, rank, new
-    text = np.empty(len(distinct), dtype=f"S{_REPR_WIDTH}")
-    for lo in range(0, len(distinct), _CSV_BLOCK_CELLS):
-        text[lo:lo + _CSV_BLOCK_CELLS] = list(map(
-            repr, distinct[lo:lo + _CSV_BLOCK_CELLS].tolist()))
-    return text, index
-
-
-def _csv_blocks(header, text, index, shape):
-    """ASCII blocks of a CSV whose row j is "j," and then the cells of row
-    j of a matrix of this shape, comma-separated: the header line first,
-    then consecutive rows, each block holding about _CSV_BLOCK_CELLS cells.
-
-    Each cell, the row label included, is copied into a zero-padded slot
-    of _REPR_WIDTH bytes followed by its separator, and the zero bytes are
-    dropped; no repr text contains one.
-    """
-    rows, cols = shape
-    yield header.encode()
-    step = max(1, _CSV_BLOCK_CELLS // (cols + 1))
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        slots = np.zeros((hi - lo, cols + 1, _REPR_WIDTH + 1), dtype=np.uint8)
-        labels = np.array([str(j) for j in range(lo, hi)], dtype=f"S{_REPR_WIDTH}")
-        slots[:, 0, :-1] = labels.view(np.uint8).reshape(hi - lo, _REPR_WIDTH)
-        cells = text[index[lo * cols:hi * cols]]
-        slots[:, 1:, :-1] = cells.view(np.uint8).reshape(hi - lo, cols, _REPR_WIDTH)
-        slots[:, :, -1] = ord(",")
-        slots[:, -1, -1] = ord("\n")
-        yield slots[slots != 0].tobytes()
-
-
 def spectrum_csv(spectrum: Spectrum) -> str:
-    values = np.asarray(spectrum.eigenvalues, dtype=float)[:, None]
-    blocks = _csv_blocks("index,eigenvalue\n", *_repr_table(values), values.shape)
+    """Each distinct eigenvalue formatted once: closed-form spectra are
+    highly degenerate (dendrimer:10,3 has 66 distinct values in 3070)."""
+    text, index = _repr_table(spectrum.eigenvalues)
+    blocks = _csv_blocks("index,eigenvalue\n", len(index), 2,
+                         _labelled(lambda lo, hi: text[index[lo:hi], None]))
     return b"".join(blocks).decode()
 
 
 def degeneracies_csv(spectrum: Spectrum) -> str:
-    lines = ["value,multiplicity"]
-    lines.extend(f"{repr(float(v))},{m}" for v, m in degeneracy_table(spectrum))
-    return "\n".join(lines) + "\n"
+    view = spectrum.clusters
+    blocks = _csv_blocks("value,multiplicity\n", len(view), 2,
+                         _columns(float_text(view.values), int_text(view.mult)))
+    return b"".join(blocks).decode()

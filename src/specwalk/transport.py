@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvtext import _columns, _csv_blocks, _labelled, _repr_table, float_text
 from .errors import NumericalError
-from .spectral import ClusterView, Spectrum, _csv_blocks, _repr_table
+from .spectral import ClusterView, Spectrum
 
 EIG_CLAMP_TOL = 1e-8
 # rounding may push a probability past [0, 1] by a few ulps, never by more
@@ -229,27 +230,30 @@ def chi_matrix(spectrum: Spectrum) -> np.ndarray:
 
 # -- CSV export ---------------------------------------------------------------
 
-def series_csv(series: TransportSeries) -> str:
-    """Columns t,p_bar,alpha_bar_sq[,pi_bar]; shortest round-trip floats."""
+def series_csv(series: TransportSeries):
+    """Columns t,p_bar,alpha_bar_sq[,pi_bar]; shortest round-trip floats.
+
+    Every value is formatted before the call returns; the result is an
+    iterator of ASCII byte blocks whose concatenation is the CSV text,
+    rows assembled a block at a time as it is consumed.
+    """
     has_pi = series.pi_bar is not None
-    header = "t,p_bar,alpha_bar_sq" + (",pi_bar" if has_pi else "")
+    header = "t,p_bar,alpha_bar_sq" + (",pi_bar" if has_pi else "") + "\n"
     columns = (series.times, series.p_bar, series.alpha_bar_sq) + (
         (series.pi_bar,) if has_pi else ())
-    rows = zip(*(map(repr, np.asarray(col, dtype=float).tolist())
-                 for col in columns))
-    return "\n".join([header, *map(",".join, rows)]) + "\n"
+    texts = [float_text(col) for col in columns]
+    return _csv_blocks(header, len(series.times), len(texts), _columns(*texts))
 
 
-def chi_csv(chi: np.ndarray, *, blocks: bool = False):
-    """Matrix CSV with a node-index header row.
+def chi_csv(chi: np.ndarray):
+    """Matrix CSV with a node-index header row, as byte blocks like
+    `series_csv`'s, so the whole text is never held at once.
 
     chi is symmetric and often highly degenerate, so each distinct bit
-    pattern is formatted once, into compact text, before the call returns.
-    With `blocks`, the result is an iterator of ASCII byte blocks whose
-    concatenation is the same text: rows are assembled a block at a time
-    as it is consumed, so the whole text is never held at once.
+    pattern is formatted once, into fixed-width text, before the call returns.
     """
     n = chi.shape[0]
     header = "node," + ",".join(map(str, range(n))) + "\n"
-    parts = _csv_blocks(header, *_repr_table(chi), chi.shape)
-    return parts if blocks else b"".join(parts).decode()
+    text, index = _repr_table(chi)
+    rows = _labelled(lambda lo, hi: text[index[lo * n:hi * n]].reshape(hi - lo, n))
+    return _csv_blocks(header, n, n + 1, rows)

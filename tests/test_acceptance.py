@@ -7,10 +7,12 @@ assertion; none are tuned at runtime.
 """
 
 import math
+import platform
 import time
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import expm
 
 import specwalk as sw
@@ -283,3 +285,68 @@ def test_criterion_8_preset_determinism(tmp_path):
                 (tmp_path / name / "b" / artifact).read_bytes()
             _check(failures, same, f"{name}: {artifact} differs between reruns")
     _report(8, "preset byte-reproducibility", failures)
+
+
+def _numeric_build():
+    """What decides the last digit of a computed value beyond the code:
+    the machine, numpy and scipy with the OpenBLAS each links, and the
+    SIMD targets numpy found on this CPU, which also steer OpenBLAS's
+    choice of kernels at run time."""
+    versions = (platform.machine(), np.__version__, scipy.__version__)
+    if versions != PRESET_CSV_BUILD[:3]:
+        return versions  # before numpy 1.26, show_config has no mode
+    blas = [lib.show_config(mode="dicts")["Build Dependencies"].get("blas", {}).get("version")
+            for lib in (np, scipy)]
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found", [])
+    return (*versions, *blas, *simd)
+
+
+# sha256 of every preset CSV as the writers produced it before they moved
+# to the vectorised formatter, recorded on the build below. The presets
+# take closed-form spectra or quadrature, but numpy's SIMD loops and the
+# series kernel's BLAS block products may round a last digit differently
+# on another build or CPU, so there the digests do not apply.
+PRESET_CSV_BUILD = ("x86_64", "2.4.6", "1.17.1", "0.3.31.188.0", "0.3.30",
+                    "X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+PRESET_CSV_SHA256 = {
+    "fig1a": {
+        "deltap.csv": "10553388510bdc36395ead5a277f48bea31faa934afbff456af15eb38ed27993",
+        "series.csv": "4b54b14fe962255262f16272dacbb00918c1a198b0d564f4bd4d662388dc6eaa",
+    },
+    "fig1b": {
+        "deltap.csv": "7f69139e5ad2ad81cee9a0310d7e2e6ac778a58c4e7bf699822622ca0a31e6b6",
+        "series.csv": "044fd68fea5a9944b117629268f79650d89cc217a1b725c6d201c6241792a726",
+    },
+    "fig2a": {
+        "degeneracies.csv": "d885027a20c35bec99f96c58523e810d10c6b01316006845ebe24edfaac7b948",
+        "deltap.csv": "10141e2eaf3f632631741dc78b1a9082e45a8c970e54011ef8aa521eef9d6c30",
+        "series.csv": "03d106ff2cf198cece4fc6543acfde67ac0127cc79e32fd0e42b287141d3d7c3",
+        "spectrum.csv": "155d57859608869a953a16c06b6e1ccdc087bd3248a3d3fa975847dded7d366f",
+    },
+    "fig2b": {
+        "degeneracies.csv": "a4078a3173529bb98083218de83aa4e1b3a74c5349345d14f7b8d120af228d73",
+        "deltap.csv": "204ac3b273459a06282e2fbeb4f95d94d89eca6d966bdb7917302a427c7644af",
+        "series.csv": "a92c9926105bcb071c67e835e35f8ced2b5212cf5582702f6116de2ceb62b0f1",
+        "spectrum.csv": "b4ec1d635f69c6983f7cdbf3dcd5f3d26994d8c26617c95d2ff16cf4e2d8bfb4",
+    },
+    "fig3": {
+        "degeneracies.csv": "4452882323410047f823e348f06542a65d30dd9b1622ad21ef5f98567fce50a7",
+        "deltap.csv": "5fed9fdbb2b285d01049bab3c12b6674700adf49f3871416fb0ae84d25e918f4",
+        "series.csv": "2633f47fde9bbbec24ad15b86bf3bb1ae65f41e78e1f441dbba158270cc1c865",
+        "spectrum.csv": "db43f8b4fabe78b268694b3452b9fc2901b2a7d3febe128c2d5c394684d61480",
+    },
+}
+
+
+def test_preset_csvs_match_recorded_digests(tmp_path):
+    """Preset CSVs stay byte-identical to the recorded ones, not only to
+    a rerun of the same code as criterion 8 checks."""
+    assert sorted(PRESET_CSV_SHA256) == sorted(PRESETS)
+    build = _numeric_build()
+    if build != PRESET_CSV_BUILD:
+        pytest.skip(f"digests were recorded on {PRESET_CSV_BUILD}, not on {build}")
+    for name, recorded in PRESET_CSV_SHA256.items():
+        manifest = run_experiment(ExperimentConfig(
+            **{**PRESETS[name].__dict__, "out": str(tmp_path / name)}))
+        csvs = {f: digest for f, digest in manifest.files.items() if f.endswith(".csv")}
+        assert csvs == recorded, name

@@ -235,6 +235,27 @@ class TestMainSubcommands:
         assert (out / "degeneracies.csv").is_file()
         assert not (out / "series.csv").exists()
 
+    def test_spectrum_vectors_solves_for_values_only(self, tmp_path):
+        # the spectrum stage writes eigenvalues only, so --vectors asks
+        # for no eigenvectors and no residual check
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--graph", "er:300,0.05,seed=2", "--vectors",
+                     "--out", str(out)]) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        diag = dict(ln.split(" = ") for ln in lines if ln.startswith("spectrum."))
+        assert diag["spectrum.path"] == "dense"
+        assert "spectrum.vectors" not in diag
+        assert "spectrum.residual" not in diag
+        assert sorted(p.name for p in out.iterdir()) == [
+            "degeneracies.csv", "manifest.txt", "spectrum.csv"]
+
+    def test_spectrum_chi_still_solves_for_vectors(self, tmp_path):
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--graph", "er:30,0.3,seed=2", "--chi",
+                     "--out", str(out)]) == 0
+        assert "spectrum.vectors = dense" in (out / "manifest.txt").read_text()
+        assert (out / "chi.csv").is_file()
+
     def test_spectrum_requires_graph(self, tmp_path):
         rc = main(["spectrum", "--dos", "lifshits:b=2", "--out", str(tmp_path / "x")])
         assert rc == 1
@@ -256,6 +277,21 @@ class TestMainSubcommands:
                    "--out", str(out), "--fit-window", "1,20"])
         assert rc == 0
         assert "classical_exponent" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("flag", ["--chi", "--vectors"])
+    def test_fit_refuses_vectors_and_chi(self, tmp_path, capsys, flag):
+        src = tmp_path / "src"
+        assert main(["transport", "--graph", "ring:24",
+                     "--grid", "linear:0.05,120,2400", "--out", str(src)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "fitted"
+        rc = main(["fit", "--series", str(src / "series.csv"), flag,
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "need a graph run" in err
+        assert not out.exists()
 
     def test_preset_subcommand(self, tmp_path):
         rc = main(["preset", "fig3", "--out", str(tmp_path / "fig3")])
@@ -387,7 +423,7 @@ class TestAnalyzeSeriesFile:
                                         grid="log:1e-2,1e2,80"))
         series = cli._read_series_csv(tmp_path / "r" / "series.csv")
         text = (tmp_path / "r" / "series.csv").read_text()
-        assert cli.series_csv(series) == text
+        assert b"".join(cli.series_csv(series)).decode() == text
 
     def test_missing_column_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -558,7 +594,7 @@ class TestManifest:
         # rows; the whole text as a str and its encoding take about 6
         assert peaks["chi.csv"] <= 4 * chi.nbytes
         data = (tmp_path / "chi.csv").read_bytes()
-        assert data.decode() == transport.chi_csv(chi)
+        assert data == b"".join(transport.chi_csv(chi))
         assert manifest.files["chi.csv"] == hashlib.sha256(data).hexdigest()
 
     def test_vectors_chi_run_memory(self, tmp_path):

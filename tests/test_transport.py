@@ -27,10 +27,16 @@ from specwalk import (
     parse_graph_spec,
     transport_series,
 )
+from specwalk._csvtext import float_text, int_text
 from specwalk.scaling import EfficiencyRatioSeries, ratio_csv
 from specwalk.spectral import spectrum_csv
 from specwalk.transport import (TimeGrid, TransportSeries, chi_csv, clamp_unit_interval,
                                 series_csv)
+
+
+def csv_text(blocks):
+    """The text of a streamed writer's byte blocks."""
+    return b"".join(blocks).decode()
 
 
 def spectrum_of(g, vectors=False):
@@ -392,7 +398,7 @@ class TestSeriesCSV:
         s = spectrum_of(build_star(6), vectors=True)
         grid = log_grid(0.1, 10, 20)
         series = transport_series(s, grid, with_exact_quantum=True)
-        text = series_csv(series)
+        text = csv_text(series_csv(series))
         assert text.splitlines()[0] == "t,p_bar,alpha_bar_sq,pi_bar"
         data = np.genfromtxt(text.splitlines(), delimiter=",", names=True)
         np.testing.assert_array_equal(data["t"], series.times)
@@ -402,11 +408,26 @@ class TestSeriesCSV:
     def test_without_pi(self):
         s = spectrum_of(build_ring(5))
         series = transport_series(s, log_grid(0.1, 1, 5))
-        assert series_csv(series).splitlines()[0] == "t,p_bar,alpha_bar_sq"
+        assert csv_text(series_csv(series)).splitlines()[0] == "t,p_bar,alpha_bar_sq"
+
+    def test_blocks_join_to_the_text(self):
+        # 20k rows of three columns: two blocks of rows, and the series
+        # and ratio writers both held to the per-element loop
+        grid = linear_grid(0.01, 200.0, 20_000)
+        series = transport_series(spectrum_of(build_ring(40)), grid)
+        blocks = list(series_csv(series))
+        assert len(blocks) > 2 and all(isinstance(b, bytes) for b in blocks)
+        cols = (series.times, series.p_bar, series.alpha_bar_sq)
+        assert csv_text(blocks) == oracle_csv("t,p_bar,alpha_bar_sq", *cols)
+        ratio = EfficiencyRatioSeries(times=grid.times, values=series.p_bar,
+                                      asymptotic=1.0, excluded_points=0)
+        blocks = list(ratio_csv(ratio))
+        assert len(blocks) > 2 and all(isinstance(b, bytes) for b in blocks)
+        assert csv_text(blocks) == oracle_csv("t,delta_p", grid.times, series.p_bar)
 
     def test_chi_csv_header(self):
         chi = chi_matrix(spectrum_of(build_ring(4), vectors=True))
-        lines = chi_csv(chi).splitlines()
+        lines = csv_text(chi_csv(chi)).splitlines()
         assert lines[0] == "node,0,1,2,3"
         assert len(lines) == 5
 
@@ -557,17 +578,17 @@ class TestChiCSVFormat:
                                    build_erdos_renyi(25, 0.3, seed=2)])
     def test_byte_identical_to_plain_writer(self, g):
         chi = chi_matrix(spectrum_of(g, vectors=True))
-        assert chi_csv(chi) == oracle_chi_csv(chi)
+        assert csv_text(chi_csv(chi)) == oracle_chi_csv(chi)
 
     def test_special_values(self):
         chi = np.array([[0.0, -0.0, np.nan], [np.inf, 1e-300, 5e-324], [1.0, 0.1, 1 / 3]])
-        assert chi_csv(chi) == oracle_chi_csv(chi)
+        assert csv_text(chi_csv(chi)) == oracle_chi_csv(chi)
 
     def test_blocks_join_to_the_text(self, oracle_spectra):
         chi = chi_matrix(oracle_spectra("er:800,0.02,seed=1"))
-        blocks = list(chi_csv(chi, blocks=True))
+        blocks = list(chi_csv(chi))
         assert len(blocks) > 2 and all(isinstance(b, bytes) for b in blocks)
-        assert b"".join(blocks).decode() == chi_csv(chi) == oracle_chi_csv(chi)
+        assert csv_text(blocks) == oracle_chi_csv(chi)
 
 
 # values whose repr is easy to get wrong: signed zero, non-finite values,
@@ -603,7 +624,7 @@ class TestCSVWritersOracle:
                                  alpha_bar_sq=cols[1],
                                  pi_bar=cols[2] if with_pi else None)
         header = "t,p_bar,alpha_bar_sq" + (",pi_bar" if with_pi else "")
-        assert series_csv(series) == oracle_csv(header, times, *cols)
+        assert csv_text(series_csv(series)) == oracle_csv(header, times, *cols)
 
     @CSV_SETTINGS
     @given(st.lists(st.tuples(csv_floats, csv_floats), min_size=1, max_size=40))
@@ -611,7 +632,7 @@ class TestCSVWritersOracle:
         t, v = (np.array(col) for col in zip(*pairs))
         ratio = EfficiencyRatioSeries(times=t, values=v, asymptotic=1.0,
                                       excluded_points=0)
-        assert ratio_csv(ratio) == oracle_csv("t,delta_p", t, v)
+        assert csv_text(ratio_csv(ratio)) == oracle_csv("t,delta_p", t, v)
 
     @CSV_SETTINGS
     @given(st.lists(csv_floats, min_size=1, max_size=40))
@@ -625,7 +646,49 @@ class TestCSVWritersOracle:
         st.lists(csv_floats, min_size=n, max_size=n), min_size=n, max_size=n)))
     def test_chi_csv(self, rows):
         chi = np.array(rows)
-        assert chi_csv(chi) == oracle_chi_csv(chi)
+        assert csv_text(chi_csv(chi)) == oracle_chi_csv(chi)
+
+
+def formatter_sweep():
+    """Doubles where shortest round-trip text is easy to get wrong: every
+    binade at both signs, every subnormal binade, the powers of ten, the
+    points where repr switches notation, and the integers near 2^53 and
+    2^54, most with their +-1-ulp neighbours; deterministic."""
+    rng = np.random.default_rng(11)
+    top = (1 << 52) - 1
+    mantissas = np.concatenate([[0, 1, top], rng.integers(2, top, 8)]).astype(np.uint64)
+    exps = np.arange(2047, dtype=np.uint64)[:, None]
+    binades = ((exps << np.uint64(52)) | mantissas).ravel()
+    subnormal = []
+    for k in range(52):
+        lo, hi = 1 << k, (1 << (k + 1)) - 1
+        subnormal += [lo, lo + 1, hi - 1, hi, *rng.integers(lo, hi + 1, 4)]
+    patterns = np.concatenate([binades, np.array(subnormal, dtype=np.uint64)])
+    values = [float(f"1e{k}") for k in range(-323, 309)]
+    values += [1e-5, 1e-4, 1e15, 1e16]
+    values += [float(2**p + d) for p in (53, 54) for d in range(-4, 5)]
+    values = np.array(values)
+    values = np.concatenate([values, np.nextafter(values, 0.0),
+                             np.nextafter(values, np.inf)])
+    values = np.concatenate([patterns.view(float), values])
+    values = np.concatenate([values, -values, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    return values
+
+
+class TestFloatTextSweep:
+    def test_matches_repr(self):
+        values = formatter_sweep()
+        assert len(values) > 45_000
+        got = [cell.replace(b"\0", b"").decode() for cell in float_text(values).tolist()]
+        wrong = [(x, g) for x, g in zip(values.tolist(), got) if g != repr(x)]
+        assert not wrong, wrong[:10]
+
+    def test_shape_and_integers(self):
+        assert float_text(np.ones((3, 4))).shape == (3, 4)
+        assert float_text([]).shape == (0,)
+        ints = [0, 7, 10, 99, 12345, 10**16, 10**17 - 1]
+        assert [c.replace(b"\0", b"").decode() for c in int_text(ints).tolist()] == \
+            list(map(str, ints))
 
 
 small_graphs = st.builds(
