@@ -13,7 +13,7 @@ import numpy as np
 import specwalk as sw
 
 N = 10
-spec = sw.decompose(sw.laplacian(sw.build_star(N)), with_vectors=True)
+spec = sw.decompose(sw.build_star(N), with_vectors=True)
 print("degeneracy table:", [(round(float(v), 9), m) for v, m in sw.degeneracy_table(spec)])
 
 grid = sw.merge_grids(sw.linear_grid(0.01, 100.0, 5000),

@@ -326,11 +326,11 @@ def _analyze(series: TransportSeries, config: ExperimentConfig,
 
 
 def _spectrum_diagnostics(spectrum) -> dict[str, str]:
-    view = spectrum.clusters
-    out = {"spectrum.path": spectrum.path, "spectrum.clusters": str(len(view))}
-    if len(view) >= 2:
+    levels = spectrum.levels
+    out = {"spectrum.path": spectrum.path, "spectrum.clusters": str(len(levels))}
+    if len(levels) >= 2:
         tol = default_cluster_tol(spectrum.eigenvalues)
-        out["spectrum.min_gap_over_tol"] = repr(float(np.diff(view.values).min() / tol))
+        out["spectrum.min_gap_over_tol"] = repr(float(np.diff(levels).min() / tol))
     if spectrum.weights_path is not None:
         out["spectrum.vectors"] = spectrum.weights_path
     if spectrum.residual is not None:

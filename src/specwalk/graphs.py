@@ -19,6 +19,9 @@ from .errors import ParseError, ResourceLimitError
 
 # node cap of every n x n array: dense Laplacian, eigenvectors, chi
 DEFAULT_SIZE_CAP = 5000
+# node cap of the ring, star and dendrimer specs, whose spectra need no
+# n x n array; at 10^6 nodes a spectrum run peaks near 200 MB
+SPEC_NODE_CAP = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +279,8 @@ def parse_graph_spec(spec: str, default_seed: int = 0) -> Graph:
     Accepted forms: ring:N, star:N, dendrimer:G,Z, torus:SIDE,D,
     er:N,P[,seed=S]. The ER seed falls back to `default_seed` when the
     spec does not carry one. An ER graph of more than DEFAULT_SIZE_CAP
-    nodes raises ResourceLimitError before any draw.
+    nodes, and a ring, star or dendrimer of more than SPEC_NODE_CAP,
+    raise ResourceLimitError before anything is built.
     """
     if ":" not in spec:
         raise ParseError("expected '<family>:<params>'", text=spec, position=len(spec))
@@ -289,16 +293,26 @@ def parse_graph_spec(spec: str, default_seed: int = 0) -> Graph:
             raise ParseError(f"{family} spec takes {k} parameter(s)", text=spec,
                              position=len(family) + 1)
 
+    def capped(n):
+        if n > SPEC_NODE_CAP:
+            raise ResourceLimitError(
+                f"graph {spec!r} exceeds the node cap {SPEC_NODE_CAP}")
+        return n
+
     try:
         if family == "ring":
             want(1)
-            return build_ring(int(parts[0]))
+            return build_ring(capped(int(parts[0])))
         if family == "star":
             want(1)
-            return build_star(int(parts[0]))
+            return build_star(capped(int(parts[0])))
         if family == "dendrimer":
             want(2)
-            return build_dendrimer(int(parts[0]), int(parts[1]))
+            generation, z = int(parts[0]), int(parts[1])
+            # the count grows with the generation and passes the cap well
+            # before 64, so a huge generation is refused without its power
+            capped(dendrimer_node_count(min(generation, 64), z))
+            return build_dendrimer(generation, z)
         if family == "torus":
             want(2)
             return build_hypercubic(int(parts[0]), int(parts[1]))

@@ -27,7 +27,6 @@ from .errors import NumericalError, ResourceLimitError
 from .graphs import Graph, laplacian
 
 RESIDUAL_RTOL = 1e-9
-_SYMMETRY_BAND = 256
 # elements of one column block in the sign fix and the residual check
 _BLOCK_ELEMS = 1 << 18
 NEEDS = ("values", "weights", "vectors")
@@ -46,7 +45,8 @@ def default_cluster_tol(eigenvalues) -> float:
 @dataclass(frozen=True)
 class Spectrum:
     """Sorted Laplacian eigenvalues, optionally with orthonormal eigenvectors
-    or orbit weights.
+    or orbit weights, and their degeneracy clusters, which every transport
+    kernel reads.
 
     Column k of `eigenvectors` pairs with `eigenvalues[k]`. Vector signs
     follow the convention that the first component of magnitude above
@@ -61,6 +61,13 @@ class Spectrum:
     each node of orbit r (in the sum over a degenerate eigenspace, the
     squared eigenvector components). It carries the projector weights of
     the exact quantum average without n x n eigenvectors.
+
+    Cluster E covers eigenvalue indices starts[E] .. starts[E] + mult[E] - 1;
+    `levels` are the cluster means. Near-equal eigenvalues join a cluster
+    while they stay within `default_cluster_tol` of its running mean, so
+    the multiplicities sum to n. The clusters and `gram` are built on
+    first use; the spectrum is treated as immutable, so they are never
+    rebuilt.
     """
 
     eigenvalues: np.ndarray
@@ -73,58 +80,21 @@ class Spectrum:
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    def has_vectors(self) -> bool:
-        return self.eigenvectors is not None
-
     @property
     def weights_path(self) -> str | None:
         """Where the projector weights come from: "dense" (solver
         eigenvectors), "fourier" (closed-form eigenvectors), "orbit"
         (closed-form orbit weights alone), or None without any."""
-        if self.has_vectors():
+        if self.eigenvectors is not None:
             return "fourier" if self.path == "closed_form" else "dense"
         return "orbit" if self.orbits is not None else None
 
     @cached_property
-    def clusters(self) -> ClusterView:
-        """Degeneracy clusters at the default tolerance, built on first use.
-
-        The spectrum is treated as immutable: the view is never rebuilt.
-        """
-        return ClusterView.of(self)
-
-
-@dataclass(frozen=True)
-class ClusterView:
-    """The distinct eigenvalues of a spectrum and, with vectors or orbit
-    weights, the cluster projector diagonals that every transport kernel
-    reads.
-
-    Cluster E covers eigenvalue indices starts[E] .. starts[E] + mult[E] - 1;
-    `values` are the cluster means. Near-equal eigenvalues join a cluster
-    while they stay within `default_cluster_tol` of its running mean, so
-    the multiplicities sum to n.
-
-    The projector diagonals are constant on the spectrum's orbits, so they
-    are held per orbit: sizes s (o orbits) and weights Omega (o x K),
-    Omega[r, E] being the diagonal of the projector onto cluster E at each
-    node of orbit r, whatever basis spans the cluster. Eigenvectors
-    without orbits are the case of n singleton orbits, so one
-    representation serves every kernel.
-    """
-
-    values: np.ndarray
-    mult: np.ndarray
-    starts: np.ndarray
-    vectors: np.ndarray | None = field(default=None, repr=False)
-    orbits: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-
-    @classmethod
-    def of(cls, spectrum: Spectrum) -> ClusterView:
-        tol = default_cluster_tol(spectrum.eigenvalues)
+    def _clusters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        tol = default_cluster_tol(self.eigenvalues)
         values, mult = [], []
         run_sum, run_count = 0.0, 0
-        for lam in np.asarray(spectrum.eigenvalues, dtype=float).tolist():
+        for lam in np.asarray(self.eigenvalues, dtype=float).tolist():
             if run_count and abs(lam - run_sum / run_count) <= tol:
                 run_sum += lam
                 run_count += 1
@@ -137,30 +107,41 @@ class ClusterView:
             values.append(run_sum / run_count)
             mult.append(run_count)
         mult = np.array(mult, dtype=np.int64)
-        return cls(values=np.array(values, dtype=float), mult=mult,
-                   starts=np.cumsum(mult) - mult, vectors=spectrum.eigenvectors,
-                   orbits=spectrum.orbits)
+        return np.array(values, dtype=float), mult, np.cumsum(mult) - mult
 
-    def __len__(self):
-        return len(self.values)
+    @property
+    def levels(self) -> np.ndarray:
+        """The K cluster means, ascending."""
+        return self._clusters[0]
+
+    @property
+    def mult(self) -> np.ndarray:
+        return self._clusters[1]
+
+    @property
+    def starts(self) -> np.ndarray:
+        return self._clusters[2]
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """G = W^T W = Omega^T diag(s) Omega, K x K, where W[j, E] is the
-        diagonal of the projector onto cluster E at node j.
+        """G = W^T W, K x K, where W[j, E] is the diagonal of the projector
+        onto cluster E at node j, whatever basis spans the cluster.
 
-        Dense vectors build one n x n array, their squares: singleton
-        clusters need no sum and singleton orbits no sqrt(s) scaling, so
-        that array is Omega itself, and nothing of it outlives G.
+        W is constant on the orbits, so it is held per orbit: sizes s and
+        weights Omega (o x K), and G = Omega^T diag(s) Omega. Eigenvectors
+        without orbits are the case of n singleton orbits: they build one
+        n x n array, their squares, and since singleton clusters need no
+        sum and singleton orbits no sqrt(s) scaling, that array is Omega
+        itself, and nothing of it outlives G.
         """
         if self.orbits is not None:
             sizes, weights = self.orbits
-        elif self.vectors is not None:
-            sizes, weights = None, self.vectors**2
+        elif self.eigenvectors is not None:
+            sizes, weights = None, self.eigenvectors**2
         else:
             raise ValueError("operation needs eigenvectors or orbit weights; "
                              "use graph_spectrum(graph, need='weights')")
-        if len(self) < weights.shape[1]:
+        if len(self.levels) < weights.shape[1]:
             weights = np.add.reduceat(weights, self.starts, axis=1)
         if sizes is not None:
             weights = weights * np.sqrt(sizes)[:, None]
@@ -187,30 +168,22 @@ def _fix_signs(vecs):
     return vecs
 
 
-def _is_symmetric(a):
-    """|a - a^T| <= 1e-12 everywhere, so a NaN or an infinity fails.
+def _checked_residual(graph, vecs, vals) -> float:
+    """max ||L v - lam v|| / ||L||_2 over the eigenpairs, L the graph's
+    Laplacian applied from its edge list, without a dense L, one column
+    block at a time; above RESIDUAL_RTOL it raises NumericalError with the
+    matrix size."""
+    from scipy.sparse import coo_array
 
-    Rows lo..hi of the upper part are compared with the matching columns
-    one band at a time, so no n x n temporary is made.
-    """
-    n = a.shape[0]
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, n, _SYMMETRY_BAND):
-            hi = min(lo + _SYMMETRY_BAND, n)
-            if not np.all(np.abs(a[lo:hi, lo:] - a[lo:, lo:hi].T) <= 1e-12):
-                return False
-    return True
-
-
-def _checked_residual(times, vecs, vals) -> float:
-    """max ||L v - lam v|| / ||L||_2 over the eigenpairs, where times(block)
-    is L @ block, evaluated one column block at a time; above
-    RESIDUAL_RTOL it raises NumericalError with the matrix size."""
+    i, j = graph.edges.T
+    adjacency = coo_array((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])),
+                          shape=(graph.n, graph.n)).tocsr()
+    degrees = graph.degrees()[:, None]
     scale = max(1.0, float(np.abs(vals).max()))
     resid = 0.0
     for cols in _column_blocks(vecs.shape):
         block = vecs[:, cols]
-        diff = times(block)
+        diff = degrees * block - adjacency @ block
         diff -= block * vals[cols]
         resid = max(resid, float(np.linalg.norm(diff, axis=0).max()))
     if resid > RESIDUAL_RTOL * scale:
@@ -221,13 +194,11 @@ def _checked_residual(times, vecs, vals) -> float:
     return resid / scale
 
 
-def decompose(lap: np.ndarray | Graph, with_vectors: bool = False) -> Spectrum:
-    """Eigendecompose a symmetric Laplacian, ascending eigenvalues.
+def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
+    """Eigendecompose a graph's Laplacian, ascending eigenvalues.
 
-    `lap` is a symmetric matrix or a Graph. LAPACK ?syevd runs in one
-    n x n buffer and leaves the eigenvectors in it: for a Graph that is
-    its Laplacian, assembled here; a matrix is copied into it and never
-    modified.
+    LAPACK ?syevd runs in one n x n buffer, the Laplacian assembled here,
+    and leaves the eigenvectors in it.
 
     When vectors are requested the residual ||L v - lam v|| is checked
     against 1e-9 * ||L||_2 per pair and recorded on the spectrum; a
@@ -236,17 +207,9 @@ def decompose(lap: np.ndarray | Graph, with_vectors: bool = False) -> Spectrum:
     """
     from scipy.linalg import eigh
 
-    if isinstance(lap, Graph):
-        # exactly symmetric by construction; its transpose is the
-        # Fortran-ordered view of the same matrix that LAPACK works in
-        work, times = laplacian(lap).T, _laplacian_times(lap)
-    else:
-        lap = np.asarray(lap, dtype=float)
-        if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {lap.shape}")
-        if not _is_symmetric(lap):
-            raise ValueError("matrix is not symmetric")
-        work, times = np.array(lap, order="F"), lambda block: lap @ block
+    # exactly symmetric by construction; its transpose is the
+    # Fortran-ordered view of the same matrix that LAPACK works in
+    work = laplacian(graph).T
     n = len(work)
     try:
         result = eigh(work, overwrite_a=True, check_finite=False, driver="evd",
@@ -259,7 +222,7 @@ def decompose(lap: np.ndarray | Graph, with_vectors: bool = False) -> Spectrum:
     vals, vecs = result
     vecs = _fix_signs(vecs)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs,
-                    residual=_checked_residual(times, vecs, vals))
+                    residual=_checked_residual(graph, vecs, vals))
 
 
 def graph_spectrum(graph: Graph, need: str = "values") -> Spectrum:
@@ -298,19 +261,8 @@ def graph_spectrum(graph: Graph, need: str = "values") -> Spectrum:
     if need == "weights":
         return spectrum
     vecs = _FOURIER[name](*params)[:, order]
-    return replace(spectrum, eigenvectors=vecs, residual=_checked_residual(
-        _laplacian_times(graph), vecs, spectrum.eigenvalues))
-
-
-def _laplacian_times(graph):
-    """The map vecs -> L @ vecs, from the edge list without a dense L."""
-    from scipy.sparse import coo_array
-
-    i, j = graph.edges.T
-    adjacency = coo_array((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])),
-                          shape=(graph.n, graph.n)).tocsr()
-    degrees = graph.degrees()[:, None]
-    return lambda vecs: degrees * vecs - adjacency @ vecs
+    return replace(spectrum, eigenvectors=vecs,
+                   residual=_checked_residual(graph, vecs, spectrum.eigenvalues))
 
 
 def _torus_eigenvalues(side, d, weights=False):
@@ -424,8 +376,7 @@ def degeneracy_table(spectrum: Spectrum):
     `default_cluster_tol` of the running cluster mean. Multiplicities sum
     to n.
     """
-    view = spectrum.clusters
-    return list(zip(view.values.tolist(), view.mult.tolist()))
+    return list(zip(spectrum.levels.tolist(), spectrum.mult.tolist()))
 
 
 # -- CSV export ---------------------------------------------------------------
@@ -440,7 +391,6 @@ def spectrum_csv(spectrum: Spectrum) -> str:
 
 
 def degeneracies_csv(spectrum: Spectrum) -> str:
-    view = spectrum.clusters
-    blocks = _csv_blocks("value,multiplicity\n", len(view), 2,
-                         _columns(float_text(view.values), int_text(view.mult)))
+    blocks = _csv_blocks("value,multiplicity\n", len(spectrum.levels), 2,
+                         _columns(float_text(spectrum.levels), int_text(spectrum.mult)))
     return b"".join(blocks).decode()

@@ -7,9 +7,9 @@ over start nodes: the classical return p_bar and the quantum lower bound
 |alpha_bar|^2 need only eigenvalues; the exact quantum average pi_bar
 needs the projector weights as well, and `chi_matrix` the eigenvectors.
 
-Both read the spectrum's degeneracy clusters (`Spectrum.clusters`, built
-once): K distinct values with their multiplicities and, with vectors or
-orbit weights, the cluster projector diagonals. The series work in real
+Both read the spectrum's degeneracy clusters, built once per spectrum:
+K distinct levels with their multiplicities and, with vectors or orbit
+weights, the Gram matrix of the cluster projector diagonals. The series work in real
 arithmetic on blocks of about CHUNK_ELEMS / K times, at most three such
 blocks alive at once, so their cost scales with K rather than n and their
 memory does not grow with the grid.
@@ -23,7 +23,7 @@ import numpy as np
 
 from ._csvtext import _columns, _csv_blocks, _labelled, _repr_table, float_text
 from .errors import NumericalError
-from .spectral import ClusterView, Spectrum
+from .spectral import Spectrum
 
 EIG_CLAMP_TOL = 1e-8
 # rounding may push a probability past [0, 1] by a few ulps, never by more
@@ -91,8 +91,8 @@ class TransportSeries:
         return self.grid.times
 
 
-def _levels(spectrum: Spectrum) -> tuple[ClusterView, np.ndarray]:
-    """The cached clusters and their values clipped to >= 0. An eigenvalue
+def _levels(spectrum: Spectrum) -> np.ndarray:
+    """The spectrum's cluster levels clipped to >= 0. An eigenvalue
     below -EIG_CLAMP_TOL * max(1, |lam|_max) is not rounding and raises
     ValueError."""
     lam = np.asarray(spectrum.eigenvalues, dtype=float)
@@ -100,8 +100,7 @@ def _levels(spectrum: Spectrum) -> tuple[ClusterView, np.ndarray]:
     tol = EIG_CLAMP_TOL * max(1.0, -lo, hi)
     if lo < -tol:
         raise ValueError(f"spectrum has eigenvalue {lo:.3e} below -{tol:.1e}; not a Laplacian")
-    view = spectrum.clusters
-    return view, np.clip(view.values, 0.0, None)
+    return np.clip(spectrum.levels, 0.0, None)
 
 
 def _chunked(grid: TimeGrid, k: int, kernel) -> np.ndarray:
@@ -159,14 +158,14 @@ def transport_series(spectrum: Spectrum, grid: TimeGrid,
       cluster E. Expanded, that is (1/N) sum_{E,E'} G_EE' cos((lam_E -
       lam_E') t) with G = W^T W, evaluated as rowsum((C G) o C + (S G) o
       S) / N: T x K^2 real flops. G comes from the orbit weights
-      (`ClusterView.gram`), so a closed-form spectrum needs no
+      (`Spectrum.gram`), so a closed-form spectrum needs no
       eigenvectors.
 
     One half-angle block per chunk of times feeds both quantum columns.
     """
-    view, lam = _levels(spectrum)
-    n, mult = spectrum.n, view.mult.astype(float)
-    gram = view.gram if with_exact_quantum else None
+    lam = _levels(spectrum)
+    n, mult = spectrum.n, spectrum.mult.astype(float)
+    gram = spectrum.gram if with_exact_quantum else None
 
     def kernel(t):
         # at most three times x K blocks are alive at once
@@ -188,7 +187,7 @@ def transport_series(spectrum: Spectrum, grid: TimeGrid,
             columns.append(pi.sum(axis=1) / n)
         return np.column_stack(columns)
 
-    columns = _chunked(grid, len(view), kernel).T
+    columns = _chunked(grid, len(lam), kernel).T
     return TransportSeries(
         grid=grid, p_bar=columns[0], alpha_bar_sq=clamp_unit_interval(columns[1]),
         pi_bar=None if gram is None else clamp_unit_interval(columns[2]))
@@ -200,7 +199,7 @@ def chi_matrix(spectrum: Spectrum) -> np.ndarray:
     Time-averaging kills every cross term between distinct eigenvalues, so
     chi = sum over degenerate clusters E of P_E o P_E, with P_E the
     projector onto cluster E. Cross terms inside a cluster survive, which
-    is why the degeneracy clustering (`Spectrum.clusters`) is
+    is why the degeneracy clustering (`Spectrum.mult`) is
     load-bearing: splitting a true cluster would push chi toward the
     naive diagonal form. Columns sum to 1.
 
@@ -209,19 +208,18 @@ def chi_matrix(spectrum: Spectrum) -> np.ndarray:
     into a single product Z Z^T; only larger clusters build an n x n
     projector.
     """
-    if not spectrum.has_vectors():
-        raise ValueError("chi needs eigenvectors; use graph_spectrum(graph, "
-                         "need='vectors') or decompose(lap, with_vectors=True)")
     v = spectrum.eigenvectors
-    view = spectrum.clusters
-    starts = view.starts
-    single = starts[view.mult == 1]
-    pair = starts[view.mult == 2]
+    if v is None:
+        raise ValueError("chi needs eigenvectors; use graph_spectrum(graph, "
+                         "need='vectors') or decompose(graph, with_vectors=True)")
+    starts, mult = spectrum.starts, spectrum.mult
+    single = starts[mult == 1]
+    pair = starts[mult == 2]
     a, b = v[:, pair], v[:, pair + 1]
     z = np.hstack([v[:, single] ** 2, a * a, b * b, SQRT2 * a * b])
     chi = z @ z.T
-    large = view.mult > 2
-    for start, m in zip(starts[large].tolist(), view.mult[large].tolist()):
+    large = mult > 2
+    for start, m in zip(starts[large].tolist(), mult[large].tolist()):
         block = v[:, start:start + m]
         proj = block @ block.T
         chi += proj * proj

@@ -32,7 +32,7 @@ def _check(failures, ok, message):
 
 
 def _spectrum(graph, vectors=False):
-    return sw.decompose(sw.laplacian(graph), with_vectors=vectors)
+    return sw.decompose(graph, with_vectors=vectors)
 
 
 def _series(spec, grid, exact=False):

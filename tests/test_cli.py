@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import specwalk.cli as cli
 import specwalk.graphs as graphs
@@ -373,6 +374,17 @@ class TestMainSubcommands:
         rc = main(["run", "--graph", "ring:10", "--out", str(tmp_path / "n")])
         assert rc == 2
 
+    def test_eigensolver_failure_exits_two(self, monkeypatch, tmp_path, capsys):
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+        rc = main(["spectrum", "--graph", "er:30,0.3,seed=1", "--out", str(tmp_path / "n")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("numerical failure: ") and "30x30" in err
+        assert err.count("\n") == 1
+
 
 class TestAnalyzeSeriesFile:
     def test_round_trip_analysis(self, tmp_path):
@@ -556,8 +568,7 @@ class TestManifest:
         lines = (tmp_path / "g" / "manifest.txt").read_text().splitlines()
         recorded = dict(ln.split(" = ") for ln in lines)["spectrum.min_gap_over_tol"]
         spectrum = graph_spectrum(parse_graph_spec(graph))
-        view = spectrum.clusters
-        expected = np.diff(view.values).min() / default_cluster_tol(spectrum.eigenvalues)
+        expected = np.diff(spectrum.levels).min() / default_cluster_tol(spectrum.eigenvalues)
         assert float(recorded) == expected
         assert expected > 1.0
 

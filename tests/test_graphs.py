@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from specwalk import (
     parse_graph_spec,
     to_edge_list,
 )
+from specwalk.cli import main
 
 
 def ring_eigenvalues(n):
@@ -403,3 +406,27 @@ class TestParseGraphSpec:
     def test_size_cap_is_not_a_parse_error(self):
         with pytest.raises(ResourceLimitError):
             parse_graph_spec("torus:100,3")
+
+    @pytest.mark.parametrize("spec", ["ring:10000001", "star:10000001", "dendrimer:22,3",
+                                      "dendrimer:1000000000,3"])
+    def test_spec_node_cap_raises_before_any_build(self, spec, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="node cap 10000000"):
+                parse_graph_spec(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert main(["spectrum", "--graph", spec, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_spec_at_node_cap_builds(self, monkeypatch):
+        monkeypatch.setattr(graphs, "SPEC_NODE_CAP", 10)
+        # dendrimer:2,3 has 10 nodes, dendrimer:3,3 has 22
+        for spec in ("ring:10", "star:10", "dendrimer:2,3"):
+            assert parse_graph_spec(spec).n == 10
+        for spec in ("ring:11", "star:11", "dendrimer:3,3"):
+            with pytest.raises(ResourceLimitError, match="node cap 10"):
+                parse_graph_spec(spec)

@@ -11,7 +11,6 @@ from specwalk import (
     extract_envelope,
     fit_power_law,
     fit_stretched_exp,
-    laplacian,
     linear_grid,
     log_grid,
     saturation,
@@ -135,7 +134,7 @@ class TestExtractEnvelope:
     def test_star_series_fluctuates_about_dominant_term(self):
         # the series itself is centered near (N-2)^2/N^2; its envelope rides
         # the interference peaks, one cross-term amplitude 2(N-2)/N^2 higher
-        s = decompose(laplacian(build_star(10)))
+        s = decompose(build_star(10))
         grid = linear_grid(5.0, 200.0, 6000)
         a = transport_series(s, grid).alpha_bar_sq
         tail = a[grid.times >= 20]
@@ -328,7 +327,7 @@ class TestSaturation:
         # plateau is clean only past t ~ 1e4
         from specwalk import build_ring
 
-        s = decompose(laplacian(build_ring(200)))
+        s = decompose(build_ring(200))
         p = transport_series(s, log_grid(1e4, 1e5, 100, include_zero=False)).p_bar
         stats = saturation(p, tail_fraction=0.5)
         assert stats.mean == pytest.approx(1 / 200, abs=1e-6)

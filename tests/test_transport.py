@@ -40,7 +40,7 @@ def csv_text(blocks):
 
 
 def spectrum_of(g, vectors=False):
-    return decompose(laplacian(g), with_vectors=vectors)
+    return decompose(g, with_vectors=vectors)
 
 
 def p_bar(s, grid):
@@ -194,7 +194,7 @@ class TestClassicalReturn:
         p = p_bar(s, TimeGrid(np.array([1e8])))
         # near-zero eigenvalues sit at ~1e-16, so the plateau is exact
         # only to ~1e-16 * t at this horizon
-        zero_cluster = s.clusters.mult[0]
+        zero_cluster = s.mult[0]
         assert zero_cluster == 4
         assert p[0] == pytest.approx(zero_cluster / 12, abs=1e-7)
 
@@ -356,7 +356,7 @@ class TestMatrixExponentialOracle:
 
 class TestChiMatrix:
     def test_single_node(self):
-        s = decompose(np.zeros((1, 1)), with_vectors=True)
+        s = decompose(Graph(n=1, edges=[]), with_vectors=True)
         np.testing.assert_array_equal(chi_matrix(s), [[1.0]])
 
     def test_columns_sum_to_one(self):
@@ -511,7 +511,7 @@ class TestClusterKernelsAgainstOracle:
         # chunks of 7 times: grids one short of, equal to and one past a
         # multiple of the chunk length
         s = oracle_spectra("union")
-        k = len(s.clusters)
+        k = len(s.levels)
         monkeypatch.setattr(transport, "CHUNK_ELEMS", 7 * k)
         grid = linear_grid(0.0, 30.0, 21 + extra)
         for kernel, oracle in [(p_bar, oracle_classical),
@@ -531,7 +531,7 @@ class TestClusterKernelsAgainstOracle:
     def test_memory_is_bounded_on_long_grids(self, oracle_spectra):
         # the oracle would hold two 100k x 1500 complex arrays, 4.8 GB
         s = oracle_spectra("star:1500")
-        s.clusters.gram  # the one-off n x n work is not the grid's
+        s.gram  # the one-off n x n work is not the grid's
         grid = linear_grid(0.0, 1e3, 100_000)
         tracemalloc.start()
         try:
@@ -547,7 +547,7 @@ class TestClusterKernelsAgainstOracle:
         # squared vectors, then G) and three 2 MB times x K blocks; with
         # 8 MB blocks the peak more than doubles
         s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), need="weights")
-        assert len(s.clusters) == 800
+        assert len(s.levels) == 800
         grid = merge_grids(linear_grid(0.05, 250.0, 5000), log_grid(250.0, 1e4, 350))
         tracemalloc.start()
         try:
@@ -562,7 +562,7 @@ class TestClusterKernelsAgainstOracle:
         # with G built beforehand: three 2 MB times x K blocks and the
         # output columns, where separate products would hold five blocks
         s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), need="weights")
-        s.clusters.gram
+        s.gram
         grid = merge_grids(linear_grid(0.05, 250.0, 5000), log_grid(250.0, 1e4, 350))
         tracemalloc.start()
         try:
