@@ -227,8 +227,9 @@ class RunManifest:
     runs which path produced the spectrum, its cluster count and, where
     built, where the projector weights came from and the eigenpair
     residual, and with two or more clusters the smallest gap between
-    adjacent cluster values over the cluster tolerance; for analysed runs
-    the envelope point count."""
+    adjacent cluster values over the cluster tolerance; with chi its
+    largest column-sum error and mean return probability; for analysed
+    runs the envelope point count."""
 
     config: dict[str, str]
     files: dict[str, str] = field(default_factory=dict)
@@ -338,6 +339,13 @@ def _spectrum_diagnostics(spectrum) -> dict[str, str]:
     return out
 
 
+def _chi_diagnostics(chi) -> dict[str, str]:
+    """The largest |column sum - 1| of chi, and (1/N) tr chi, the long-time
+    limit of pi_bar."""
+    return {"chi.column_sum_error": repr(float(np.abs(chi.sum(axis=0) - 1.0).max())),
+            "chi.mean_return": repr(float(np.trace(chi) / len(chi)))}
+
+
 def run_experiment(config: ExperimentConfig,
                    stages: tuple[str, ...] = ("series", "spectrum", "analysis"),
                    ) -> RunManifest:
@@ -370,6 +378,7 @@ def run_experiment(config: ExperimentConfig,
         if config.chi:
             with manifest.stage("chi"):
                 chi = chi_matrix(spectrum)
+                manifest.diagnostics.update(_chi_diagnostics(chi))
             _write(out_dir, "chi.csv", chi_csv, chi, manifest)
             del chi  # n x n: not kept through the series stage
         if "series" in stages:
@@ -464,7 +473,9 @@ def _add_common(sub, with_specs=True):
     sub.add_argument("--tail-fraction", help="tail fraction for saturation stats")
     sub.add_argument("--seed", help="default seed for seeded graph families")
     sub.add_argument("--vectors", action="store_true", default=None,
-                     help="compute eigenvectors (enables exact quantum average)")
+                     help="add the exact quantum average pi_bar to the series "
+                          "(projector weights: closed-form orbit weights on ring, "
+                          "torus, star and dendrimer, dense eigenvectors elsewhere)")
     sub.add_argument("--chi", action="store_true", default=None,
                      help="write the long-time average transition matrix")
     sub.add_argument("--fit-model", choices=("auto", "power", "stretched"))

@@ -26,11 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import NumericalError, ParseError
 from .transport import TimeGrid, clamp_unit_interval
 
+# scipy.special is imported where it is first used, as `spectral.decompose`
+# imports scipy.linalg: graph runs never load it, and importing the package
+# stays cheap
 _SQRT2 = math.sqrt(2.0)
 # log-magnitude below which density values flush to zero (double underflow)
 _LOG_TINY = -740.0
@@ -57,6 +59,8 @@ class PowerSemicircle:
     @property
     def log_norm(self) -> float:
         # integral of (lam*(lam_max - lam))**nu over [0, lam_max]
+        from scipy import special
+
         return (2 * self.nu + 1) * math.log(self.lam_max) + \
             float(special.betaln(self.nu + 1, self.nu + 1))
 
@@ -86,6 +90,8 @@ class Lifshits:
 
     @property
     def log_norm(self) -> float:
+        from scipy import special
+
         return float(special.gammaln(self.b - 1))
 
     def density(self, lam):
@@ -129,6 +135,8 @@ def _hyp0f1_small(a, z):
 def _semicircle_factor(v, x, quantum: bool) -> np.ndarray:
     """Gamma(v+1) (2/x)**v times ive(v, x) (Laplace) or J_v(x) (Fourier):
     the 0F1 series up to x**2/4 = v+1, the Bessel form beyond."""
+    from scipy import special
+
     out = np.empty_like(x)
     x0 = 2 * math.sqrt(v + 1)
     near = x <= x0
@@ -158,6 +166,8 @@ def _lifshits_transform(dos: Lifshits, s: np.ndarray) -> np.ndarray:
     value is 1 to double precision and is taken from the s = 0 branch,
     before kve overflows and the power underflows.
     """
+    from scipy import special
+
     nu = dos.b - 1
     out = np.ones_like(s)
     size = np.abs(s)
@@ -206,6 +216,8 @@ def quantum_return_bound_continuum(dos, grid: TimeGrid) -> np.ndarray:
 
 def lattice_return_1d_product(d: int, grid: TimeGrid) -> np.ndarray:
     """Quantum return of the infinite d-dimensional torus: J0(2t)**(2d)."""
+    from scipy import special
+
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     return special.j0(2.0 * grid.times) ** (2 * d)

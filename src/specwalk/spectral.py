@@ -2,16 +2,17 @@
 
 Everything here works on the full spectrum. `graph_spectrum` serves
 three needs: eigenvalues, projector weights (for the exact quantum
-average) and eigenvectors (for chi). The symmetric families (ring,
-torus, star, dendrimer) take their eigenvalues and, being symmetric,
-their projector weights from closed forms; ring and torus also take
-their eigenvectors from the real Fourier basis. Every
-other graph, and star and dendrimer eigenvectors, go through `decompose`,
-a dense symmetric solve. The graphs of interest stay below a few thousand
-nodes, where that solve is affordable and, unlike iterative methods,
+average) and what `chi` reads. The symmetric families (ring, torus,
+star, dendrimer) take all three from closed forms and never build an
+eigenvector: their eigenvalues, their per-orbit projector weights, and
+for `chi` the pair orbits (`ShellTree`, `TorusPairs`) on which every
+eigenspace projector is constant. Every other graph goes through
+`decompose`, a dense symmetric solve and the only source of
+eigenvectors. The graphs of interest stay below a few thousand nodes,
+where that solve is affordable and, unlike iterative methods,
 deterministic; it is also the oracle the closed forms are tested against.
-An n x n solve, dense or Fourier, above the node cap
-`graphs.DEFAULT_SIZE_CAP` raises ResourceLimitError before it allocates.
+An n x n spectrum or `chi` above the node cap `graphs.DEFAULT_SIZE_CAP`
+raises ResourceLimitError before it allocates.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ class Spectrum:
     squared eigenvector components). It carries the projector weights of
     the exact quantum average without n x n eigenvectors.
 
+    `pairs`, when set, is a `ShellTree` or `TorusPairs`: the pair orbits
+    of a symmetric graph, on which every eigenspace projector is
+    constant, and each eigenvalue's mode, from which `chi_matrix` builds
+    chi without eigenvectors.
+
     Cluster E covers eigenvalue indices starts[E] .. starts[E] + mult[E] - 1;
     `levels` are the cluster means. Near-equal eigenvalues join a cluster
     while they stay within `default_cluster_tol` of its running mean, so
@@ -75,6 +81,7 @@ class Spectrum:
     path: str = "dense"
     orbits: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     residual: float | None = None
+    pairs: ShellTree | TorusPairs | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -83,10 +90,10 @@ class Spectrum:
     @property
     def weights_path(self) -> str | None:
         """Where the projector weights come from: "dense" (solver
-        eigenvectors), "fourier" (closed-form eigenvectors), "orbit"
-        (closed-form orbit weights alone), or None without any."""
+        eigenvectors), "orbit" (closed-form orbit weights), or None
+        without either."""
         if self.eigenvectors is not None:
-            return "fourier" if self.path == "closed_form" else "dense"
+            return "dense"
         return "orbit" if self.orbits is not None else None
 
     @cached_property
@@ -233,15 +240,14 @@ def graph_spectrum(graph: Graph, need: str = "values") -> Spectrum:
     - "values": eigenvalues only;
     - "weights": also the projector weights that pi_bar in
       `transport_series` reads;
-    - "vectors": also orthonormal eigenvectors, for `chi_matrix`.
+    - "vectors": also what `chi_matrix` reads.
 
     Graphs from `build_ring`, `build_hypercubic`, `build_star` and
-    `build_dendrimer` take eigenvalues and orbit weights from closed
-    forms; ring and torus eigenvectors are the real Fourier basis, checked
-    against the graph's Laplacian like the dense ones. Every other graph,
-    and star and dendrimer eigenvectors, take the dense solve. Either n x n
-    path raises ResourceLimitError first when n exceeds
-    `graphs.DEFAULT_SIZE_CAP`.
+    `build_dendrimer` take eigenvalues, orbit weights and, for "vectors",
+    their pair orbits from closed forms; no eigenvector is built. Every
+    other graph takes the dense solve, with eigenvectors beyond "values".
+    The dense solve, and "vectors" on any graph (chi is n x n), raise
+    ResourceLimitError first when n exceeds `graphs.DEFAULT_SIZE_CAP`.
     """
     if need not in NEEDS:
         raise ValueError(f"need must be one of {NEEDS}, got {need!r}")
@@ -249,73 +255,184 @@ def graph_spectrum(graph: Graph, need: str = "values") -> Spectrum:
     if (name is None or need == "vectors") and graph.n > graphs.DEFAULT_SIZE_CAP:
         raise ResourceLimitError(f"graph of {graph.n} nodes exceeds size cap "
                                  f"{graphs.DEFAULT_SIZE_CAP} for an n x n spectrum")
-    if name is None or (need == "vectors" and name not in _FOURIER):
+    if name is None:
         return decompose(graph, with_vectors=need != "values")
-    values, orbits = _CLOSED_FORMS[name](*params, weights=need != "values")
+    values, orbits, pairs = _CLOSED_FORMS[name](*params, need=need)
     order = np.argsort(values, kind="stable")
-    if need == "values":
-        return Spectrum(eigenvalues=values[order], path="closed_form")
-    sizes, per_value = orbits
-    spectrum = Spectrum(eigenvalues=values[order], path="closed_form",
-                        orbits=(sizes, per_value[:, order]))
-    if need == "weights":
-        return spectrum
-    vecs = _FOURIER[name](*params)[:, order]
-    return replace(spectrum, eigenvectors=vecs,
-                   residual=_checked_residual(graph, vecs, spectrum.eigenvalues))
+    if orbits is not None:
+        sizes, per_value = orbits
+        orbits = (sizes, per_value[:, order])
+    if pairs is not None:
+        pairs = replace(pairs, modes=pairs.modes[order])
+    return Spectrum(eigenvalues=values[order], path="closed_form", orbits=orbits,
+                    pairs=pairs)
 
 
-def _torus_eigenvalues(side, d, weights=False):
+@dataclass(frozen=True)
+class TorusPairs:
+    """Pair orbits of the periodic torus with `side` nodes per axis in d
+    dimensions (the ring is d = 1), its nodes numbered as
+    `graphs.build_hypercubic` numbers them.
+
+    Mode m is the Fourier wave vector k whose component on axis a is digit
+    a of m in base `side`, axis 0 fastest, and `modes[i]` the mode of
+    eigenvalue i. A cluster E of modes is closed under flipping the sign
+    of any component of k, so its projector P_E(j, l) = (1/n) sum_(k in E)
+    exp(2 pi i k . (x_j - x_l) / side) is real and depends only on the
+    folded displacement, min(|r_a|, side - |r_a|) per axis of r = x_j -
+    x_l: the pair orbits.
+    """
+
+    side: int
+    d: int
+    modes: np.ndarray
+
+    def projectors(self, cluster):
+        """P_E on every pair orbit, flattened with axis 0 fastest, in
+        blocks of consecutive clusters: yields (clusters) x (orbits)
+        arrays. cluster[i] is the cluster of eigenvalue i."""
+        side, d = self.side, self.d
+        n = side**d
+        of_mode = np.empty(n, dtype=np.intp)
+        of_mode[self.modes] = cluster
+        of_mode = of_mode.reshape((side,) * d)
+        # the transform of a real, even indicator is real; rfftn keeps the
+        # folded half of the last axis, the slice that of the others
+        half = (slice(None),) + (slice(0, side // 2 + 1),) * (d - 1)
+        count = int(cluster[-1]) + 1
+        step = max(1, _BLOCK_ELEMS // n)
+        for lo in range(0, count, step):
+            ids = np.arange(lo, min(lo + step, count)).reshape((-1,) + (1,) * d)
+            indicator = (of_mode == ids).astype(float)
+            block = np.fft.rfftn(indicator, axes=tuple(range(1, d + 1)))[half].real / n
+            yield block.reshape(len(ids), -1)
+
+    def orbit_index(self) -> np.ndarray:
+        """The n x n int16 array of the orbit of each node pair, in the
+        order of the `projectors` columns."""
+        side = self.side
+        node = np.arange(side**self.d)
+        index = np.zeros((len(node), len(node)), dtype=np.int16)
+        for axis in range(self.d):
+            x = (node // side**axis % side).astype(np.int16)
+            r = np.subtract.outer(x, x)
+            np.abs(r, out=r)
+            np.minimum(r, side - r, out=r)
+            r *= (side // 2 + 1) ** axis
+            index += r
+        return index
+
+
+@dataclass(frozen=True)
+class ShellTree:
+    """Pair orbits of a tree numbered shell by shell, as
+    `graphs.build_dendrimer` numbers it: a core (shell 0) with z children,
+    z - 1 children under every later node down to shell `generation`,
+    each shell in the order of its parents. The star is the tree of
+    generation 1 with z = n - 1.
+
+    A mode is one eigenvector of a block of the shell reduction (see
+    `_dendrimer_eigenvalues`): its block g0 (`blocks`) and its amplitude
+    f[g] on shell g (`amplitudes`, modes x (generation + 1)). Block 0
+    puts f[g] on every node of shell g. Block g0 >= 1 puts a_i f[g] on
+    the shell-g nodes below child i of one shell-(g0 - 1) node, over
+    every such node and every a with sum_i a_i = 0 over its b children
+    (b = z for g0 = 1, z - 1 beyond), and f[g] = 0 above shell g0.
+    Summed over those copies, the projector of a mode at nodes j, k is
+    c f[gj] f[gk], where c = 1 in block 0 and otherwise 1 - 1/b when the
+    lowest common ancestor of j and k lies in shell g0 or deeper, -1/b
+    when it is the shell-(g0 - 1) node and 0 when it lies higher. So
+    every eigenspace projector, and chi, depends only on (gj, gk, shell
+    of the lowest common ancestor): the pair orbits. `modes[i]` is the
+    mode of eigenvalue i.
+    """
+
+    generation: int
+    z: int
+    modes: np.ndarray
+    blocks: np.ndarray
+    amplitudes: np.ndarray
+
+    def projectors(self, cluster):
+        """P_E on every pair orbit (gj, gk, l), flattened in that order,
+        l fastest: yields one (clusters) x (orbits) array. cluster[i] is
+        the cluster of eigenvalue i."""
+        of_mode = np.empty(len(self.blocks), dtype=np.intp)
+        of_mode[self.modes] = cluster
+        g0 = self.blocks[:, None]
+        b = np.where(g0 == 1, self.z, self.z - 1)
+        lca = np.arange(self.generation + 1)
+        c = np.where(lca >= g0, 1.0 - 1.0 / b, np.where(lca == g0 - 1, -1.0 / b, 0.0))
+        c[self.blocks == 0] = 1.0
+        f = self.amplitudes
+        terms = f[:, :, None, None] * f[:, None, :, None] * c[:, None, None, :]
+        out = np.zeros((int(cluster[-1]) + 1, terms[0].size))
+        np.add.at(out, of_mode, terms.reshape(len(f), -1))
+        yield out
+
+    def orbit_index(self) -> np.ndarray:
+        """The n x n int16 array of the orbit of each node pair, in the
+        order of the `projectors` columns."""
+        shells, z = self.generation + 1, self.z
+        sizes = np.array([1] + [z * (z - 1) ** (g - 1) for g in range(1, shells)])
+        starts = np.cumsum(sizes) - sizes
+        n = int(sizes.sum())
+        shell = np.repeat(np.arange(shells), sizes)
+        offset = np.arange(n) - starts[shell]
+        index = np.zeros((n, n), dtype=np.int16)
+        # the shell of the lowest common ancestor counts the shells a >= 1
+        # where both nodes have the same ancestor; every node of shell a or
+        # deeper, a suffix in node order, has its shell-a ancestor at
+        # offset o // (z - 1)^(g - a)
+        for a in range(1, shells):
+            tail = slice(starts[a], n)
+            ancestor = offset[tail] // (z - 1) ** (shell[tail] - a)
+            index[tail, tail] += ancestor[:, None] == ancestor
+        index += (shell * shells**2).astype(np.int16)[:, None]
+        index += (shell * shells).astype(np.int16)
+        return index
+
+
+def _torus_eigenvalues(side, d, need="values"):
     # Fourier modes: 2 - 2cos(2 pi k / side) = 4 sin^2(pi k / side) per axis,
-    # with k folded onto min(k, side - k) so that +k and -k give equal bits;
-    # the order is that of the Kronecker products in `_fourier_basis`.
-    # A vertex-transitive graph is one orbit, of weight 1/n per eigenvalue.
+    # with k folded onto min(k, side - k) so that +k and -k give equal bits,
+    # in the mode order of `TorusPairs`. A vertex-transitive graph is one
+    # orbit, of weight 1/n per eigenvalue.
     k = np.arange(side)
     axis = 4.0 * np.sin(np.pi * np.minimum(k, side - k) / side) ** 2
     values = np.zeros(1)
     for _ in range(d):
         values = np.add.outer(values, axis).ravel()
     n = len(values)
-    return values, (np.array([n]), np.full((1, n), 1.0 / n)) if weights else None
+    orbits = None if need == "values" else (np.array([n]), np.full((1, n), 1.0 / n))
+    pairs = TorusPairs(side, d, modes=np.arange(n)) if need == "vectors" else None
+    return values, orbits, pairs
 
 
-def _fourier_basis(side, d):
-    """Real orthonormal eigenvectors of the torus, column for column with
-    `_torus_eigenvalues`: Kronecker products over the axes (node index
-    base `side`, axis 0 fastest) of the ring modes. Ring column k is the
-    mode of min(k, side - k): the constant at k = 0, the cosine below
-    side/2, the sine above it and the alternating vector at side/2."""
-    k = np.arange(side)
-    # node j of mode k sits at angle 2 pi ((j k) mod side) / side
-    turns = (k[:, None] * np.minimum(k, side - k)) % side
-    angle = 2.0 * np.pi * k / side
-    scale = np.sqrt(2.0 / side)
-    ring = np.where(2 * k < side, (scale * np.cos(angle))[turns],
-                    (scale * np.sin(angle))[turns])
-    ring[:, 0] = 1.0 / np.sqrt(side)
-    if side % 2 == 0:
-        ring[:, side // 2] = np.cos(angle)[turns[:, side // 2]] / np.sqrt(side)
-    basis = ring
-    for _ in range(d - 1):
-        basis = np.kron(ring, basis)
-    return basis
-
-
-def _star_eigenvalues(n, weights=False):
+def _star_eigenvalues(n, need="values"):
     # orbits: the centre, then the n - 1 leaves; per eigenvalue 0, 1 (each
     # of the n - 2 leaf-antisymmetric vectors) and n, the weight on one
-    # centre node and on one leaf node
+    # centre node and on one leaf node. As a shell tree (z = n - 1) the
+    # three modes are those eigenvalues' vectors, of blocks 0, 1 and 0,
+    # with amplitudes the signed roots of their weights.
     values = np.ones(n)
     values[0], values[-1] = 0.0, float(n)
-    if not weights:
-        return values, None
+    if need == "values":
+        return values, None, None
     centre, leaf = np.zeros(n), np.full(n, 1.0 / (n - 1))
     centre[0], centre[-1] = 1.0 / n, (n - 1.0) / n
     leaf[0], leaf[-1] = 1.0 / n, 1.0 / (n * (n - 1.0))
-    return values, (np.array([1, n - 1]), np.vstack((centre, leaf)))
+    orbits = (np.array([1, n - 1]), np.vstack((centre, leaf)))
+    if need == "weights":
+        return values, orbits, None
+    modes = np.ones(n, dtype=np.intp)
+    modes[0], modes[-1] = 0, 2
+    amplitudes = np.sqrt([[centre[0], leaf[0]], [0.0, 1.0], [centre[-1], leaf[-1]]])
+    amplitudes[2, 1] = -amplitudes[2, 1]
+    return values, orbits, ShellTree(1, n - 1, modes, np.array([0, 1, 0]), amplitudes)
 
 
-def _dendrimer_eigenvalues(generation, z, weights=False):
+def _dendrimer_eigenvalues(generation, z, need="values"):
     """Shell-symmetric reduction of the dendrimer Laplacian (Cai & Chen,
     Macromolecules 30, 5104 (1997); Muelken, Bierbaum & Blumen, J. Chem.
     Phys. 124, 124905 (2006)).
@@ -330,14 +447,21 @@ def _dendrimer_eigenvalues(generation, z, weights=False):
 
     The shells are the orbits. A block eigenvector u puts weight
     u_k^2 / N_(g0+k) on each of the N_(g0+k) nodes of shell g0 + k, per
-    copy (exactly so in the sum over its copies).
+    copy (exactly so in the sum over its copies). As a `ShellTree` mode
+    its amplitude on shell g0 + k is u_k / sqrt(N_k) in block 0 and
+    u_k / sqrt((z-1)^k) beyond, where one copy spans (z-1)^k nodes of
+    that shell.
     """
     if generation == 0:
-        return np.zeros(1), (np.ones(1, dtype=np.int64), np.ones((1, 1))) if weights else None
+        if need == "values":
+            return np.zeros(1), None, None
+        single = np.zeros(1, dtype=np.intp)
+        pairs = ShellTree(0, z, single, single, np.ones((1, 1))) if need == "vectors" else None
+        return np.zeros(1), (np.ones(1, dtype=np.int64), np.ones((1, 1))), pairs
 
     branch = np.sqrt(z - 1.0)
     shells = np.array([1] + [z * (z - 1) ** (g - 1) for g in range(1, generation + 1)])
-    values, columns = [], []
+    values, columns, blocks, amplitudes, copies = [], [], [], [], []
     for g0 in range(generation + 1):
         size = generation + 1 - g0
         mult = 1 if g0 == 0 else z - 1 if g0 == 1 else z * (z - 1) ** (g0 - 2) * (z - 2)
@@ -348,24 +472,35 @@ def _dendrimer_eigenvalues(generation, z, weights=False):
             off[:1] = -np.sqrt(float(z))
         block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         values.append(np.repeat(np.linalg.eigvalsh(block), mult))
-        if weights:
-            per_shell = np.zeros((generation + 1, size))
-            per_shell[g0:] = np.linalg.eigh(block)[1] ** 2 / shells[g0:, None]
-            columns.append(np.repeat(per_shell, mult, axis=1))
+        if need == "values":
+            continue
+        u = np.linalg.eigh(block)[1]
+        per_shell = np.zeros((generation + 1, size))
+        per_shell[g0:] = u**2 / shells[g0:, None]
+        columns.append(np.repeat(per_shell, mult, axis=1))
+        spread = shells if g0 == 0 else (z - 1.0) ** np.arange(size)
+        amplitude = np.zeros((size, generation + 1))
+        amplitude[:, g0:] = (u / np.sqrt(spread)[:, None]).T
+        amplitudes.append(amplitude)
+        blocks.append(np.full(size, g0))
+        copies.append(np.full(size, mult))
     values = np.concatenate(values)
-    return values, (shells, np.concatenate(columns, axis=1)) if weights else None
+    if need == "values":
+        return values, None, None
+    orbits = (shells, np.concatenate(columns, axis=1))
+    if need == "weights":
+        return values, orbits, None
+    copies = np.concatenate(copies)
+    modes = np.repeat(np.arange(len(copies)), copies)
+    return values, orbits, ShellTree(generation, z, modes, np.concatenate(blocks),
+                                     np.vstack(amplitudes))
 
 
 _CLOSED_FORMS = {
-    "ring": lambda n, weights=False: _torus_eigenvalues(n, 1, weights),
+    "ring": lambda n, need="values": _torus_eigenvalues(n, 1, need),
     "torus": _torus_eigenvalues,
     "star": _star_eigenvalues,
     "dendrimer": _dendrimer_eigenvalues,
-}
-
-_FOURIER = {
-    "ring": lambda n: _fourier_basis(n, 1),
-    "torus": _fourier_basis,
 }
 
 

@@ -5,7 +5,8 @@ by the Laplacian itself, both at unit hop rate. `transport_series`
 evaluates the three series the efficiency measure needs, each averaged
 over start nodes: the classical return p_bar and the quantum lower bound
 |alpha_bar|^2 need only eigenvalues; the exact quantum average pi_bar
-needs the projector weights as well, and `chi_matrix` the eigenvectors.
+needs the projector weights as well, and `chi_matrix` eigenvectors or,
+on the symmetric families, their pair orbits.
 
 Both read the spectrum's degeneracy clusters, built once per spectrum:
 K distinct levels with their multiplicities and, with vectors or orbit
@@ -203,16 +204,26 @@ def chi_matrix(spectrum: Spectrum) -> np.ndarray:
     load-bearing: splitting a true cluster would push chi toward the
     naive diagonal form. Columns sum to 1.
 
-    Clusters of one or two vectors a, b contribute rank-one terms
-    (a o a)(a o a)^T, (b o b)(b o b)^T and 2 (a o b)(a o b)^T, which go
-    into a single product Z Z^T; only larger clusters build an n x n
-    projector.
+    A closed-form spectrum carries its graph's pair orbits
+    (`Spectrum.pairs`), on which every P_E is constant: chi is sum_E P_E^2
+    per orbit, gathered through the n x n small-int orbit index, so the
+    only n x n float array is chi itself.
+
+    From eigenvectors, clusters of one or two vectors a, b contribute
+    rank-one terms (a o a)(a o a)^T, (b o b)(b o b)^T and
+    2 (a o b)(a o b)^T, which go into a single product Z Z^T; only larger
+    clusters build an n x n projector.
     """
+    starts, mult = spectrum.starts, spectrum.mult
+    pairs = spectrum.pairs
+    if pairs is not None:
+        cluster = np.repeat(np.arange(len(mult)), mult)
+        table = sum((p * p).sum(axis=0) for p in pairs.projectors(cluster))
+        return table[pairs.orbit_index()]
     v = spectrum.eigenvectors
     if v is None:
-        raise ValueError("chi needs eigenvectors; use graph_spectrum(graph, "
-                         "need='vectors') or decompose(graph, with_vectors=True)")
-    starts, mult = spectrum.starts, spectrum.mult
+        raise ValueError("chi needs eigenvectors or pair orbits; use "
+                         "graph_spectrum(graph, need='vectors')")
     single = starts[mult == 1]
     pair = starts[mult == 2]
     a, b = v[:, pair], v[:, pair + 1]

@@ -1,5 +1,9 @@
 import hashlib
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +134,28 @@ class TestConfig:
         assert "config.graph = ring:12" in manifest
 
 
+class TestColdStart:
+    """scipy loads only where a run needs it: a dense solve or a continuum
+    density, never for a closed-form graph run."""
+
+    @pytest.mark.parametrize("args", [
+        None, ["preset", "fig2a"],
+        ["run", "--graph", "dendrimer:5,3", "--vectors", "--chi"]],
+        ids=["import", "fig2a", "dendrimer-chi"])
+    def test_loads_no_scipy(self, tmp_path, args):
+        run = "" if args is None else f"assert main({args + ['--out', str(tmp_path)]!r}) == 0"
+        script = textwrap.dedent(f"""
+            import sys
+            sys.path.insert(0, {str(Path(__file__).parents[1] / "src")!r})
+            from specwalk.cli import main
+            {run}
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
 class TestNodeCap:
     """Every n x n array checks the node cap before it is allocated."""
 
@@ -140,7 +166,8 @@ class TestNodeCap:
 
         monkeypatch.setattr(graphs, "DEFAULT_SIZE_CAP", 50)
         monkeypatch.setattr(spectral, "laplacian", boom)
-        monkeypatch.setattr(spectral, "_fourier_basis", boom)
+        monkeypatch.setattr(spectral.ShellTree, "orbit_index", boom)
+        monkeypatch.setattr(spectral.TorusPairs, "orbit_index", boom)
 
     @pytest.mark.parametrize("spec", ["dendrimer:5,3", "star:60", "ring:60"])
     def test_chi_above_the_cap_exits_one(self, cap_50, spec, capsys, tmp_path):
@@ -471,10 +498,10 @@ class TestManifest:
     @pytest.mark.parametrize("graph, vectors, chi, kind, clusters", [
         ("ring:12", False, False, None, 7),
         ("ring:12", True, False, "orbit", 7),
-        ("ring:12", False, True, "fourier", 7),
+        ("ring:12", False, True, "orbit", 7),
         ("star:12", True, False, "orbit", 3),
-        ("star:12", True, True, "dense", 3),
-        ("dendrimer:3,3", True, True, "dense", 10),
+        ("star:12", True, True, "orbit", 3),
+        ("dendrimer:3,3", True, True, "orbit", 10),
         ("er:20,0.3,seed=2", True, False, "dense", 20),
     ])
     def test_records_spectrum_diagnostics(self, tmp_path, graph, vectors, chi, kind,
@@ -488,10 +515,31 @@ class TestManifest:
         degeneracies = (tmp_path / "p" / "degeneracies.csv").read_text().splitlines()
         assert len(degeneracies) == clusters + 1
         assert diag.get("spectrum.vectors") == kind
-        if kind in ("dense", "fourier"):
+        if kind == "dense":
             assert 0 <= float(diag["spectrum.residual"]) <= 1e-9
         else:
             assert "spectrum.residual" not in diag
+
+    @pytest.mark.parametrize("graph", ["ring:12", "torus:4,2", "star:12", "dendrimer:3,3",
+                                       "er:20,0.3,seed=2"])
+    def test_records_chi_diagnostics(self, tmp_path, graph):
+        out = tmp_path / "c"
+        run_experiment(ExperimentConfig(graph=graph, chi=True, out=str(out)),
+                       stages=("spectrum",))
+        lines = (out / "manifest.txt").read_text().splitlines()
+        diag = dict(ln.split(" = ") for ln in lines if ln.startswith("chi."))
+        chi = np.loadtxt(out / "chi.csv", delimiter=",", skiprows=1)[:, 1:]
+        assert set(diag) == {"chi.column_sum_error", "chi.mean_return"}
+        assert float(diag["chi.column_sum_error"]) == np.abs(chi.sum(axis=0) - 1.0).max()
+        assert float(diag["chi.column_sum_error"]) <= 1e-13
+        spectrum = graph_spectrum(parse_graph_spec(graph), need="vectors")
+        assert float(diag["chi.mean_return"]) == pytest.approx(
+            np.trace(spectrum.gram) / len(chi), rel=1e-13)
+
+    def test_no_chi_diagnostics_without_chi(self, tmp_path):
+        run_experiment(ExperimentConfig(graph="ring:12", out=str(tmp_path)),
+                       stages=("spectrum",))
+        assert "chi." not in (tmp_path / "manifest.txt").read_text()
 
     def test_dos_run_records_no_spectrum_path(self, tmp_path):
         cfg = ExperimentConfig(dos="lifshits:b=2", out=str(tmp_path / "d"),

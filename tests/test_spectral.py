@@ -28,9 +28,11 @@ from specwalk import (
     parse_graph_spec,
     to_edge_list,
 )
+import specwalk.cli as cli
 from specwalk.cli import ExperimentConfig, run_experiment
-from specwalk.spectral import (_checked_residual, _column_blocks, _fix_signs,
-                               default_cluster_tol, degeneracies_csv, spectrum_csv)
+from specwalk.spectral import (ShellTree, TorusPairs, _checked_residual, _column_blocks,
+                               _fix_signs, default_cluster_tol, degeneracies_csv,
+                               spectrum_csv)
 from specwalk.transport import chi_matrix, log_grid, transport_series
 
 
@@ -412,30 +414,34 @@ class TestGraphSpectrum:
         np.testing.assert_array_equal(graph_spectrum(build_dendrimer(0, 4)).eigenvalues, [0.0])
 
     @pytest.mark.parametrize("g", [build_star(12), build_dendrimer(3, 3)])
-    def test_vectors_take_the_dense_path(self, g):
+    def test_vectors_take_the_pair_orbits(self, g):
         s = graph_spectrum(g, need="vectors")
-        assert s.path == "dense" and s.weights_path == "dense"
-        L = laplacian(g)
-        resid = np.linalg.norm(L @ s.eigenvectors - s.eigenvectors * s.eigenvalues, axis=0)
-        assert resid.max() <= 1e-9 * max(1.0, s.eigenvalues[-1])
-        assert s.residual == pytest.approx(resid.max() / max(1.0, s.eigenvalues[-1]))
-        np.testing.assert_array_equal(s.eigenvectors, decompose(g, with_vectors=True).eigenvectors)
+        assert s.path == "closed_form" and s.weights_path == "orbit"
+        assert s.eigenvectors is None and s.residual is None
+        assert isinstance(s.pairs, ShellTree)
+        np.testing.assert_array_equal(s.eigenvalues, graph_spectrum(g).eigenvalues)
+        np.testing.assert_array_equal(s.gram, graph_spectrum(g, need="weights").gram)
+        np.testing.assert_allclose(chi_matrix(s), chi_matrix(decompose(g, with_vectors=True)),
+                                   rtol=0, atol=1e-13)
 
-    def test_ring_and_torus_vectors_are_fourier(self, pairs):
+    def test_ring_and_torus_chi_is_translation_invariant(self, pairs):
         for g, (exact, dense) in zip(SYMMETRIC_FAMILIES, pairs):
             if g.family[0] not in ("ring", "torus"):
                 continue
             s = graph_spectrum(g, need="vectors")
-            assert s.path == "closed_form" and s.weights_path == "fourier", g.family
+            assert isinstance(s.pairs, TorusPairs) and s.eigenvectors is None, g.family
             np.testing.assert_array_equal(s.eigenvalues, exact.eigenvalues)
-            v = s.eigenvectors
-            np.testing.assert_allclose(v.T @ v, np.eye(g.n), rtol=0, atol=1e-12,
+            chi = chi_matrix(s)
+            # a shift by one step along axis 0, and the reflection of every
+            # axis, are automorphisms: chi is the same function of the
+            # folded displacement everywhere
+            side, d = (g.n, 1) if g.family[0] == "ring" else g.family[1:]
+            coords = np.indices((side,) * d).reshape(d, -1)[::-1]
+            for image in ((coords + np.eye(d, dtype=int)[:, :1]) % side, -coords % side):
+                perm = np.ravel_multi_index(image[::-1], (side,) * d)
+                assert np.array_equal(chi[np.ix_(perm, perm)], chi), g.family
+            np.testing.assert_allclose(chi, chi_matrix(dense), rtol=0, atol=1e-13,
                                        err_msg=str(g.family))
-            resid = np.linalg.norm(laplacian(g) @ v - v * s.eigenvalues, axis=0).max()
-            scale = max(1.0, s.eigenvalues[-1])
-            assert resid <= 1e-9 * scale and s.residual == pytest.approx(resid / scale)
-            np.testing.assert_allclose(chi_matrix(s), chi_matrix(dense), rtol=0,
-                                       atol=1e-12, err_msg=str(g.family))
 
     def test_vertex_transitive_pi_equals_bound(self):
         for g in (build_ring(600), build_hypercubic(12, 3)):
@@ -477,6 +483,65 @@ class TestGraphSpectrum:
             for need in ("weights", "vectors"):
                 s = graph_spectrum(g, need=need)
                 assert s.path == "dense" and s.weights_path == "dense"
+
+
+# every family member with a dense oracle in reach: dendrimers of
+# generation 0..7 up to 1500 nodes, stars to 200 nodes, rings to 64 and
+# tori of side 3..8 in one to three dimensions
+CHI_FAMILIES = (
+    [build_dendrimer(g, z) for z in (3, 4, 5) for g in range(8)
+     if dendrimer_node_count(g, z) <= 1500]
+    + [build_star(n) for n in range(3, 201)]
+    + [build_ring(n) for n in range(3, 65)]
+    + [build_hypercubic(side, d) for side in range(3, 9) for d in (1, 2, 3)]
+)
+
+
+class TestPairOrbitChi:
+    def test_equals_dense_chi(self):
+        for g in CHI_FAMILIES:
+            s = graph_spectrum(g, need="vectors")
+            assert s.eigenvectors is None and s.pairs is not None, g.family
+            chi = chi_matrix(s)
+            assert np.array_equal(chi, chi.T), g.family
+            np.testing.assert_allclose(chi, chi_matrix(decompose(g, with_vectors=True)),
+                                       rtol=0, atol=1e-13, err_msg=str(g.family))
+
+    def test_weights_spectrum_has_no_chi(self):
+        with pytest.raises(ValueError, match="pair orbits"):
+            chi_matrix(graph_spectrum(build_ring(8), need="weights"))
+
+    def test_chi_run_solves_only_shell_blocks(self, tmp_path, monkeypatch):
+        # a --chi run on dendrimer:10,3: no solve larger than a shell block
+        # (G + 1 = 11 rows), and while chi is built no n x n float array
+        # besides chi itself; the chi.csv text (190 MB here) is not written
+        largest = [0]
+
+        def sized(solver):
+            def run(a, *args, **kwargs):
+                largest[0] = max(largest[0], len(a))
+                return solver(a, *args, **kwargs)
+            return run
+
+        for module, name in [(np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                             (scipy.linalg, "eigh")]:
+            monkeypatch.setattr(module, name, sized(getattr(module, name)))
+        seen = {}
+
+        def chi_header_only(chi):
+            seen["chi"], seen["peak"] = chi.nbytes, tracemalloc.get_traced_memory()[1]
+            return iter([b"node\n"])
+
+        monkeypatch.setattr(cli, "chi_csv", chi_header_only)
+        cfg = ExperimentConfig(graph="dendrimer:10,3", chi=True, out=str(tmp_path))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, stages=("spectrum",))
+        finally:
+            tracemalloc.stop()
+        assert largest[0] == 11
+        # chi and its int16 orbit index are 1.25 times chi's bytes
+        assert seen["chi"] == 8 * 3070**2 and seen["peak"] <= 1.4 * seen["chi"]
 
 
 def test_er_semicircle_ks():

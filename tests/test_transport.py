@@ -386,9 +386,9 @@ class TestChiMatrix:
         assert chi.min() < 0.1 / g.n
 
     def test_dendrimer_generation_10_localization(self):
-        # the full-size case; ~20s of eigenvectors plus cluster projectors
+        # the full-size case, from the closed-form pair orbits
         g = build_dendrimer(10, 3)
-        chi = chi_matrix(spectrum_of(g, vectors=True))
+        chi = chi_matrix(graph_spectrum(g, need="vectors"))
         assert chi.min() < 0.01 / g.n
         np.testing.assert_allclose(chi.sum(axis=0), 1.0, atol=1e-9)
 
@@ -696,6 +696,11 @@ small_graphs = st.builds(
     seed=st.integers(0, 2**32 - 1))
 graphs_with_unions = st.one_of(small_graphs, st.builds(disjoint_union, small_graphs,
                                                        small_graphs))
+symmetric_graphs = st.one_of(
+    st.builds(build_ring, st.integers(3, 80)),
+    st.builds(build_hypercubic, st.integers(3, 7), st.integers(1, 3)),
+    st.builds(build_star, st.integers(3, 300)),
+    st.builds(build_dendrimer, st.integers(0, 6), st.integers(3, 5)))
 
 
 # a fixed example sequence keeps the suite reproducible run to run
@@ -714,6 +719,16 @@ class TestInvariantProperties:
         assert np.all(alpha <= pi + 1e-12)
         assert np.all(pi <= 1.0)
         assert pi[0] == pytest.approx(1.0, abs=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(symmetric_graphs, graphs_with_unions))
+    def test_mean_chi_return_is_the_gram_trace(self, g):
+        # (1/N) tr chi = sum_E sum_j W_jE^2 / N = tr(G) / N: pi_bar's long-time
+        # limit, from the pair orbits or the eigenvectors against the orbit
+        # weights or the squared eigenvectors
+        s = graph_spectrum(g, need="vectors")
+        limit = np.trace(s.gram) / s.n
+        assert np.trace(chi_matrix(s)) / s.n == pytest.approx(limit, rel=1e-13, abs=0)
 
     @PROPERTY_SETTINGS
     @given(graphs_with_unions)
