@@ -29,7 +29,8 @@ from .continuum import (Lifshits, classical_return_continuum, parse_dos_spec,
                         quantum_return_bound_continuum)
 from .errors import NumericalError, ParseError, ResourceLimitError
 from .graphs import parse_graph_spec
-from .scaling import (EfficiencyReport, detect_crossover,
+from .scaling import (EfficiencyReport, check_fit_window, check_half_width,
+                      check_tail_fraction, detect_crossover,
                       efficiency_ratio_series, extract_envelope,
                       fit_power_law, fit_stretched_exp, ratio_csv,
                       report_text, saturation)
@@ -108,6 +109,12 @@ class ExperimentConfig:
         if self.dos is not None and (self.vectors or self.chi):
             raise ParseError("vectors and chi need a graph; a DOS has no eigenvectors",
                              text=f"dos={self.dos!r}", position=0)
+        # the analysis options, by the bounds the analysis enforces, before
+        # anything is computed or written
+        check_fit_window(self.fit_window)
+        check_fit_window(self.fit_window_quantum or self.fit_window)
+        check_half_width(self.envelope_width)
+        check_tail_fraction(self.tail_fraction)
 
     def echo(self) -> dict[str, str]:
         out = {}
@@ -225,7 +232,7 @@ class RunManifest:
     """Record of one run: config echo, artifact checksums, version, duration,
     the seconds spent in each stage that ran, and diagnostics: for graph
     runs which path produced the spectrum, its cluster count and, where
-    built, where the projector weights came from and the eigenpair
+    built, where the projectors came from and the eigenpair
     residual, and with two or more clusters the smallest gap between
     adjacent cluster values over the cluster tolerance; with chi its
     largest column-sum error and mean return probability; for analysed
@@ -332,8 +339,8 @@ def _spectrum_diagnostics(spectrum) -> dict[str, str]:
     if len(levels) >= 2:
         tol = default_cluster_tol(spectrum.eigenvalues)
         out["spectrum.min_gap_over_tol"] = repr(float(np.diff(levels).min() / tol))
-    if spectrum.weights_path is not None:
-        out["spectrum.vectors"] = spectrum.weights_path
+    if spectrum.eigenvectors is not None or spectrum.pairs is not None:
+        out["spectrum.vectors"] = "orbit" if spectrum.eigenvectors is None else "dense"
     if spectrum.residual is not None:
         out["spectrum.residual"] = repr(spectrum.residual)
     return out
@@ -366,19 +373,20 @@ def run_experiment(config: ExperimentConfig,
     if config.graph is not None:
         # the spectrum stage writes eigenvalues only; --vectors serves the
         # series, --chi its own artifact
-        need = ("vectors" if config.chi else
-                "weights" if config.vectors and "series" in stages else "values")
+        with_vectors = config.chi or (config.vectors and "series" in stages)
         with manifest.stage("spectrum"):
             graph = parse_graph_spec(config.graph, default_seed=config.seed)
-            spectrum = graph_spectrum(graph, need=need)
+            spectrum = graph_spectrum(graph, with_vectors=with_vectors)
         manifest.diagnostics.update(_spectrum_diagnostics(spectrum))
+        if config.chi:
+            # before any artifact: a chi above the node cap writes nothing
+            with manifest.stage("chi"):
+                chi = chi_matrix(spectrum)
+                manifest.diagnostics.update(_chi_diagnostics(chi))
         if "spectrum" in stages:
             _write(out_dir, "spectrum.csv", spectrum_csv, spectrum, manifest)
             _write(out_dir, "degeneracies.csv", degeneracies_csv, spectrum, manifest)
         if config.chi:
-            with manifest.stage("chi"):
-                chi = chi_matrix(spectrum)
-                manifest.diagnostics.update(_chi_diagnostics(chi))
             _write(out_dir, "chi.csv", chi_csv, chi, manifest)
             del chi  # n x n: not kept through the series stage
         if "series" in stages:
@@ -474,8 +482,8 @@ def _add_common(sub, with_specs=True):
     sub.add_argument("--seed", help="default seed for seeded graph families")
     sub.add_argument("--vectors", action="store_true", default=None,
                      help="add the exact quantum average pi_bar to the series "
-                          "(projector weights: closed-form orbit weights on ring, "
-                          "torus, star and dendrimer, dense eigenvectors elsewhere)")
+                          "(projectors: closed-form pair orbits on ring, torus, "
+                          "star and dendrimer, dense eigenvectors elsewhere)")
     sub.add_argument("--chi", action="store_true", default=None,
                      help="write the long-time average transition matrix")
     sub.add_argument("--fit-model", choices=("auto", "power", "stretched"))

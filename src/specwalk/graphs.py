@@ -24,6 +24,12 @@ DEFAULT_SIZE_CAP = 5000
 SPEC_NODE_CAP = 10**7
 
 
+def check_size_cap(n: int, what: str):
+    """Raise ResourceLimitError when `what`, of n nodes, exceeds DEFAULT_SIZE_CAP."""
+    if n > DEFAULT_SIZE_CAP:
+        raise ResourceLimitError(f"{what} of {n} nodes exceeds size cap {DEFAULT_SIZE_CAP}")
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph: node count plus its edges as an (m, 2) array.
@@ -171,10 +177,7 @@ def build_hypercubic(side: int, d: int) -> Graph:
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     n = side**d
-    if n > DEFAULT_SIZE_CAP:
-        raise ResourceLimitError(
-            f"torus {side}^{d} = {n} nodes exceeds size cap {DEFAULT_SIZE_CAP}"
-        )
+    check_size_cap(n, f"torus {side}^{d}")
     # each node v owns, per axis of stride s and coordinate c, the edge to
     # v + s when c < side-1 and the wrap-around edge to v + (side-1) s when
     # c == 0; since s < (side-1) s < side s, taking the axes in order lists
@@ -328,9 +331,7 @@ def parse_graph_spec(spec: str, default_seed: int = 0) -> Graph:
                                      text=spec, position=spec.find(parts[2]))
                 seed = int(val)
             n = int(parts[0])
-            if n > DEFAULT_SIZE_CAP:
-                raise ResourceLimitError(
-                    f"Erdos-Renyi graph of {n} nodes exceeds size cap {DEFAULT_SIZE_CAP}")
+            check_size_cap(n, "Erdos-Renyi graph")
             return build_erdos_renyi(n, float(parts[1]), seed)
     except ValueError as exc:
         if isinstance(exc, (ParseError, ResourceLimitError)):

@@ -41,8 +41,7 @@ def extract_envelope(times, values, half_width: int = DEFAULT_HALF_WIDTH) -> Env
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    if half_width < 1:
-        raise ValueError(f"half_width must be >= 1, got {half_width}")
+    check_half_width(half_width)
     n = len(v)
     if n < 2 * half_width + 1:
         raise ValueError(
@@ -56,6 +55,11 @@ def extract_envelope(times, values, half_width: int = DEFAULT_HALF_WIDTH) -> Env
     if not idx.size:  # unreachable for finite data; safety net
         idx = np.array([np.argmax(v)])
     return Envelope(times=t[idx], values=v[idx])
+
+
+def check_half_width(half_width: int):
+    if half_width < 1:
+        raise ValueError(f"half_width must be >= 1, got {half_width}")
 
 
 # -- decay-law fits -----------------------------------------------------------
@@ -87,12 +91,17 @@ class StretchedExpFit:
     warning: str | None = None
 
 
-def _fit_window(times, values, window):
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
+def check_fit_window(window):
     lo, hi = window
     if not lo < hi:
         raise ValueError(f"bad fit window {window}: need lo < hi")
+
+
+def _fit_window(times, values, window):
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    check_fit_window(window)
+    lo, hi = window
     mask = (t >= lo) & (t <= hi)
     if mask.sum() < 5:
         raise ValueError(f"only {int(mask.sum())} points in window {window}; need >= 5")
@@ -224,9 +233,13 @@ class SaturationStats:
     tail_points: int
 
 
-def saturation(values, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> SaturationStats:
+def check_tail_fraction(tail_fraction: float):
     if not 0 < tail_fraction <= 0.5:
         raise ValueError(f"tail_fraction must be in (0, 0.5], got {tail_fraction}")
+
+
+def saturation(values, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> SaturationStats:
+    check_tail_fraction(tail_fraction)
     v = np.asarray(values, dtype=float)
     k = max(1, int(round(tail_fraction * len(v))))
     tail = v[-k:]

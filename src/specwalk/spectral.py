@@ -1,18 +1,18 @@
 """Laplacian spectra and degeneracy clustering.
 
-Everything here works on the full spectrum. `graph_spectrum` serves
-three needs: eigenvalues, projector weights (for the exact quantum
-average) and what `chi` reads. The symmetric families (ring, torus,
-star, dendrimer) take all three from closed forms and never build an
-eigenvector: their eigenvalues, their per-orbit projector weights, and
-for `chi` the pair orbits (`ShellTree`, `TorusPairs`) on which every
-eigenspace projector is constant. Every other graph goes through
+Everything here works on the full spectrum. `graph_spectrum` gives the
+eigenvalues and, with vectors, the eigenspace projectors that the exact
+quantum average and `chi` read. The symmetric families (ring, torus,
+star, dendrimer) take both from closed forms and never build an
+eigenvector: their eigenvalues, and the pair orbits (`ShellTree`,
+`TorusPairs`) on which every eigenspace projector is constant, the
+diagonal orbit (j, j) included. Every other graph goes through
 `decompose`, a dense symmetric solve and the only source of
 eigenvectors. The graphs of interest stay below a few thousand nodes,
 where that solve is affordable and, unlike iterative methods,
 deterministic; it is also the oracle the closed forms are tested against.
-An n x n spectrum or `chi` above the node cap `graphs.DEFAULT_SIZE_CAP`
-raises ResourceLimitError before it allocates.
+A dense spectrum above the node cap `graphs.DEFAULT_SIZE_CAP` raises
+ResourceLimitError before it allocates.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ import numpy as np
 
 from . import graphs
 from ._csvtext import _columns, _csv_blocks, _labelled, _repr_table, float_text, int_text
-from .errors import NumericalError, ResourceLimitError
+from .errors import NumericalError
 from .graphs import Graph, laplacian
 
 RESIDUAL_RTOL = 1e-9
 # elements of one column block in the sign fix and the residual check
 _BLOCK_ELEMS = 1 << 18
-NEEDS = ("values", "weights", "vectors")
 
 
 def default_cluster_tol(eigenvalues) -> float:
@@ -46,7 +45,7 @@ def default_cluster_tol(eigenvalues) -> float:
 @dataclass(frozen=True)
 class Spectrum:
     """Sorted Laplacian eigenvalues, optionally with orthonormal eigenvectors
-    or orbit weights, and their degeneracy clusters, which every transport
+    or pair orbits, and their degeneracy clusters, which every transport
     kernel reads.
 
     Column k of `eigenvectors` pairs with `eigenvalues[k]`. Vector signs
@@ -56,17 +55,10 @@ class Spectrum:
     solver) or "closed_form". `residual` is the largest eigenpair residual
     ||L v - lam v|| over ||L||_2, where eigenvectors were checked.
 
-    `orbits`, when set, is (s, w): the graph's nodes fall into orbits of
-    sizes s, contiguous in node order, on which every eigenspace projector
-    has a constant diagonal, and w[r, k] is the weight eigenvalue k puts on
-    each node of orbit r (in the sum over a degenerate eigenspace, the
-    squared eigenvector components). It carries the projector weights of
-    the exact quantum average without n x n eigenvectors.
-
     `pairs`, when set, is a `ShellTree` or `TorusPairs`: the pair orbits
     of a symmetric graph, on which every eigenspace projector is
-    constant, and each eigenvalue's mode, from which `chi_matrix` builds
-    chi without eigenvectors.
+    constant, and each eigenvalue's mode, from which `gram` and
+    `chi_matrix` take the projectors without eigenvectors.
 
     Cluster E covers eigenvalue indices starts[E] .. starts[E] + mult[E] - 1;
     `levels` are the cluster means. Near-equal eigenvalues join a cluster
@@ -79,22 +71,12 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
     path: str = "dense"
-    orbits: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     residual: float | None = None
     pairs: ShellTree | TorusPairs | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
-
-    @property
-    def weights_path(self) -> str | None:
-        """Where the projector weights come from: "dense" (solver
-        eigenvectors), "orbit" (closed-form orbit weights), or None
-        without either."""
-        if self.eigenvectors is not None:
-            return "dense"
-        return "orbit" if self.orbits is not None else None
 
     @cached_property
     def _clusters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,24 +116,24 @@ class Spectrum:
         """G = W^T W, K x K, where W[j, E] is the diagonal of the projector
         onto cluster E at node j, whatever basis spans the cluster.
 
-        W is constant on the orbits, so it is held per orbit: sizes s and
-        weights Omega (o x K), and G = Omega^T diag(s) Omega. Eigenvectors
-        without orbits are the case of n singleton orbits: they build one
-        n x n array, their squares, and since singleton clusters need no
-        sum and singleton orbits no sqrt(s) scaling, that array is Omega
-        itself, and nothing of it outlives G.
+        With pair orbits, W is constant on the orbits of the diagonal, and
+        `pairs.diagonal` holds it per orbit: sizes s and Omega (o x K), so
+        G = Omega^T diag(s) Omega. Eigenvectors are the case of n singleton
+        orbits: they build one n x n array, their squares, and since
+        singleton clusters need no sum, that array is W itself, and nothing
+        of it outlives G.
         """
-        if self.orbits is not None:
-            sizes, weights = self.orbits
-        elif self.eigenvectors is not None:
-            sizes, weights = None, self.eigenvectors**2
-        else:
-            raise ValueError("operation needs eigenvectors or orbit weights; "
-                             "use graph_spectrum(graph, need='weights')")
-        if len(self.levels) < weights.shape[1]:
-            weights = np.add.reduceat(weights, self.starts, axis=1)
-        if sizes is not None:
+        if self.pairs is not None:
+            sizes, weights = self.pairs.diagonal(np.repeat(np.arange(len(self.mult)),
+                                                           self.mult))
             weights = weights * np.sqrt(sizes)[:, None]
+        elif self.eigenvectors is not None:
+            weights = self.eigenvectors**2
+            if len(self.levels) < weights.shape[1]:
+                weights = np.add.reduceat(weights, self.starts, axis=1)
+        else:
+            raise ValueError("operation needs eigenvectors or pair orbits; "
+                             "use graph_spectrum(graph, with_vectors=True)")
         return weights.T @ weights
 
 
@@ -232,40 +214,26 @@ def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
                     residual=_checked_residual(graph, vecs, vals))
 
 
-def graph_spectrum(graph: Graph, need: str = "values") -> Spectrum:
-    """The Laplacian spectrum of a graph, from closed forms where they exist.
-
-    `need` is one of NEEDS:
-
-    - "values": eigenvalues only;
-    - "weights": also the projector weights that pi_bar in
-      `transport_series` reads;
-    - "vectors": also what `chi_matrix` reads.
+def graph_spectrum(graph: Graph, with_vectors: bool = False) -> Spectrum:
+    """The Laplacian spectrum of a graph, from closed forms where they exist;
+    `with_vectors` adds the eigenspace projectors that pi_bar in
+    `transport_series` and `chi_matrix` read.
 
     Graphs from `build_ring`, `build_hypercubic`, `build_star` and
-    `build_dendrimer` take eigenvalues, orbit weights and, for "vectors",
-    their pair orbits from closed forms; no eigenvector is built. Every
-    other graph takes the dense solve, with eigenvectors beyond "values".
-    The dense solve, and "vectors" on any graph (chi is n x n), raise
-    ResourceLimitError first when n exceeds `graphs.DEFAULT_SIZE_CAP`.
+    `build_dendrimer` take eigenvalues and, with vectors, their pair
+    orbits from closed forms; no eigenvector is built. Every other graph
+    takes the dense solve, which raises ResourceLimitError first when n
+    exceeds `graphs.DEFAULT_SIZE_CAP`.
     """
-    if need not in NEEDS:
-        raise ValueError(f"need must be one of {NEEDS}, got {need!r}")
     name, *params = graph.family or (None,)
-    if (name is None or need == "vectors") and graph.n > graphs.DEFAULT_SIZE_CAP:
-        raise ResourceLimitError(f"graph of {graph.n} nodes exceeds size cap "
-                                 f"{graphs.DEFAULT_SIZE_CAP} for an n x n spectrum")
     if name is None:
-        return decompose(graph, with_vectors=need != "values")
-    values, orbits, pairs = _CLOSED_FORMS[name](*params, need=need)
+        graphs.check_size_cap(graph.n, "dense spectrum of a graph")
+        return decompose(graph, with_vectors)
+    values, pairs = _CLOSED_FORMS[name](*params, with_vectors=with_vectors)
     order = np.argsort(values, kind="stable")
-    if orbits is not None:
-        sizes, per_value = orbits
-        orbits = (sizes, per_value[:, order])
     if pairs is not None:
         pairs = replace(pairs, modes=pairs.modes[order])
-    return Spectrum(eigenvalues=values[order], path="closed_form", orbits=orbits,
-                    pairs=pairs)
+    return Spectrum(eigenvalues=values[order], path="closed_form", pairs=pairs)
 
 
 @dataclass(frozen=True)
@@ -306,6 +274,12 @@ class TorusPairs:
             indicator = (of_mode == ids).astype(float)
             block = np.fft.rfftn(indicator, axes=tuple(range(1, d + 1)))[half].real / n
             yield block.reshape(len(ids), -1)
+
+    def diagonal(self, cluster):
+        """(sizes, Omega): the torus is one orbit of the diagonal pairs, on
+        which P_E is m_E / n, the share of the cluster's modes."""
+        n = len(self.modes)
+        return np.array([n]), np.bincount(cluster)[None, :] / n
 
     def orbit_index(self) -> np.ndarray:
         """The n x n int16 array of the orbit of each node pair, in the
@@ -353,10 +327,9 @@ class ShellTree:
     blocks: np.ndarray
     amplitudes: np.ndarray
 
-    def projectors(self, cluster):
-        """P_E on every pair orbit (gj, gk, l), flattened in that order,
-        l fastest: yields one (clusters) x (orbits) array. cluster[i] is
-        the cluster of eigenvalue i."""
+    def _per_mode(self, cluster):
+        """The cluster of each mode, and c[mode, l], its factor at a pair
+        whose lowest common ancestor lies in shell l."""
         of_mode = np.empty(len(self.blocks), dtype=np.intp)
         of_mode[self.modes] = cluster
         g0 = self.blocks[:, None]
@@ -364,17 +337,33 @@ class ShellTree:
         lca = np.arange(self.generation + 1)
         c = np.where(lca >= g0, 1.0 - 1.0 / b, np.where(lca == g0 - 1, -1.0 / b, 0.0))
         c[self.blocks == 0] = 1.0
+        return of_mode, c
+
+    def projectors(self, cluster):
+        """P_E on every pair orbit (gj, gk, l), flattened in that order,
+        l fastest: yields one (clusters) x (orbits) array. cluster[i] is
+        the cluster of eigenvalue i."""
+        of_mode, c = self._per_mode(cluster)
         f = self.amplitudes
         terms = f[:, :, None, None] * f[:, None, :, None] * c[:, None, None, :]
         out = np.zeros((int(cluster[-1]) + 1, terms[0].size))
         np.add.at(out, of_mode, terms.reshape(len(f), -1))
         yield out
 
+    def diagonal(self, cluster):
+        """(sizes, Omega): the shells are the orbits of the diagonal pairs,
+        each its own lowest common ancestor, so Omega[g, E] is the sum over
+        the modes of cluster E of c f[g]^2 at l = g."""
+        of_mode, c = self._per_mode(cluster)
+        omega = np.zeros((int(cluster[-1]) + 1, self.generation + 1))
+        np.add.at(omega, of_mode, c * self.amplitudes**2)
+        return _shell_sizes(self.generation, self.z), omega.T
+
     def orbit_index(self) -> np.ndarray:
         """The n x n int16 array of the orbit of each node pair, in the
         order of the `projectors` columns."""
         shells, z = self.generation + 1, self.z
-        sizes = np.array([1] + [z * (z - 1) ** (g - 1) for g in range(1, shells)])
+        sizes = _shell_sizes(self.generation, z)
         starts = np.cumsum(sizes) - sizes
         n = int(sizes.sum())
         shell = np.repeat(np.arange(shells), sizes)
@@ -393,46 +382,40 @@ class ShellTree:
         return index
 
 
-def _torus_eigenvalues(side, d, need="values"):
+def _shell_sizes(generation, z):
+    """The node count of each shell of a tree numbered as `ShellTree`'s."""
+    return np.array([1] + [z * (z - 1) ** (g - 1) for g in range(1, generation + 1)])
+
+
+def _torus_eigenvalues(side, d, with_vectors=False):
     # Fourier modes: 2 - 2cos(2 pi k / side) = 4 sin^2(pi k / side) per axis,
     # with k folded onto min(k, side - k) so that +k and -k give equal bits,
-    # in the mode order of `TorusPairs`. A vertex-transitive graph is one
-    # orbit, of weight 1/n per eigenvalue.
+    # in the mode order of `TorusPairs`
     k = np.arange(side)
     axis = 4.0 * np.sin(np.pi * np.minimum(k, side - k) / side) ** 2
     values = np.zeros(1)
     for _ in range(d):
         values = np.add.outer(values, axis).ravel()
-    n = len(values)
-    orbits = None if need == "values" else (np.array([n]), np.full((1, n), 1.0 / n))
-    pairs = TorusPairs(side, d, modes=np.arange(n)) if need == "vectors" else None
-    return values, orbits, pairs
+    return values, TorusPairs(side, d, modes=np.arange(len(values))) if with_vectors else None
 
 
-def _star_eigenvalues(n, need="values"):
-    # orbits: the centre, then the n - 1 leaves; per eigenvalue 0, 1 (each
-    # of the n - 2 leaf-antisymmetric vectors) and n, the weight on one
-    # centre node and on one leaf node. As a shell tree (z = n - 1) the
-    # three modes are those eigenvalues' vectors, of blocks 0, 1 and 0,
-    # with amplitudes the signed roots of their weights.
+def _star_eigenvalues(n, with_vectors=False):
+    # as a shell tree (z = n - 1) the three modes are the vectors of the
+    # eigenvalues 0, 1 (the n - 2 leaf-antisymmetric vectors) and n, of
+    # blocks 0, 1 and 0, with amplitudes on the centre and on a leaf the
+    # signed roots of the weights each puts on one such node
     values = np.ones(n)
     values[0], values[-1] = 0.0, float(n)
-    if need == "values":
-        return values, None, None
-    centre, leaf = np.zeros(n), np.full(n, 1.0 / (n - 1))
-    centre[0], centre[-1] = 1.0 / n, (n - 1.0) / n
-    leaf[0], leaf[-1] = 1.0 / n, 1.0 / (n * (n - 1.0))
-    orbits = (np.array([1, n - 1]), np.vstack((centre, leaf)))
-    if need == "weights":
-        return values, orbits, None
+    if not with_vectors:
+        return values, None
     modes = np.ones(n, dtype=np.intp)
     modes[0], modes[-1] = 0, 2
-    amplitudes = np.sqrt([[centre[0], leaf[0]], [0.0, 1.0], [centre[-1], leaf[-1]]])
+    amplitudes = np.sqrt([[1 / n, 1 / n], [0, 1], [(n - 1) / n, 1 / (n * (n - 1))]])
     amplitudes[2, 1] = -amplitudes[2, 1]
-    return values, orbits, ShellTree(1, n - 1, modes, np.array([0, 1, 0]), amplitudes)
+    return values, ShellTree(1, n - 1, modes, np.array([0, 1, 0]), amplitudes)
 
 
-def _dendrimer_eigenvalues(generation, z, need="values"):
+def _dendrimer_eigenvalues(generation, z, with_vectors=False):
     """Shell-symmetric reduction of the dendrimer Laplacian (Cai & Chen,
     Macromolecules 30, 5104 (1997); Muelken, Bierbaum & Blumen, J. Chem.
     Phys. 124, 124905 (2006)).
@@ -445,23 +428,19 @@ def _dendrimer_eigenvalues(generation, z, need="values"):
     and for 2 <= g0 <= G the block below each shell-(g0-1) node, with
     multiplicity z (z-1)^(g0-2) (z-2).
 
-    The shells are the orbits. A block eigenvector u puts weight
-    u_k^2 / N_(g0+k) on each of the N_(g0+k) nodes of shell g0 + k, per
-    copy (exactly so in the sum over its copies). As a `ShellTree` mode
-    its amplitude on shell g0 + k is u_k / sqrt(N_k) in block 0 and
-    u_k / sqrt((z-1)^k) beyond, where one copy spans (z-1)^k nodes of
-    that shell.
+    A block eigenvector u is one `ShellTree` mode. Its amplitude on shell
+    g0 + k is u_k / sqrt(N_k) in block 0, spread over the N_k nodes of
+    that shell, and u_k / sqrt((z-1)^k) beyond, where one copy spans
+    (z-1)^k nodes of that shell.
     """
     if generation == 0:
-        if need == "values":
-            return np.zeros(1), None, None
         single = np.zeros(1, dtype=np.intp)
-        pairs = ShellTree(0, z, single, single, np.ones((1, 1))) if need == "vectors" else None
-        return np.zeros(1), (np.ones(1, dtype=np.int64), np.ones((1, 1))), pairs
+        pairs = ShellTree(0, z, single, single, np.ones((1, 1))) if with_vectors else None
+        return np.zeros(1), pairs
 
     branch = np.sqrt(z - 1.0)
-    shells = np.array([1] + [z * (z - 1) ** (g - 1) for g in range(1, generation + 1)])
-    values, columns, blocks, amplitudes, copies = [], [], [], [], []
+    shells = _shell_sizes(generation, z)
+    values, blocks, amplitudes, copies = [], [], [], []
     for g0 in range(generation + 1):
         size = generation + 1 - g0
         mult = 1 if g0 == 0 else z - 1 if g0 == 1 else z * (z - 1) ** (g0 - 2) * (z - 2)
@@ -472,12 +451,9 @@ def _dendrimer_eigenvalues(generation, z, need="values"):
             off[:1] = -np.sqrt(float(z))
         block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         values.append(np.repeat(np.linalg.eigvalsh(block), mult))
-        if need == "values":
+        if not with_vectors:
             continue
         u = np.linalg.eigh(block)[1]
-        per_shell = np.zeros((generation + 1, size))
-        per_shell[g0:] = u**2 / shells[g0:, None]
-        columns.append(np.repeat(per_shell, mult, axis=1))
         spread = shells if g0 == 0 else (z - 1.0) ** np.arange(size)
         amplitude = np.zeros((size, generation + 1))
         amplitude[:, g0:] = (u / np.sqrt(spread)[:, None]).T
@@ -485,19 +461,16 @@ def _dendrimer_eigenvalues(generation, z, need="values"):
         blocks.append(np.full(size, g0))
         copies.append(np.full(size, mult))
     values = np.concatenate(values)
-    if need == "values":
-        return values, None, None
-    orbits = (shells, np.concatenate(columns, axis=1))
-    if need == "weights":
-        return values, orbits, None
+    if not with_vectors:
+        return values, None
     copies = np.concatenate(copies)
     modes = np.repeat(np.arange(len(copies)), copies)
-    return values, orbits, ShellTree(generation, z, modes, np.concatenate(blocks),
-                                     np.vstack(amplitudes))
+    return values, ShellTree(generation, z, modes, np.concatenate(blocks),
+                             np.vstack(amplitudes))
 
 
 _CLOSED_FORMS = {
-    "ring": lambda n, need="values": _torus_eigenvalues(n, 1, need),
+    "ring": lambda n, with_vectors=False: _torus_eigenvalues(n, 1, with_vectors),
     "torus": _torus_eigenvalues,
     "star": _star_eigenvalues,
     "dendrimer": _dendrimer_eigenvalues,

@@ -5,12 +5,12 @@ by the Laplacian itself, both at unit hop rate. `transport_series`
 evaluates the three series the efficiency measure needs, each averaged
 over start nodes: the classical return p_bar and the quantum lower bound
 |alpha_bar|^2 need only eigenvalues; the exact quantum average pi_bar
-needs the projector weights as well, and `chi_matrix` eigenvectors or,
-on the symmetric families, their pair orbits.
+and `chi_matrix` need the eigenspace projectors as well: eigenvectors
+or, on the symmetric families, their pair orbits.
 
 Both read the spectrum's degeneracy clusters, built once per spectrum:
-K distinct levels with their multiplicities and, with vectors or orbit
-weights, the Gram matrix of the cluster projector diagonals. The series work in real
+K distinct levels with their multiplicities and, with vectors or pair
+orbits, the Gram matrix of the cluster projector diagonals. The series work in real
 arithmetic on blocks of about CHUNK_ELEMS / K times, at most three such
 blocks alive at once, so their cost scales with K rather than n and their
 memory does not grow with the grid.
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvtext import _columns, _csv_blocks, _labelled, _repr_table, float_text
+from . import graphs
 from .errors import NumericalError
 from .spectral import Spectrum
 
@@ -158,7 +159,7 @@ def transport_series(spectrum: Spectrum, grid: TimeGrid,
       average quantum return, with W_jE the diagonal of the projector onto
       cluster E. Expanded, that is (1/N) sum_{E,E'} G_EE' cos((lam_E -
       lam_E') t) with G = W^T W, evaluated as rowsum((C G) o C + (S G) o
-      S) / N: T x K^2 real flops. G comes from the orbit weights
+      S) / N: T x K^2 real flops. G comes from the pair orbits
       (`Spectrum.gram`), so a closed-form spectrum needs no
       eigenvectors.
 
@@ -202,7 +203,9 @@ def chi_matrix(spectrum: Spectrum) -> np.ndarray:
     projector onto cluster E. Cross terms inside a cluster survive, which
     is why the degeneracy clustering (`Spectrum.mult`) is
     load-bearing: splitting a true cluster would push chi toward the
-    naive diagonal form. Columns sum to 1.
+    naive diagonal form. Columns sum to 1. Above the node cap
+    `graphs.DEFAULT_SIZE_CAP` it raises ResourceLimitError before any
+    n x n array.
 
     A closed-form spectrum carries its graph's pair orbits
     (`Spectrum.pairs`), on which every P_E is constant: chi is sum_E P_E^2
@@ -214,6 +217,7 @@ def chi_matrix(spectrum: Spectrum) -> np.ndarray:
     2 (a o b)(a o b)^T, which go into a single product Z Z^T; only larger
     clusters build an n x n projector.
     """
+    graphs.check_size_cap(spectrum.n, "chi")
     starts, mult = spectrum.starts, spectrum.mult
     pairs = spectrum.pairs
     if pairs is not None:
@@ -223,7 +227,7 @@ def chi_matrix(spectrum: Spectrum) -> np.ndarray:
     v = spectrum.eigenvectors
     if v is None:
         raise ValueError("chi needs eigenvectors or pair orbits; use "
-                         "graph_spectrum(graph, need='vectors')")
+                         "graph_spectrum(graph, with_vectors=True)")
     single = starts[mult == 1]
     pair = starts[mult == 2]
     a, b = v[:, pair], v[:, pair + 1]

@@ -332,7 +332,7 @@ PRESET_CSV_SHA256 = {
     "fig3": {
         "degeneracies.csv": "4452882323410047f823e348f06542a65d30dd9b1622ad21ef5f98567fce50a7",
         "deltap.csv": "5fed9fdbb2b285d01049bab3c12b6674700adf49f3871416fb0ae84d25e918f4",
-        "series.csv": "2633f47fde9bbbec24ad15b86bf3bb1ae65f41e78e1f441dbba158270cc1c865",
+        "series.csv": "77282a991e3b409c98103a3f7992d1c932dd69fe33422a543fb7cf50676fa4b1",
         "spectrum.csv": "db43f8b4fabe78b268694b3452b9fc2901b2a7d3febe128c2d5c394684d61480",
     },
 }

@@ -171,15 +171,18 @@ class TestNodeCap:
 
     @pytest.mark.parametrize("spec", ["dendrimer:5,3", "star:60", "ring:60"])
     def test_chi_above_the_cap_exits_one(self, cap_50, spec, capsys, tmp_path):
-        rc = main(["run", "--graph", spec, "--chi", "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = main(["run", "--graph", spec, "--chi", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and "size cap 50" in err and err.count("\n") == 1
+        # chi is checked before the first artifact
+        assert not any(out.iterdir())
 
-    @pytest.mark.parametrize("need", ["values", "weights", "vectors"])
-    def test_general_graph_above_the_cap(self, cap_50, need):
+    @pytest.mark.parametrize("with_vectors", [False, True], ids=["values", "vectors"])
+    def test_general_graph_above_the_cap(self, cap_50, with_vectors):
         with pytest.raises(ResourceLimitError, match="51 nodes exceeds size cap 50"):
-            graph_spectrum(Graph(n=51, edges=[(0, 1)]), need=need)
+            graph_spectrum(Graph(n=51, edges=[(0, 1)]), with_vectors=with_vectors)
 
     @pytest.mark.parametrize("args", [["spectrum", "--graph", "dendrimer:5,3"],
                                       ["spectrum", "--graph", "ring:60"],
@@ -384,6 +387,25 @@ class TestMainSubcommands:
         assert err.startswith("error: ") and "need a graph" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--tail-fraction", "0.9", "tail_fraction"),
+        ("--envelope-width", "0", "half_width"),
+        ("--fit-window", "100,1", "(100.0, 1.0)"),
+        ("--fit-window-quantum", "100,1", "(100.0, 1.0)"),
+    ], ids=["tail-fraction", "envelope-width", "fit-window", "fit-window-quantum"])
+    def test_bad_analysis_options_exit_before_any_work(self, tmp_path, capsys,
+                                                       monkeypatch, flag, value, shown):
+        def boom(*args, **kwargs):
+            raise AssertionError("spectrum built before the options were checked")
+
+        monkeypatch.setattr(cli, "graph_spectrum", boom)
+        out = tmp_path / "a"
+        rc = main(["run", "--graph", "ring:50", flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and shown in err and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["vectors", "chi"])
     def test_dos_config_file_refuses_vectors_and_chi(self, tmp_path, key):
         cfg_file = tmp_path / "dos.cfg"
@@ -532,7 +554,7 @@ class TestManifest:
         assert set(diag) == {"chi.column_sum_error", "chi.mean_return"}
         assert float(diag["chi.column_sum_error"]) == np.abs(chi.sum(axis=0) - 1.0).max()
         assert float(diag["chi.column_sum_error"]) <= 1e-13
-        spectrum = graph_spectrum(parse_graph_spec(graph), need="vectors")
+        spectrum = graph_spectrum(parse_graph_spec(graph), with_vectors=True)
         assert float(diag["chi.mean_return"]) == pytest.approx(
             np.trace(spectrum.gram) / len(chi), rel=1e-13)
 
@@ -648,7 +670,7 @@ class TestManifest:
         graph = "er:800,0.02,seed=1"
         manifest = run_experiment(ExperimentConfig(graph=graph, chi=True, out=str(tmp_path)),
                                   stages=("spectrum",))
-        chi = transport.chi_matrix(graph_spectrum(parse_graph_spec(graph), need="vectors"))
+        chi = transport.chi_matrix(graph_spectrum(parse_graph_spec(graph), with_vectors=True))
         # the distinct values' text and their indices, and one block of
         # rows; the whole text as a str and its encoding take about 6
         assert peaks["chi.csv"] <= 4 * chi.nbytes

@@ -1,7 +1,9 @@
+import itertools
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -181,10 +183,10 @@ class TestOwnedBufferSolve:
 
     def test_vectors_memory_is_bounded(self):
         g = parse_graph_spec("er:800,0.02,seed=1")
-        graph_spectrum(build_erdos_renyi(30, 0.2, seed=1), need="vectors")  # imports
+        graph_spectrum(build_erdos_renyi(30, 0.2, seed=1), with_vectors=True)  # imports
         tracemalloc.start()
         try:
-            graph_spectrum(g, need="vectors")
+            graph_spectrum(g, with_vectors=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -193,7 +195,7 @@ class TestOwnedBufferSolve:
         assert peak <= 3.2 * 8 * g.n**2
 
     def test_dense_gram_makes_no_copies(self):
-        s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), need="weights")
+        s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), with_vectors=True)
         assert len(s.levels) == s.n  # singleton clusters: the squares are W
         tracemalloc.start()
         try:
@@ -229,7 +231,7 @@ class TestOwnedBufferSolve:
             g = Graph({g.n}, np.load({str(tmp_path / "edges.npy")!r}))
             graph_spectrum(Graph(30, build_ring(30).edges))  # imports, BLAS set-up
             before = peak_rss()
-            graph_spectrum(g, need="values")
+            graph_spectrum(g, with_vectors=False)
             print(peak_rss() - before)
         """)
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -377,7 +379,7 @@ class TestGraphSpectrum:
         for g, (exact, dense) in zip(SYMMETRIC_FAMILIES, pairs):
             assert exact.path == "closed_form" and dense.path == "dense"
             assert exact.n == g.n and exact.eigenvectors is None
-            assert exact.orbits is None and exact.weights_path is None
+            assert exact.pairs is None
             assert np.all(np.diff(exact.eigenvalues) >= 0), g.family
             np.testing.assert_allclose(exact.eigenvalues, dense.eigenvalues,
                                        rtol=0, atol=1e-10, err_msg=str(g.family))
@@ -394,13 +396,15 @@ class TestGraphSpectrum:
         # eigenvalue rounding alone moves pi_bar by up to about 1e-11
         grid = log_grid()
         for g, (_, dense) in zip(SYMMETRIC_FAMILIES, pairs):
-            orbit = graph_spectrum(g, need="weights")
-            assert orbit.weights_path == "orbit" and orbit.eigenvectors is None
+            orbit = graph_spectrum(g, with_vectors=True)
+            assert orbit.pairs is not None and orbit.eigenvectors is None
             np.testing.assert_array_equal(orbit.eigenvalues, graph_spectrum(g).eigenvalues)
             np.testing.assert_array_equal(orbit.mult, dense.mult, err_msg=str(g.family))
-            sizes, per_value = orbit.orbits
+            sizes, omega = orbit.pairs.diagonal(np.repeat(np.arange(len(orbit.mult)),
+                                                          orbit.mult))
             assert sizes.sum() == g.n and (len(sizes) < g.n or g.n == 1)
-            weights = np.repeat(np.add.reduceat(per_value, orbit.starts, axis=1), sizes, axis=0)
+            assert omega.shape == (len(sizes), len(orbit.levels))
+            weights = np.repeat(omega, sizes, axis=0)
             np.testing.assert_allclose(weights, projector_diagonals(dense), rtol=0,
                                        atol=1e-11, err_msg=f"{g.family} weights")
             np.testing.assert_allclose(orbit.gram, dense.gram, rtol=0,
@@ -415,20 +419,20 @@ class TestGraphSpectrum:
 
     @pytest.mark.parametrize("g", [build_star(12), build_dendrimer(3, 3)])
     def test_vectors_take_the_pair_orbits(self, g):
-        s = graph_spectrum(g, need="vectors")
-        assert s.path == "closed_form" and s.weights_path == "orbit"
+        s = graph_spectrum(g, with_vectors=True)
+        assert s.path == "closed_form"
         assert s.eigenvectors is None and s.residual is None
         assert isinstance(s.pairs, ShellTree)
         np.testing.assert_array_equal(s.eigenvalues, graph_spectrum(g).eigenvalues)
-        np.testing.assert_array_equal(s.gram, graph_spectrum(g, need="weights").gram)
-        np.testing.assert_allclose(chi_matrix(s), chi_matrix(decompose(g, with_vectors=True)),
-                                   rtol=0, atol=1e-13)
+        dense = decompose(g, with_vectors=True)
+        np.testing.assert_allclose(s.gram, dense.gram, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(chi_matrix(s), chi_matrix(dense), rtol=0, atol=1e-13)
 
     def test_ring_and_torus_chi_is_translation_invariant(self, pairs):
         for g, (exact, dense) in zip(SYMMETRIC_FAMILIES, pairs):
             if g.family[0] not in ("ring", "torus"):
                 continue
-            s = graph_spectrum(g, need="vectors")
+            s = graph_spectrum(g, with_vectors=True)
             assert isinstance(s.pairs, TorusPairs) and s.eigenvectors is None, g.family
             np.testing.assert_array_equal(s.eigenvalues, exact.eigenvalues)
             chi = chi_matrix(s)
@@ -443,9 +447,34 @@ class TestGraphSpectrum:
             np.testing.assert_allclose(chi, chi_matrix(dense), rtol=0, atol=1e-13,
                                        err_msg=str(g.family))
 
+    @pytest.mark.parametrize("n", [10, 1500, 2000])
+    def test_star_gram_against_exact_rationals(self, n):
+        # W at the centre and at each leaf, per cluster (eigenvalue 0, 1, n);
+        # the bound is relative, since the leaf entry (n - 2)^2 / (n - 1) has
+        # a float spacing of 2.3e-13 at n = 1500
+        centre = [Fraction(1, n), Fraction(0), Fraction(n - 1, n)]
+        leaf = [Fraction(1, n), Fraction(n - 2, n - 1), Fraction(1, n * (n - 1))]
+        gram = graph_spectrum(build_star(n), with_vectors=True).gram
+        for a, b in itertools.product(range(3), repeat=2):
+            exact = centre[a] * centre[b] + (n - 1) * leaf[a] * leaf[b]
+            assert abs(Fraction(gram[a, b]) - exact) <= Fraction(1e-15) * exact, (a, b)
+
+    def test_gram_memory_on_a_large_dendrimer(self):
+        g = build_dendrimer(16, 3)  # 196,606 nodes in 17 shells
+        graph_spectrum(build_dendrimer(3, 3), with_vectors=True).gram  # imports
+        tracemalloc.start()
+        try:
+            graph_spectrum(g, with_vectors=True).gram
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few n-length arrays (eigenvalues, modes, clusters); a 17 x n
+        # array of per-eigenvalue weights alone takes 26.7 MB
+        assert peak <= 16 * 2**20
+
     def test_vertex_transitive_pi_equals_bound(self):
         for g in (build_ring(600), build_hypercubic(12, 3)):
-            s = graph_spectrum(g, need="weights")
+            s = graph_spectrum(g, with_vectors=True)
             series = transport_series(s, log_grid(), with_exact_quantum=True)
             np.testing.assert_allclose(series.pi_bar, series.alpha_bar_sq, rtol=0, atol=1e-14)
 
@@ -467,10 +496,6 @@ class TestGraphSpectrum:
         assert "spectrum.vectors = orbit" in manifest
         assert "pi_bar" in (out / "series.csv").read_text().splitlines()[0]
 
-    def test_unknown_need(self):
-        with pytest.raises(ValueError, match="need"):
-            graph_spectrum(build_ring(5), need="eigenvectors")
-
     def test_other_graphs_take_the_dense_path(self):
         ring = build_ring(9)
         read_back = from_edge_list(to_edge_list(ring))
@@ -480,9 +505,8 @@ class TestGraphSpectrum:
             s = graph_spectrum(g)
             assert s.path == "dense"
             np.testing.assert_array_equal(s.eigenvalues, decompose(g).eigenvalues)
-            for need in ("weights", "vectors"):
-                s = graph_spectrum(g, need=need)
-                assert s.path == "dense" and s.weights_path == "dense"
+            s = graph_spectrum(g, with_vectors=True)
+            assert s.path == "dense" and s.eigenvectors is not None and s.pairs is None
 
 
 # every family member with a dense oracle in reach: dendrimers of
@@ -500,16 +524,16 @@ CHI_FAMILIES = (
 class TestPairOrbitChi:
     def test_equals_dense_chi(self):
         for g in CHI_FAMILIES:
-            s = graph_spectrum(g, need="vectors")
+            s = graph_spectrum(g, with_vectors=True)
             assert s.eigenvectors is None and s.pairs is not None, g.family
             chi = chi_matrix(s)
             assert np.array_equal(chi, chi.T), g.family
             np.testing.assert_allclose(chi, chi_matrix(decompose(g, with_vectors=True)),
                                        rtol=0, atol=1e-13, err_msg=str(g.family))
 
-    def test_weights_spectrum_has_no_chi(self):
+    def test_values_spectrum_has_no_chi(self):
         with pytest.raises(ValueError, match="pair orbits"):
-            chi_matrix(graph_spectrum(build_ring(8), need="weights"))
+            chi_matrix(graph_spectrum(build_ring(8)))
 
     def test_chi_run_solves_only_shell_blocks(self, tmp_path, monkeypatch):
         # a --chi run on dendrimer:10,3: no solve larger than a shell block

@@ -388,7 +388,7 @@ class TestChiMatrix:
     def test_dendrimer_generation_10_localization(self):
         # the full-size case, from the closed-form pair orbits
         g = build_dendrimer(10, 3)
-        chi = chi_matrix(graph_spectrum(g, need="vectors"))
+        chi = chi_matrix(graph_spectrum(g, with_vectors=True))
         assert chi.min() < 0.01 / g.n
         np.testing.assert_allclose(chi.sum(axis=0), 1.0, atol=1e-9)
 
@@ -446,7 +446,7 @@ class TestSharedHalfAngleBlock:
             monkeypatch.setattr(transport, "CHUNK_ELEMS", chunk)
         grid = merge_grids(linear_grid(0.0, 20.0, 401), log_grid(20.0, 1e3, 200))
         dense = spectrum_of(g, vectors=True)
-        for s in (graph_spectrum(g, need="weights"), dense):
+        for s in (graph_spectrum(g, with_vectors=True), dense):
             series = transport_series(s, grid, with_exact_quantum=True)
             for got, oracle in [(series.p_bar, oracle_classical),
                                 (series.alpha_bar_sq, oracle_quantum_bound),
@@ -546,7 +546,7 @@ class TestClusterKernelsAgainstOracle:
         # fig2a's grid on a graph of 800 singleton clusters: the Gram (the
         # squared vectors, then G) and three 2 MB times x K blocks; with
         # 8 MB blocks the peak more than doubles
-        s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), need="weights")
+        s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), with_vectors=True)
         assert len(s.levels) == 800
         grid = merge_grids(linear_grid(0.05, 250.0, 5000), log_grid(250.0, 1e4, 350))
         tracemalloc.start()
@@ -561,7 +561,7 @@ class TestClusterKernelsAgainstOracle:
     def test_kernel_keeps_three_blocks(self):
         # with G built beforehand: three 2 MB times x K blocks and the
         # output columns, where separate products would hold five blocks
-        s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), need="weights")
+        s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), with_vectors=True)
         s.gram
         grid = merge_grids(linear_grid(0.05, 250.0, 5000), log_grid(250.0, 1e4, 350))
         tracemalloc.start()
@@ -724,9 +724,9 @@ class TestInvariantProperties:
     @given(st.one_of(symmetric_graphs, graphs_with_unions))
     def test_mean_chi_return_is_the_gram_trace(self, g):
         # (1/N) tr chi = sum_E sum_j W_jE^2 / N = tr(G) / N: pi_bar's long-time
-        # limit, from the pair orbits or the eigenvectors against the orbit
-        # weights or the squared eigenvectors
-        s = graph_spectrum(g, need="vectors")
+        # limit, chi from the pair orbits or the eigenvectors against G from
+        # their diagonal orbit or the squared eigenvectors
+        s = graph_spectrum(g, with_vectors=True)
         limit = np.trace(s.gram) / s.n
         assert np.trace(chi_matrix(s)) / s.n == pytest.approx(limit, rel=1e-13, abs=0)
 
