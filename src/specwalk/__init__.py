@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 from .continuum import (Lifshits, PowerLawDecay, PowerSemicircle,
                         StretchedExpDecay, asymptotic_law,
                         classical_return_continuum, lattice_return_1d_product,
-                        parse_dos_spec, quantum_amplitude_continuum,
-                        quantum_return_bound_continuum)
+                        parse_dos_spec, quantum_return_bound_continuum)
 from .errors import NumericalError, ParseError, ResourceLimitError
 from .graphs import (Graph, build_dendrimer, build_erdos_renyi,
                      build_hypercubic, build_ring, build_star,

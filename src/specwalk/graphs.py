@@ -40,9 +40,12 @@ class Graph:
     input that is already canonical (as every builder's is) is not sorted
     again. Two graphs are equal when their node counts and edge arrays are.
 
-    `family` is set by the builders of the symmetric families, as
-    ("ring", n), ("star", n), ("torus", side, d) or ("dendrimer", G, z),
-    so that `spectral.graph_spectrum` can use their closed-form spectra.
+    `family` is set by the builders of the symmetric families, so that
+    `spectral.graph_spectrum` can use their closed-form spectra: ("torus",
+    side, d) for the periodic torus, the ring being ("torus", n, 1), and
+    ("tree", branching) for the tree whose shell-g nodes each have
+    branching[g] children, the star being ("tree", (n - 1,)) and
+    `dendrimer:G,z` ("tree", (z, z - 1, ..., z - 1)).
     Equality and hashing ignore it: a graph read back from an edge list
     equals the one built, and simply takes the general path. It is not
     checked against the edges, so a copy with other edges (say from
@@ -122,16 +125,28 @@ def build_ring(n: int) -> Graph:
     i[:2] = 0
     j = i + 1
     j[1] = n - 1
-    return Graph(n=n, edges=np.column_stack((i, j)), family=("ring", n))
+    return Graph(n=n, edges=np.column_stack((i, j)), family=("torus", n, 1))
+
+
+def _build_tree(branching) -> Graph:
+    """Tree numbered shell by shell: node 0 is the root, and every node of
+    shell g has branching[g] children, numbered in the order of their
+    parents, so shell g occupies a contiguous index range."""
+    branching = tuple(branching)
+    # the node count of each shell that has children
+    sizes = np.cumprod((1,) + branching, dtype=np.int64)[:-1]
+    parent = np.repeat(np.arange(sizes.sum()),
+                       np.repeat(np.array(branching, dtype=np.int64), sizes))
+    n = len(parent) + 1
+    return Graph(n=n, edges=np.column_stack((parent, np.arange(1, n))),
+                 family=("tree", branching))
 
 
 def build_star(n: int) -> Graph:
     """Node 0 is the core, nodes 1..n-1 hang off it and nothing else."""
     if n < 3:
         raise ValueError(f"star needs n >= 3, got {n}")
-    edges = np.zeros((n - 1, 2), dtype=np.int64)
-    edges[:, 1] = np.arange(1, n)
-    return Graph(n=n, edges=edges, family=("star", n))
+    return _build_tree((n - 1,))
 
 
 def build_dendrimer(generation: int, z: int = 3) -> Graph:
@@ -145,17 +160,7 @@ def build_dendrimer(generation: int, z: int = 3) -> Graph:
         raise ValueError(f"dendrimer functionality must be >= 3, got z={z}")
     if generation < 0:
         raise ValueError(f"generation must be >= 0, got {generation}")
-    n = dendrimer_node_count(generation, z)
-    if generation == 0:
-        return Graph(n=n, edges=np.empty((0, 2), dtype=np.int64),
-                     family=("dendrimer", generation, z))
-    # the core's z children, then z-1 children for each node of shells
-    # 1..G-1 in index order: node v >= 1 + z has parent 1 + (v - 1 - z) // (z-1)
-    inner = dendrimer_node_count(generation - 1, z)
-    parent = np.concatenate([np.zeros(z, dtype=np.int64),
-                             np.repeat(np.arange(1, inner), z - 1)])
-    return Graph(n=n, edges=np.column_stack((parent, np.arange(1, n))),
-                 family=("dendrimer", generation, z))
+    return _build_tree((z,) + (z - 1,) * (generation - 1) if generation else ())
 
 
 def dendrimer_node_count(generation: int, z: int = 3) -> int:

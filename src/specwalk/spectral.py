@@ -2,11 +2,11 @@
 
 Everything here works on the full spectrum. `graph_spectrum` gives the
 eigenvalues and, with vectors, the eigenspace projectors that the exact
-quantum average and `chi` read. The symmetric families (ring, torus,
-star, dendrimer) take both from closed forms and never build an
-eigenvector: their eigenvalues, and the pair orbits (`ShellTree`,
-`TorusPairs`) on which every eigenspace projector is constant, the
-diagonal orbit (j, j) included. Every other graph goes through
+quantum average and `chi` read. The symmetric families, tori (the ring
+is d = 1) and shell trees (star, dendrimer), take both from closed forms
+and never build an eigenvector: their eigenvalues, and the pair orbits
+(`ShellTree`, `TorusPairs`) on which every eigenspace projector is
+constant, the diagonal orbit (j, j) included. Every other graph goes through
 `decompose`, a dense symmetric solve and the only source of
 eigenvectors. The graphs of interest stay below a few thousand nodes,
 where that solve is affordable and, unlike iterative methods,
@@ -219,11 +219,12 @@ def graph_spectrum(graph: Graph, with_vectors: bool = False) -> Spectrum:
     `with_vectors` adds the eigenspace projectors that pi_bar in
     `transport_series` and `chi_matrix` read.
 
-    Graphs from `build_ring`, `build_hypercubic`, `build_star` and
-    `build_dendrimer` take eigenvalues and, with vectors, their pair
-    orbits from closed forms; no eigenvector is built. Every other graph
-    takes the dense solve, which raises ResourceLimitError first when n
-    exceeds `graphs.DEFAULT_SIZE_CAP`.
+    Graphs whose builder tags their `family`, tori (`build_ring`,
+    `build_hypercubic`) and shell trees (`build_star`, `build_dendrimer`),
+    take eigenvalues and, with vectors, their pair orbits from closed
+    forms; no eigenvector is built. Every other graph takes the dense
+    solve, which raises ResourceLimitError first when n exceeds
+    `graphs.DEFAULT_SIZE_CAP`.
     """
     name, *params = graph.family or (None,)
     if name is None:
@@ -300,29 +301,27 @@ class TorusPairs:
 @dataclass(frozen=True)
 class ShellTree:
     """Pair orbits of a tree numbered shell by shell, as
-    `graphs.build_dendrimer` numbers it: a core (shell 0) with z children,
-    z - 1 children under every later node down to shell `generation`,
-    each shell in the order of its parents. The star is the tree of
-    generation 1 with z = n - 1.
+    `graphs.build_star` and `graphs.build_dendrimer` number it: a root
+    (shell 0), and branching[g] children under every node of shell g, each
+    shell in the order of its parents. The star is the branching (n - 1,),
+    `dendrimer:G,z` the branching (z, z - 1, ..., z - 1) of length G.
 
     A mode is one eigenvector of a block of the shell reduction (see
-    `_dendrimer_eigenvalues`): its block g0 (`blocks`) and its amplitude
-    f[g] on shell g (`amplitudes`, modes x (generation + 1)). Block 0
-    puts f[g] on every node of shell g. Block g0 >= 1 puts a_i f[g] on
-    the shell-g nodes below child i of one shell-(g0 - 1) node, over
-    every such node and every a with sum_i a_i = 0 over its b children
-    (b = z for g0 = 1, z - 1 beyond), and f[g] = 0 above shell g0.
-    Summed over those copies, the projector of a mode at nodes j, k is
-    c f[gj] f[gk], where c = 1 in block 0 and otherwise 1 - 1/b when the
-    lowest common ancestor of j and k lies in shell g0 or deeper, -1/b
-    when it is the shell-(g0 - 1) node and 0 when it lies higher. So
-    every eigenspace projector, and chi, depends only on (gj, gk, shell
-    of the lowest common ancestor): the pair orbits. `modes[i]` is the
-    mode of eigenvalue i.
+    `_tree_eigenvalues`): its block g0 (`blocks`) and its amplitude f[g]
+    on shell g (`amplitudes`, modes x shells). Block 0 puts f[g] on every
+    node of shell g. Block g0 >= 1 puts a_i f[g] on the shell-g nodes
+    below child i of one shell-(g0 - 1) node, over every such node and
+    every a with sum_i a_i = 0 over its b = branching[g0 - 1] children, and
+    f[g] = 0 above shell g0. Summed over those copies, the projector of a
+    mode at nodes j, k is c f[gj] f[gk], where c = 1 in block 0 and
+    otherwise 1 - 1/b when the lowest common ancestor of j and k lies in
+    shell g0 or deeper, -1/b when it is the shell-(g0 - 1) node and 0 when
+    it lies higher. So every eigenspace projector, and chi, depends only
+    on (gj, gk, shell of the lowest common ancestor): the pair orbits.
+    `modes[i]` is the mode of eigenvalue i.
     """
 
-    generation: int
-    z: int
+    branching: tuple
     modes: np.ndarray
     blocks: np.ndarray
     amplitudes: np.ndarray
@@ -333,8 +332,9 @@ class ShellTree:
         of_mode = np.empty(len(self.blocks), dtype=np.intp)
         of_mode[self.modes] = cluster
         g0 = self.blocks[:, None]
-        b = np.where(g0 == 1, self.z, self.z - 1)
-        lca = np.arange(self.generation + 1)
+        # block 0 has no b; its c is 1
+        b = np.array((1,) + self.branching)[g0]
+        lca = np.arange(len(self.branching) + 1)
         c = np.where(lca >= g0, 1.0 - 1.0 / b, np.where(lca == g0 - 1, -1.0 / b, 0.0))
         c[self.blocks == 0] = 1.0
         return of_mode, c
@@ -355,36 +355,37 @@ class ShellTree:
         each its own lowest common ancestor, so Omega[g, E] is the sum over
         the modes of cluster E of c f[g]^2 at l = g."""
         of_mode, c = self._per_mode(cluster)
-        omega = np.zeros((int(cluster[-1]) + 1, self.generation + 1))
+        omega = np.zeros((int(cluster[-1]) + 1, len(self.branching) + 1))
         np.add.at(omega, of_mode, c * self.amplitudes**2)
-        return _shell_sizes(self.generation, self.z), omega.T
+        return _shell_sizes(self.branching), omega.T
 
     def orbit_index(self) -> np.ndarray:
-        """The n x n int16 array of the orbit of each node pair, in the
-        order of the `projectors` columns."""
-        shells, z = self.generation + 1, self.z
-        sizes = _shell_sizes(self.generation, z)
-        starts = np.cumsum(sizes) - sizes
+        """The n x n array of the orbit of each node pair, in the order of
+        the `projectors` columns, of the smallest unsigned type that holds
+        all (G + 1)^3 of them: 16 bits up to 40 shells."""
+        sizes = _shell_sizes(self.branching)
+        shells, starts = len(sizes), np.cumsum(sizes) - sizes
         n = int(sizes.sum())
         shell = np.repeat(np.arange(shells), sizes)
         offset = np.arange(n) - starts[shell]
-        index = np.zeros((n, n), dtype=np.int16)
+        dtype = np.min_scalar_type(shells**3 - 1)
+        index = np.zeros((n, n), dtype=dtype)
         # the shell of the lowest common ancestor counts the shells a >= 1
         # where both nodes have the same ancestor; every node of shell a or
         # deeper, a suffix in node order, has its shell-a ancestor at
-        # offset o // (z - 1)^(g - a)
+        # offset o // (N_g / N_a)
         for a in range(1, shells):
             tail = slice(starts[a], n)
-            ancestor = offset[tail] // (z - 1) ** (shell[tail] - a)
+            ancestor = offset[tail] // (sizes[shell[tail]] // sizes[a])
             index[tail, tail] += ancestor[:, None] == ancestor
-        index += (shell * shells**2).astype(np.int16)[:, None]
-        index += (shell * shells).astype(np.int16)
+        index += (shell * shells**2).astype(dtype)[:, None]
+        index += (shell * shells).astype(dtype)
         return index
 
 
-def _shell_sizes(generation, z):
-    """The node count of each shell of a tree numbered as `ShellTree`'s."""
-    return np.array([1] + [z * (z - 1) ** (g - 1) for g in range(1, generation + 1)])
+def _shell_sizes(branching):
+    """The node count N_g of each shell of a tree numbered as `ShellTree`'s."""
+    return np.cumprod((1,) + branching, dtype=np.int64)
 
 
 def _torus_eigenvalues(side, d, with_vectors=False):
@@ -399,82 +400,59 @@ def _torus_eigenvalues(side, d, with_vectors=False):
     return values, TorusPairs(side, d, modes=np.arange(len(values))) if with_vectors else None
 
 
-def _star_eigenvalues(n, with_vectors=False):
-    # as a shell tree (z = n - 1) the three modes are the vectors of the
-    # eigenvalues 0, 1 (the n - 2 leaf-antisymmetric vectors) and n, of
-    # blocks 0, 1 and 0, with amplitudes on the centre and on a leaf the
-    # signed roots of the weights each puts on one such node
-    values = np.ones(n)
-    values[0], values[-1] = 0.0, float(n)
-    if not with_vectors:
-        return values, None
-    modes = np.ones(n, dtype=np.intp)
-    modes[0], modes[-1] = 0, 2
-    amplitudes = np.sqrt([[1 / n, 1 / n], [0, 1], [(n - 1) / n, 1 / (n * (n - 1))]])
-    amplitudes[2, 1] = -amplitudes[2, 1]
-    return values, ShellTree(1, n - 1, modes, np.array([0, 1, 0]), amplitudes)
-
-
-def _dendrimer_eigenvalues(generation, z, with_vectors=False):
-    """Shell-symmetric reduction of the dendrimer Laplacian (Cai & Chen,
+def _tree_eigenvalues(branching, with_vectors=False):
+    """Shell reduction of the Laplacian of a `ShellTree` (Cai & Chen,
     Macromolecules 30, 5104 (1997); Muelken, Bierbaum & Blumen, J. Chem.
     Phys. 124, 124905 (2006)).
 
     Eigenvectors constant on the shells of a subtree, and antisymmetric
-    between sibling subtrees, reduce L to tridiagonal blocks with diagonal
-    z, ..., z, 1 and off-diagonal -sqrt(z-1). The block starting at shell
-    g0 has size G+1-g0: g0 = 0 is the symmetric block (first off-diagonal
-    -sqrt(z)), g0 = 1 the core-antisymmetric block with multiplicity z-1,
-    and for 2 <= g0 <= G the block below each shell-(g0-1) node, with
-    multiplicity z (z-1)^(g0-2) (z-2).
+    between sibling subtrees, reduce L to tridiagonal blocks. Block g0
+    covers shells g0..G, with the shell degrees on its diagonal and
+    -sqrt(b_g) between shells g and g + 1, b = branching. Block 0 is
+    symmetric over the whole tree; block g0 >= 1 lies below one
+    shell-(g0 - 1) node and is antisymmetric between its b_(g0-1)
+    children, with multiplicity N_(g0-1) (b_(g0-1) - 1); blocks of
+    multiplicity 0 are skipped.
 
     A block eigenvector u is one `ShellTree` mode. Its amplitude on shell
-    g0 + k is u_k / sqrt(N_k) in block 0, spread over the N_k nodes of
-    that shell, and u_k / sqrt((z-1)^k) beyond, where one copy spans
-    (z-1)^k nodes of that shell.
+    g is u[g - g0] / sqrt(b_g0 ... b_(g-1)), the count of shell-g nodes
+    that one copy covers below its shell-g0 node. The stationary mode,
+    eigenvalue 0 with amplitude 1/sqrt(N) on every shell, is set exactly
+    over the solver's.
     """
-    if generation == 0:
-        single = np.zeros(1, dtype=np.intp)
-        pairs = ShellTree(0, z, single, single, np.ones((1, 1))) if with_vectors else None
-        return np.zeros(1), pairs
-
-    branch = np.sqrt(z - 1.0)
-    shells = _shell_sizes(generation, z)
+    sizes = _shell_sizes(branching)
+    shells = len(sizes)
+    degrees = np.append(branching, 0.0) + (np.arange(shells) > 0)
+    off = -np.sqrt(np.array(branching, dtype=float))
+    reduced = np.diag(degrees) + np.diag(off, 1) + np.diag(off, -1)
     values, blocks, amplitudes, copies = [], [], [], []
-    for g0 in range(generation + 1):
-        size = generation + 1 - g0
-        mult = 1 if g0 == 0 else z - 1 if g0 == 1 else z * (z - 1) ** (g0 - 2) * (z - 2)
-        diag = np.full(size, float(z))
-        diag[-1] = 1.0
-        off = np.full(size - 1, -branch)
-        if g0 == 0:
-            off[:1] = -np.sqrt(float(z))
-        block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    for g0 in range(shells):
+        mult = 1 if g0 == 0 else sizes[g0 - 1] * (branching[g0 - 1] - 1)
+        if mult == 0:
+            continue
+        block = reduced[g0:, g0:]
         values.append(np.repeat(np.linalg.eigvalsh(block), mult))
         if not with_vectors:
             continue
         u = np.linalg.eigh(block)[1]
-        spread = shells if g0 == 0 else (z - 1.0) ** np.arange(size)
-        amplitude = np.zeros((size, generation + 1))
-        amplitude[:, g0:] = (u / np.sqrt(spread)[:, None]).T
+        amplitude = np.zeros((shells - g0, shells))
+        amplitude[:, g0:] = (u / np.sqrt(sizes[g0:] // sizes[g0])[:, None]).T
         amplitudes.append(amplitude)
-        blocks.append(np.full(size, g0))
-        copies.append(np.full(size, mult))
+        blocks.append(np.full(shells - g0, g0))
+        copies.append(np.full(shells - g0, mult))
+    # the lowest value of block 0 is the stationary level
     values = np.concatenate(values)
+    values[0] = 0.0
     if not with_vectors:
         return values, None
+    amplitudes = np.vstack(amplitudes)
+    amplitudes[0] = 1.0 / np.sqrt(sizes.sum())
     copies = np.concatenate(copies)
     modes = np.repeat(np.arange(len(copies)), copies)
-    return values, ShellTree(generation, z, modes, np.concatenate(blocks),
-                             np.vstack(amplitudes))
+    return values, ShellTree(branching, modes, np.concatenate(blocks), amplitudes)
 
 
-_CLOSED_FORMS = {
-    "ring": lambda n, with_vectors=False: _torus_eigenvalues(n, 1, with_vectors),
-    "torus": _torus_eigenvalues,
-    "star": _star_eigenvalues,
-    "dendrimer": _dendrimer_eigenvalues,
-}
+_CLOSED_FORMS = {"torus": _torus_eigenvalues, "tree": _tree_eigenvalues}
 
 
 def degeneracy_table(spectrum: Spectrum):

@@ -153,8 +153,11 @@ def transport_series(spectrum: Spectrum, grid: TimeGrid,
       in the average and skips numpy's slow path for subnormal results.
     - |alpha_bar(t)|^2 = ((C m)^2 + (S m)^2) / N^2, the eigenvalue-only
       lower bound |mean_n exp(-i lam_n t)|^2 on the quantum return. It is
-      exact on regular graphs; elsewhere it reproduces the local maxima of
-      the true average well.
+      exact on walk-regular graphs (Godsil & McKay, Linear Algebra Appl.
+      30, 51 (1980)), where every projector diagonal P_E(j, j) is the same
+      for all j, as on vertex-transitive ones; a regular graph alone does
+      not suffice. Elsewhere it reproduces the local maxima of the true
+      average well.
     - pi_bar(t) = mean over j of |sum_E exp(-i lam_E t) W_jE|^2, the exact
       average quantum return, with W_jE the diagonal of the projector onto
       cluster E. Expanded, that is (1/N) sum_{E,E'} G_EE' cos((lam_E -

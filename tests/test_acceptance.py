@@ -9,6 +9,7 @@ assertion; none are tuned at runtime.
 import math
 import platform
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +146,12 @@ def test_criterion_5_star_localization():
     tail_mean = _series(spec, window).alpha_bar_sq.mean()
     _check(failures, abs(tail_mean - 16 / 25) <= 0.05,
            f"|alpha|^2 mean {tail_mean:.4f} not within 0.64 +- 0.05")
+    # the exact long-time mean of |alpha|^2 is sum_E m_E^2 / N^2: the
+    # levels 0, 1 and N of multiplicities 1, N - 2 and 1
+    n, mult = 10, sw.graph_spectrum(sw.build_star(10)).mult.tolist()
+    limit = Fraction(sum(m * m for m in mult), n * n)
+    _check(failures, limit == Fraction((n - 2) ** 2 + 2, n * n) == Fraction(66, 100),
+           f"|alpha|^2 long-time limit {limit} != 33/50")
 
     grid = sw.merge_grids(sw.linear_grid(0.01, 100.0, 5000),
                           sw.log_grid(100.0, 1e4, 200, include_zero=False))
@@ -191,6 +198,11 @@ def test_criterion_6_dendrimer_non_scaling():
     qm_tail = _series(spec, late).alpha_bar_sq.mean()
     _check(failures, qm_tail > 10.0 / graph.n,
            f"quantum tail {qm_tail:.4f} not 10x above 1/N={1 / graph.n:.2e}")
+    # N |alpha|^2(inf) = sum_E m_E^2 / N, the localization ratio: 1 would be
+    # a spectrum without degeneracy
+    ratio = sum(m * m for m in sw.graph_spectrum(graph).mult.tolist()) / graph.n
+    _check(failures, abs(ratio - 367.1726384364821) <= 1e-9,
+           f"N |alpha|^2(inf) = {ratio!r} not within 1e-9 of 367.1726384364821")
     _report(6, "dendrimer generation 10 non-scaling", failures)
 
 
@@ -302,10 +314,14 @@ def _numeric_build():
 
 
 # sha256 of every preset CSV as the writers produced it before they moved
-# to the vectorised formatter, recorded on the build below. The presets
-# take closed-form spectra or quadrature, but numpy's SIMD loops and the
-# series kernel's BLAS block products may round a last digit differently
-# on another build or CPU, so there the digests do not apply.
+# to the vectorised formatter, recorded on the build below; fig2b's
+# spectrum and degeneracies and fig3's series were re-recorded when the
+# trees moved to one shell reduction, which sets the stationary level to
+# exactly 0.0 and takes the star's amplitudes from its 2 x 2 block (see
+# CHANGES.md). The presets take closed-form spectra or quadrature, but
+# numpy's SIMD loops and the series kernel's BLAS block products may
+# round a last digit differently on another build or CPU, so there the
+# digests do not apply.
 PRESET_CSV_BUILD = ("x86_64", "2.4.6", "1.17.1", "0.3.31.188.0", "0.3.30",
                     "X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
 PRESET_CSV_SHA256 = {
@@ -324,15 +340,15 @@ PRESET_CSV_SHA256 = {
         "spectrum.csv": "155d57859608869a953a16c06b6e1ccdc087bd3248a3d3fa975847dded7d366f",
     },
     "fig2b": {
-        "degeneracies.csv": "a4078a3173529bb98083218de83aa4e1b3a74c5349345d14f7b8d120af228d73",
+        "degeneracies.csv": "6d551ca60c9c14c45e60bcc16c867bd4a024fd2f3bb9bfc6e9b4af763e5e1fb4",
         "deltap.csv": "204ac3b273459a06282e2fbeb4f95d94d89eca6d966bdb7917302a427c7644af",
         "series.csv": "a92c9926105bcb071c67e835e35f8ced2b5212cf5582702f6116de2ceb62b0f1",
-        "spectrum.csv": "b4ec1d635f69c6983f7cdbf3dcd5f3d26994d8c26617c95d2ff16cf4e2d8bfb4",
+        "spectrum.csv": "85fb001c7d630b743ff8b2aa95685cd21fba892d43c33bf6bdde3f953f78b734",
     },
     "fig3": {
         "degeneracies.csv": "4452882323410047f823e348f06542a65d30dd9b1622ad21ef5f98567fce50a7",
         "deltap.csv": "5fed9fdbb2b285d01049bab3c12b6674700adf49f3871416fb0ae84d25e918f4",
-        "series.csv": "77282a991e3b409c98103a3f7992d1c932dd69fe33422a543fb7cf50676fa4b1",
+        "series.csv": "b393d62051db538bf7680d32125f7cc877f80637b88dc67e699da030fd192b4c",
         "spectrum.csv": "db43f8b4fabe78b268694b3452b9fc2901b2a7d3febe128c2d5c394684d61480",
     },
 }

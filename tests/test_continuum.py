@@ -20,9 +20,9 @@ from specwalk import (
     fit_power_law,
     lattice_return_1d_product,
     parse_dos_spec,
-    quantum_amplitude_continuum,
     quantum_return_bound_continuum,
 )
+from specwalk.continuum import _quantum_amplitude_continuum
 from specwalk.transport import TimeGrid, linear_grid, log_grid
 
 
@@ -320,7 +320,7 @@ class TestClosedFormsAgainstOracles:
         np.testing.assert_allclose(classical_return_continuum(dos, grid), p, rtol=1e-9)
         # QAWO keeps about 1e-8 absolute next to the lam^-0.9 endpoint
         # singularity; the mpmath test below pins those values tighter
-        np.testing.assert_allclose(quantum_amplitude_continuum(dos, grid), amp,
+        np.testing.assert_allclose(_quantum_amplitude_continuum(dos, grid), amp,
                                    rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("b", [1.5, 2.0, 3.0])
@@ -332,7 +332,7 @@ class TestClosedFormsAgainstOracles:
         p = [quad_lifshits_classical(b, t) for t in times]
         amp = [quad_lifshits_amplitude(b, t) for t in times]
         np.testing.assert_allclose(classical_return_continuum(dos, grid), p, rtol=1e-9)
-        np.testing.assert_allclose(quantum_amplitude_continuum(dos, grid), amp,
+        np.testing.assert_allclose(_quantum_amplitude_continuum(dos, grid), amp,
                                    rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("nu", [-0.99, -0.9, 200.0, 300.0])
@@ -342,7 +342,7 @@ class TestClosedFormsAgainstOracles:
         times = np.unique([0.3 * x0, 0.999 * x0, 1.001 * x0, 2 * x0, 50.0, 1000.0])
         grid = TimeGrid(times)
         p = classical_return_continuum(PowerSemicircle(nu=nu, lam_max=2.0), grid)
-        amp = quantum_amplitude_continuum(PowerSemicircle(nu=nu, lam_max=2.0), grid)
+        amp = _quantum_amplitude_continuum(PowerSemicircle(nu=nu, lam_max=2.0), grid)
         for k, t in enumerate(times):
             want_p, want_amp = mp_semicircle(nu, 2.0, t)
             assert p[k] == pytest.approx(want_p, rel=1e-11, abs=1e-300)
@@ -358,7 +358,7 @@ class TestClosedFormsAgainstOracles:
     def test_exactly_one_at_zero(self, dos):
         grid = TimeGrid(np.array([0.0, 1.0]))
         assert classical_return_continuum(dos, grid)[0] == 1.0
-        assert quantum_amplitude_continuum(dos, grid)[0] == 1.0 + 0.0j
+        assert _quantum_amplitude_continuum(dos, grid)[0] == 1.0 + 0.0j
 
     @pytest.mark.parametrize("dos,times", [
         # x = lam_max t / 2 from 700 to 1e6
@@ -386,7 +386,7 @@ class TestClosedFormsAgainstOracles:
         with pytest.raises(NumericalError, match="nu=400"):
             classical_return_continuum(dos, grid)
         with pytest.raises(NumericalError, match="nu=400"):
-            quantum_amplitude_continuum(dos, grid)
+            _quantum_amplitude_continuum(dos, grid)
 
 
 class TestPurePowerIdentity:
@@ -525,7 +525,7 @@ class TestUnsupportedDOS:
                 return np.exp(-lam**2)
 
         grid = TimeGrid(np.array([0.0, 1.0]))
-        for fn in (classical_return_continuum, quantum_amplitude_continuum,
+        for fn in (classical_return_continuum, _quantum_amplitude_continuum,
                    quantum_return_bound_continuum):
             with pytest.raises(TypeError, match="Gaussian"):
                 fn(Gaussian(), grid)

@@ -32,6 +32,7 @@ from specwalk import (
 )
 import specwalk.cli as cli
 from specwalk.cli import ExperimentConfig, run_experiment
+from specwalk.graphs import _build_tree
 from specwalk.spectral import (ShellTree, TorusPairs, _checked_residual, _column_blocks,
                                _fix_signs, default_cluster_tol, degeneracies_csv,
                                spectrum_csv)
@@ -358,6 +359,13 @@ class TestClusters:
         assert degeneracies_csv(s) == "\n".join(lines) + "\n"
 
 
+# trees that are neither star nor dendrimer: a branching of 1 makes a
+# block of multiplicity 0, a root of one child a path above the tree, and
+# 34 shells more pair orbits (34^3) than a 16-bit signed index holds
+GENERAL_TREES = [_build_tree(b) for b in [(2,), (1, 2), (2, 1, 1, 1), (3, 1, 4), (1, 3, 2),
+                                          (4, 2, 2, 3), (1, 1, 5), (5, 1), (2, 2, 2, 2, 2),
+                                          (2,) + (1,) * 32]]
+
 SYMMETRIC_FAMILIES = (
     [build_ring(n) for n in range(3, 41)]
     + [build_hypercubic(side, d) for side in range(3, 8) for d in (1, 2, 3)]
@@ -365,6 +373,7 @@ SYMMETRIC_FAMILIES = (
     + [build_dendrimer(g, z) for z in (3, 4, 5) for g in range(10)
        if dendrimer_node_count(g, z) <= 1500]
     + [build_dendrimer(10, 3)]
+    + GENERAL_TREES
 )
 
 
@@ -417,6 +426,41 @@ class TestGraphSpectrum:
     def test_generation_zero_is_one_node(self):
         np.testing.assert_array_equal(graph_spectrum(build_dendrimer(0, 4)).eigenvalues, [0.0])
 
+    def test_stationary_level_is_exactly_zero(self):
+        # no solver noise on the zero level, nor on the uniform mode of a
+        # tree, whose amplitude is 1/sqrt(N) on every shell
+        for g in SYMMETRIC_FAMILIES:
+            values = graph_spectrum(g).eigenvalues
+            assert values[0] == 0.0 and (values[1:] > 0.0).all(), g.family
+            s = graph_spectrum(g, with_vectors=True)
+            assert s.eigenvalues[0] == 0.0 and s.levels[0] == 0.0, g.family
+            if g.family[0] == "tree":
+                np.testing.assert_array_equal(s.pairs.amplitudes[s.pairs.modes[0]],
+                                              1.0 / np.sqrt(g.n), err_msg=str(g.family))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(1, 4), max_size=4))
+    def test_any_branching_matches_dense(self, branching):
+        g = _build_tree(branching)
+        exact = graph_spectrum(g, with_vectors=True)
+        dense = decompose(g, with_vectors=True)
+        np.testing.assert_allclose(exact.eigenvalues, dense.eigenvalues, rtol=0,
+                                   atol=1e-10 * max(1.0, dense.eigenvalues[-1]))
+        np.testing.assert_array_equal(exact.mult, dense.mult)
+        np.testing.assert_allclose(chi_matrix(exact), chi_matrix(dense), rtol=0, atol=1e-13)
+
+    def test_frucht_graph_pi_exceeds_bound(self):
+        # |alpha|^2 is exact on walk-regular graphs, where every projector
+        # diagonal P_E(j, j) is the same for all j; the Frucht graph is
+        # 3-regular with no nontrivial automorphism, and not walk-regular
+        lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+        g = Graph(12, [(i, (i + 1) % 12) for i in range(12)]
+                  + [(i, (i + step) % 12) for i, step in enumerate(lcf)])
+        assert g.edge_count == 18 and set(g.degrees().tolist()) == {3}
+        s = decompose(g, with_vectors=True)
+        series = transport_series(s, log_grid(), with_exact_quantum=True)
+        assert (series.pi_bar - series.alpha_bar_sq).max() > 0.1
+
     @pytest.mark.parametrize("g", [build_star(12), build_dendrimer(3, 3)])
     def test_vectors_take_the_pair_orbits(self, g):
         s = graph_spectrum(g, with_vectors=True)
@@ -430,7 +474,7 @@ class TestGraphSpectrum:
 
     def test_ring_and_torus_chi_is_translation_invariant(self, pairs):
         for g, (exact, dense) in zip(SYMMETRIC_FAMILIES, pairs):
-            if g.family[0] not in ("ring", "torus"):
+            if g.family[0] != "torus":
                 continue
             s = graph_spectrum(g, with_vectors=True)
             assert isinstance(s.pairs, TorusPairs) and s.eigenvectors is None, g.family
@@ -439,7 +483,7 @@ class TestGraphSpectrum:
             # a shift by one step along axis 0, and the reflection of every
             # axis, are automorphisms: chi is the same function of the
             # folded displacement everywhere
-            side, d = (g.n, 1) if g.family[0] == "ring" else g.family[1:]
+            side, d = g.family[1:]
             coords = np.indices((side,) * d).reshape(d, -1)[::-1]
             for image in ((coords + np.eye(d, dtype=int)[:, :1]) % side, -coords % side):
                 perm = np.ravel_multi_index(image[::-1], (side,) * d)
@@ -510,12 +554,13 @@ class TestGraphSpectrum:
 
 
 # every family member with a dense oracle in reach: dendrimers of
-# generation 0..7 up to 1500 nodes, stars to 200 nodes, rings to 64 and
-# tori of side 3..8 in one to three dimensions
+# generation 0..7 up to 1500 nodes, stars to 200 nodes, the general trees,
+# rings to 64 and tori of side 3..8 in one to three dimensions
 CHI_FAMILIES = (
     [build_dendrimer(g, z) for z in (3, 4, 5) for g in range(8)
      if dendrimer_node_count(g, z) <= 1500]
     + [build_star(n) for n in range(3, 201)]
+    + GENERAL_TREES
     + [build_ring(n) for n in range(3, 65)]
     + [build_hypercubic(side, d) for side in range(3, 9) for d in (1, 2, 3)]
 )
@@ -564,7 +609,7 @@ class TestPairOrbitChi:
         finally:
             tracemalloc.stop()
         assert largest[0] == 11
-        # chi and its int16 orbit index are 1.25 times chi's bytes
+        # chi and its 16-bit orbit index are 1.25 times chi's bytes
         assert seen["chi"] == 8 * 3070**2 and seen["peak"] <= 1.4 * seen["chi"]
 
 
