@@ -337,7 +337,7 @@ def _spectrum_diagnostics(spectrum) -> dict[str, str]:
     levels = spectrum.levels
     out = {"spectrum.path": spectrum.path, "spectrum.clusters": str(len(levels))}
     if len(levels) >= 2:
-        tol = default_cluster_tol(spectrum.eigenvalues)
+        tol = default_cluster_tol(spectrum.values)
         out["spectrum.min_gap_over_tol"] = repr(float(np.diff(levels).min() / tol))
     if spectrum.eigenvectors is not None or spectrum.pairs is not None:
         out["spectrum.vectors"] = "orbit" if spectrum.eigenvectors is None else "dense"

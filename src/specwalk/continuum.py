@@ -197,11 +197,6 @@ def _transform(dos, times: np.ndarray, quantum: bool) -> np.ndarray:
     return values
 
 
-def _quantum_amplitude_continuum(dos, grid: TimeGrid) -> np.ndarray:
-    """Complex average amplitude: Fourier transform of the density."""
-    return _transform(dos, grid.times, quantum=True)
-
-
 # -- public operations --------------------------------------------------------
 
 def classical_return_continuum(dos, grid: TimeGrid) -> np.ndarray:
@@ -211,7 +206,7 @@ def classical_return_continuum(dos, grid: TimeGrid) -> np.ndarray:
 
 def quantum_return_bound_continuum(dos, grid: TimeGrid) -> np.ndarray:
     """|alpha_bar(t)|^2 for a continuous density, checked to lie in [0, 1]."""
-    return clamp_unit_interval(np.abs(_quantum_amplitude_continuum(dos, grid)) ** 2)
+    return clamp_unit_interval(np.abs(_transform(dos, grid.times, quantum=True)) ** 2)
 
 
 def lattice_return_1d_product(d: int, grid: TimeGrid) -> np.ndarray:

@@ -1,23 +1,24 @@
 """Laplacian spectra and degeneracy clustering.
 
-Everything here works on the full spectrum. `graph_spectrum` gives the
-eigenvalues and, with vectors, the eigenspace projectors that the exact
-quantum average and `chi` read. The symmetric families, tori (the ring
-is d = 1) and shell trees (star, dendrimer), take both from closed forms
-and never build an eigenvector: their eigenvalues, and the pair orbits
-(`ShellTree`, `TorusPairs`) on which every eigenspace projector is
-constant, the diagonal orbit (j, j) included. Every other graph goes through
-`decompose`, a dense symmetric solve and the only source of
-eigenvectors. The graphs of interest stay below a few thousand nodes,
-where that solve is affordable and, unlike iterative methods,
-deterministic; it is also the oracle the closed forms are tested against.
-A dense spectrum above the node cap `graphs.DEFAULT_SIZE_CAP` raises
-ResourceLimitError before it allocates.
+Everything here works on the full spectrum, held as modes, eigenvalues
+with their counts of copies. `graph_spectrum` gives them and, with
+vectors, the eigenspace projectors that the exact quantum average and
+`chi` read. The symmetric families, tori (the ring is d = 1) and shell
+trees (star, dendrimer), take both from closed forms and never build an
+eigenvector: one mode per Fourier wave vector or per shell-block
+eigenvalue, and the pair orbits (`ShellTree`, `TorusPairs`) on which
+every eigenspace projector is constant, the diagonal orbit (j, j)
+included. Every other graph goes through `decompose`, a dense symmetric
+solve and the only source of eigenvectors. The graphs of interest stay
+below a few thousand nodes, where that solve is affordable and, unlike
+iterative methods, deterministic; it is also the oracle the closed forms
+are tested against. A dense spectrum above the node cap
+`graphs.DEFAULT_SIZE_CAP` raises ResourceLimitError before it allocates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,23 +33,25 @@ RESIDUAL_RTOL = 1e-9
 _BLOCK_ELEMS = 1 << 18
 
 
-def default_cluster_tol(eigenvalues) -> float:
+def default_cluster_tol(values) -> float:
     """Degeneracy tolerance: 1e-8 * max(1, largest eigenvalue).
 
     Sits well below the integer gaps of the star/dendrimer spectra and
     well above accumulated eigensolver error.
     """
-    lam_max = float(eigenvalues[-1]) if len(eigenvalues) else 0.0
-    return 1e-8 * max(1.0, lam_max)
+    return 1e-8 * max(1.0, float(np.max(values, initial=0.0)))
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted Laplacian eigenvalues, optionally with orthonormal eigenvectors
-    or pair orbits, and their degeneracy clusters, which every transport
-    kernel reads.
+    """Laplacian eigenvalues as modes, optionally with orthonormal
+    eigenvectors or pair orbits, and their degeneracy clusters, which every
+    transport kernel reads.
 
-    Column k of `eigenvectors` pairs with `eigenvalues[k]`. Vector signs
+    `values` holds one eigenvalue per mode, `counts` the copies of each
+    (`dendrimer:10,3` has 66 modes for 3070 nodes); without `counts` each
+    eigenvalue is its own mode, ascending as the dense solver gives them,
+    and column k of `eigenvectors` pairs with `values[k]`. Vector signs
     follow the convention that the first component of magnitude above
     1e-12 is positive, which keeps downstream matrices reproducible.
     `path` says how the eigenvalues were obtained: "dense" (the symmetric
@@ -57,18 +60,20 @@ class Spectrum:
 
     `pairs`, when set, is a `ShellTree` or `TorusPairs`: the pair orbits
     of a symmetric graph, on which every eigenspace projector is
-    constant, and each eigenvalue's mode, from which `gram` and
-    `chi_matrix` take the projectors without eigenvectors.
+    constant, and from which `gram` and `chi_matrix` take the projectors
+    of the modes' clusters without eigenvectors.
 
-    Cluster E covers eigenvalue indices starts[E] .. starts[E] + mult[E] - 1;
-    `levels` are the cluster means. Near-equal eigenvalues join a cluster
-    while they stay within `default_cluster_tol` of its running mean, so
-    the multiplicities sum to n. The clusters and `gram` are built on
-    first use; the spectrum is treated as immutable, so they are never
-    rebuilt.
+    Taken in ascending order and weighted by their copies, modes join a
+    cluster while they stay within `default_cluster_tol` of its running
+    mean, the cluster's level unless its members are bit-identical, whose
+    value it then keeps. `cluster[i]` is the cluster of mode i; cluster E
+    covers `eigenvalues[starts[E]:starts[E] + mult[E]]`, so the
+    multiplicities sum to n. The clusters and `gram` are built on first
+    use; the spectrum is treated as immutable, so they are never rebuilt.
     """
 
-    eigenvalues: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
     path: str = "dense"
     residual: float | None = None
@@ -76,31 +81,38 @@ class Spectrum:
 
     @property
     def n(self) -> int:
-        return len(self.eigenvalues)
+        return len(self.values) if self.counts is None else int(self.counts.sum())
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """All n eigenvalues: `values` as given, or each over its copies, ascending."""
+        if self.counts is None:
+            return self.values
+        return np.sort(np.repeat(self.values, self.counts))
 
     @cached_property
-    def _clusters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        tol = default_cluster_tol(self.eigenvalues)
-        values, mult = [], []
-        run_sum, run_count = 0.0, 0
-        for lam in np.asarray(self.eigenvalues, dtype=float).tolist():
-            if run_count and abs(lam - run_sum / run_count) <= tol:
-                run_sum += lam
-                run_count += 1
+    def _clusters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        values = np.asarray(self.values, dtype=float)
+        order = np.argsort(values, kind="stable")
+        counts = np.ones(len(values), dtype=np.int64) if self.counts is None else self.counts
+        tol = default_cluster_tol(values)
+        runs, of_sorted, run = [], [], None  # run: [first value, last value, sum, count]
+        for lam, copies in zip(values[order].tolist(), counts[order].tolist()):
+            if run and abs(lam - run[2] / run[3]) <= tol:
+                run[1:] = lam, run[2] + lam * copies, run[3] + copies
             else:
-                if run_count:
-                    values.append(run_sum / run_count)
-                    mult.append(run_count)
-                run_sum, run_count = lam, 1
-        if run_count:
-            values.append(run_sum / run_count)
-            mult.append(run_count)
-        mult = np.array(mult, dtype=np.int64)
-        return np.array(values, dtype=float), mult, np.cumsum(mult) - mult
+                run = [lam, lam, lam * copies, copies]
+                runs.append(run)
+            of_sorted.append(len(runs) - 1)
+        levels = [first if first == last else total / m for first, last, total, m in runs]
+        mult = np.array([run[3] for run in runs], dtype=np.int64)
+        cluster = np.empty(len(values), dtype=np.intp)
+        cluster[order] = of_sorted
+        return np.array(levels, dtype=float), mult, np.cumsum(mult) - mult, cluster
 
     @property
     def levels(self) -> np.ndarray:
-        """The K cluster means, ascending."""
+        """The K cluster levels, ascending."""
         return self._clusters[0]
 
     @property
@@ -110,6 +122,11 @@ class Spectrum:
     @property
     def starts(self) -> np.ndarray:
         return self._clusters[2]
+
+    @property
+    def cluster(self) -> np.ndarray:
+        """The cluster of each mode, in the order of `values`."""
+        return self._clusters[3]
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -124,8 +141,7 @@ class Spectrum:
         of it outlives G.
         """
         if self.pairs is not None:
-            sizes, weights = self.pairs.diagonal(np.repeat(np.arange(len(self.mult)),
-                                                           self.mult))
+            sizes, weights = self.pairs.diagonal(self.cluster)
             weights = weights * np.sqrt(sizes)[:, None]
         elif self.eigenvectors is not None:
             weights = self.eigenvectors**2
@@ -207,10 +223,10 @@ def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
         raise NumericalError(
             f"symmetric eigensolver failed on a {n}x{n} matrix: {exc}") from exc
     if not with_vectors:
-        return Spectrum(eigenvalues=result)
+        return Spectrum(result)
     vals, vecs = result
     vecs = _fix_signs(vecs)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs,
+    return Spectrum(vals, eigenvectors=vecs,
                     residual=_checked_residual(graph, vecs, vals))
 
 
@@ -230,11 +246,8 @@ def graph_spectrum(graph: Graph, with_vectors: bool = False) -> Spectrum:
     if name is None:
         graphs.check_size_cap(graph.n, "dense spectrum of a graph")
         return decompose(graph, with_vectors)
-    values, pairs = _CLOSED_FORMS[name](*params, with_vectors=with_vectors)
-    order = np.argsort(values, kind="stable")
-    if pairs is not None:
-        pairs = replace(pairs, modes=pairs.modes[order])
-    return Spectrum(eigenvalues=values[order], path="closed_form", pairs=pairs)
+    values, counts, pairs = _CLOSED_FORMS[name](*params, with_vectors=with_vectors)
+    return Spectrum(values, counts, path="closed_form", pairs=pairs)
 
 
 @dataclass(frozen=True)
@@ -244,31 +257,27 @@ class TorusPairs:
     `graphs.build_hypercubic` numbers them.
 
     Mode m is the Fourier wave vector k whose component on axis a is digit
-    a of m in base `side`, axis 0 fastest, and `modes[i]` the mode of
-    eigenvalue i. A cluster E of modes is closed under flipping the sign
-    of any component of k, so its projector P_E(j, l) = (1/n) sum_(k in E)
-    exp(2 pi i k . (x_j - x_l) / side) is real and depends only on the
-    folded displacement, min(|r_a|, side - |r_a|) per axis of r = x_j -
-    x_l: the pair orbits.
+    a of m in base `side`, axis 0 fastest. A cluster E of modes is closed
+    under flipping the sign of any component of k, so its projector
+    P_E(j, l) = (1/n) sum_(k in E) exp(2 pi i k . (x_j - x_l) / side) is
+    real and depends only on the folded displacement, min(|r_a|, side -
+    |r_a|) per axis of r = x_j - x_l: the pair orbits.
     """
 
     side: int
     d: int
-    modes: np.ndarray
 
     def projectors(self, cluster):
         """P_E on every pair orbit, flattened with axis 0 fastest, in
         blocks of consecutive clusters: yields (clusters) x (orbits)
-        arrays. cluster[i] is the cluster of eigenvalue i."""
+        arrays. cluster[m] is the cluster of mode m."""
         side, d = self.side, self.d
         n = side**d
-        of_mode = np.empty(n, dtype=np.intp)
-        of_mode[self.modes] = cluster
-        of_mode = of_mode.reshape((side,) * d)
+        of_mode = cluster.reshape((side,) * d)
         # the transform of a real, even indicator is real; rfftn keeps the
         # folded half of the last axis, the slice that of the others
         half = (slice(None),) + (slice(0, side // 2 + 1),) * (d - 1)
-        count = int(cluster[-1]) + 1
+        count = int(cluster.max()) + 1
         step = max(1, _BLOCK_ELEMS // n)
         for lo in range(0, count, step):
             ids = np.arange(lo, min(lo + step, count)).reshape((-1,) + (1,) * d)
@@ -279,7 +288,7 @@ class TorusPairs:
     def diagonal(self, cluster):
         """(sizes, Omega): the torus is one orbit of the diagonal pairs, on
         which P_E is m_E / n, the share of the cluster's modes."""
-        n = len(self.modes)
+        n = len(cluster)
         return np.array([n]), np.bincount(cluster)[None, :] / n
 
     def orbit_index(self) -> np.ndarray:
@@ -318,45 +327,39 @@ class ShellTree:
     shell g0 or deeper, -1/b when it is the shell-(g0 - 1) node and 0 when
     it lies higher. So every eigenspace projector, and chi, depends only
     on (gj, gk, shell of the lowest common ancestor): the pair orbits.
-    `modes[i]` is the mode of eigenvalue i.
     """
 
     branching: tuple
-    modes: np.ndarray
     blocks: np.ndarray
     amplitudes: np.ndarray
 
-    def _per_mode(self, cluster):
-        """The cluster of each mode, and c[mode, l], its factor at a pair
-        whose lowest common ancestor lies in shell l."""
-        of_mode = np.empty(len(self.blocks), dtype=np.intp)
-        of_mode[self.modes] = cluster
+    def _factors(self):
+        """c[mode, l], the factor of each mode at a pair whose lowest
+        common ancestor lies in shell l."""
         g0 = self.blocks[:, None]
         # block 0 has no b; its c is 1
         b = np.array((1,) + self.branching)[g0]
         lca = np.arange(len(self.branching) + 1)
         c = np.where(lca >= g0, 1.0 - 1.0 / b, np.where(lca == g0 - 1, -1.0 / b, 0.0))
         c[self.blocks == 0] = 1.0
-        return of_mode, c
+        return c
 
     def projectors(self, cluster):
         """P_E on every pair orbit (gj, gk, l), flattened in that order,
-        l fastest: yields one (clusters) x (orbits) array. cluster[i] is
-        the cluster of eigenvalue i."""
-        of_mode, c = self._per_mode(cluster)
+        l fastest: yields one (clusters) x (orbits) array. cluster[m] is
+        the cluster of mode m."""
         f = self.amplitudes
-        terms = f[:, :, None, None] * f[:, None, :, None] * c[:, None, None, :]
-        out = np.zeros((int(cluster[-1]) + 1, terms[0].size))
-        np.add.at(out, of_mode, terms.reshape(len(f), -1))
+        terms = f[:, :, None, None] * f[:, None, :, None] * self._factors()[:, None, None, :]
+        out = np.zeros((int(cluster.max()) + 1, terms[0].size))
+        np.add.at(out, cluster, terms.reshape(len(f), -1))
         yield out
 
     def diagonal(self, cluster):
         """(sizes, Omega): the shells are the orbits of the diagonal pairs,
         each its own lowest common ancestor, so Omega[g, E] is the sum over
         the modes of cluster E of c f[g]^2 at l = g."""
-        of_mode, c = self._per_mode(cluster)
-        omega = np.zeros((int(cluster[-1]) + 1, len(self.branching) + 1))
-        np.add.at(omega, of_mode, c * self.amplitudes**2)
+        omega = np.zeros((int(cluster.max()) + 1, len(self.branching) + 1))
+        np.add.at(omega, cluster, self._factors() * self.amplitudes**2)
         return _shell_sizes(self.branching), omega.T
 
     def orbit_index(self) -> np.ndarray:
@@ -391,13 +394,14 @@ def _shell_sizes(branching):
 def _torus_eigenvalues(side, d, with_vectors=False):
     # Fourier modes: 2 - 2cos(2 pi k / side) = 4 sin^2(pi k / side) per axis,
     # with k folded onto min(k, side - k) so that +k and -k give equal bits,
-    # in the mode order of `TorusPairs`
+    # in the mode order of `TorusPairs`, one copy each
     k = np.arange(side)
     axis = 4.0 * np.sin(np.pi * np.minimum(k, side - k) / side) ** 2
     values = np.zeros(1)
     for _ in range(d):
         values = np.add.outer(values, axis).ravel()
-    return values, TorusPairs(side, d, modes=np.arange(len(values))) if with_vectors else None
+    counts = np.ones(len(values), dtype=np.int64)
+    return values, counts, TorusPairs(side, d) if with_vectors else None
 
 
 def _tree_eigenvalues(branching, with_vectors=False):
@@ -412,7 +416,9 @@ def _tree_eigenvalues(branching, with_vectors=False):
     symmetric over the whole tree; block g0 >= 1 lies below one
     shell-(g0 - 1) node and is antisymmetric between its b_(g0-1)
     children, with multiplicity N_(g0-1) (b_(g0-1) - 1); blocks of
-    multiplicity 0 are skipped.
+    multiplicity 0 are skipped. Returns (values, counts, pairs): each
+    block's eigenvalues once, block by block, with that multiplicity as
+    their copies.
 
     A block eigenvector u is one `ShellTree` mode. Its amplitude on shell
     g is u[g - g0] / sqrt(b_g0 ... b_(g-1)), the count of shell-g nodes
@@ -425,13 +431,14 @@ def _tree_eigenvalues(branching, with_vectors=False):
     degrees = np.append(branching, 0.0) + (np.arange(shells) > 0)
     off = -np.sqrt(np.array(branching, dtype=float))
     reduced = np.diag(degrees) + np.diag(off, 1) + np.diag(off, -1)
-    values, blocks, amplitudes, copies = [], [], [], []
+    values, counts, blocks, amplitudes = [], [], [], []
     for g0 in range(shells):
         mult = 1 if g0 == 0 else sizes[g0 - 1] * (branching[g0 - 1] - 1)
         if mult == 0:
             continue
         block = reduced[g0:, g0:]
-        values.append(np.repeat(np.linalg.eigvalsh(block), mult))
+        values.append(np.linalg.eigvalsh(block))
+        counts.append(np.full(shells - g0, mult))
         if not with_vectors:
             continue
         u = np.linalg.eigh(block)[1]
@@ -439,29 +446,23 @@ def _tree_eigenvalues(branching, with_vectors=False):
         amplitude[:, g0:] = (u / np.sqrt(sizes[g0:] // sizes[g0])[:, None]).T
         amplitudes.append(amplitude)
         blocks.append(np.full(shells - g0, g0))
-        copies.append(np.full(shells - g0, mult))
     # the lowest value of block 0 is the stationary level
     values = np.concatenate(values)
     values[0] = 0.0
+    counts = np.concatenate(counts)
     if not with_vectors:
-        return values, None
+        return values, counts, None
     amplitudes = np.vstack(amplitudes)
     amplitudes[0] = 1.0 / np.sqrt(sizes.sum())
-    copies = np.concatenate(copies)
-    modes = np.repeat(np.arange(len(copies)), copies)
-    return values, ShellTree(branching, modes, np.concatenate(blocks), amplitudes)
+    return values, counts, ShellTree(branching, np.concatenate(blocks), amplitudes)
 
 
 _CLOSED_FORMS = {"torus": _torus_eigenvalues, "tree": _tree_eigenvalues}
 
 
 def degeneracy_table(spectrum: Spectrum):
-    """Cluster near-equal eigenvalues; returns [(mean value, multiplicity), ...].
-
-    A value joins the current cluster while it stays within
-    `default_cluster_tol` of the running cluster mean. Multiplicities sum
-    to n.
-    """
+    """[(level, multiplicity), ...] of the spectrum's degeneracy
+    clusters, as `Spectrum` builds them."""
     return list(zip(spectrum.levels.tolist(), spectrum.mult.tolist()))
 
 

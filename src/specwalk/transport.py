@@ -97,7 +97,7 @@ def _levels(spectrum: Spectrum) -> np.ndarray:
     """The spectrum's cluster levels clipped to >= 0. An eigenvalue
     below -EIG_CLAMP_TOL * max(1, |lam|_max) is not rounding and raises
     ValueError."""
-    lam = np.asarray(spectrum.eigenvalues, dtype=float)
+    lam = np.asarray(spectrum.values, dtype=float)
     lo, hi = float(lam.min(initial=0.0)), float(lam.max(initial=0.0))
     tol = EIG_CLAMP_TOL * max(1.0, -lo, hi)
     if lo < -tol:
@@ -221,16 +221,15 @@ def chi_matrix(spectrum: Spectrum) -> np.ndarray:
     clusters build an n x n projector.
     """
     graphs.check_size_cap(spectrum.n, "chi")
-    starts, mult = spectrum.starts, spectrum.mult
     pairs = spectrum.pairs
     if pairs is not None:
-        cluster = np.repeat(np.arange(len(mult)), mult)
-        table = sum((p * p).sum(axis=0) for p in pairs.projectors(cluster))
+        table = sum((p * p).sum(axis=0) for p in pairs.projectors(spectrum.cluster))
         return table[pairs.orbit_index()]
     v = spectrum.eigenvectors
     if v is None:
         raise ValueError("chi needs eigenvectors or pair orbits; use "
                          "graph_spectrum(graph, with_vectors=True)")
+    starts, mult = spectrum.starts, spectrum.mult
     single = starts[mult == 1]
     pair = starts[mult == 2]
     a, b = v[:, pair], v[:, pair + 1]

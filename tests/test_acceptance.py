@@ -317,8 +317,10 @@ def _numeric_build():
 # to the vectorised formatter, recorded on the build below; fig2b's
 # spectrum and degeneracies and fig3's series were re-recorded when the
 # trees moved to one shell reduction, which sets the stationary level to
-# exactly 0.0 and takes the star's amplitudes from its 2 x 2 block (see
-# CHANGES.md). The presets take closed-form spectra or quadrature, but
+# exactly 0.0 and takes the star's amplitudes from its 2 x 2 block, and
+# fig2b's degeneracies, series and deltap again when the clusters moved to
+# the modes, which keeps each level of bit-identical copies at their value
+# (see CHANGES.md). The presets take closed-form spectra or quadrature, but
 # numpy's SIMD loops and the series kernel's BLAS block products may
 # round a last digit differently on another build or CPU, so there the
 # digests do not apply.
@@ -340,9 +342,9 @@ PRESET_CSV_SHA256 = {
         "spectrum.csv": "155d57859608869a953a16c06b6e1ccdc087bd3248a3d3fa975847dded7d366f",
     },
     "fig2b": {
-        "degeneracies.csv": "6d551ca60c9c14c45e60bcc16c867bd4a024fd2f3bb9bfc6e9b4af763e5e1fb4",
-        "deltap.csv": "204ac3b273459a06282e2fbeb4f95d94d89eca6d966bdb7917302a427c7644af",
-        "series.csv": "a92c9926105bcb071c67e835e35f8ced2b5212cf5582702f6116de2ceb62b0f1",
+        "degeneracies.csv": "66922ef843404ba706ce04c0ca8ad9279bda54b99452098323e1da99882080af",
+        "deltap.csv": "ad511975046c204823d83e4f274663f8581807b540299656e8a91021d1c072ad",
+        "series.csv": "7293d012e3ec7defc3672bd392b3a45a169895dc031cbb01b0fb4a97ba5216f8",
         "spectrum.csv": "85fb001c7d630b743ff8b2aa95685cd21fba892d43c33bf6bdde3f953f78b734",
     },
     "fig3": {

@@ -265,7 +265,7 @@ class TestExactAverageReturn:
     def test_unnormalized_vectors_raise(self):
         # vectors scaled by 1.1 give pi_bar(0) = 1.1**4, no rounding slip
         s = spectrum_of(build_star(6), vectors=True)
-        bad = Spectrum(eigenvalues=s.eigenvalues, eigenvectors=1.1 * s.eigenvectors)
+        bad = Spectrum(s.values, eigenvectors=1.1 * s.eigenvectors)
         with pytest.raises(NumericalError, match="outside"):
             pi_bar(bad, log_grid())
 
