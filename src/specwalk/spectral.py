@@ -49,9 +49,10 @@ class Spectrum:
     transport kernel reads.
 
     `values` holds one eigenvalue per mode, `counts` the copies of each
-    (`dendrimer:10,3` has 66 modes for 3070 nodes); without `counts` each
-    eigenvalue is its own mode, ascending as the dense solver gives them,
-    and column k of `eigenvectors` pairs with `values[k]`. Vector signs
+    (`dendrimer:10,3` has 66 modes for 3070 nodes). Without `counts` each
+    eigenvalue is its own mode, and `values` must be ascending, as the dense
+    solver gives them: the clusters take them in the order given, and
+    column k of `eigenvectors` pairs with `values[k]`. Vector signs
     follow the convention that the first component of magnitude above
     1e-12 is positive, which keeps downstream matrices reproducible.
     `path` says how the eigenvalues were obtained: "dense" (the symmetric
@@ -93,22 +94,25 @@ class Spectrum:
     @cached_property
     def _clusters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         values = np.asarray(self.values, dtype=float)
-        order = np.argsort(values, kind="stable")
+        order = np.arange(len(values)) if self.counts is None else np.argsort(values, kind="stable")
         counts = np.ones(len(values), dtype=np.int64) if self.counts is None else self.counts
-        tol = default_cluster_tol(values)
-        runs, of_sorted, run = [], [], None  # run: [first value, last value, sum, count]
-        for lam, copies in zip(values[order].tolist(), counts[order].tolist()):
-            if run and abs(lam - run[2] / run[3]) <= tol:
-                run[1:] = lam, run[2] + lam * copies, run[3] + copies
+        tol, ranked = default_cluster_tol(values), values[order]
+        sums, mult, modes = [], [], []  # per cluster: sum and count of members, modes
+        for lam, copies in zip(ranked.tolist(), counts[order].tolist()):
+            if mult and abs(lam - sums[-1] / mult[-1]) <= tol:
+                sums[-1] += lam * copies
+                mult[-1] += copies
+                modes[-1] += 1
             else:
-                run = [lam, lam, lam * copies, copies]
-                runs.append(run)
-            of_sorted.append(len(runs) - 1)
-        levels = [first if first == last else total / m for first, last, total, m in runs]
-        mult = np.array([run[3] for run in runs], dtype=np.int64)
+                sums.append(lam * copies)
+                mult.append(copies)
+                modes.append(1)
+        mult, modes = np.array(mult, dtype=np.int64), np.array(modes, dtype=np.intp)
+        first, last = ranked[np.cumsum(modes) - modes], ranked[np.cumsum(modes) - 1]
         cluster = np.empty(len(values), dtype=np.intp)
-        cluster[order] = of_sorted
-        return np.array(levels, dtype=float), mult, np.cumsum(mult) - mult, cluster
+        cluster[order] = np.repeat(np.arange(len(modes)), modes)
+        return (np.where(first == last, first, np.array(sums) / mult), mult,
+                np.cumsum(mult) - mult, cluster)
 
     @property
     def levels(self) -> np.ndarray:

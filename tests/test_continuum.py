@@ -26,11 +26,6 @@ from specwalk.continuum import _transform
 from specwalk.transport import TimeGrid, linear_grid, log_grid
 
 
-def amplitude(dos, grid):
-    """The complex average amplitude: the Fourier transform of the density."""
-    return _transform(dos, grid.times, quantum=True)
-
-
 # closed-form oracles, derived independently of the quadrature code paths
 
 def semicircle_classical_oracle(nu, lam_max, t):
@@ -325,7 +320,7 @@ class TestClosedFormsAgainstOracles:
         np.testing.assert_allclose(classical_return_continuum(dos, grid), p, rtol=1e-9)
         # QAWO keeps about 1e-8 absolute next to the lam^-0.9 endpoint
         # singularity; the mpmath test below pins those values tighter
-        np.testing.assert_allclose(amplitude(dos, grid), amp,
+        np.testing.assert_allclose(_transform(dos, grid.times, quantum=True), amp,
                                    rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("b", [1.5, 2.0, 3.0])
@@ -337,7 +332,7 @@ class TestClosedFormsAgainstOracles:
         p = [quad_lifshits_classical(b, t) for t in times]
         amp = [quad_lifshits_amplitude(b, t) for t in times]
         np.testing.assert_allclose(classical_return_continuum(dos, grid), p, rtol=1e-9)
-        np.testing.assert_allclose(amplitude(dos, grid), amp,
+        np.testing.assert_allclose(_transform(dos, grid.times, quantum=True), amp,
                                    rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("nu", [-0.99, -0.9, 200.0, 300.0])
@@ -347,7 +342,7 @@ class TestClosedFormsAgainstOracles:
         times = np.unique([0.3 * x0, 0.999 * x0, 1.001 * x0, 2 * x0, 50.0, 1000.0])
         grid = TimeGrid(times)
         p = classical_return_continuum(PowerSemicircle(nu=nu, lam_max=2.0), grid)
-        amp = amplitude(PowerSemicircle(nu=nu, lam_max=2.0), grid)
+        amp = _transform(PowerSemicircle(nu=nu, lam_max=2.0), times, quantum=True)
         for k, t in enumerate(times):
             want_p, want_amp = mp_semicircle(nu, 2.0, t)
             assert p[k] == pytest.approx(want_p, rel=1e-11, abs=1e-300)
@@ -363,7 +358,7 @@ class TestClosedFormsAgainstOracles:
     def test_exactly_one_at_zero(self, dos):
         grid = TimeGrid(np.array([0.0, 1.0]))
         assert classical_return_continuum(dos, grid)[0] == 1.0
-        assert amplitude(dos, grid)[0] == 1.0 + 0.0j
+        assert _transform(dos, grid.times, quantum=True)[0] == 1.0 + 0.0j
 
     @pytest.mark.parametrize("dos,times", [
         # x = lam_max t / 2 from 700 to 1e6
@@ -391,7 +386,7 @@ class TestClosedFormsAgainstOracles:
         with pytest.raises(NumericalError, match="nu=400"):
             classical_return_continuum(dos, grid)
         with pytest.raises(NumericalError, match="nu=400"):
-            amplitude(dos, grid)
+            _transform(dos, grid.times, quantum=True)
 
 
 class TestPurePowerIdentity:
@@ -530,10 +525,11 @@ class TestUnsupportedDOS:
                 return np.exp(-lam**2)
 
         grid = TimeGrid(np.array([0.0, 1.0]))
-        for fn in (classical_return_continuum, amplitude,
-                   quantum_return_bound_continuum):
+        for fn in (classical_return_continuum, quantum_return_bound_continuum):
             with pytest.raises(TypeError, match="Gaussian"):
                 fn(Gaussian(), grid)
+        with pytest.raises(TypeError, match="Gaussian"):
+            _transform(Gaussian(), grid.times, quantum=True)
 
 
 class TestParseDOSSpec:

@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -36,7 +37,7 @@ from specwalk.graphs import _build_tree
 from specwalk.spectral import (ShellTree, Spectrum, TorusPairs, _checked_residual,
                                _column_blocks, _fix_signs, default_cluster_tol,
                                degeneracies_csv, spectrum_csv)
-from specwalk.transport import chi_matrix, log_grid, transport_series
+from specwalk.transport import TimeGrid, chi_matrix, log_grid, transport_series
 
 
 def path_graph(n):
@@ -309,16 +310,20 @@ def projector_diagonals(s):
 
 
 def running_mean_table(eigenvalues, tol):
-    # the clustering rule written out once more, element by element
+    # the clustering rule written out once more, element by element; a run
+    # of bit-identical members keeps their value, where the mean may round
+    def level(run):
+        return run[0] if len(set(run)) == 1 else sum(run) / len(run)
+
     table, run = [], []
     for lam in eigenvalues:
         if run and abs(lam - sum(run) / len(run)) <= tol:
             run.append(lam)
         else:
             if run:
-                table.append((sum(run) / len(run), len(run)))
+                table.append((level(run), len(run)))
             run = [lam]
-    return table + [(sum(run) / len(run), len(run))]
+    return table + [(level(run), len(run))]
 
 
 class TestClusters:
@@ -332,6 +337,13 @@ class TestClusters:
         assert list(zip(s.levels.tolist(), s.mult.tolist())) == want
         assert s.mult.sum() == s.n
         np.testing.assert_array_equal(s.starts, np.cumsum(s.mult) - s.mult)
+
+    def test_bit_identical_dense_run_keeps_its_value(self):
+        # the running mean of three copies of 0.1 is 0.10000000000000002
+        lam = [0.1, 0.1, 0.1, 0.7, 0.7 + 1e-12, 0.7 + 2e-12]
+        s = Spectrum(np.array(lam))
+        assert list(zip(s.levels.tolist(), s.mult.tolist())) == running_mean_table(lam, 1e-8)
+        assert s.levels[0] == 0.1 and s.levels[1] == sum(lam[3:]) / 3
 
     def test_built_once(self):
         s = decompose(build_star(9), with_vectors=True)
@@ -393,6 +405,56 @@ SYMMETRIC_FAMILIES = (
 )
 
 
+def exact_levels(g):
+    """The distinct Laplacian eigenvalues of a torus or shell tree at the
+    working mpmath precision, with their multiplicities, ascending; no
+    shell block or float of the code under test enters.
+
+    Torus levels are the sums over the axes of 4 sin^2(pi k / side), one
+    per wave vector. A tree's are isolated by bisection on the number of
+    eigenvalues below x, the negative pivots of L - x I eliminated from
+    the leaves up (Sylvester's inertia): elimination on a tree makes no
+    fill-in, and all nodes of one shell share their pivot."""
+    name, *params = g.family
+    tiny = mpmath.mpf(10) ** (5 - mpmath.mp.dps)
+    if name == "torus":
+        side, d = params
+        waves = [4 * mpmath.sin(mpmath.pi * k / side) ** 2 for k in range(side)]
+        table = []
+        for lam in sorted(sum(axes) for axes in itertools.product(waves, repeat=d)):
+            if table and lam - table[-1][0] < tiny:
+                table[-1][1] += 1
+            else:
+                table.append([lam, 1])
+        return [(lam, m) for lam, m in table]
+    (branching,) = params
+    sizes = np.cumprod((1,) + branching).tolist()
+
+    def count_below(x):
+        below, pivot = 0, None
+        for shell in reversed(range(len(sizes))):
+            if shell == len(branching):
+                d = int(shell > 0) - x
+            else:
+                d = branching[shell] + int(shell > 0) - x - branching[shell] / pivot
+            pivot = d if d != 0 else tiny**2
+            below += sizes[shell] * (pivot < 0)
+        return below
+
+    table, stack = [], [(-mpmath.mpf(1) / 3, 2 * max(branching, default=0) + 2.5, 0, g.n)]
+    while stack:
+        lo, hi, n_lo, n_hi = stack.pop()
+        if n_lo == n_hi:
+            continue
+        if hi - lo < tiny:
+            table.append(((lo + hi) / 2, n_hi - n_lo))
+            continue
+        mid = (lo + hi) / 2
+        n_mid = count_below(mid)
+        stack += [(mid, hi, n_mid, n_hi), (lo, mid, n_lo, n_mid)]
+    return sorted(table)
+
+
 class TestGraphSpectrum:
     @pytest.fixture(scope="class")
     def pairs(self):
@@ -440,6 +502,36 @@ class TestGraphSpectrum:
                 transport_series(orbit, grid, with_exact_quantum=True).pi_bar,
                 transport_series(at_levels, grid, with_exact_quantum=True).pi_bar,
                 rtol=0, atol=1e-13, err_msg=str(g.family))
+
+    @pytest.mark.parametrize("g", [build_dendrimer(6, 4), build_hypercubic(5, 3),
+                                   build_dendrimer(10, 3), build_star(30), _build_tree((1, 3, 2))])
+    def test_pi_bar_matches_forty_digits(self, pairs, g):
+        # end to end against 40 digits: exact levels, and the Gram matrix
+        # of the dense projectors. pi_bar(t) = (c G c + s G s) / n with
+        # c_E = cos(lam_E t), s_E = sin(lam_E t), so a level error d moves
+        # it by up to 2 t |d|; at t = 1e4 the dense running-mean levels,
+        # up to 28 ulp off, miss by 1.1e-11, the closed form's by 6.5e-13
+        with mpmath.workdps(40):
+            table = exact_levels(g)
+            dense = pairs[SYMMETRIC_FAMILIES.index(g)][1]
+            orbit = graph_spectrum(g, with_vectors=True)
+            assert [m for _, m in table] == orbit.mult.tolist() == dense.mult.tolist()
+            want = np.array([float(lam) for lam, _ in table])
+            # a few ulp of the largest level, the error of a small dense solve
+            assert np.abs(orbit.levels - want).max() <= 8 * np.spacing(want[-1]), g.family
+            v = dense.eigenvectors
+            w = np.column_stack([(v[:, a:a + m] ** 2).sum(axis=1)
+                                 for a, m in zip(dense.starts, dense.mult)])
+            gram = mpmath.matrix((w.T @ w).tolist())
+            times = [0.5, 3.0, 20.0, 150.0, 1e3, 4321.5, 1e4]
+            exact = []
+            for t in times:
+                c = mpmath.matrix([mpmath.cos(lam * t) for lam, _ in table])
+                s = mpmath.matrix([mpmath.sin(lam * t) for lam, _ in table])
+                exact.append(float(((c.T * gram * c)[0] + (s.T * gram * s)[0]) / g.n))
+        np.testing.assert_allclose(
+            transport_series(orbit, TimeGrid(np.array(times)), with_exact_quantum=True).pi_bar,
+            exact, rtol=0, atol=1e-11, err_msg=str(g.family))
 
     def test_bit_identical_clusters_keep_their_value(self):
         # a running mean of equal values drifts by rounding; it moved 25
@@ -533,35 +625,37 @@ class TestGraphSpectrum:
             exact = centre[a] * centre[b] + (n - 1) * leaf[a] * leaf[b]
             assert abs(Fraction(gram[a, b]) - exact) <= Fraction(1e-15) * exact, (a, b)
 
-    def test_gram_memory_on_a_large_dendrimer(self):
-        g = build_dendrimer(16, 3)  # 196,606 nodes in 17 shells
+    @pytest.fixture(scope="class")
+    def large_dendrimer(self):
+        # 3,145,726 nodes in 21 shells and 231 modes: one float64 per node
+        # is 24 MB, its edge array 50 MB
+        return build_dendrimer(20, 3)
+
+    def test_gram_memory_on_a_large_dendrimer(self, large_dendrimer):
         graph_spectrum(build_dendrimer(3, 3), with_vectors=True).gram  # imports
         tracemalloc.start()
         try:
-            graph_spectrum(g, with_vectors=True).gram
+            graph_spectrum(large_dendrimer, with_vectors=True).gram
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # nothing n-length: the 153 modes' amplitudes and factors, and
-        # K x K arrays; a 17 x n array of per-eigenvalue weights alone
-        # takes 26.7 MB
+        # nothing n-length: the modes' amplitudes and factors, and K x K
+        # arrays
         assert peak <= 2**20
 
     @pytest.mark.parametrize("with_vectors", [False, True])
-    def test_closed_form_run_builds_no_n_length_array(self, with_vectors):
-        # 3,145,726 nodes in 231 modes: one float64 per node is 24 MB
-        g = build_dendrimer(20, 3)
+    def test_closed_form_run_builds_no_n_length_array(self, large_dendrimer, with_vectors):
         transport_series(graph_spectrum(build_dendrimer(3, 3)), log_grid())  # imports
         tracemalloc.start()
         try:
-            s = graph_spectrum(g, with_vectors=with_vectors)
+            s = graph_spectrum(large_dendrimer, with_vectors=with_vectors)
             transport_series(s, log_grid())
             if with_vectors:
                 s.gram
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert s.n == g.n and len(s.values) == 231
+        assert s.n == large_dendrimer.n and len(s.values) == 231
         assert peak <= 4 * 2**20
 
     def test_vertex_transitive_pi_equals_bound(self):
