@@ -282,27 +282,6 @@ def int_text(values) -> np.ndarray:
     return out.view(_TEXT).reshape(-1)
 
 
-def _repr_table(values):
-    """Each distinct bit pattern of the elements formatted once: (text,
-    index), where text holds the distinct patterns' `float_text` and
-    index[i] the row of text that element i of the flattened array
-    reads. Neither holds a Python object per element."""
-    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64).ravel()
-    order = np.argsort(bits)
-    ranked = bits[order]
-    new = np.empty(len(bits), dtype=bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    distinct = ranked[new].view(float)
-    del ranked
-    rank = np.cumsum(new, dtype=np.int64 if len(bits) >= 2**31 else np.int32)
-    rank -= 1
-    index = np.empty_like(rank)
-    index[order] = rank
-    del order, rank, new
-    return float_text(distinct), index
-
-
 def _csv_blocks(header, rows, width, cells):
     """ASCII blocks of a CSV: the header line, then `rows` rows of `width`
     comma-separated cells, each block holding about _CSV_BLOCK_CELLS
@@ -320,7 +299,7 @@ def _csv_blocks(header, rows, width, cells):
         slots[:, :, :-1] = cells(lo, hi).view(np.uint8).reshape(hi - lo, width, _WIDTH)
         slots[:, :, -1] = ord(",")
         slots[:, -1, -1] = ord("\n")
-        yield slots[slots != 0].tobytes()
+        yield slots.tobytes().translate(None, b"\0")
 
 
 def _columns(*texts):

@@ -36,7 +36,7 @@ from .scaling import (EfficiencyReport, check_fit_window, check_half_width,
                       report_text, saturation)
 from .spectral import (default_cluster_tol, degeneracies_csv, graph_spectrum,
                        spectrum_csv)
-from .transport import (TimeGrid, TransportSeries, chi_csv, chi_matrix,
+from .transport import (TimeGrid, TransportSeries, chi_csv, chi_table,
                         linear_grid, log_grid, merge_grids, series_csv,
                         transport_series)
 
@@ -346,9 +346,10 @@ def _spectrum_diagnostics(spectrum) -> dict[str, str]:
     return out
 
 
-def _chi_diagnostics(chi) -> dict[str, str]:
-    """The largest |column sum - 1| of chi, and (1/N) tr chi, the long-time
-    limit of pi_bar."""
+def _chi_diagnostics(values, index) -> dict[str, str]:
+    """The largest |column sum - 1| of chi, given as `chi_table` gives it,
+    and (1/N) tr chi, the long-time limit of pi_bar."""
+    chi = values if index is None else values[index]
     return {"chi.column_sum_error": repr(float(np.abs(chi.sum(axis=0) - 1.0).max())),
             "chi.mean_return": repr(float(np.trace(chi) / len(chi)))}
 
@@ -381,14 +382,17 @@ def run_experiment(config: ExperimentConfig,
         if config.chi:
             # before any artifact: a chi above the node cap writes nothing
             with manifest.stage("chi"):
-                chi = chi_matrix(spectrum)
-                manifest.diagnostics.update(_chi_diagnostics(chi))
+                chi = chi_table(spectrum)
+                manifest.diagnostics.update(_chi_diagnostics(*chi))
         if "spectrum" in stages:
             _write(out_dir, "spectrum.csv", spectrum_csv, spectrum, manifest)
             _write(out_dir, "degeneracies.csv", degeneracies_csv, spectrum, manifest)
         if config.chi:
-            _write(out_dir, "chi.csv", chi_csv, chi, manifest)
-            del chi  # n x n: not kept through the series stage
+            # the n x n chi goes before its text is built, and is not kept
+            # through the series stage
+            blocks = chi_csv(*chi)
+            del chi
+            _write(out_dir, "chi.csv", iter, blocks, manifest)
         if "series" in stages:
             with manifest.stage("series"):
                 series = transport_series(spectrum, grid,

@@ -24,12 +24,13 @@ from functools import cached_property
 import numpy as np
 
 from . import graphs
-from ._csvtext import _columns, _csv_blocks, _labelled, _repr_table, float_text, int_text
+from ._csvtext import _columns, _csv_blocks, _labelled, float_text, int_text
 from .errors import NumericalError
 from .graphs import Graph, laplacian
 
 RESIDUAL_RTOL = 1e-9
-# elements of one column block in the sign fix and the residual check
+# elements of one column block in the sign fix and the residual check, and
+# of one block of clusters of the pair-orbit projectors
 _BLOCK_ELEMS = 1 << 18
 
 
@@ -61,16 +62,17 @@ class Spectrum:
 
     `pairs`, when set, is a `ShellTree` or `TorusPairs`: the pair orbits
     of a symmetric graph, on which every eigenspace projector is
-    constant, and from which `gram` and `chi_matrix` take the projectors
+    constant, and from which `factor` and `chi_matrix` take the projectors
     of the modes' clusters without eigenvectors.
 
     Taken in ascending order and weighted by their copies, modes join a
     cluster while they stay within `default_cluster_tol` of its running
-    mean, the cluster's level unless its members are bit-identical, whose
-    value it then keeps. `cluster[i]` is the cluster of mode i; cluster E
-    covers `eigenvalues[starts[E]:starts[E] + mult[E]]`, so the
-    multiplicities sum to n. The clusters and `gram` are built on first
-    use; the spectrum is treated as immutable, so they are never rebuilt.
+    mean. The cluster's level is its first member plus the members' mean
+    deviation from it, so bit-identical copies keep their value.
+    `cluster[i]` is the cluster of mode i; cluster E covers
+    `eigenvalues[starts[E]:starts[E] + mult[E]]`, so the multiplicities sum
+    to n. The clusters and `factor` are built on first use; the spectrum is
+    treated as immutable, so they are never rebuilt.
     """
 
     values: np.ndarray
@@ -96,23 +98,26 @@ class Spectrum:
         values = np.asarray(self.values, dtype=float)
         order = np.arange(len(values)) if self.counts is None else np.argsort(values, kind="stable")
         counts = np.ones(len(values), dtype=np.int64) if self.counts is None else self.counts
-        tol, ranked = default_cluster_tol(values), values[order]
+        tol, ranked, copies = default_cluster_tol(values), values[order], counts[order]
         sums, mult, modes = [], [], []  # per cluster: sum and count of members, modes
-        for lam, copies in zip(ranked.tolist(), counts[order].tolist()):
+        for lam, c in zip(ranked.tolist(), copies.tolist()):
             if mult and abs(lam - sums[-1] / mult[-1]) <= tol:
-                sums[-1] += lam * copies
-                mult[-1] += copies
+                sums[-1] += lam * c
+                mult[-1] += c
                 modes[-1] += 1
             else:
-                sums.append(lam * copies)
-                mult.append(copies)
+                sums.append(lam * c)
+                mult.append(c)
                 modes.append(1)
         mult, modes = np.array(mult, dtype=np.int64), np.array(modes, dtype=np.intp)
-        first, last = ranked[np.cumsum(modes) - modes], ranked[np.cumsum(modes) - 1]
+        heads = np.cumsum(modes) - modes
+        first = ranked[heads]
+        # deviations from the first member are small, so their mean does not
+        # drift with the cluster's size as a running sum does
+        deviation = np.add.reduceat((ranked - np.repeat(first, modes)) * copies, heads)
         cluster = np.empty(len(values), dtype=np.intp)
         cluster[order] = np.repeat(np.arange(len(modes)), modes)
-        return (np.where(first == last, first, np.array(sums) / mult), mult,
-                np.cumsum(mult) - mult, cluster)
+        return first + deviation / mult, mult, np.cumsum(mult) - mult, cluster
 
     @property
     def levels(self) -> np.ndarray:
@@ -133,28 +138,28 @@ class Spectrum:
         return self._clusters[3]
 
     @cached_property
-    def gram(self) -> np.ndarray:
-        """G = W^T W, K x K, where W[j, E] is the diagonal of the projector
-        onto cluster E at node j, whatever basis spans the cluster.
+    def factor(self) -> np.ndarray:
+        """F, r x K, with F^T F = W^T W, where W[j, E] is the diagonal of
+        the projector onto cluster E at node j, whatever basis spans the
+        cluster; pi_bar reads it at T x K x r.
 
         With pair orbits, W is constant on the orbits of the diagonal, and
         `pairs.diagonal` holds it per orbit: sizes s and Omega (o x K), so
-        G = Omega^T diag(s) Omega. Eigenvectors are the case of n singleton
-        orbits: they build one n x n array, their squares, and since
-        singleton clusters need no sum, that array is W itself, and nothing
-        of it outlives G.
+        F = diag(sqrt(s)) Omega, and r is 1 on a torus and the shell count
+        on a tree. From eigenvectors, W is their squares summed per cluster,
+        n x K. F is W when every cluster is one vector (n = K), else the
+        K x K R of W's QR decomposition, so that r <= K.
         """
         if self.pairs is not None:
-            sizes, weights = self.pairs.diagonal(self.cluster)
-            weights = weights * np.sqrt(sizes)[:, None]
-        elif self.eigenvectors is not None:
-            weights = self.eigenvectors**2
-            if len(self.levels) < weights.shape[1]:
-                weights = np.add.reduceat(weights, self.starts, axis=1)
-        else:
+            sizes, omega = self.pairs.diagonal(self.cluster)
+            return omega * np.sqrt(sizes)[:, None]
+        if self.eigenvectors is None:
             raise ValueError("operation needs eigenvectors or pair orbits; "
                              "use graph_spectrum(graph, with_vectors=True)")
-        return weights.T @ weights
+        weights = self.eigenvectors**2
+        if len(self.levels) == weights.shape[1]:
+            return weights
+        return np.linalg.qr(np.add.reduceat(weights, self.starts, axis=1), mode="r")
 
 
 def _column_blocks(shape):
@@ -350,13 +355,20 @@ class ShellTree:
 
     def projectors(self, cluster):
         """P_E on every pair orbit (gj, gk, l), flattened in that order,
-        l fastest: yields one (clusters) x (orbits) array. cluster[m] is
-        the cluster of mode m."""
-        f = self.amplitudes
-        terms = f[:, :, None, None] * f[:, None, :, None] * self._factors()[:, None, None, :]
-        out = np.zeros((int(cluster.max()) + 1, terms[0].size))
-        np.add.at(out, cluster, terms.reshape(len(f), -1))
-        yield out
+        l fastest, in blocks of consecutive clusters of about _BLOCK_ELEMS
+        elements: yields (clusters) x (orbits) arrays. cluster[m] is the
+        cluster of mode m."""
+        f, c = self.amplitudes, self._factors()
+        orbits = f.shape[1] ** 3
+        count = int(cluster.max()) + 1
+        step = max(1, _BLOCK_ELEMS // orbits)
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            modes = np.flatnonzero((cluster >= lo) & (cluster < hi))
+            terms = f[modes, :, None, None] * f[modes, None, :, None] * c[modes, None, None, :]
+            out = np.zeros((hi - lo, orbits))
+            np.add.at(out, cluster[modes] - lo, terms.reshape(len(modes), -1))
+            yield out
 
     def diagonal(self, cluster):
         """(sizes, Omega): the shells are the orbits of the diagonal pairs,
@@ -473,11 +485,15 @@ def degeneracy_table(spectrum: Spectrum):
 # -- CSV export ---------------------------------------------------------------
 
 def spectrum_csv(spectrum: Spectrum) -> str:
-    """Each distinct eigenvalue formatted once: closed-form spectra are
-    highly degenerate (dendrimer:10,3 has 66 distinct values in 3070)."""
-    text, index = _repr_table(spectrum.eigenvalues)
-    blocks = _csv_blocks("index,eigenvalue\n", len(index), 2,
-                         _labelled(lambda lo, hi: text[index[lo:hi], None]))
+    """Each mode's value formatted once and repeated over its copies:
+    closed-form spectra are highly degenerate (dendrimer:10,3 has 66 modes
+    for 3070 eigenvalues)."""
+    text = float_text(spectrum.values)
+    if spectrum.counts is not None:
+        order = np.argsort(spectrum.values, kind="stable")
+        text = np.repeat(text[order], spectrum.counts[order])
+    blocks = _csv_blocks("index,eigenvalue\n", len(text), 2,
+                         _labelled(lambda lo, hi: text[lo:hi, None]))
     return b"".join(blocks).decode()
 
 

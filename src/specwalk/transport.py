@@ -10,10 +10,10 @@ or, on the symmetric families, their pair orbits.
 
 Both read the spectrum's degeneracy clusters, built once per spectrum:
 K distinct levels with their multiplicities and, with vectors or pair
-orbits, the Gram matrix of the cluster projector diagonals. The series work in real
-arithmetic on blocks of about CHUNK_ELEMS / K times, at most three such
-blocks alive at once, so their cost scales with K rather than n and their
-memory does not grow with the grid.
+orbits, a factor of the Gram matrix of the cluster projector diagonals.
+The series work in real arithmetic on blocks of about CHUNK_ELEMS / K
+times, at most three such blocks alive at once, so their cost scales with
+K rather than n and their memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvtext import _columns, _csv_blocks, _labelled, _repr_table, float_text
+from ._csvtext import _CSV_BLOCK_CELLS, _TEXT, _columns, _csv_blocks, _labelled, float_text
 from . import graphs
 from .errors import NumericalError
 from .spectral import Spectrum
@@ -161,16 +161,17 @@ def transport_series(spectrum: Spectrum, grid: TimeGrid,
     - pi_bar(t) = mean over j of |sum_E exp(-i lam_E t) W_jE|^2, the exact
       average quantum return, with W_jE the diagonal of the projector onto
       cluster E. Expanded, that is (1/N) sum_{E,E'} G_EE' cos((lam_E -
-      lam_E') t) with G = W^T W, evaluated as rowsum((C G) o C + (S G) o
-      S) / N: T x K^2 real flops. G comes from the pair orbits
-      (`Spectrum.gram`), so a closed-form spectrum needs no
-      eigenvectors.
+      lam_E') t) with G = W^T W = F^T F, evaluated as rowsum((C F^T)^2 +
+      (S F^T)^2) / N: T x K x r real flops, where F (`Spectrum.factor`)
+      has r rows, 1 on a torus, one per shell on a tree and at most K from
+      eigenvectors. F comes from the pair orbits, so a closed-form spectrum
+      needs no eigenvectors.
 
     One half-angle block per chunk of times feeds both quantum columns.
     """
     lam = _levels(spectrum)
     n, mult = spectrum.n, spectrum.mult.astype(float)
-    gram = spectrum.gram if with_exact_quantum else None
+    factor = spectrum.factor.T if with_exact_quantum else None
 
     def kernel(t):
         # at most three times x K blocks are alive at once
@@ -182,20 +183,21 @@ def transport_series(spectrum: Spectrum, grid: TimeGrid,
         del decay, keep
         cos, sin = _cos_sin(t, lam)
         columns = [p, ((cos @ mult) ** 2 + (sin @ mult) ** 2) / n**2]
-        if gram is not None:
-            # (C G) o C + (S G) o S, the second product in C's buffer
-            pi = cos @ gram
-            pi *= cos
-            sg = np.matmul(sin, gram, out=cos)
-            sg *= sin
-            pi += sg
+        if factor is not None:
+            # (C F^T)^2 + (S F^T)^2, C freed before S F^T is built
+            pi = cos @ factor
+            del cos
+            pi *= pi
+            sf = sin @ factor
+            sf *= sf
+            pi += sf
             columns.append(pi.sum(axis=1) / n)
         return np.column_stack(columns)
 
     columns = _chunked(grid, len(lam), kernel).T
     return TransportSeries(
         grid=grid, p_bar=columns[0], alpha_bar_sq=clamp_unit_interval(columns[1]),
-        pi_bar=None if gram is None else clamp_unit_interval(columns[2]))
+        pi_bar=None if factor is None else clamp_unit_interval(columns[2]))
 
 
 def chi_matrix(spectrum: Spectrum) -> np.ndarray:
@@ -211,20 +213,20 @@ def chi_matrix(spectrum: Spectrum) -> np.ndarray:
     n x n array.
 
     A closed-form spectrum carries its graph's pair orbits
-    (`Spectrum.pairs`), on which every P_E is constant: chi is sum_E P_E^2
-    per orbit, gathered through the n x n small-int orbit index, so the
-    only n x n float array is chi itself.
+    (`Spectrum.pairs`), on which every P_E is constant: chi is the orbit
+    table of `chi_table` gathered through the n x n small-int orbit index,
+    so the only n x n float array is chi itself.
 
     From eigenvectors, clusters of one or two vectors a, b contribute
     rank-one terms (a o a)(a o a)^T, (b o b)(b o b)^T and
     2 (a o b)(a o b)^T, which go into a single product Z Z^T; only larger
-    clusters build an n x n projector.
+    clusters build an n x n projector. Z Z^T and each projector run as
+    symmetric rank-k updates, so chi is exactly symmetric.
     """
+    if spectrum.pairs is not None:
+        table, index = chi_table(spectrum)
+        return table[index]
     graphs.check_size_cap(spectrum.n, "chi")
-    pairs = spectrum.pairs
-    if pairs is not None:
-        table = sum((p * p).sum(axis=0) for p in pairs.projectors(spectrum.cluster))
-        return table[pairs.orbit_index()]
     v = spectrum.eigenvectors
     if v is None:
         raise ValueError("chi needs eigenvectors or pair orbits; use "
@@ -241,6 +243,18 @@ def chi_matrix(spectrum: Spectrum) -> np.ndarray:
         proj = block @ block.T
         chi += proj * proj
     return chi
+
+
+def chi_table(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray | None]:
+    """chi as `chi_csv` takes it: with pair orbits the orbit table, sum_E
+    P_E^2 per orbit, and the orbit index; from eigenvectors `chi_matrix`
+    and None."""
+    pairs = spectrum.pairs
+    if pairs is None:
+        return chi_matrix(spectrum), None
+    graphs.check_size_cap(spectrum.n, "chi")
+    table = sum((p * p).sum(axis=0) for p in pairs.projectors(spectrum.cluster))
+    return table, pairs.orbit_index()
 
 
 # -- CSV export ---------------------------------------------------------------
@@ -260,15 +274,37 @@ def series_csv(series: TransportSeries):
     return _csv_blocks(header, len(series.times), len(texts), _columns(*texts))
 
 
-def chi_csv(chi: np.ndarray):
-    """Matrix CSV with a node-index header row, as byte blocks like
-    `series_csv`'s, so the whole text is never held at once.
+def chi_csv(values: np.ndarray, index: np.ndarray | None = None):
+    """Matrix CSV of chi = values[index] with a node-index header row, as
+    byte blocks like `series_csv`'s, so the whole text is never held at
+    once. Nothing runs until the first block is asked for; then each value
+    is formatted once.
 
-    chi is symmetric and often highly degenerate, so each distinct bit
-    pattern is formatted once, into fixed-width text, before the call returns.
+    index is an n x n integer array of positions in values, as the orbit
+    index is for the orbit table (`chi_table`); values it never reads are
+    not formatted. Without index, values is chi itself, exactly symmetric:
+    only its lower triangle is kept and formatted, and each block of rows
+    finds its cells there arithmetically. A caller that lets go of chi
+    once it has this generator frees it before the text is built.
     """
-    n = chi.shape[0]
+    if index is None:
+        n, node = len(values), np.arange(len(values))
+        values = values[np.tri(n, dtype=bool)]
+        text = float_text(values)
+        start = node * (node + 1) // 2  # of row i in the triangle
+
+        def rows(lo, hi):
+            i = node[lo:hi, None]
+            return text[np.where(node <= i, start[i] + node, start + i)]
+    else:
+        n, step = len(index), max(1, _CSV_BLOCK_CELLS // len(index))
+        read = np.zeros(len(values), dtype=bool)
+        for lo in range(0, n, step):
+            read[index[lo:lo + step]] = True
+        text = np.zeros(len(values), dtype=_TEXT)
+        text[read] = float_text(values[read])
+
+        def rows(lo, hi):
+            return text[index[lo:hi]]
     header = "node," + ",".join(map(str, range(n))) + "\n"
-    text, index = _repr_table(chi)
-    rows = _labelled(lambda lo, hi: text[index[lo * n:hi * n]].reshape(hi - lo, n))
-    return _csv_blocks(header, n, n + 1, rows)
+    yield from _csv_blocks(header, n, n + 1, _labelled(rows))

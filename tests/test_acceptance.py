@@ -319,9 +319,10 @@ def _numeric_build():
 # trees moved to one shell reduction, which sets the stationary level to
 # exactly 0.0 and takes the star's amplitudes from its 2 x 2 block, and
 # fig2b's degeneracies, series and deltap again when the clusters moved to
-# the modes, which keeps each level of bit-identical copies at their value
-# (see CHANGES.md). The presets take closed-form spectra or quadrature, but
-# numpy's SIMD loops and the series kernel's BLAS block products may
+# the modes, which keeps each level of bit-identical copies at their value,
+# and fig3's series when pi_bar moved to the projector factor, which moved
+# it on 5716 rows by at most 5.6e-16 (see CHANGES.md). The presets take
+# closed-form spectra or quadrature, but numpy's SIMD loops and the series kernel's BLAS block products may
 # round a last digit differently on another build or CPU, so there the
 # digests do not apply.
 PRESET_CSV_BUILD = ("x86_64", "2.4.6", "1.17.1", "0.3.31.188.0", "0.3.30",
@@ -350,7 +351,7 @@ PRESET_CSV_SHA256 = {
     "fig3": {
         "degeneracies.csv": "4452882323410047f823e348f06542a65d30dd9b1622ad21ef5f98567fce50a7",
         "deltap.csv": "5fed9fdbb2b285d01049bab3c12b6674700adf49f3871416fb0ae84d25e918f4",
-        "series.csv": "b393d62051db538bf7680d32125f7cc877f80637b88dc67e699da030fd192b4c",
+        "series.csv": "ab8cabb32bfbab202e3f6e06f8631a8c5627cee0964ed46b43037e6da8fb5565",
         "spectrum.csv": "db43f8b4fabe78b268694b3452b9fc2901b2a7d3febe128c2d5c394684d61480",
     },
 }
@@ -368,3 +369,24 @@ def test_preset_csvs_match_recorded_digests(tmp_path):
             **{**PRESETS[name].__dict__, "out": str(tmp_path / name)}))
         csvs = {f: digest for f, digest in manifest.files.items() if f.endswith(".csv")}
         assert csvs == recorded, name
+
+
+# sha256 of chi.csv on the three chi graphs of the benchmark, recorded on
+# PRESET_CSV_BUILD when chi.csv still went through an n^2 sort of chi's
+# bit patterns: the orbit tables and the symmetric triangle must write the
+# same bytes
+CHI_CSV_SHA256 = {
+    "ring:600": "c24ca4bb9252431b85e797ddf42b3a6fc9f68221d06b8f55fbac72736f82c938",
+    "dendrimer:8,3": "ee9adbd3e4cfcea60544670d2104d2d712f819a3ff02ab9a5e6697a4d140e7e7",
+    "er:800,0.02,seed=1": "ae385fb7f1eaf11207c8be2663cfed82c0443f2466332b14c86f2f9e847fb12a",
+}
+
+
+@pytest.mark.parametrize("graph", sorted(CHI_CSV_SHA256))
+def test_chi_csvs_match_recorded_digests(tmp_path, graph):
+    build = _numeric_build()
+    if build != PRESET_CSV_BUILD:
+        pytest.skip(f"digests were recorded on {PRESET_CSV_BUILD}, not on {build}")
+    manifest = run_experiment(ExperimentConfig(graph=graph, chi=True, out=str(tmp_path)),
+                              stages=("spectrum",))
+    assert manifest.files["chi.csv"] == CHI_CSV_SHA256[graph]

@@ -556,7 +556,7 @@ class TestManifest:
         assert float(diag["chi.column_sum_error"]) <= 1e-13
         spectrum = graph_spectrum(parse_graph_spec(graph), with_vectors=True)
         assert float(diag["chi.mean_return"]) == pytest.approx(
-            np.trace(spectrum.gram) / len(chi), rel=1e-13)
+            (spectrum.factor**2).sum() / len(chi), rel=1e-13)
 
     def test_no_chi_diagnostics_without_chi(self, tmp_path):
         run_experiment(ExperimentConfig(graph="ring:12", out=str(tmp_path)),

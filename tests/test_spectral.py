@@ -1,4 +1,5 @@
 import itertools
+import math
 import subprocess
 import sys
 import textwrap
@@ -201,13 +202,13 @@ class TestOwnedBufferSolve:
         assert len(s.levels) == s.n  # singleton clusters: the squares are W
         tracemalloc.start()
         try:
-            gram = s.gram
+            factor = s.factor
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the squared vectors, then G; only G outlives the call
-        assert peak <= 2.1 * 8 * s.n**2
-        assert kept <= 1.1 * gram.nbytes
+        # the squared vectors are F itself: no Gram product, no copy
+        assert peak <= 1.1 * 8 * s.n**2
+        assert kept <= 1.1 * factor.nbytes
 
     @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
                         reason="needs the VmHWM line of /proc/self/status")
@@ -309,11 +310,18 @@ def projector_diagonals(s):
                             for a, m in zip(s.starts, s.mult)])
 
 
+def gram(s):
+    """G = F^T F, the Gram matrix of the projector diagonals, from the
+    spectrum's factor."""
+    return s.factor.T @ s.factor
+
+
 def running_mean_table(eigenvalues, tol):
-    # the clustering rule written out once more, element by element; a run
-    # of bit-identical members keeps their value, where the mean may round
+    # the clustering rule written out once more, element by element; a
+    # run's level is its first member plus the members' mean deviation from
+    # it, so a run of bit-identical members keeps their value
     def level(run):
-        return run[0] if len(set(run)) == 1 else sum(run) / len(run)
+        return run[0] + math.fsum(lam - run[0] for lam in run) / len(run)
 
     table, run = [], []
     for lam in eigenvalues:
@@ -343,25 +351,26 @@ class TestClusters:
         lam = [0.1, 0.1, 0.1, 0.7, 0.7 + 1e-12, 0.7 + 2e-12]
         s = Spectrum(np.array(lam))
         assert list(zip(s.levels.tolist(), s.mult.tolist())) == running_mean_table(lam, 1e-8)
-        assert s.levels[0] == 0.1 and s.levels[1] == sum(lam[3:]) / 3
+        assert s.levels[0] == 0.1
+        assert s.levels[1] == lam[3] + ((lam[4] - lam[3]) + (lam[5] - lam[3])) / 3
 
     def test_built_once(self):
         s = decompose(build_star(9), with_vectors=True)
         assert s.levels is s.levels and s.mult is s.mult and s.starts is s.starts
-        assert s.gram is s.gram
+        assert s.factor is s.factor
 
     @pytest.mark.parametrize("g", graphs)
     def test_weights_are_projector_diagonals(self, g):
         s = decompose(g, with_vectors=True)
         w = projector_diagonals(s)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(s.gram, w.T @ w, rtol=0, atol=1e-13)
-        assert s.gram.sum() == pytest.approx(s.n, rel=1e-12)
+        np.testing.assert_allclose(gram(s), w.T @ w, rtol=0, atol=1e-13)
+        assert gram(s).sum() == pytest.approx(s.n, rel=1e-12)
 
     def test_weights_need_vectors(self):
         s = decompose(build_ring(6))
         with pytest.raises(ValueError, match="eigenvector"):
-            s.gram
+            s.factor
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(st.integers(0, 40), st.sampled_from([0.0, 3e-12, 1e-11]),
@@ -495,13 +504,58 @@ class TestGraphSpectrum:
             weights = np.repeat(omega, sizes, axis=0)
             np.testing.assert_allclose(weights, projector_diagonals(dense), rtol=0,
                                        atol=1e-11, err_msg=f"{g.family} weights")
-            np.testing.assert_allclose(orbit.gram, dense.gram, rtol=0,
+            np.testing.assert_allclose(gram(orbit), gram(dense), rtol=0,
                                        atol=1e-11, err_msg=f"{g.family} gram")
             at_levels = Spectrum(orbit.values, orbit.counts, eigenvectors=dense.eigenvectors)
             np.testing.assert_allclose(
                 transport_series(orbit, grid, with_exact_quantum=True).pi_bar,
                 transport_series(at_levels, grid, with_exact_quantum=True).pi_bar,
                 rtol=0, atol=1e-13, err_msg=str(g.family))
+
+    def test_factor_gram_is_the_projector_gram(self, pairs):
+        # F^T F against G = W^T W as it was built before the factor: W the
+        # diagonal orbits scaled by the square roots of their sizes, or the
+        # squared eigenvectors summed per cluster, where F is W itself or,
+        # with degenerate clusters, the R of its QR decomposition
+        for g, (_, dense) in zip(SYMMETRIC_FAMILIES, pairs):
+            orbit = graph_spectrum(g, with_vectors=True)
+            sizes, omega = orbit.pairs.diagonal(orbit.cluster)
+            for s, w in [(orbit, omega * np.sqrt(sizes)[:, None]),
+                         (dense, np.add.reduceat(dense.eigenvectors**2, dense.starts, axis=1))]:
+                k, want = len(s.levels), w.T @ w
+                assert s.factor.shape[1] == k and len(s.factor) <= k, g.family
+                # relative to G's largest entry: on a dendrimer a cluster of
+                # hundreds of vectors has G_EE near 100, and both products
+                # round there by several ulp
+                np.testing.assert_allclose(gram(s), want, rtol=0,
+                                           atol=1e-13 * max(1.0, want.max()),
+                                           err_msg=f"{g.family} {s.path}")
+            # one diagonal orbit on a torus, one per shell on a tree
+            assert len(orbit.factor) == (1 if g.family[0] == "torus" else len(g.family[1]) + 1)
+
+    def test_dense_pi_bar_at_late_times(self, pairs):
+        # the dense levels of decompose(dendrimer:6,4), clusters of up to
+        # 648 eigenvalues, and its projectors, against 50 digits: at t near
+        # 1e4 a level error d moves pi_bar by up to 2 t |d|; levels taken as
+        # running sums over the members put it 1.5e-11 off at these times,
+        # as the first member plus the mean deviation 6.2e-13
+        g = build_dendrimer(6, 4)
+        dense = pairs[SYMMETRIC_FAMILIES.index(g)][1]
+        times = [8765.25, 9500.0, 1e4]
+        v = dense.eigenvectors
+        w = np.column_stack([(v[:, a:a + m] ** 2).sum(axis=1)
+                             for a, m in zip(dense.starts, dense.mult)])
+        with mpmath.workdps(50):
+            table = exact_levels(g)
+            assert [m for _, m in table] == dense.mult.tolist()
+            g_exact = mpmath.matrix((w.T @ w).tolist())
+            exact = []
+            for t in times:
+                c = mpmath.matrix([mpmath.cos(lam * t) for lam, _ in table])
+                s = mpmath.matrix([mpmath.sin(lam * t) for lam, _ in table])
+                exact.append(float(((c.T * g_exact * c)[0] + (s.T * g_exact * s)[0]) / g.n))
+        got = transport_series(dense, TimeGrid(np.array(times)), with_exact_quantum=True).pi_bar
+        np.testing.assert_allclose(got, exact, rtol=0, atol=2e-12)
 
     @pytest.mark.parametrize("g", [build_dendrimer(6, 4), build_hypercubic(5, 3),
                                    build_dendrimer(10, 3), build_star(30), _build_tree((1, 3, 2))])
@@ -591,7 +645,7 @@ class TestGraphSpectrum:
         assert isinstance(s.pairs, ShellTree)
         np.testing.assert_array_equal(s.eigenvalues, graph_spectrum(g).eigenvalues)
         dense = decompose(g, with_vectors=True)
-        np.testing.assert_allclose(s.gram, dense.gram, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gram(s), gram(dense), rtol=0, atol=1e-12)
         np.testing.assert_allclose(chi_matrix(s), chi_matrix(dense), rtol=0, atol=1e-13)
 
     def test_ring_and_torus_chi_is_translation_invariant(self, pairs):
@@ -620,10 +674,10 @@ class TestGraphSpectrum:
         # a float spacing of 2.3e-13 at n = 1500
         centre = [Fraction(1, n), Fraction(0), Fraction(n - 1, n)]
         leaf = [Fraction(1, n), Fraction(n - 2, n - 1), Fraction(1, n * (n - 1))]
-        gram = graph_spectrum(build_star(n), with_vectors=True).gram
+        g = gram(graph_spectrum(build_star(n), with_vectors=True))
         for a, b in itertools.product(range(3), repeat=2):
             exact = centre[a] * centre[b] + (n - 1) * leaf[a] * leaf[b]
-            assert abs(Fraction(gram[a, b]) - exact) <= Fraction(1e-15) * exact, (a, b)
+            assert abs(Fraction(g[a, b]) - exact) <= Fraction(1e-15) * exact, (a, b)
 
     @pytest.fixture(scope="class")
     def large_dendrimer(self):
@@ -632,10 +686,10 @@ class TestGraphSpectrum:
         return build_dendrimer(20, 3)
 
     def test_gram_memory_on_a_large_dendrimer(self, large_dendrimer):
-        graph_spectrum(build_dendrimer(3, 3), with_vectors=True).gram  # imports
+        gram(graph_spectrum(build_dendrimer(3, 3), with_vectors=True))  # imports
         tracemalloc.start()
         try:
-            graph_spectrum(large_dendrimer, with_vectors=True).gram
+            gram(graph_spectrum(large_dendrimer, with_vectors=True))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -651,7 +705,7 @@ class TestGraphSpectrum:
             s = graph_spectrum(large_dendrimer, with_vectors=with_vectors)
             transport_series(s, log_grid())
             if with_vectors:
-                s.gram
+                s.factor
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -739,8 +793,8 @@ class TestPairOrbitChi:
             monkeypatch.setattr(module, name, sized(getattr(module, name)))
         seen = {}
 
-        def chi_header_only(chi):
-            seen["chi"], seen["peak"] = chi.nbytes, tracemalloc.get_traced_memory()[1]
+        def chi_header_only(values, index):
+            seen["cells"], seen["peak"] = index.size, tracemalloc.get_traced_memory()[1]
             return iter([b"node\n"])
 
         monkeypatch.setattr(cli, "chi_csv", chi_header_only)
@@ -752,7 +806,23 @@ class TestPairOrbitChi:
             tracemalloc.stop()
         assert largest[0] == 11
         # chi and its 16-bit orbit index are 1.25 times chi's bytes
-        assert seen["chi"] == 8 * 3070**2 and seen["peak"] <= 1.4 * seen["chi"]
+        assert seen["cells"] == 3070**2 and seen["peak"] <= 1.4 * 8 * seen["cells"]
+
+    def test_deep_tree_projectors_stay_in_blocks(self):
+        # 81 nodes in 41 shells: 41^3 pair orbits, so one modes x orbits
+        # array of the projectors took chi_matrix to 134.5 MB
+        g = _build_tree((2,) + (1,) * 39)
+        s = graph_spectrum(g, with_vectors=True)
+        chi_matrix(graph_spectrum(build_dendrimer(2, 3), with_vectors=True))  # imports
+        tracemalloc.start()
+        try:
+            chi = chi_matrix(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        np.testing.assert_allclose(chi, chi_matrix(decompose(g, with_vectors=True)),
+                                   rtol=0, atol=1e-13)
 
 
 def test_er_semicircle_ks():

@@ -115,6 +115,20 @@ def oracle_chi(s):
     return chi
 
 
+def chi_csv_forms(chi):
+    """(text, oracle text) of chi through each form `chi_csv` takes:
+    values with an index (here each entry read from the reversed entries,
+    with one value no entry reads), and the symmetric matrix itself, here
+    chi with its upper triangle mirrored from its lower one."""
+    n = len(chi)
+    index = (n * n - 1 - np.arange(n * n)).reshape(n, n)
+    sym = chi.copy()
+    upper = np.triu_indices(n, 1)
+    sym[upper] = chi.T[upper]
+    return [(csv_text(chi_csv(np.append(chi.ravel()[::-1], np.nan), index)), oracle_chi_csv(chi)),
+            (csv_text(chi_csv(sym)), oracle_chi_csv(sym))]
+
+
 def oracle_chi_csv(chi):
     n = chi.shape[0]
     lines = ["node," + ",".join(str(k) for k in range(n))]
@@ -531,7 +545,7 @@ class TestClusterKernelsAgainstOracle:
     def test_memory_is_bounded_on_long_grids(self, oracle_spectra):
         # the oracle would hold two 100k x 1500 complex arrays, 4.8 GB
         s = oracle_spectra("star:1500")
-        s.gram  # the one-off n x n work is not the grid's
+        s.factor  # the one-off n x n work is not the grid's
         grid = linear_grid(0.0, 1e3, 100_000)
         tracemalloc.start()
         try:
@@ -543,8 +557,8 @@ class TestClusterKernelsAgainstOracle:
         assert pi.shape == (100_000,)
 
     def test_dense_working_set(self):
-        # fig2a's grid on a graph of 800 singleton clusters: the Gram (the
-        # squared vectors, then G) and three 2 MB times x K blocks; with
+        # fig2a's grid on a graph of 800 singleton clusters: the factor (the
+        # squared vectors) and three 2 MB times x K blocks; with
         # 8 MB blocks the peak more than doubles
         s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), with_vectors=True)
         assert len(s.levels) == 800
@@ -559,10 +573,10 @@ class TestClusterKernelsAgainstOracle:
         assert series.pi_bar.shape == (5350,)
 
     def test_kernel_keeps_three_blocks(self):
-        # with G built beforehand: three 2 MB times x K blocks and the
+        # with F built beforehand: three 2 MB times x K blocks and the
         # output columns, where separate products would hold five blocks
         s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), with_vectors=True)
-        s.gram
+        s.factor
         grid = merge_grids(linear_grid(0.05, 250.0, 5000), log_grid(250.0, 1e4, 350))
         tracemalloc.start()
         try:
@@ -580,9 +594,20 @@ class TestChiCSVFormat:
         chi = chi_matrix(spectrum_of(g, vectors=True))
         assert csv_text(chi_csv(chi)) == oracle_chi_csv(chi)
 
+    def test_dense_chi_is_exactly_symmetric(self, oracle_spectra):
+        # chi_csv formats a dense chi's lower triangle and reads each upper
+        # entry from it: from clusters of one, two and more vectors,
+        # chi[i, j] and chi[j, i] are the same bits
+        s = oracle_spectra("union")
+        assert {1, 2} <= set(s.mult.tolist()) and s.mult.max() > 2
+        chi = chi_matrix(s)
+        assert np.array_equal(chi, chi.T)
+        assert np.array_equal(chi.view(np.uint64), chi.T.view(np.uint64))
+
     def test_special_values(self):
         chi = np.array([[0.0, -0.0, np.nan], [np.inf, 1e-300, 5e-324], [1.0, 0.1, 1 / 3]])
-        assert csv_text(chi_csv(chi)) == oracle_chi_csv(chi)
+        for got, want in chi_csv_forms(chi):
+            assert got == want
 
     def test_blocks_join_to_the_text(self, oracle_spectra):
         chi = chi_matrix(oracle_spectra("er:800,0.02,seed=1"))
@@ -645,8 +670,8 @@ class TestCSVWritersOracle:
     @given(st.integers(1, 6).flatmap(lambda n: st.lists(
         st.lists(csv_floats, min_size=n, max_size=n), min_size=n, max_size=n)))
     def test_chi_csv(self, rows):
-        chi = np.array(rows)
-        assert csv_text(chi_csv(chi)) == oracle_chi_csv(chi)
+        for got, want in chi_csv_forms(np.array(rows)):
+            assert got == want
 
 
 def formatter_sweep():
@@ -723,11 +748,11 @@ class TestInvariantProperties:
     @PROPERTY_SETTINGS
     @given(st.one_of(symmetric_graphs, graphs_with_unions))
     def test_mean_chi_return_is_the_gram_trace(self, g):
-        # (1/N) tr chi = sum_E sum_j W_jE^2 / N = tr(G) / N: pi_bar's long-time
-        # limit, chi from the pair orbits or the eigenvectors against G from
-        # their diagonal orbit or the squared eigenvectors
+        # (1/N) tr chi = sum_E sum_j W_jE^2 / N = tr(F^T F) / N: pi_bar's
+        # long-time limit, chi from the pair orbits or the eigenvectors
+        # against F from their diagonal orbit or the squared eigenvectors
         s = graph_spectrum(g, with_vectors=True)
-        limit = np.trace(s.gram) / s.n
+        limit = (s.factor**2).sum() / s.n
         assert np.trace(chi_matrix(s)) / s.n == pytest.approx(limit, rel=1e-13, abs=0)
 
     @PROPERTY_SETTINGS
