@@ -10,13 +10,15 @@ in 32-bit halves on uint64 arrays, about _CHUNK values at a time. The
 layout is then repr's: fixed notation for decimal exponents -5 < e < 16,
 otherwise a mantissa and a signed exponent of at least two digits.
 
-Ryu's vectorised path covers finite x with 0 < |x| < 2^54 whose
-mantissa bits are not all zero and whose digit search does not reach an
-exact decimal (Ryu's trailing-zero case). 0.0 and -0.0 get fixed text. The
-rest falls back to repr, one value at a time: non-finite values, |x| >=
-2^54, exact powers of two, and values like 1.0, 0.75 or 2.5 whose scaled
-mantissa has trailing zeros. Such values are rare in series and chi
-data, and their repr is short and cheap.
+Arrays of fewer than _REPR_BELOW values, where numpy's fixed cost per
+call outweighs the work per value, take repr itself. For the rest, Ryu's
+vectorised path covers finite x with 0 < |x| < 2^54 whose mantissa bits
+are not all zero and whose digit search does not reach an exact decimal
+(Ryu's trailing-zero case). 0.0 and -0.0 get fixed text. The rest falls
+back to repr, one value at a time: non-finite values, |x| >= 2^54, exact
+powers of two, and values like 1.0, 0.75 or 2.5 whose scaled mantissa
+has trailing zeros. Such values are rare in series and chi data, and
+their repr is short and cheap.
 
 Text is fixed-width: each cell is _WIDTH bytes (an "S24" array; repr of
 a double is at most 24 characters, as in "-2.2250738585072014e-308"),
@@ -35,6 +37,9 @@ _WIDTH = 24
 _TEXT = f"S{_WIDTH}"
 # values formatted by one pass of the vectorised path
 _CHUNK = 1 << 13
+# arrays shorter than this go through repr: the vectorised path's fixed
+# numpy cost, about 0.2 ms a call, matches repr's near 300-500 values
+_REPR_BELOW = 256
 # cells of one block of CSV rows
 _CSV_BLOCK_CELLS = 1 << 15
 
@@ -258,15 +263,22 @@ def _format(x, out):
     out[rows, 1:4] = np.frombuffer(b"0.0", dtype=np.uint8)
     rows = np.flatnonzero(~fast & ~zero)
     if len(rows):
-        text = np.array(list(map(repr, x[rows].tolist())), dtype=_TEXT)
-        _rows(out)[rows] = text.view(f"V{_WIDTH}")
+        _rows(out)[rows] = _repr_text(x[rows]).view(f"V{_WIDTH}")
+
+
+def _repr_text(x):
+    """repr's text of the doubles x, one value at a time, as _TEXT cells."""
+    return np.array(list(map(repr, x.tolist())), dtype=_TEXT)
 
 
 def float_text(values) -> np.ndarray:
     """repr(float(x)) of every element, as an array of _TEXT cells of the
-    same shape; NUL bytes inside a cell stand for no character."""
+    same shape; NUL bytes inside a cell stand for no character. Arrays of
+    fewer than _REPR_BELOW values take repr itself."""
     x = np.ascontiguousarray(values, dtype=float)
     flat = x.reshape(-1)
+    if len(flat) < _REPR_BELOW:
+        return _repr_text(flat).reshape(x.shape)
     out = np.zeros((len(flat), _WIDTH), dtype=np.uint8)
     for lo in range(0, len(flat), _CHUNK):
         _format(flat[lo:lo + _CHUNK], out[lo:lo + _CHUNK])

@@ -22,6 +22,8 @@ DEFAULT_SIZE_CAP = 5000
 # node cap of the ring, star and dendrimer specs, whose spectra need no
 # n x n array; at 10^6 nodes a spectrum run peaks near 200 MB
 SPEC_NODE_CAP = 10**7
+# raw draws of one block of Erdos-Renyi node pairs, 8 MB
+_DRAW_BLOCK = 1 << 20
 
 
 def check_size_cap(n: int, what: str):
@@ -215,7 +217,12 @@ def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
     pairs = n * (n - 1) // 2
     if p < 1:
-        k = np.flatnonzero(np.random.Philox(key=seed).random_raw(pairs) < int(p * 2**64))
+        # consecutive random_raw calls continue one stream, so drawing in
+        # blocks keeps the edge set and bounds the draws' memory
+        bits, threshold = np.random.Philox(key=seed), int(p * 2**64)
+        k = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            np.flatnonzero(bits.random_raw(min(_DRAW_BLOCK, pairs - lo)) < threshold) + lo
+            for lo in range(0, pairs, _DRAW_BLOCK)])
     else:
         k = np.arange(pairs)
     # row i's pairs (i, i+1), ..., (i, n-1) start at k = i*(2n-i-1)/2
@@ -229,7 +236,9 @@ def laplacian(g: Graph) -> np.ndarray:
     """Dense combinatorial Laplacian: degrees on the diagonal, -1 per edge.
 
     Rows sum to zero exactly (integer-valued entries), and the matrix is
-    symmetric positive semi-definite.
+    symmetric positive semi-definite. The dense solve writes only its
+    lower triangle (`spectral.decompose`); this full matrix is for
+    callers that apply L, and the reference the solve is tested against.
     """
     i, j = g.edges.T
     L = np.zeros((g.n, g.n))

@@ -18,6 +18,7 @@ are tested against. A dense spectrum above the node cap
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,7 +27,7 @@ import numpy as np
 from . import graphs
 from ._csvtext import _columns, _csv_blocks, _labelled, float_text, int_text
 from .errors import NumericalError
-from .graphs import Graph, laplacian
+from .graphs import Graph
 
 RESIDUAL_RTOL = 1e-9
 # elements of one column block in the sign fix and the residual check, and
@@ -208,11 +209,34 @@ def _checked_residual(graph, vecs, vals) -> float:
     return resid / scale
 
 
+def _lower_laplacian(graph: Graph) -> np.ndarray:
+    """The Laplacian's lower triangle, degrees on the diagonal and -1 at
+    (max(i, j), min(i, j)) per edge, in a Fortran-ordered n x n view of
+    an anonymous private mapping, the upper triangle left unwritten.
+
+    ?syevd with uplo='L' never reads the strictly upper triangle, so its
+    pages are never made resident. The mapping takes 4 KiB pages where the
+    platform lets it: one huge page would span many columns' unread heads.
+    """
+    n = graph.n
+    flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    buffer = mmap.mmap(-1, 8 * n * n, **flags)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    # column c of the Fortran-ordered matrix is run c of the buffer
+    flat = np.frombuffer(buffer, dtype=float)
+    i, j = graph.edges.T
+    flat[i * n + j] = -1.0
+    flat[::n + 1] = graph.degrees()
+    return flat.reshape(n, n).T
+
+
 def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
     """Eigendecompose a graph's Laplacian, ascending eigenvalues.
 
-    LAPACK ?syevd runs in one n x n buffer, the Laplacian assembled here,
-    and leaves the eigenvectors in it.
+    LAPACK ?syevd runs in one n x n buffer, the Laplacian's lower triangle
+    assembled here (`_lower_laplacian`), and leaves the eigenvectors in
+    it.
 
     When vectors are requested the residual ||L v - lam v|| is checked
     against 1e-9 * ||L||_2 per pair and recorded on the spectrum; a
@@ -221,13 +245,11 @@ def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
     """
     from scipy.linalg import eigh
 
-    # exactly symmetric by construction; its transpose is the
-    # Fortran-ordered view of the same matrix that LAPACK works in
-    work = laplacian(graph).T
+    work = _lower_laplacian(graph)
     n = len(work)
     try:
-        result = eigh(work, overwrite_a=True, check_finite=False, driver="evd",
-                      eigvals_only=not with_vectors)
+        result = eigh(work, lower=True, overwrite_a=True, check_finite=False,
+                      driver="evd", eigvals_only=not with_vectors)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"symmetric eigensolver failed on a {n}x{n} matrix: {exc}") from exc
@@ -410,12 +432,17 @@ def _shell_sizes(branching):
 def _torus_eigenvalues(side, d, with_vectors=False):
     # Fourier modes: 2 - 2cos(2 pi k / side) = 4 sin^2(pi k / side) per axis,
     # with k folded onto min(k, side - k) so that +k and -k give equal bits,
-    # in the mode order of `TorusPairs`, one copy each
+    # in the mode order of `TorusPairs`, one copy each; each mode's d axis
+    # terms are summed in ascending order, so that wave vectors whose
+    # folded components are permutations of each other give equal bits
     k = np.arange(side)
     axis = 4.0 * np.sin(np.pi * np.minimum(k, side - k) / side) ** 2
-    values = np.zeros(1)
-    for _ in range(d):
-        values = np.add.outer(values, axis).ravel()
+    values = axis
+    if d > 1:
+        terms = np.sort(axis[np.indices((side,) * d).reshape(d, -1)], axis=0)
+        values = terms[0]
+        for term in terms[1:]:
+            values = values + term
     counts = np.ones(len(values), dtype=np.int64)
     return values, counts, TorusPairs(side, d) if with_vectors else None
 

@@ -165,7 +165,7 @@ class TestNodeCap:
             raise AssertionError("n x n array built above the node cap")
 
         monkeypatch.setattr(graphs, "DEFAULT_SIZE_CAP", 50)
-        monkeypatch.setattr(spectral, "laplacian", boom)
+        monkeypatch.setattr(spectral, "_lower_laplacian", boom)
         monkeypatch.setattr(spectral.ShellTree, "orbit_index", boom)
         monkeypatch.setattr(spectral.TorusPairs, "orbit_index", boom)
 
@@ -691,7 +691,8 @@ class TestManifest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.5 * n * n * 8
+        # the eigenvectors sit on a mapping that tracemalloc does not see
+        assert peak + n * n * 8 <= 6.5 * n * n * 8
 
     def test_verify_detects_tampering(self, tmp_path):
         cfg = ExperimentConfig(graph="ring:12", out=str(tmp_path / "t"),

@@ -212,6 +212,27 @@ class TestErdosRenyi:
         g = parse_graph_spec("er:3000,0.05,seed=1")
         assert np.array_equal(g.edges, triu_mask_erdos_renyi(3000, 0.05, 1))
 
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    @pytest.mark.parametrize("n, p, seed", [(2, 0.5, 1), (45, 0.3, 2), (120, 0.02, 9),
+                                            (301, 0.5, 2**40 + 3)])
+    def test_blocks_continue_the_one_shot_draw(self, monkeypatch, block, n, p, seed):
+        # blocks that end mid-row, and a last block shorter than the rest
+        monkeypatch.setattr(graphs, "_DRAW_BLOCK", block)
+        g = build_erdos_renyi(n, p, seed=seed)
+        assert np.array_equal(g.edges, triu_mask_erdos_renyi(n, p, seed))
+
+    def test_draws_stay_in_blocks(self):
+        build_erdos_renyi(10, 0.5, seed=1)
+        tracemalloc.start()
+        try:
+            g = build_erdos_renyi(3000, 0.05, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block of draws and a few arrays of the edges' size (12 MB
+        # here); the draws for all 4.5M pairs at once took it to 39 MB
+        assert peak <= 1.25 * 8 * graphs._DRAW_BLOCK + 4 * g.edges.nbytes
+
     @pytest.mark.parametrize("p", [0.0, -0.1, 1.5])
     def test_bad_probability(self, p):
         with pytest.raises(ValueError):

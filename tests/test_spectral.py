@@ -36,8 +36,8 @@ import specwalk.cli as cli
 from specwalk.cli import ExperimentConfig, run_experiment
 from specwalk.graphs import _build_tree
 from specwalk.spectral import (ShellTree, Spectrum, TorusPairs, _checked_residual,
-                               _column_blocks, _fix_signs, default_cluster_tol,
-                               degeneracies_csv, spectrum_csv)
+                               _column_blocks, _fix_signs, _lower_laplacian,
+                               default_cluster_tol, degeneracies_csv, spectrum_csv)
 from specwalk.transport import TimeGrid, chi_matrix, log_grid, transport_series
 
 
@@ -176,6 +176,26 @@ class TestOwnedBufferSolve:
                               oracle_fix_signs(ref_vectors).view(np.uint64))
         assert 0 <= s.residual <= 1e-9
 
+    @pytest.mark.parametrize("spec", ["er:300,0.05,seed=3", "er:500,0.3,seed=4"])
+    def test_bit_identical_to_scipy_on_the_full_matrix(self, spec):
+        # the lower triangle alone gives what the whole matrix gives
+        g = parse_graph_spec(spec)
+        lap = laplacian(g)
+        ref_values = scipy.linalg.eigh(lap, driver="evd", eigvals_only=True)
+        assert np.array_equal(decompose(g).values.view(np.uint64),
+                              ref_values.view(np.uint64))
+        ref_values, ref_vectors = scipy.linalg.eigh(lap, driver="evd")
+        s = decompose(g, with_vectors=True)
+        assert np.array_equal(s.values.view(np.uint64), ref_values.view(np.uint64))
+        assert np.array_equal(s.eigenvectors.view(np.uint64),
+                              oracle_fix_signs(ref_vectors).view(np.uint64))
+
+    def test_solves_in_the_lower_triangle_only(self):
+        g = parse_graph_spec("er:60,0.2,seed=2")
+        work = _lower_laplacian(g)
+        assert work.flags.f_contiguous and work.flags.writeable
+        assert np.array_equal(work, np.tril(laplacian(g)))
+
     def test_residual_checks_every_column_block(self):
         n = 600
         assert len(_column_blocks((n, n))) > 1
@@ -194,8 +214,10 @@ class TestOwnedBufferSolve:
         finally:
             tracemalloc.stop()
         # the Laplacian, which becomes the eigenvectors, and the 2 n^2
-        # ?syevd workspace; a copy of the input or a dense L @ V breaks it
-        assert peak <= 3.2 * 8 * g.n**2
+        # ?syevd workspace; a copy of the input or a dense L @ V breaks it.
+        # The Laplacian sits on a mapping that tracemalloc does not see, so
+        # its n^2 doubles are added
+        assert peak + 8 * g.n**2 <= 3.2 * 8 * g.n**2
 
     def test_dense_gram_makes_no_copies(self):
         s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), with_vectors=True)
@@ -239,7 +261,9 @@ class TestOwnedBufferSolve:
         """)
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, check=True)
-        assert int(out.stdout) <= 1.5 * 8 * g.n**2
+        # only the lower triangle the solver reads is ever written: 0.79
+        # n^2 doubles here, where the full matrix took 1.07
+        assert int(out.stdout) <= 0.9 * 8 * g.n**2
 
 
 class TestFixSignsOracle:
@@ -597,6 +621,28 @@ class TestGraphSpectrum:
             first, last = lam[s.starts], lam[s.starts + s.mult - 1]
             np.testing.assert_array_equal(s.levels[first == last], first[first == last],
                                           err_msg=str(g.family))
+
+    @pytest.mark.parametrize("side, d", [(5, 3), (5, 4), (7, 3), (9, 3)])
+    def test_permuted_wave_vectors_give_equal_bits(self, side, d):
+        # each mode's axis terms are summed in ascending order; left to
+        # right, one cluster of torus:5,3 held two values and three of
+        # torus:5,4 did. Even sides also have levels that different term
+        # sets reach (0 + 4 = 2 + 2 on side 4), which this does not cover
+        s = graph_spectrum(build_hypercubic(side, d))
+        for e in range(len(s.levels)):
+            assert len(np.unique(s.values[s.cluster == e])) == 1, e
+
+    @pytest.mark.parametrize("g", [build_ring(7), build_ring(600), build_hypercubic(50, 2),
+                                   build_hypercubic(6, 2)])
+    def test_one_and_two_axes_keep_their_bits(self, g):
+        # a sum of two terms commutes, so the left-to-right outer sum of
+        # the axis terms gives the same bits
+        side, d = g.family[1:]
+        k = np.arange(side)
+        axis = 4.0 * np.sin(np.pi * np.minimum(k, side - k) / side) ** 2
+        want = axis if d == 1 else np.add.outer(axis, axis).ravel()
+        np.testing.assert_array_equal(graph_spectrum(g).values.view(np.uint64),
+                                      want.view(np.uint64))
 
     def test_generation_zero_is_one_node(self):
         np.testing.assert_array_equal(graph_spectrum(build_dendrimer(0, 4)).eigenvalues, [0.0])

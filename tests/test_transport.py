@@ -27,7 +27,8 @@ from specwalk import (
     parse_graph_spec,
     transport_series,
 )
-from specwalk._csvtext import float_text, int_text
+import specwalk._csvtext as _csvtext
+from specwalk._csvtext import _REPR_BELOW, float_text, int_text
 from specwalk.scaling import EfficiencyRatioSeries, ratio_csv
 from specwalk.spectral import spectrum_csv
 from specwalk.transport import (TimeGrid, TransportSeries, chi_csv, clamp_unit_interval,
@@ -708,8 +709,28 @@ class TestFloatTextSweep:
         wrong = [(x, g) for x, g in zip(values.tolist(), got) if g != repr(x)]
         assert not wrong, wrong[:10]
 
+    @pytest.mark.parametrize("length", [1, 3, 66, _REPR_BELOW - 1, _REPR_BELOW,
+                                        _REPR_BELOW + 1, 1000])
+    def test_matches_repr_on_both_sides_of_the_cutoff(self, length):
+        rng = np.random.default_rng(length)
+        sweep = formatter_sweep()
+        for _ in range(10):
+            values = rng.choice(sweep, length)
+            got = [cell.replace(b"\0", b"").decode() for cell in float_text(values).tolist()]
+            assert got == list(map(repr, values.tolist()))
+
+    def test_short_arrays_skip_the_vectorised_path(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("vectorised path below the cutoff")
+
+        monkeypatch.setattr(_csvtext, "_format", boom)
+        assert float_text(np.full((5, _REPR_BELOW // 5), 0.1)).shape == (5, _REPR_BELOW // 5)
+        with pytest.raises(AssertionError):
+            float_text(np.full(_REPR_BELOW, 0.1))
+
     def test_shape_and_integers(self):
         assert float_text(np.ones((3, 4))).shape == (3, 4)
+        assert float_text(np.ones((3, _REPR_BELOW))).shape == (3, _REPR_BELOW)
         assert float_text([]).shape == (0,)
         ints = [0, 7, 10, 99, 12345, 10**16, 10**17 - 1]
         assert [c.replace(b"\0", b"").decode() for c in int_text(ints).tolist()] == \
