@@ -1,15 +1,16 @@
 """Experiment orchestration and the command-line interface.
 
-One invocation runs one experiment: build a graph (or pick an analytic
-DOS), obtain the spectrum, evaluate the transport series on a time grid,
-analyze decay laws, and write CSV artifacts plus a manifest with checksums
-into the output directory. Fixed artifact names keep downstream plotting
-scripts trivial: series.csv, spectrum.csv, degeneracies.csv, chi.csv (with
---chi), report.txt, deltap.csv, manifest.txt.
+One invocation runs one experiment from one source: build a graph (or
+pick an analytic DOS, or read a series CSV), obtain the spectrum, evaluate
+the transport series on a time grid, analyze decay laws, and write CSV
+artifacts plus a manifest with checksums into the output directory. Fixed
+artifact names keep downstream plotting scripts trivial: series.csv,
+spectrum.csv, degeneracies.csv, chi.csv (with --chi), report.txt,
+deltap.csv, manifest.txt.
 
-Subcommands: run, spectrum, transport, fit, preset. Exit codes: 0 on
-success, 1 on a parse/config error or a failed write, 2 on a numerical
-failure.
+Subcommands: run, spectrum, transport, fit, preset. Each is a stage set of
+the one run (`STAGES`). Exit codes: 0 on success, 1 on a parse/config
+error or a failed write, 2 on a numerical failure.
 """
 
 from __future__ import annotations
@@ -83,10 +84,12 @@ def parse_grid_spec(spec: str) -> TimeGrid:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run depends on; exactly one of graph/dos must be set."""
+    """Everything a run depends on; exactly one source, a graph, a DOS or
+    the path of a series CSV, must be set."""
 
     graph: str | None = None
     dos: str | None = None
+    series: str | None = None
     grid: str = DEFAULT_GRID_SPEC
     fit_window: tuple[float, float] = (1.0, 100.0)
     fit_window_quantum: tuple[float, float] | None = None
@@ -99,16 +102,16 @@ class ExperimentConfig:
     out: str = "out"
 
     def validate(self):
-        if (self.graph is None) == (self.dos is None):
-            raise ParseError("config must set exactly one of graph/dos",
-                             text=f"graph={self.graph!r} dos={self.dos!r}",
-                             position=0)
+        sources = f"graph={self.graph!r} dos={self.dos!r} series={self.series!r}"
+        if [self.graph, self.dos, self.series].count(None) != 2:
+            raise ParseError("config must set exactly one of graph/dos/series",
+                             text=sources, position=0)
         if self.fit_model not in ("auto", "power", "stretched"):
             raise ParseError(f"unknown fit model {self.fit_model!r}",
                              text=self.fit_model, position=0)
-        if self.dos is not None and (self.vectors or self.chi):
-            raise ParseError("vectors and chi need a graph; a DOS has no eigenvectors",
-                             text=f"dos={self.dos!r}", position=0)
+        if self.graph is None and (self.vectors or self.chi):
+            raise ParseError("vectors and chi need a graph run; a DOS or a series "
+                             "has no eigenvectors", text=sources, position=0)
         # the analysis options, by the bounds the analysis enforces, before
         # anything is computed or written
         check_fit_window(self.fit_window)
@@ -354,22 +357,32 @@ def _chi_diagnostics(values, index) -> dict[str, str]:
             "chi.mean_return": repr(float(np.trace(chi) / len(chi)))}
 
 
+# each subcommand is a stage set of one run
+STAGES = {"run": ("series", "spectrum", "analysis"),
+          "preset": ("series", "spectrum", "analysis"),
+          "spectrum": ("spectrum",),
+          "transport": ("series",),
+          "fit": ("analysis",)}
+
+
 def run_experiment(config: ExperimentConfig,
-                   stages: tuple[str, ...] = ("series", "spectrum", "analysis"),
-                   ) -> RunManifest:
+                   stages: tuple[str, ...] = STAGES["run"]) -> RunManifest:
     """Run the pipeline and write artifacts; returns the written manifest.
 
-    `stages` selects what to compute: the spectrum/transport/fit
-    subcommands are restrictions of the full run.
+    `stages` selects what to compute, and every subcommand is a stage set
+    of this one run (`STAGES`). The source is a graph, a DOS or a series
+    CSV: series.csv is written only for a series the run computed, and
+    the analysis stage reads the series from any of the three.
     """
     config.validate()
     started = time.monotonic()
     grid = parse_grid_spec(config.grid)
+    # a series source is read before the output directory is made
+    series = None if config.series is None else _read_series_csv(config.series)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config=config.echo())
 
-    series = None
     stretched = config.fit_model == "stretched"
     if config.graph is not None:
         # the spectrum stage writes eigenvalues only; --vectors serves the
@@ -397,7 +410,7 @@ def run_experiment(config: ExperimentConfig,
             with manifest.stage("series"):
                 series = transport_series(spectrum, grid,
                                           with_exact_quantum=config.vectors)
-    else:
+    elif config.dos is not None:
         dos = parse_dos_spec(config.dos)
         if config.fit_model == "auto" and isinstance(dos, Lifshits):
             stretched = True
@@ -408,14 +421,13 @@ def run_experiment(config: ExperimentConfig,
                     p_bar=classical_return_continuum(dos, grid),
                     alpha_bar_sq=quantum_return_bound_continuum(dos, grid))
 
-    if series is not None:
+    if series is not None and config.series is None:
         _write(out_dir, "series.csv", series_csv, series, manifest)
-        if "analysis" in stages:
-            with manifest.stage("analysis"):
-                report = _analyze(series, config, stretched, manifest)
-            _write(out_dir, "report.txt", report_text, report, manifest)
-            if report.ratio is not None:
-                _write(out_dir, "deltap.csv", ratio_csv, report.ratio, manifest)
+    if series is not None and "analysis" in stages:
+        with manifest.stage("analysis"):
+            report = _analyze(series, config, stretched, manifest)
+        _write(out_dir, "report.txt", report_text, report, manifest)
+        _write(out_dir, "deltap.csv", ratio_csv, report.ratio, manifest)
 
     return _finish(manifest, out_dir, started)
 
@@ -451,24 +463,6 @@ def _read_series_csv(path) -> TransportSeries:
                            p_bar=columns["p_bar"],
                            alpha_bar_sq=columns["alpha_bar_sq"],
                            pi_bar=columns.get("pi_bar"))
-
-
-def analyze_series_file(path, config: ExperimentConfig) -> RunManifest:
-    """The `fit` subcommand: decay analysis of an existing series CSV."""
-    if config.vectors or config.chi:
-        raise ParseError("fit reads a series, not a spectrum: vectors and chi "
-                         "need a graph run")
-    started = time.monotonic()
-    series = _read_series_csv(path)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config={**config.echo(), "series_file": str(path)})
-    with manifest.stage("analysis"):
-        report = _analyze(series, config, config.fit_model == "stretched", manifest)
-    _write(out_dir, "report.txt", report_text, report, manifest)
-    if report.ratio is not None:
-        _write(out_dir, "deltap.csv", ratio_csv, report.ratio, manifest)
-    return _finish(manifest, out_dir, started)
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -550,20 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "preset":
-            cfg = _config_from_args(args, base=preset(args.name))
-            run_experiment(cfg)
-        elif args.command == "run":
-            run_experiment(_config_from_args(args))
-        elif args.command == "spectrum":
-            cfg = _config_from_args(args)
-            if cfg.graph is None:
-                raise ParseError("spectrum needs --graph", text="", position=0)
-            run_experiment(cfg, stages=("spectrum",))
-        elif args.command == "transport":
-            run_experiment(_config_from_args(args), stages=("series",))
-        elif args.command == "fit":
-            analyze_series_file(args.series, _config_from_args(args))
+        base = preset(args.name) if args.command == "preset" else None
+        cfg = _config_from_args(args, base=base)
+        if args.command == "spectrum" and cfg.graph is None:
+            raise ParseError("spectrum needs --graph", text="", position=0)
+        run_experiment(cfg, stages=STAGES[args.command])
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

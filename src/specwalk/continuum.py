@@ -51,10 +51,10 @@ class PowerSemicircle:
     lam_max: float
 
     def __post_init__(self):
-        if not self.nu > -1:
-            raise ValueError(f"need nu > -1, got {self.nu}")
-        if not self.lam_max > 0:
-            raise ValueError(f"need lam_max > 0, got {self.lam_max}")
+        if not (math.isfinite(self.nu) and self.nu > -1):
+            raise ValueError(f"need finite nu > -1, got {self.nu}")
+        if not (math.isfinite(self.lam_max) and self.lam_max > 0):
+            raise ValueError(f"need finite lam_max > 0, got {self.lam_max}")
 
     @property
     def log_norm(self) -> float:
@@ -85,8 +85,8 @@ class Lifshits:
     b: float
 
     def __post_init__(self):
-        if not self.b > 1:
-            raise ValueError(f"need b > 1, got {self.b}")
+        if not (math.isfinite(self.b) and self.b > 1):
+            raise ValueError(f"need finite b > 1, got {self.b}")
 
     @property
     def log_norm(self) -> float:

@@ -255,17 +255,15 @@ def saturation(values, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> Saturati
 class EfficiencyReport:
     """Everything one experiment concludes about transport efficiency."""
 
-    classical_fit: PowerLawFit | StretchedExpFit | None = None
-    quantum_fit: PowerLawFit | StretchedExpFit | None = None
-    ratio: EfficiencyRatioSeries | None = None
-    saturation_classical: SaturationStats | None = None
-    saturation_quantum: SaturationStats | None = None
+    classical_fit: PowerLawFit | StretchedExpFit
+    quantum_fit: PowerLawFit | StretchedExpFit
+    ratio: EfficiencyRatioSeries
+    saturation_classical: SaturationStats
+    saturation_quantum: SaturationStats
     crossover_time: float | None = None
 
 
 def _fit_lines(prefix, fit):
-    if fit is None:
-        return []
     lines = [f"{prefix}_model = " +
              ("power_law" if isinstance(fit, PowerLawFit) else "stretched_exp")]
     if isinstance(fit, PowerLawFit):
@@ -286,22 +284,16 @@ def _fit_lines(prefix, fit):
 
 def report_text(report: EfficiencyReport) -> str:
     """Flat key = value rendering of an EfficiencyReport."""
-    lines = []
-    lines += _fit_lines("classical", report.classical_fit)
-    lines += _fit_lines("quantum", report.quantum_fit)
-    if report.ratio is not None:
-        lines.append(f"delta_p_asymptotic = {repr(report.ratio.asymptotic)}")
-        lines.append(f"delta_p_excluded_points = {report.ratio.excluded_points}")
+    lines = [*_fit_lines("classical", report.classical_fit),
+             *_fit_lines("quantum", report.quantum_fit),
+             f"delta_p_asymptotic = {repr(report.ratio.asymptotic)}",
+             f"delta_p_excluded_points = {report.ratio.excluded_points}"]
     if report.crossover_time is not None:
         lines.append(f"crossover_time = {repr(report.crossover_time)}")
-    if report.saturation_classical is not None:
-        s = report.saturation_classical
-        lines.append(f"saturation_classical_mean = {repr(s.mean)}")
-        lines.append(f"saturation_classical_fluctuation = {repr(s.fluctuation)}")
-    if report.saturation_quantum is not None:
-        s = report.saturation_quantum
-        lines.append(f"saturation_quantum_mean = {repr(s.mean)}")
-        lines.append(f"saturation_quantum_fluctuation = {repr(s.fluctuation)}")
+    for name, s in (("classical", report.saturation_classical),
+                    ("quantum", report.saturation_quantum)):
+        lines.append(f"saturation_{name}_mean = {repr(s.mean)}")
+        lines.append(f"saturation_{name}_fluctuation = {repr(s.fluctuation)}")
     return "\n".join(lines) + "\n"
 
 

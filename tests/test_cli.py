@@ -16,9 +16,8 @@ import specwalk.transport as transport
 from specwalk import (Graph, NumericalError, ParseError, ResourceLimitError,
                       graph_spectrum, parse_graph_spec)
 from specwalk.spectral import default_cluster_tol
-from specwalk.cli import (ExperimentConfig, analyze_series_file, main,
-                          parse_grid_spec, preset, read_config_file,
-                          run_experiment)
+from specwalk.cli import (ExperimentConfig, main, parse_grid_spec, preset,
+                          read_config_file, run_experiment)
 
 
 class TestParseGridSpec:
@@ -252,6 +251,14 @@ class TestRunExperiment:
                     (tmp_path / "b" / name).read_bytes()
 
 
+def _series_file(tmp_path):
+    """The series.csv of a transport run on ring:24."""
+    out = tmp_path / "src"
+    run_experiment(ExperimentConfig(graph="ring:24", grid="linear:0.05,120,2400",
+                                    out=str(out)), stages=("series",))
+    return out / "series.csv"
+
+
 class TestMainSubcommands:
     def test_run_exit_zero(self, tmp_path):
         rc = main(["run", "--graph", "star:10", "--out", str(tmp_path / "r"),
@@ -323,6 +330,69 @@ class TestMainSubcommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "need a graph run" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sources", [
+        "graph = er:50,0.2\n", "dos = lifshits:b=2\n",
+        "graph = er:50,0.2\ndos = lifshits:b=2\n",
+    ], ids=["graph", "dos", "graph-and-dos"])
+    def test_fit_refuses_a_second_source(self, tmp_path, capsys, sources):
+        series = _series_file(tmp_path)
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(sources)
+        out = tmp_path / "fitted"
+        rc = main(["fit", "--series", str(series), "--config", str(cfg_file),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exactly one of graph/dos/series" in err
+        assert not (out / "report.txt").exists()
+
+    def test_fit_manifest_echoes_the_series(self, tmp_path):
+        series = _series_file(tmp_path)
+        out = tmp_path / "fitted"
+        assert main(["fit", "--series", str(series), "--out", str(out)]) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert f"config.series = {series}" in lines
+
+    def test_fit_parses_its_grid(self, tmp_path, capsys):
+        series = _series_file(tmp_path)
+        rc = main(["fit", "--series", str(series), "--grid", "log:1,10",
+                   "--out", str(tmp_path / "fitted")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: grid segment needs LO,HI,N") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, artifacts", [
+        (["run", "--graph", "star:10"], ["degeneracies.csv", "deltap.csv",
+                                         "report.txt", "series.csv", "spectrum.csv"]),
+        (["preset", "fig3"], ["degeneracies.csv", "deltap.csv", "report.txt",
+                              "series.csv", "spectrum.csv"]),
+        (["spectrum", "--graph", "star:10"], ["degeneracies.csv", "spectrum.csv"]),
+        (["transport", "--graph", "star:10"], ["series.csv"]),
+        (["fit"], ["deltap.csv", "report.txt"]),
+    ], ids=["run", "preset", "spectrum", "transport", "fit"])
+    def test_subcommand_artifact_sets(self, tmp_path, command, artifacts):
+        if command == ["fit"]:
+            command = ["fit", "--series", str(_series_file(tmp_path))]
+        out = tmp_path / "out"
+        assert main([*command, "--grid", "log:1e-2,1e4,200", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*artifacts, "manifest.txt"])
+
+    @pytest.mark.parametrize("spec", [
+        f"{family}:{params}" for value in ("inf", "-inf", "nan")
+        for family, params in [("semicircle", f"nu={value},lmax=2"),
+                               ("semicircle", f"nu=0.5,lmax={value}"),
+                               ("lifshits", f"b={value}")]])
+    def test_non_finite_dos_parameters_exit_one(self, tmp_path, capsys, recwarn, spec):
+        rc = main(["run", "--dos", spec, "--grid", "log:1e-2,1e2,40",
+                   "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_preset_subcommand(self, tmp_path):
         rc = main(["preset", "fig3", "--out", str(tmp_path / "fig3")])
@@ -443,9 +513,9 @@ class TestAnalyzeSeriesFile:
             for x in (float(v) for v in t))
         series = tmp_path / "series.csv"
         series.write_text(text + "\n")
-        cfg = ExperimentConfig(graph="ignored", out=str(tmp_path / "out"),
+        cfg = ExperimentConfig(series=str(series), out=str(tmp_path / "out"),
                               fit_window=(10.0, 1000.0))
-        analyze_series_file(series, cfg)
+        run_experiment(cfg, stages=("analysis",))
         report = (tmp_path / "out" / "report.txt").read_text()
         line = [ln for ln in report.splitlines()
                 if ln.startswith("delta_p_asymptotic")][0]
@@ -473,11 +543,12 @@ class TestAnalyzeSeriesFile:
         bad = tmp_path / "bad.csv"
         bad.write_text("t,p_bar,alpha_bar_sq\n" + rows)
         with pytest.raises(ParseError, match=f"^line {line}: expected 3 "):
-            analyze_series_file(bad, ExperimentConfig(out=str(tmp_path / "o")))
+            run_experiment(ExperimentConfig(series=str(bad), out=str(tmp_path / "o")),
+                           stages=("analysis",))
         assert main(["fit", "--series", str(bad), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line}:") and "Traceback" not in err
-        assert not (tmp_path / "o" / "report.txt").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_reads_what_run_writes(self, tmp_path):
         run_experiment(ExperimentConfig(graph="star:8", vectors=True, out=str(tmp_path / "r"),
@@ -490,7 +561,8 @@ class TestAnalyzeSeriesFile:
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
         with pytest.raises((ParseError, ValueError)):
-            analyze_series_file(bad, ExperimentConfig(out=str(tmp_path / "o")))
+            run_experiment(ExperimentConfig(series=str(bad), out=str(tmp_path / "o")),
+                           stages=("analysis",))
 
 
 class TestManifest:
@@ -608,8 +680,9 @@ class TestManifest:
     def test_fit_records_analysis(self, tmp_path):
         run_experiment(ExperimentConfig(graph="ring:12", out=str(tmp_path / "r"),
                                         grid="log:1e-2,1e2,80"))
-        analyze_series_file(tmp_path / "r" / "series.csv",
-                            ExperimentConfig(out=str(tmp_path / "f")))
+        run_experiment(ExperimentConfig(series=str(tmp_path / "r" / "series.csv"),
+                                        out=str(tmp_path / "f")),
+                       stages=("analysis",))
         lines = (tmp_path / "f" / "manifest.txt").read_text().splitlines()
         keys = {ln.split(" = ")[0] for ln in lines}
         assert {"timing.analysis_s", "timing.writing_s",
