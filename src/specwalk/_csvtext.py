@@ -294,21 +294,25 @@ def int_text(values) -> np.ndarray:
     return out.view(_TEXT).reshape(-1)
 
 
-def _csv_blocks(header, rows, width, cells):
+def _csv_blocks(header, rows, width, cells, labelled=False):
     """ASCII blocks of a CSV: the header line, then `rows` rows of `width`
     comma-separated cells, each block holding about _CSV_BLOCK_CELLS
     cells. cells(lo, hi) gives the text of rows lo..hi-1 as _TEXT cells
     of shape (hi - lo, width), built only when its block is consumed.
+    With labelled, each row starts with one more cell, its index from 0.
 
     Each cell is copied into a slot of _WIDTH bytes followed by its
     separator, and the NUL bytes are dropped.
     """
     yield header.encode()
-    step = max(1, _CSV_BLOCK_CELLS // width)
+    lead = int(labelled)
+    step = max(1, _CSV_BLOCK_CELLS // (lead + width))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        slots = np.empty((hi - lo, width, _WIDTH + 1), dtype=np.uint8)
-        slots[:, :, :-1] = cells(lo, hi).view(np.uint8).reshape(hi - lo, width, _WIDTH)
+        slots = np.empty((hi - lo, lead + width, _WIDTH + 1), dtype=np.uint8)
+        if labelled:
+            slots[:, 0, :-1] = int_text(np.arange(lo, hi)).view(np.uint8).reshape(-1, _WIDTH)
+        slots[:, lead:, :-1] = cells(lo, hi).view(np.uint8).reshape(hi - lo, width, _WIDTH)
         slots[:, :, -1] = ord(",")
         slots[:, -1, -1] = ord("\n")
         yield slots.tobytes().translate(None, b"\0")
@@ -318,9 +322,3 @@ def _columns(*texts):
     """cells for `_csv_blocks` reading the rows of equal-length _TEXT
     columns."""
     return lambda lo, hi: np.stack([t[lo:hi] for t in texts], axis=1)
-
-
-def _labelled(cells):
-    """cells with each row's index, from 0, as a first column."""
-    return lambda lo, hi: np.concatenate(
-        [int_text(np.arange(lo, hi))[:, None], cells(lo, hi)], axis=1)

@@ -46,6 +46,9 @@ DEFAULT_GRID_SPEC = "log:1e-2,1e4,600"
 # 70 MB series.csv, which is streamed a block of rows at a time from 24
 # bytes of text per value (72 MB for three columns)
 MAX_GRID_POINTS = 1_000_000
+# chi values in one block of rows of `_chi_diagnostics`: the block and its
+# orbit index, which np.take casts to intp, take 1 MiB
+_CHI_BLOCK_ELEMS = 1 << 16
 
 
 def parse_grid_spec(spec: str) -> TimeGrid:
@@ -274,16 +277,27 @@ class RunManifest:
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The file's sha256, read 64 KiB at a time into one reused buffer, as
+    hashlib.file_digest (Python 3.11+) reads: the file is never held, and
+    reads allocate nothing (a new bytes object per read raised the peak
+    RSS of runs with small artifacts by half a MB)."""
+    digest, buffer = hashlib.sha256(), bytearray(1 << 16)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as file:
+        while size := file.readinto(buffer):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def _write(out_dir: Path, name: str, render, arg, manifest: RunManifest):
     """Write render(arg) to out_dir/name and record its sha256; the
     formatting counts as writing time. render returns a str, or an
-    iterable of byte blocks, which are written and hashed one at a time."""
+    iterable of byte blocks, which are written and hashed one at a time.
+    The first write makes out_dir."""
     with manifest.stage("writing"):
         text = render(arg)
         digest = hashlib.sha256()
+        out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / name, "wb") as out:
             for block in [text.encode()] if isinstance(text, str) else text:
                 out.write(block)
@@ -351,10 +365,27 @@ def _spectrum_diagnostics(spectrum) -> dict[str, str]:
 
 def _chi_diagnostics(values, index) -> dict[str, str]:
     """The largest |column sum - 1| of chi, given as `chi_table` gives it,
-    and (1/N) tr chi, the long-time limit of pi_bar."""
-    chi = values if index is None else values[index]
-    return {"chi.column_sum_error": repr(float(np.abs(chi.sum(axis=0) - 1.0).max())),
-            "chi.mean_return": repr(float(np.trace(chi) / len(chi)))}
+    and (1/N) tr chi, the long-time limit of pi_bar.
+
+    An orbit table is gathered through its index a block of rows at a
+    time into a buffer whose first row holds the column sums so far.
+    Summing the buffer adds the rows one after another, as chi.sum(axis=0)
+    adds them, so the sums keep their bits and no n x n float array is
+    made."""
+    if index is None:
+        sums, diagonal = values.sum(axis=0), values.diagonal()
+    else:
+        n = len(index)
+        step = max(1, _CHI_BLOCK_ELEMS // n)
+        rows = np.zeros((step + 1, n))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            # every index is in range; mode="raise" would copy out first
+            np.take(values, index[lo:hi], out=rows[1:1 + hi - lo], mode="clip")
+            rows[0] = rows[:1 + hi - lo].sum(axis=0)
+        sums, diagonal = rows[0], values[index.diagonal()]
+    return {"chi.column_sum_error": repr(float(np.abs(sums - 1.0).max())),
+            "chi.mean_return": repr(float(diagonal.sum() / len(sums)))}
 
 
 # each subcommand is a stage set of one run
@@ -363,6 +394,9 @@ STAGES = {"run": ("series", "spectrum", "analysis"),
           "spectrum": ("spectrum",),
           "transport": ("series",),
           "fit": ("analysis",)}
+# the stages that write an artifact from each source
+_SOURCE_STAGES = {"graph": {"spectrum", "series"}, "dos": {"series"},
+                  "series": {"analysis"}}
 
 
 def run_experiment(config: ExperimentConfig,
@@ -372,15 +406,20 @@ def run_experiment(config: ExperimentConfig,
     `stages` selects what to compute, and every subcommand is a stage set
     of this one run (`STAGES`). The source is a graph, a DOS or a series
     CSV: series.csv is written only for a series the run computed, and
-    the analysis stage reads the series from any of the three.
+    the analysis stage reads the series from any of the three. A stage
+    set that writes nothing from its source (`transport` from a series,
+    `spectrum` from a DOS) raises ParseError, so every run writes an
+    artifact, and the first write makes the output directory.
     """
     config.validate()
+    source = next(name for name in _SOURCE_STAGES if getattr(config, name) is not None)
+    if not (config.chi or _SOURCE_STAGES[source] & set(stages)):
+        raise ParseError(f"stages {'/'.join(stages)} compute nothing from a "
+                         f"{source} source", text=getattr(config, source), position=0)
     started = time.monotonic()
     grid = parse_grid_spec(config.grid)
-    # a series source is read before the output directory is made
     series = None if config.series is None else _read_series_csv(config.series)
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config=config.echo())
 
     stretched = config.fit_model == "stretched"
@@ -546,8 +585,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         base = preset(args.name) if args.command == "preset" else None
         cfg = _config_from_args(args, base=base)
-        if args.command == "spectrum" and cfg.graph is None:
-            raise ParseError("spectrum needs --graph", text="", position=0)
         run_experiment(cfg, stages=STAGES[args.command])
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

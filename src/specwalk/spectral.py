@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import graphs
-from ._csvtext import _columns, _csv_blocks, _labelled, float_text, int_text
+from ._csvtext import _columns, _csv_blocks, float_text, int_text
 from .errors import NumericalError
 from .graphs import Graph
 
@@ -324,17 +324,20 @@ class TorusPairs:
 
     def orbit_index(self) -> np.ndarray:
         """The n x n int16 array of the orbit of each node pair, in the
-        order of the `projectors` columns."""
-        side = self.side
-        node = np.arange(side**self.d)
-        index = np.zeros((len(node), len(node)), dtype=np.int16)
-        for axis in range(self.d):
-            x = (node // side**axis % side).astype(np.int16)
-            r = np.subtract.outer(x, x)
-            np.abs(r, out=r)
-            np.minimum(r, side - r, out=r)
-            r *= (side // 2 + 1) ** axis
-            index += r
+        order of the `projectors` columns, built a block of about
+        _BLOCK_ELEMS elements at a time."""
+        side, n = self.side, self.side**self.d
+        node = np.arange(n)
+        coords = [(node // side**axis % side).astype(np.int16) for axis in range(self.d)]
+        index = np.zeros((n, n), dtype=np.int16)
+        step = max(1, _BLOCK_ELEMS // n)
+        for lo in range(0, n, step):
+            for axis, x in enumerate(coords):
+                r = np.subtract.outer(x[lo:lo + step], x)
+                np.abs(r, out=r)
+                np.minimum(r, side - r, out=r)
+                r *= (side // 2 + 1) ** axis
+                index[lo:lo + step] += r
         return index
 
 
@@ -414,11 +417,13 @@ class ShellTree:
         # the shell of the lowest common ancestor counts the shells a >= 1
         # where both nodes have the same ancestor; every node of shell a or
         # deeper, a suffix in node order, has its shell-a ancestor at
-        # offset o // (N_g / N_a)
+        # offset o // (N_g / N_a); compared a block of rows at a time
+        step = max(1, _BLOCK_ELEMS // n)
         for a in range(1, shells):
-            tail = slice(starts[a], n)
-            ancestor = offset[tail] // (sizes[shell[tail]] // sizes[a])
-            index[tail, tail] += ancestor[:, None] == ancestor
+            ancestor = offset[starts[a]:] // (sizes[shell[starts[a]:]] // sizes[a])
+            for lo in range(0, len(ancestor), step):
+                rows = index[starts[a] + lo:starts[a] + lo + step, starts[a]:]
+                rows += ancestor[lo:lo + step, None] == ancestor
         index += (shell * shells**2).astype(dtype)[:, None]
         index += (shell * shells).astype(dtype)
         return index
@@ -519,8 +524,8 @@ def spectrum_csv(spectrum: Spectrum) -> str:
     if spectrum.counts is not None:
         order = np.argsort(spectrum.values, kind="stable")
         text = np.repeat(text[order], spectrum.counts[order])
-    blocks = _csv_blocks("index,eigenvalue\n", len(text), 2,
-                         _labelled(lambda lo, hi: text[lo:hi, None]))
+    blocks = _csv_blocks("index,eigenvalue\n", len(text), 1,
+                         lambda lo, hi: text[lo:hi, None], labelled=True)
     return b"".join(blocks).decode()
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvtext import _CSV_BLOCK_CELLS, _TEXT, _columns, _csv_blocks, _labelled, float_text
+from ._csvtext import _CSV_BLOCK_CELLS, _TEXT, _columns, _csv_blocks, float_text
 from . import graphs
 from .errors import NumericalError
 from .spectral import Spectrum
@@ -307,4 +307,4 @@ def chi_csv(values: np.ndarray, index: np.ndarray | None = None):
         def rows(lo, hi):
             return text[index[lo:hi]]
     header = "node," + ",".join(map(str, range(n))) + "\n"
-    yield from _csv_blocks(header, n, n + 1, _labelled(rows))
+    yield from _csv_blocks(header, n, n, rows, labelled=True)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -175,8 +176,8 @@ class TestNodeCap:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and "size cap 50" in err and err.count("\n") == 1
-        # chi is checked before the first artifact
-        assert not any(out.iterdir())
+        # chi is checked before the first artifact, which makes the directory
+        assert not out.exists()
 
     @pytest.mark.parametrize("with_vectors", [False, True], ids=["values", "vectors"])
     def test_general_graph_above_the_cap(self, cap_50, with_vectors):
@@ -428,6 +429,42 @@ class TestMainSubcommands:
     def test_bad_graph_spec_exit_one(self, tmp_path):
         rc = main(["run", "--graph", "blob:7", "--out", str(tmp_path / "bad")])
         assert rc == 1
+
+    @pytest.mark.parametrize("source", [["--graph", "blob:7"], ["--dos", "lifshits:b=inf"],
+                                        ["--graph", "ring:1000000000"]])
+    def test_failed_source_makes_no_directory(self, tmp_path, source):
+        # the output directory is made at the first write
+        out = tmp_path / "a" / "b"
+        assert main(["run", *source, "--out", str(out)]) == 1
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("command, source", [
+        ("transport", "series"), ("spectrum", "series"), ("spectrum", "dos")])
+    def test_stage_set_computing_nothing_exits_one(self, tmp_path, capsys, command, source):
+        value = {"series": str(_series_file(tmp_path)), "dos": "lifshits:b=2"}[source]
+        config = tmp_path / "c.cfg"
+        config.write_text(f"{source} = {value}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"compute nothing from a {source} source" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, stages", [
+        (ExperimentConfig(graph="ring:8"), ("analysis",)),
+        (ExperimentConfig(dos="lifshits:b=2"), ("analysis",)),
+        (ExperimentConfig(dos="lifshits:b=2"), ("spectrum",))])
+    def test_run_refuses_a_stage_set_computing_nothing(self, tmp_path, config, stages):
+        with pytest.raises(ParseError, match="compute nothing"):
+            run_experiment(replace(config, out=str(tmp_path / "o")), stages=stages)
+        assert not (tmp_path / "o").exists()
+
+    def test_chi_alone_is_a_stage_set(self, tmp_path):
+        out = tmp_path / "o"
+        run_experiment(ExperimentConfig(graph="ring:8", chi=True, out=str(out)),
+                       stages=("analysis",))
+        assert sorted(p.name for p in out.iterdir()) == ["chi.csv", "manifest.txt"]
 
     def test_unknown_preset_exit_one(self, tmp_path):
         rc = main(["preset", "fig99", "--out", str(tmp_path / "p")])
@@ -771,5 +808,50 @@ class TestManifest:
         cfg = ExperimentConfig(graph="ring:12", out=str(tmp_path / "t"),
                               grid="log:1e-2,1e2,80")
         manifest = run_experiment(cfg)
-        (tmp_path / "t" / "series.csv").write_text("tampered\n")
+        path = tmp_path / "t" / "series.csv"
+        data = path.read_bytes()
+        flipped = data[:-2] + bytes([data[-2] ^ 1]) + data[-1:]
+        for changed in (b"tampered\n", flipped, data[:-1], data[:len(data) // 2],
+                        data + b"\n", data + data, b""):
+            path.write_bytes(changed)
+            assert not manifest.verify(tmp_path / "t")
+        path.write_bytes(data)
+        assert manifest.verify(tmp_path / "t")
+        path.unlink()
         assert not manifest.verify(tmp_path / "t")
+
+    @pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, 1 << 16, (5 << 15) + 3, 3 << 20])
+    def test_sha256_reads_in_blocks(self, tmp_path, size):
+        # sizes on both sides of the 64 KiB read
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "f"
+        path.write_bytes(data)
+        assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
+
+    def test_chi_run_memory(self, tmp_path):
+        # a whole --chi run on dendrimer:9,3 (n = 1534) holds the 16-bit
+        # orbit index, blocks of rows and the orbit table's text: neither
+        # an n x n float chi (1 matrix) nor its 50 MB chi.csv (2.7)
+        n = 1534
+        args = ["run", "--graph", "dendrimer:9,3", "--chi", "--out", str(tmp_path)]
+        assert main(args) == 0  # one-off imports and caches are not the run's
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "chi.csv").stat().st_size > 2.5 * n * n * 8
+        assert peak <= 0.6 * n * n * 8
+
+    @pytest.mark.parametrize("graph", ["star:40", "dendrimer:4,3", "torus:6,2", "ring:30",
+                                       "er:40,0.2,seed=3"])
+    def test_chi_diagnostics_in_blocks_keep_their_bits(self, graph, monkeypatch):
+        # blocks of 3 rows give what chi.sum(axis=0) and np.trace give
+        values, index = transport.chi_table(
+            graph_spectrum(parse_graph_spec(graph), with_vectors=True))
+        chi = values if index is None else values[index]
+        monkeypatch.setattr(cli, "_CHI_BLOCK_ELEMS", 3 * len(chi))
+        assert cli._chi_diagnostics(values, index) == {
+            "chi.column_sum_error": repr(float(np.abs(chi.sum(axis=0) - 1.0).max())),
+            "chi.mean_return": repr(float(np.trace(chi) / len(chi)))}
