@@ -17,7 +17,7 @@ from .errors import NumericalError, ParseError, ResourceLimitError
 from .graphs import (Graph, build_dendrimer, build_erdos_renyi,
                      build_hypercubic, build_ring, build_star,
                      dendrimer_node_count, from_edge_list, laplacian,
-                     parse_graph_spec, to_edge_list)
+                     parse_graph_spec)
 from .scaling import (EfficiencyRatioSeries, EfficiencyReport, Envelope,
                       PowerLawFit, SaturationStats, StretchedExpFit,
                       detect_crossover, efficiency_ratio_series,

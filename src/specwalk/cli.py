@@ -37,18 +37,15 @@ from .scaling import (EfficiencyReport, check_fit_window, check_half_width,
                       report_text, saturation)
 from .spectral import (default_cluster_tol, degeneracies_csv, graph_spectrum,
                        spectrum_csv)
-from .transport import (TimeGrid, TransportSeries, chi_csv, chi_table,
-                        linear_grid, log_grid, merge_grids, series_csv,
-                        transport_series)
+from .transport import (TimeGrid, TransportSeries, chi_csv, chi_diagnostics,
+                        chi_table, linear_grid, log_grid, merge_grids,
+                        series_csv, transport_series)
 
 DEFAULT_GRID_SPEC = "log:1e-2,1e4,600"
 # the series and its CSV are O(points) in memory: a million points write a
 # 70 MB series.csv, which is streamed a block of rows at a time from 24
 # bytes of text per value (72 MB for three columns)
 MAX_GRID_POINTS = 1_000_000
-# chi values in one block of rows of `_chi_diagnostics`: the block and its
-# orbit index, which np.take casts to intp, take 1 MiB
-_CHI_BLOCK_ELEMS = 1 << 16
 
 
 def parse_grid_spec(spec: str) -> TimeGrid:
@@ -289,13 +286,13 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write(out_dir: Path, name: str, render, arg, manifest: RunManifest):
-    """Write render(arg) to out_dir/name and record its sha256; the
+def _write(out_dir: Path, name: str, manifest: RunManifest, render, *args):
+    """Write render(*args) to out_dir/name and record its sha256; the
     formatting counts as writing time. render returns a str, or an
     iterable of byte blocks, which are written and hashed one at a time.
     The first write makes out_dir."""
     with manifest.stage("writing"):
-        text = render(arg)
+        text = render(*args)
         digest = hashlib.sha256()
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / name, "wb") as out:
@@ -363,31 +360,6 @@ def _spectrum_diagnostics(spectrum) -> dict[str, str]:
     return out
 
 
-def _chi_diagnostics(values, index) -> dict[str, str]:
-    """The largest |column sum - 1| of chi, given as `chi_table` gives it,
-    and (1/N) tr chi, the long-time limit of pi_bar.
-
-    An orbit table is gathered through its index a block of rows at a
-    time into a buffer whose first row holds the column sums so far.
-    Summing the buffer adds the rows one after another, as chi.sum(axis=0)
-    adds them, so the sums keep their bits and no n x n float array is
-    made."""
-    if index is None:
-        sums, diagonal = values.sum(axis=0), values.diagonal()
-    else:
-        n = len(index)
-        step = max(1, _CHI_BLOCK_ELEMS // n)
-        rows = np.zeros((step + 1, n))
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            # every index is in range; mode="raise" would copy out first
-            np.take(values, index[lo:hi], out=rows[1:1 + hi - lo], mode="clip")
-            rows[0] = rows[:1 + hi - lo].sum(axis=0)
-        sums, diagonal = rows[0], values[index.diagonal()]
-    return {"chi.column_sum_error": repr(float(np.abs(sums - 1.0).max())),
-            "chi.mean_return": repr(float(diagonal.sum() / len(sums)))}
-
-
 # each subcommand is a stage set of one run
 STAGES = {"run": ("series", "spectrum", "analysis"),
           "preset": ("series", "spectrum", "analysis"),
@@ -432,19 +404,11 @@ def run_experiment(config: ExperimentConfig,
             spectrum = graph_spectrum(graph, with_vectors=with_vectors)
         manifest.diagnostics.update(_spectrum_diagnostics(spectrum))
         if config.chi:
-            # before any artifact: a chi above the node cap writes nothing
-            with manifest.stage("chi"):
-                chi = chi_table(spectrum)
-                manifest.diagnostics.update(_chi_diagnostics(*chi))
+            # before any other artifact: a chi above the node cap writes nothing
+            _write_chi(spectrum, out_dir, manifest)
         if "spectrum" in stages:
-            _write(out_dir, "spectrum.csv", spectrum_csv, spectrum, manifest)
-            _write(out_dir, "degeneracies.csv", degeneracies_csv, spectrum, manifest)
-        if config.chi:
-            # the n x n chi goes before its text is built, and is not kept
-            # through the series stage
-            blocks = chi_csv(*chi)
-            del chi
-            _write(out_dir, "chi.csv", iter, blocks, manifest)
+            _write(out_dir, "spectrum.csv", manifest, spectrum_csv, spectrum)
+            _write(out_dir, "degeneracies.csv", manifest, degeneracies_csv, spectrum)
         if "series" in stages:
             with manifest.stage("series"):
                 series = transport_series(spectrum, grid,
@@ -461,14 +425,23 @@ def run_experiment(config: ExperimentConfig,
                     alpha_bar_sq=quantum_return_bound_continuum(dos, grid))
 
     if series is not None and config.series is None:
-        _write(out_dir, "series.csv", series_csv, series, manifest)
+        _write(out_dir, "series.csv", manifest, series_csv, series)
     if series is not None and "analysis" in stages:
         with manifest.stage("analysis"):
             report = _analyze(series, config, stretched, manifest)
-        _write(out_dir, "report.txt", report_text, report, manifest)
-        _write(out_dir, "deltap.csv", ratio_csv, report.ratio, manifest)
+        _write(out_dir, "report.txt", manifest, report_text, report)
+        _write(out_dir, "deltap.csv", manifest, ratio_csv, report.ratio)
 
     return _finish(manifest, out_dir, started)
+
+
+def _write_chi(spectrum, out_dir: Path, manifest: RunManifest):
+    """chi's table and its diagnostics (the chi stage), then chi.csv; the
+    table is not kept past the write."""
+    with manifest.stage("chi"):
+        chi = chi_table(spectrum)
+        manifest.diagnostics.update(chi_diagnostics(*chi))
+    _write(out_dir, "chi.csv", manifest, chi_csv, *chi)
 
 
 def _read_series_csv(path) -> TransportSeries:

@@ -11,7 +11,6 @@ Hamiltonian.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -91,17 +90,6 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n)
-
-    @cached_property
-    def connected(self) -> bool:
-        """True if a single component spans all nodes."""
-        from scipy.sparse import csr_array
-        from scipy.sparse.csgraph import connected_components
-
-        i, j = self.edges.T
-        adjacency = csr_array((np.ones(len(i)), (i, j)), shape=(self.n, self.n))
-        return connected_components(adjacency, directed=False,
-                                    return_labels=False) == 1
 
 
 def _canonical_edges(n, edges):
@@ -248,17 +236,11 @@ def laplacian(g: Graph) -> np.ndarray:
     return L
 
 
-# -- edge-list serialization --------------------------------------------------
-
-def to_edge_list(g: Graph) -> str:
-    """Text form: first line 'n <count>', then one 'i j' line per edge, ascending."""
-    lines = [f"n {g.n}"]
-    lines.extend(f"{i} {j}" for i, j in g.edges.tolist())
-    return "\n".join(lines) + "\n"
-
+# -- edge-list parsing --------------------------------------------------------
 
 def from_edge_list(text: str) -> Graph:
-    """Inverse of `to_edge_list`; blank lines are skipped.
+    """The graph of an edge list: first line 'n <count>', then one 'i j'
+    line per edge; blank lines are skipped.
 
     A line that is not two integers, names a node outside [0, n), makes a
     self-loop or repeats an edge raises ParseError naming its 1-based line

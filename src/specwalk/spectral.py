@@ -516,20 +516,20 @@ def degeneracy_table(spectrum: Spectrum):
 
 # -- CSV export ---------------------------------------------------------------
 
-def spectrum_csv(spectrum: Spectrum) -> str:
-    """Each mode's value formatted once and repeated over its copies:
-    closed-form spectra are highly degenerate (dendrimer:10,3 has 66 modes
-    for 3070 eigenvalues)."""
+def spectrum_csv(spectrum: Spectrum):
+    """Columns index,eigenvalue, as byte blocks like
+    `transport.series_csv`'s. Each mode's value is formatted once and
+    repeated over its copies: closed-form spectra are highly degenerate
+    (dendrimer:10,3 has 66 modes for 3070 eigenvalues)."""
     text = float_text(spectrum.values)
     if spectrum.counts is not None:
         order = np.argsort(spectrum.values, kind="stable")
         text = np.repeat(text[order], spectrum.counts[order])
-    blocks = _csv_blocks("index,eigenvalue\n", len(text), 1,
-                         lambda lo, hi: text[lo:hi, None], labelled=True)
-    return b"".join(blocks).decode()
+    return _csv_blocks("index,eigenvalue\n", len(text), 1,
+                       lambda lo, hi: text[lo:hi, None], labelled=True)
 
 
-def degeneracies_csv(spectrum: Spectrum) -> str:
-    blocks = _csv_blocks("value,multiplicity\n", len(spectrum.levels), 2,
-                         _columns(float_text(spectrum.levels), int_text(spectrum.mult)))
-    return b"".join(blocks).decode()
+def degeneracies_csv(spectrum: Spectrum):
+    """Columns value,multiplicity of the clusters, as byte blocks."""
+    return _csv_blocks("value,multiplicity\n", len(spectrum.levels), 2,
+                       _columns(float_text(spectrum.levels), int_text(spectrum.mult)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvtext import _CSV_BLOCK_CELLS, _TEXT, _columns, _csv_blocks, float_text
+from ._csvtext import _CSV_BLOCK_CELLS, _columns, _csv_blocks, float_text
 from . import graphs
 from .errors import NumericalError
 from .spectral import Spectrum
@@ -201,32 +201,49 @@ def transport_series(spectrum: Spectrum, grid: TimeGrid,
 
 
 def chi_matrix(spectrum: Spectrum) -> np.ndarray:
-    """Long-time average of the quantum transition probabilities.
+    """Long-time average of the quantum transition probabilities, as one
+    n x n array: `chi_table`'s values gathered through its whole index.
 
     Time-averaging kills every cross term between distinct eigenvalues, so
     chi = sum over degenerate clusters E of P_E o P_E, with P_E the
     projector onto cluster E. Cross terms inside a cluster survive, which
     is why the degeneracy clustering (`Spectrum.mult`) is
     load-bearing: splitting a true cluster would push chi toward the
-    naive diagonal form. Columns sum to 1. Above the node cap
-    `graphs.DEFAULT_SIZE_CAP` it raises ResourceLimitError before any
-    n x n array.
+    naive diagonal form. Columns sum to 1.
+    """
+    values, index = chi_table(spectrum)
+    return values[index[:]]
 
-    A closed-form spectrum carries its graph's pair orbits
-    (`Spectrum.pairs`), on which every P_E is constant: chi is the orbit
-    table of `chi_table` gathered through the n x n small-int orbit index,
-    so the only n x n float array is chi itself.
 
-    From eigenvectors, clusters of one or two vectors a, b contribute
-    rank-one terms (a o a)(a o a)^T, (b o b)(b o b)^T and
+@dataclass(frozen=True)
+class _TriangleIndex:
+    """The n x n index of chi = values[index] when values is chi's lower
+    triangle packed row by row: entry (i, j) sits at k (k + 1) / 2 + l,
+    k = max(i, j), l = min(i, j). No n x n integer array is held;
+    `index[lo:hi]` computes rows lo..hi-1 as the whole array would give
+    them."""
+
+    n: int
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        node = np.arange(self.n)
+        i = node[rows, None]
+        return np.where(node <= i, i * (i + 1) // 2 + node, node * (node + 1) // 2 + i)
+
+    def diagonal(self) -> np.ndarray:
+        node = np.arange(self.n)
+        return node * (node + 3) // 2
+
+
+def _dense_chi(spectrum: Spectrum) -> np.ndarray:
+    """chi from eigenvectors, n x n. Clusters of one or two vectors a, b
+    contribute rank-one terms (a o a)(a o a)^T, (b o b)(b o b)^T and
     2 (a o b)(a o b)^T, which go into a single product Z Z^T; only larger
     clusters build an n x n projector. Z Z^T and each projector run as
-    symmetric rank-k updates, so chi is exactly symmetric.
-    """
-    if spectrum.pairs is not None:
-        table, index = chi_table(spectrum)
-        return table[index]
-    graphs.check_size_cap(spectrum.n, "chi")
+    symmetric rank-k updates, so chi is exactly symmetric."""
     v = spectrum.eigenvectors
     if v is None:
         raise ValueError("chi needs eigenvectors or pair orbits; use "
@@ -245,16 +262,47 @@ def chi_matrix(spectrum: Spectrum) -> np.ndarray:
     return chi
 
 
-def chi_table(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray | None]:
-    """chi as `chi_csv` takes it: with pair orbits the orbit table, sum_E
-    P_E^2 per orbit, and the orbit index; from eigenvectors `chi_matrix`
-    and None."""
+def chi_table(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray | _TriangleIndex]:
+    """chi in the one form its readers take: (values, index), chi =
+    values[index], where index gives rows a block at a time
+    (`index[lo:hi]`), `len(index)` and `index.diagonal()`. Above the node
+    cap `graphs.DEFAULT_SIZE_CAP` it raises ResourceLimitError before any
+    n x n array.
+
+    A closed-form spectrum carries its graph's pair orbits
+    (`Spectrum.pairs`), on which every P_E is constant: values is the
+    orbit table, sum_E P_E^2 per orbit, and index the n x n small-int
+    orbit index. From eigenvectors, values is chi's lower triangle packed
+    row by row and index a `_TriangleIndex`; the full product
+    (`_dense_chi`) is freed before the call returns.
+    """
+    graphs.check_size_cap(spectrum.n, "chi")
     pairs = spectrum.pairs
     if pairs is None:
-        return chi_matrix(spectrum), None
-    graphs.check_size_cap(spectrum.n, "chi")
+        n = spectrum.n
+        return _dense_chi(spectrum)[np.tri(n, dtype=bool)], _TriangleIndex(n)
     table = sum((p * p).sum(axis=0) for p in pairs.projectors(spectrum.cluster))
     return table, pairs.orbit_index()
+
+
+def chi_diagnostics(values, index) -> dict[str, str]:
+    """The largest |column sum - 1| of chi = values[index] and (1/N) tr
+    chi, the long-time limit of pi_bar, as the run manifest records them.
+
+    Rows are gathered through the index a block at a time into a buffer
+    whose first row holds the column sums so far. Summing the buffer adds
+    the rows one after another, as chi.sum(axis=0) adds them, so the sums
+    keep their bits and no n x n array is made."""
+    n = len(index)
+    step = max(1, _CSV_BLOCK_CELLS // n)
+    rows = np.zeros((step + 1, n))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        # every index is in range; mode="raise" would copy out first
+        np.take(values, index[lo:hi], out=rows[1:1 + hi - lo], mode="clip")
+        rows[0] = rows[:1 + hi - lo].sum(axis=0)
+    return {"chi.column_sum_error": repr(float(np.abs(rows[0] - 1.0).max())),
+            "chi.mean_return": repr(float(values[index.diagonal()].sum() / n))}
 
 
 # -- CSV export ---------------------------------------------------------------
@@ -274,37 +322,12 @@ def series_csv(series: TransportSeries):
     return _csv_blocks(header, len(series.times), len(texts), _columns(*texts))
 
 
-def chi_csv(values: np.ndarray, index: np.ndarray | None = None):
-    """Matrix CSV of chi = values[index] with a node-index header row, as
-    byte blocks like `series_csv`'s, so the whole text is never held at
-    once. Nothing runs until the first block is asked for; then each value
-    is formatted once.
-
-    index is an n x n integer array of positions in values, as the orbit
-    index is for the orbit table (`chi_table`); values it never reads are
-    not formatted. Without index, values is chi itself, exactly symmetric:
-    only its lower triangle is kept and formatted, and each block of rows
-    finds its cells there arithmetically. A caller that lets go of chi
-    once it has this generator frees it before the text is built.
-    """
-    if index is None:
-        n, node = len(values), np.arange(len(values))
-        values = values[np.tri(n, dtype=bool)]
-        text = float_text(values)
-        start = node * (node + 1) // 2  # of row i in the triangle
-
-        def rows(lo, hi):
-            i = node[lo:hi, None]
-            return text[np.where(node <= i, start[i] + node, start + i)]
-    else:
-        n, step = len(index), max(1, _CSV_BLOCK_CELLS // len(index))
-        read = np.zeros(len(values), dtype=bool)
-        for lo in range(0, n, step):
-            read[index[lo:lo + step]] = True
-        text = np.zeros(len(values), dtype=_TEXT)
-        text[read] = float_text(values[read])
-
-        def rows(lo, hi):
-            return text[index[lo:hi]]
+def chi_csv(values: np.ndarray, index):
+    """Matrix CSV of chi = values[index], as `chi_table` gives it, with a
+    node-index header row, as byte blocks like `series_csv`'s. Each value
+    is formatted once, before the call returns; each block of rows is
+    gathered from that text through its rows of the index, so neither
+    the whole text nor an n x n array is held."""
+    n, text = len(index), float_text(values)
     header = "node," + ",".join(map(str, range(n))) + "\n"
-    yield from _csv_blocks(header, n, n, rows, labelled=True)
+    return _csv_blocks(header, n, n, lambda lo, hi: text[index[lo:hi]], labelled=True)

@@ -766,12 +766,12 @@ class TestManifest:
     def test_streamed_chi_write_memory(self, tmp_path, monkeypatch):
         peaks, write = {}, cli._write
 
-        def traced_write(out_dir, name, render, arg, manifest):
+        def traced_write(out_dir, name, manifest, render, *args):
             if name != "chi.csv":
-                return write(out_dir, name, render, arg, manifest)
+                return write(out_dir, name, manifest, render, *args)
             tracemalloc.start()
             try:
-                write(out_dir, name, render, arg, manifest)
+                write(out_dir, name, manifest, render, *args)
                 peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -780,12 +780,12 @@ class TestManifest:
         graph = "er:800,0.02,seed=1"
         manifest = run_experiment(ExperimentConfig(graph=graph, chi=True, out=str(tmp_path)),
                                   stages=("spectrum",))
-        chi = transport.chi_matrix(graph_spectrum(parse_graph_spec(graph), with_vectors=True))
-        # the distinct values' text and their indices, and one block of
-        # rows; the whole text as a str and its encoding take about 6
-        assert peaks["chi.csv"] <= 4 * chi.nbytes
+        spectrum = graph_spectrum(parse_graph_spec(graph), with_vectors=True)
+        # the triangle's text, 1.5 matrices of n x n floats, and one block
+        # of rows; the whole text as a str and its encoding take about 6
+        assert peaks["chi.csv"] <= 2.25 * spectrum.n**2 * 8
         data = (tmp_path / "chi.csv").read_bytes()
-        assert data == b"".join(transport.chi_csv(chi))
+        assert data == b"".join(transport.chi_csv(*transport.chi_table(spectrum)))
         assert manifest.files["chi.csv"] == hashlib.sha256(data).hexdigest()
 
     def test_vectors_chi_run_memory(self, tmp_path):
@@ -847,11 +847,12 @@ class TestManifest:
     @pytest.mark.parametrize("graph", ["star:40", "dendrimer:4,3", "torus:6,2", "ring:30",
                                        "er:40,0.2,seed=3"])
     def test_chi_diagnostics_in_blocks_keep_their_bits(self, graph, monkeypatch):
-        # blocks of 3 rows give what chi.sum(axis=0) and np.trace give
-        values, index = transport.chi_table(
-            graph_spectrum(parse_graph_spec(graph), with_vectors=True))
-        chi = values if index is None else values[index]
-        monkeypatch.setattr(cli, "_CHI_BLOCK_ELEMS", 3 * len(chi))
-        assert cli._chi_diagnostics(values, index) == {
-            "chi.column_sum_error": repr(float(np.abs(chi.sum(axis=0) - 1.0).max())),
-            "chi.mean_return": repr(float(np.trace(chi) / len(chi)))}
+        # blocks of 1, 3 and 17 rows give what chi.sum(axis=0) and np.trace
+        # give, on the orbit table and on the dense triangle
+        spectrum = graph_spectrum(parse_graph_spec(graph), with_vectors=True)
+        chi = transport.chi_matrix(spectrum)
+        want = {"chi.column_sum_error": repr(float(np.abs(chi.sum(axis=0) - 1.0).max())),
+                "chi.mean_return": repr(float(np.trace(chi) / len(chi)))}
+        for rows in (1, 3, 17):
+            monkeypatch.setattr(transport, "_CSV_BLOCK_CELLS", rows * len(chi))
+            assert transport.chi_diagnostics(*transport.chi_table(spectrum)) == want

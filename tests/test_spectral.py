@@ -30,7 +30,6 @@ from specwalk import (
     graph_spectrum,
     laplacian,
     parse_graph_spec,
-    to_edge_list,
 )
 import specwalk.cli as cli
 import specwalk.spectral as spectral
@@ -40,6 +39,11 @@ from specwalk.spectral import (ShellTree, Spectrum, TorusPairs, _checked_residua
                                _column_blocks, _fix_signs, _lower_laplacian,
                                default_cluster_tol, degeneracies_csv, spectrum_csv)
 from specwalk.transport import TimeGrid, chi_matrix, log_grid, transport_series
+
+
+def csv_text(blocks):
+    """The text of a streamed writer's byte blocks."""
+    return b"".join(blocks).decode()
 
 
 def path_graph(n):
@@ -297,7 +301,6 @@ class TestZeroCluster:
 
     def test_disconnected_er_counts_components(self):
         g = build_erdos_renyi(12, 0.08, seed=3)
-        assert not g.connected
         s = decompose(g)
         comps = component_count(g)
         assert comps > 1
@@ -418,7 +421,7 @@ class TestClusters:
         s = decompose(build_dendrimer(4, 3))
         want = running_mean_table(list(s.eigenvalues), default_cluster_tol(s.eigenvalues))
         lines = ["value,multiplicity"] + [f"{repr(float(v))},{m}" for v, m in want]
-        assert degeneracies_csv(s) == "\n".join(lines) + "\n"
+        assert csv_text(degeneracies_csv(s)) == "\n".join(lines) + "\n"
 
 
 # trees that are neither star nor dendrimer: a branching of 1 makes a
@@ -785,7 +788,8 @@ class TestGraphSpectrum:
 
     def test_other_graphs_take_the_dense_path(self):
         ring = build_ring(9)
-        read_back = from_edge_list(to_edge_list(ring))
+        read_back = from_edge_list(f"n {ring.n}\n" + "".join(
+            f"{i} {j}\n" for i, j in ring.edges.tolist()))
         assert read_back == ring and hash(read_back) == hash(ring)
         assert read_back.family is None
         for g in (read_back, build_erdos_renyi(30, 0.2, seed=5)):
@@ -907,13 +911,13 @@ def test_er_semicircle_ks():
 class TestCSV:
     def test_spectrum_csv(self):
         s = decompose(build_ring(4))
-        lines = spectrum_csv(s).splitlines()
+        lines = csv_text(spectrum_csv(s)).splitlines()
         assert lines[0] == "index,eigenvalue"
         assert len(lines) == 5
         assert float(lines[-1].split(",")[1]) == pytest.approx(4.0)
 
     def test_degeneracies_csv(self):
         s = decompose(build_star(10))
-        lines = degeneracies_csv(s).splitlines()
+        lines = csv_text(degeneracies_csv(s)).splitlines()
         assert lines[0] == "value,multiplicity"
         assert [int(ln.split(",")[1]) for ln in lines[1:]] == [1, 8, 1]

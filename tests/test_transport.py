@@ -117,17 +117,27 @@ def oracle_chi(s):
 
 
 def chi_csv_forms(chi):
-    """(text, oracle text) of chi through each form `chi_csv` takes:
-    values with an index (here each entry read from the reversed entries,
-    with one value no entry reads), and the symmetric matrix itself, here
-    chi with its upper triangle mirrored from its lower one."""
+    """(text, oracle text) of chi through each index `chi_csv` reads:
+    an array, here each entry read from the reversed entries with one
+    value no entry reads, and the packed lower triangle of a symmetric
+    chi, here chi with its upper triangle mirrored from its lower one."""
     n = len(chi)
     index = (n * n - 1 - np.arange(n * n)).reshape(n, n)
     sym = chi.copy()
     upper = np.triu_indices(n, 1)
     sym[upper] = chi.T[upper]
+    triangle = sym[np.tri(n, dtype=bool)], transport._TriangleIndex(n)
     return [(csv_text(chi_csv(np.append(chi.ravel()[::-1], np.nan), index)), oracle_chi_csv(chi)),
-            (csv_text(chi_csv(sym)), oracle_chi_csv(sym))]
+            (csv_text(chi_csv(*triangle)), oracle_chi_csv(sym))]
+
+
+def oracle_triangle_index(n):
+    """The n x n index of a symmetric matrix's entries in its lower
+    triangle packed in np.tril_indices order, materialized."""
+    index = np.zeros((n, n), dtype=np.int64)
+    rows, cols = np.tril_indices(n)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    return index
 
 
 def oracle_chi_csv(chi):
@@ -441,8 +451,8 @@ class TestSeriesCSV:
         assert csv_text(blocks) == oracle_csv("t,delta_p", grid.times, series.p_bar)
 
     def test_chi_csv_header(self):
-        chi = chi_matrix(spectrum_of(build_ring(4), vectors=True))
-        lines = csv_text(chi_csv(chi)).splitlines()
+        chi = transport.chi_table(spectrum_of(build_ring(4), vectors=True))
+        lines = csv_text(chi_csv(*chi)).splitlines()
         assert lines[0] == "node,0,1,2,3"
         assert len(lines) == 5
 
@@ -592,18 +602,40 @@ class TestChiCSVFormat:
     @pytest.mark.parametrize("g", [build_ring(12), build_star(7), build_dendrimer(3, 3),
                                    build_erdos_renyi(25, 0.3, seed=2)])
     def test_byte_identical_to_plain_writer(self, g):
-        chi = chi_matrix(spectrum_of(g, vectors=True))
-        assert csv_text(chi_csv(chi)) == oracle_chi_csv(chi)
+        s = spectrum_of(g, vectors=True)
+        assert csv_text(chi_csv(*transport.chi_table(s))) == oracle_chi_csv(chi_matrix(s))
 
     def test_dense_chi_is_exactly_symmetric(self, oracle_spectra):
-        # chi_csv formats a dense chi's lower triangle and reads each upper
-        # entry from it: from clusters of one, two and more vectors,
-        # chi[i, j] and chi[j, i] are the same bits
+        # chi_table keeps only a dense chi's lower triangle, and every reader
+        # takes each upper entry from it: from clusters of one, two and more
+        # vectors, the product's chi[i, j] and chi[j, i] are the same bits
         s = oracle_spectra("union")
         assert {1, 2} <= set(s.mult.tolist()) and s.mult.max() > 2
-        chi = chi_matrix(s)
-        assert np.array_equal(chi, chi.T)
+        chi = transport._dense_chi(s)
         assert np.array_equal(chi.view(np.uint64), chi.T.view(np.uint64))
+        assert np.array_equal(chi_matrix(s).view(np.uint64), chi.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 362])
+    def test_triangle_index_against_materialized(self, n):
+        # 362 is the first n whose n (n + 1) / 2 positions need 32 bits;
+        # blocks of 1, 3 and the chi readers' rows, and slices across
+        # their edges, give the rows of the whole index
+        index, oracle = transport._TriangleIndex(n), oracle_triangle_index(n)
+        assert len(index) == n
+        np.testing.assert_array_equal(index[:], oracle)
+        np.testing.assert_array_equal(index.diagonal(), oracle.diagonal())
+        for step in {1, 3, max(1, transport._CSV_BLOCK_CELLS // n)}:
+            for lo in range(0, n, step):
+                np.testing.assert_array_equal(index[lo:lo + step], oracle[lo:lo + step])
+                edge = slice(max(lo - 1, 0), lo + 2)
+                np.testing.assert_array_equal(index[edge], oracle[edge])
+
+    def test_dense_table_is_the_packed_triangle(self, oracle_spectra):
+        s = oracle_spectra("er:800,0.02,seed=1")
+        values, index = transport.chi_table(s)
+        chi = transport._dense_chi(s)
+        np.testing.assert_array_equal(values, chi[np.tril_indices(s.n)])
+        assert isinstance(index, transport._TriangleIndex) and len(index) == s.n
 
     def test_special_values(self):
         chi = np.array([[0.0, -0.0, np.nan], [np.inf, 1e-300, 5e-324], [1.0, 0.1, 1 / 3]])
@@ -611,10 +643,10 @@ class TestChiCSVFormat:
             assert got == want
 
     def test_blocks_join_to_the_text(self, oracle_spectra):
-        chi = chi_matrix(oracle_spectra("er:800,0.02,seed=1"))
-        blocks = list(chi_csv(chi))
+        s = oracle_spectra("er:800,0.02,seed=1")
+        blocks = list(chi_csv(*transport.chi_table(s)))
         assert len(blocks) > 2 and all(isinstance(b, bytes) for b in blocks)
-        assert csv_text(blocks) == oracle_chi_csv(chi)
+        assert csv_text(blocks) == oracle_chi_csv(chi_matrix(s))
 
 
 # values whose repr is easy to get wrong: signed zero, non-finite values,
@@ -665,7 +697,8 @@ class TestCSVWritersOracle:
     def test_spectrum_csv(self, values):
         lam = np.array(values)
         rows = [f"{k},{repr(float(x))}" for k, x in enumerate(lam)]
-        assert spectrum_csv(Spectrum(lam)) == "\n".join(["index,eigenvalue", *rows]) + "\n"
+        want = "\n".join(["index,eigenvalue", *rows]) + "\n"
+        assert csv_text(spectrum_csv(Spectrum(lam))) == want
 
     @CSV_SETTINGS
     @given(st.integers(1, 6).flatmap(lambda n: st.lists(
