@@ -43,8 +43,9 @@ from .transport import (TimeGrid, TransportSeries, chi_csv, chi_diagnostics,
 
 DEFAULT_GRID_SPEC = "log:1e-2,1e4,600"
 # the series and its CSV are O(points) in memory: a million points write a
-# 70 MB series.csv, which is streamed a block of rows at a time from 24
-# bytes of text per value (72 MB for three columns)
+# 70 MB series.csv, streamed a block of rows at a time from 24 B of text a
+# value (72 MB for three columns); the t column's text, 24 MB, is held
+# until deltap.csv is written
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -288,11 +289,12 @@ def _sha256(path) -> str:
 
 def _write(out_dir: Path, name: str, manifest: RunManifest, render, *args):
     """Write render(*args) to out_dir/name and record its sha256; the
-    formatting counts as writing time. render returns a str, or an
-    iterable of byte blocks, which are written and hashed one at a time.
-    The first write makes out_dir."""
+    formatting counts as writing time. render returns a str or byte
+    blocks, written and hashed one at a time, or (kept, blocks), and
+    _write returns kept. The first write makes out_dir."""
     with manifest.stage("writing"):
         text = render(*args)
+        kept, text = text if isinstance(text, tuple) else (None, text)
         digest = hashlib.sha256()
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / name, "wb") as out:
@@ -300,6 +302,7 @@ def _write(out_dir: Path, name: str, manifest: RunManifest, render, *args):
                 out.write(block)
                 digest.update(block)
         manifest.files[name] = digest.hexdigest()
+    return kept
 
 
 def _finish(manifest: RunManifest, out_dir: Path, started: float) -> RunManifest:
@@ -424,13 +427,15 @@ def run_experiment(config: ExperimentConfig,
                     p_bar=classical_return_continuum(dos, grid),
                     alpha_bar_sq=quantum_return_bound_continuum(dos, grid))
 
+    times_text = None  # series.csv's t column, which deltap.csv reuses
     if series is not None and config.series is None:
-        _write(out_dir, "series.csv", manifest, series_csv, series)
+        times_text = _write(out_dir, "series.csv", manifest, series_csv, series)
     if series is not None and "analysis" in stages:
         with manifest.stage("analysis"):
             report = _analyze(series, config, stretched, manifest)
         _write(out_dir, "report.txt", manifest, report_text, report)
-        _write(out_dir, "deltap.csv", manifest, ratio_csv, report.ratio)
+        _write(out_dir, "deltap.csv", manifest, ratio_csv, report.ratio,
+               series.times, times_text)
 
     return _finish(manifest, out_dir, started)
 

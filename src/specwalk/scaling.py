@@ -297,8 +297,13 @@ def report_text(report: EfficiencyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ratio_csv(ratio: EfficiencyRatioSeries):
-    """Columns t,delta_p, as byte blocks formatted and assembled as
-    `series_csv`'s are."""
-    texts = float_text(ratio.times), float_text(ratio.values)
-    return _csv_blocks("t,delta_p\n", len(texts[0]), 2, _columns(*texts))
+def ratio_csv(ratio: EfficiencyRatioSeries, times, times_text=None):
+    """Columns t,delta_p, as byte blocks like `series_csv`'s. Only delta_p
+    is formatted; each of ratio.times must be, bit for bit, one of the
+    sorted series times, and takes its text from times_text, theirs as
+    `float_text` gives it, which a series read from a file leaves to here."""
+    rows = np.minimum(np.searchsorted(times, ratio.times), len(times) - 1)
+    if np.any(times[rows].view(np.uint64) != ratio.times.view(np.uint64)):
+        raise ValueError("ratio times are not points of the series times")
+    text = (float_text(times) if times_text is None else times_text)[rows]
+    return _csv_blocks("t,delta_p\n", len(rows), 2, _columns(text, float_text(ratio.values)))

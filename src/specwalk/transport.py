@@ -310,16 +310,16 @@ def chi_diagnostics(values, index) -> dict[str, str]:
 def series_csv(series: TransportSeries):
     """Columns t,p_bar,alpha_bar_sq[,pi_bar]; shortest round-trip floats.
 
-    Every value is formatted before the call returns; the result is an
-    iterator of ASCII byte blocks whose concatenation is the CSV text,
-    rows assembled a block at a time as it is consumed.
+    Every value is formatted before the call returns, in one pass over
+    the columns laid end to end. Returns a copy of the t column's text,
+    from which `scaling.ratio_csv` gathers its times, and an iterator of
+    ASCII byte blocks whose concatenation is the CSV text, rows assembled
+    a block at a time as it is consumed.
     """
-    has_pi = series.pi_bar is not None
-    header = "t,p_bar,alpha_bar_sq" + (",pi_bar" if has_pi else "") + "\n"
-    columns = (series.times, series.p_bar, series.alpha_bar_sq) + (
-        (series.pi_bar,) if has_pi else ())
-    texts = [float_text(col) for col in columns]
-    return _csv_blocks(header, len(series.times), len(texts), _columns(*texts))
+    names = ["t", "p_bar", "alpha_bar_sq"] + ([] if series.pi_bar is None else ["pi_bar"])
+    text = float_text([series.times] + [getattr(series, name) for name in names[1:]])
+    return text[0].copy(), _csv_blocks(",".join(names) + "\n", len(series.times),
+                                       len(names), _columns(*text))
 
 
 def chi_csv(values: np.ndarray, index):

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import specwalk._csvtext as _csvtext
 import specwalk.cli as cli
 import specwalk.graphs as graphs
+import specwalk.scaling as scaling
 import specwalk.spectral as spectral
 import specwalk.transport as transport
 from specwalk import (Graph, NumericalError, ParseError, ResourceLimitError,
@@ -592,7 +594,7 @@ class TestAnalyzeSeriesFile:
                                         grid="log:1e-2,1e2,80"))
         series = cli._read_series_csv(tmp_path / "r" / "series.csv")
         text = (tmp_path / "r" / "series.csv").read_text()
-        assert b"".join(cli.series_csv(series)).decode() == text
+        assert b"".join(cli.series_csv(series)[1]).decode() == text
 
     def test_missing_column_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -804,6 +806,36 @@ class TestManifest:
         # the eigenvectors sit on a mapping that tracemalloc does not see
         assert peak + n * n * 8 <= 6.5 * n * n * 8
 
+    def test_held_times_text_memory(self, tmp_path, monkeypatch):
+        # series.csv formats its columns in one pass, from one copy of them,
+        # and hands deltap.csv the t column's text, 24 B a grid point
+        n, marks, write = 500_000, {}, cli._write
+
+        def traced_write(out_dir, name, manifest, render, *args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            kept = write(out_dir, name, manifest, render, *args)
+            marks[name] = (start, *tracemalloc.get_traced_memory())
+            return kept
+
+        monkeypatch.setattr(cli, "_write", traced_write)
+        cfg = ExperimentConfig(dos="semicircle:nu=0.5,lmax=2",
+                               grid=f"linear:0.05,220,{n}", out=str(tmp_path))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+        finally:
+            tracemalloc.stop()
+        # per grid point: the copy of the columns or the t text (24 B) and
+        # three columns of text (72 B), then one block of rows; the ratio
+        # gathers the t text and formats delta_p (48 B) by its rows (8 B)
+        start, end, peak = marks["series.csv"]
+        assert end - start <= 25 * n
+        assert peak - start <= 108 * n
+        start, end, peak = marks["deltap.csv"]
+        assert end - start <= 1 * n
+        assert peak - start <= 64 * n
+
     def test_verify_detects_tampering(self, tmp_path):
         cfg = ExperimentConfig(graph="ring:12", out=str(tmp_path / "t"),
                               grid="log:1e-2,1e2,80")
@@ -856,3 +888,60 @@ class TestManifest:
         for rows in (1, 3, 17):
             monkeypatch.setattr(transport, "_CSV_BLOCK_CELLS", rows * len(chi))
             assert transport.chi_diagnostics(*transport.chi_table(spectrum)) == want
+
+
+class TestFormatsEachFloatOnce:
+    """Every float a run writes goes through `float_text` once; series.csv's
+    in one call, and deltap.csv's times come from series.csv's text."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls, formatted = [], []
+        for module in (transport, scaling, spectral):
+            def counting(values, float_text=module.float_text, name=module.__name__):
+                text = float_text(values)
+                calls.append((name.rpartition(".")[2], text.size))
+                return text
+            monkeypatch.setattr(module, "float_text", counting)
+
+        def counting_format(x, out, format=_csvtext._format):
+            formatted.append(len(x))
+            return format(x, out)
+
+        monkeypatch.setattr(_csvtext, "_format", counting_format)
+        return calls, formatted
+
+    @staticmethod
+    def cells(path):
+        lines = path.read_text().splitlines()
+        return len(lines) - 1, len(lines[0].split(","))
+
+    @staticmethod
+    def check_counts(calls, formatted, want):
+        """want: the float_text calls' sizes per module"""
+        assert sorted(calls) == sorted((name, n) for name, sizes in want.items()
+                                       for n in sizes)
+        assert sum(formatted) == sum(n for _, n in calls if n >= _csvtext._REPR_BELOW)
+        calls.clear()
+        formatted.clear()
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig3"])
+    def test_preset_and_fit(self, tmp_path, counted, name):
+        calls, formatted = counted
+        out = tmp_path / name
+        run_experiment(replace(preset(name), out=str(out)))
+        rows, cols = self.cells(out / "series.csv")
+        deltap = self.cells(out / "deltap.csv")[0]
+        spectrum = graph_spectrum(parse_graph_spec(preset(name).graph))
+        # series.csv in one call, deltap.csv its delta_p alone
+        self.check_counts(calls, formatted, {
+            "transport": [rows * cols], "scaling": [deltap],
+            "spectral": [len(spectrum.values), len(spectrum.levels)]})
+        if name != "fig3":
+            return
+        # a series read from a file writes no series.csv: deltap.csv formats
+        # its times once, and its delta_p
+        run_experiment(ExperimentConfig(series=str(out / "series.csv"), out=str(tmp_path / "f")),
+                       stages=cli.STAGES["fit"])
+        assert self.cells(tmp_path / "f" / "deltap.csv")[0] == deltap
+        self.check_counts(calls, formatted, {"scaling": [rows, deltap]})

@@ -357,6 +357,6 @@ class TestReportSerialization:
     def test_ratio_csv(self):
         t = np.geomspace(1.5, 100, 50)
         ratio = efficiency_ratio_series(t, 0.9 * t**-1.0, (t, 0.9 * t**-1.0))
-        lines = b"".join(ratio_csv(ratio)).decode().splitlines()
+        lines = b"".join(ratio_csv(ratio, t)).decode().splitlines()
         assert lines[0] == "t,delta_p"
         assert len(lines) == len(ratio.times) + 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import specwalk.cli as cli
 from specwalk import transport
 
 from specwalk import (
@@ -423,8 +424,10 @@ class TestSeriesCSV:
         s = spectrum_of(build_star(6), vectors=True)
         grid = log_grid(0.1, 10, 20)
         series = transport_series(s, grid, with_exact_quantum=True)
-        text = csv_text(series_csv(series))
+        times_text, blocks = series_csv(series)
+        text = csv_text(blocks)
         assert text.splitlines()[0] == "t,p_bar,alpha_bar_sq,pi_bar"
+        assert times_text.tolist() == float_text(series.times).tolist()
         data = np.genfromtxt(text.splitlines(), delimiter=",", names=True)
         np.testing.assert_array_equal(data["t"], series.times)
         np.testing.assert_array_equal(data["p_bar"], series.p_bar)
@@ -433,20 +436,21 @@ class TestSeriesCSV:
     def test_without_pi(self):
         s = spectrum_of(build_ring(5))
         series = transport_series(s, log_grid(0.1, 1, 5))
-        assert csv_text(series_csv(series)).splitlines()[0] == "t,p_bar,alpha_bar_sq"
+        assert csv_text(series_csv(series)[1]).splitlines()[0] == "t,p_bar,alpha_bar_sq"
 
     def test_blocks_join_to_the_text(self):
         # 20k rows of three columns: two blocks of rows, and the series
         # and ratio writers both held to the per-element loop
         grid = linear_grid(0.01, 200.0, 20_000)
         series = transport_series(spectrum_of(build_ring(40)), grid)
-        blocks = list(series_csv(series))
+        times_text, blocks = series_csv(series)
+        blocks = list(blocks)
         assert len(blocks) > 2 and all(isinstance(b, bytes) for b in blocks)
         cols = (series.times, series.p_bar, series.alpha_bar_sq)
         assert csv_text(blocks) == oracle_csv("t,p_bar,alpha_bar_sq", *cols)
         ratio = EfficiencyRatioSeries(times=grid.times, values=series.p_bar,
                                       asymptotic=1.0, excluded_points=0)
-        blocks = list(ratio_csv(ratio))
+        blocks = list(ratio_csv(ratio, grid.times, times_text))
         assert len(blocks) > 2 and all(isinstance(b, bytes) for b in blocks)
         assert csv_text(blocks) == oracle_csv("t,delta_p", grid.times, series.p_bar)
 
@@ -682,15 +686,54 @@ class TestCSVWritersOracle:
                                  alpha_bar_sq=cols[1],
                                  pi_bar=cols[2] if with_pi else None)
         header = "t,p_bar,alpha_bar_sq" + (",pi_bar" if with_pi else "")
-        assert csv_text(series_csv(series)) == oracle_csv(header, times, *cols)
+        times_text, blocks = series_csv(series)
+        assert csv_text(blocks) == oracle_csv(header, times, *cols)
+        assert times_text.tolist() == float_text(times).tolist()
 
     @CSV_SETTINGS
-    @given(st.lists(st.tuples(csv_floats, csv_floats), min_size=1, max_size=40))
-    def test_ratio_csv(self, pairs):
-        t, v = (np.array(col) for col in zip(*pairs))
+    @given(st.lists(st.tuples(csv_floats.filter(lambda x: not np.isnan(x)), csv_floats,
+                              st.booleans()),
+                    min_size=1, max_size=40, unique_by=lambda row: row[0]))
+    def test_ratio_csv(self, rows):
+        # the ratio keeps any subset of the sorted series times, interior
+        # ones dropped too, and its t column is gathered from their text
+        times, values, kept = (np.array(col) for col in zip(*sorted(rows)))
+        t, v = times[kept], values[kept]
         ratio = EfficiencyRatioSeries(times=t, values=v, asymptotic=1.0,
                                       excluded_points=0)
-        assert csv_text(ratio_csv(ratio)) == oracle_csv("t,delta_p", t, v)
+        want = oracle_csv("t,delta_p", t, v)
+        assert csv_text(ratio_csv(ratio, times)) == want
+        assert csv_text(ratio_csv(ratio, times, float_text(times))) == want
+
+    def test_ratio_times_off_the_series_times(self):
+        times = np.linspace(0.5, 2.0, 7)
+        for t in (np.nextafter(times[3:4], 3.0), np.array([2.5]), -times[:1]):
+            ratio = EfficiencyRatioSeries(times=t, values=np.ones(1), asymptotic=1.0,
+                                          excluded_points=0)
+            with pytest.raises(ValueError, match="not points of the series"):
+                ratio_csv(ratio, times)
+
+    def test_deltap_csv_of_each_source(self, tmp_path):
+        # deltap.csv on a graph, a DOS and a series file whose p_bar touches
+        # 1 at interior rows, so that the ratio's rows are not contiguous
+        t = np.linspace(0.5, 60.0, 600)
+        p, alpha = np.exp(-0.05 * t), np.exp(-0.1 * t) * (0.75 + 0.25 * np.cos(3 * t))
+        p[[100, 101, 300]] = 1.0
+        crafted = tmp_path / "crafted.csv"
+        crafted.write_text(oracle_csv("t,p_bar,alpha_bar_sq", t, p, alpha))
+        sources = {"graph": dict(graph="star:10", vectors=True, grid="linear:0.01,100,2000"),
+                   "dos": dict(dos="semicircle:nu=0.5,lmax=2", grid="log:1e-2,1e2,300"),
+                   "fit": dict(series=str(crafted))}
+        for name, spec in sources.items():
+            cfg = cli.ExperimentConfig(**spec, out=str(tmp_path / name))
+            cli.run_experiment(cfg, stages=cli.STAGES["fit" if name == "fit" else "run"])
+            series = cli._read_series_csv(crafted if name == "fit"
+                                          else tmp_path / name / "series.csv")
+            ratio = cli._analyze(series, cfg, False, cli.RunManifest(config={})).ratio
+            text = (tmp_path / name / "deltap.csv").read_text()
+            assert text == oracle_csv("t,delta_p", ratio.times, ratio.values)
+        assert ratio.excluded_points == 3
+        assert (np.diff(np.searchsorted(t, ratio.times)) > 1).sum() == 2
 
     @CSV_SETTINGS
     @given(st.lists(csv_floats, min_size=1, max_size=40))
