@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .continuum import (Lifshits, classical_return_continuum, parse_dos_spec,
                         quantum_return_bound_continuum)
-from .errors import NumericalError, ParseError, ResourceLimitError
+from .errors import NumericalError, ParseError, ResourceLimitError, _read_spec
 from .graphs import parse_graph_spec
 from .scaling import (EfficiencyReport, check_fit_window, check_half_width,
                       check_tail_fraction, detect_crossover,
@@ -49,31 +49,30 @@ DEFAULT_GRID_SPEC = "log:1e-2,1e4,600"
 MAX_GRID_POINTS = 1_000_000
 
 
+# `_read_spec` rows; the segment names its kind, so the usage is the rest
+_GRID_SEGMENTS = dict.fromkeys(("log", "linear"), ("LO,HI,N", (float, float, int), {}))
+
+
 def parse_grid_spec(spec: str) -> TimeGrid:
     """Parse 'log:LO,HI,N' or 'linear:LO,HI,N', optionally joined with '+'.
 
     Log segments get t=0 prepended so normalization shows up in the series;
-    joined segments are merged and deduplicated. Each N must be positive,
-    and a total N above MAX_GRID_POINTS raises ResourceLimitError before
-    any grid is made.
+    joined segments are merged and deduplicated. Each segment needs N >= 1,
+    finite bounds with LO >= 0 (LO, HI > 0 on a log segment) and, for
+    N > 1, LO < HI. A total N above MAX_GRID_POINTS raises
+    ResourceLimitError before any grid is made.
     """
-    segments = []
+    segments, start = [], 0
     for part in spec.split("+"):
-        kind, _, params = part.partition(":")
-        kind = kind.strip().lower()
-        try:
-            lo, hi, num = (tok.strip() for tok in params.split(","))
-            lo, hi, num = float(lo), float(hi), int(num)
-        except ValueError as exc:
-            raise ParseError(f"grid segment needs LO,HI,N: {part!r}", text=spec,
-                             position=spec.find(part)) from exc
-        if kind not in ("log", "linear"):
-            raise ParseError(f"unknown grid kind {kind!r}", text=spec,
-                             position=spec.find(part))
-        if num < 1:
-            raise ParseError(f"grid segment needs N >= 1: {part!r}", text=spec,
-                             position=spec.find(part))
+        kind, (lo, hi, num), _ = _read_spec(spec, _GRID_SEGMENTS, "grid segment",
+                                            start, start + len(part))
+        floor = "0 < LO, HI" if kind == "log" else "0 <= LO"
+        above = min(lo, hi) > 0 if kind == "log" else lo >= 0
+        if not (num >= 1 and above and np.isfinite([lo, hi]).all() and (num == 1 or lo < hi)):
+            raise ParseError(f"{kind} grid segment needs N >= 1, finite {floor} and, for "
+                             f"N > 1, LO < HI: {part!r}", text=spec, position=start)
         segments.append((kind, lo, hi, num))
+        start += len(part) + 1
     total = sum(num for *_, num in segments)
     if total > MAX_GRID_POINTS:
         raise ResourceLimitError(
@@ -393,9 +392,12 @@ def run_experiment(config: ExperimentConfig,
                          f"{source} source", text=getattr(config, source), position=0)
     started = time.monotonic()
     grid = parse_grid_spec(config.grid)
-    series = None if config.series is None else _read_series_csv(config.series)
     out_dir = Path(config.out)
     manifest = RunManifest(config=config.echo())
+    series = None
+    if config.series is not None:
+        with manifest.stage("read"):
+            series = _read_series_csv(config.series)
 
     stretched = config.fit_model == "stretched"
     if config.graph is not None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParseError
+from .errors import NumericalError, ParseError, _read_spec
 from .transport import TimeGrid, clamp_unit_interval
 
 # scipy.special is imported where it is first used, as `spectral.decompose`
@@ -260,37 +260,21 @@ def asymptotic_law(dos, which: str):
 
 # -- spec-string parsing ------------------------------------------------------
 
+# `_read_spec` rows; every key is required
+_DOS_SPECS = {
+    "semicircle": ("semicircle:nu=V,lmax=V", (), {"nu": float, "lmax": float}),
+    "lifshits": ("lifshits:b=V", (), {"b": float}),
+}
+
+
 def parse_dos_spec(spec: str) -> ContinuousDOS:
     """Parse 'semicircle:nu=0.5,lmax=2' or 'lifshits:b=2'."""
-    if ":" not in spec:
-        raise ParseError("expected '<family>:<key>=<value>,...'", text=spec,
-                         position=len(spec))
-    family, _, params = spec.partition(":")
-    family = family.strip().lower()
-    kv = {}
-    for part in params.split(","):
-        key, eq, val = part.partition("=")
-        if not eq:
-            raise ParseError("parameters must be key=value", text=spec,
-                             position=spec.find(part))
-        try:
-            kv[key.strip()] = float(val)
-        except ValueError as exc:
-            raise ParseError(f"bad numeric value {val!r}", text=spec,
-                             position=spec.find(val)) from exc
+    family, _, kv = _read_spec(spec, _DOS_SPECS, "DOS spec")
     try:
-        if family == "semicircle":
-            if set(kv) != {"nu", "lmax"}:
-                raise ParseError("semicircle takes nu=<v>,lmax=<v>", text=spec,
-                                 position=len(family) + 1)
-            return PowerSemicircle(nu=kv["nu"], lam_max=kv["lmax"])
-        if family == "lifshits":
-            if set(kv) != {"b"}:
-                raise ParseError("lifshits takes b=<v>", text=spec,
-                                 position=len(family) + 1)
-            return Lifshits(b=kv["b"])
+        return (PowerSemicircle(nu=kv["nu"], lam_max=kv["lmax"])
+                if family == "semicircle" else Lifshits(b=kv["b"]))
+    except KeyError:  # a key left out, as the reader refuses unknown ones
+        raise ParseError(f"DOS spec needs {_DOS_SPECS[family][0]}", text=spec,
+                         position=len(spec)) from None
     except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(str(exc), text=spec, position=len(family) + 1) from exc
-    raise ParseError(f"unknown DOS family {family!r}", text=spec, position=0)
+        raise ParseError(str(exc), text=spec, position=spec.find(":") + 1) from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, ResourceLimitError
+from .errors import ParseError, ResourceLimitError, _read_spec
 
 # node cap of every n x n array: dense Laplacian, eigenvectors, chi
 DEFAULT_SIZE_CAP = 5000
@@ -272,65 +272,40 @@ def from_edge_list(text: str) -> Graph:
 
 # -- spec-string parsing ------------------------------------------------------
 
+# `_read_spec` rows: family -> (usage, positional types, {key: type})
+_GRAPH_SPECS = {
+    "ring": ("ring:N", (int,), {}),
+    "star": ("star:N", (int,), {}),
+    "dendrimer": ("dendrimer:G,Z", (int, int), {}),
+    "torus": ("torus:SIDE,D", (int, int), {}),
+    "er": ("er:N,P[,seed=S]", (int, float), {"seed": int}),
+}
+
+
 def parse_graph_spec(spec: str, default_seed: int = 0) -> Graph:
-    """Build a graph from a compact family spec.
-
-    Accepted forms: ring:N, star:N, dendrimer:G,Z, torus:SIDE,D,
-    er:N,P[,seed=S]. The ER seed falls back to `default_seed` when the
-    spec does not carry one. An ER graph of more than DEFAULT_SIZE_CAP
-    nodes, and a ring, star or dendrimer of more than SPEC_NODE_CAP,
-    raise ResourceLimitError before anything is built.
+    """Build a graph from a spec of one of the `_GRAPH_SPECS` forms. The ER
+    seed falls back to `default_seed` when the spec does not carry one. An
+    ER graph of more than DEFAULT_SIZE_CAP nodes, and a ring, star or
+    dendrimer of more than SPEC_NODE_CAP, raise ResourceLimitError before
+    anything is built.
     """
-    if ":" not in spec:
-        raise ParseError("expected '<family>:<params>'", text=spec, position=len(spec))
-    family, _, params = spec.partition(":")
-    family = family.strip().lower()
-    parts = [p.strip() for p in params.split(",")] if params else []
-
-    def want(k):
-        if len(parts) != k:
-            raise ParseError(f"{family} spec takes {k} parameter(s)", text=spec,
-                             position=len(family) + 1)
-
-    def capped(n):
-        if n > SPEC_NODE_CAP:
-            raise ResourceLimitError(
-                f"graph {spec!r} exceeds the node cap {SPEC_NODE_CAP}")
-        return n
-
+    family, args, keys = _read_spec(spec, _GRAPH_SPECS, "graph spec")
     try:
-        if family == "ring":
-            want(1)
-            return build_ring(capped(int(parts[0])))
-        if family == "star":
-            want(1)
-            return build_star(capped(int(parts[0])))
+        if family == "er":
+            check_size_cap(args[0], "Erdos-Renyi graph")
+            return build_erdos_renyi(*args, keys.get("seed", default_seed))
+        if family == "torus":
+            return build_hypercubic(*args)
+        n = args[0]
         if family == "dendrimer":
-            want(2)
-            generation, z = int(parts[0]), int(parts[1])
             # the count grows with the generation and passes the cap well
             # before 64, so a huge generation is refused without its power
-            capped(dendrimer_node_count(min(generation, 64), z))
-            return build_dendrimer(generation, z)
-        if family == "torus":
-            want(2)
-            return build_hypercubic(int(parts[0]), int(parts[1]))
-        if family == "er":
-            if len(parts) not in (2, 3):
-                raise ParseError("er spec is er:N,P[,seed=S]", text=spec,
-                                 position=len(family) + 1)
-            seed = default_seed
-            if len(parts) == 3:
-                key, _, val = parts[2].partition("=")
-                if key.strip() != "seed":
-                    raise ParseError("third er parameter must be seed=<int>",
-                                     text=spec, position=spec.find(parts[2]))
-                seed = int(val)
-            n = int(parts[0])
-            check_size_cap(n, "Erdos-Renyi graph")
-            return build_erdos_renyi(n, float(parts[1]), seed)
+            n = dendrimer_node_count(min(n, 64), args[1])
+        if n > SPEC_NODE_CAP:
+            raise ResourceLimitError(f"graph {spec!r} exceeds the node cap {SPEC_NODE_CAP}")
+        return {"ring": build_ring, "star": build_star,
+                "dendrimer": build_dendrimer}[family](*args)
+    except ResourceLimitError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, (ParseError, ResourceLimitError)):
-            raise
-        raise ParseError(str(exc), text=spec, position=len(family) + 1) from exc
-    raise ParseError(f"unknown graph family {family!r}", text=spec, position=0)
+        raise ParseError(str(exc), text=spec, position=spec.find(":") + 1) from exc

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 import textwrap
@@ -65,6 +66,36 @@ class TestParseGridSpec:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: grid of") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec, position", [
+        ("log:0,10,5", 0), ("log:-1,10,5", 0), ("log:5,-1,1", 0), ("linear:-1,10,5", 0),
+        ("linear:0,inf,5", 0), ("linear:nan,1,1", 0), ("linear:1,1,3", 0),
+        ("linear:0,1,3+log:5,1,4", 13)])
+    def test_impossible_bounds_raise_at_their_segment(self, spec, position, recwarn):
+        with pytest.raises(ParseError, match="grid segment needs") as err:
+            parse_grid_spec(spec)
+        assert err.value.position == position
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("spec, last", [("linear:5,-1,1", 5.0), ("log:5,1,1", 5.0),
+                                            ("linear:0,0,1", 0.0)])
+    def test_one_point_segment_takes_any_finite_hi(self, spec, last):
+        assert parse_grid_spec(spec).times[-1] == last
+
+    @pytest.mark.parametrize("spec", ["log:0,10,5", "log:-1,10,5"])
+    def test_impossible_bounds_exit_one(self, spec, tmp_path):
+        # a subprocess, so that a warning numpy prints shows on stderr
+        out = tmp_path / "o"
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from specwalk.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "run", "--graph", "ring:10",
+             "--grid", spec, "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: log grid segment needs")
+        assert run.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_size_cap_is_inclusive(self, monkeypatch):
         made = []
@@ -544,6 +575,32 @@ class TestMainSubcommands:
         assert err.count("\n") == 1
 
 
+class TestFitModel:
+    """fit_model picks the decay law of both fits; auto fits a stretched
+    exponential to a Lifshits DOS only, and a power law to the rest."""
+
+    @pytest.mark.parametrize("source", ["graph=ring:200", "dos=semicircle:nu=0.5,lmax=2",
+                                        "dos=lifshits:b=2"])
+    @pytest.mark.parametrize("model", ["auto", "power", "stretched"])
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    def test_report_names_the_model(self, tmp_path, source, model, by):
+        key, spec = source.split("=", 1)
+        out = tmp_path / "o"
+        settings = {key: spec, "grid": "linear:0.05,120,1200", "fit_model": model}
+        if by == "flag":
+            args = [arg for k, v in settings.items()
+                    for arg in (f"--{k.replace('_', '-')}", v)]
+        else:
+            config = tmp_path / "exp.cfg"
+            config.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+            args = ["--config", str(config)]
+        assert main(["run", *args, "--out", str(out)]) == 0
+        report = dict(ln.split(" = ") for ln in (out / "report.txt").read_text().splitlines())
+        stretched = model == "stretched" or (model == "auto" and spec.startswith("lifshits"))
+        expected = "stretched_exp" if stretched else "power_law"
+        assert report["classical_model"] == report["quantum_model"] == expected
+
+
 class TestAnalyzeSeriesFile:
     def test_round_trip_analysis(self, tmp_path):
         t = np.geomspace(1.5, 1000, 300)
@@ -727,6 +784,19 @@ class TestManifest:
         assert {"timing.analysis_s", "timing.writing_s",
                 "analysis.envelope_points"} <= keys
         assert "timing.series_s" not in keys
+
+    def test_only_a_series_source_times_its_read(self, tmp_path):
+        sources = {"graph": dict(graph="ring:12"),
+                   "dos": dict(dos="semicircle:nu=0.5,lmax=2"),
+                   "series": dict(series=str(_series_file(tmp_path)))}
+        for name, source in sources.items():
+            out = tmp_path / name
+            manifest = run_experiment(ExperimentConfig(**source, out=str(out),
+                                                       grid="log:1e-2,1e2,80"))
+            keys = {ln.split(" = ")[0]
+                    for ln in (out / "manifest.txt").read_text().splitlines()}
+            assert ("timing.read_s" in keys) == (name == "series")
+            assert 0 <= manifest.timings.get("read", 0.0) <= manifest.duration_s
 
     @pytest.mark.parametrize("command", ["run", "fit"])
     def test_failed_verification_exits_one(self, tmp_path, monkeypatch, capsys, command):

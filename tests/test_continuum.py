@@ -551,3 +551,27 @@ class TestParseDOSSpec:
     def test_bad_specs(self, bad):
         with pytest.raises(ParseError):
             parse_dos_spec(bad)
+
+    @pytest.mark.parametrize("spec, position", [
+        ("semicircle:nu=0.5,nu=1,lmax=2", 18),
+        ("semicircle:nu=0.5,lmax=2,lmax=3", 25),
+        ("lifshits:b=2,b=3", 13),
+    ])
+    def test_repeated_key_raises_at_its_second_use(self, spec, position):
+        with pytest.raises(ParseError, match="repeated key") as err:
+            parse_dos_spec(spec)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("spec, position", [
+        ("lifshits", 0),                      # no colon
+        ("gauss:s=1", 0),                     # unknown family
+        ("semicircle:nu=0.5", 17),            # a key missing: at the end
+        ("semicircle:nu=0.5,0.5", 18),        # a positional value
+        ("semicircle:nu=zzz,lmax=2", 11),     # a bad value
+        ("lifshits:c=2", 9),                  # an unknown key
+        ("lifshits:b=0.5", 9),                # a value out of range
+    ])
+    def test_parse_error_points_at_its_part(self, spec, position):
+        with pytest.raises(ParseError) as err:
+            parse_dos_spec(spec)
+        assert err.value.position == position

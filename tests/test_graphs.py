@@ -423,6 +423,27 @@ class TestParseGraphSpec:
             parse_graph_spec("blob:5")
         assert err.value.position is not None
 
+    @pytest.mark.parametrize("spec, position", [
+        ("ring", 0),                          # no colon
+        ("blob:5", 0),                        # unknown family
+        ("dendrimer:3", 11),                  # a value missing: at the end
+        ("ring:5,6", 7),                      # a value too many
+        ("er:10,seed=1,0.5", 13),             # a value after a key
+        ("star:abc", 5),                      # a bad value
+        ("er:10,0.5,foo=1", 10),              # an unknown key
+        ("er:10,0.5,seed=1,seed=2", 17),      # a repeated key
+        ("ring:2", 5),                        # a value the builder refuses
+    ])
+    def test_parse_error_points_at_its_part(self, spec, position):
+        with pytest.raises(ParseError) as err:
+            parse_graph_spec(spec)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("spec", [" RING : 12 ", "er:12, 0.5 , seed = 3"])
+    def test_spaces_and_family_case_are_ignored(self, spec):
+        compact = spec.replace(" ", "").lower()
+        assert parse_graph_spec(spec) == parse_graph_spec(compact)
+
     def test_er_size_cap_raises_before_any_draw(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("drew or built before checking the size cap")
