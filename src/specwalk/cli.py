@@ -39,13 +39,14 @@ from .spectral import (default_cluster_tol, degeneracies_csv, graph_spectrum,
                        spectrum_csv)
 from .transport import (TimeGrid, TransportSeries, chi_csv, chi_diagnostics,
                         chi_table, linear_grid, log_grid, merge_grids,
-                        series_csv, transport_series)
+                        read_series_csv, series_csv, transport_series)
 
 DEFAULT_GRID_SPEC = "log:1e-2,1e4,600"
 # the series and its CSV are O(points) in memory: a million points write a
 # 70 MB series.csv, streamed a block of rows at a time from 24 B of text a
 # value (72 MB for three columns); the t column's text, 24 MB, is held
-# until deltap.csv is written
+# until deltap.csv is written. A series CSV that a run reads holds at most
+# one row more, the t = 0 a log grid prepends, parsed to 8 B a value
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -95,7 +96,6 @@ class ExperimentConfig:
     fit_window_quantum: tuple[float, float] | None = None
     envelope_width: int = 3
     tail_fraction: float = 0.1
-    seed: int = 0
     vectors: bool = False
     chi: bool = False
     fit_model: str = "auto"
@@ -397,7 +397,7 @@ def run_experiment(config: ExperimentConfig,
     series = None
     if config.series is not None:
         with manifest.stage("read"):
-            series = _read_series_csv(config.series)
+            series = read_series_csv(config.series, MAX_GRID_POINTS + 1)
 
     stretched = config.fit_model == "stretched"
     if config.graph is not None:
@@ -405,7 +405,7 @@ def run_experiment(config: ExperimentConfig,
         # series, --chi its own artifact
         with_vectors = config.chi or (config.vectors and "series" in stages)
         with manifest.stage("spectrum"):
-            graph = parse_graph_spec(config.graph, default_seed=config.seed)
+            graph = parse_graph_spec(config.graph)
             spectrum = graph_spectrum(graph, with_vectors=with_vectors)
         manifest.diagnostics.update(_spectrum_diagnostics(spectrum))
         if config.chi:
@@ -451,39 +451,6 @@ def _write_chi(spectrum, out_dir: Path, manifest: RunManifest):
     _write(out_dir, "chi.csv", manifest, chi_csv, *chi)
 
 
-def _read_series_csv(path) -> TransportSeries:
-    """A series CSV as written by `series_csv`: a header naming t, p_bar,
-    alpha_bar_sq and optionally pi_bar, then rows of as many numbers.
-
-    A missing column, or a row that is short, long or not numeric, raises
-    ParseError naming its 1-based line; blank lines are skipped.
-    """
-    lines = [(no, ln) for no, ln in
-             enumerate(Path(path).read_text().splitlines(), start=1) if ln.strip()]
-    if not lines:
-        raise ParseError("series CSV is empty", text=str(path), position=0)
-    names = [name.strip() for name in lines[0][1].split(",")]
-    for name in ("t", "p_bar", "alpha_bar_sq"):
-        if name not in names:
-            raise ParseError(f"series CSV needs a {name!r} column",
-                             text=lines[0][1], position=0)
-    rows = []
-    for no, ln in lines[1:]:
-        try:
-            row = [float(tok) for tok in ln.split(",")]
-        except ValueError:
-            row = []
-        if len(row) != len(names):
-            raise ParseError(f"line {no}: expected {len(names)} comma-separated "
-                             "numbers", text=ln, position=0)
-        rows.append(row)
-    columns = dict(zip(names, np.array(rows, dtype=float).reshape(-1, len(names)).T))
-    return TransportSeries(grid=TimeGrid(columns["t"]),
-                           p_bar=columns["p_bar"],
-                           alpha_bar_sq=columns["alpha_bar_sq"],
-                           pi_bar=columns.get("pi_bar"))
-
-
 # -- argument parsing ---------------------------------------------------------
 
 def _add_common(sub, with_specs=True):
@@ -496,7 +463,6 @@ def _add_common(sub, with_specs=True):
     sub.add_argument("--fit-window-quantum", help="quantum fit window LO,HI")
     sub.add_argument("--envelope-width", help="envelope half width (grid points)")
     sub.add_argument("--tail-fraction", help="tail fraction for saturation stats")
-    sub.add_argument("--seed", help="default seed for seeded graph families")
     sub.add_argument("--vectors", action="store_true", default=None,
                      help="add the exact quantum average pi_bar to the series "
                           "(projectors: closed-form pair orbits on ring, torus, "

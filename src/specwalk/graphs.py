@@ -171,6 +171,10 @@ def build_hypercubic(side: int, d: int) -> Graph:
         raise ValueError(f"torus needs side >= 3, got {side}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
+    if d > 64 or side > DEFAULT_SIZE_CAP:
+        # such a count passes the cap (side >= 3), and its power could take
+        # minutes or pass the 4300 digits Python prints
+        raise ResourceLimitError(f"torus {side}^{d} exceeds size cap {DEFAULT_SIZE_CAP}")
     n = side**d
     check_size_cap(n, f"torus {side}^{d}")
     # each node v owns, per axis of stride s and coordinate c, the edge to
@@ -282,18 +286,17 @@ _GRAPH_SPECS = {
 }
 
 
-def parse_graph_spec(spec: str, default_seed: int = 0) -> Graph:
+def parse_graph_spec(spec: str) -> Graph:
     """Build a graph from a spec of one of the `_GRAPH_SPECS` forms. The ER
-    seed falls back to `default_seed` when the spec does not carry one. An
-    ER graph of more than DEFAULT_SIZE_CAP nodes, and a ring, star or
-    dendrimer of more than SPEC_NODE_CAP, raise ResourceLimitError before
-    anything is built.
+    seed is 0 when the spec does not carry one. An ER graph of more than
+    DEFAULT_SIZE_CAP nodes, and a ring, star or dendrimer of more than
+    SPEC_NODE_CAP, raise ResourceLimitError before anything is built.
     """
     family, args, keys = _read_spec(spec, _GRAPH_SPECS, "graph spec")
     try:
         if family == "er":
             check_size_cap(args[0], "Erdos-Renyi graph")
-            return build_erdos_renyi(*args, keys.get("seed", default_seed))
+            return build_erdos_renyi(*args, keys.get("seed", 0))
         if family == "torus":
             return build_hypercubic(*args)
         n = args[0]

@@ -14,17 +14,20 @@ orbits, a factor of the Gram matrix of the cluster projector diagonals.
 The series work in real arithmetic on blocks of about CHUNK_ELEMS / K
 times, at most three such blocks alive at once, so their cost scales with
 K rather than n and their memory does not grow with the grid.
+`series_csv` writes a series as CSV, and `read_series_csv` reads one
+back in one numpy parse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
 from ._csvtext import _CSV_BLOCK_CELLS, _columns, _csv_blocks, float_text
 from . import graphs
-from .errors import NumericalError
+from .errors import NumericalError, ParseError, ResourceLimitError
 from .spectral import Spectrum
 
 EIG_CLAMP_TOL = 1e-8
@@ -307,6 +310,11 @@ def chi_diagnostics(values, index) -> dict[str, str]:
 
 # -- CSV export ---------------------------------------------------------------
 
+# `series_csv` writes these columns, the last only with pi_bar, and
+# `read_series_csv` needs the first three
+_SERIES_COLUMNS = ("t", "p_bar", "alpha_bar_sq", "pi_bar")
+
+
 def series_csv(series: TransportSeries):
     """Columns t,p_bar,alpha_bar_sq[,pi_bar]; shortest round-trip floats.
 
@@ -316,10 +324,62 @@ def series_csv(series: TransportSeries):
     ASCII byte blocks whose concatenation is the CSV text, rows assembled
     a block at a time as it is consumed.
     """
-    names = ["t", "p_bar", "alpha_bar_sq"] + ([] if series.pi_bar is None else ["pi_bar"])
+    names = _SERIES_COLUMNS[:3 if series.pi_bar is None else 4]
     text = float_text([series.times] + [getattr(series, name) for name in names[1:]])
     return text[0].copy(), _csv_blocks(",".join(names) + "\n", len(series.times),
                                        len(names), _columns(*text))
+
+
+def read_series_csv(path, max_rows: int) -> TransportSeries:
+    """The series of a CSV as `series_csv` writes it, its header naming
+    the columns in any order; blank lines are skipped, and '#' starts no
+    comment. The rows go through one np.loadtxt call, which reads each
+    value as float() does; only if it fails is the file scanned for the
+    bad row. An empty or header-only file, a missing column, and a short,
+    long or non-numeric row, by its 1-based line, raise ParseError. More
+    than max_rows rows raise ResourceLimitError; no row past them is read.
+    """
+    with open(path) as file:
+        lines = filter(str.strip, file)
+        # loadtxt warns on input with no rows, so the first is taken here
+        header, first = next(lines, ""), next(lines, None)
+        if first is None:
+            raise ParseError(f"series CSV {'has no rows' if header else 'is empty'}",
+                             text=str(path), position=0)
+        names = [name.strip() for name in header.split(",")]
+        for name in _SERIES_COLUMNS[:3]:
+            if name not in names:
+                raise ParseError(f"series CSV needs a {name!r} column",
+                                 text=header.rstrip("\n"), position=0)
+        try:
+            values = np.loadtxt(chain([first], islice(lines, max_rows - 1)),
+                                delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            values = np.empty((0, 0))
+        if values.shape[1] != len(names):
+            _raise_at_bad_row(path, len(names))
+        if next(lines, None) is not None:
+            raise ResourceLimitError(f"series CSV holds more than the limit of {max_rows} rows")
+    columns = dict(zip(names, values.T))
+    return TransportSeries(TimeGrid(columns["t"]), *map(columns.get, _SERIES_COLUMNS[1:]))
+
+
+def _raise_at_bad_row(path, width: int):
+    """ParseError at the first row of a series CSV that np.loadtxt refuses:
+    one not of `width` fields that, stripped, are ASCII, hold no
+    underscore and read as float()."""
+    with open(path) as file:
+        rows = ((no, line) for no, line in enumerate(file, start=1) if line.strip())
+        for no, line in islice(rows, 1, None):
+            fields = [field.strip() for field in line.split(",")]
+            try:
+                good = [float(field) for field in fields if field.isascii() and "_" not in field]
+            except ValueError:
+                good = []
+            if not len(good) == len(fields) == width:
+                raise ParseError(f"line {no}: expected {width} comma-separated numbers",
+                                 text=line.rstrip("\n"), position=0)
+    raise ParseError("series CSV rows are not all numbers", text=str(path), position=0)
 
 
 def chi_csv(values: np.ndarray, index):

@@ -120,20 +120,27 @@ class TestConfig:
             "grid = log:1e-2,1e3,100\n"
             "fit_window = 1,50\n"
             "vectors = true\n"
-            "seed = 9\n"
+            "envelope_width = 5\n"
             "tail_fraction = 0.2\n"
         )
         overrides = read_config_file(cfg_file)
         assert overrides["graph"] == "star:10"
         assert overrides["fit_window"] == (1.0, 50.0)
         assert overrides["vectors"] is True
-        assert overrides["seed"] == 9
+        assert overrides["envelope_width"] == 5
         assert overrides["tail_fraction"] == 0.2
 
     def test_config_file_rejects_unknown_key(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("banana = 3\n")
         with pytest.raises(ParseError):
+            read_config_file(cfg_file)
+
+    def test_seed_is_no_config_key(self, tmp_path):
+        # an ER seed comes only from the spec's seed= key
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("graph = er:20,0.3\nseed = 9\n")
+        with pytest.raises(ParseError, match="bad config line 2"):
             read_config_file(cfg_file)
 
     @pytest.mark.parametrize("text,value", [
@@ -144,7 +151,7 @@ class TestConfig:
         cfg_file.write_text(f"vectors = {text}\n")
         assert read_config_file(cfg_file) == {"vectors": value}
 
-    @pytest.mark.parametrize("line", ["vectors = ture", "chi = 2", "seed = nine",
+    @pytest.mark.parametrize("line", ["vectors = ture", "chi = 2",
                                       "envelope_width = 3.5", "tail_fraction = lots",
                                       "fit_window = 1", "fit_window_quantum = a,b"])
     def test_config_file_bad_value_names_its_line(self, tmp_path, capsys, line):
@@ -504,6 +511,7 @@ class TestMainSubcommands:
         assert rc == 1
 
     @pytest.mark.parametrize("args, flag", [
+        # no --seed flag: an ER seed comes only from the spec's seed= key
         (["run", "--graph", "ring:10", "--seed", "abc"], "--seed"),
         (["run", "--graph", "ring:10", "--envelope-width", "2.5"], "--envelope-width"),
         (["run", "--graph", "ring:10", "--tail-fraction", "tenth"], "--tail-fraction"),
@@ -649,7 +657,7 @@ class TestAnalyzeSeriesFile:
     def test_reads_what_run_writes(self, tmp_path):
         run_experiment(ExperimentConfig(graph="star:8", vectors=True, out=str(tmp_path / "r"),
                                         grid="log:1e-2,1e2,80"))
-        series = cli._read_series_csv(tmp_path / "r" / "series.csv")
+        series = transport.read_series_csv(tmp_path / "r" / "series.csv", 10**6)
         text = (tmp_path / "r" / "series.csv").read_text()
         assert b"".join(cli.series_csv(series)[1]).decode() == text
 
@@ -659,6 +667,66 @@ class TestAnalyzeSeriesFile:
         with pytest.raises((ParseError, ValueError)):
             run_experiment(ExperimentConfig(series=str(bad), out=str(tmp_path / "o")),
                            stages=("analysis",))
+
+    def test_limit_plus_one_rows_are_read(self, tmp_path, monkeypatch, capsys):
+        # a log grid of MAX_GRID_POINTS points writes one row more, its t = 0
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 60)
+        grid = ["--grid", "log:1e-2,1e3,60"]
+        written = tmp_path / "w"
+        assert main(["transport", "--dos", "semicircle:nu=0.5,lmax=2", *grid,
+                     "--out", str(written)]) == 0
+        series = written / "series.csv"
+        text = series.read_text()
+        assert text.count("\n") == 62
+        assert main(["fit", "--series", str(series), *grid, "--out", str(tmp_path / "a")]) == 0
+        series.write_text(text + "2000.0,1e-9,1e-18\n")
+        out = tmp_path / "b"
+        assert main(["fit", "--series", str(series), *grid, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: series CSV holds more than the limit of 61 rows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "series CSV is empty"), ("\n \t\n", "series CSV is empty"),
+        ("t,p_bar,alpha_bar_sq\n", "series CSV has no rows"),
+        ("t,p_bar,alpha_bar_sq\n\n  \n", "series CSV has no rows")])
+    def test_no_rows_exits_one(self, tmp_path, capsys, recwarn, text, message):
+        # np.loadtxt warns on input with no rows; the reader never gives it any
+        series = tmp_path / "s.csv"
+        series.write_text(text)
+        out = tmp_path / "o"
+        assert main(["fit", "--series", str(series), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not recwarn.list
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, line", [
+        ("# a comment\n1.0,0.5,0.25\n", 2),
+        ("1.0,0.5,0.25\n2.0,0.4,0.1 # note\n", 3),
+        ("1.0,0.5,0.25\n#2.0,0.4,0.1\n", 3)])
+    def test_hash_is_not_a_comment(self, tmp_path, rows, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,p_bar,alpha_bar_sq\n" + rows)
+        with pytest.raises(ParseError, match=f"^line {line}: expected 3 "):
+            run_experiment(ExperimentConfig(series=str(bad), out=str(tmp_path / "o")),
+                           stages=("analysis",))
+
+    def test_read_memory(self, tmp_path):
+        # the values are parsed straight into one array, 24 B a row of three
+        # columns; a Python list per row held about 430 B a row
+        n = 200_000
+        run_experiment(ExperimentConfig(dos="semicircle:nu=0.5,lmax=2",
+                                        grid=f"linear:0.01,1000,{n}", out=str(tmp_path)),
+                       stages=("series",))
+        tracemalloc.start()
+        try:
+            series = transport.read_series_csv(tmp_path / "series.csv", n)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(series.times) == n
+        assert held <= 25 * n and peak <= 40 * n
 
 
 class TestManifest:
@@ -760,7 +828,7 @@ class TestManifest:
         if "analysis" not in timed:
             assert "analysis.envelope_points" not in diag
             return
-        series = cli._read_series_csv(out / "series.csv")
+        series = transport.read_series_csv(out / "series.csv", 10**6)
         envelope = cli._quantum_envelope(series, cfg.envelope_width)
         assert diag["analysis.envelope_points"] == str(len(envelope.times))
 

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,10 @@ class TestHypercubic:
         assert build_hypercubic(10, 3).n == 1000
         with pytest.raises(ResourceLimitError, match="1331 nodes exceeds size cap 1000"):
             build_hypercubic(11, 3)
+        # counts whose power is slow or whose text is too long are not computed
+        for side, d in [(3, 10**8), (10**100, 2)]:
+            with pytest.raises(ResourceLimitError, match=f"^torus {side}\\^{d} exceeds"):
+                build_hypercubic(side, d)
 
 
 class TestErdosRenyi:
@@ -407,8 +412,8 @@ class TestParseGraphSpec:
         assert np.array_equal(g.edges, build_erdos_renyi(30, 0.2, seed=5).edges)
 
     def test_er_default_seed(self):
-        g = parse_graph_spec("er:30,0.2", default_seed=11)
-        assert np.array_equal(g.edges, build_erdos_renyi(30, 0.2, seed=11).edges)
+        g = parse_graph_spec("er:30,0.2")
+        assert np.array_equal(g.edges, build_erdos_renyi(30, 0.2, seed=0).edges)
 
     @pytest.mark.parametrize("bad", [
         "ring", "ring:", "ring:2", "ring:2,3", "blob:5", "er:10,0.5,foo=1",
@@ -465,16 +470,19 @@ class TestParseGraphSpec:
             parse_graph_spec("torus:100,3")
 
     @pytest.mark.parametrize("spec", ["ring:10000001", "star:10000001", "dendrimer:22,3",
-                                      "dendrimer:1000000000,3"])
+                                      "dendrimer:1000000000,3", "torus:3,100000000"])
     def test_spec_node_cap_raises_before_any_build(self, spec, tmp_path, capsys):
+        # the torus has the dense size cap; 3^(10^8) takes minutes to compute
+        started = time.perf_counter()
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="node cap 10000000"):
+            with pytest.raises(ResourceLimitError, match="node cap 10000000|size cap 5000$"):
                 parse_graph_spec(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+        assert time.perf_counter() - started < 0.5
         assert main(["spectrum", "--graph", spec, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -12,6 +12,8 @@ from specwalk import transport
 from specwalk import (
     Graph,
     NumericalError,
+    ParseError,
+    ResourceLimitError,
     Spectrum,
     build_dendrimer,
     build_erdos_renyi,
@@ -33,7 +35,7 @@ from specwalk._csvtext import _REPR_BELOW, float_text, int_text
 from specwalk.scaling import EfficiencyRatioSeries, ratio_csv
 from specwalk.spectral import spectrum_csv
 from specwalk.transport import (TimeGrid, TransportSeries, chi_csv, clamp_unit_interval,
-                                series_csv)
+                                read_series_csv, series_csv)
 
 
 def csv_text(blocks):
@@ -727,8 +729,8 @@ class TestCSVWritersOracle:
         for name, spec in sources.items():
             cfg = cli.ExperimentConfig(**spec, out=str(tmp_path / name))
             cli.run_experiment(cfg, stages=cli.STAGES["fit" if name == "fit" else "run"])
-            series = cli._read_series_csv(crafted if name == "fit"
-                                          else tmp_path / name / "series.csv")
+            series = read_series_csv(crafted if name == "fit"
+                                     else tmp_path / name / "series.csv", 10**6)
             ratio = cli._analyze(series, cfg, False, cli.RunManifest(config={})).ratio
             text = (tmp_path / name / "deltap.csv").read_text()
             assert text == oracle_csv("t,delta_p", ratio.times, ratio.values)
@@ -749,6 +751,73 @@ class TestCSVWritersOracle:
     def test_chi_csv(self, rows):
         for got, want in chi_csv_forms(np.array(rows)):
             assert got == want
+
+
+def canonical_bits(x):
+    """The bits of x with every NaN made numpy's NaN: "nan" reads back as
+    that one NaN, whatever the payload and sign written."""
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
+class TestReadSeriesCSV:
+    @CSV_SETTINGS
+    @given(st.data(), st.booleans())
+    def test_reads_back_what_series_csv_writes(self, tmp_path_factory, data, with_pi):
+        times = data.draw(st.lists(st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-4, 1.0, 1e16]), st.floats(0.0, 1e300)),
+            min_size=1, max_size=40, unique=True))
+        times = np.sort(times)
+        values = st.one_of(csv_floats, st.just(1.0))
+        cols = [np.array(data.draw(st.lists(values, min_size=len(times), max_size=len(times))))
+                for _ in range(3 if with_pi else 2)]
+        series = TransportSeries(grid=TimeGrid(times), p_bar=cols[0], alpha_bar_sq=cols[1],
+                                 pi_bar=cols[2] if with_pi else None)
+        blank = st.lists(st.sampled_from(["\n", " \n", "\t\n", "  \t \n"]), max_size=2)
+        text = "".join(line + "".join(data.draw(blank)) for line in
+                       csv_text(series_csv(series)[1]).splitlines(keepends=True))
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        path.write_text(text)
+        got = read_series_csv(path, 40)
+        assert (got.pi_bar is None) == (not with_pi)
+        for name, want in zip(["times", "p_bar", "alpha_bar_sq", "pi_bar"], [times, *cols]):
+            assert np.array_equal(canonical_bits(getattr(got, name)), canonical_bits(want))
+
+    def test_valid_input_is_parsed_once(self, tmp_path, monkeypatch):
+        calls, loadtxt = [], np.loadtxt
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return loadtxt(*args, **kwargs)
+
+        def boom(*args):
+            raise AssertionError("valid input scanned a second time")
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        monkeypatch.setattr(transport, "_raise_at_bad_row", boom)
+        path = tmp_path / "s.csv"
+        path.write_text("\n t , p_bar,alpha_bar_sq\n0.0,1.0,1.0\n \n1.5,0.5,0.25\n")
+        series = read_series_csv(path, 2)
+        assert calls == [1]
+        assert series.times.tolist() == [0.0, 1.5] and series.alpha_bar_sq[1] == 0.25
+
+    def test_rows_past_the_limit_are_not_read(self, tmp_path):
+        path = tmp_path / "s.csv"
+        rows = "".join(f"{t}.0,0.5,0.25\n\n" for t in range(3))
+        path.write_text("t,p_bar,alpha_bar_sq\n" + rows)
+        assert len(read_series_csv(path, 3).times) == 3
+        # the fourth row is refused for its count, so it is never parsed
+        path.write_text("t,p_bar,alpha_bar_sq\n" + rows + "not,a,row\n")
+        with pytest.raises(ResourceLimitError, match="more than the limit of 3 rows"):
+            read_series_csv(path, 3)
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0661", "0x1p3", "#1", "1 2", ""])
+    def test_a_field_numpy_refuses_names_its_line(self, tmp_path, field):
+        # float() takes the first two, np.loadtxt does not; the rescan
+        # must find the row the parse failed on
+        path = tmp_path / "s.csv"
+        path.write_text(f"t,p_bar,alpha_bar_sq\n1.0,0.5,0.25\n\n2.0,0.4,{field}\n")
+        with pytest.raises(ParseError, match="^line 4: expected 3 "):
+            read_series_csv(path, 10)
 
 
 def formatter_sweep():
