@@ -16,10 +16,11 @@ import numpy as np
 
 from .errors import ParseError, ResourceLimitError, _read_spec
 
-# node cap of every n x n array: dense Laplacian, eigenvectors, chi
+# node cap of er: specs and of every n x n array: dense Laplacian, eigenvectors, chi
 DEFAULT_SIZE_CAP = 5000
-# node cap of the ring, star and dendrimer specs, whose spectra need no
-# n x n array; at 10^6 nodes a spectrum run peaks near 200 MB
+# cap on the node and the edge count of the ring, star, dendrimer and torus
+# specs, whose spectra need no n x n array; at 10^6 nodes or edges a
+# spectrum run peaks near 200 MB
 SPEC_NODE_CAP = 10**7
 # raw draws of one block of Erdos-Renyi node pairs, 8 MB
 _DRAW_BLOCK = 1 << 20
@@ -106,18 +107,6 @@ def _canonical_edges(n, edges):
     return np.column_stack(np.divmod(keys, n))
 
 
-def build_ring(n: int) -> Graph:
-    """Cycle of n nodes with periodic boundary; every degree is 2."""
-    if n < 3:
-        raise ValueError(f"ring needs n >= 3, got {n}")
-    # rows (0, 1), (0, n-1), then (v, v+1) for v = 1..n-2
-    i = np.arange(-1, n - 1)
-    i[:2] = 0
-    j = i + 1
-    j[1] = n - 1
-    return Graph(n=n, edges=np.column_stack((i, j)), family=("torus", n, 1))
-
-
 def _build_tree(branching) -> Graph:
     """Tree numbered shell by shell: node 0 is the root, and every node of
     shell g has branching[g] children, numbered in the order of their
@@ -163,20 +152,13 @@ def dendrimer_node_count(generation: int, z: int = 3) -> int:
 def build_hypercubic(side: int, d: int) -> Graph:
     """Periodic d-dimensional torus with `side` nodes per axis; degree 2d.
 
-    Node index encodes coordinates base `side`, axis 0 fastest. The 1D
-    case is the ring under the identity relabeling. More than
-    DEFAULT_SIZE_CAP nodes raise ResourceLimitError.
+    Node index encodes coordinates base `side`, axis 0 fastest.
     """
     if side < 3:
-        raise ValueError(f"torus needs side >= 3, got {side}")
+        raise ValueError(f"ring or torus side must be >= 3, got {side}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if d > 64 or side > DEFAULT_SIZE_CAP:
-        # such a count passes the cap (side >= 3), and its power could take
-        # minutes or pass the 4300 digits Python prints
-        raise ResourceLimitError(f"torus {side}^{d} exceeds size cap {DEFAULT_SIZE_CAP}")
     n = side**d
-    check_size_cap(n, f"torus {side}^{d}")
     # each node v owns, per axis of stride s and coordinate c, the edge to
     # v + s when c < side-1 and the wrap-around edge to v + (side-1) s when
     # c == 0; since s < (side-1) s < side s, taking the axes in order lists
@@ -193,6 +175,11 @@ def build_hypercubic(side: int, d: int) -> Graph:
     keep = partners >= 0
     return Graph(n=n, edges=np.column_stack((owners[keep], partners[keep])),
                  family=("torus", side, d))
+
+
+def build_ring(n: int) -> Graph:
+    """Cycle of n nodes with periodic boundary, the 1-d torus; every degree is 2."""
+    return build_hypercubic(n, 1)
 
 
 def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -288,26 +275,32 @@ _GRAPH_SPECS = {
 
 def parse_graph_spec(spec: str) -> Graph:
     """Build a graph from a spec of one of the `_GRAPH_SPECS` forms. The ER
-    seed is 0 when the spec does not carry one. An ER graph of more than
-    DEFAULT_SIZE_CAP nodes, and a ring, star or dendrimer of more than
-    SPEC_NODE_CAP, raise ResourceLimitError before anything is built.
+    seed is 0 when the spec does not carry one. This is where every spec is
+    sized, before anything is built: an ER graph of more than
+    DEFAULT_SIZE_CAP nodes, as its draw and its dense solve are both
+    quadratic, and a ring, star, dendrimer or torus of more than
+    SPEC_NODE_CAP nodes or edges raise ResourceLimitError. The ring is the
+    1-d torus, and a torus has d * side^d edges.
     """
     family, args, keys = _read_spec(spec, _GRAPH_SPECS, "graph spec")
     try:
         if family == "er":
             check_size_cap(args[0], "Erdos-Renyi graph")
             return build_erdos_renyi(*args, keys.get("seed", 0))
+        # each count passes the cap well before an exponent of 64, so a huge
+        # exponent is refused without its power; a negative one builds nothing
         if family == "torus":
-            return build_hypercubic(*args)
-        n = args[0]
-        if family == "dendrimer":
-            # the count grows with the generation and passes the cap well
-            # before 64, so a huge generation is refused without its power
-            n = dendrimer_node_count(min(n, 64), args[1])
-        if n > SPEC_NODE_CAP:
-            raise ResourceLimitError(f"graph {spec!r} exceeds the node cap {SPEC_NODE_CAP}")
-        return {"ring": build_ring, "star": build_star,
-                "dendrimer": build_dendrimer}[family](*args)
+            side, d = args
+            size = d * side ** min(max(d, 0), 64)
+        elif family == "dendrimer":
+            size = dendrimer_node_count(min(max(args[0], 0), 64), args[1])
+        else:
+            size = args[0]
+        if size > SPEC_NODE_CAP:
+            raise ResourceLimitError(
+                f"graph {spec!r} exceeds the node cap {SPEC_NODE_CAP} in nodes or edges")
+        return {"ring": build_ring, "star": build_star, "dendrimer": build_dendrimer,
+                "torus": build_hypercubic}[family](*args)
     except ResourceLimitError:
         raise
     except ValueError as exc:

@@ -30,8 +30,8 @@ from .errors import NumericalError
 from .graphs import Graph
 
 RESIDUAL_RTOL = 1e-9
-# elements of one column block in the sign fix and the residual check, and
-# of one block of clusters of the pair-orbit projectors
+# elements of one column block in the residual check, and of one block of
+# clusters of the pair-orbit projectors
 _BLOCK_ELEMS = 1 << 18
 
 
@@ -54,12 +54,10 @@ class Spectrum:
     (`dendrimer:10,3` has 66 modes for 3070 nodes). Without `counts` each
     eigenvalue is its own mode, and `values` must be ascending, as the dense
     solver gives them: the clusters take them in the order given, and
-    column k of `eigenvectors` pairs with `values[k]`. Vector signs
-    follow the convention that the first component of magnitude above
-    1e-12 is positive, which keeps downstream matrices reproducible.
-    `path` says how the eigenvalues were obtained: "dense" (the symmetric
-    solver) or "closed_form". `residual` is the largest eigenpair residual
-    ||L v - lam v|| over ||L||_2, where eigenvectors were checked.
+    column k of `eigenvectors` pairs with `values[k]`. `path` says how the
+    eigenvalues were obtained: "dense" (the symmetric solver) or
+    "closed_form". `residual` is the largest eigenpair residual ||L v - lam
+    v|| over ||L||_2, where eigenvectors were checked.
 
     `pairs`, when set, is a `ShellTree` or `TorusPairs`: the pair orbits
     of a symmetric graph, on which every eigenspace projector is
@@ -171,18 +169,6 @@ def _column_blocks(shape):
     return [slice(lo, lo + step) for lo in range(0, cols, step)]
 
 
-def _fix_signs(vecs):
-    """Negate, in place, each column whose first component of magnitude
-    above 1e-12 is negative; returns vecs. Works one column block at a
-    time, so its temporaries stay small."""
-    for cols in _column_blocks(vecs.shape):
-        v = vecs[:, cols]
-        nonzero = np.abs(v) > 1e-12
-        first = v[nonzero.argmax(axis=0), np.arange(v.shape[1])]
-        np.negative(v, out=v, where=nonzero.any(axis=0) & (first < 0))
-    return vecs
-
-
 def _checked_residual(graph, vecs, vals) -> float:
     """max ||L v - lam v|| / ||L||_2 over the eigenpairs, L the graph's
     Laplacian applied from its edge list, without a dense L, one column
@@ -256,7 +242,6 @@ def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
     if not with_vectors:
         return Spectrum(result)
     vals, vecs = result
-    vecs = _fix_signs(vecs)
     return Spectrum(vals, eigenvectors=vecs,
                     residual=_checked_residual(graph, vecs, vals))
 
@@ -266,8 +251,8 @@ def graph_spectrum(graph: Graph, with_vectors: bool = False) -> Spectrum:
     `with_vectors` adds the eigenspace projectors that pi_bar in
     `transport_series` and `chi_matrix` read.
 
-    Graphs whose builder tags their `family`, tori (`build_ring`,
-    `build_hypercubic`) and shell trees (`build_star`, `build_dendrimer`),
+    Graphs whose builder tags their `family`, tori (`build_hypercubic`,
+    the ring being d = 1) and shell trees (`build_star`, `build_dendrimer`),
     take eigenvalues and, with vectors, their pair orbits from closed
     forms; no eigenvector is built. Every other graph takes the dense
     solve, which raises ResourceLimitError first when n exceeds

@@ -334,10 +334,13 @@ def read_series_csv(path, max_rows: int) -> TransportSeries:
     """The series of a CSV as `series_csv` writes it, its header naming
     the columns in any order; blank lines are skipped, and '#' starts no
     comment. The rows go through one np.loadtxt call, which reads each
-    value as float() does; only if it fails is the file scanned for the
-    bad row. An empty or header-only file, a missing column, and a short,
-    long or non-numeric row, by its 1-based line, raise ParseError. More
-    than max_rows rows raise ResourceLimitError; no row past them is read.
+    value as float() does; only if it fails, or its times do not form a
+    `TimeGrid`, is the file scanned for the bad row. An empty or
+    header-only file, a missing column, a short, long or non-numeric row
+    and a row whose t is not finite, is negative in the first row or does
+    not exceed the t before it, by its 1-based line, raise ParseError.
+    More than max_rows rows raise ResourceLimitError; no row past them is
+    read.
     """
     with open(path) as file:
         lines = filter(str.strip, file)
@@ -357,17 +360,24 @@ def read_series_csv(path, max_rows: int) -> TransportSeries:
         except ValueError:
             values = np.empty((0, 0))
         if values.shape[1] != len(names):
-            _raise_at_bad_row(path, len(names))
+            _raise_at_bad_row(path, names)
         if next(lines, None) is not None:
             raise ResourceLimitError(f"series CSV holds more than the limit of {max_rows} rows")
     columns = dict(zip(names, values.T))
-    return TransportSeries(TimeGrid(columns["t"]), *map(columns.get, _SERIES_COLUMNS[1:]))
+    try:
+        grid = TimeGrid(columns["t"])
+    except ValueError:
+        _raise_at_bad_row(path, names)
+    return TransportSeries(grid, *map(columns.get, _SERIES_COLUMNS[1:]))
 
 
-def _raise_at_bad_row(path, width: int):
-    """ParseError at the first row of a series CSV that np.loadtxt refuses:
-    one not of `width` fields that, stripped, are ASCII, hold no
-    underscore and read as float()."""
+def _raise_at_bad_row(path, names):
+    """ParseError at the first row of a series CSV, with columns `names`,
+    that np.loadtxt refuses or that breaks the time grid: one not of
+    len(names) fields that, stripped, are ASCII, hold no underscore and
+    read as float(), or one whose t is not finite, is negative in the
+    first row or does not exceed the t before it."""
+    width, col, before = len(names), names.index("t"), None
     with open(path) as file:
         rows = ((no, line) for no, line in enumerate(file, start=1) if line.strip())
         for no, line in islice(rows, 1, None):
@@ -379,6 +389,11 @@ def _raise_at_bad_row(path, width: int):
             if not len(good) == len(fields) == width:
                 raise ParseError(f"line {no}: expected {width} comma-separated numbers",
                                  text=line.rstrip("\n"), position=0)
+            t = good[col]
+            if not (np.isfinite(t) and (t >= 0 if before is None else t > before)):
+                raise ParseError(f"line {no}: times must be finite, non-negative and "
+                                 "strictly increasing", text=line.rstrip("\n"), position=0)
+            before = t
     raise ParseError("series CSV rows are not all numbers", text=str(path), position=0)
 
 

@@ -209,7 +209,7 @@ class TestNodeCap:
         monkeypatch.setattr(spectral.ShellTree, "orbit_index", boom)
         monkeypatch.setattr(spectral.TorusPairs, "orbit_index", boom)
 
-    @pytest.mark.parametrize("spec", ["dendrimer:5,3", "star:60", "ring:60"])
+    @pytest.mark.parametrize("spec", ["dendrimer:5,3", "star:60", "ring:60", "torus:8,2"])
     def test_chi_above_the_cap_exits_one(self, cap_50, spec, capsys, tmp_path):
         out = tmp_path / "o"
         rc = main(["run", "--graph", spec, "--chi", "--out", str(out)])
@@ -226,9 +226,24 @@ class TestNodeCap:
 
     @pytest.mark.parametrize("args", [["spectrum", "--graph", "dendrimer:5,3"],
                                       ["spectrum", "--graph", "ring:60"],
-                                      ["transport", "--graph", "star:60", "--vectors"]])
+                                      ["transport", "--graph", "star:60", "--vectors"],
+                                      ["transport", "--graph", "torus:8,2", "--vectors"]])
     def test_closed_forms_pass_the_cap(self, cap_50, args, tmp_path):
         assert main([*args, "--grid", "log:1e-2,1e2,50", "--out", str(tmp_path / "o")]) == 0
+
+    def test_torus_above_the_cap(self, tmp_path, capsys):
+        # torus:200,2 has 40,000 nodes: its series take no n x n array, and
+        # on a vertex-transitive graph pi_bar is |alpha_bar|^2
+        out = tmp_path / "t"
+        assert main(["transport", "--graph", "torus:200,2", "--vectors",
+                     "--grid", "log:1e-2,1e4,200", "--out", str(out)]) == 0
+        series = transport.read_series_csv(out / "series.csv", 10**6)
+        assert np.abs(series.pi_bar - series.alpha_bar_sq).max() <= 1e-13
+        rc = main(["run", "--graph", "torus:200,2", "--chi", "--out", str(tmp_path / "c")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: chi of 40000 nodes exceeds size cap 5000\n"
+        assert not (tmp_path / "c").exists()
 
 
 class TestPresets:
@@ -290,6 +305,16 @@ class TestRunExperiment:
             if name.endswith(".csv"):
                 assert (tmp_path / "a" / name).read_bytes() == \
                     (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("n", [3, 30, 200])
+    def test_ring_is_the_1d_torus(self, tmp_path, n):
+        runs = {}
+        for spec in (f"ring:{n}", f"torus:{n},1"):
+            out = tmp_path / spec.replace(":", "_")
+            runs[spec] = run_experiment(ExperimentConfig(
+                graph=spec, vectors=True, chi=True, grid="log:1e-2,1e3,120", out=str(out)))
+        ring, torus = runs.values()
+        assert "chi.csv" in ring.files and ring.files == torus.files
 
 
 def _series_file(tmp_path):
@@ -654,6 +679,22 @@ class TestAnalyzeSeriesFile:
         assert err.startswith(f"error: line {line}:") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("rows, line", [
+        ("0,1,1\n2,0.5,0.5\n\n1,0.4,0.4\n3,0.3,0.3\n", 5),  # t falls
+        ("0,1,1\n2,0.5,0.5\n\n2,0.4,0.4\n", 5),             # t repeats
+        ("0,1,1\n\nnan,0.5,0.5\n3,0.3,0.3\n", 4),           # t not finite
+        ("\n-1,1,1\n2,0.5,0.5\n", 3),                        # first t negative
+    ])
+    def test_bad_time_names_its_line(self, tmp_path, capsys, rows, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,p_bar,alpha_bar_sq\n" + rows)
+        with pytest.raises(ParseError, match=f"^line {line}: times must be finite, "):
+            transport.read_series_csv(bad, 10)
+        assert main(["fit", "--series", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_reads_what_run_writes(self, tmp_path):
         run_experiment(ExperimentConfig(graph="star:8", vectors=True, out=str(tmp_path / "r"),
                                         grid="log:1e-2,1e2,80"))
@@ -1015,7 +1056,7 @@ class TestManifest:
         assert peak <= 0.6 * n * n * 8
 
     @pytest.mark.parametrize("graph", ["star:40", "dendrimer:4,3", "torus:6,2", "ring:30",
-                                       "er:40,0.2,seed=3"])
+                                       "torus:30,1", "er:40,0.2,seed=3"])
     def test_chi_diagnostics_in_blocks_keep_their_bits(self, graph, monkeypatch):
         # blocks of 1, 3 and 17 rows give what chi.sum(axis=0) and np.trace
         # give, on the orbit table and on the dense triangle

@@ -185,17 +185,16 @@ class TestHypercubic:
     def test_degrees(self):
         assert set(build_hypercubic(3, 3).degrees().tolist()) == {6}
 
-    def test_size_cap(self, monkeypatch):
-        with pytest.raises(ResourceLimitError):
-            build_hypercubic(100, 3)
-        monkeypatch.setattr(graphs, "DEFAULT_SIZE_CAP", 1000)
-        assert build_hypercubic(10, 3).n == 1000
-        with pytest.raises(ResourceLimitError, match="1331 nodes exceeds size cap 1000"):
-            build_hypercubic(11, 3)
-        # counts whose power is slow or whose text is too long are not computed
-        for side, d in [(3, 10**8), (10**100, 2)]:
-            with pytest.raises(ResourceLimitError, match=f"^torus {side}\\^{d} exceeds"):
-                build_hypercubic(side, d)
+    @pytest.mark.parametrize("n", [*range(3, 65), 1000, 4999, 5001, 100_000])
+    def test_ring_is_the_1d_torus(self, n):
+        ring, torus = build_ring(n), build_hypercubic(n, 1)
+        assert ring == torus == Graph(n=n, edges=[(i, (i + 1) % n) for i in range(n)])
+        assert ring.family == torus.family == ("torus", n, 1)
+
+    def test_builds_above_the_dense_cap(self):
+        # the builder checks no cap; the spec and the n x n paths do
+        g = build_hypercubic(80, 2)
+        assert (g.n, g.edge_count) == (6400, 12800)
 
 
 class TestErdosRenyi:
@@ -466,17 +465,26 @@ class TestParseGraphSpec:
         assert parse_graph_spec("er:50,0.5,seed=2").n == 50
 
     def test_size_cap_is_not_a_parse_error(self):
+        # 10^9 nodes, 3 * 10^9 edges
         with pytest.raises(ResourceLimitError):
-            parse_graph_spec("torus:100,3")
+            parse_graph_spec("torus:1000,3")
+
+    @pytest.mark.parametrize("family", ["torus:{},-1", "dendrimer:-1,{}"])
+    def test_negative_exponent_of_a_huge_base_is_a_parse_error(self, family):
+        # the size rule takes no negative power, which a base of 400
+        # digits would overflow as a float
+        with pytest.raises(ParseError, match="must be >= "):
+            parse_graph_spec(family.format("9" * 400))
 
     @pytest.mark.parametrize("spec", ["ring:10000001", "star:10000001", "dendrimer:22,3",
-                                      "dendrimer:1000000000,3", "torus:3,100000000"])
+                                      "dendrimer:1000000000,3", "torus:3,100000000",
+                                      "torus:1000000000000,2"])
     def test_spec_node_cap_raises_before_any_build(self, spec, tmp_path, capsys):
-        # the torus has the dense size cap; 3^(10^8) takes minutes to compute
+        # 3^(10^8) takes minutes to compute, so the exponent is bounded first
         started = time.perf_counter()
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="node cap 10000000|size cap 5000$"):
+            with pytest.raises(ResourceLimitError, match="node cap 10000000 "):
                 parse_graph_spec(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -489,9 +497,10 @@ class TestParseGraphSpec:
 
     def test_spec_at_node_cap_builds(self, monkeypatch):
         monkeypatch.setattr(graphs, "SPEC_NODE_CAP", 10)
-        # dendrimer:2,3 has 10 nodes, dendrimer:3,3 has 22
-        for spec in ("ring:10", "star:10", "dendrimer:2,3"):
+        # dendrimer:2,3 has 10 nodes, dendrimer:3,3 has 22; torus:3,2 has
+        # 9 nodes and 18 edges
+        for spec in ("ring:10", "star:10", "dendrimer:2,3", "torus:10,1"):
             assert parse_graph_spec(spec).n == 10
-        for spec in ("ring:11", "star:11", "dendrimer:3,3"):
+        for spec in ("ring:11", "star:11", "dendrimer:3,3", "torus:3,2"):
             with pytest.raises(ResourceLimitError, match="node cap 10"):
                 parse_graph_spec(spec)

@@ -13,7 +13,6 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from specwalk import (
     Graph,
@@ -36,7 +35,7 @@ import specwalk.spectral as spectral
 from specwalk.cli import ExperimentConfig, run_experiment
 from specwalk.graphs import _build_tree
 from specwalk.spectral import (ShellTree, Spectrum, TorusPairs, _checked_residual,
-                               _column_blocks, _fix_signs, _lower_laplacian,
+                               _column_blocks, _lower_laplacian,
                                default_cluster_tol, degeneracies_csv, spectrum_csv)
 from specwalk.transport import TimeGrid, chi_matrix, log_grid, transport_series
 
@@ -108,13 +107,6 @@ class TestDecompose:
                                axis=0)
         assert resid.max() <= 1e-9 * max(1.0, s.eigenvalues[-1])
 
-    def test_sign_convention(self):
-        s = decompose(build_star(7), with_vectors=True)
-        for k in range(s.n):
-            col = s.eigenvectors[:, k]
-            first = col[np.abs(col) > 1e-12][0]
-            assert first > 0
-
     def test_deterministic(self):
         g = build_erdos_renyi(30, 0.4, seed=6)
         a = decompose(g, with_vectors=True)
@@ -131,39 +123,13 @@ class TestDecompose:
             decompose(parse_graph_spec("er:30,0.3,seed=1"), with_vectors=True)
 
 
-def oracle_fix_signs(vecs):
-    """The per-column loop _fix_signs replaced."""
-    v = vecs.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            v[:, k] = -col
-    return v
-
-
-TINY = [0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 5e-324, -5e-324]
-
-
-@st.composite
-def sign_matrices(draw):
-    """Columns of exact zeros and sub-threshold entries, some entirely so."""
-    n, k = draw(st.integers(1, 7)), draw(st.integers(0, 7))
-    tiny = st.sampled_from(TINY)
-    any_entry = st.one_of(tiny, st.sampled_from([0.5, -0.5, 2.0, -3.0]),
-                          st.floats(-1.0, 1.0))
-    columns = [draw(arrays(float, n, elements=draw(st.sampled_from([tiny, any_entry]))))
-               for _ in range(k)]
-    return np.column_stack(columns) if columns else np.zeros((n, 0))
-
-
 # a path, a triangle and an isolated node, read back without a family
 DISCONNECTED = from_edge_list("n 8\n0 1\n1 2\n2 3\n4 5\n5 6\n4 6\n")
 
 
 class TestOwnedBufferSolve:
     """decompose(graph) solves in the Laplacian's own buffer and must give
-    what numpy's eigvalsh and eigh (plus the sign fix) give, bit for bit."""
+    what numpy's eigvalsh and eigh give, bit for bit."""
 
     @pytest.mark.parametrize("g", [
         parse_graph_spec("er:800,0.02,seed=1"), build_dendrimer(8, 3), build_star(12),
@@ -178,7 +144,7 @@ class TestOwnedBufferSolve:
         s = decompose(g, with_vectors=True)
         assert np.array_equal(s.eigenvalues.view(np.uint64), ref_values.view(np.uint64))
         assert np.array_equal(s.eigenvectors.view(np.uint64),
-                              oracle_fix_signs(ref_vectors).view(np.uint64))
+                              ref_vectors.view(np.uint64))
         assert 0 <= s.residual <= 1e-9
 
     @pytest.mark.parametrize("spec", ["er:300,0.05,seed=3", "er:500,0.3,seed=4"])
@@ -193,7 +159,7 @@ class TestOwnedBufferSolve:
         s = decompose(g, with_vectors=True)
         assert np.array_equal(s.values.view(np.uint64), ref_values.view(np.uint64))
         assert np.array_equal(s.eigenvectors.view(np.uint64),
-                              oracle_fix_signs(ref_vectors).view(np.uint64))
+                              ref_vectors.view(np.uint64))
 
     def test_solves_in_the_lower_triangle_only(self):
         g = parse_graph_spec("er:60,0.2,seed=2")
@@ -269,17 +235,6 @@ class TestOwnedBufferSolve:
         # only the lower triangle the solver reads is ever written: 0.79
         # n^2 doubles here, where the full matrix took 1.07
         assert int(out.stdout) <= 0.9 * 8 * g.n**2
-
-
-class TestFixSignsOracle:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(sign_matrices())
-    def test_equals_per_column_loop(self, vecs):
-        ref = oracle_fix_signs(vecs)
-        fixed = _fix_signs(vecs)
-        assert fixed is vecs  # in place
-        assert fixed.shape == ref.shape
-        assert np.array_equal(fixed.view(np.uint64), ref.view(np.uint64))
 
 
 class TestTraceIdentity:
