@@ -2,10 +2,10 @@
 
 For a density ~ (lam * lam_max - lam^2)^nu the classical return decays as
 t^-(1+nu) and the quantum envelope as t^-2(1+nu): quantum transport is
-exactly twice as efficient, exponent-wise. We integrate both transforms
-numerically for the 1D band edge (nu = -1/2) and the random-matrix
-semicircle (nu = +1/2) and compare fitted slopes against the closed-form
-exponents, then watch the log-ratio head for 2.
+exactly twice as efficient, exponent-wise. We evaluate both transforms,
+closed Bessel forms, for the 1D band edge (nu = -1/2) and the
+random-matrix semicircle (nu = +1/2) and compare fitted slopes against
+the closed-form exponents and their ratio against 2.
 
 Run: python demos/continuum_power_laws.py
 """
@@ -19,11 +19,11 @@ for nu, lam_max, label in [(-0.5, 4.0, "1D band edge"),
     law_qm = sw.asymptotic_law(dos, "quantum")
 
     grid = sw.log_grid(1.0, 1000.0, 120, include_zero=False)
-    p = sw.classical_return_continuum(dos, grid)
+    p = sw.continuum_series(dos, grid).p_bar
     fit_cl = sw.fit_power_law(grid.times, p, (10.0, 100.0))
 
     dense = sw.linear_grid(8.0, 110.0, 1020)
-    alpha = sw.quantum_return_bound_continuum(dos, dense)
+    alpha = sw.continuum_series(dos, dense).alpha_bar_sq
     env = sw.extract_envelope(dense.times, alpha, half_width=3)
     fit_qm = sw.fit_power_law(env.times, env.values, (10.0, 100.0))
 

@@ -17,17 +17,13 @@ import specwalk as sw
 grid = sw.log_grid(1e-3, 3e4, 350, include_zero=False)
 
 for b in (2.0, 3.0, 4.0):
-    dos = sw.Lifshits(b=b)
-    p = sw.classical_return_continuum(dos, grid)
-    alpha = sw.quantum_return_bound_continuum(dos, grid)
-
-    window = (50.0, 2e4)
-    fit_cl = sw.fit_stretched_exp(grid.times, p, window)
-    fit_qm = sw.fit_stretched_exp(grid.times, alpha, window)
-
-    # this quantum series does not oscillate, so it is its own envelope
-    ratio = sw.efficiency_ratio_series(grid.times, p, (grid.times, alpha))
-    crossing = sw.detect_crossover(ratio.times, ratio.values)
+    series = sw.continuum_series(sw.Lifshits(b=b), grid)
+    # stretched-exponential fits over (50, 2e4); this quantum series does
+    # not oscillate, so the analysis takes it as its own envelope
+    report = sw.efficiency_report(grid.times, series.p_bar, series.alpha_bar_sq,
+                                  (50.0, 2e4), stretched=True)
+    fit_cl, fit_qm, ratio = report.classical_fit, report.quantum_fit, report.ratio
+    crossing = report.crossover_time
 
     print(f"b = {b}:")
     print(f"  classical fit: t^{fit_cl.prefactor_exponent:.3f} "

@@ -10,9 +10,8 @@ resulting series.
 __version__ = "0.1.0"
 
 from .continuum import (Lifshits, PowerLawDecay, PowerSemicircle,
-                        StretchedExpDecay, asymptotic_law,
-                        classical_return_continuum, lattice_return_1d_product,
-                        parse_dos_spec, quantum_return_bound_continuum)
+                        StretchedExpDecay, asymptotic_law, continuum_series,
+                        lattice_return_1d_product, parse_dos_spec)
 from .errors import NumericalError, ParseError, ResourceLimitError
 from .graphs import (Graph, build_dendrimer, build_erdos_renyi,
                      build_hypercubic, build_ring, build_star,
@@ -21,8 +20,8 @@ from .graphs import (Graph, build_dendrimer, build_erdos_renyi,
 from .scaling import (EfficiencyRatioSeries, EfficiencyReport, Envelope,
                       PowerLawFit, SaturationStats, StretchedExpFit,
                       detect_crossover, efficiency_ratio_series,
-                      extract_envelope, fit_power_law, fit_stretched_exp,
-                      saturation)
+                      efficiency_report, extract_envelope, fit_power_law,
+                      fit_stretched_exp, saturation)
 from .spectral import Spectrum, decompose, degeneracy_table, graph_spectrum
 from .transport import (TimeGrid, TransportSeries, chi_matrix, linear_grid,
                         log_grid, merge_grids, transport_series)

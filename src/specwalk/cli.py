@@ -6,7 +6,9 @@ the transport series on a time grid, analyze decay laws, and write CSV
 artifacts plus a manifest with checksums into the output directory. Fixed
 artifact names keep downstream plotting scripts trivial: series.csv,
 spectrum.csv, degeneracies.csv, chi.csv (with --chi), report.txt,
-deltap.csv, manifest.txt.
+deltap.csv, manifest.txt. Each stage is one call into the module that
+owns it; this module holds the config, the presets, the stage order,
+the manifest and the writes.
 
 Subcommands: run, spectrum, transport, fit, preset. Each is a stage set of
 the one run (`STAGES`). Exit codes: 0 on success, 1 on a parse/config
@@ -23,64 +25,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .continuum import (Lifshits, classical_return_continuum, parse_dos_spec,
-                        quantum_return_bound_continuum)
-from .errors import NumericalError, ParseError, ResourceLimitError, _read_spec
+from .continuum import StretchedExpDecay, asymptotic_law, continuum_series, parse_dos_spec
+from .errors import NumericalError, ParseError
 from .graphs import parse_graph_spec
-from .scaling import (EfficiencyReport, check_fit_window, check_half_width,
-                      check_tail_fraction, detect_crossover,
-                      efficiency_ratio_series, extract_envelope,
-                      fit_power_law, fit_stretched_exp, ratio_csv,
-                      report_text, saturation)
-from .spectral import (default_cluster_tol, degeneracies_csv, graph_spectrum,
-                       spectrum_csv)
-from .transport import (TimeGrid, TransportSeries, chi_csv, chi_diagnostics,
-                        chi_table, linear_grid, log_grid, merge_grids,
+from .scaling import (DEFAULT_HALF_WIDTH, DEFAULT_TAIL_FRACTION, check_fit_window,
+                      check_half_width, check_tail_fraction, efficiency_report,
+                      ratio_csv, report_text)
+from .spectral import degeneracies_csv, graph_spectrum, spectrum_csv, spectrum_diagnostics
+from .transport import (chi_csv, chi_diagnostics, chi_table, parse_grid_spec,
                         read_series_csv, series_csv, transport_series)
 
 DEFAULT_GRID_SPEC = "log:1e-2,1e4,600"
-# the series and its CSV are O(points) in memory: a million points write a
-# 70 MB series.csv, streamed a block of rows at a time from 24 B of text a
-# value (72 MB for three columns); the t column's text, 24 MB, is held
-# until deltap.csv is written. A series CSV that a run reads holds at most
-# one row more, the t = 0 a log grid prepends, parsed to 8 B a value
-MAX_GRID_POINTS = 1_000_000
-
-
-# `_read_spec` rows; the segment names its kind, so the usage is the rest
-_GRID_SEGMENTS = dict.fromkeys(("log", "linear"), ("LO,HI,N", (float, float, int), {}))
-
-
-def parse_grid_spec(spec: str) -> TimeGrid:
-    """Parse 'log:LO,HI,N' or 'linear:LO,HI,N', optionally joined with '+'.
-
-    Log segments get t=0 prepended so normalization shows up in the series;
-    joined segments are merged and deduplicated. Each segment needs N >= 1,
-    finite bounds with LO >= 0 (LO, HI > 0 on a log segment) and, for
-    N > 1, LO < HI. A total N above MAX_GRID_POINTS raises
-    ResourceLimitError before any grid is made.
-    """
-    segments, start = [], 0
-    for part in spec.split("+"):
-        kind, (lo, hi, num), _ = _read_spec(spec, _GRID_SEGMENTS, "grid segment",
-                                            start, start + len(part))
-        floor = "0 < LO, HI" if kind == "log" else "0 <= LO"
-        above = min(lo, hi) > 0 if kind == "log" else lo >= 0
-        if not (num >= 1 and above and np.isfinite([lo, hi]).all() and (num == 1 or lo < hi)):
-            raise ParseError(f"{kind} grid segment needs N >= 1, finite {floor} and, for "
-                             f"N > 1, LO < HI: {part!r}", text=spec, position=start)
-        segments.append((kind, lo, hi, num))
-        start += len(part) + 1
-    total = sum(num for *_, num in segments)
-    if total > MAX_GRID_POINTS:
-        raise ResourceLimitError(
-            f"grid of {total} points exceeds the limit of {MAX_GRID_POINTS}")
-    grids = [(log_grid if kind == "log" else linear_grid)(lo, hi, num)
-             for kind, lo, hi, num in segments]
-    return grids[0] if len(grids) == 1 else merge_grids(*grids)
 
 
 @dataclass(frozen=True)
@@ -94,8 +50,8 @@ class ExperimentConfig:
     grid: str = DEFAULT_GRID_SPEC
     fit_window: tuple[float, float] = (1.0, 100.0)
     fit_window_quantum: tuple[float, float] | None = None
-    envelope_width: int = 3
-    tail_fraction: float = 0.1
+    envelope_width: int = DEFAULT_HALF_WIDTH
+    tail_fraction: float = DEFAULT_TAIL_FRACTION
     vectors: bool = False
     chi: bool = False
     fit_model: str = "auto"
@@ -314,54 +270,6 @@ def _finish(manifest: RunManifest, out_dir: Path, started: float) -> RunManifest
     return manifest
 
 
-def _quantum_envelope(series: TransportSeries, width: int):
-    positive = series.times > 0
-    return extract_envelope(series.times[positive],
-                            series.alpha_bar_sq[positive], half_width=width)
-
-
-def _analyze(series: TransportSeries, config: ExperimentConfig,
-             stretched: bool, manifest: RunManifest) -> EfficiencyReport:
-    env = _quantum_envelope(series, config.envelope_width)
-    manifest.diagnostics["analysis.envelope_points"] = str(len(env.times))
-    window_cl = config.fit_window
-    window_qm = config.fit_window_quantum or window_cl
-    positive = series.times > 0
-    t, p = series.times[positive], series.p_bar[positive]
-    fit = fit_stretched_exp if stretched else fit_power_law
-    classical_fit = fit(t, p, window_cl)
-    if len(env.times) >= 5:
-        quantum_source = (env.times, env.values)
-    else:
-        # non-oscillatory series: the curve is its own envelope
-        quantum_source = (t, series.alpha_bar_sq[positive])
-    quantum_fit = fit(quantum_source[0], quantum_source[1], window_qm)
-    ratio = efficiency_ratio_series(t, p, quantum_source)
-    crossover = detect_crossover(ratio.times, ratio.values)
-    return EfficiencyReport(
-        classical_fit=classical_fit,
-        quantum_fit=quantum_fit,
-        ratio=ratio,
-        saturation_classical=saturation(p, config.tail_fraction),
-        saturation_quantum=saturation(series.alpha_bar_sq[positive],
-                                      config.tail_fraction),
-        crossover_time=crossover,
-    )
-
-
-def _spectrum_diagnostics(spectrum) -> dict[str, str]:
-    levels = spectrum.levels
-    out = {"spectrum.path": spectrum.path, "spectrum.clusters": str(len(levels))}
-    if len(levels) >= 2:
-        tol = default_cluster_tol(spectrum.values)
-        out["spectrum.min_gap_over_tol"] = repr(float(np.diff(levels).min() / tol))
-    if spectrum.eigenvectors is not None or spectrum.pairs is not None:
-        out["spectrum.vectors"] = "orbit" if spectrum.eigenvectors is None else "dense"
-    if spectrum.residual is not None:
-        out["spectrum.residual"] = repr(spectrum.residual)
-    return out
-
-
 # each subcommand is a stage set of one run
 STAGES = {"run": ("series", "spectrum", "analysis"),
           "preset": ("series", "spectrum", "analysis"),
@@ -383,7 +291,8 @@ def run_experiment(config: ExperimentConfig,
     the analysis stage reads the series from any of the three. A stage
     set that writes nothing from its source (`transport` from a series,
     `spectrum` from a DOS) raises ParseError, so every run writes an
-    artifact, and the first write makes the output directory.
+    artifact. Every stage computes before the first write, which makes
+    the output directory, so a run whose computation fails writes nothing.
     """
     config.validate()
     source = next(name for name in _SOURCE_STAGES if getattr(config, name) is not None)
@@ -392,63 +301,59 @@ def run_experiment(config: ExperimentConfig,
                          f"{source} source", text=getattr(config, source), position=0)
     started = time.monotonic()
     grid = parse_grid_spec(config.grid)
-    out_dir = Path(config.out)
     manifest = RunManifest(config=config.echo())
-    series = None
+    spectrum = chi = series = report = None
+    stretched = config.fit_model == "stretched"
     if config.series is not None:
         with manifest.stage("read"):
-            series = read_series_csv(config.series, MAX_GRID_POINTS + 1)
-
-    stretched = config.fit_model == "stretched"
-    if config.graph is not None:
+            series = read_series_csv(config.series)
+    elif config.graph is not None:
         # the spectrum stage writes eigenvalues only; --vectors serves the
         # series, --chi its own artifact
         with_vectors = config.chi or (config.vectors and "series" in stages)
         with manifest.stage("spectrum"):
-            graph = parse_graph_spec(config.graph)
-            spectrum = graph_spectrum(graph, with_vectors=with_vectors)
-        manifest.diagnostics.update(_spectrum_diagnostics(spectrum))
+            spectrum = graph_spectrum(parse_graph_spec(config.graph), with_vectors=with_vectors)
+        manifest.diagnostics.update(spectrum_diagnostics(spectrum))
         if config.chi:
-            # before any other artifact: a chi above the node cap writes nothing
-            _write_chi(spectrum, out_dir, manifest)
-        if "spectrum" in stages:
-            _write(out_dir, "spectrum.csv", manifest, spectrum_csv, spectrum)
-            _write(out_dir, "degeneracies.csv", manifest, degeneracies_csv, spectrum)
+            with manifest.stage("chi"):
+                chi = chi_table(spectrum)
+                manifest.diagnostics.update(chi_diagnostics(*chi))
         if "series" in stages:
             with manifest.stage("series"):
-                series = transport_series(spectrum, grid,
-                                          with_exact_quantum=config.vectors)
-    elif config.dos is not None:
+                series = transport_series(spectrum, grid, with_exact_quantum=config.vectors)
+            # pi_bar's cached factor, n x n from eigenvectors, is not held
+            # through the writes, chi.csv's above all
+            vars(spectrum).pop("factor", None)
+    else:
         dos = parse_dos_spec(config.dos)
-        if config.fit_model == "auto" and isinstance(dos, Lifshits):
-            stretched = True
+        if config.fit_model == "auto":
+            stretched = isinstance(asymptotic_law(dos, "classical"), StretchedExpDecay)
         if "series" in stages:
             with manifest.stage("series"):
-                series = TransportSeries(
-                    grid=grid,
-                    p_bar=classical_return_continuum(dos, grid),
-                    alpha_bar_sq=quantum_return_bound_continuum(dos, grid))
+                series = continuum_series(dos, grid)
+    if series is not None and "analysis" in stages:
+        with manifest.stage("analysis"):
+            report = efficiency_report(
+                series.times, series.p_bar, series.alpha_bar_sq, config.fit_window,
+                config.fit_window_quantum, config.envelope_width, config.tail_fraction,
+                stretched)
+        manifest.diagnostics["analysis.envelope_points"] = str(report.envelope_points)
 
+    out_dir = Path(config.out)
+    if chi is not None:
+        _write(out_dir, "chi.csv", manifest, chi_csv, *chi)
+        chi = None  # the table is not kept past its write
+    if spectrum is not None and "spectrum" in stages:
+        _write(out_dir, "spectrum.csv", manifest, spectrum_csv, spectrum)
+        _write(out_dir, "degeneracies.csv", manifest, degeneracies_csv, spectrum)
     times_text = None  # series.csv's t column, which deltap.csv reuses
     if series is not None and config.series is None:
         times_text = _write(out_dir, "series.csv", manifest, series_csv, series)
-    if series is not None and "analysis" in stages:
-        with manifest.stage("analysis"):
-            report = _analyze(series, config, stretched, manifest)
+    if report is not None:
         _write(out_dir, "report.txt", manifest, report_text, report)
         _write(out_dir, "deltap.csv", manifest, ratio_csv, report.ratio,
                series.times, times_text)
-
     return _finish(manifest, out_dir, started)
-
-
-def _write_chi(spectrum, out_dir: Path, manifest: RunManifest):
-    """chi's table and its diagnostics (the chi stage), then chi.csv; the
-    table is not kept past the write."""
-    with manifest.stage("chi"):
-        chi = chi_table(spectrum)
-        manifest.diagnostics.update(chi_diagnostics(*chi))
-    _write(out_dir, "chi.csv", manifest, chi_csv, *chi)
 
 
 # -- argument parsing ---------------------------------------------------------

@@ -4,7 +4,8 @@ Two families cover the cases of interest: a bounded power-of-semicircle
 density on [0, lam_max], and an unbounded density with an exp(-1/lam)
 low-eigenvalue suppression (Lifshits tail) and an algebraic lam**-b high
 tail. The classical return probability is the Laplace transform of the
-density, the quantum bound the squared modulus of its Fourier transform.
+density, the quantum bound the squared modulus of its Fourier transform;
+`continuum_series` gives both as the `TransportSeries` a graph run gets.
 
 Numerics: both families have Bessel closed forms, evaluated vectorised
 over the whole grid. For the power semicircle, with v = nu + 1/2 and
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParseError, _read_spec
-from .transport import TimeGrid, clamp_unit_interval
+from .transport import TimeGrid, TransportSeries, clamp_unit_interval
 
 # scipy.special is imported where it is first used, as `spectral.decompose`
 # imports scipy.linalg: graph runs never load it, and importing the package
@@ -199,14 +200,13 @@ def _transform(dos, times: np.ndarray, quantum: bool) -> np.ndarray:
 
 # -- public operations --------------------------------------------------------
 
-def classical_return_continuum(dos, grid: TimeGrid) -> np.ndarray:
-    """Laplace transform of the density on the grid: p_bar(t), with p_bar(0)=1."""
-    return _transform(dos, grid.times, quantum=False)
-
-
-def quantum_return_bound_continuum(dos, grid: TimeGrid) -> np.ndarray:
-    """|alpha_bar(t)|^2 for a continuous density, checked to lie in [0, 1]."""
-    return clamp_unit_interval(np.abs(_transform(dos, grid.times, quantum=True)) ** 2)
+def continuum_series(dos, grid: TimeGrid) -> TransportSeries:
+    """p_bar, the Laplace transform of the density, with p_bar(0) = 1, and
+    |alpha_bar|^2, the squared modulus of its Fourier transform checked
+    to lie in [0, 1], on the grid."""
+    p_bar = _transform(dos, grid.times, quantum=False)
+    alpha = _transform(dos, grid.times, quantum=True)
+    return TransportSeries(grid, p_bar, clamp_unit_interval(np.abs(alpha) ** 2))
 
 
 def lattice_return_1d_product(d: int, grid: TimeGrid) -> np.ndarray:

@@ -6,7 +6,8 @@ the stretched-exponential model fixes the stretch at 1/2 because a free
 three-parameter fit over a decade of data is ill-conditioned. The
 efficiency ratio divides the log of the quantum envelope by the log of
 the classical return: it equals the exponent ratio for power laws and
-tends to sqrt(2) for the Lifshits family.
+tends to sqrt(2) for the Lifshits family. `efficiency_report` runs the
+whole analysis of one series.
 """
 
 from __future__ import annotations
@@ -253,14 +254,41 @@ def saturation(values, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> Saturati
 
 @dataclass(frozen=True)
 class EfficiencyReport:
-    """Everything one experiment concludes about transport efficiency."""
+    """Everything one experiment concludes about transport efficiency, and
+    the number of quantum envelope points it read."""
 
     classical_fit: PowerLawFit | StretchedExpFit
     quantum_fit: PowerLawFit | StretchedExpFit
     ratio: EfficiencyRatioSeries
     saturation_classical: SaturationStats
     saturation_quantum: SaturationStats
+    envelope_points: int
     crossover_time: float | None = None
+
+
+def efficiency_report(times, p_bar, alpha_bar_sq, window, window_quantum=None,
+                      half_width: int = DEFAULT_HALF_WIDTH,
+                      tail_fraction: float = DEFAULT_TAIL_FRACTION,
+                      stretched: bool = False) -> EfficiencyReport:
+    """The analysis of a series at its times t > 0: power-law or, with
+    `stretched`, stretched-exponential fits of p_bar over `window` and of
+    the envelope of |alpha_bar|^2 over `window_quantum` (by default
+    `window`), their log-ratio and its crossover, and the saturation of
+    each series over its last `tail_fraction`. An envelope of fewer than
+    five points, as of a series that does not oscillate, gives way to
+    the series itself."""
+    t = np.asarray(times, dtype=float)
+    positive = t > 0
+    t, p, alpha = (np.asarray(v, dtype=float)[positive] for v in (t, p_bar, alpha_bar_sq))
+    env = extract_envelope(t, alpha, half_width=half_width)
+    fit = fit_stretched_exp if stretched else fit_power_law
+    classical_fit = fit(t, p, window)
+    quantum = (env.times, env.values) if len(env.times) >= 5 else (t, alpha)
+    quantum_fit = fit(*quantum, window_quantum or window)
+    ratio = efficiency_ratio_series(t, p, quantum)
+    return EfficiencyReport(classical_fit, quantum_fit, ratio, saturation(p, tail_fraction),
+                            saturation(alpha, tail_fraction), len(env.times),
+                            detect_crossover(ratio.times, ratio.values))
 
 
 def _fit_lines(prefix, fit):

@@ -422,19 +422,21 @@ def _shell_sizes(branching):
 def _torus_eigenvalues(side, d, with_vectors=False):
     # Fourier modes: 2 - 2cos(2 pi k / side) = 4 sin^2(pi k / side) per axis,
     # with k folded onto min(k, side - k) so that +k and -k give equal bits,
-    # in the mode order of `TorusPairs`, one copy each; each mode's d axis
-    # terms are summed in ascending order, so that wave vectors whose
-    # folded components are permutations of each other give equal bits
+    # in the mode order of `TorusPairs`, one copy each. For d > 1 the axis
+    # terms and each mode's sum of them, in ascending order, run in long
+    # double and are rounded once: wave vectors whose exact sums are equal,
+    # permutations of each other or not, then give equal bits (where long
+    # double is wider than double, as on x86)
+    pi = np.pi if d == 1 else 4 * np.arctan(np.longdouble(1))
     k = np.arange(side)
-    axis = 4.0 * np.sin(np.pi * np.minimum(k, side - k) / side) ** 2
-    values = axis
+    values = axis = 4 * np.sin(pi * np.minimum(k, side - k) / side) ** 2
     if d > 1:
         terms = np.sort(axis[np.indices((side,) * d).reshape(d, -1)], axis=0)
         values = terms[0]
         for term in terms[1:]:
             values = values + term
     counts = np.ones(len(values), dtype=np.int64)
-    return values, counts, TorusPairs(side, d) if with_vectors else None
+    return values.astype(float, copy=False), counts, TorusPairs(side, d) if with_vectors else None
 
 
 def _tree_eigenvalues(branching, with_vectors=False):
@@ -491,6 +493,23 @@ def _tree_eigenvalues(branching, with_vectors=False):
 
 
 _CLOSED_FORMS = {"torus": _torus_eigenvalues, "tree": _tree_eigenvalues}
+
+
+def spectrum_diagnostics(spectrum: Spectrum) -> dict[str, str]:
+    """What the run manifest records of a spectrum: its path, its cluster
+    count, the smallest gap between adjacent levels over the cluster
+    tolerance, the source of its projectors and its eigenpair residual,
+    each where there is one."""
+    levels = spectrum.levels
+    out = {"spectrum.path": spectrum.path, "spectrum.clusters": str(len(levels))}
+    if len(levels) >= 2:
+        tol = default_cluster_tol(spectrum.values)
+        out["spectrum.min_gap_over_tol"] = repr(float(np.diff(levels).min() / tol))
+    if spectrum.eigenvectors is not None or spectrum.pairs is not None:
+        out["spectrum.vectors"] = "orbit" if spectrum.eigenvectors is None else "dense"
+    if spectrum.residual is not None:
+        out["spectrum.residual"] = repr(spectrum.residual)
+    return out
 
 
 def degeneracy_table(spectrum: Spectrum):

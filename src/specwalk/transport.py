@@ -14,8 +14,9 @@ orbits, a factor of the Gram matrix of the cluster projector diagonals.
 The series work in real arithmetic on blocks of about CHUNK_ELEMS / K
 times, at most three such blocks alive at once, so their cost scales with
 K rather than n and their memory does not grow with the grid.
-`series_csv` writes a series as CSV, and `read_series_csv` reads one
-back in one numpy parse.
+`parse_grid_spec` reads a run's time grid from its spec, at most
+MAX_GRID_POINTS points. `series_csv` writes a series as CSV, and
+`read_series_csv` reads one back in one numpy parse.
 """
 
 from __future__ import annotations
@@ -27,9 +28,15 @@ import numpy as np
 
 from ._csvtext import _CSV_BLOCK_CELLS, _columns, _csv_blocks, float_text
 from . import graphs
-from .errors import NumericalError, ParseError, ResourceLimitError
+from .errors import NumericalError, ParseError, ResourceLimitError, _read_spec
 from .spectral import Spectrum
 
+# the series and its CSV are O(points) in memory: a million points write a
+# 70 MB series.csv, streamed a block of rows at a time from 24 B of text a
+# value (72 MB for three columns); the t column's text, 24 MB, is held
+# until deltap.csv is written. A series CSV that a run reads holds at most
+# one row more, the t = 0 a log grid prepends, parsed to 8 B a value
+MAX_GRID_POINTS = 1_000_000
 EIG_CLAMP_TOL = 1e-8
 # rounding may push a probability past [0, 1] by a few ulps, never by more
 PROB_CLAMP_TOL = 1e-12
@@ -80,6 +87,39 @@ def log_grid(lo: float = 1e-2, hi: float = 1e4, num: int = 600,
 def merge_grids(*grids: TimeGrid) -> TimeGrid:
     """Union of several grids, deduplicated."""
     return TimeGrid(np.unique(np.concatenate([g.times for g in grids])))
+
+
+# `_read_spec` rows; the segment names its kind, so the usage is the rest
+_GRID_SEGMENTS = dict.fromkeys(("log", "linear"), ("LO,HI,N", (float, float, int), {}))
+
+
+def parse_grid_spec(spec: str) -> TimeGrid:
+    """Parse 'log:LO,HI,N' or 'linear:LO,HI,N', optionally joined with '+'.
+
+    Log segments get t=0 prepended so normalization shows up in the series;
+    joined segments are merged and deduplicated. Each segment needs N >= 1,
+    finite bounds with LO >= 0 (LO, HI > 0 on a log segment) and, for
+    N > 1, LO < HI. A total N above MAX_GRID_POINTS raises
+    ResourceLimitError before any grid is made.
+    """
+    segments, start = [], 0
+    for part in spec.split("+"):
+        kind, (lo, hi, num), _ = _read_spec(spec, _GRID_SEGMENTS, "grid segment",
+                                            start, start + len(part))
+        floor = "0 < LO, HI" if kind == "log" else "0 <= LO"
+        above = min(lo, hi) > 0 if kind == "log" else lo >= 0
+        if not (num >= 1 and above and np.isfinite([lo, hi]).all() and (num == 1 or lo < hi)):
+            raise ParseError(f"{kind} grid segment needs N >= 1, finite {floor} and, for "
+                             f"N > 1, LO < HI: {part!r}", text=spec, position=start)
+        segments.append((kind, lo, hi, num))
+        start += len(part) + 1
+    total = sum(num for *_, num in segments)
+    if total > MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"grid of {total} points exceeds the limit of {MAX_GRID_POINTS}")
+    grids = [(log_grid if kind == "log" else linear_grid)(lo, hi, num)
+             for kind, lo, hi, num in segments]
+    return grids[0] if len(grids) == 1 else merge_grids(*grids)
 
 
 @dataclass(frozen=True)
@@ -330,7 +370,7 @@ def series_csv(series: TransportSeries):
                                        len(names), _columns(*text))
 
 
-def read_series_csv(path, max_rows: int) -> TransportSeries:
+def read_series_csv(path) -> TransportSeries:
     """The series of a CSV as `series_csv` writes it, its header naming
     the columns in any order; blank lines are skipped, and '#' starts no
     comment. The rows go through one np.loadtxt call, which reads each
@@ -339,9 +379,10 @@ def read_series_csv(path, max_rows: int) -> TransportSeries:
     header-only file, a missing column, a short, long or non-numeric row
     and a row whose t is not finite, is negative in the first row or does
     not exceed the t before it, by its 1-based line, raise ParseError.
-    More than max_rows rows raise ResourceLimitError; no row past them is
-    read.
+    More than MAX_GRID_POINTS + 1 rows, the most a run writes, raise
+    ResourceLimitError; no row past them is read.
     """
+    max_rows = MAX_GRID_POINTS + 1
     with open(path) as file:
         lines = filter(str.strip, file)
         # loadtxt warns on input with no rows, so the first is taken here

@@ -81,13 +81,13 @@ def test_criterion_2_semicircle_scaling():
     dos = sw.PowerSemicircle(nu=0.5, lam_max=2.0)
 
     grid = sw.log_grid(1.0, 1000.0, 120, include_zero=False)
-    p = sw.classical_return_continuum(dos, grid)
+    p = sw.continuum_series(dos, grid).p_bar
     cl_fit = sw.fit_power_law(grid.times, p, (10.0, 100.0))
     _check(failures, abs(cl_fit.exponent - (-1.50)) <= 0.08,
            f"classical exponent {cl_fit.exponent:.3f} not within -1.50 +- 0.08")
 
     dense = sw.linear_grid(8.0, 110.0, 1021)
-    alpha = sw.quantum_return_bound_continuum(dos, dense)
+    alpha = sw.continuum_series(dos, dense).alpha_bar_sq
     env = sw.extract_envelope(dense.times, alpha, half_width=3)
     qm_fit = sw.fit_power_law(env.times, env.values, (10.0, 100.0))
     _check(failures, abs(qm_fit.exponent - (-3.0)) <= 0.15,
@@ -124,8 +124,8 @@ def test_criterion_4_lifshits_limit():
     for b in (2.0, 3.0):
         dos = sw.Lifshits(b=b)
         grid = sw.log_grid(1e-2, 3e4, 400, include_zero=False)
-        p = sw.classical_return_continuum(dos, grid)
-        alpha = sw.quantum_return_bound_continuum(dos, grid)
+        series = sw.continuum_series(dos, grid)
+        p, alpha = series.p_bar, series.alpha_bar_sq
         # the quantum curve does not oscillate here, so it is its own envelope
         ratio = sw.efficiency_ratio_series(grid.times, p, (grid.times, alpha))
         _check(failures, abs(ratio.asymptotic - target) <= 0.05,

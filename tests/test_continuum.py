@@ -16,14 +16,24 @@ from specwalk import (
     PowerSemicircle,
     StretchedExpDecay,
     asymptotic_law,
-    classical_return_continuum,
+    continuum_series,
     fit_power_law,
     lattice_return_1d_product,
     parse_dos_spec,
-    quantum_return_bound_continuum,
 )
 from specwalk.continuum import _transform
 from specwalk.transport import TimeGrid, linear_grid, log_grid
+
+
+def classical_return_continuum(dos, grid):
+    """p_bar of `continuum_series`: the Laplace transform of the density."""
+    return continuum_series(dos, grid).p_bar
+
+
+def quantum_return_bound_continuum(dos, grid):
+    """|alpha_bar|^2 of `continuum_series`: the squared modulus of the
+    density's Fourier transform."""
+    return continuum_series(dos, grid).alpha_bar_sq
 
 
 # closed-form oracles, derived independently of the quadrature code paths

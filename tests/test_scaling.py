@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specwalk import (
+    PowerLawFit,
+    StretchedExpFit,
     build_star,
     decompose,
     detect_crossover,
@@ -16,8 +18,9 @@ from specwalk import (
     saturation,
     transport_series,
 )
-from specwalk.scaling import (EfficiencyReport, Envelope, ratio_csv,
-                              report_text)
+from specwalk.scaling import (DEFAULT_HALF_WIDTH, DEFAULT_TAIL_FRACTION,
+                              EfficiencyReport, Envelope, efficiency_report,
+                              ratio_csv, report_text)
 
 # a fixed example sequence keeps the suite reproducible run to run
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -333,20 +336,72 @@ class TestSaturation:
         assert stats.mean == pytest.approx(1 / 200, abs=1e-6)
 
 
+class TestEfficiencyReport:
+    T = np.concatenate(([0.0], np.linspace(0.05, 200.0, 4000)))
+    P = np.exp(-0.01 * T)
+    ALPHA = np.exp(-0.03 * T) * (0.6 + 0.4 * np.cos(T) ** 2)
+
+    def by_hand(self, t, p, alpha, window, window_quantum, half_width, tail, fit):
+        """The analysis assembled from its parts: envelope, fits, ratio,
+        crossover and saturation on the times t > 0."""
+        keep = t > 0
+        t, p, alpha = t[keep], p[keep], alpha[keep]
+        env = extract_envelope(t, alpha, half_width=half_width)
+        quantum = (env.times, env.values) if len(env.times) >= 5 else (t, alpha)
+        ratio = efficiency_ratio_series(t, p, quantum)
+        return EfficiencyReport(
+            classical_fit=fit(t, p, window), quantum_fit=fit(*quantum, window_quantum),
+            ratio=ratio, saturation_classical=saturation(p, tail),
+            saturation_quantum=saturation(alpha, tail), envelope_points=len(env.times),
+            crossover_time=detect_crossover(ratio.times, ratio.values))
+
+    @pytest.mark.parametrize("stretched", [False, True])
+    def test_equals_its_parts(self, stretched):
+        fit = fit_stretched_exp if stretched else fit_power_law
+        got = efficiency_report(self.T, self.P, self.ALPHA, (1.0, 100.0), (2.0, 150.0),
+                                half_width=4, tail_fraction=0.2, stretched=stretched)
+        want = self.by_hand(self.T, self.P, self.ALPHA, (1.0, 100.0), (2.0, 150.0), 4,
+                            0.2, fit)
+        assert report_text(got) == report_text(want)
+        assert got.envelope_points == want.envelope_points > 5
+        assert np.array_equal(got.ratio.times, want.ratio.times)
+        assert np.array_equal(got.ratio.values, want.ratio.values)
+        assert isinstance(got.classical_fit, StretchedExpFit if stretched else PowerLawFit)
+
+    def test_quiet_series_is_its_own_envelope(self):
+        # a monotone |alpha|^2 has one envelope point, the first
+        alpha = np.exp(-0.03 * self.T)
+        got = efficiency_report(self.T, self.P, alpha, (1.0, 100.0))
+        assert got.envelope_points == 1
+        keep = self.T > 0
+        want = fit_power_law(self.T[keep], alpha[keep], (1.0, 100.0))
+        assert got.quantum_fit == want
+        assert report_text(got) == report_text(self.by_hand(
+            self.T, self.P, alpha, (1.0, 100.0), (1.0, 100.0), DEFAULT_HALF_WIDTH,
+            DEFAULT_TAIL_FRACTION, fit_power_law))
+
+    def test_reads_only_positive_times(self):
+        # the t = 0 row never reaches the envelope, the fits or the tail
+        with_zero = efficiency_report(self.T, self.P, self.ALPHA, (1.0, 100.0))
+        without = efficiency_report(self.T[1:], self.P[1:], self.ALPHA[1:], (1.0, 100.0))
+        assert report_text(with_zero) == report_text(without)
+        assert with_zero.envelope_points == without.envelope_points
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(window=(1e5, 1e6)), "only 0 points"),
+        (dict(window=(1.0, 100.0), half_width=5000), "too short"),
+    ])
+    def test_refuses_what_its_parts_refuse(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            efficiency_report(self.T, self.P, self.ALPHA, **kwargs)
+
+
 class TestReportSerialization:
     def test_report_text_keys(self):
         t = np.geomspace(1.5, 1000, 300)
         classical = 0.9 * t**-1.0
         quantum = 0.8 * t**-2.0
-        report = EfficiencyReport(
-            classical_fit=fit_power_law(t, classical, (10, 1000)),
-            quantum_fit=fit_power_law(t, quantum, (10, 1000)),
-            ratio=efficiency_ratio_series(t, classical, (t, quantum)),
-            saturation_classical=saturation(classical),
-            saturation_quantum=saturation(quantum),
-            crossover_time=None,
-        )
-        text = report_text(report)
+        text = report_text(efficiency_report(t, classical, quantum, (10, 1000)))
         for key in ("classical_exponent", "quantum_exponent",
                     "delta_p_asymptotic", "saturation_classical_mean"):
             assert key in text

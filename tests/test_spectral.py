@@ -586,7 +586,7 @@ class TestGraphSpectrum:
         # each mode's axis terms are summed in ascending order; left to
         # right, one cluster of torus:5,3 held two values and three of
         # torus:5,4 did. Even sides also have levels that different term
-        # sets reach (0 + 4 = 2 + 2 on side 4), which this does not cover
+        # sets reach (0 + 4 = 2 + 2 on side 4): test_every_cluster_holds_one_value
         s = graph_spectrum(build_hypercubic(side, d))
         for e in range(len(s.levels)):
             assert len(np.unique(s.values[s.cluster == e])) == 1, e
@@ -594,14 +594,36 @@ class TestGraphSpectrum:
     @pytest.mark.parametrize("g", [build_ring(7), build_ring(600), build_hypercubic(50, 2),
                                    build_hypercubic(6, 2)])
     def test_one_and_two_axes_keep_their_bits(self, g):
-        # a sum of two terms commutes, so the left-to-right outer sum of
-        # the axis terms gives the same bits
+        # a ring takes its axis terms in double; two axes are summed in
+        # long double, where a sum of two terms commutes, so the outer sum
+        # of the long-double axis terms, rounded once, gives the same bits
         side, d = g.family[1:]
         k = np.arange(side)
-        axis = 4.0 * np.sin(np.pi * np.minimum(k, side - k) / side) ** 2
-        want = axis if d == 1 else np.add.outer(axis, axis).ravel()
+        if d == 1:
+            want = 4.0 * np.sin(np.pi * np.minimum(k, side - k) / side) ** 2
+        else:
+            pi = 4 * np.arctan(np.longdouble(1))
+            axis = 4 * np.sin(pi * np.minimum(k, side - k) / side) ** 2
+            want = np.add.outer(axis, axis).ravel().astype(float)
         np.testing.assert_array_equal(graph_spectrum(g).values.view(np.uint64),
                                       want.view(np.uint64))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double on this platform")
+    @pytest.mark.parametrize("side, d", [(4, 3), (6, 3), (8, 3), (10, 3), (50, 2), (30, 3)])
+    def test_every_cluster_holds_one_value(self, side, d):
+        # levels that different term sets reach (0 + 4 = 2 + 2 on side 4)
+        # are equal bits too when the sums are rounded once from long
+        # double; summed in double, 3 of the 7 clusters of torus:4,3 and
+        # 129 of the 419 of torus:30,3 held two values
+        s = graph_spectrum(build_hypercubic(side, d))
+        pairs = np.unique(np.column_stack([s.cluster, s.values]), axis=0)
+        assert len(pairs) == len(s.levels)
+        # and each level is within an ulp of its exact value
+        with mpmath.workdps(30):
+            exact = np.array([float(lam) for lam, _ in exact_levels(build_hypercubic(side, d))])
+        assert len(exact) == len(s.levels)
+        assert np.all(np.abs(s.levels - exact) <= np.spacing(exact))
 
     def test_generation_zero_is_one_node(self):
         np.testing.assert_array_equal(graph_spectrum(build_dendrimer(0, 4)).eigenvalues, [0.0])

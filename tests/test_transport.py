@@ -32,7 +32,7 @@ from specwalk import (
 )
 import specwalk._csvtext as _csvtext
 from specwalk._csvtext import _REPR_BELOW, float_text, int_text
-from specwalk.scaling import EfficiencyRatioSeries, ratio_csv
+from specwalk.scaling import EfficiencyRatioSeries, efficiency_report, ratio_csv
 from specwalk.spectral import spectrum_csv
 from specwalk.transport import (TimeGrid, TransportSeries, chi_csv, clamp_unit_interval,
                                 read_series_csv, series_csv)
@@ -730,8 +730,9 @@ class TestCSVWritersOracle:
             cfg = cli.ExperimentConfig(**spec, out=str(tmp_path / name))
             cli.run_experiment(cfg, stages=cli.STAGES["fit" if name == "fit" else "run"])
             series = read_series_csv(crafted if name == "fit"
-                                     else tmp_path / name / "series.csv", 10**6)
-            ratio = cli._analyze(series, cfg, False, cli.RunManifest(config={})).ratio
+                                     else tmp_path / name / "series.csv")
+            ratio = efficiency_report(series.times, series.p_bar, series.alpha_bar_sq,
+                                      cfg.fit_window).ratio
             text = (tmp_path / name / "deltap.csv").read_text()
             assert text == oracle_csv("t,delta_p", ratio.times, ratio.values)
         assert ratio.excluded_points == 3
@@ -777,7 +778,7 @@ class TestReadSeriesCSV:
                        csv_text(series_csv(series)[1]).splitlines(keepends=True))
         path = tmp_path_factory.getbasetemp() / "round_trip.csv"
         path.write_text(text)
-        got = read_series_csv(path, 40)
+        got = read_series_csv(path)
         assert (got.pi_bar is None) == (not with_pi)
         for name, want in zip(["times", "p_bar", "alpha_bar_sq", "pi_bar"], [times, *cols]):
             assert np.array_equal(canonical_bits(getattr(got, name)), canonical_bits(want))
@@ -796,19 +797,21 @@ class TestReadSeriesCSV:
         monkeypatch.setattr(transport, "_raise_at_bad_row", boom)
         path = tmp_path / "s.csv"
         path.write_text("\n t , p_bar,alpha_bar_sq\n0.0,1.0,1.0\n \n1.5,0.5,0.25\n")
-        series = read_series_csv(path, 2)
+        series = read_series_csv(path)
         assert calls == [1]
         assert series.times.tolist() == [0.0, 1.5] and series.alpha_bar_sq[1] == 0.25
 
-    def test_rows_past_the_limit_are_not_read(self, tmp_path):
+    def test_rows_past_the_limit_are_not_read(self, tmp_path, monkeypatch):
+        # the limit is MAX_GRID_POINTS + 1 rows
+        monkeypatch.setattr(transport, "MAX_GRID_POINTS", 2)
         path = tmp_path / "s.csv"
         rows = "".join(f"{t}.0,0.5,0.25\n\n" for t in range(3))
         path.write_text("t,p_bar,alpha_bar_sq\n" + rows)
-        assert len(read_series_csv(path, 3).times) == 3
+        assert len(read_series_csv(path).times) == 3
         # the fourth row is refused for its count, so it is never parsed
         path.write_text("t,p_bar,alpha_bar_sq\n" + rows + "not,a,row\n")
         with pytest.raises(ResourceLimitError, match="more than the limit of 3 rows"):
-            read_series_csv(path, 3)
+            read_series_csv(path)
 
     @pytest.mark.parametrize("field", ["1_0", "\u0661", "0x1p3", "#1", "1 2", ""])
     def test_a_field_numpy_refuses_names_its_line(self, tmp_path, field):
@@ -817,7 +820,7 @@ class TestReadSeriesCSV:
         path = tmp_path / "s.csv"
         path.write_text(f"t,p_bar,alpha_bar_sq\n1.0,0.5,0.25\n\n2.0,0.4,{field}\n")
         with pytest.raises(ParseError, match="^line 4: expected 3 "):
-            read_series_csv(path, 10)
+            read_series_csv(path)
 
 
 def formatter_sweep():
