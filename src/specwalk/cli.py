@@ -321,9 +321,6 @@ def run_experiment(config: ExperimentConfig,
         if "series" in stages:
             with manifest.stage("series"):
                 series = transport_series(spectrum, grid, with_exact_quantum=config.vectors)
-            # pi_bar's cached factor, n x n from eigenvectors, is not held
-            # through the writes, chi.csv's above all
-            vars(spectrum).pop("factor", None)
     else:
         dos = parse_dos_spec(config.dos)
         if config.fit_model == "auto":

@@ -15,10 +15,15 @@ alpha = Gamma(v+1) (2/x)**v J_v(x) exp(-ix) = exp(-ix) 0F1(;v+1;-x**2/4).
 While x**2/4 <= v+1 the 0F1 series is summed directly (exactly 1 at t=0,
 no cancellation, no Gamma overflow at large nu); beyond it the Bessel form
 runs with its prefactor in log space, which holds up to nu of about 340.
+Above x = _LARGE_X, where scipy's ive and jv are still finite (they turn
+NaN past about 1.07e9), both Bessel factors come from their large-argument
+expansions (DLMF 10.40.1, 10.17.3), so no t is too large.
 For the Lifshits family u = 1/lam gives (DLMF 10.32.10, Gradshteyn & Ryzhik
 3.471.9) p = 2 t**((b-1)/2) K_{b-1}(2 sqrt t) / Gamma(b-1), and alpha is
 the same with t -> i t on the principal branch; the exponentially scaled
-kve keeps both accurate down to double underflow (|alpha|**2 ~ 1e-300).
+kve keeps both accurate down to values near 1e-300. Where the value's
+log-magnitude falls below double underflow it is 0, taken directly, before
+kve turns NaN (near |2 sqrt(i t)| = 1.2e9).
 """
 
 from __future__ import annotations
@@ -110,11 +115,17 @@ ContinuousDOS = PowerSemicircle | Lifshits
 
 # -- closed-form transforms ---------------------------------------------------
 
-# terms of the 0F1 series summed where its argument is small; see _hyp0f1_small
+# terms summed in both truncated series: the 0F1 series where its argument is
+# small, whose term ratio is at most 1/k (_hyp0f1_small), and the large-argument
+# Bessel expansions above _LARGE_X, whose term ratio is below 6e-4/k
+# (_large_x_bessel); 20 terms take either far past double precision
 _SERIES_TERMS = 20
 # bound on the log-magnitude of the Bessel-form prefactor times exp(x) at the
 # series/Bessel switch-over: exp(-709) leaves the normal double range
 _LOG_HUGE = 700.0
+# x above which the semicircle's Bessel factors come from their
+# large-argument expansions, a decade below scipy's NaN at 1.07e9
+_LARGE_X = 1e8
 
 
 def _hyp0f1_small(a, z):
@@ -133,9 +144,40 @@ def _hyp0f1_small(a, z):
     return total
 
 
+def _large_x_bessel(v, x, quantum: bool) -> np.ndarray:
+    """ive(v, x) or J_v(x) for x above _LARGE_X from the large-argument
+    expansions, with a_k = prod_(j<=k) (4v**2 - (2j-1)**2) / (k! 8**k):
+    ive = sum_k (-1)**k a_k / x**k / sqrt(2 pi x) (DLMF 10.40.1) and
+    J_v = sqrt(2/(pi x)) (cos w sum_k (-1)**k a_2k / x**2k - sin w
+    sum_k (-1)**k a_(2k+1) / x**(2k+1)), w = x - v pi/2 - pi/4 (10.17.3).
+
+    Term k over term k-1 is (4v**2 - (2k-1)**2) / (8 k x), below 6e-4 / k
+    for the v up to 341 that the Bessel form allows, so _SERIES_TERMS of
+    them are far past double precision. cos w and sin w are expanded over
+    cos x and sin x, so x is not rounded by a shift of its phase.
+    """
+    mu = 4.0 * v * v
+    term = np.ones_like(x)
+    sums = [np.ones_like(x), np.zeros_like(x)]
+    for k in range(1, _SERIES_TERMS):
+        term = term * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
+        if quantum:
+            sums[k % 2] += term if k // 2 % 2 == 0 else -term
+        else:
+            sums[0] += term if k % 2 == 0 else -term
+    if not quantum:
+        return sums[0] / np.sqrt(2 * np.pi * x)
+    phase = v * math.pi / 2 + math.pi / 4
+    cos, sin = np.cos(x), np.sin(x)
+    cos_w = cos * math.cos(phase) + sin * math.sin(phase)
+    sin_w = sin * math.cos(phase) - cos * math.sin(phase)
+    return np.sqrt(2 / (np.pi * x)) * (cos_w * sums[0] - sin_w * sums[1])
+
+
 def _semicircle_factor(v, x, quantum: bool) -> np.ndarray:
     """Gamma(v+1) (2/x)**v times ive(v, x) (Laplace) or J_v(x) (Fourier):
-    the 0F1 series up to x**2/4 = v+1, the Bessel form beyond."""
+    the 0F1 series up to x**2/4 = v+1, the Bessel form beyond, its Bessel
+    factor from the large-argument expansions above _LARGE_X."""
     from scipy import special
 
     out = np.empty_like(x)
@@ -152,7 +194,10 @@ def _semicircle_factor(v, x, quantum: bool) -> np.ndarray:
             raise NumericalError(
                 f"nu={v - 0.5} is beyond the range of the Bessel closed form "
                 f"(nu up to about 340)")
-        bessel = special.jv(v, far) if quantum else special.ive(v, far)
+        large = far > _LARGE_X
+        bessel = np.empty_like(far)
+        bessel[~large] = (special.jv if quantum else special.ive)(v, far[~large])
+        bessel[large] = _large_x_bessel(v, far[large], quantum)
         out[~near] = np.exp(special.gammaln(v + 1) + v * np.log(2 / far)) * bessel
     return out
 
@@ -166,6 +211,11 @@ def _lifshits_transform(dos: Lifshits, s: np.ndarray) -> np.ndarray:
     for b-1 in [0.1, 10]). Where that falls below a quarter ulp of 1 the
     value is 1 to double precision and is taken from the s = 0 branch,
     before kve overflows and the power underflows.
+
+    Far out, the value's log-magnitude is that of K's leading large-argument
+    term, sqrt(pi / (2w)) exp(-w) at w = 2 sqrt(s), within 1/2 where
+    |w| > (b-1)**2 (DLMF 10.40.1). Where it lies below _LOG_TINY the value
+    is 0 to double precision and is taken as such, before kve turns NaN.
     """
     from scipy import special
 
@@ -176,6 +226,12 @@ def _lifshits_transform(dos: Lifshits, s: np.ndarray) -> np.ndarray:
     pos[pos] = (size[pos] ** min(nu, 1.0) * (1 + np.abs(np.log(size[pos])))
                 >= 0.25 * np.finfo(float).eps)
     w = 2 * np.sqrt(s[pos])
+    log_size = (0.5 * nu * np.log(size[pos]) - w.real - dos.log_norm
+                + 0.5 * np.log(2 * np.pi / np.abs(w)))
+    gone = (np.abs(w) > nu * nu) & (log_size < _LOG_TINY)
+    out[pos] = 0.0
+    pos[pos] = ~gone
+    w = w[~gone]
     out[pos] = 2 * np.exp(0.5 * nu * np.log(s[pos]) - w - dos.log_norm) \
         * special.kve(nu, w)
     return out

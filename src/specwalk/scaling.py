@@ -165,8 +165,9 @@ def fit_stretched_exp(times, values, window) -> StretchedExpFit:
 class EfficiencyRatioSeries:
     """Pointwise ln(quantum envelope) / ln(classical return) on the shared grid.
 
-    Points where either curve touches 1 (zero log) or leaves (0, 1) are
-    excluded and counted, per the excluded_points field.
+    Points where either curve touches 1 (zero log) or leaves (0, 1), the
+    envelope's zeros among them, are excluded and counted, per the
+    excluded_points field.
     """
 
     times: np.ndarray
@@ -181,14 +182,17 @@ def efficiency_ratio_series(classical_times, classical_values,
 
     The envelope is a (times, values) pair; a non-oscillatory quantum
     series can be passed directly as its own envelope. Evaluation is
-    restricted to the envelope's time range (no extrapolation). The
-    asymptotic value is the mean over the last decade of surviving points.
+    restricted to the envelope's time range (no extrapolation). Envelope
+    points at 0, as where a series underflows, are left out of the log
+    interpolation: at such a point, and between it and its neighbours,
+    the envelope is 0. The asymptotic value is the mean over the last
+    decade of surviving points.
     """
     env_t, env_v = (np.asarray(a, dtype=float) for a in envelope)
     ct = np.asarray(classical_times, dtype=float)
     cv = np.asarray(classical_values, dtype=float)
-    if np.any(env_v <= 0):
-        raise ValueError("envelope values must be positive for log interpolation")
+    if np.any(env_v < 0):
+        raise ValueError("envelope values must be non-negative")
     pos = env_t > 0
     env_t, env_v = env_t[pos], env_v[pos]
     if len(env_t) < 2:
@@ -197,7 +201,9 @@ def efficiency_ratio_series(classical_times, classical_values,
     in_range = (ct >= env_t[0]) & (ct <= env_t[-1]) & (ct > 0)
     t = ct[in_range]
     p = cv[in_range]
-    env = np.exp(np.interp(np.log(t), np.log(env_t), np.log(env_v)))
+    log_t, log_env_t, live = np.log(t), np.log(env_t), env_v > 0
+    env = np.exp(np.interp(log_t, log_env_t, np.log(np.where(live, env_v, 1.0))))
+    env[np.interp(log_t, log_env_t, 1.0 - live) > 0] = 0.0
     valid = (p > 0) & (p < 1) & (env > 0) & (env < 1)
     excluded = int(in_range.sum() - valid.sum())
     t, p, env = t[valid], p[valid], env[valid]

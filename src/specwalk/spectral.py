@@ -30,8 +30,8 @@ from .errors import NumericalError
 from .graphs import Graph
 
 RESIDUAL_RTOL = 1e-9
-# elements of one column block in the residual check, and of one block of
-# clusters of the pair-orbit projectors
+# elements of one block of every n-sized float loop (`_blocks`): 2 MB of
+# float64, which stays in a core's L2 cache
 _BLOCK_ELEMS = 1 << 18
 
 
@@ -61,8 +61,8 @@ class Spectrum:
 
     `pairs`, when set, is a `ShellTree` or `TorusPairs`: the pair orbits
     of a symmetric graph, on which every eigenspace projector is
-    constant, and from which `factor` and `chi_matrix` take the projectors
-    of the modes' clusters without eigenvectors.
+    constant, and from which `projector_factor` and `transport.chi_table`
+    take the projectors of the modes' clusters without eigenvectors.
 
     Taken in ascending order and weighted by their copies, modes join a
     cluster while they stay within `default_cluster_tol` of its running
@@ -70,8 +70,8 @@ class Spectrum:
     deviation from it, so bit-identical copies keep their value.
     `cluster[i]` is the cluster of mode i; cluster E covers
     `eigenvalues[starts[E]:starts[E] + mult[E]]`, so the multiplicities sum
-    to n. The clusters and `factor` are built on first use; the spectrum is
-    treated as immutable, so they are never rebuilt.
+    to n. The clusters are built on first use; the spectrum is treated as
+    immutable, so they are never rebuilt.
     """
 
     values: np.ndarray
@@ -136,37 +136,38 @@ class Spectrum:
         """The cluster of each mode, in the order of `values`."""
         return self._clusters[3]
 
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """F, r x K, with F^T F = W^T W, where W[j, E] is the diagonal of
-        the projector onto cluster E at node j, whatever basis spans the
-        cluster; pi_bar reads it at T x K x r.
 
-        With pair orbits, W is constant on the orbits of the diagonal, and
-        `pairs.diagonal` holds it per orbit: sizes s and Omega (o x K), so
-        F = diag(sqrt(s)) Omega, and r is 1 on a torus and the shell count
-        on a tree. From eigenvectors, W is their squares summed per cluster,
-        n x K. F is W when every cluster is one vector (n = K), else the
-        K x K R of W's QR decomposition, so that r <= K.
-        """
-        if self.pairs is not None:
-            sizes, omega = self.pairs.diagonal(self.cluster)
-            return omega * np.sqrt(sizes)[:, None]
-        if self.eigenvectors is None:
-            raise ValueError("operation needs eigenvectors or pair orbits; "
-                             "use graph_spectrum(graph, with_vectors=True)")
-        weights = self.eigenvectors**2
-        if len(self.levels) == weights.shape[1]:
-            return weights
-        return np.linalg.qr(np.add.reduceat(weights, self.starts, axis=1), mode="r")
+def projector_factor(spectrum: Spectrum) -> np.ndarray:
+    """F, r x K, with F^T F = W^T W, where W[j, E] is the diagonal of the
+    projector onto cluster E at node j, whatever basis spans the cluster;
+    pi_bar reads it at T x K x r. It is computed anew on every call, so it
+    lives as long as its caller holds it.
+
+    With pair orbits, W is constant on the orbits of the diagonal, and
+    `pairs.diagonal` holds it per orbit: sizes s and Omega (o x K), so
+    F = diag(sqrt(s)) Omega, and r is 1 on a torus and the shell count on
+    a tree. From eigenvectors, W is their squares summed per cluster,
+    n x K. F is W when every cluster is one vector (n = K), else the K x K
+    R of W's QR decomposition, so that r <= K.
+    """
+    if spectrum.pairs is not None:
+        sizes, omega = spectrum.pairs.diagonal(spectrum.cluster)
+        return omega * np.sqrt(sizes)[:, None]
+    if spectrum.eigenvectors is None:
+        raise ValueError("operation needs eigenvectors or pair orbits; "
+                         "use graph_spectrum(graph, with_vectors=True)")
+    weights = spectrum.eigenvectors**2
+    if len(spectrum.levels) == weights.shape[1]:
+        return weights
+    return np.linalg.qr(np.add.reduceat(weights, spectrum.starts, axis=1), mode="r")
 
 
-def _column_blocks(shape):
-    """Slices of consecutive column blocks of an array of this shape, each
-    block holding about _BLOCK_ELEMS elements."""
-    rows, cols = shape
-    step = max(1, _BLOCK_ELEMS // max(rows, 1))
-    return [slice(lo, lo + step) for lo in range(0, cols, step)]
+def _blocks(count, width):
+    """Slices tiling range(count) in consecutive blocks, each of about
+    _BLOCK_ELEMS / width items, so that a block of `width`-wide rows holds
+    about _BLOCK_ELEMS elements."""
+    step = max(1, _BLOCK_ELEMS // max(width, 1))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _checked_residual(graph, vecs, vals) -> float:
@@ -182,7 +183,7 @@ def _checked_residual(graph, vecs, vals) -> float:
     degrees = graph.degrees()[:, None]
     scale = max(1.0, float(np.abs(vals).max()))
     resid = 0.0
-    for cols in _column_blocks(vecs.shape):
+    for cols in _blocks(vecs.shape[1], len(vecs)):
         block = vecs[:, cols]
         diff = degrees * block - adjacency @ block
         diff -= block * vals[cols]
@@ -293,10 +294,8 @@ class TorusPairs:
         # the transform of a real, even indicator is real; rfftn keeps the
         # folded half of the last axis, the slice that of the others
         half = (slice(None),) + (slice(0, side // 2 + 1),) * (d - 1)
-        count = int(cluster.max()) + 1
-        step = max(1, _BLOCK_ELEMS // n)
-        for lo in range(0, count, step):
-            ids = np.arange(lo, min(lo + step, count)).reshape((-1,) + (1,) * d)
+        for part in _blocks(int(cluster.max()) + 1, n):
+            ids = np.arange(part.start, part.stop).reshape((-1,) + (1,) * d)
             indicator = (of_mode == ids).astype(float)
             block = np.fft.rfftn(indicator, axes=tuple(range(1, d + 1)))[half].real / n
             yield block.reshape(len(ids), -1)
@@ -315,14 +314,13 @@ class TorusPairs:
         node = np.arange(n)
         coords = [(node // side**axis % side).astype(np.int16) for axis in range(self.d)]
         index = np.zeros((n, n), dtype=np.int16)
-        step = max(1, _BLOCK_ELEMS // n)
-        for lo in range(0, n, step):
+        for rows in _blocks(n, n):
             for axis, x in enumerate(coords):
-                r = np.subtract.outer(x[lo:lo + step], x)
+                r = np.subtract.outer(x[rows], x)
                 np.abs(r, out=r)
                 np.minimum(r, side - r, out=r)
                 r *= (side // 2 + 1) ** axis
-                index[lo:lo + step] += r
+                index[rows] += r
         return index
 
 
@@ -370,10 +368,8 @@ class ShellTree:
         cluster of mode m."""
         f, c = self.amplitudes, self._factors()
         orbits = f.shape[1] ** 3
-        count = int(cluster.max()) + 1
-        step = max(1, _BLOCK_ELEMS // orbits)
-        for lo in range(0, count, step):
-            hi = min(lo + step, count)
+        for part in _blocks(int(cluster.max()) + 1, orbits):
+            lo, hi = part.start, part.stop
             modes = np.flatnonzero((cluster >= lo) & (cluster < hi))
             terms = f[modes, :, None, None] * f[modes, None, :, None] * c[modes, None, None, :]
             out = np.zeros((hi - lo, orbits))
@@ -403,12 +399,11 @@ class ShellTree:
         # where both nodes have the same ancestor; every node of shell a or
         # deeper, a suffix in node order, has its shell-a ancestor at
         # offset o // (N_g / N_a); compared a block of rows at a time
-        step = max(1, _BLOCK_ELEMS // n)
         for a in range(1, shells):
             ancestor = offset[starts[a]:] // (sizes[shell[starts[a]:]] // sizes[a])
-            for lo in range(0, len(ancestor), step):
-                rows = index[starts[a] + lo:starts[a] + lo + step, starts[a]:]
-                rows += ancestor[lo:lo + step, None] == ancestor
+            below = index[starts[a]:, starts[a]:]
+            for rows in _blocks(len(ancestor), n):
+                below[rows] += ancestor[rows, None] == ancestor
         index += (shell * shells**2).astype(dtype)[:, None]
         index += (shell * shells).astype(dtype)
         return index

@@ -10,10 +10,11 @@ or, on the symmetric families, their pair orbits.
 
 Both read the spectrum's degeneracy clusters, built once per spectrum:
 K distinct levels with their multiplicities and, with vectors or pair
-orbits, a factor of the Gram matrix of the cluster projector diagonals.
-The series work in real arithmetic on blocks of about CHUNK_ELEMS / K
-times, at most three such blocks alive at once, so their cost scales with
-K rather than n and their memory does not grow with the grid.
+orbits, a factor of the Gram matrix of the cluster projector diagonals,
+which `transport_series` computes for its call only. The series work in
+real arithmetic on blocks of about `spectral._BLOCK_ELEMS` / K times, at
+most three such blocks alive at once, so their cost scales with K rather
+than n and their memory does not grow with the grid.
 `parse_grid_spec` reads a run's time grid from its spec, at most
 MAX_GRID_POINTS points. `series_csv` writes a series as CSV, and
 `read_series_csv` reads one back in one numpy parse.
@@ -26,10 +27,10 @@ from itertools import chain, islice
 
 import numpy as np
 
-from ._csvtext import _CSV_BLOCK_CELLS, _columns, _csv_blocks, float_text
+from ._csvtext import _columns, _csv_blocks, float_text
 from . import graphs
 from .errors import NumericalError, ParseError, ResourceLimitError, _read_spec
-from .spectral import Spectrum
+from .spectral import Spectrum, _blocks, projector_factor
 
 # the series and its CSV are O(points) in memory: a million points write a
 # 70 MB series.csv, streamed a block of rows at a time from 24 B of text a
@@ -40,9 +41,6 @@ MAX_GRID_POINTS = 1_000_000
 EIG_CLAMP_TOL = 1e-8
 # rounding may push a probability past [0, 1] by a few ulps, never by more
 PROB_CLAMP_TOL = 1e-12
-# elements of one times x clusters block in the averaged kernels: 2 MB of
-# float64, which stays in a core's L2 cache
-CHUNK_ELEMS = 1 << 18
 # exp(-708) = 3.3e-308 is still a normal double
 EXP_FLOOR = -708.0
 SQRT2 = np.sqrt(2.0)
@@ -148,14 +146,6 @@ def _levels(spectrum: Spectrum) -> np.ndarray:
     return np.clip(spectrum.levels, 0.0, None)
 
 
-def _chunked(grid: TimeGrid, k: int, kernel) -> np.ndarray:
-    """kernel(times) on consecutive blocks of the grid, each block's
-    times x K arrays holding about CHUNK_ELEMS elements."""
-    t = grid.times
-    step = max(1, CHUNK_ELEMS // max(k, 1))
-    return np.concatenate([kernel(t[lo:lo + step]) for lo in range(0, len(t), step)])
-
-
 def _cos_sin(t: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of outer(t, lam) from the tangent u of the half angle:
     cos = 2/(1+u^2) - 1, sin = 2u/(1+u^2), accurate to about one ulp of 1.
@@ -205,16 +195,19 @@ def transport_series(spectrum: Spectrum, grid: TimeGrid,
       average quantum return, with W_jE the diagonal of the projector onto
       cluster E. Expanded, that is (1/N) sum_{E,E'} G_EE' cos((lam_E -
       lam_E') t) with G = W^T W = F^T F, evaluated as rowsum((C F^T)^2 +
-      (S F^T)^2) / N: T x K x r real flops, where F (`Spectrum.factor`)
+      (S F^T)^2) / N: T x K x r real flops, where F (`projector_factor`)
       has r rows, 1 on a torus, one per shell on a tree and at most K from
       eigenvectors. F comes from the pair orbits, so a closed-form spectrum
-      needs no eigenvectors.
+      needs no eigenvectors. F is computed once per call and freed when
+      the call returns.
 
-    One half-angle block per chunk of times feeds both quantum columns.
+    The times run in blocks of `spectral._blocks` rows, each times x K
+    array about `spectral._BLOCK_ELEMS` elements; one half-angle block per
+    block of times feeds both quantum columns.
     """
     lam = _levels(spectrum)
     n, mult = spectrum.n, spectrum.mult.astype(float)
-    factor = spectrum.factor.T if with_exact_quantum else None
+    factor = projector_factor(spectrum).T if with_exact_quantum else None
 
     def kernel(t):
         # at most three times x K blocks are alive at once
@@ -237,7 +230,8 @@ def transport_series(spectrum: Spectrum, grid: TimeGrid,
             columns.append(pi.sum(axis=1) / n)
         return np.column_stack(columns)
 
-    columns = _chunked(grid, len(lam), kernel).T
+    t = grid.times
+    columns = np.concatenate([kernel(t[rows]) for rows in _blocks(len(t), len(lam))]).T
     return TransportSeries(
         grid=grid, p_bar=columns[0], alpha_bar_sq=clamp_unit_interval(columns[1]),
         pi_bar=None if factor is None else clamp_unit_interval(columns[2]))
@@ -337,13 +331,17 @@ def chi_diagnostics(values, index) -> dict[str, str]:
     the rows one after another, as chi.sum(axis=0) adds them, so the sums
     keep their bits and no n x n array is made."""
     n = len(index)
-    step = max(1, _CSV_BLOCK_CELLS // n)
-    rows = np.zeros((step + 1, n))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    # a gathered row costs its float row, its index row and, from a
+    # _TriangleIndex, the temporaries that compute it: fewer than eight
+    # n-element rows of 8-byte words, so blocks of 8 n keep the gather
+    # within _BLOCK_ELEMS words
+    blocks = _blocks(n, 8 * n)
+    rows = np.zeros((blocks[0].stop + 1, n))
+    for block in blocks:
+        m = block.stop - block.start
         # every index is in range; mode="raise" would copy out first
-        np.take(values, index[lo:hi], out=rows[1:1 + hi - lo], mode="clip")
-        rows[0] = rows[:1 + hi - lo].sum(axis=0)
+        np.take(values, index[block], out=rows[1:1 + m], mode="clip")
+        rows[0] = rows[:1 + m].sum(axis=0)
     return {"chi.column_sum_error": repr(float(np.abs(rows[0] - 1.0).max())),
             "chi.mean_return": repr(float(values[index.diagonal()].sum() / n))}
 

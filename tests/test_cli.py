@@ -20,7 +20,7 @@ import specwalk.transport as transport
 from specwalk import (Graph, NumericalError, ParseError, ResourceLimitError,
                       graph_spectrum, parse_graph_spec)
 from specwalk.scaling import extract_envelope
-from specwalk.spectral import default_cluster_tol
+from specwalk.spectral import default_cluster_tol, projector_factor
 from specwalk.cli import ExperimentConfig, main, preset, read_config_file, run_experiment
 from specwalk.transport import parse_grid_spec
 
@@ -653,6 +653,40 @@ class TestFitModel:
         assert report["classical_model"] == report["quantum_model"] == expected
 
 
+class TestUnderflowingSeries:
+    """A Lifshits series underflows to 0 inside the grid; its analysis
+    leaves those points out of delta_p and counts them."""
+
+    @staticmethod
+    def check_exclusions(series_csv, out):
+        data = np.loadtxt(series_csv, delimiter=",", skiprows=1)
+        t, p, alpha = data[data[:, 0] > 0, :3].T
+        # the quantum series does not oscillate, so it is its own envelope
+        bad = ~((p > 0) & (p < 1) & (alpha > 0) & (alpha < 1))
+        assert (alpha == 0).sum() > 0
+        report = dict(ln.split(" = ") for ln in (out / "report.txt").read_text().splitlines())
+        assert int(report["delta_p_excluded_points"]) == bad.sum()
+        deltap = np.loadtxt(out / "deltap.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(deltap[:, 0], t[~bad])
+        assert np.all(np.isfinite(deltap[:, 1]))
+
+    def test_run(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--dos", "lifshits:b=2", "--grid", "log:1e-3,3e5,350",
+                     "--fit-window", "50,2e4", "--out", str(out)]) == 0
+        assert {f.name for f in out.iterdir()} == {
+            "series.csv", "report.txt", "deltap.csv", "manifest.txt"}
+        self.check_exclusions(out / "series.csv", out)
+
+    def test_fit(self, tmp_path):
+        src, out = tmp_path / "src", tmp_path / "fit"
+        assert main(["transport", "--dos", "lifshits:b=2", "--grid", "log:1e-3,1e6,350",
+                     "--out", str(src)]) == 0
+        assert main(["fit", "--series", str(src / "series.csv"), "--out", str(out)]) == 0
+        assert {f.name for f in out.iterdir()} == {"report.txt", "deltap.csv", "manifest.txt"}
+        self.check_exclusions(src / "series.csv", out)
+
+
 class TestAnalyzeSeriesFile:
     def test_round_trip_analysis(self, tmp_path):
         t = np.geomspace(1.5, 1000, 300)
@@ -852,7 +886,7 @@ class TestManifest:
         assert float(diag["chi.column_sum_error"]) <= 1e-13
         spectrum = graph_spectrum(parse_graph_spec(graph), with_vectors=True)
         assert float(diag["chi.mean_return"]) == pytest.approx(
-            (spectrum.factor**2).sum() / len(chi), rel=1e-13)
+            (projector_factor(spectrum)**2).sum() / len(chi), rel=1e-13)
 
     def test_no_chi_diagnostics_without_chi(self, tmp_path):
         run_experiment(ExperimentConfig(graph="ring:12", out=str(tmp_path)),
@@ -1082,14 +1116,17 @@ class TestManifest:
                                        "torus:30,1", "er:40,0.2,seed=3"])
     def test_chi_diagnostics_in_blocks_keep_their_bits(self, graph, monkeypatch):
         # blocks of 1, 3 and 17 rows give what chi.sum(axis=0) and np.trace
-        # give, on the orbit table and on the dense triangle
+        # give, on the orbit table and on the dense triangle. The table is
+        # built first: the orbit table sums its blocks of clusters, so its
+        # bits depend on their size
         spectrum = graph_spectrum(parse_graph_spec(graph), with_vectors=True)
-        chi = transport.chi_matrix(spectrum)
+        table = transport.chi_table(spectrum)
+        chi = table[0][table[1][:]]
         want = {"chi.column_sum_error": repr(float(np.abs(chi.sum(axis=0) - 1.0).max())),
                 "chi.mean_return": repr(float(np.trace(chi) / len(chi)))}
         for rows in (1, 3, 17):
-            monkeypatch.setattr(transport, "_CSV_BLOCK_CELLS", rows * len(chi))
-            assert transport.chi_diagnostics(*transport.chi_table(spectrum)) == want
+            monkeypatch.setattr(spectral, "_BLOCK_ELEMS", rows * 8 * len(chi))
+            assert transport.chi_diagnostics(*table) == want
 
 
 class TestFormatsEachFloatOnce:

@@ -21,7 +21,7 @@ from specwalk import (
     lattice_return_1d_product,
     parse_dos_spec,
 )
-from specwalk.continuum import _transform
+from specwalk.continuum import _LARGE_X, _transform
 from specwalk.transport import TimeGrid, linear_grid, log_grid
 
 
@@ -397,6 +397,70 @@ class TestClosedFormsAgainstOracles:
             classical_return_continuum(dos, grid)
         with pytest.raises(NumericalError, match="nu=400"):
             _transform(dos, grid.times, quantum=True)
+
+
+def mp_bessel_semicircle(nu, x):
+    """(p, alpha) at x = lam_max t / 2 from the Bessel forms at 40 digits,
+    and the modulus of the large-argument leading term of each."""
+    with mpmath.workdps(40):
+        v, x = mpmath.mpf(nu) + mpmath.mpf(1) / 2, mpmath.mpf(x)
+        pre = mpmath.gamma(v + 1) * (2 / x) ** v
+        p = pre * mpmath.besseli(v, x) * mpmath.exp(-x)
+        alpha = pre * mpmath.besselj(v, x) * mpmath.exp(-1j * x)
+        return (float(p), complex(alpha),
+                float(pre / mpmath.sqrt(2 * mpmath.pi * x)),
+                float(pre * mpmath.sqrt(2 / (mpmath.pi * x))))
+
+
+def mp_lifshits(b, s):
+    """2 s^((b-1)/2) K_(b-1)(2 sqrt s) / Gamma(b-1) at 40 digits."""
+    with mpmath.workdps(40):
+        nu, s = mpmath.mpf(b) - 1, mpmath.mpmathify(s)
+        return complex(2 * s ** (nu / 2) * mpmath.besselk(nu, 2 * mpmath.sqrt(s))
+                       / mpmath.gamma(nu))
+
+
+class TestLargeTimes:
+    """Past x = lam_max t / 2 of about 1.07e9 scipy's ive and jv, and past
+    |2 sqrt(i t)| of about 1.2e9 its kve, return NaN; the transforms stay
+    finite there."""
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.5, 2.0])
+    @pytest.mark.parametrize("x", [np.nextafter(_LARGE_X, 0.0), _LARGE_X,
+                                   np.nextafter(_LARGE_X, np.inf), 1e10, 1e12, 1e15])
+    def test_semicircle_matches_mpmath(self, nu, x):
+        # lam_max = 2, so x = t; below _LARGE_X scipy's Bessel functions,
+        # above it their large-argument expansions
+        dos = PowerSemicircle(nu=nu, lam_max=2.0)
+        times = np.array([x])
+        want_p, want_alpha, size_p, size_alpha = mp_bessel_semicircle(nu, x)
+        assert abs(_transform(dos, times, quantum=False)[0] - want_p) <= 1e-13 * size_p
+        assert abs(_transform(dos, times, quantum=True)[0] - want_alpha) <= 1e-13 * size_alpha
+
+    def test_semicircle_series_to_1e12(self):
+        grid = log_grid(1.0, 1e12, 50)
+        series = continuum_series(PowerSemicircle(nu=0.5, lam_max=2.0), grid)
+        assert np.all(np.isfinite(series.p_bar)) and np.all(np.isfinite(series.alpha_bar_sq))
+        # p ~ (2/x) / sqrt(2 pi x) at x = t = 1e12
+        assert series.p_bar[-1] == pytest.approx(2e-12 / math.sqrt(2 * math.pi * 1e12),
+                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("b", [1.5, 2.0, 11.0])
+    @pytest.mark.parametrize("t", [1e3, 1e5, 2e5, 3e5, 1e6, 3.7649358067924864e17, 1e18])
+    def test_lifshits_matches_mpmath_down_to_zero(self, b, t):
+        # below the double range the value is 0; above it, the closed form
+        for s, quantum in [(t, False), (1j * t, True)]:
+            got = _transform(Lifshits(b=b), np.array([t]), quantum=quantum)[0]
+            want = mp_lifshits(b, s)
+            assert abs(got - want) <= 1e-10 * abs(want) + 1e-300, (s, got, want)
+        if t > 1e17:
+            assert _transform(Lifshits(b=b), np.array([t]), quantum=True)[0] == 0
+
+    def test_lifshits_series_to_1e18(self):
+        grid = log_grid(1e-3, 1e18, 100)
+        series = continuum_series(Lifshits(b=2.0), grid)
+        assert np.all(np.isfinite(series.p_bar)) and np.all(np.isfinite(series.alpha_bar_sq))
+        assert series.p_bar[-1] == 0 and series.alpha_bar_sq[-1] == 0
 
 
 class TestPurePowerIdentity:

@@ -242,6 +242,29 @@ class TestEfficiencyRatio:
         assert ratio.excluded_points == 1
         assert len(ratio.times) == 4
 
+    def test_zero_envelope_points_are_excluded_and_counted(self):
+        # a series that underflows to 0 in its middle and at its tail: the
+        # zeros, and the grid points between them and their neighbours,
+        # are excluded and counted; every other point keeps the ratio that
+        # the positive points alone give
+        t = np.geomspace(1.0, 1e3, 49)
+        p = 0.5 * t**-1.0
+        env_t = t[::4]
+        env_v = 0.5 * env_t**-2.0
+        env_v[[5, 11, 12]] = 0.0
+        ratio = efficiency_ratio_series(t, p, (env_t, env_v))
+        zero = (t > env_t[4]) & (t < env_t[6]) | (t > env_t[10])
+        assert ratio.excluded_points == zero.sum() == 7 + 8
+        np.testing.assert_array_equal(ratio.times, t[~zero])
+        live = env_v > 0
+        want = efficiency_ratio_series(t[~zero], p[~zero], (env_t[live], env_v[live]))
+        np.testing.assert_array_equal(ratio.values, want.values)
+
+    def test_rejects_negative_envelope(self):
+        t = np.geomspace(1, 10, 20)
+        with pytest.raises(ValueError, match="non-negative"):
+            efficiency_ratio_series(t, np.full(20, 0.5), (t, np.full(20, -0.1)))
+
     def test_rejects_all_invalid(self):
         t = np.geomspace(1, 10, 20)
         with pytest.raises(ValueError):

@@ -34,9 +34,9 @@ import specwalk.cli as cli
 import specwalk.spectral as spectral
 from specwalk.cli import ExperimentConfig, run_experiment
 from specwalk.graphs import _build_tree
-from specwalk.spectral import (ShellTree, Spectrum, TorusPairs, _checked_residual,
-                               _column_blocks, _lower_laplacian,
-                               default_cluster_tol, degeneracies_csv, spectrum_csv)
+from specwalk.spectral import (ShellTree, Spectrum, TorusPairs, _blocks, _checked_residual,
+                               _lower_laplacian, default_cluster_tol, degeneracies_csv,
+                               projector_factor, spectrum_csv)
 from specwalk.transport import TimeGrid, chi_matrix, log_grid, transport_series
 
 
@@ -169,7 +169,7 @@ class TestOwnedBufferSolve:
 
     def test_residual_checks_every_column_block(self):
         n = 600
-        assert len(_column_blocks((n, n))) > 1
+        assert len(_blocks(n, n)) > 1
         vals = np.zeros(n)
         vals[-1] = 1e-3  # n isolated nodes, L = 0: only the last pair is off
         with pytest.raises(NumericalError, match="residual 1.000e-03"):
@@ -195,7 +195,7 @@ class TestOwnedBufferSolve:
         assert len(s.levels) == s.n  # singleton clusters: the squares are W
         tracemalloc.start()
         try:
-            factor = s.factor
+            factor = projector_factor(s)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -235,6 +235,28 @@ class TestOwnedBufferSolve:
         # only the lower triangle the solver reads is ever written: 0.79
         # n^2 doubles here, where the full matrix took 1.07
         assert int(out.stdout) <= 0.9 * 8 * g.n**2
+
+
+BUDGET = spectral._BLOCK_ELEMS
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("width,step", [(0, BUDGET), (1, BUDGET), (BUDGET - 1, 1),
+                                            (BUDGET, 1), (BUDGET + 1, 1), (3 * BUDGET, 1)])
+    @pytest.mark.parametrize("count", [0, 1, 7, 2 * BUDGET + 1])
+    def test_tiles_the_range(self, count, width, step):
+        # consecutive, non-empty blocks from 0 to count, each of `step`
+        # items but the last, which holds what is left
+        blocks = _blocks(count, width)
+        starts = np.array([b.start for b in blocks], dtype=np.int64)
+        stops = np.array([b.stop for b in blocks], dtype=np.int64)
+        assert all(b.step is None for b in blocks)
+        assert len(blocks) == -(-count // step)
+        if count:
+            assert starts[0] == 0 and stops[-1] == count
+            assert np.array_equal(starts[1:], stops[:-1])
+            assert np.all(stops[:-1] - starts[:-1] == step)
+            assert 0 < stops[-1] - starts[-1] <= step
 
 
 class TestTraceIdentity:
@@ -296,7 +318,8 @@ def projector_diagonals(s):
 def gram(s):
     """G = F^T F, the Gram matrix of the projector diagonals, from the
     spectrum's factor."""
-    return s.factor.T @ s.factor
+    factor = projector_factor(s)
+    return factor.T @ factor
 
 
 def running_mean_table(eigenvalues, tol):
@@ -340,7 +363,6 @@ class TestClusters:
     def test_built_once(self):
         s = decompose(build_star(9), with_vectors=True)
         assert s.levels is s.levels and s.mult is s.mult and s.starts is s.starts
-        assert s.factor is s.factor
 
     @pytest.mark.parametrize("g", graphs)
     def test_weights_are_projector_diagonals(self, g):
@@ -353,7 +375,7 @@ class TestClusters:
     def test_weights_need_vectors(self):
         s = decompose(build_ring(6))
         with pytest.raises(ValueError, match="eigenvector"):
-            s.factor
+            projector_factor(s)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(st.integers(0, 40), st.sampled_from([0.0, 3e-12, 1e-11]),
@@ -506,7 +528,8 @@ class TestGraphSpectrum:
             for s, w in [(orbit, omega * np.sqrt(sizes)[:, None]),
                          (dense, np.add.reduceat(dense.eigenvectors**2, dense.starts, axis=1))]:
                 k, want = len(s.levels), w.T @ w
-                assert s.factor.shape[1] == k and len(s.factor) <= k, g.family
+                factor = projector_factor(s)
+                assert factor.shape[1] == k and len(factor) <= k, g.family
                 # relative to G's largest entry: on a dendrimer a cluster of
                 # hundreds of vectors has G_EE near 100, and both products
                 # round there by several ulp
@@ -514,7 +537,8 @@ class TestGraphSpectrum:
                                            atol=1e-13 * max(1.0, want.max()),
                                            err_msg=f"{g.family} {s.path}")
             # one diagonal orbit on a torus, one per shell on a tree
-            assert len(orbit.factor) == (1 if g.family[0] == "torus" else len(g.family[1]) + 1)
+            orbits = 1 if g.family[0] == "torus" else len(g.family[1]) + 1
+            assert len(projector_factor(orbit)) == orbits
 
     def test_dense_pi_bar_at_late_times(self, pairs):
         # the dense levels of decompose(dendrimer:6,4), clusters of up to
@@ -730,9 +754,7 @@ class TestGraphSpectrum:
         tracemalloc.start()
         try:
             s = graph_spectrum(large_dendrimer, with_vectors=with_vectors)
-            transport_series(s, log_grid())
-            if with_vectors:
-                s.factor
+            transport_series(s, log_grid(), with_exact_quantum=with_vectors)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

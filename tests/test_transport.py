@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import specwalk.cli as cli
-from specwalk import transport
+from specwalk import spectral, transport
 
 from specwalk import (
     Graph,
@@ -33,7 +33,7 @@ from specwalk import (
 import specwalk._csvtext as _csvtext
 from specwalk._csvtext import _REPR_BELOW, float_text, int_text
 from specwalk.scaling import EfficiencyRatioSeries, efficiency_report, ratio_csv
-from specwalk.spectral import spectrum_csv
+from specwalk.spectral import _blocks, projector_factor, spectrum_csv
 from specwalk.transport import (TimeGrid, TransportSeries, chi_csv, clamp_unit_interval,
                                 read_series_csv, series_csv)
 
@@ -474,7 +474,7 @@ class TestSharedHalfAngleBlock:
     @pytest.mark.parametrize("chunk", [None, 7, 1])
     def test_columns_equal_the_kernels(self, g, chunk, monkeypatch):
         if chunk is not None:
-            monkeypatch.setattr(transport, "CHUNK_ELEMS", chunk)
+            monkeypatch.setattr(spectral, "_BLOCK_ELEMS", chunk)
         grid = merge_grids(linear_grid(0.0, 20.0, 401), log_grid(20.0, 1e3, 200))
         dense = spectrum_of(g, vectors=True)
         for s in (graph_spectrum(g, with_vectors=True), dense):
@@ -543,7 +543,7 @@ class TestClusterKernelsAgainstOracle:
         # multiple of the chunk length
         s = oracle_spectra("union")
         k = len(s.levels)
-        monkeypatch.setattr(transport, "CHUNK_ELEMS", 7 * k)
+        monkeypatch.setattr(spectral, "_BLOCK_ELEMS", 7 * k)
         grid = linear_grid(0.0, 30.0, 21 + extra)
         for kernel, oracle in [(p_bar, oracle_classical),
                                (alpha_bar_sq, oracle_quantum_bound),
@@ -554,7 +554,7 @@ class TestClusterKernelsAgainstOracle:
 
     def test_chunk_smaller_than_one_row(self, oracle_spectra, monkeypatch):
         s = oracle_spectra("union")
-        monkeypatch.setattr(transport, "CHUNK_ELEMS", 1)
+        monkeypatch.setattr(spectral, "_BLOCK_ELEMS", 1)
         grid = linear_grid(0.0, 5.0, 3)
         np.testing.assert_allclose(pi_bar(s, grid),
                                    oracle_exact_average(s, grid), rtol=0, atol=1e-12)
@@ -562,7 +562,6 @@ class TestClusterKernelsAgainstOracle:
     def test_memory_is_bounded_on_long_grids(self, oracle_spectra):
         # the oracle would hold two 100k x 1500 complex arrays, 4.8 GB
         s = oracle_spectra("star:1500")
-        s.factor  # the one-off n x n work is not the grid's
         grid = linear_grid(0.0, 1e3, 100_000)
         tracemalloc.start()
         try:
@@ -590,10 +589,10 @@ class TestClusterKernelsAgainstOracle:
         assert series.pi_bar.shape == (5350,)
 
     def test_kernel_keeps_three_blocks(self):
-        # with F built beforehand: three 2 MB times x K blocks and the
-        # output columns, where separate products would hold five blocks
+        # F, the n x n squared vectors, which the call builds and frees,
+        # three 2 MB times x K blocks and the output columns, where
+        # separate products would hold five blocks
         s = graph_spectrum(parse_graph_spec("er:800,0.02,seed=1"), with_vectors=True)
-        s.factor
         grid = merge_grids(linear_grid(0.05, 250.0, 5000), log_grid(250.0, 1e4, 350))
         tracemalloc.start()
         try:
@@ -601,7 +600,7 @@ class TestClusterKernelsAgainstOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 2**20
+        assert peak <= 8 * s.n**2 + 7 * 2**20
 
 
 class TestChiCSVFormat:
@@ -630,7 +629,7 @@ class TestChiCSVFormat:
         assert len(index) == n
         np.testing.assert_array_equal(index[:], oracle)
         np.testing.assert_array_equal(index.diagonal(), oracle.diagonal())
-        for step in {1, 3, max(1, transport._CSV_BLOCK_CELLS // n)}:
+        for step in {1, 3, max(1, _csvtext._CSV_BLOCK_CELLS // n), _blocks(n, 8 * n)[0].stop}:
             for lo in range(0, n, step):
                 np.testing.assert_array_equal(index[lo:lo + step], oracle[lo:lo + step])
                 edge = slice(max(lo - 1, 0), lo + 2)
@@ -921,7 +920,7 @@ class TestInvariantProperties:
         # long-time limit, chi from the pair orbits or the eigenvectors
         # against F from their diagonal orbit or the squared eigenvectors
         s = graph_spectrum(g, with_vectors=True)
-        limit = (s.factor**2).sum() / s.n
+        limit = (projector_factor(s)**2).sum() / s.n
         assert np.trace(chi_matrix(s)) / s.n == pytest.approx(limit, rel=1e-13, abs=0)
 
     @PROPERTY_SETTINGS
