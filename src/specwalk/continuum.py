@@ -21,7 +21,9 @@ expansions (DLMF 10.40.1, 10.17.3), so no t is too large.
 For the Lifshits family u = 1/lam gives (DLMF 10.32.10, Gradshteyn & Ryzhik
 3.471.9) p = 2 t**((b-1)/2) K_{b-1}(2 sqrt t) / Gamma(b-1), and alpha is
 the same with t -> i t on the principal branch; the exponentially scaled
-kve keeps both accurate down to values near 1e-300. Where the value's
+kve keeps both accurate down to values near 1e-300. Where kve overflows
+(b of about 150 and up, at small t, where the power underflows), ln K
+comes from an upward recurrence in the order instead. Where the value's
 log-magnitude falls below double underflow it is 0, taken directly, before
 kve turns NaN (near |2 sqrt(i t)| = 1.2e9).
 """
@@ -216,6 +218,8 @@ def _lifshits_transform(dos: Lifshits, s: np.ndarray) -> np.ndarray:
     term, sqrt(pi / (2w)) exp(-w) at w = 2 sqrt(s), within 1/2 where
     |w| > (b-1)**2 (DLMF 10.40.1). Where it lies below _LOG_TINY the value
     is 0 to double precision and is taken as such, before kve turns NaN.
+    Where kve overflows, the value is exp(ln 2 + (nu/2) ln s + ln K_nu -
+    ln Gamma(nu)), ln K_nu from `_log_bessel_k`.
     """
     from scipy import special
 
@@ -232,9 +236,42 @@ def _lifshits_transform(dos: Lifshits, s: np.ndarray) -> np.ndarray:
     out[pos] = 0.0
     pos[pos] = ~gone
     w = w[~gone]
-    out[pos] = 2 * np.exp(0.5 * nu * np.log(s[pos]) - w - dos.log_norm) \
-        * special.kve(nu, w)
+    bessel = special.kve(nu, w)
+    # an overflowing kve is inf at real w and NaN at complex w
+    over = ~np.isfinite(bessel)
+    bessel[over] = 0.0
+    value = 2 * np.exp(0.5 * nu * np.log(s[pos]) - w - dos.log_norm) * bessel
+    if over.any():
+        value[over] = np.exp(math.log(2) + 0.5 * nu * np.log(s[pos][over])
+                             + _log_bessel_k(nu, w[over]) - dos.log_norm)
+    out[pos] = value
     return out
+
+
+def _log_bessel_k(nu, z):
+    """ln K_nu(z) where kve overflows, by the upward recurrence of the ratio
+    r_mu = K_(mu+1)(z) / K_mu(z), r_mu = 1 / r_(mu-1) + 2 mu / z (DLMF
+    10.29.1), started from kve at the fractional orders nu0 = nu - floor(nu)
+    and nu0 + 1: ln K_nu = ln kve(nu0, z) - z + sum of ln r_mu over mu =
+    nu0, ..., nu - 1. K is the dominant solution upward in the order, so the
+    recurrence is stable; its floor(nu) steps are one vector operation each.
+    The sum runs compensated (Kahan): it reaches thousands at b = 1000,
+    where plain summation was 1.7e-11 off 40-digit mpmath, relative.
+    """
+    from scipy import special
+
+    nu0 = nu - math.floor(nu)
+    start = special.kve(nu0, z)
+    log_k = np.log(start) - z
+    carry = np.zeros_like(log_k)
+    ratio = special.kve(nu0 + 1, z) / start
+    for mu in nu0 + 1 + np.arange(math.floor(nu)):
+        term = np.log(ratio) - carry
+        total = log_k + term
+        carry = (total - log_k) - term
+        log_k = total
+        ratio = 1 / ratio + 2 * mu / z
+    return log_k
 
 
 def _transform(dos, times: np.ndarray, quantum: bool) -> np.ndarray:

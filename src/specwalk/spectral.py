@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -30,6 +30,14 @@ from .errors import NumericalError
 from .graphs import Graph
 
 RESIDUAL_RTOL = 1e-9
+# bound on |sum of the eigenvalues - tr L| / max(1, tr L) of a dense solve
+TRACE_RTOL = 1e-9
+# eigenvalue-only dense solves from this many nodes up take ?syevd_2stage
+# (`_two_stage_eigvalsh`), whose reduction goes dense -> band -> tridiagonal
+# in BLAS-3 where ?syevd's ?sytrd is half BLAS-2 (Bischof, Lang & Sun, ACM
+# TOMS 26, 581 (2000)): its time over ?syevd's was 1.50 at n = 1000, 1.06 at
+# 1500, 0.88 at 2000, 0.75 at 3000 and 0.66 at 5000 (2 vCPUs, 2 BLAS threads)
+_TWO_STAGE_MIN_N = 2000
 # elements of one block of every n-sized float loop (`_blocks`): 2 MB of
 # float64, which stays in a core's L2 cache
 _BLOCK_ELEMS = 1 << 18
@@ -56,8 +64,11 @@ class Spectrum:
     solver gives them: the clusters take them in the order given, and
     column k of `eigenvectors` pairs with `values[k]`. `path` says how the
     eigenvalues were obtained: "dense" (the symmetric solver) or
-    "closed_form". `residual` is the largest eigenpair residual ||L v - lam
-    v|| over ||L||_2, where eigenvectors were checked.
+    "closed_form". A dense spectrum also names its LAPACK driver
+    (`solver`, "syevd" or "syevd_2stage") and carries `trace_error`,
+    |sum of eigenvalues - tr L| / max(1, tr L). `residual` is the largest
+    eigenpair residual ||L v - lam v|| over ||L||_2, where eigenvectors
+    were checked.
 
     `pairs`, when set, is a `ShellTree` or `TorusPairs`: the pair orbits
     of a symmetric graph, on which every eigenspace projector is
@@ -79,6 +90,8 @@ class Spectrum:
     eigenvectors: np.ndarray | None = None
     path: str = "dense"
     residual: float | None = None
+    solver: str | None = None
+    trace_error: float | None = None
     pairs: ShellTree | TorusPairs | None = field(default=None, repr=False)
 
     @property
@@ -196,14 +209,28 @@ def _checked_residual(graph, vecs, vals) -> float:
     return resid / scale
 
 
+def _checked_trace(graph, vals) -> float:
+    """|sum lam - tr L| / max(1, tr L), tr L = 2 |E|, the sum of the
+    degrees; above TRACE_RTOL it raises NumericalError with the matrix
+    size."""
+    trace = 2.0 * graph.edge_count
+    error = abs(float(vals.sum()) - trace) / max(1.0, trace)
+    if error > TRACE_RTOL:
+        raise NumericalError(
+            f"eigenvalue sum is off the trace by {error:.3e} > {TRACE_RTOL:.0e} "
+            f"relative for a {len(vals)}x{len(vals)} matrix")
+    return error
+
+
 def _lower_laplacian(graph: Graph) -> np.ndarray:
     """The Laplacian's lower triangle, degrees on the diagonal and -1 at
     (max(i, j), min(i, j)) per edge, in a Fortran-ordered n x n view of
     an anonymous private mapping, the upper triangle left unwritten.
 
-    ?syevd with uplo='L' never reads the strictly upper triangle, so its
-    pages are never made resident. The mapping takes 4 KiB pages where the
-    platform lets it: one huge page would span many columns' unread heads.
+    Neither driver `decompose` takes, ?syevd and ?syevd_2stage with
+    uplo='L', reads the strictly upper triangle, so its pages are never
+    made resident. The mapping takes 4 KiB pages where the platform lets
+    it: one huge page would span many columns' unread heads.
     """
     n = graph.n
     flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
@@ -218,33 +245,82 @@ def _lower_laplacian(graph: Graph) -> np.ndarray:
     return flat.reshape(n, n).T
 
 
+@cache
+def _two_stage_eigvalsh():
+    """A function giving the eigenvalues of a Fortran-ordered lower
+    triangle, `_lower_laplacian`'s, solved in place by LAPACKE_dsyevd_2stage
+    (jobz='N', uplo='L'), or None where that cannot be bound. scipy wraps
+    no two-stage driver, but the OpenBLAS its wheels bundle
+    (scipy.libs/libscipy_openblas-*) exports one; ctypes binds it on first
+    use, so importing the package loads no library. A failure raises
+    np.linalg.LinAlgError, as scipy's eigh does.
+    """
+    import ctypes
+    import glob
+    import importlib.util
+    import os
+
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    site = os.path.dirname(spec.submodule_search_locations[0])
+    libraries = glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas-*"))
+    try:
+        solve = ctypes.CDLL(libraries[0]).scipy_LAPACKE_dsyevd_2stage
+    except (IndexError, OSError, AttributeError):
+        return None
+    solve.restype = ctypes.c_int
+    solve.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int,
+                      ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p]
+
+    def eigvalsh(work):
+        n = len(work)
+        if not (work.dtype == np.float64 and work.shape == (n, n)
+                and work.flags.f_contiguous and work.flags.writeable):
+            raise ValueError("need a writeable Fortran-ordered n x n float64 array")
+        values = np.empty(n)
+        # 102 is LAPACK_COL_MAJOR
+        info = solve(102, b"N", b"L", n, work.ctypes.data, n, values.ctypes.data)
+        if info:
+            raise np.linalg.LinAlgError(f"LAPACKE_dsyevd_2stage returned {info}")
+        return values
+    return eigvalsh
+
+
 def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
     """Eigendecompose a graph's Laplacian, ascending eigenvalues.
 
-    LAPACK ?syevd runs in one n x n buffer, the Laplacian's lower triangle
+    LAPACK runs in one n x n buffer, the Laplacian's lower triangle
     assembled here (`_lower_laplacian`), and leaves the eigenvectors in
-    it.
+    it. Eigenvalue-only solves from _TWO_STAGE_MIN_N nodes up take
+    ?syevd_2stage (`_two_stage_eigvalsh`) where it can be bound; the rest
+    take ?syevd through `scipy.linalg.eigh(driver="evd")`.
 
-    When vectors are requested the residual ||L v - lam v|| is checked
-    against 1e-9 * ||L||_2 per pair and recorded on the spectrum; a
-    violation or a LAPACK failure raises NumericalError with the matrix
-    size.
+    The eigenvalues' sum is checked against the trace, 2 |E|, within
+    TRACE_RTOL; with vectors the residual ||L v - lam v|| is checked
+    against RESIDUAL_RTOL * ||L||_2 per pair. Both are recorded on the
+    spectrum with the driver's name; a violation or a LAPACK failure
+    raises NumericalError with the matrix size.
     """
-    from scipy.linalg import eigh
-
     work = _lower_laplacian(graph)
     n = len(work)
+    two_stage = None if with_vectors or n < _TWO_STAGE_MIN_N else _two_stage_eigvalsh()
     try:
-        result = eigh(work, lower=True, overwrite_a=True, check_finite=False,
-                      driver="evd", eigvals_only=not with_vectors)
+        if two_stage is not None:
+            vals, vecs = two_stage(work), None
+        else:
+            from scipy.linalg import eigh
+
+            result = eigh(work, lower=True, overwrite_a=True, check_finite=False,
+                          driver="evd", eigvals_only=not with_vectors)
+            vals, vecs = result if with_vectors else (result, None)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"symmetric eigensolver failed on a {n}x{n} matrix: {exc}") from exc
-    if not with_vectors:
-        return Spectrum(result)
-    vals, vecs = result
     return Spectrum(vals, eigenvectors=vecs,
-                    residual=_checked_residual(graph, vecs, vals))
+                    solver="syevd" if two_stage is None else "syevd_2stage",
+                    trace_error=_checked_trace(graph, vals),
+                    residual=None if vecs is None else _checked_residual(graph, vecs, vals))
 
 
 def graph_spectrum(graph: Graph, with_vectors: bool = False) -> Spectrum:
@@ -493,8 +569,8 @@ _CLOSED_FORMS = {"torus": _torus_eigenvalues, "tree": _tree_eigenvalues}
 def spectrum_diagnostics(spectrum: Spectrum) -> dict[str, str]:
     """What the run manifest records of a spectrum: its path, its cluster
     count, the smallest gap between adjacent levels over the cluster
-    tolerance, the source of its projectors and its eigenpair residual,
-    each where there is one."""
+    tolerance, the source of its projectors, its eigenpair residual, and
+    its LAPACK driver and trace error, each where there is one."""
     levels = spectrum.levels
     out = {"spectrum.path": spectrum.path, "spectrum.clusters": str(len(levels))}
     if len(levels) >= 2:
@@ -504,6 +580,9 @@ def spectrum_diagnostics(spectrum: Spectrum) -> dict[str, str]:
         out["spectrum.vectors"] = "orbit" if spectrum.eigenvectors is None else "dense"
     if spectrum.residual is not None:
         out["spectrum.residual"] = repr(spectrum.residual)
+    if spectrum.solver is not None:
+        out["spectrum.solver"] = spectrum.solver
+        out["spectrum.trace_error"] = repr(spectrum.trace_error)
     return out
 
 

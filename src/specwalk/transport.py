@@ -318,7 +318,13 @@ def chi_table(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray | _TriangleInd
     if pairs is None:
         n = spectrum.n
         return _dense_chi(spectrum)[np.tri(n, dtype=bool)], _TriangleIndex(n)
-    table = sum((p * p).sum(axis=0) for p in pairs.projectors(spectrum.cluster))
+    # each block's first row carries the total so far, so that every orbit
+    # sums its clusters one after another, whatever the blocks' size
+    table = 0.0
+    for p in pairs.projectors(spectrum.cluster):
+        rows = p * p
+        rows[0] += table
+        table = rows.sum(axis=0)
     return table, pairs.orbit_index()
 
 

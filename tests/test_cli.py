@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -349,6 +350,8 @@ class TestMainSubcommands:
         lines = (out / "manifest.txt").read_text().splitlines()
         diag = dict(ln.split(" = ") for ln in lines if ln.startswith("spectrum."))
         assert diag["spectrum.path"] == "dense"
+        assert diag["spectrum.solver"] == "syevd"
+        assert float(diag["spectrum.trace_error"]) <= 1e-9
         assert "spectrum.vectors" not in diag
         assert "spectrum.residual" not in diag
         assert sorted(p.name for p in out.iterdir()) == [
@@ -364,6 +367,15 @@ class TestMainSubcommands:
     def test_spectrum_requires_graph(self, tmp_path):
         rc = main(["spectrum", "--dos", "lifshits:b=2", "--out", str(tmp_path / "x")])
         assert rc == 1
+
+    @pytest.mark.parametrize("b", ["150", "200", "1000"])
+    def test_transport_of_a_steep_lifshits_tail(self, tmp_path, b):
+        # kve overflows at these b; the run still exits 0, and quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["transport", "--dos", f"lifshits:b={b}", "--grid",
+                         "log:1e-2,1e2,10", "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "series.csv").read_text().splitlines()) == 12
 
     def test_transport_only(self, tmp_path):
         out = tmp_path / "tr"
@@ -871,6 +883,12 @@ class TestManifest:
             assert 0 <= float(diag["spectrum.residual"]) <= 1e-9
         else:
             assert "spectrum.residual" not in diag
+        # every dense solve names its driver and checks its trace
+        if graph.startswith("er:"):
+            assert diag["spectrum.solver"] == "syevd"
+            assert 0 <= float(diag["spectrum.trace_error"]) <= 1e-9
+        else:
+            assert "spectrum.solver" not in diag and "spectrum.trace_error" not in diag
 
     @pytest.mark.parametrize("graph", ["ring:12", "torus:4,2", "star:12", "dendrimer:3,3",
                                        "er:20,0.3,seed=2"])
@@ -1116,9 +1134,8 @@ class TestManifest:
                                        "torus:30,1", "er:40,0.2,seed=3"])
     def test_chi_diagnostics_in_blocks_keep_their_bits(self, graph, monkeypatch):
         # blocks of 1, 3 and 17 rows give what chi.sum(axis=0) and np.trace
-        # give, on the orbit table and on the dense triangle. The table is
-        # built first: the orbit table sums its blocks of clusters, so its
-        # bits depend on their size
+        # give, on the orbit table and on the dense triangle; the orbit
+        # table, summed over blocks of clusters, keeps its bits too
         spectrum = graph_spectrum(parse_graph_spec(graph), with_vectors=True)
         table = transport.chi_table(spectrum)
         chi = table[0][table[1][:]]
@@ -1127,6 +1144,8 @@ class TestManifest:
         for rows in (1, 3, 17):
             monkeypatch.setattr(spectral, "_BLOCK_ELEMS", rows * 8 * len(chi))
             assert transport.chi_diagnostics(*table) == want
+            values = transport.chi_table(spectrum)[0]
+            assert values.tobytes() == table[0].tobytes()
 
 
 class TestFormatsEachFloatOnce:

@@ -456,6 +456,20 @@ class TestLargeTimes:
         if t > 1e17:
             assert _transform(Lifshits(b=b), np.array([t]), quantum=True)[0] == 0
 
+    @pytest.mark.parametrize("b", [150.0, 151.7, 200.0, 1000.0])
+    def test_large_b_matches_mpmath_where_kve_overflows(self, b):
+        # kve(b - 1, 2 sqrt s) overflows where the power prefactor underflows;
+        # there the closed form takes ln K by the ratio recurrence, quietly
+        times = np.geomspace(1e-2, 1e4, 13)
+        for s, quantum in [(times, False), (1j * times, True)]:
+            assert not np.isfinite(special.kve(b - 1, 2 * np.sqrt(s[:1])))[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _transform(Lifshits(b=b), times, quantum=quantum)
+            for sk, value in zip(s, got):
+                want = mp_lifshits(b, sk)
+                assert abs(value - want) <= 1e-11 * abs(want), (sk, value, want)
+
     def test_lifshits_series_to_1e18(self):
         grid = log_grid(1e-3, 1e18, 100)
         series = continuum_series(Lifshits(b=2.0), grid)

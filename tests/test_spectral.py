@@ -1,3 +1,5 @@
+import ctypes.util
+import glob
 import itertools
 import math
 import subprocess
@@ -237,6 +239,71 @@ class TestOwnedBufferSolve:
         assert int(out.stdout) <= 0.9 * 8 * g.n**2
 
 
+@pytest.mark.skipif(spectral._two_stage_eigvalsh() is None,
+                    reason="scipy's bundled OpenBLAS with LAPACKE_dsyevd_2stage not found")
+class TestTwoStageSolve:
+    """Eigenvalue-only solves from _TWO_STAGE_MIN_N nodes up take
+    ?syevd_2stage, which agrees with ?syevd to rounding; below it, with
+    vectors, or where it cannot be bound, they take ?syevd, bit for bit."""
+
+    @staticmethod
+    def evd_values(g):
+        return scipy.linalg.eigh(laplacian(g), driver="evd", eigvals_only=True)
+
+    @pytest.mark.parametrize("spec", ["er:2000,0.05,seed=1", "er:3000,0.01,seed=2"])
+    def test_values_agree_with_evd(self, spec):
+        g = parse_graph_spec(spec)
+        s = decompose(g)
+        want = self.evd_values(g)
+        assert s.solver == "syevd_2stage"
+        assert np.abs(s.values - want).max() <= 1e-13 * max(1.0, want[-1])
+        assert 0 <= s.trace_error <= 1e-12
+
+    def test_degenerate_star_keeps_its_clusters(self):
+        # a star read back without its family: 3 clusters, one of them
+        # 2498-fold, as the closed form gives them
+        n = 2500
+        s = decompose(Graph(n, build_star(n).edges))
+        closed = graph_spectrum(build_star(n))
+        assert s.solver == "syevd_2stage"
+        assert np.array_equal(s.mult, closed.mult)
+        assert np.abs(s.levels - closed.levels).max() <= 1e-13 * n
+        want = self.evd_values(Graph(n, build_star(n).edges))
+        assert np.abs(s.values - want).max() <= 1e-13 * max(1.0, want[-1])
+
+    def test_below_the_threshold_and_with_vectors_take_evd(self, monkeypatch):
+        # the threshold is the only switch: lowered to 300 nodes, an
+        # er:300 values solve takes the two-stage driver, and its vectors
+        # solve still does not
+        g = parse_graph_spec("er:300,0.05,seed=3")
+        assert decompose(g).solver == "syevd"
+        monkeypatch.setattr(spectral, "_TWO_STAGE_MIN_N", 300)
+        assert decompose(g).solver == "syevd_2stage"
+        assert decompose(g, with_vectors=True).solver == "syevd"
+
+    def test_unbound_driver_gives_evd_bits(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_two_stage_eigvalsh", lambda: None)
+        g = parse_graph_spec("er:2000,0.05,seed=1")
+        s = decompose(g)
+        assert s.solver == "syevd"
+        assert np.array_equal(s.values.view(np.uint64), self.evd_values(g).view(np.uint64))
+
+    @pytest.mark.parametrize("found", [[], ["/nonexistent/libscipy_openblas-0.so"],
+                                       [ctypes.util.find_library("m")]],
+                             ids=["no library", "unloadable", "no symbol"])
+    def test_binder_without_the_driver_gives_none(self, found, monkeypatch):
+        monkeypatch.setattr(glob, "glob", lambda pattern: found)
+        assert spectral._two_stage_eigvalsh.__wrapped__() is None
+
+    def test_failure_reports_size(self, monkeypatch):
+        def failing(work):
+            raise np.linalg.LinAlgError("LAPACKE_dsyevd_2stage returned 7")
+
+        monkeypatch.setattr(spectral, "_two_stage_eigvalsh", lambda: failing)
+        with pytest.raises(NumericalError, match="failed on a 2000x2000 matrix: .* 7"):
+            decompose(Graph(2000, build_ring(2000).edges))
+
+
 BUDGET = spectral._BLOCK_ELEMS
 
 
@@ -268,6 +335,22 @@ class TestTraceIdentity:
         s = decompose(g)
         total = s.eigenvalues.sum()
         assert abs(total - 2 * g.edge_count) <= 1e-10 * max(1.0, 2 * g.edge_count)
+        assert s.trace_error == abs(total - 2 * g.edge_count) / max(1.0, 2 * g.edge_count)
+
+    @pytest.mark.parametrize("with_vectors", [False, True])
+    def test_solve_off_the_trace_raises(self, with_vectors, monkeypatch):
+        # a solve whose eigenvalues sum 1e-5 off tr L = 2 |E| (about 4e-8
+        # relative) fails its check, which runs before the residual's
+        eigh = scipy.linalg.eigh
+
+        def off_by_1e5(*args, **kwargs):
+            result = eigh(*args, **kwargs)
+            (result[0] if with_vectors else result)[-1] += 1e-5
+            return result
+
+        monkeypatch.setattr(scipy.linalg, "eigh", off_by_1e5)
+        with pytest.raises(NumericalError, match="off the trace .* 30x30 matrix"):
+            decompose(parse_graph_spec("er:30,0.3,seed=1"), with_vectors)
 
 
 class TestZeroCluster:
