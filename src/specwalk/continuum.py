@@ -156,24 +156,26 @@ def _large_x_bessel(v, x, quantum: bool) -> np.ndarray:
     Term k over term k-1 is (4v**2 - (2k-1)**2) / (8 k x), below 6e-4 / k
     for the v up to 341 that the Bessel form allows, so _SERIES_TERMS of
     them are far past double precision. cos w and sin w are expanded over
-    cos x and sin x, so x is not rounded by a shift of its phase.
+    cos x and sin x, so x is not rounded by a shift of its phase. Each
+    product or square root that holds x divides by x or sqrt(x) last, so
+    that no intermediate overflows up to the largest double.
     """
     mu = 4.0 * v * v
     term = np.ones_like(x)
     sums = [np.ones_like(x), np.zeros_like(x)]
     for k in range(1, _SERIES_TERMS):
-        term = term * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
+        term = term * ((mu - (2 * k - 1) ** 2) / (8.0 * k)) / x
         if quantum:
             sums[k % 2] += term if k // 2 % 2 == 0 else -term
         else:
             sums[0] += term if k % 2 == 0 else -term
     if not quantum:
-        return sums[0] / np.sqrt(2 * np.pi * x)
+        return sums[0] / math.sqrt(2 * math.pi) / np.sqrt(x)
     phase = v * math.pi / 2 + math.pi / 4
     cos, sin = np.cos(x), np.sin(x)
     cos_w = cos * math.cos(phase) + sin * math.sin(phase)
     sin_w = sin * math.cos(phase) - cos * math.sin(phase)
-    return np.sqrt(2 / (np.pi * x)) * (cos_w * sums[0] - sin_w * sums[1])
+    return (cos_w * sums[0] - sin_w * sums[1]) * math.sqrt(2 / math.pi) / np.sqrt(x)
 
 
 def _semicircle_factor(v, x, quantum: bool) -> np.ndarray:

@@ -211,20 +211,20 @@ def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     return Graph(n=n, edges=np.column_stack((i, k - offsets[i] + i + 1)))
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Dense combinatorial Laplacian: degrees on the diagonal, -1 per edge.
-
-    Rows sum to zero exactly (integer-valued entries), and the matrix is
-    symmetric positive semi-definite. The dense solve writes only its
-    lower triangle (`spectral.decompose`); this full matrix is for
-    callers that apply L, and the reference the solve is tested against.
+def laplacian(g: Graph):
+    """The combinatorial Laplacian as a scipy.sparse CSR array: degrees on
+    the diagonal, -1 at (i, j) and (j, i) per edge, 2 |E| + n stored
+    entries. They are integers, so rows sum to zero exactly. The eigenpair
+    residual check applies it (`spectral.decompose`), and its `.toarray()`
+    is the dense reference the solve is tested against. scipy.sparse is
+    imported on the call, so importing the package loads no scipy module.
     """
+    from scipy.sparse import coo_array
+
     i, j = g.edges.T
-    L = np.zeros((g.n, g.n))
-    L[i, j] = -1.0
-    L[j, i] = -1.0
-    L.flat[::g.n + 1] = g.degrees()
-    return L
+    data = np.r_[np.full(2 * len(i), -1.0), g.degrees()]
+    return coo_array((data, (np.r_[i, j, :g.n], np.r_[j, i, :g.n])),
+                     shape=(g.n, g.n)).tocsr()
 
 
 # -- edge-list parsing --------------------------------------------------------

@@ -105,7 +105,9 @@ def _fit_window(times, values, window):
     lo, hi = window
     mask = (t >= lo) & (t <= hi)
     if mask.sum() < 5:
-        raise ValueError(f"only {int(mask.sum())} points in window {window}; need >= 5")
+        span = f"span t = {t.min():.3g} to {t.max():.3g}" if t.size else "are none"
+        raise ValueError(f"only {int(mask.sum())} points in window {window}; need >= 5; "
+                         f"the {t.size} points given {span}")
     if not np.all(np.isfinite(v[mask])):
         raise ValueError(f"non-finite values inside fit window {window}")
     if np.any(v[mask] <= 0):
@@ -282,15 +284,26 @@ def efficiency_report(times, p_bar, alpha_bar_sq, window, window_quantum=None,
     `window`), their log-ratio and its crossover, and the saturation of
     each series over its last `tail_fraction`. An envelope of fewer than
     five points, as of a series that does not oscillate, gives way to
-    the series itself."""
+    the series itself. A fit that fails raises its ValueError prefixed
+    with the series it was given."""
     t = np.asarray(times, dtype=float)
     positive = t > 0
     t, p, alpha = (np.asarray(v, dtype=float)[positive] for v in (t, p_bar, alpha_bar_sq))
     env = extract_envelope(t, alpha, half_width=half_width)
-    fit = fit_stretched_exp if stretched else fit_power_law
-    classical_fit = fit(t, p, window)
-    quantum = (env.times, env.values) if len(env.times) >= 5 else (t, alpha)
-    quantum_fit = fit(*quantum, window_quantum or window)
+    law = fit_stretched_exp if stretched else fit_power_law
+
+    def fit(name, times, values, fit_window):
+        try:
+            return law(times, values, fit_window)
+        except ValueError as exc:
+            raise ValueError(f"{name} fit: {exc}") from exc
+
+    classical_fit = fit("classical p_bar", t, p, window)
+    if len(env.times) >= 5:
+        quantum, name = (env.times, env.values), "quantum envelope"
+    else:
+        quantum, name = (t, alpha), "quantum series"
+    quantum_fit = fit(name, *quantum, window_quantum or window)
     ratio = efficiency_ratio_series(t, p, quantum)
     return EfficiencyReport(classical_fit, quantum_fit, ratio, saturation(p, tail_fraction),
                             saturation(alpha, tail_fraction), len(env.times),

@@ -12,8 +12,8 @@ included. Every other graph goes through `decompose`, a dense symmetric
 solve and the only source of eigenvectors. The graphs of interest stay
 below a few thousand nodes, where that solve is affordable and, unlike
 iterative methods, deterministic; it is also the oracle the closed forms
-are tested against. A dense spectrum above the node cap
-`graphs.DEFAULT_SIZE_CAP` raises ResourceLimitError before it allocates.
+are tested against. `decompose` refuses a graph above the node cap
+`graphs.DEFAULT_SIZE_CAP` with ResourceLimitError before it allocates.
 """
 
 from __future__ import annotations
@@ -184,21 +184,15 @@ def _blocks(count, width):
 
 
 def _checked_residual(graph, vecs, vals) -> float:
-    """max ||L v - lam v|| / ||L||_2 over the eigenpairs, L the graph's
-    Laplacian applied from its edge list, without a dense L, one column
-    block at a time; above RESIDUAL_RTOL it raises NumericalError with the
-    matrix size."""
-    from scipy.sparse import coo_array
-
-    i, j = graph.edges.T
-    adjacency = coo_array((np.ones(2 * len(i)), (np.r_[i, j], np.r_[j, i])),
-                          shape=(graph.n, graph.n)).tocsr()
-    degrees = graph.degrees()[:, None]
+    """max ||L v - lam v|| / ||L||_2 over the eigenpairs, L the sparse
+    `graphs.laplacian`, applied one column block at a time; above
+    RESIDUAL_RTOL it raises NumericalError with the matrix size."""
+    lap = graphs.laplacian(graph)
     scale = max(1.0, float(np.abs(vals).max()))
     resid = 0.0
     for cols in _blocks(vecs.shape[1], len(vecs)):
         block = vecs[:, cols]
-        diff = degrees * block - adjacency @ block
+        diff = lap @ block
         diff -= block * vals[cols]
         resid = max(resid, float(np.linalg.norm(diff, axis=0).max()))
     if resid > RESIDUAL_RTOL * scale:
@@ -300,8 +294,10 @@ def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
     TRACE_RTOL; with vectors the residual ||L v - lam v|| is checked
     against RESIDUAL_RTOL * ||L||_2 per pair. Both are recorded on the
     spectrum with the driver's name; a violation or a LAPACK failure
-    raises NumericalError with the matrix size.
+    raises NumericalError with the matrix size. Above the node cap
+    `graphs.DEFAULT_SIZE_CAP` it raises ResourceLimitError first.
     """
+    graphs.check_size_cap(graph.n, "dense spectrum of a graph")
     work = _lower_laplacian(graph)
     n = len(work)
     two_stage = None if with_vectors or n < _TWO_STAGE_MIN_N else _two_stage_eigvalsh()
@@ -332,12 +328,11 @@ def graph_spectrum(graph: Graph, with_vectors: bool = False) -> Spectrum:
     the ring being d = 1) and shell trees (`build_star`, `build_dendrimer`),
     take eigenvalues and, with vectors, their pair orbits from closed
     forms; no eigenvector is built. Every other graph takes the dense
-    solve, which raises ResourceLimitError first when n exceeds
-    `graphs.DEFAULT_SIZE_CAP`.
+    solve, `decompose`, which raises ResourceLimitError first when n
+    exceeds `graphs.DEFAULT_SIZE_CAP`.
     """
     name, *params = graph.family or (None,)
     if name is None:
-        graphs.check_size_cap(graph.n, "dense spectrum of a graph")
         return decompose(graph, with_vectors)
     values, counts, pairs = _CLOSED_FORMS[name](*params, with_vectors=with_vectors)
     return Spectrum(values, counts, path="closed_form", pairs=pairs)

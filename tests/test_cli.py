@@ -599,7 +599,15 @@ class TestMainSubcommands:
          "only 0 points in window"),
         (["--dos", "semicircle:nu=0.5,lmax=2", "--grid", "linear:0,1,5"],
          "too short for half_width"),
-    ], ids=["fit-window", "envelope-width", "chi", "dos"])
+        # the envelope of a nearly flat |alpha|^2 has its points before the window
+        (["--dos", "lifshits:b=1000", "--grid", "log:1e-3,3e4,350"],
+         "quantum envelope fit: only 0 points in window (1.0, 100.0); need >= 5; "
+         "the 10 points given span t = 0.0011 to 0.0662"),
+        # a grid whose step of 500 steps over the window
+        (["--graph", "star:5", "--grid", "linear:1e-3,1e7,20000"],
+         "classical p_bar fit: only 0 points in window (1.0, 100.0); need >= 5; "
+         "the 20000 points given span t = 0.001 to 1e+07"),
+    ], ids=["fit-window", "envelope-width", "chi", "dos", "lifshits-envelope", "coarse-grid"])
     def test_failed_analysis_writes_nothing(self, tmp_path, capsys, args, message):
         # options within their bounds that the series cannot serve: the
         # analysis fails after every other stage has run, before any write

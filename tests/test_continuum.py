@@ -445,6 +445,23 @@ class TestLargeTimes:
         assert series.p_bar[-1] == pytest.approx(2e-12 / math.sqrt(2 * math.pi * 1e12),
                                                   rel=1e-12)
 
+    @pytest.mark.parametrize("nu", [-0.5, 0.5, 2.0])
+    def test_semicircle_series_to_the_largest_double(self, nu):
+        # x = t up to 1e308: no product that holds x overflows, and for
+        # nu >= 0.5 both series underflow to 0
+        grid = log_grid(1e300, 1e308, 10, include_zero=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = continuum_series(PowerSemicircle(nu=nu, lam_max=2.0), grid)
+        assert np.all(np.isfinite(series.p_bar)) and np.all(np.isfinite(series.alpha_bar_sq))
+        if nu == -0.5:
+            # p = ive(0, t) = 1 / sqrt(2 pi t) to double precision
+            np.testing.assert_allclose(
+                series.p_bar, 1 / math.sqrt(2 * math.pi) / np.sqrt(grid.times), rtol=1e-15)
+        else:
+            assert np.array_equal(series.p_bar, np.zeros(10))
+            assert np.array_equal(series.alpha_bar_sq, np.zeros(10))
+
     @pytest.mark.parametrize("b", [1.5, 2.0, 11.0])
     @pytest.mark.parametrize("t", [1e3, 1e5, 2e5, 3e5, 1e6, 3.7649358067924864e17, 1e18])
     def test_lifshits_matches_mpmath_down_to_zero(self, b, t):

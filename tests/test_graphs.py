@@ -91,7 +91,7 @@ class TestRing:
         assert set(g.degrees().tolist()) == {2}
 
     def test_ring4_spectrum(self):
-        lam = np.linalg.eigvalsh(laplacian(build_ring(4)))
+        lam = np.linalg.eigvalsh(laplacian(build_ring(4)).toarray())
         np.testing.assert_allclose(lam, [0, 2, 2, 4], atol=1e-12)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -113,7 +113,7 @@ class TestStar:
         assert set(deg[1:].tolist()) == {1}
 
     def test_star5_spectrum(self):
-        lam = np.linalg.eigvalsh(laplacian(build_star(5)))
+        lam = np.linalg.eigvalsh(laplacian(build_star(5)).toarray())
         np.testing.assert_allclose(lam, [0, 1, 1, 1, 5], atol=1e-12)
 
     def test_too_small(self):
@@ -177,7 +177,7 @@ class TestHypercubic:
         assert build_hypercubic(3, 1) == build_ring(3)
 
     def test_2d_spectrum_is_tensor_sum(self):
-        lam = np.linalg.eigvalsh(laplacian(build_hypercubic(4, 2)))
+        lam = np.linalg.eigvalsh(laplacian(build_hypercubic(4, 2)).toarray())
         one_d = ring_eigenvalues(4)
         expected = np.sort(np.add.outer(one_d, one_d).ravel())
         np.testing.assert_allclose(lam, expected, atol=1e-12)
@@ -204,7 +204,7 @@ class TestErdosRenyi:
 
     def test_complete_graph_spectrum(self):
         g = build_erdos_renyi(100, 1.0, seed=0)
-        lam = np.linalg.eigvalsh(laplacian(g))
+        lam = np.linalg.eigvalsh(laplacian(g).toarray())
         np.testing.assert_allclose(lam[0], 0, atol=1e-10)
         np.testing.assert_allclose(lam[1:], 100.0, atol=1e-10)
 
@@ -260,23 +260,23 @@ class TestErdosRenyi:
 
 class TestLaplacian:
     def test_triangle_entries(self):
-        L = laplacian(build_ring(3))
+        L = laplacian(build_ring(3)).toarray()
         np.testing.assert_array_equal(np.diag(L), [2, 2, 2])
         assert L[0, 1] == L[1, 2] == L[0, 2] == -1
 
     def test_star_core_degree(self):
-        assert laplacian(build_star(10))[0, 0] == 9
+        assert laplacian(build_star(10)).toarray()[0, 0] == 9
 
     def test_exact_row_sums_and_symmetry(self):
         for g in [build_ring(17), build_star(9), build_dendrimer(3, 3),
                   build_hypercubic(4, 2), build_erdos_renyi(30, 0.3, seed=1)]:
-            L = laplacian(g)
+            L = laplacian(g).toarray()
             assert np.all(L.sum(axis=1) == 0.0)  # integer arithmetic, exact
             assert np.array_equal(L, L.T)
 
     def test_positive_semidefinite(self):
         for g in [build_ring(11), build_dendrimer(2, 4), build_erdos_renyi(25, 0.2, seed=2)]:
-            lam = np.linalg.eigvalsh(laplacian(g))
+            lam = np.linalg.eigvalsh(laplacian(g).toarray())
             assert lam.min() > -1e-9
 
     @pytest.mark.parametrize("g", [
@@ -293,7 +293,7 @@ class TestLaplacian:
             L[j, j] += 1.0
             deg[i] += 1
             deg[j] += 1
-        assert np.array_equal(laplacian(g), L)
+        assert np.array_equal(laplacian(g).toarray(), L)
         assert np.array_equal(g.degrees(), deg) and g.degrees().dtype == np.int64
 
 

@@ -418,6 +418,17 @@ class TestEfficiencyReport:
         with pytest.raises(ValueError, match=match):
             efficiency_report(self.T, self.P, self.ALPHA, **kwargs)
 
+    @pytest.mark.parametrize("window_quantum, alpha, name", [
+        ((1.0, 100.0), ALPHA, "classical p_bar"),
+        ((1e5, 1e6), ALPHA, "quantum envelope"),
+        ((1e5, 1e6), np.exp(-0.03 * T), "quantum series"),
+    ], ids=["classical", "envelope", "series"])
+    def test_names_the_fit_that_failed(self, window_quantum, alpha, name):
+        window = (1e5, 1e6) if name.startswith("classical") else (1.0, 100.0)
+        with pytest.raises(ValueError, match=rf"^{name} fit: only 0 points in window "
+                                             rf".*; the \d+ points given span t = 0.05 to "):
+            efficiency_report(self.T, self.P, alpha, window, window_quantum)
+
 
 class TestReportSerialization:
     def test_report_text_keys(self):

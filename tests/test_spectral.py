@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from specwalk import (
     Graph,
     NumericalError,
+    ResourceLimitError,
     build_dendrimer,
     build_erdos_renyi,
     build_hypercubic,
@@ -33,6 +34,7 @@ from specwalk import (
     parse_graph_spec,
 )
 import specwalk.cli as cli
+import specwalk.graphs as graphs
 import specwalk.spectral as spectral
 from specwalk.cli import ExperimentConfig, run_experiment
 from specwalk.graphs import _build_tree
@@ -100,13 +102,14 @@ class TestDecompose:
         s = decompose(g, with_vectors=True)
         v = s.eigenvectors
         np.testing.assert_allclose(v.T @ v, np.eye(s.n), atol=1e-12)
-        np.testing.assert_allclose((v * s.eigenvalues) @ v.T, laplacian(g), atol=1e-10)
+        np.testing.assert_allclose((v * s.eigenvalues) @ v.T, laplacian(g).toarray(),
+                                   atol=1e-10)
 
     def test_residual_contract(self):
         g = build_ring(50)
         s = decompose(g, with_vectors=True)
-        resid = np.linalg.norm(laplacian(g) @ s.eigenvectors - s.eigenvectors * s.eigenvalues,
-                               axis=0)
+        v = s.eigenvectors
+        resid = np.linalg.norm(laplacian(g).toarray() @ v - v * s.eigenvalues, axis=0)
         assert resid.max() <= 1e-9 * max(1.0, s.eigenvalues[-1])
 
     def test_deterministic(self):
@@ -124,6 +127,30 @@ class TestDecompose:
         with pytest.raises(NumericalError, match="failed on a 30x30 matrix"):
             decompose(parse_graph_spec("er:30,0.3,seed=1"), with_vectors=True)
 
+    @pytest.mark.parametrize("with_vectors", [False, True], ids=["values", "vectors"])
+    def test_refuses_above_the_cap_before_the_buffer(self, monkeypatch, with_vectors):
+        def boom(*args, **kwargs):
+            raise AssertionError("n x n buffer mapped above the node cap")
+
+        monkeypatch.setattr(spectral, "_lower_laplacian", boom)
+        n = graphs.DEFAULT_SIZE_CAP + 1
+        with pytest.raises(ResourceLimitError,
+                           match=f"dense spectrum of a graph of {n} nodes exceeds size cap"):
+            decompose(Graph(n, []), with_vectors=with_vectors)
+
+    def test_residual_check_refuses_a_perturbed_pair(self):
+        g = parse_graph_spec("er:60,0.2,seed=2")
+        s = decompose(g, with_vectors=True)
+        assert _checked_residual(g, s.eigenvectors, s.values) == s.residual <= 1e-14
+        vals = s.values.copy()
+        vals[17] += 1e-6
+        with pytest.raises(NumericalError, match="for a 60x60 matrix"):
+            _checked_residual(g, s.eigenvectors, vals)
+        vecs = s.eigenvectors.copy()
+        vecs[:, 17] = vecs[:, 18]
+        with pytest.raises(NumericalError, match="eigenpair residual"):
+            _checked_residual(g, vecs, s.values)
+
 
 # a path, a triangle and an isolated node, read back without a family
 DISCONNECTED = from_edge_list("n 8\n0 1\n1 2\n2 3\n4 5\n5 6\n4 6\n")
@@ -138,7 +165,7 @@ class TestOwnedBufferSolve:
         DISCONNECTED,
     ], ids=["er800", "dendrimer8", "star12", "disconnected"])
     def test_bit_identical_to_numpy(self, g):
-        lap = laplacian(g)
+        lap = laplacian(g).toarray()
         values = decompose(g).eigenvalues
         assert np.array_equal(values.view(np.uint64),
                               np.linalg.eigvalsh(lap).view(np.uint64))
@@ -153,7 +180,7 @@ class TestOwnedBufferSolve:
     def test_bit_identical_to_scipy_on_the_full_matrix(self, spec):
         # the lower triangle alone gives what the whole matrix gives
         g = parse_graph_spec(spec)
-        lap = laplacian(g)
+        lap = laplacian(g).toarray()
         ref_values = scipy.linalg.eigh(lap, driver="evd", eigvals_only=True)
         assert np.array_equal(decompose(g).values.view(np.uint64),
                               ref_values.view(np.uint64))
@@ -167,7 +194,7 @@ class TestOwnedBufferSolve:
         g = parse_graph_spec("er:60,0.2,seed=2")
         work = _lower_laplacian(g)
         assert work.flags.f_contiguous and work.flags.writeable
-        assert np.array_equal(work, np.tril(laplacian(g)))
+        assert np.array_equal(work, np.tril(laplacian(g).toarray()))
 
     def test_residual_checks_every_column_block(self):
         n = 600
@@ -248,7 +275,7 @@ class TestTwoStageSolve:
 
     @staticmethod
     def evd_values(g):
-        return scipy.linalg.eigh(laplacian(g), driver="evd", eigvals_only=True)
+        return scipy.linalg.eigh(laplacian(g).toarray(), driver="evd", eigvals_only=True)
 
     @pytest.mark.parametrize("spec", ["er:2000,0.05,seed=1", "er:3000,0.01,seed=2"])
     def test_values_agree_with_evd(self, spec):
@@ -550,6 +577,19 @@ def exact_levels(g):
         n_mid = count_below(mid)
         stack += [(mid, hi, n_mid, n_hi), (lo, mid, n_lo, n_mid)]
     return sorted(table)
+
+
+def test_sparse_laplacian_matches_dense_assembly():
+    # the dense oracle: degrees on the diagonal, -1 at (i, j) and (j, i) per edge
+    for g in SYMMETRIC_FAMILIES + [parse_graph_spec("er:300,0.05,seed=3"),
+                                   parse_graph_spec("er:800,0.02,seed=1"), DISCONNECTED]:
+        i, j = g.edges.T
+        dense = np.zeros((g.n, g.n))
+        dense[i, j] = dense[j, i] = -1.0
+        dense.flat[::g.n + 1] = g.degrees()
+        lap = laplacian(g)
+        assert lap.format == "csr" and lap.nnz == 2 * g.edge_count + g.n
+        assert np.array_equal(lap.toarray(), dense)
 
 
 class TestGraphSpectrum:
