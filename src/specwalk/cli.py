@@ -29,9 +29,7 @@ from . import __version__
 from .continuum import StretchedExpDecay, asymptotic_law, continuum_series, parse_dos_spec
 from .errors import NumericalError, ParseError
 from .graphs import parse_graph_spec
-from .scaling import (DEFAULT_HALF_WIDTH, DEFAULT_TAIL_FRACTION, check_fit_window,
-                      check_half_width, check_tail_fraction, efficiency_report,
-                      ratio_csv, report_text)
+from .scaling import check_fit_window, efficiency_report, ratio_csv, report_text
 from .spectral import degeneracies_csv, graph_spectrum, spectrum_csv, spectrum_diagnostics
 from .transport import (chi_csv, chi_diagnostics, chi_table, parse_grid_spec,
                         read_series_csv, series_csv, transport_series)
@@ -49,9 +47,6 @@ class ExperimentConfig:
     series: str | None = None
     grid: str = DEFAULT_GRID_SPEC
     fit_window: tuple[float, float] = (1.0, 100.0)
-    fit_window_quantum: tuple[float, float] | None = None
-    envelope_width: int = DEFAULT_HALF_WIDTH
-    tail_fraction: float = DEFAULT_TAIL_FRACTION
     vectors: bool = False
     chi: bool = False
     fit_model: str = "auto"
@@ -68,12 +63,9 @@ class ExperimentConfig:
         if self.graph is None and (self.vectors or self.chi):
             raise ParseError("vectors and chi need a graph run; a DOS or a series "
                              "has no eigenvectors", text=sources, position=0)
-        # the analysis options, by the bounds the analysis enforces, before
-        # anything is computed or written
+        # the fit window, by the bound the fits enforce, before anything is
+        # computed or written
         check_fit_window(self.fit_window)
-        check_fit_window(self.fit_window_quantum or self.fit_window)
-        check_half_width(self.envelope_width)
-        check_tail_fraction(self.tail_fraction)
 
     def echo(self) -> dict[str, str]:
         out = {}
@@ -85,58 +77,6 @@ class ExperimentConfig:
                 val = ",".join(repr(float(x)) for x in val)
             out[f.name] = str(val)
         return out
-
-
-def _parse_window(text):
-    lo, _, hi = text.partition(",")
-    try:
-        return (float(lo), float(hi))
-    except ValueError as exc:
-        raise ParseError(f"window needs LO,HI: {text!r}", text=text,
-                         position=0) from exc
-
-
-_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
-          "false": False, "no": False, "off": False, "0": False}
-
-
-def _parse_bool(text):
-    try:
-        return _BOOLS[text.lower()]
-    except KeyError:
-        raise ValueError(f"expected one of {', '.join(_BOOLS)}: {text!r}") from None
-
-
-# text parser of each annotated config field type; strings stay as they are
-_PARSERS = {"bool": _parse_bool, "int": int, "float": float,
-            "tuple[float, float]": _parse_window}
-_FIELD_PARSERS = {f.name: _PARSERS.get(f.type.removesuffix(" | None"), str)
-           for f in fields(ExperimentConfig)}
-
-
-def read_config_file(path) -> dict:
-    """Key = value lines; '#' starts a comment. Keys match config fields.
-
-    A line that is not key = value, names no field, or holds a value its
-    field cannot take raises ParseError naming its 1-based line.
-    """
-    out = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if not eq or key not in _FIELD_PARSERS:
-            raise ParseError(f"bad config line {lineno}: {raw!r}", text=raw,
-                             position=0)
-        try:
-            out[key] = _FIELD_PARSERS[key](val)
-        except ValueError as exc:
-            raise ParseError(f"bad value on config line {lineno}: {exc}", text=raw,
-                             position=0) from None
-    return out
 
 
 # -- presets ------------------------------------------------------------------
@@ -330,10 +270,8 @@ def run_experiment(config: ExperimentConfig,
                 series = continuum_series(dos, grid)
     if series is not None and "analysis" in stages:
         with manifest.stage("analysis"):
-            report = efficiency_report(
-                series.times, series.p_bar, series.alpha_bar_sq, config.fit_window,
-                config.fit_window_quantum, config.envelope_width, config.tail_fraction,
-                stretched)
+            report = efficiency_report(series.times, series.p_bar, series.alpha_bar_sq,
+                                       config.fit_window, stretched=stretched)
         manifest.diagnostics["analysis.envelope_points"] = str(report.envelope_points)
 
     out_dir = Path(config.out)
@@ -361,10 +299,7 @@ def _add_common(sub, with_specs=True):
         sub.add_argument("--dos", help="DOS spec, e.g. semicircle:nu=0.5,lmax=2")
     sub.add_argument("--out", help="output directory (default: out)")
     sub.add_argument("--grid", help=f"time grid spec (default: {DEFAULT_GRID_SPEC})")
-    sub.add_argument("--fit-window", help="classical fit window LO,HI")
-    sub.add_argument("--fit-window-quantum", help="quantum fit window LO,HI")
-    sub.add_argument("--envelope-width", help="envelope half width (grid points)")
-    sub.add_argument("--tail-fraction", help="tail fraction for saturation stats")
+    sub.add_argument("--fit-window", help="window LO,HI of both fits (default: 1,100)")
     sub.add_argument("--vectors", action="store_true", default=None,
                      help="add the exact quantum average pi_bar to the series "
                           "(projectors: closed-form pair orbits on ring, torus, "
@@ -372,26 +307,21 @@ def _add_common(sub, with_specs=True):
     sub.add_argument("--chi", action="store_true", default=None,
                      help="write the long-time average transition matrix")
     sub.add_argument("--fit-model", choices=("auto", "power", "stretched"))
-    sub.add_argument("--config", help="key = value config file; flags override it")
 
 
 def _config_from_args(args, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = base or ExperimentConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **read_config_file(args.config))
-    # each field's flag has the field's name; the booleans arrive typed,
-    # the rest as text that the field's parser reads
-    updates = {}
-    for key, parse in _FIELD_PARSERS.items():
-        val = getattr(args, key, None)
-        if isinstance(val, str):
-            try:
-                val = parse(val)
-            except ValueError as exc:
-                raise ParseError(f"bad value for --{key.replace('_', '-')}: {exc}") from None
-        if val is not None:
-            updates[key] = val
-    return replace(cfg, **updates)
+    """base, by default the default config, with each flag given set on
+    the field of its name; --fit-window arrives as LO,HI text."""
+    flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if getattr(args, f.name, None) is not None}
+    if "fit_window" in flags:
+        lo, _, hi = flags["fit_window"].partition(",")
+        try:
+            flags["fit_window"] = (float(lo), float(hi))
+        except ValueError:
+            raise ParseError(f"bad value for --fit-window: window needs LO,HI: "
+                             f"{flags['fit_window']!r}") from None
+    return replace(base or ExperimentConfig(), **flags)
 
 
 class _Parser(argparse.ArgumentParser):

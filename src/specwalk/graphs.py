@@ -187,13 +187,16 @@ def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
     Each of the n*(n-1)/2 pairs, taken in lexicographic order, is included
     iff the matching raw 64-bit draw from Philox4x64-10 keyed by `seed` is
-    below floor(p * 2**64). The inclusion probability is exact to 2**-64
-    and the edge set is bit-reproducible for fixed (n, p, seed).
+    below floor(p * 2**64), so `seed` must be in [0, 2**128). The inclusion
+    probability is exact to 2**-64 and the edge set is bit-reproducible for
+    fixed (n, p, seed).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not (0 < p <= 1):
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
+    if not 0 <= seed < 2**128:
+        raise ValueError("seed must be in [0, 2**128)")
     pairs = n * (n - 1) // 2
     if p < 1:
         # consecutive random_raw calls continue one stream, so drawing in

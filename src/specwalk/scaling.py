@@ -42,7 +42,8 @@ def extract_envelope(times, values, half_width: int = DEFAULT_HALF_WIDTH) -> Env
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    check_half_width(half_width)
+    if half_width < 1:
+        raise ValueError(f"half_width must be >= 1, got {half_width}")
     n = len(v)
     if n < 2 * half_width + 1:
         raise ValueError(
@@ -56,11 +57,6 @@ def extract_envelope(times, values, half_width: int = DEFAULT_HALF_WIDTH) -> Env
     if not idx.size:  # unreachable for finite data; safety net
         idx = np.array([np.argmax(v)])
     return Envelope(times=t[idx], values=v[idx])
-
-
-def check_half_width(half_width: int):
-    if half_width < 1:
-        raise ValueError(f"half_width must be >= 1, got {half_width}")
 
 
 # -- decay-law fits -----------------------------------------------------------
@@ -242,13 +238,9 @@ class SaturationStats:
     tail_points: int
 
 
-def check_tail_fraction(tail_fraction: float):
+def saturation(values, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> SaturationStats:
     if not 0 < tail_fraction <= 0.5:
         raise ValueError(f"tail_fraction must be in (0, 0.5], got {tail_fraction}")
-
-
-def saturation(values, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> SaturationStats:
-    check_tail_fraction(tail_fraction)
     v = np.asarray(values, dtype=float)
     k = max(1, int(round(tail_fraction * len(v))))
     tail = v[-k:]
@@ -274,40 +266,37 @@ class EfficiencyReport:
     crossover_time: float | None = None
 
 
-def efficiency_report(times, p_bar, alpha_bar_sq, window, window_quantum=None,
-                      half_width: int = DEFAULT_HALF_WIDTH,
-                      tail_fraction: float = DEFAULT_TAIL_FRACTION,
+def efficiency_report(times, p_bar, alpha_bar_sq, window, *,
                       stretched: bool = False) -> EfficiencyReport:
     """The analysis of a series at its times t > 0: power-law or, with
-    `stretched`, stretched-exponential fits of p_bar over `window` and of
-    the envelope of |alpha_bar|^2 over `window_quantum` (by default
-    `window`), their log-ratio and its crossover, and the saturation of
-    each series over its last `tail_fraction`. An envelope of fewer than
-    five points, as of a series that does not oscillate, gives way to
-    the series itself. A fit that fails raises its ValueError prefixed
-    with the series it was given."""
+    `stretched`, stretched-exponential fits over `window` of p_bar and of
+    the envelope of |alpha_bar|^2 (half width DEFAULT_HALF_WIDTH), their
+    log-ratio and its crossover, and the saturation of each series over
+    its last DEFAULT_TAIL_FRACTION. An envelope of fewer than five points,
+    as of a series that does not oscillate, gives way to the series
+    itself. A fit or the ratio that fails raises its ValueError prefixed
+    with what failed: the series a fit was given, or `delta_p ratio`."""
     t = np.asarray(times, dtype=float)
     positive = t > 0
     t, p, alpha = (np.asarray(v, dtype=float)[positive] for v in (t, p_bar, alpha_bar_sq))
-    env = extract_envelope(t, alpha, half_width=half_width)
+    env = extract_envelope(t, alpha)
     law = fit_stretched_exp if stretched else fit_power_law
 
-    def fit(name, times, values, fit_window):
+    def named(name, compute, *args):
         try:
-            return law(times, values, fit_window)
+            return compute(*args)
         except ValueError as exc:
-            raise ValueError(f"{name} fit: {exc}") from exc
+            raise ValueError(f"{name}: {exc}") from exc
 
-    classical_fit = fit("classical p_bar", t, p, window)
+    classical_fit = named("classical p_bar fit", law, t, p, window)
     if len(env.times) >= 5:
         quantum, name = (env.times, env.values), "quantum envelope"
     else:
         quantum, name = (t, alpha), "quantum series"
-    quantum_fit = fit(name, *quantum, window_quantum or window)
-    ratio = efficiency_ratio_series(t, p, quantum)
-    return EfficiencyReport(classical_fit, quantum_fit, ratio, saturation(p, tail_fraction),
-                            saturation(alpha, tail_fraction), len(env.times),
-                            detect_crossover(ratio.times, ratio.values))
+    quantum_fit = named(f"{name} fit", law, *quantum, window)
+    ratio = named("delta_p ratio", efficiency_ratio_series, t, p, quantum)
+    return EfficiencyReport(classical_fit, quantum_fit, ratio, saturation(p), saturation(alpha),
+                            len(env.times), detect_crossover(ratio.times, ratio.values))
 
 
 def _fit_lines(prefix, fit):

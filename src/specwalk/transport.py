@@ -380,9 +380,10 @@ def read_series_csv(path) -> TransportSeries:
     comment. The rows go through one np.loadtxt call, which reads each
     value as float() does; only if it fails, or its times do not form a
     `TimeGrid`, is the file scanned for the bad row. An empty or
-    header-only file, a missing column, a short, long or non-numeric row
-    and a row whose t is not finite, is negative in the first row or does
-    not exceed the t before it, by its 1-based line, raise ParseError.
+    header-only file, a missing or repeated column, a short, long or
+    non-numeric row and a row whose t is not finite, is negative in the
+    first row or does not exceed the t before it, by its 1-based line,
+    raise ParseError.
     More than MAX_GRID_POINTS + 1 rows, the most a run writes, raise
     ResourceLimitError; no row past them is read.
     """
@@ -395,6 +396,10 @@ def read_series_csv(path) -> TransportSeries:
             raise ParseError(f"series CSV {'has no rows' if header else 'is empty'}",
                              text=str(path), position=0)
         names = [name.strip() for name in header.split(",")]
+        for at, name in enumerate(names):
+            if name in names[:at]:
+                raise ParseError(f"series CSV repeats the {name!r} column",
+                                 text=header.rstrip("\n"), position=0)
         for name in _SERIES_COLUMNS[:3]:
             if name not in names:
                 raise ParseError(f"series CSV needs a {name!r} column",

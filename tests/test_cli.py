@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from specwalk import (Graph, NumericalError, ParseError, ResourceLimitError,
                       graph_spectrum, parse_graph_spec)
 from specwalk.scaling import extract_envelope
 from specwalk.spectral import default_cluster_tol, projector_factor
-from specwalk.cli import ExperimentConfig, main, preset, read_config_file, run_experiment
+from specwalk.cli import ExperimentConfig, build_parser, main, preset, run_experiment
 from specwalk.transport import parse_grid_spec
 
 
@@ -114,66 +115,38 @@ class TestConfig:
             ExperimentConfig(graph="ring:10", dos="lifshits:b=2").validate()
         ExperimentConfig(graph="ring:10").validate()
 
-    def test_config_file_round_trip(self, tmp_path):
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(
-            "# comment line\n"
-            "graph = star:10\n"
-            "grid = log:1e-2,1e3,100\n"
-            "fit_window = 1,50\n"
-            "vectors = true\n"
-            "envelope_width = 5\n"
-            "tail_fraction = 0.2\n"
-        )
-        overrides = read_config_file(cfg_file)
-        assert overrides["graph"] == "star:10"
-        assert overrides["fit_window"] == (1.0, 50.0)
-        assert overrides["vectors"] is True
-        assert overrides["envelope_width"] == 5
-        assert overrides["tail_fraction"] == 0.2
+    # a value for each flag, and what it sets its field to
+    FLAG_VALUES = {"graph": ("ring:8", "ring:8"), "dos": ("lifshits:b=2", "lifshits:b=2"),
+                   "series": ("s.csv", "s.csv"), "grid": ("log:1,10,5", "log:1,10,5"),
+                   "fit_window": ("2,50", (2.0, 50.0)), "vectors": (None, True),
+                   "chi": (None, True), "fit_model": ("power", "power"), "out": ("o", "o")}
 
-    def test_config_file_rejects_unknown_key(self, tmp_path):
-        cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("banana = 3\n")
-        with pytest.raises(ParseError):
-            read_config_file(cfg_file)
+    @staticmethod
+    def flags(command):
+        """{dest: option strings} of the flags of a subcommand."""
+        subs = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+        return {action.dest: action.option_strings
+                for action in subs.choices[command]._actions
+                if action.option_strings and action.dest != "help"}
 
-    def test_seed_is_no_config_key(self, tmp_path):
-        # an ER seed comes only from the spec's seed= key
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text("graph = er:20,0.3\nseed = 9\n")
-        with pytest.raises(ParseError, match="bad config line 2"):
-            read_config_file(cfg_file)
+    @pytest.mark.parametrize("command", sorted(cli.STAGES))
+    def test_every_flag_sets_the_field_of_its_name(self, command):
+        flags = self.flags(command)
+        argv = [command, *(["fig3"] if command == "preset" else [])]
+        for dest, options in flags.items():
+            assert options == [f"--{dest.replace('_', '-')}"]
+            text = self.FLAG_VALUES[dest][0]
+            argv += [options[0]] + ([] if text is None else [text])
+        config = cli._config_from_args(build_parser().parse_args(argv))
+        for dest in flags:
+            assert getattr(config, dest) == self.FLAG_VALUES[dest][1]
 
-    @pytest.mark.parametrize("text,value", [
-        ("true", True), ("Yes", True), ("ON", True), ("1", True),
-        ("FALSE", False), ("no", False), ("Off", False), ("0", False)])
-    def test_config_file_booleans(self, tmp_path, text, value):
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(f"vectors = {text}\n")
-        assert read_config_file(cfg_file) == {"vectors": value}
-
-    @pytest.mark.parametrize("line", ["vectors = ture", "chi = 2",
-                                      "envelope_width = 3.5", "tail_fraction = lots",
-                                      "fit_window = 1", "fit_window_quantum = a,b"])
-    def test_config_file_bad_value_names_its_line(self, tmp_path, capsys, line):
-        cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text(f"graph = ring:12\n# a comment\n{line}\n")
-        with pytest.raises(ParseError, match="config line 3"):
-            read_config_file(cfg_file)
-        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: bad value on config line 3") and err.count("\n") == 1
-
-    def test_flags_override_file(self, tmp_path, capsys):
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text("graph = star:10\ngrid = log:1e-2,1e2,50\n")
-        out = tmp_path / "run"
-        rc = main(["transport", "--config", str(cfg_file),
-                   "--graph", "ring:12", "--out", str(out)])
-        assert rc == 0
-        manifest = (out / "manifest.txt").read_text()
-        assert "config.graph = ring:12" in manifest
+    def test_every_field_has_a_flag(self):
+        names = {f.name for f in fields(ExperimentConfig)}
+        assert names == set(self.FLAG_VALUES)
+        assert set(self.flags("run")) == names - {"series"}
+        assert "series" in self.flags("fit")
 
 
 class TestColdStart:
@@ -411,21 +384,16 @@ class TestMainSubcommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("sources", [
-        "graph = er:50,0.2\n", "dos = lifshits:b=2\n",
-        "graph = er:50,0.2\ndos = lifshits:b=2\n",
+        dict(graph="er:50,0.2"), dict(dos="lifshits:b=2"),
+        dict(graph="er:50,0.2", dos="lifshits:b=2"),
     ], ids=["graph", "dos", "graph-and-dos"])
-    def test_fit_refuses_a_second_source(self, tmp_path, capsys, sources):
+    def test_fit_refuses_a_second_source(self, tmp_path, sources):
         series = _series_file(tmp_path)
-        cfg_file = tmp_path / "c.cfg"
-        cfg_file.write_text(sources)
         out = tmp_path / "fitted"
-        rc = main(["fit", "--series", str(series), "--config", str(cfg_file),
-                   "--out", str(out)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "exactly one of graph/dos/series" in err
-        assert not (out / "report.txt").exists()
+        with pytest.raises(ParseError, match="exactly one of graph/dos/series"):
+            run_experiment(ExperimentConfig(series=str(series), **sources, out=str(out)),
+                           stages=("analysis",))
+        assert not out.exists()
 
     def test_fit_manifest_echoes_the_series(self, tmp_path):
         series = _series_file(tmp_path)
@@ -492,8 +460,7 @@ class TestMainSubcommands:
     def test_star_run_reports_saturation_near_dominant_term(self, tmp_path):
         out = tmp_path / "star10"
         rc = main(["run", "--graph", "star:10", "--vectors",
-                   "--grid", "linear:0.1,120,1200+log:120,1e4,100",
-                   "--tail-fraction", "0.3", "--out", str(out)])
+                   "--grid", "linear:0.1,120,1200+log:120,1e4,100", "--out", str(out)])
         assert rc == 0
         report = (out / "report.txt").read_text()
         line = [ln for ln in report.splitlines()
@@ -516,14 +483,10 @@ class TestMainSubcommands:
         assert main(["run", *source, "--out", str(out)]) == 1
         assert not (tmp_path / "a").exists()
 
-    @pytest.mark.parametrize("command, source", [
-        ("transport", "series"), ("spectrum", "series"), ("spectrum", "dos")])
+    @pytest.mark.parametrize("command, source", [("spectrum", "dos")])
     def test_stage_set_computing_nothing_exits_one(self, tmp_path, capsys, command, source):
-        value = {"series": str(_series_file(tmp_path)), "dos": "lifshits:b=2"}[source]
-        config = tmp_path / "c.cfg"
-        config.write_text(f"{source} = {value}\n")
         out = tmp_path / "out"
-        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert main([command, f"--{source}", "lifshits:b=2", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"compute nothing from a {source} source" in err
@@ -532,7 +495,10 @@ class TestMainSubcommands:
     @pytest.mark.parametrize("config, stages", [
         (ExperimentConfig(graph="ring:8"), ("analysis",)),
         (ExperimentConfig(dos="lifshits:b=2"), ("analysis",)),
-        (ExperimentConfig(dos="lifshits:b=2"), ("spectrum",))])
+        (ExperimentConfig(dos="lifshits:b=2"), ("spectrum",)),
+        # refused before the series, which is not there, is read
+        (ExperimentConfig(series="series.csv"), ("series",)),
+        (ExperimentConfig(series="series.csv"), ("spectrum",))])
     def test_run_refuses_a_stage_set_computing_nothing(self, tmp_path, config, stages):
         with pytest.raises(ParseError, match="compute nothing"):
             run_experiment(replace(config, out=str(tmp_path / "o")), stages=stages)
@@ -551,9 +517,12 @@ class TestMainSubcommands:
     @pytest.mark.parametrize("args, flag", [
         # no --seed flag: an ER seed comes only from the spec's seed= key
         (["run", "--graph", "ring:10", "--seed", "abc"], "--seed"),
+        # the envelope width and the tail fraction are no run options
         (["run", "--graph", "ring:10", "--envelope-width", "2.5"], "--envelope-width"),
         (["run", "--graph", "ring:10", "--tail-fraction", "tenth"], "--tail-fraction"),
         (["fit"], "--series"),
+        # a run is configured by its flags alone
+        (["run", "--graph", "ring:10", "--config", "x.cfg"], "--config"),
     ])
     def test_usage_errors_exit_one(self, tmp_path, capsys, args, flag):
         # exit code 2 is kept for numerical failures
@@ -563,6 +532,14 @@ class TestMainSubcommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert flag in err and "usage" not in err
         assert not (tmp_path / "u").exists()
+
+    @pytest.mark.parametrize("value", ["1", "1;100", "a,b"])
+    def test_fit_window_needs_lo_hi(self, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        assert main(["run", "--graph", "ring:10", "--fit-window", value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad value for --fit-window: window needs LO,HI: {value!r}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--vectors", "--chi"])
     def test_dos_run_refuses_vectors_and_chi(self, tmp_path, capsys, flag):
@@ -574,11 +551,8 @@ class TestMainSubcommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, shown", [
-        ("--tail-fraction", "0.9", "tail_fraction"),
-        ("--envelope-width", "0", "half_width"),
         ("--fit-window", "100,1", "(100.0, 1.0)"),
-        ("--fit-window-quantum", "100,1", "(100.0, 1.0)"),
-    ], ids=["tail-fraction", "envelope-width", "fit-window", "fit-window-quantum"])
+    ], ids=["fit-window"])
     def test_bad_analysis_options_exit_before_any_work(self, tmp_path, capsys,
                                                        monkeypatch, flag, value, shown):
         def boom(*args, **kwargs):
@@ -594,7 +568,6 @@ class TestMainSubcommands:
 
     @pytest.mark.parametrize("args, message", [
         (["--graph", "ring:50", "--fit-window", "1e5,1e6"], "only 0 points in window"),
-        (["--graph", "ring:50", "--envelope-width", "5000"], "too short for half_width"),
         (["--graph", "star:12", "--chi", "--vectors", "--fit-window", "1e5,1e6"],
          "only 0 points in window"),
         (["--dos", "semicircle:nu=0.5,lmax=2", "--grid", "linear:0,1,5"],
@@ -607,7 +580,10 @@ class TestMainSubcommands:
         (["--graph", "star:5", "--grid", "linear:1e-3,1e7,20000"],
          "classical p_bar fit: only 0 points in window (1.0, 100.0); need >= 5; "
          "the 20000 points given span t = 0.001 to 1e+07"),
-    ], ids=["fit-window", "envelope-width", "chi", "dos", "lifshits-envelope", "coarse-grid"])
+        # one node: p_bar is 1 everywhere, so no point is left for the ratio
+        (["--graph", "er:1,0.5"],
+         "delta_p ratio: no valid points: series must lie strictly inside (0, 1)"),
+    ], ids=["fit-window", "chi", "dos", "lifshits-envelope", "coarse-grid", "delta-p"])
     def test_failed_analysis_writes_nothing(self, tmp_path, capsys, args, message):
         # options within their bounds that the series cannot serve: the
         # analysis fails after every other stage has run, before any write
@@ -619,13 +595,9 @@ class TestMainSubcommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["vectors", "chi"])
-    def test_dos_config_file_refuses_vectors_and_chi(self, tmp_path, key):
-        cfg_file = tmp_path / "dos.cfg"
-        cfg_file.write_text(f"dos = semicircle:nu=0.5,lmax=2\n{key} = true\n")
-        assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "d")]) == 1
+    def test_dos_config_refuses_vectors_and_chi(self, key):
         with pytest.raises(ParseError, match="need a graph"):
-            run_experiment(ExperimentConfig(**read_config_file(cfg_file),
-                                            out=str(tmp_path / "e")))
+            ExperimentConfig(dos="semicircle:nu=0.5,lmax=2", **{key: True}).validate()
 
     def test_numerical_failure_exit_two(self, monkeypatch, tmp_path):
         def boom(config, stages=("series", "spectrum", "analysis")):
@@ -656,17 +628,16 @@ class TestFitModel:
     @pytest.mark.parametrize("model", ["auto", "power", "stretched"])
     @pytest.mark.parametrize("by", ["flag", "config"])
     def test_report_names_the_model(self, tmp_path, source, model, by):
+        # by flags, or by an ExperimentConfig handed to run_experiment
         key, spec = source.split("=", 1)
         out = tmp_path / "o"
         settings = {key: spec, "grid": "linear:0.05,120,1200", "fit_model": model}
         if by == "flag":
             args = [arg for k, v in settings.items()
                     for arg in (f"--{k.replace('_', '-')}", v)]
+            assert main(["run", *args, "--out", str(out)]) == 0
         else:
-            config = tmp_path / "exp.cfg"
-            config.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
-            args = ["--config", str(config)]
-        assert main(["run", *args, "--out", str(out)]) == 0
+            run_experiment(ExperimentConfig(**settings, out=str(out)))
         report = dict(ln.split(" = ") for ln in (out / "report.txt").read_text().splitlines())
         stretched = model == "stretched" or (model == "auto" and spec.startswith("lifshits"))
         expected = "stretched_exp" if stretched else "power_law"
@@ -774,6 +745,23 @@ class TestAnalyzeSeriesFile:
         series = transport.read_series_csv(tmp_path / "r" / "series.csv")
         text = (tmp_path / "r" / "series.csv").read_text()
         assert b"".join(cli.series_csv(series)[1]).decode() == text
+
+    @pytest.mark.parametrize("header, rows, name", [
+        # the first t falls and the last rises
+        ("t,p_bar,alpha_bar_sq,t", "2,1,1,0\n1,0.5,0.5,1\n", "t"),
+        # a well-formed series but for the choice of p_bar
+        ("t,p_bar,p_bar,alpha_bar_sq", "0,1,1,1\n1,0.5,0.4,0.3\n", "p_bar")],
+        ids=["t", "p_bar"])
+    def test_repeated_column_is_refused_at_the_header(self, tmp_path, capsys, header,
+                                                      rows, name):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{rows}")
+        with pytest.raises(ParseError, match=f"^series CSV repeats the '{name}' column"):
+            transport.read_series_csv(bad)
+        assert main(["fit", "--series", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: series CSV repeats the '{name}' column")
+        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
     def test_missing_column_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -950,8 +938,7 @@ class TestManifest:
             return
         series = transport.read_series_csv(out / "series.csv")
         positive = series.times > 0
-        envelope = extract_envelope(series.times[positive], series.alpha_bar_sq[positive],
-                                    half_width=cfg.envelope_width)
+        envelope = extract_envelope(series.times[positive], series.alpha_bar_sq[positive])
         assert diag["analysis.envelope_points"] == str(len(envelope.times))
 
     def test_stage_time_accumulates(self, monkeypatch):

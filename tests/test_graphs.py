@@ -220,7 +220,7 @@ class TestErdosRenyi:
         assert not is_connected(sparse)
         assert is_connected(build_erdos_renyi(12, 1.0, seed=3))
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 2**128 - 1])
     @pytest.mark.parametrize("p", [0.01, 0.2, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 400])
     def test_matches_triu_mask_oracle(self, n, p, seed):
@@ -251,6 +251,14 @@ class TestErdosRenyi:
         # one block of draws and a few arrays of the edges' size (12 MB
         # here); the draws for all 4.5M pairs at once took it to 39 MB
         assert peak <= 1.25 * 8 * graphs._DRAW_BLOCK + 4 * g.edges.nbytes
+
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["-1", "2**128"])
+    def test_seed_outside_the_key_range(self, seed):
+        # the message of the library, which numpy's would not be: seed 0 is a key
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*128\)$"):
+            build_erdos_renyi(10, 0.5, seed=seed)
+        with pytest.raises(ParseError, match=r"^seed must be in \[0, 2\*\*128\) \(in "):
+            parse_graph_spec(f"er:10,0.5,seed={seed}")
 
     @pytest.mark.parametrize("p", [0.0, -0.1, 1.5])
     def test_bad_probability(self, p):

@@ -363,28 +363,30 @@ class TestEfficiencyReport:
     T = np.concatenate(([0.0], np.linspace(0.05, 200.0, 4000)))
     P = np.exp(-0.01 * T)
     ALPHA = np.exp(-0.03 * T) * (0.6 + 0.4 * np.cos(T) ** 2)
+    # five envelope maxima, at t = 0.05, 0.25, ..., 0.85, and none after
+    EARLY_PEAKS = np.exp(-0.03 * T) * np.where((np.arange(T.size) % 4 == 1) & (T < 0.9),
+                                               1.0, 0.5)
 
-    def by_hand(self, t, p, alpha, window, window_quantum, half_width, tail, fit):
+    def by_hand(self, t, p, alpha, window, fit):
         """The analysis assembled from its parts: envelope, fits, ratio,
         crossover and saturation on the times t > 0."""
         keep = t > 0
         t, p, alpha = t[keep], p[keep], alpha[keep]
-        env = extract_envelope(t, alpha, half_width=half_width)
+        env = extract_envelope(t, alpha, half_width=DEFAULT_HALF_WIDTH)
         quantum = (env.times, env.values) if len(env.times) >= 5 else (t, alpha)
         ratio = efficiency_ratio_series(t, p, quantum)
         return EfficiencyReport(
-            classical_fit=fit(t, p, window), quantum_fit=fit(*quantum, window_quantum),
-            ratio=ratio, saturation_classical=saturation(p, tail),
-            saturation_quantum=saturation(alpha, tail), envelope_points=len(env.times),
+            classical_fit=fit(t, p, window), quantum_fit=fit(*quantum, window),
+            ratio=ratio, saturation_classical=saturation(p, DEFAULT_TAIL_FRACTION),
+            saturation_quantum=saturation(alpha, DEFAULT_TAIL_FRACTION),
+            envelope_points=len(env.times),
             crossover_time=detect_crossover(ratio.times, ratio.values))
 
     @pytest.mark.parametrize("stretched", [False, True])
     def test_equals_its_parts(self, stretched):
         fit = fit_stretched_exp if stretched else fit_power_law
-        got = efficiency_report(self.T, self.P, self.ALPHA, (1.0, 100.0), (2.0, 150.0),
-                                half_width=4, tail_fraction=0.2, stretched=stretched)
-        want = self.by_hand(self.T, self.P, self.ALPHA, (1.0, 100.0), (2.0, 150.0), 4,
-                            0.2, fit)
+        got = efficiency_report(self.T, self.P, self.ALPHA, (1.0, 100.0), stretched=stretched)
+        want = self.by_hand(self.T, self.P, self.ALPHA, (1.0, 100.0), fit)
         assert report_text(got) == report_text(want)
         assert got.envelope_points == want.envelope_points > 5
         assert np.array_equal(got.ratio.times, want.ratio.times)
@@ -400,8 +402,14 @@ class TestEfficiencyReport:
         want = fit_power_law(self.T[keep], alpha[keep], (1.0, 100.0))
         assert got.quantum_fit == want
         assert report_text(got) == report_text(self.by_hand(
-            self.T, self.P, alpha, (1.0, 100.0), (1.0, 100.0), DEFAULT_HALF_WIDTH,
-            DEFAULT_TAIL_FRACTION, fit_power_law))
+            self.T, self.P, alpha, (1.0, 100.0), fit_power_law))
+
+    def test_one_window_and_a_keyword_stretch(self):
+        # a second window, as a quantum window once was, binds to nothing
+        with pytest.raises(TypeError):
+            efficiency_report(self.T, self.P, self.ALPHA, (1.0, 100.0), (2.0, 150.0))
+        with pytest.raises(TypeError):
+            efficiency_report(self.T, self.P, self.ALPHA, (1.0, 100.0), True)
 
     def test_reads_only_positive_times(self):
         # the t = 0 row never reaches the envelope, the fits or the tail
@@ -412,22 +420,35 @@ class TestEfficiencyReport:
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(window=(1e5, 1e6)), "only 0 points"),
-        (dict(window=(1.0, 100.0), half_width=5000), "too short"),
+        # t = 0 and 2 * DEFAULT_HALF_WIDTH positive times: one too few for the envelope
+        (dict(window=(1.0, 100.0), rows=2 * DEFAULT_HALF_WIDTH + 1), "too short"),
     ])
     def test_refuses_what_its_parts_refuse(self, kwargs, match):
+        kwargs = dict(kwargs)
+        rows = slice(kwargs.pop("rows", None))
         with pytest.raises(ValueError, match=match):
-            efficiency_report(self.T, self.P, self.ALPHA, **kwargs)
+            efficiency_report(self.T[rows], self.P[rows], self.ALPHA[rows], **kwargs)
 
-    @pytest.mark.parametrize("window_quantum, alpha, name", [
-        ((1.0, 100.0), ALPHA, "classical p_bar"),
-        ((1e5, 1e6), ALPHA, "quantum envelope"),
-        ((1e5, 1e6), np.exp(-0.03 * T), "quantum series"),
+    @pytest.mark.parametrize("window, alpha, message", [
+        ((1e5, 1e6), ALPHA, r"classical p_bar fit: only 0 points in window "
+                            r".*; the \d+ points given span t = 0.05 to "),
+        ((1.0, 100.0), EARLY_PEAKS, r"quantum envelope fit: only 0 points in window "
+                                    r".*; the 5 points given span t = 0.05 to 0.85$"),
+        # monotone, so its own envelope, and 0 from t = 50 on
+        ((1.0, 100.0), np.exp(-0.03 * T) * (T < 50),
+         r"quantum series fit: non-positive values inside fit window \(1.0, 100.0\)$"),
     ], ids=["classical", "envelope", "series"])
-    def test_names_the_fit_that_failed(self, window_quantum, alpha, name):
-        window = (1e5, 1e6) if name.startswith("classical") else (1.0, 100.0)
-        with pytest.raises(ValueError, match=rf"^{name} fit: only 0 points in window "
-                                             rf".*; the \d+ points given span t = 0.05 to "):
-            efficiency_report(self.T, self.P, alpha, window, window_quantum)
+    def test_names_the_fit_that_failed(self, window, alpha, message):
+        with pytest.raises(ValueError, match=rf"^{message}"):
+            efficiency_report(self.T, self.P, alpha, window)
+
+    def test_names_a_failed_ratio(self):
+        # p_bar at 1 throughout, as on a graph with no edges, leaves no point
+        # strictly inside (0, 1)
+        ones = np.ones_like(self.T)
+        with pytest.raises(ValueError, match=r"^delta_p ratio: no valid points: series "
+                                             r"must lie strictly inside \(0, 1\)$"):
+            efficiency_report(self.T, ones, ones, (1.0, 100.0))
 
 
 class TestReportSerialization:
