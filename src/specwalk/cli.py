@@ -210,15 +210,48 @@ def _finish(manifest: RunManifest, out_dir: Path, started: float) -> RunManifest
     return manifest
 
 
-# each subcommand is a stage set of one run
-STAGES = {"run": ("series", "spectrum", "analysis"),
-          "preset": ("series", "spectrum", "analysis"),
-          "spectrum": ("spectrum",),
-          "transport": ("series",),
-          "fit": ("analysis",)}
+# each subcommand, in help order: its help, its stage set of the one run and
+# the flags of its sources and of the options its stages read, by config field
+_RUN_FLAGS = ("graph", "dos", "out", "grid", "fit_window", "vectors", "chi", "fit_model")
+_SUBCOMMANDS = {
+    "run": ("full pipeline: series, spectrum, analysis",
+            ("series", "spectrum", "analysis"), _RUN_FLAGS),
+    "spectrum": ("eigenvalues and degeneracies only", ("spectrum",), ("graph", "out", "chi")),
+    "transport": ("transport series only", ("series",),
+                  ("graph", "dos", "out", "grid", "vectors", "chi")),
+    "fit": ("decay analysis of an existing series CSV", ("analysis",),
+            ("series", "out", "fit_window", "fit_model")),
+    "preset": ("run a documented preset", ("series", "spectrum", "analysis"), _RUN_FLAGS),
+}
+STAGES = {command: stages for command, (_, stages, _) in _SUBCOMMANDS.items()}
 # the stages that write an artifact from each source
 _SOURCE_STAGES = {"graph": {"spectrum", "series"}, "dos": {"series"},
                   "series": {"analysis"}}
+# the fixed-name artifacts besides manifest.txt
+_ARTIFACTS = ("series.csv", "spectrum.csv", "degeneracies.csv", "chi.csv", "report.txt",
+              "deltap.csv")
+
+
+def _artifacts(config: ExperimentConfig, source: str, stages) -> set[str]:
+    """The _ARTIFACTS a run writes. An output directory that holds any
+    other is refused with ParseError, as another run's artifacts would be
+    left beside this run's; the series CSV a run reads there is its own."""
+    computed = source != "series" and "series" in stages
+    writes = {"chi.csv"} if config.chi else set()
+    if source == "graph" and "spectrum" in stages:
+        writes |= {"spectrum.csv", "degeneracies.csv"}
+    if computed:
+        writes.add("series.csv")
+    if "analysis" in stages and (computed or source == "series"):
+        writes |= {"report.txt", "deltap.csv"}
+    out_dir = Path(config.out)
+    read = config.series is not None and Path(config.series).resolve()
+    held = [name for name in _ARTIFACTS if name not in writes
+            and (out_dir / name).exists() and (out_dir / name).resolve() != read]
+    if held:
+        raise ParseError(f"output directory {out_dir} holds {', '.join(held)}, which "
+                         f"this run does not write; give the run a directory of its own")
+    return writes
 
 
 def run_experiment(config: ExperimentConfig,
@@ -231,16 +264,20 @@ def run_experiment(config: ExperimentConfig,
     the analysis stage reads the series from any of the three. A stage
     set that writes nothing from its source (`transport` from a series,
     `spectrum` from a DOS) raises ParseError, so every run writes an
-    artifact. Every stage computes before the first write, which makes
-    the output directory, so a run whose computation fails writes nothing.
+    artifact. An output directory holding another run's artifacts raises
+    ParseError before any work. Every stage computes before the first
+    write, which makes the output directory, so a run whose computation
+    fails writes nothing.
     """
     config.validate()
     source = next(name for name in _SOURCE_STAGES if getattr(config, name) is not None)
     if not (config.chi or _SOURCE_STAGES[source] & set(stages)):
         raise ParseError(f"stages {'/'.join(stages)} compute nothing from a "
                          f"{source} source", text=getattr(config, source), position=0)
+    writes = _artifacts(config, source, stages)
     started = time.monotonic()
-    grid = parse_grid_spec(config.grid)
+    # only a computed series reads the grid, parsed before any other work
+    grid = parse_grid_spec(config.grid) if "series.csv" in writes else None
     manifest = RunManifest(config=config.echo())
     spectrum = chi = series = report = None
     stretched = config.fit_model == "stretched"
@@ -275,16 +312,16 @@ def run_experiment(config: ExperimentConfig,
         manifest.diagnostics["analysis.envelope_points"] = str(report.envelope_points)
 
     out_dir = Path(config.out)
-    if chi is not None:
+    if "chi.csv" in writes:
         _write(out_dir, "chi.csv", manifest, chi_csv, *chi)
         chi = None  # the table is not kept past its write
-    if spectrum is not None and "spectrum" in stages:
+    if "spectrum.csv" in writes:
         _write(out_dir, "spectrum.csv", manifest, spectrum_csv, spectrum)
         _write(out_dir, "degeneracies.csv", manifest, degeneracies_csv, spectrum)
     times_text = None  # series.csv's t column, which deltap.csv reuses
-    if series is not None and config.series is None:
+    if "series.csv" in writes:
         times_text = _write(out_dir, "series.csv", manifest, series_csv, series)
-    if report is not None:
+    if "report.txt" in writes:
         _write(out_dir, "report.txt", manifest, report_text, report)
         _write(out_dir, "deltap.csv", manifest, ratio_csv, report.ratio,
                series.times, times_text)
@@ -293,20 +330,22 @@ def run_experiment(config: ExperimentConfig,
 
 # -- argument parsing ---------------------------------------------------------
 
-def _add_common(sub, with_specs=True):
-    if with_specs:
-        sub.add_argument("--graph", help="graph spec, e.g. ring:200 or er:1000,0.1,seed=1")
-        sub.add_argument("--dos", help="DOS spec, e.g. semicircle:nu=0.5,lmax=2")
-    sub.add_argument("--out", help="output directory (default: out)")
-    sub.add_argument("--grid", help=f"time grid spec (default: {DEFAULT_GRID_SPEC})")
-    sub.add_argument("--fit-window", help="window LO,HI of both fits (default: 1,100)")
-    sub.add_argument("--vectors", action="store_true", default=None,
-                     help="add the exact quantum average pi_bar to the series "
-                          "(projectors: closed-form pair orbits on ring, torus, "
-                          "star and dendrimer, dense eigenvectors elsewhere)")
-    sub.add_argument("--chi", action="store_true", default=None,
-                     help="write the long-time average transition matrix")
-    sub.add_argument("--fit-model", choices=("auto", "power", "stretched"))
+# argparse keywords of each flag, by the config field it sets
+_FLAGS = {
+    "graph": dict(help="graph spec, e.g. ring:200 or er:1000,0.1,seed=1"),
+    "dos": dict(help="DOS spec, e.g. semicircle:nu=0.5,lmax=2"),
+    "series": dict(required=True, help="path to a series CSV"),
+    "out": dict(help="output directory (default: out)"),
+    "grid": dict(help=f"time grid spec (default: {DEFAULT_GRID_SPEC})"),
+    "fit_window": dict(help="window LO,HI of both fits (default: 1,100)"),
+    "vectors": dict(action="store_true", default=None,
+                    help="add the exact quantum average pi_bar to the series "
+                         "(projectors: closed-form pair orbits on ring, torus, "
+                         "star and dendrimer, dense eigenvectors elsewhere)"),
+    "chi": dict(action="store_true", default=None,
+                help="write the long-time average transition matrix"),
+    "fit_model": dict(choices=("auto", "power", "stretched")),
+}
 
 
 def _config_from_args(args, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -338,23 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classical vs quantum transport efficiency from graph spectra")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    run = subs.add_parser("run", help="full pipeline: series, spectrum, analysis")
-    _add_common(run)
-
-    spec = subs.add_parser("spectrum", help="eigenvalues and degeneracies only")
-    _add_common(spec)
-
-    trans = subs.add_parser("transport", help="transport series only")
-    _add_common(trans)
-
-    fit = subs.add_parser("fit", help="decay analysis of an existing series CSV")
-    fit.add_argument("--series", required=True, help="path to a series CSV")
-    _add_common(fit, with_specs=False)
-
-    pre = subs.add_parser("preset", help="run a documented preset")
-    pre.add_argument("name", help=f"one of {sorted(PRESETS)}")
-    _add_common(pre)
+    for command, (text, _, flags) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        if command == "preset":
+            sub.add_argument("name", help=f"one of {sorted(PRESETS)}")
+        for name in flags:
+            sub.add_argument(f"--{name.replace('_', '-')}", **_FLAGS[name])
     return parser
 
 

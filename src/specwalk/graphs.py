@@ -11,6 +11,7 @@ Hamiltonian.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,12 @@ def check_size_cap(n: int, what: str):
         raise ResourceLimitError(f"{what} of {n} nodes exceeds size cap {DEFAULT_SIZE_CAP}")
 
 
+class _Fresh(NamedTuple):
+    """An edge array a builder has just made, which Graph keeps uncopied."""
+
+    edges: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph: node count plus its edges as an (m, 2) array.
@@ -40,7 +47,8 @@ class Graph:
     sorted and unique. The constructor also accepts any iterable of pairs,
     in any order or orientation and with repeats, and canonicalises it;
     input that is already canonical (as every builder's is) is not sorted
-    again. Two graphs are equal when their node counts and edge arrays are.
+    again. A caller's array is copied, while a builder's fresh one is kept.
+    Two graphs are equal when their node counts and edge arrays are.
 
     `family` is set by the builders of the symmetric families, so that
     `spectral.graph_spectrum` can use their closed-form spectra: ("torus",
@@ -62,9 +70,11 @@ class Graph:
         if self.n < 1:
             raise ValueError(f"graph needs at least one node, got n={self.n}")
         edges = self.edges
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        edges = np.array(edges, dtype=np.int64)
+        if isinstance(edges, _Fresh):
+            edges = np.asarray(edges.edges, dtype=np.int64)
+        else:
+            edges = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
+                             dtype=np.int64)
         if edges.size == 0:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -117,7 +127,7 @@ def _build_tree(branching) -> Graph:
     parent = np.repeat(np.arange(sizes.sum()),
                        np.repeat(np.array(branching, dtype=np.int64), sizes))
     n = len(parent) + 1
-    return Graph(n=n, edges=np.column_stack((parent, np.arange(1, n))),
+    return Graph(n=n, edges=_Fresh(np.column_stack((parent, np.arange(1, n)))),
                  family=("tree", branching))
 
 
@@ -173,7 +183,7 @@ def build_hypercubic(side: int, d: int) -> Graph:
     partners = np.column_stack(partners)
     owners = np.broadcast_to(v[:, None], partners.shape)
     keep = partners >= 0
-    return Graph(n=n, edges=np.column_stack((owners[keep], partners[keep])),
+    return Graph(n=n, edges=_Fresh(np.column_stack((owners[keep], partners[keep]))),
                  family=("torus", side, d))
 
 
@@ -211,7 +221,7 @@ def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     rows = np.arange(n)
     offsets = rows * (2 * n - rows - 1) // 2
     i = np.searchsorted(offsets, k, side="right") - 1
-    return Graph(n=n, edges=np.column_stack((i, k - offsets[i] + i + 1)))
+    return Graph(n=n, edges=_Fresh(np.column_stack((i, k - offsets[i] + i + 1))))
 
 
 def laplacian(g: Graph):

@@ -148,6 +148,52 @@ class TestConfig:
         assert set(self.flags("run")) == names - {"series"}
         assert "series" in self.flags("fit")
 
+    # each subcommand's flags: its sources and the options its stages read
+    RUN_FLAGS = {"graph", "dos", "out", "grid", "fit_window", "vectors", "chi", "fit_model"}
+    SUBCOMMAND_FLAGS = {"run": RUN_FLAGS, "preset": RUN_FLAGS,
+                        "spectrum": {"graph", "out", "chi"},
+                        "transport": {"graph", "dos", "out", "grid", "vectors", "chi"},
+                        "fit": {"series", "out", "fit_window", "fit_model"}}
+
+    @pytest.mark.parametrize("command", sorted(cli.STAGES))
+    def test_subcommand_takes_the_flags_its_stages_read(self, command):
+        assert set(self.flags(command)) == self.SUBCOMMAND_FLAGS[command]
+
+    # the flags that the subcommands took and then ignored or refused
+    @pytest.mark.parametrize("command, dest", [
+        ("spectrum", "dos"), ("spectrum", "grid"), ("spectrum", "fit_window"),
+        ("spectrum", "vectors"), ("spectrum", "fit_model"),
+        ("transport", "fit_window"), ("transport", "fit_model"),
+        ("fit", "grid"), ("fit", "vectors"), ("fit", "chi")])
+    def test_flag_the_stages_do_not_read_is_a_usage_error(self, tmp_path, capsys,
+                                                         command, dest):
+        source = ["--series", "s.csv"] if command == "fit" else ["--graph", "ring:8"]
+        flag, value = f"--{dest.replace('_', '-')}", self.FLAG_VALUES[dest][0]
+        out = tmp_path / "o"
+        rc = main([command, *source, flag, *([] if value is None else [value]),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: unrecognized arguments: {flag}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["log:1,10", f"linear:0,1,{transport.MAX_GRID_POINTS + 1}"],
+                             ids=["bad", "over-limit"])
+    def test_bad_grid_fails_before_the_solve(self, tmp_path, capsys, monkeypatch, grid):
+        def boom(*args, **kwargs):
+            raise AssertionError("decompose called")
+
+        monkeypatch.setattr(spectral, "decompose", boom)
+        out = tmp_path / "o"
+        assert main(["run", "--graph", "er:40,0.2,seed=1", "--grid", grid,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid") and err.count("\n") == 1
+        assert not out.exists()
+        # the patch is on the solve's path
+        with pytest.raises(AssertionError, match="decompose called"):
+            main(["run", "--graph", "er:40,0.2,seed=1", "--out", str(out)])
+
 
 class TestColdStart:
     """scipy loads only where a run needs it: a dense solve or a continuum
@@ -199,12 +245,13 @@ class TestNodeCap:
         with pytest.raises(ResourceLimitError, match="51 nodes exceeds size cap 50"):
             graph_spectrum(Graph(n=51, edges=[(0, 1)]), with_vectors=with_vectors)
 
-    @pytest.mark.parametrize("args", [["spectrum", "--graph", "dendrimer:5,3"],
-                                      ["spectrum", "--graph", "ring:60"],
-                                      ["transport", "--graph", "star:60", "--vectors"],
-                                      ["transport", "--graph", "torus:8,2", "--vectors"]])
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--graph", "dendrimer:5,3"],
+        ["spectrum", "--graph", "ring:60"],
+        ["transport", "--graph", "star:60", "--vectors", "--grid", "log:1e-2,1e2,50"],
+        ["transport", "--graph", "torus:8,2", "--vectors", "--grid", "log:1e-2,1e2,50"]])
     def test_closed_forms_pass_the_cap(self, cap_50, args, tmp_path):
-        assert main([*args, "--grid", "log:1e-2,1e2,50", "--out", str(tmp_path / "o")]) == 0
+        assert main([*args, "--out", str(tmp_path / "o")]) == 0
 
     def test_torus_above_the_cap(self, tmp_path, capsys):
         # torus:200,2 has 40,000 nodes: its series take no n x n array, and
@@ -315,11 +362,11 @@ class TestMainSubcommands:
         assert not (out / "series.csv").exists()
 
     def test_spectrum_vectors_solves_for_values_only(self, tmp_path):
-        # the spectrum stage writes eigenvalues only, so --vectors asks
-        # for no eigenvectors and no residual check
+        # the spectrum stage writes eigenvalues only, so vectors asks for
+        # no eigenvectors and no residual check
         out = tmp_path / "spec"
-        assert main(["spectrum", "--graph", "er:300,0.05,seed=2", "--vectors",
-                     "--out", str(out)]) == 0
+        run_experiment(ExperimentConfig(graph="er:300,0.05,seed=2", vectors=True,
+                                        out=str(out)), stages=("spectrum",))
         lines = (out / "manifest.txt").read_text().splitlines()
         diag = dict(ln.split(" = ") for ln in lines if ln.startswith("spectrum."))
         assert diag["spectrum.path"] == "dense"
@@ -379,8 +426,8 @@ class TestMainSubcommands:
                    "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "need a graph run" in err
+        # fit has no such flag: a usage error
+        assert err == f"error: unrecognized arguments: {flag}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("sources", [
@@ -403,27 +450,29 @@ class TestMainSubcommands:
         assert f"config.series = {series}" in lines
 
     def test_fit_parses_its_grid(self, tmp_path, capsys):
+        # fit reads its times from the series, so it takes no grid at all
         series = _series_file(tmp_path)
         rc = main(["fit", "--series", str(series), "--grid", "log:1,10",
                    "--out", str(tmp_path / "fitted")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error: grid segment needs LO,HI,N") and err.count("\n") == 1
+        assert err == "error: unrecognized arguments: --grid log:1,10\n"
+        assert not (tmp_path / "fitted").exists()
 
     @pytest.mark.parametrize("command, artifacts", [
-        (["run", "--graph", "star:10"], ["degeneracies.csv", "deltap.csv",
-                                         "report.txt", "series.csv", "spectrum.csv"]),
-        (["preset", "fig3"], ["degeneracies.csv", "deltap.csv", "report.txt",
-                              "series.csv", "spectrum.csv"]),
+        (["run", "--graph", "star:10", "--grid", "log:1e-2,1e4,200"],
+         ["degeneracies.csv", "deltap.csv", "report.txt", "series.csv", "spectrum.csv"]),
+        (["preset", "fig3", "--grid", "log:1e-2,1e4,200"],
+         ["degeneracies.csv", "deltap.csv", "report.txt", "series.csv", "spectrum.csv"]),
         (["spectrum", "--graph", "star:10"], ["degeneracies.csv", "spectrum.csv"]),
-        (["transport", "--graph", "star:10"], ["series.csv"]),
+        (["transport", "--graph", "star:10", "--grid", "log:1e-2,1e4,200"], ["series.csv"]),
         (["fit"], ["deltap.csv", "report.txt"]),
     ], ids=["run", "preset", "spectrum", "transport", "fit"])
     def test_subcommand_artifact_sets(self, tmp_path, command, artifacts):
         if command == ["fit"]:
             command = ["fit", "--series", str(_series_file(tmp_path))]
         out = tmp_path / "out"
-        assert main([*command, "--grid", "log:1e-2,1e4,200", "--out", str(out)]) == 0
+        assert main([*command, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [*artifacts, "manifest.txt"])
 
@@ -485,11 +534,11 @@ class TestMainSubcommands:
 
     @pytest.mark.parametrize("command, source", [("spectrum", "dos")])
     def test_stage_set_computing_nothing_exits_one(self, tmp_path, capsys, command, source):
+        # the subcommand takes no such source: a usage error
         out = tmp_path / "out"
         assert main([command, f"--{source}", "lifshits:b=2", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"compute nothing from a {source} source" in err
+        assert err == f"error: unrecognized arguments: --{source} lifshits:b=2\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("config, stages", [
@@ -617,6 +666,54 @@ class TestMainSubcommands:
         assert rc == 2
         assert err.startswith("numerical failure: ") and "30x30" in err
         assert err.count("\n") == 1
+
+
+class TestOutputDirectory:
+    """A run writes into a directory of its own: one that holds an artifact
+    the run does not write, left by another run, is refused before any
+    work, and nothing in it is written or deleted."""
+
+    def test_another_runs_directory_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["run", "--graph", "ring:20", "--chi", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["transport", "--graph", "star:12", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: output directory {out} holds spectrum.csv, degeneracies.csv, "
+                       f"chi.csv, report.txt, deltap.csv, which this run does not write; "
+                       f"give the run a directory of its own\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--graph", "ring:20", "--chi"], ["spectrum", "--graph", "ring:20"],
+        ["transport", "--dos", "lifshits:b=2"], ["preset", "fig3"]])
+    def test_rerun_into_its_own_directory(self, tmp_path, command):
+        out = tmp_path / "d"
+        assert main([*command, "--out", str(out)]) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.txt"}
+        assert main([*command, "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != "manifest.txt"} == first
+
+    def test_fit_writes_beside_its_series(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["transport", "--graph", "ring:24", "--grid", "linear:0.05,120,2400",
+                     "--out", "d"]) == 0
+        series = (tmp_path / "d" / "series.csv").read_bytes()
+        for path in ("d/series.csv", str(tmp_path / "d" / "series.csv")):
+            assert main(["fit", "--series", path, "--out", "./d"]) == 0
+        assert (tmp_path / "d" / "series.csv").read_bytes() == series
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+            "deltap.csv", "manifest.txt", "report.txt", "series.csv"]
+
+    def test_fit_refuses_another_series_beside_it(self, tmp_path, capsys):
+        series = _series_file(tmp_path)
+        out = tmp_path / "d"
+        assert main(["transport", "--graph", "star:12", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["fit", "--series", str(series), "--out", str(out)]) == 1
+        assert f"{out} holds series.csv," in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestFitModel:
@@ -780,10 +877,10 @@ class TestAnalyzeSeriesFile:
         series = written / "series.csv"
         text = series.read_text()
         assert text.count("\n") == 62
-        assert main(["fit", "--series", str(series), *grid, "--out", str(tmp_path / "a")]) == 0
+        assert main(["fit", "--series", str(series), "--out", str(tmp_path / "a")]) == 0
         series.write_text(text + "2000.0,1e-9,1e-18\n")
         out = tmp_path / "b"
-        assert main(["fit", "--series", str(series), *grid, "--out", str(out)]) == 1
+        assert main(["fit", "--series", str(series), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == "error: series CSV holds more than the limit of 61 rows\n"
         assert not out.exists()

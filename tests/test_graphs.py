@@ -329,6 +329,13 @@ class TestGraphType:
         edges[0] = [0, 2]
         assert np.array_equal(g.edges, [[0, 1], [1, 2]])
 
+    def test_builder_array_is_kept(self):
+        # a builder's fresh edge array is not copied: 16 B per edge, once
+        edges = np.array([[0, 1], [1, 2]])
+        g = Graph(n=3, edges=graphs._Fresh(edges))
+        assert np.shares_memory(g.edges, edges) and not g.edges.flags.writeable
+        assert g == Graph(n=3, edges=[(0, 1), (1, 2)])
+
     def test_unsorted_and_repeated_pairs_canonicalise(self):
         messy = Graph(n=5, edges=[(3, 4), (1, 0), (0, 1), (4, 3), (2, 0)])
         assert np.array_equal(messy.edges, [[0, 1], [0, 2], [3, 4]])

@@ -9,7 +9,7 @@ so it is the child's own; RUSAGE_CHILDREN would give the largest peak of
 any child waited for so far. A child's peak starts at its parent's RSS
 when it is spawned, as Linux keeps the high-water mark of the address
 space that exec replaces, so the tool is run from a process of its own.
-It prints each peak and the er:5000 manifest's `spectrum.solver` line,
+It prints each peak and the er:5000,0.01 manifest's `spectrum.solver` line,
 and exits 1 naming every command over its bound. `ru_maxrss` is read
 in KiB, as Linux reports it.
 """
@@ -64,6 +64,12 @@ def commands(work: Path) -> list[tuple[str, list[str], float]]:
         # with the upper triangle written)
         ("large dense spectrum", specwalk("spectrum", "--graph", "er:5000,0.01,seed=1",
                                           "--out", work / "er5000"), 220),
+        # er:5000,1, the complete graph at the dense cap: 12.5 million
+        # edges at 16 B each, a 200 MB edge array that the Graph keeps as
+        # its builder made it (about 541 MB measured, 714 MB when the
+        # Graph copied the builder's array)
+        ("complete graph spectrum", specwalk("spectrum", "--graph", "er:5000,1",
+                                             "--out", work / "complete"), 600),
         # fit parses the 10^6 rows in one np.loadtxt call (about 154 MB
         # measured, 475 MB when it built a Python list per row)
         ("fit on the largest series",
