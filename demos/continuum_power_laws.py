@@ -24,7 +24,7 @@ for nu, lam_max, label in [(-0.5, 4.0, "1D band edge"),
 
     dense = sw.linear_grid(8.0, 110.0, 1020)
     alpha = sw.continuum_series(dos, dense).alpha_bar_sq
-    env = sw.extract_envelope(dense.times, alpha, half_width=3)
+    env = sw.extract_envelope(dense.times, alpha)
     fit_qm = sw.fit_power_law(env.times, env.values, (10.0, 100.0))
 
     print(f"{label} (nu={nu:+.1f}):")

@@ -24,7 +24,7 @@ print(f"classical exponent on t in [1, 100]: {fit.exponent:+.3f}  (infinite line
 # quantum side needs the oscillations resolved, so sample linearly
 dense = sw.linear_grid(0.5, 200.0, 8000)
 alpha = sw.transport_series(spec, dense).alpha_bar_sq
-env = sw.extract_envelope(dense.times, alpha, half_width=3)
+env = sw.extract_envelope(dense.times, alpha)
 qfit = sw.fit_power_law(env.times, env.values, (1.0, 100.0))
 print(f"quantum envelope exponent:          {qfit.exponent:+.3f}  (infinite line: -1.0)")
 

@@ -10,8 +10,8 @@ deltap.csv, manifest.txt. Each stage is one call into the module that
 owns it; this module holds the config, the presets, the stage order,
 the manifest and the writes.
 
-Subcommands: run, spectrum, transport, fit, preset. Each is a stage set of
-the one run (`STAGES`). Exit codes: 0 on success, 1 on a parse/config
+Subcommands: run, spectrum, transport, fit, preset, one row of
+`_SUBCOMMANDS` each. Exit codes: 0 on success, 1 on a parse/config
 error or a failed write, 2 on a numerical failure.
 """
 
@@ -67,17 +67,6 @@ class ExperimentConfig:
         # computed or written
         check_fit_window(self.fit_window)
 
-    def echo(self) -> dict[str, str]:
-        out = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if val is None:
-                continue
-            if isinstance(val, tuple):
-                val = ",".join(repr(float(x)) for x in val)
-            out[f.name] = str(val)
-        return out
-
 
 # -- presets ------------------------------------------------------------------
 
@@ -128,14 +117,14 @@ def preset(name: str) -> ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """Record of one run: config echo, artifact checksums, version, duration,
-    the seconds spent in each stage that ran, and diagnostics: for graph
-    runs which path produced the spectrum, its cluster count and, where
-    built, where the projectors came from and the eigenpair
-    residual, and with two or more clusters the smallest gap between
-    adjacent cluster values over the cluster tolerance; with chi its
-    largest column-sum error and mean return probability; for analysed
-    runs the envelope point count."""
+    """Record of one run: the set options its subcommand takes, artifact
+    checksums, version, duration, the seconds spent in each stage that
+    ran, and diagnostics: for graph runs which path produced the
+    spectrum, its cluster count and, where built, where the projectors
+    came from and the eigenpair residual, and with two or more clusters
+    the smallest gap between adjacent cluster values over the cluster
+    tolerance; with chi its largest column-sum error and mean return
+    probability; for analysed runs the envelope point count."""
 
     config: dict[str, str]
     files: dict[str, str] = field(default_factory=dict)
@@ -210,8 +199,8 @@ def _finish(manifest: RunManifest, out_dir: Path, started: float) -> RunManifest
     return manifest
 
 
-# each subcommand, in help order: its help, its stage set of the one run and
-# the flags of its sources and of the options its stages read, by config field
+# each subcommand, in help order: its help, the stages of its run and the
+# flags it takes, by config field: its sources and the options it reads
 _RUN_FLAGS = ("graph", "dos", "out", "grid", "fit_window", "vectors", "chi", "fit_model")
 _SUBCOMMANDS = {
     "run": ("full pipeline: series, spectrum, analysis",
@@ -223,10 +212,6 @@ _SUBCOMMANDS = {
             ("series", "out", "fit_window", "fit_model")),
     "preset": ("run a documented preset", ("series", "spectrum", "analysis"), _RUN_FLAGS),
 }
-STAGES = {command: stages for command, (_, stages, _) in _SUBCOMMANDS.items()}
-# the stages that write an artifact from each source
-_SOURCE_STAGES = {"graph": {"spectrum", "series"}, "dos": {"series"},
-                  "series": {"analysis"}}
 # the fixed-name artifacts besides manifest.txt
 _ARTIFACTS = ("series.csv", "spectrum.csv", "degeneracies.csv", "chi.csv", "report.txt",
               "deltap.csv")
@@ -236,13 +221,12 @@ def _artifacts(config: ExperimentConfig, source: str, stages) -> set[str]:
     """The _ARTIFACTS a run writes. An output directory that holds any
     other is refused with ParseError, as another run's artifacts would be
     left beside this run's; the series CSV a run reads there is its own."""
-    computed = source != "series" and "series" in stages
     writes = {"chi.csv"} if config.chi else set()
     if source == "graph" and "spectrum" in stages:
         writes |= {"spectrum.csv", "degeneracies.csv"}
-    if computed:
+    if "series" in stages:
         writes.add("series.csv")
-    if "analysis" in stages and (computed or source == "series"):
+    if "analysis" in stages:
         writes |= {"report.txt", "deltap.csv"}
     out_dir = Path(config.out)
     read = config.series is not None and Path(config.series).resolve()
@@ -254,36 +238,42 @@ def _artifacts(config: ExperimentConfig, source: str, stages) -> set[str]:
     return writes
 
 
-def run_experiment(config: ExperimentConfig,
-                   stages: tuple[str, ...] = STAGES["run"]) -> RunManifest:
-    """Run the pipeline and write artifacts; returns the written manifest.
+def run_experiment(config: ExperimentConfig, command: str = "run") -> RunManifest:
+    """Run the pipeline as subcommand `command` does, write its artifacts
+    and return the written manifest.
 
-    `stages` selects what to compute, and every subcommand is a stage set
-    of this one run (`STAGES`). The source is a graph, a DOS or a series
-    CSV: series.csv is written only for a series the run computed, and
-    the analysis stage reads the series from any of the three. A stage
-    set that writes nothing from its source (`transport` from a series,
-    `spectrum` from a DOS) raises ParseError, so every run writes an
-    artifact. An output directory holding another run's artifacts raises
-    ParseError before any work. Every stage computes before the first
+    The subcommand's row of `_SUBCOMMANDS` gives the stages, the sources
+    it takes and the options it reads, which the manifest echoes where
+    set. A source it does not take (`spectrum` from a DOS, `run` from a
+    series) raises ParseError, as its flag does on the command line, and
+    so does an output directory holding another run's artifacts, both
+    before any work. A series read from the output directory is listed
+    among the manifest's files. Every stage computes before the first
     write, which makes the output directory, so a run whose computation
     fails writes nothing.
     """
     config.validate()
-    source = next(name for name in _SOURCE_STAGES if getattr(config, name) is not None)
-    if not (config.chi or _SOURCE_STAGES[source] & set(stages)):
-        raise ParseError(f"stages {'/'.join(stages)} compute nothing from a "
-                         f"{source} source", text=getattr(config, source), position=0)
+    _, stages, flags = _SUBCOMMANDS[command]
+    source = next(name for name in ("graph", "dos", "series")
+                  if getattr(config, name) is not None)
+    if source not in flags:
+        raise ParseError(f"{command} does not take a {source} source",
+                         text=getattr(config, source), position=0)
     writes = _artifacts(config, source, stages)
     started = time.monotonic()
     # only a computed series reads the grid, parsed before any other work
     grid = parse_grid_spec(config.grid) if "series.csv" in writes else None
-    manifest = RunManifest(config=config.echo())
+    manifest = RunManifest(config={
+        name: ",".join(repr(float(x)) for x in value) if isinstance(value, tuple)
+        else str(value) for name in flags if (value := getattr(config, name)) is not None})
     spectrum = chi = series = report = None
     stretched = config.fit_model == "stretched"
     if config.series is not None:
+        read = Path(config.series)
         with manifest.stage("read"):
-            series = read_series_csv(config.series)
+            series = read_series_csv(read)
+            if read.resolve().parent == Path(config.out).resolve():
+                manifest.files[read.name] = _sha256(read)
     elif config.graph is not None:
         # the spectrum stage writes eigenvalues only; --vectors serves the
         # series, --chi its own artifact
@@ -302,10 +292,9 @@ def run_experiment(config: ExperimentConfig,
         dos = parse_dos_spec(config.dos)
         if config.fit_model == "auto":
             stretched = isinstance(asymptotic_law(dos, "classical"), StretchedExpDecay)
-        if "series" in stages:
-            with manifest.stage("series"):
-                series = continuum_series(dos, grid)
-    if series is not None and "analysis" in stages:
+        with manifest.stage("series"):
+            series = continuum_series(dos, grid)
+    if "analysis" in stages:
         with manifest.stage("analysis"):
             report = efficiency_report(series.times, series.p_bar, series.alpha_bar_sq,
                                        config.fit_window, stretched=stretched)
@@ -391,7 +380,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         base = preset(args.name) if args.command == "preset" else None
         cfg = _config_from_args(args, base=base)
-        run_experiment(cfg, stages=STAGES[args.command])
+        run_experiment(cfg, args.command)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,8 @@ DEFAULT_SIZE_CAP = 5000
 # specs, whose spectra need no n x n array; at 10^6 nodes or edges a
 # spectrum run peaks near 200 MB
 SPEC_NODE_CAP = 10**7
-# raw draws of one block of Erdos-Renyi node pairs, 8 MB
+# raw draws of one block of Erdos-Renyi node pairs, 8 MB, and the edge
+# rows of one block of the Erdos-Renyi fill, the order check and the degrees
 _DRAW_BLOCK = 1 << 20
 
 
@@ -79,10 +80,7 @@ class Graph:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError(f"edges must be (i, j) pairs, got shape {edges.shape}")
-        i, j = edges.T
-        keys = i * self.n + j
-        in_range = edges.size == 0 or (edges.min() >= 0 and edges.max() < self.n)
-        if not (in_range and (i < j).all() and (keys[1:] > keys[:-1]).all()):
+        if not _is_canonical(self.n, edges):
             edges = _canonical_edges(self.n, edges)
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
@@ -100,7 +98,25 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.n)
+        # a block of edges at a time: np.bincount copies a read-only input
+        degrees = np.zeros(self.n, dtype=np.int64)
+        for lo in range(0, self.edge_count, _DRAW_BLOCK):
+            degrees += np.bincount(self.edges[lo:lo + _DRAW_BLOCK].ravel(), minlength=self.n)
+        return degrees
+
+
+def _is_canonical(n, edges) -> bool:
+    """Whether the rows lie in [0, n) with i < j and rise strictly, checked
+    a block of rows at a time, so that no temporary is the edges' size."""
+    if edges.size and not (edges.min() >= 0 and edges.max() < n):
+        return False
+    for lo in range(0, len(edges), _DRAW_BLOCK):
+        # each block starts at the last row of the one before
+        i, j = edges[max(lo - 1, 0):lo + _DRAW_BLOCK].T
+        keys = i * n + j
+        if not ((i < j).all() and (keys[1:] > keys[:-1]).all()):
+            return False
+    return True
 
 
 def _canonical_edges(n, edges):
@@ -208,20 +224,27 @@ def build_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     if not 0 <= seed < 2**128:
         raise ValueError("seed must be in [0, 2**128)")
     pairs = n * (n - 1) // 2
+    starts = range(0, pairs, _DRAW_BLOCK)
     if p < 1:
         # consecutive random_raw calls continue one stream, so drawing in
         # blocks keeps the edge set and bounds the draws' memory
         bits, threshold = np.random.Philox(key=seed), int(p * 2**64)
-        k = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-            np.flatnonzero(bits.random_raw(min(_DRAW_BLOCK, pairs - lo)) < threshold) + lo
-            for lo in range(0, pairs, _DRAW_BLOCK)])
+        blocks = [np.flatnonzero(bits.random_raw(min(_DRAW_BLOCK, pairs - lo)) < threshold) + lo
+                  for lo in starts]
+        m = sum(map(len, blocks))
     else:
-        k = np.arange(pairs)
-    # row i's pairs (i, i+1), ..., (i, n-1) start at k = i*(2n-i-1)/2
+        blocks, m = (np.arange(lo, min(lo + _DRAW_BLOCK, pairs)) for lo in starts), pairs
+    # row i's pairs (i, i+1), ..., (i, n-1) start at k = i*(2n-i-1)/2; the
+    # edge array is filled one block of pair indices k at a time
     rows = np.arange(n)
     offsets = rows * (2 * n - rows - 1) // 2
-    i = np.searchsorted(offsets, k, side="right") - 1
-    return Graph(n=n, edges=_Fresh(np.column_stack((i, k - offsets[i] + i + 1))))
+    edges, at = np.empty((m, 2), dtype=np.int64), 0
+    for k in blocks:
+        i = np.searchsorted(offsets, k, side="right") - 1
+        edges[at:at + len(k), 0] = i
+        edges[at:at + len(k), 1] = k - offsets[i] + i + 1
+        at += len(k)
+    return Graph(n=n, edges=_Fresh(edges))
 
 
 def laplacian(g: Graph):

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._csvtext import _columns, _csv_blocks, float_text
 
-DEFAULT_HALF_WIDTH = 3
+HALF_WIDTH = 3
 DEFAULT_TAIL_FRACTION = 0.1
 
 
@@ -31,8 +31,8 @@ class Envelope:
     values: np.ndarray
 
 
-def extract_envelope(times, values, half_width: int = DEFAULT_HALF_WIDTH) -> Envelope:
-    """Keep points beating every neighbor within half_width grid indices.
+def extract_envelope(times, values) -> Envelope:
+    """Keep points beating every neighbor within HALF_WIDTH grid indices.
 
     Comparison is strict against earlier neighbors and non-strict against
     later ones, so a plateau keeps its first point and ties resolve to the
@@ -42,15 +42,11 @@ def extract_envelope(times, values, half_width: int = DEFAULT_HALF_WIDTH) -> Env
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    if half_width < 1:
-        raise ValueError(f"half_width must be >= 1, got {half_width}")
     n = len(v)
-    if n < 2 * half_width + 1:
-        raise ValueError(
-            f"series of {n} points is too short for half_width={half_width}"
-        )
+    if n < 2 * HALF_WIDTH + 1:
+        raise ValueError(f"series of {n} points is too short for half_width={HALF_WIDTH}")
     keep = np.ones(n, dtype=bool)
-    for d in range(1, half_width + 1):
+    for d in range(1, HALF_WIDTH + 1):
         keep[d:] &= v[:-d] < v[d:]
         keep[:-d] &= v[d:] <= v[:-d]
     idx = np.flatnonzero(keep)
@@ -270,7 +266,7 @@ def efficiency_report(times, p_bar, alpha_bar_sq, window, *,
                       stretched: bool = False) -> EfficiencyReport:
     """The analysis of a series at its times t > 0: power-law or, with
     `stretched`, stretched-exponential fits over `window` of p_bar and of
-    the envelope of |alpha_bar|^2 (half width DEFAULT_HALF_WIDTH), their
+    the envelope of |alpha_bar|^2 (half width HALF_WIDTH), their
     log-ratio and its crossover, and the saturation of each series over
     its last DEFAULT_TAIL_FRACTION. An envelope of fewer than five points,
     as of a series that does not oscillate, gives way to the series

@@ -233,8 +233,10 @@ def _lower_laplacian(graph: Graph) -> np.ndarray:
         buffer.madvise(mmap.MADV_NOHUGEPAGE)
     # column c of the Fortran-ordered matrix is run c of the buffer
     flat = np.frombuffer(buffer, dtype=float)
-    i, j = graph.edges.T
-    flat[i * n + j] = -1.0
+    # a block of edges at a time, so that no index array is the edges' size
+    for rows in _blocks(graph.edge_count, 2):
+        i, j = graph.edges[rows].T
+        flat[i * n + j] = -1.0
     flat[::n + 1] = graph.degrees()
     return flat.reshape(n, n).T
 

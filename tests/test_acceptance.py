@@ -58,7 +58,7 @@ def test_criterion_1_ring_scaling():
 
     dense = sw.linear_grid(0.5, 200.0, 9976)
     alpha = _series(spec, dense).alpha_bar_sq
-    env = sw.extract_envelope(dense.times, alpha, half_width=3)
+    env = sw.extract_envelope(dense.times, alpha)
     qm_fit = sw.fit_power_law(env.times, env.values, (1.0, 100.0))
     _check(failures, abs(qm_fit.exponent - (-1.00)) <= 0.10,
            f"quantum envelope exponent {qm_fit.exponent:.3f} not within -1.00 +- 0.10")
@@ -88,7 +88,7 @@ def test_criterion_2_semicircle_scaling():
 
     dense = sw.linear_grid(8.0, 110.0, 1021)
     alpha = sw.continuum_series(dos, dense).alpha_bar_sq
-    env = sw.extract_envelope(dense.times, alpha, half_width=3)
+    env = sw.extract_envelope(dense.times, alpha)
     qm_fit = sw.fit_power_law(env.times, env.values, (10.0, 100.0))
     _check(failures, abs(qm_fit.exponent - (-3.0)) <= 0.15,
            f"quantum envelope exponent {qm_fit.exponent:.3f} not within -3.0 +- 0.15")
@@ -102,7 +102,7 @@ def test_criterion_3_one_dimensional_continuum():
     failures = []
     dense = sw.linear_grid(5.0, 1100.0, 54751)
     series = sw.lattice_return_1d_product(1, dense)
-    env = sw.extract_envelope(dense.times, series, half_width=3)
+    env = sw.extract_envelope(dense.times, series)
     fit = sw.fit_power_law(env.times, env.values, (10.0, 1000.0))
     _check(failures, abs(fit.exponent - (-1.00)) <= 0.05,
            f"J0(2t)^2 envelope exponent {fit.exponent:.3f} not within -1.00 +- 0.05")
@@ -388,5 +388,5 @@ def test_chi_csvs_match_recorded_digests(tmp_path, graph):
     if build != PRESET_CSV_BUILD:
         pytest.skip(f"digests were recorded on {PRESET_CSV_BUILD}, not on {build}")
     manifest = run_experiment(ExperimentConfig(graph=graph, chi=True, out=str(tmp_path)),
-                              stages=("spectrum",))
+                              "spectrum")
     assert manifest.files["chi.csv"] == CHI_CSV_SHA256[graph]

@@ -130,7 +130,7 @@ class TestConfig:
                 for action in subs.choices[command]._actions
                 if action.option_strings and action.dest != "help"}
 
-    @pytest.mark.parametrize("command", sorted(cli.STAGES))
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
     def test_every_flag_sets_the_field_of_its_name(self, command):
         flags = self.flags(command)
         argv = [command, *(["fig3"] if command == "preset" else [])]
@@ -155,9 +155,31 @@ class TestConfig:
                         "transport": {"graph", "dos", "out", "grid", "vectors", "chi"},
                         "fit": {"series", "out", "fit_window", "fit_model"}}
 
-    @pytest.mark.parametrize("command", sorted(cli.STAGES))
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
     def test_subcommand_takes_the_flags_its_stages_read(self, command):
         assert set(self.flags(command)) == self.SUBCOMMAND_FLAGS[command]
+
+    # the config lines of each subcommand's manifest: the fields of its
+    # flags that are set, which leaves out the source it was not given
+    RECORDED = {"run": RUN_FLAGS - {"dos"}, "preset": RUN_FLAGS - {"dos"},
+                "spectrum": {"graph", "out", "chi"},
+                "transport": {"graph", "out", "grid", "vectors", "chi"},
+                "fit": {"series", "out", "fit_window", "fit_model"}}
+
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
+    def test_manifest_records_the_set_flags_of_its_subcommand(self, tmp_path, command):
+        grid = ["--grid", "log:1e-2,1e2,80"]
+        args = {"run": ["--graph", "ring:24", *grid], "preset": ["fig3"],
+                "spectrum": ["--graph", "ring:24"],
+                "transport": ["--graph", "ring:24", *grid],
+                "fit": ["--series"]}[command]
+        if command == "fit":
+            args.append(str(_series_file(tmp_path)))
+        out = tmp_path / "d"
+        assert main([command, *args, "--out", str(out)]) == 0
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert {ln.split(" = ")[0].removeprefix("config.") for ln in lines
+                if ln.startswith("config.")} == self.RECORDED[command]
 
     # the flags that the subcommands took and then ignored or refused
     @pytest.mark.parametrize("command, dest", [
@@ -343,7 +365,7 @@ def _series_file(tmp_path):
     """The series.csv of a transport run on ring:24."""
     out = tmp_path / "src"
     run_experiment(ExperimentConfig(graph="ring:24", grid="linear:0.05,120,2400",
-                                    out=str(out)), stages=("series",))
+                                    out=str(out)), "transport")
     return out / "series.csv"
 
 
@@ -366,7 +388,7 @@ class TestMainSubcommands:
         # no eigenvectors and no residual check
         out = tmp_path / "spec"
         run_experiment(ExperimentConfig(graph="er:300,0.05,seed=2", vectors=True,
-                                        out=str(out)), stages=("spectrum",))
+                                        out=str(out)), "spectrum")
         lines = (out / "manifest.txt").read_text().splitlines()
         diag = dict(ln.split(" = ") for ln in lines if ln.startswith("spectrum."))
         assert diag["spectrum.path"] == "dense"
@@ -439,7 +461,7 @@ class TestMainSubcommands:
         out = tmp_path / "fitted"
         with pytest.raises(ParseError, match="exactly one of graph/dos/series"):
             run_experiment(ExperimentConfig(series=str(series), **sources, out=str(out)),
-                           stages=("analysis",))
+                           "fit")
         assert not out.exists()
 
     def test_fit_manifest_echoes_the_series(self, tmp_path):
@@ -549,15 +571,22 @@ class TestMainSubcommands:
         (ExperimentConfig(series="series.csv"), ("series",)),
         (ExperimentConfig(series="series.csv"), ("spectrum",))])
     def test_run_refuses_a_stage_set_computing_nothing(self, tmp_path, config, stages):
-        with pytest.raises(ParseError, match="compute nothing"):
-            run_experiment(replace(config, out=str(tmp_path / "o")), stages=stages)
+        # the one subcommand that runs these stages alone does not take the source
+        command, = (name for name, (_, run, _) in cli._SUBCOMMANDS.items() if run == stages)
+        with pytest.raises(ParseError, match=f"^{command} does not take a"):
+            run_experiment(replace(config, out=str(tmp_path / "o")), command)
         assert not (tmp_path / "o").exists()
 
-    def test_chi_alone_is_a_stage_set(self, tmp_path):
-        out = tmp_path / "o"
-        run_experiment(ExperimentConfig(graph="ring:8", chi=True, out=str(out)),
-                       stages=("analysis",))
-        assert sorted(p.name for p in out.iterdir()) == ["chi.csv", "manifest.txt"]
+    @pytest.mark.parametrize("command, source", [("run", "series"), ("preset", "series")])
+    def test_run_refuses_a_source_its_subcommand_does_not_take(self, tmp_path, command,
+                                                              source):
+        # refused before the series, which is not there, is read
+        specs = {"graph": "ring:8", "dos": "lifshits:b=2",
+                 "series": str(tmp_path / "missing.csv")}
+        config = ExperimentConfig(**{source: specs[source]}, out=str(tmp_path / "o"))
+        with pytest.raises(ParseError, match=f"^{command} does not take a {source} source"):
+            run_experiment(config, command)
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_preset_exit_one(self, tmp_path):
         rc = main(["preset", "fig99", "--out", str(tmp_path / "p")])
@@ -649,7 +678,7 @@ class TestMainSubcommands:
             ExperimentConfig(dos="semicircle:nu=0.5,lmax=2", **{key: True}).validate()
 
     def test_numerical_failure_exit_two(self, monkeypatch, tmp_path):
-        def boom(config, stages=("series", "spectrum", "analysis")):
+        def boom(config, command="run"):
             raise NumericalError("synthetic failure")
 
         monkeypatch.setattr(cli, "run_experiment", boom)
@@ -714,6 +743,32 @@ class TestOutputDirectory:
         assert main(["fit", "--series", str(series), "--out", str(out)]) == 1
         assert f"{out} holds series.csv," in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @staticmethod
+    def files(out):
+        """The file.* lines of out/manifest.txt, by artifact name."""
+        lines = (out / "manifest.txt").read_text().splitlines()
+        return dict(ln.removeprefix("file.").split(" = ") for ln in lines
+                    if ln.startswith("file."))
+
+    def test_fit_beside_its_series_keeps_it_under_a_checksum(self, tmp_path):
+        out = tmp_path / "fd"
+        assert main(["transport", "--graph", "ring:24", "--out", str(out)]) == 0
+        digest = self.files(out)["series.csv"]
+        assert main(["fit", "--series", str(out / "series.csv"), "--out", str(out)]) == 0
+        files = self.files(out)
+        assert set(files) == {"series.csv", "report.txt", "deltap.csv"}
+        assert files["series.csv"] == digest == cli._sha256(out / "series.csv")
+        manifest = cli.RunManifest(config={}, files=files)
+        assert manifest.verify(out)
+        (out / "series.csv").write_text("tampered\n")
+        assert not manifest.verify(out)
+
+    def test_fit_elsewhere_lists_no_series(self, tmp_path):
+        series = _series_file(tmp_path)
+        out = tmp_path / "fitted"
+        assert main(["fit", "--series", str(series), "--out", str(out)]) == 0
+        assert set(self.files(out)) == {"report.txt", "deltap.csv"}
 
 
 class TestFitModel:
@@ -785,7 +840,7 @@ class TestAnalyzeSeriesFile:
         series.write_text(text + "\n")
         cfg = ExperimentConfig(series=str(series), out=str(tmp_path / "out"),
                               fit_window=(10.0, 1000.0))
-        run_experiment(cfg, stages=("analysis",))
+        run_experiment(cfg, "fit")
         report = (tmp_path / "out" / "report.txt").read_text()
         line = [ln for ln in report.splitlines()
                 if ln.startswith("delta_p_asymptotic")][0]
@@ -813,8 +868,7 @@ class TestAnalyzeSeriesFile:
         bad = tmp_path / "bad.csv"
         bad.write_text("t,p_bar,alpha_bar_sq\n" + rows)
         with pytest.raises(ParseError, match=f"^line {line}: expected 3 "):
-            run_experiment(ExperimentConfig(series=str(bad), out=str(tmp_path / "o")),
-                           stages=("analysis",))
+            run_experiment(ExperimentConfig(series=str(bad), out=str(tmp_path / "o")), "fit")
         assert main(["fit", "--series", str(bad), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line}:") and "Traceback" not in err
@@ -864,8 +918,7 @@ class TestAnalyzeSeriesFile:
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")
         with pytest.raises((ParseError, ValueError)):
-            run_experiment(ExperimentConfig(series=str(bad), out=str(tmp_path / "o")),
-                           stages=("analysis",))
+            run_experiment(ExperimentConfig(series=str(bad), out=str(tmp_path / "o")), "fit")
 
     def test_limit_plus_one_rows_are_read(self, tmp_path, monkeypatch, capsys):
         # a log grid of MAX_GRID_POINTS points writes one row more, its t = 0
@@ -908,8 +961,7 @@ class TestAnalyzeSeriesFile:
         bad = tmp_path / "bad.csv"
         bad.write_text("t,p_bar,alpha_bar_sq\n" + rows)
         with pytest.raises(ParseError, match=f"^line {line}: expected 3 "):
-            run_experiment(ExperimentConfig(series=str(bad), out=str(tmp_path / "o")),
-                           stages=("analysis",))
+            run_experiment(ExperimentConfig(series=str(bad), out=str(tmp_path / "o")), "fit")
 
     def test_read_memory(self, tmp_path):
         # the values are parsed straight into one array, 24 B a row of three
@@ -917,7 +969,7 @@ class TestAnalyzeSeriesFile:
         n = 200_000
         run_experiment(ExperimentConfig(dos="semicircle:nu=0.5,lmax=2",
                                         grid=f"linear:0.01,1000,{n}", out=str(tmp_path)),
-                       stages=("series",))
+                       "transport")
         tracemalloc.start()
         try:
             series = transport.read_series_csv(tmp_path / "series.csv")
@@ -987,8 +1039,7 @@ class TestManifest:
                                        "er:20,0.3,seed=2"])
     def test_records_chi_diagnostics(self, tmp_path, graph):
         out = tmp_path / "c"
-        run_experiment(ExperimentConfig(graph=graph, chi=True, out=str(out)),
-                       stages=("spectrum",))
+        run_experiment(ExperimentConfig(graph=graph, chi=True, out=str(out)), "spectrum")
         lines = (out / "manifest.txt").read_text().splitlines()
         diag = dict(ln.split(" = ") for ln in lines if ln.startswith("chi."))
         chi = np.loadtxt(out / "chi.csv", delimiter=",", skiprows=1)[:, 1:]
@@ -1000,8 +1051,7 @@ class TestManifest:
             (projector_factor(spectrum)**2).sum() / len(chi), rel=1e-13)
 
     def test_no_chi_diagnostics_without_chi(self, tmp_path):
-        run_experiment(ExperimentConfig(graph="ring:12", out=str(tmp_path)),
-                       stages=("spectrum",))
+        run_experiment(ExperimentConfig(graph="ring:12", out=str(tmp_path)), "spectrum")
         assert "chi." not in (tmp_path / "manifest.txt").read_text()
 
     def test_dos_run_records_no_spectrum_path(self, tmp_path):
@@ -1010,18 +1060,16 @@ class TestManifest:
         run_experiment(cfg)
         assert "spectrum.path" not in (tmp_path / "d" / "manifest.txt").read_text()
 
-    @pytest.mark.parametrize("spec, stages, timed", [
-        (dict(graph="star:12", vectors=True, chi=True),
-         ("series", "spectrum", "analysis"),
+    @pytest.mark.parametrize("spec, command, timed", [
+        (dict(graph="star:12", vectors=True, chi=True), "run",
          {"spectrum", "chi", "series", "analysis", "writing"}),
-        (dict(graph="ring:12"), ("spectrum",), {"spectrum", "writing"}),
-        (dict(dos="semicircle:nu=0.5,lmax=2"), ("series", "spectrum", "analysis"),
-         {"series", "analysis", "writing"}),
+        (dict(graph="ring:12"), "spectrum", {"spectrum", "writing"}),
+        (dict(dos="semicircle:nu=0.5,lmax=2"), "run", {"series", "analysis", "writing"}),
     ])
-    def test_records_stage_timings(self, tmp_path, spec, stages, timed):
+    def test_records_stage_timings(self, tmp_path, spec, command, timed):
         out = tmp_path / "s"
         cfg = ExperimentConfig(**spec, out=str(out), grid="log:1e-2,1e2,80")
-        manifest = run_experiment(cfg, stages=stages)
+        manifest = run_experiment(cfg, command)
         lines = (out / "manifest.txt").read_text().splitlines()
         diag = dict(ln.split(" = ") for ln in lines
                     if ln.startswith(("timing.", "analysis.")))
@@ -1051,8 +1099,7 @@ class TestManifest:
         run_experiment(ExperimentConfig(graph="ring:12", out=str(tmp_path / "r"),
                                         grid="log:1e-2,1e2,80"))
         run_experiment(ExperimentConfig(series=str(tmp_path / "r" / "series.csv"),
-                                        out=str(tmp_path / "f")),
-                       stages=("analysis",))
+                                        out=str(tmp_path / "f")), "fit")
         lines = (tmp_path / "f" / "manifest.txt").read_text().splitlines()
         keys = {ln.split(" = ")[0] for ln in lines}
         assert {"timing.analysis_s", "timing.writing_s",
@@ -1066,7 +1113,8 @@ class TestManifest:
         for name, source in sources.items():
             out = tmp_path / name
             manifest = run_experiment(ExperimentConfig(**source, out=str(out),
-                                                       grid="log:1e-2,1e2,80"))
+                                                       grid="log:1e-2,1e2,80"),
+                                      "fit" if name == "series" else "run")
             keys = {ln.split(" = ")[0]
                     for ln in (out / "manifest.txt").read_text().splitlines()}
             assert ("timing.read_s" in keys) == (name == "series")
@@ -1089,8 +1137,7 @@ class TestManifest:
     @pytest.mark.parametrize("graph", ["ring:12", "star:12", "er:20,0.3,seed=2",
                                        "er:300,0.05,seed=4"])
     def test_records_min_gap_over_tol(self, tmp_path, graph):
-        run_experiment(ExperimentConfig(graph=graph, out=str(tmp_path / "g")),
-                       stages=("spectrum",))
+        run_experiment(ExperimentConfig(graph=graph, out=str(tmp_path / "g")), "spectrum")
         lines = (tmp_path / "g" / "manifest.txt").read_text().splitlines()
         recorded = dict(ln.split(" = ") for ln in lines)["spectrum.min_gap_over_tol"]
         spectrum = graph_spectrum(parse_graph_spec(graph))
@@ -1102,8 +1149,7 @@ class TestManifest:
                                       dict(dos="semicircle:nu=0.5,lmax=2")])
     def test_min_gap_needs_two_clusters(self, tmp_path, spec):
         run_experiment(ExperimentConfig(**spec, out=str(tmp_path / "o"),
-                                        grid="log:1e-2,1e2,80"),
-                       stages=("spectrum", "series"))
+                                        grid="log:1e-2,1e2,80"), "transport")
         text = (tmp_path / "o" / "manifest.txt").read_text()
         assert "spectrum.min_gap_over_tol" not in text
         if "graph" in spec:
@@ -1125,7 +1171,7 @@ class TestManifest:
         monkeypatch.setattr(cli, "_write", traced_write)
         graph = "er:800,0.02,seed=1"
         manifest = run_experiment(ExperimentConfig(graph=graph, chi=True, out=str(tmp_path)),
-                                  stages=("spectrum",))
+                                  "spectrum")
         spectrum = graph_spectrum(parse_graph_spec(graph), with_vectors=True)
         # the triangle's text, 1.5 matrices of n x n floats, and one block
         # of rows; the whole text as a str and its encoding take about 6
@@ -1292,6 +1338,6 @@ class TestFormatsEachFloatOnce:
         # a series read from a file writes no series.csv: deltap.csv formats
         # its times once, and its delta_p
         run_experiment(ExperimentConfig(series=str(out / "series.csv"), out=str(tmp_path / "f")),
-                       stages=cli.STAGES["fit"])
+                       "fit")
         assert self.cells(tmp_path / "f" / "deltap.csv")[0] == deltap
         self.check_counts(calls, formatted, {"scaling": [rows, deltap]})

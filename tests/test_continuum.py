@@ -548,7 +548,7 @@ class TestLatticeReturn:
         from specwalk import extract_envelope
         grid = linear_grid(5.0, 1100.0, 55000)
         series = lattice_return_1d_product(1, grid)
-        env = extract_envelope(grid.times, series, half_width=3)
+        env = extract_envelope(grid.times, series)
         fit = fit_power_law(env.times, env.values, (10.0, 1000.0))
         assert fit.exponent == pytest.approx(-1.0, abs=0.05)
 
@@ -607,7 +607,7 @@ class TestQuadratureMatchesAsymptotics:
         dos = PowerSemicircle(nu=0.5, lam_max=2.0)
         grid = linear_grid(8.0, 110.0, 1021)
         a = quantum_return_bound_continuum(dos, grid)
-        env = extract_envelope(grid.times, a, half_width=3)
+        env = extract_envelope(grid.times, a)
         fit = fit_power_law(env.times, env.values, (10.0, 100.0))
         want = asymptotic_law(dos, "quantum").exponent
         assert abs(fit.exponent - want) <= 0.05 * abs(want)

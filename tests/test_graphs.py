@@ -252,6 +252,20 @@ class TestErdosRenyi:
         # here); the draws for all 4.5M pairs at once took it to 39 MB
         assert peak <= 1.25 * 8 * graphs._DRAW_BLOCK + 4 * g.edges.nbytes
 
+    def test_complete_graph_build_holds_one_edge_array(self):
+        # the edge array is filled, and its order checked, a block of pairs
+        # at a time; whole-size index arrays and order keys beside it took
+        # the build of er:5000,1 (a 200 MB edge array) to 2.56 times that
+        build_erdos_renyi(10, 1.0, seed=0)
+        tracemalloc.start()
+        try:
+            g = parse_graph_spec("er:5000,1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 5000 * 4999 // 2
+        assert peak <= 1.4 * g.edges.nbytes
+
     @pytest.mark.parametrize("seed", [-1, 2**128], ids=["-1", "2**128"])
     def test_seed_outside_the_key_range(self, seed):
         # the message of the library, which numpy's would not be: seed 0 is a key
@@ -335,6 +349,19 @@ class TestGraphType:
         g = Graph(n=3, edges=graphs._Fresh(edges))
         assert np.shares_memory(g.edges, edges) and not g.edges.flags.writeable
         assert g == Graph(n=3, edges=[(0, 1), (1, 2)])
+
+    def test_degrees_copy_no_edge_array(self):
+        # np.bincount copies a read-only input whole, so the degrees are
+        # counted a block of edges at a time
+        g = build_erdos_renyi(3000, 1.0, seed=0)
+        tracemalloc.start()
+        try:
+            degrees = g.degrees()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(degrees, np.full(3000, 2999))
+        assert peak <= 1.25 * 16 * graphs._DRAW_BLOCK < 0.3 * g.edges.nbytes
 
     def test_unsorted_and_repeated_pairs_canonicalise(self):
         messy = Graph(n=5, edges=[(3, 4), (1, 0), (0, 1), (4, 3), (2, 0)])

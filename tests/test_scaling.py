@@ -18,7 +18,7 @@ from specwalk import (
     saturation,
     transport_series,
 )
-from specwalk.scaling import (DEFAULT_HALF_WIDTH, DEFAULT_TAIL_FRACTION,
+from specwalk.scaling import (DEFAULT_TAIL_FRACTION, HALF_WIDTH,
                               EfficiencyReport, Envelope, efficiency_report,
                               ratio_csv, report_text)
 
@@ -66,34 +66,32 @@ def same_bits(a, b):
 
 
 @st.composite
-def plateau_series(draw, pool):
-    """Runs of 1-4 equal values, so ties and plateaus are common; the
-    half width is drawn so the series is long enough for it."""
+def plateau_series(draw, pool, min_runs=3):
+    """At least min_runs runs of 1-4 equal values, so ties and plateaus
+    are common."""
     element = st.one_of(st.sampled_from(pool),
                         st.floats(allow_nan=True, allow_infinity=True))
-    runs = draw(st.lists(st.tuples(element, st.integers(1, 4)), min_size=3,
+    runs = draw(st.lists(st.tuples(element, st.integers(1, 4)), min_size=min_runs,
                          max_size=30))
-    v = np.array([x for x, repeat in runs for _ in range(repeat)], dtype=float)
-    half_width = draw(st.integers(1, min(5, (len(v) - 1) // 2)))
-    return v, half_width
+    return np.array([x for x, repeat in runs for _ in range(repeat)], dtype=float)
 
 
 class TestExtractEnvelope:
     def test_monotone_decreasing_keeps_initial_point(self):
         t = np.linspace(1, 10, 50)
-        env = extract_envelope(t, 1.0 / t, half_width=3)
+        env = extract_envelope(t, 1.0 / t)
         assert len(env.times) == 1
         assert env.times[0] == t[0]
 
     def test_constant_series_keeps_initial_point(self):
         t = np.linspace(1, 10, 20)
-        env = extract_envelope(t, np.ones(20), half_width=2)
+        env = extract_envelope(t, np.ones(20))
         assert len(env.times) == 1
 
     def test_oscillation_peaks(self):
         t = np.linspace(0, 20 * np.pi, 4000)
         v = (2 + np.sin(t)) / 4
-        env = extract_envelope(t, v, half_width=3)
+        env = extract_envelope(t, v)
         # one maximum per period, plus possibly a rising-edge boundary point
         interior = (env.times > t[3]) & (env.times < t[-4])
         assert interior.sum() == 10
@@ -101,38 +99,39 @@ class TestExtractEnvelope:
 
     def test_plateau_keeps_first_point(self):
         v = np.array([0.0, 1.0, 1.0, 1.0, 0.5, 0.2, 0.1])
-        env = extract_envelope(np.arange(7.0), v, half_width=1)
+        env = extract_envelope(np.arange(7.0), v)
         assert list(env.times) == [1.0]
 
     def test_envelope_dominates_series(self):
         t = np.linspace(0.5, 60, 2500)
         v = np.abs(np.sinc(t)) + 1e-6
-        env = extract_envelope(t, v, half_width=3)
+        env = extract_envelope(t, v)
         interp = np.interp(env.times, t, v)
         assert np.all(env.values >= interp - 1e-15)
 
     def test_envelope_of_envelope_is_subset(self):
         t = np.linspace(0.5, 100, 5000)
         v = (1 + np.cos(3 * t)) / (2 * t)
-        env = extract_envelope(t, v, half_width=3)
-        env2 = extract_envelope(env.times, env.values, half_width=3)
+        env = extract_envelope(t, v)
+        env2 = extract_envelope(env.times, env.values)
         assert set(env2.times).issubset(set(env.times))
 
     def test_alternating_envelope_is_fixed_point(self):
         # when every envelope point dominates its new neighbors, a second
-        # extraction changes nothing
-        t = np.arange(20.0)
-        v = np.where(np.arange(20) % 2 == 0, 0.1, np.linspace(1.0, 0.9, 20))
-        env = extract_envelope(t, v, half_width=1)
-        env2 = extract_envelope(env.times, env.values, half_width=1)
-        if len(env.times) >= 2 * 1 + 1 and np.all(np.diff(env.values) < 0):
+        # extraction changes nothing; peaks 4 apart are each one's envelope
+        t = np.arange(40.0)
+        v = np.where(np.arange(40) % 4 == 1, np.linspace(1.0, 0.9, 40), 0.1)
+        env = extract_envelope(t, v)
+        assert list(env.times) == list(t[1::4])
+        env2 = extract_envelope(env.times, env.values)
+        if len(env.times) >= 2 * HALF_WIDTH + 1 and np.all(np.diff(env.values) < 0):
             assert len(env2.times) == 1  # decaying envelope collapses
         else:
             np.testing.assert_array_equal(env2.times, env.times)
 
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
-            extract_envelope([1.0, 2.0], [1.0, 2.0], half_width=3)
+            extract_envelope([1.0, 2.0], [1.0, 2.0])
 
     def test_star_series_fluctuates_about_dominant_term(self):
         # the series itself is centered near (N-2)^2/N^2; its envelope rides
@@ -142,7 +141,7 @@ class TestExtractEnvelope:
         a = transport_series(s, grid).alpha_bar_sq
         tail = a[grid.times >= 20]
         assert tail.mean() == pytest.approx(16 / 25, abs=0.05)
-        env = extract_envelope(grid.times, a, half_width=3)
+        env = extract_envelope(grid.times, a)
         late = env.values[env.times >= 20]
         assert late.mean() > tail.mean()
         assert late.mean() == pytest.approx(16 / 25 + 2 * 8 / 100, abs=0.05)
@@ -273,17 +272,17 @@ class TestEfficiencyRatio:
 
 class TestEnvelopeOracle:
     @PROPERTY_SETTINGS
-    @given(plateau_series([0.0, -0.0, 1.0, 2.0, -1.0, np.nan, np.inf, -np.inf]))
-    def test_equals_per_point_loop(self, case):
-        v, half_width = case
+    @given(plateau_series([0.0, -0.0, 1.0, 2.0, -1.0, np.nan, np.inf, -np.inf],
+                          min_runs=2 * HALF_WIDTH + 1))
+    def test_equals_per_point_loop(self, v):
         t = np.arange(len(v), dtype=float)
-        env = extract_envelope(t, v, half_width=half_width)
-        ref = oracle_extract_envelope(t, v, half_width)
+        env = extract_envelope(t, v)
+        ref = oracle_extract_envelope(t, v, HALF_WIDTH)
         assert same_bits(env.times, ref.times)
         assert same_bits(env.values, ref.values)
 
     def test_safety_net_on_all_nan(self):
-        env = extract_envelope(np.arange(5.0), np.full(5, np.nan), half_width=2)
+        env = extract_envelope(np.arange(7.0), np.full(7, np.nan))
         assert list(env.times) == [0.0]
 
 
@@ -292,8 +291,7 @@ class TestCrossoverOracle:
     @given(plateau_series([0.5, 1.0, 1.5, ONE_BELOW, ONE_ABOVE, -0.0, np.nan,
                            np.inf, -np.inf]),
            st.floats(1e-3, 1e3))
-    def test_equals_per_point_loop(self, case, step):
-        v, _ = case
+    def test_equals_per_point_loop(self, v, step):
         t = step * np.arange(len(v), dtype=float)
         assert repr(detect_crossover(t, v)) == repr(oracle_detect_crossover(t, v))
 
@@ -372,7 +370,7 @@ class TestEfficiencyReport:
         crossover and saturation on the times t > 0."""
         keep = t > 0
         t, p, alpha = t[keep], p[keep], alpha[keep]
-        env = extract_envelope(t, alpha, half_width=DEFAULT_HALF_WIDTH)
+        env = extract_envelope(t, alpha)
         quantum = (env.times, env.values) if len(env.times) >= 5 else (t, alpha)
         ratio = efficiency_ratio_series(t, p, quantum)
         return EfficiencyReport(
@@ -420,8 +418,8 @@ class TestEfficiencyReport:
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(window=(1e5, 1e6)), "only 0 points"),
-        # t = 0 and 2 * DEFAULT_HALF_WIDTH positive times: one too few for the envelope
-        (dict(window=(1.0, 100.0), rows=2 * DEFAULT_HALF_WIDTH + 1), "too short"),
+        # t = 0 and 2 * HALF_WIDTH positive times: one too few for the envelope
+        (dict(window=(1.0, 100.0), rows=2 * HALF_WIDTH + 1), "too short"),
     ])
     def test_refuses_what_its_parts_refuse(self, kwargs, match):
         kwargs = dict(kwargs)

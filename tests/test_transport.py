@@ -727,7 +727,7 @@ class TestCSVWritersOracle:
                    "fit": dict(series=str(crafted))}
         for name, spec in sources.items():
             cfg = cli.ExperimentConfig(**spec, out=str(tmp_path / name))
-            cli.run_experiment(cfg, stages=cli.STAGES["fit" if name == "fit" else "run"])
+            cli.run_experiment(cfg, "fit" if name == "fit" else "run")
             series = read_series_csv(crafted if name == "fit"
                                      else tmp_path / name / "series.csv")
             ratio = efficiency_report(series.times, series.p_bar, series.alpha_bar_sq,

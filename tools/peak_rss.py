@@ -65,11 +65,13 @@ def commands(work: Path) -> list[tuple[str, list[str], float]]:
         ("large dense spectrum", specwalk("spectrum", "--graph", "er:5000,0.01,seed=1",
                                           "--out", work / "er5000"), 220),
         # er:5000,1, the complete graph at the dense cap: 12.5 million
-        # edges at 16 B each, a 200 MB edge array that the Graph keeps as
-        # its builder made it (about 541 MB measured, 714 MB when the
-        # Graph copied the builder's array)
+        # edges at 16 B each, a 200 MB edge array that the builder fills
+        # and the Laplacian's triangle and the degrees read a block of
+        # edges at a time (about 362 MB measured, 541 MB with edge-sized
+        # index arrays and copies beside it, 714 MB when the Graph also
+        # copied the builder's array)
         ("complete graph spectrum", specwalk("spectrum", "--graph", "er:5000,1",
-                                             "--out", work / "complete"), 600),
+                                             "--out", work / "complete"), 410),
         # fit parses the 10^6 rows in one np.loadtxt call (about 154 MB
         # measured, 475 MB when it built a Python list per row)
         ("fit on the largest series",
