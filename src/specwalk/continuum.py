@@ -38,9 +38,9 @@ import numpy as np
 from .errors import NumericalError, ParseError, _read_spec
 from .transport import TimeGrid, TransportSeries, clamp_unit_interval
 
-# scipy.special is imported where it is first used, as `spectral.decompose`
-# imports scipy.linalg: graph runs never load it, and importing the package
-# stays cheap
+# scipy.special is imported where it is first used: graph runs never load
+# it, as a dense solve binds LAPACK without scipy.linalg (`spectral._lapack`),
+# and importing the package stays cheap
 _SQRT2 = math.sqrt(2.0)
 # log-magnitude below which density values flush to zero (double underflow)
 _LOG_TINY = -740.0

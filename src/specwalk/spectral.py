@@ -18,6 +18,7 @@ are tested against. `decompose` refuses a graph above the node cap
 
 from __future__ import annotations
 
+import math
 import mmap
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -33,7 +34,7 @@ RESIDUAL_RTOL = 1e-9
 # bound on |sum of the eigenvalues - tr L| / max(1, tr L) of a dense solve
 TRACE_RTOL = 1e-9
 # eigenvalue-only dense solves from this many nodes up take ?syevd_2stage
-# (`_two_stage_eigvalsh`), whose reduction goes dense -> band -> tridiagonal
+# (`_lapack`), whose reduction goes dense -> band -> tridiagonal
 # in BLAS-3 where ?syevd's ?sytrd is half BLAS-2 (Bischof, Lang & Sun, ACM
 # TOMS 26, 581 (2000)): its time over ?syevd's was 1.50 at n = 1000, 1.06 at
 # 1500, 0.88 at 2000, 0.75 at 3000 and 0.66 at 5000 (2 vCPUs, 2 BLAS threads)
@@ -184,18 +185,19 @@ def _blocks(count, width):
 
 
 def _checked_residual(graph, vecs, vals) -> float:
-    """max ||L v - lam v|| / ||L||_2 over the eigenpairs, L the sparse
-    `graphs.laplacian`, applied one column block at a time; above
-    RESIDUAL_RTOL it raises NumericalError with the matrix size."""
-    lap = graphs.laplacian(graph)
+    """max ||L v - lam v|| / ||L||_2 over the eigenpairs, L applied as the
+    dense rows of `graphs.laplacian` one block of rows at a time, the
+    squared column norms summed over the blocks; above RESIDUAL_RTOL it
+    raises NumericalError with the matrix size."""
     scale = max(1.0, float(np.abs(vals).max()))
-    resid = 0.0
-    for cols in _blocks(vecs.shape[1], len(vecs)):
-        block = vecs[:, cols]
-        diff = lap @ block
-        diff -= block * vals[cols]
-        resid = max(resid, float(np.linalg.norm(diff, axis=0).max()))
-    if resid > RESIDUAL_RTOL * scale:
+    squares = np.zeros(len(vals))
+    for rows in _blocks(len(vecs), len(vecs)):
+        diff = graphs.laplacian(graph, rows) @ vecs
+        diff -= vecs[rows] * vals
+        diff *= diff
+        squares += diff.sum(axis=0)
+    resid = math.sqrt(float(squares.max()))
+    if not resid <= RESIDUAL_RTOL * scale:
         raise NumericalError(
             f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||L|| "
             f"for a {len(vecs)}x{len(vecs)} matrix"
@@ -242,14 +244,19 @@ def _lower_laplacian(graph: Graph) -> np.ndarray:
 
 
 @cache
-def _two_stage_eigvalsh():
-    """A function giving the eigenvalues of a Fortran-ordered lower
-    triangle, `_lower_laplacian`'s, solved in place by LAPACKE_dsyevd_2stage
-    (jobz='N', uplo='L'), or None where that cannot be bound. scipy wraps
-    no two-stage driver, but the OpenBLAS its wheels bundle
-    (scipy.libs/libscipy_openblas-*) exports one; ctypes binds it on first
-    use, so importing the package loads no library. A failure raises
-    np.linalg.LinAlgError, as scipy's eigh does.
+def _lapack():
+    """The symmetric drivers of the OpenBLAS that scipy's wheels bundle
+    (scipy.libs/libscipy_openblas-*), bound through ctypes on first use:
+    {"syevd": solve, "syevd_2stage": solve}, or None where the library or
+    either symbol cannot be bound. solve(work, with_vectors) runs
+    LAPACKE_d<driver> (uplo='L') in place on a Fortran-ordered lower
+    triangle, `_lower_laplacian`'s, leaves the eigenvectors in it when
+    asked and returns the ascending eigenvalues; a failure raises
+    np.linalg.LinAlgError, as scipy's eigh does. ?syevd is the routine
+    that scipy.linalg.eigh(driver="evd") calls in the same library, so
+    both give the same bits; scipy wraps no two-stage driver, which
+    computes eigenvalues only. Binding here keeps scipy.linalg unloaded,
+    and importing the package loads no library.
     """
     import ctypes
     import glob
@@ -262,25 +269,31 @@ def _two_stage_eigvalsh():
     site = os.path.dirname(spec.submodule_search_locations[0])
     libraries = glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas-*"))
     try:
-        solve = ctypes.CDLL(libraries[0]).scipy_LAPACKE_dsyevd_2stage
+        library = ctypes.CDLL(libraries[0])
+        routines = {name: getattr(library, f"scipy_LAPACKE_d{name}")
+                    for name in ("syevd", "syevd_2stage")}
     except (IndexError, OSError, AttributeError):
         return None
-    solve.restype = ctypes.c_int
-    solve.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int,
-                      ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p]
 
-    def eigvalsh(work):
-        n = len(work)
-        if not (work.dtype == np.float64 and work.shape == (n, n)
-                and work.flags.f_contiguous and work.flags.writeable):
-            raise ValueError("need a writeable Fortran-ordered n x n float64 array")
-        values = np.empty(n)
-        # 102 is LAPACK_COL_MAJOR
-        info = solve(102, b"N", b"L", n, work.ctypes.data, n, values.ctypes.data)
-        if info:
-            raise np.linalg.LinAlgError(f"LAPACKE_dsyevd_2stage returned {info}")
-        return values
-    return eigvalsh
+    def bind(name, routine):
+        routine.restype = ctypes.c_int
+        routine.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int,
+                            ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p]
+
+        def solve(work, with_vectors):
+            n = len(work)
+            if not (work.dtype == np.float64 and work.shape == (n, n)
+                    and work.flags.f_contiguous and work.flags.writeable):
+                raise ValueError("need a writeable Fortran-ordered n x n float64 array")
+            values = np.empty(n)
+            # 102 is LAPACK_COL_MAJOR
+            info = routine(102, b"V" if with_vectors else b"N", b"L", n, work.ctypes.data, n,
+                           values.ctypes.data)
+            if info:
+                raise np.linalg.LinAlgError(f"LAPACKE_d{name} returned {info}")
+            return values
+        return solve
+    return {name: bind(name, routine) for name, routine in routines.items()}
 
 
 def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
@@ -288,9 +301,10 @@ def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
 
     LAPACK runs in one n x n buffer, the Laplacian's lower triangle
     assembled here (`_lower_laplacian`), and leaves the eigenvectors in
-    it. Eigenvalue-only solves from _TWO_STAGE_MIN_N nodes up take
-    ?syevd_2stage (`_two_stage_eigvalsh`) where it can be bound; the rest
-    take ?syevd through `scipy.linalg.eigh(driver="evd")`.
+    it. The drivers are those `_lapack` binds: eigenvalue-only solves from
+    _TWO_STAGE_MIN_N nodes up take ?syevd_2stage, the rest ?syevd. Where
+    they cannot be bound, every solve takes ?syevd through
+    `scipy.linalg.eigh(driver="evd")`.
 
     The eigenvalues' sum is checked against the trace, 2 |E|, within
     TRACE_RTOL; with vectors the residual ||L v - lam v|| is checked
@@ -302,10 +316,13 @@ def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
     graphs.check_size_cap(graph.n, "dense spectrum of a graph")
     work = _lower_laplacian(graph)
     n = len(work)
-    two_stage = None if with_vectors or n < _TWO_STAGE_MIN_N else _two_stage_eigvalsh()
+    drivers = _lapack()
+    solver = ("syevd_2stage" if drivers is not None and not with_vectors
+              and n >= _TWO_STAGE_MIN_N else "syevd")
+    vecs = work if with_vectors else None
     try:
-        if two_stage is not None:
-            vals, vecs = two_stage(work), None
+        if drivers is not None:
+            vals = drivers[solver](work, with_vectors)
         else:
             from scipy.linalg import eigh
 
@@ -315,8 +332,7 @@ def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"symmetric eigensolver failed on a {n}x{n} matrix: {exc}") from exc
-    return Spectrum(vals, eigenvectors=vecs,
-                    solver="syevd" if two_stage is None else "syevd_2stage",
+    return Spectrum(vals, eigenvectors=vecs, solver=solver,
                     trace_error=_checked_trace(graph, vals),
                     residual=None if vecs is None else _checked_residual(graph, vecs, vals))
 

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import specwalk._csvtext as _csvtext
 import specwalk.cli as cli
@@ -218,13 +217,19 @@ class TestConfig:
 
 
 class TestColdStart:
-    """scipy loads only where a run needs it: a dense solve or a continuum
-    density, never for a closed-form graph run."""
+    """scipy loads only where a run needs it: a continuum density, or a
+    dense solve where its bundled OpenBLAS cannot be bound; never for a
+    closed-form graph run. A dense run binds the LAPACK drivers without
+    importing scipy.linalg, and checks its eigenpairs without
+    scipy.sparse."""
 
     @pytest.mark.parametrize("args", [
         None, ["preset", "fig2a"],
-        ["run", "--graph", "dendrimer:5,3", "--vectors", "--chi"]],
-        ids=["import", "fig2a", "dendrimer-chi"])
+        ["run", "--graph", "dendrimer:5,3", "--vectors", "--chi"],
+        pytest.param(["run", "--graph", "er:300,0.1,seed=1", "--vectors", "--chi"],
+                     marks=pytest.mark.skipif(spectral._lapack() is None,
+                                              reason="no bundled OpenBLAS to bind"))],
+        ids=["import", "fig2a", "dendrimer-chi", "er-dense-chi"])
     def test_loads_no_scipy(self, tmp_path, args):
         run = "" if args is None else f"assert main({args + ['--out', str(tmp_path)]!r}) == 0"
         script = textwrap.dedent(f"""
@@ -686,10 +691,11 @@ class TestMainSubcommands:
         assert rc == 2
 
     def test_eigensolver_failure_exits_two(self, monkeypatch, tmp_path, capsys):
-        def failing_eigh(*args, **kwargs):
+        def failing(work, with_vectors):
             raise np.linalg.LinAlgError("did not converge")
 
-        monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+        monkeypatch.setattr(spectral, "_lapack",
+                            lambda: {"syevd": failing, "syevd_2stage": failing})
         rc = main(["spectrum", "--graph", "er:30,0.3,seed=1", "--out", str(tmp_path / "n")])
         err = capsys.readouterr().err
         assert rc == 2

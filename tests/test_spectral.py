@@ -53,6 +53,10 @@ def path_graph(n):
     return Graph(n=n, edges=frozenset((i, i + 1) for i in range(n - 1)))
 
 
+# the drivers `spectral._lapack` binds
+DRIVERS = ("syevd", "syevd_2stage")
+
+
 def zero_multiplicity(spectrum):
     """Size of the near-zero cluster at the default tolerance; equals the
     number of components."""
@@ -102,14 +106,14 @@ class TestDecompose:
         s = decompose(g, with_vectors=True)
         v = s.eigenvectors
         np.testing.assert_allclose(v.T @ v, np.eye(s.n), atol=1e-12)
-        np.testing.assert_allclose((v * s.eigenvalues) @ v.T, laplacian(g).toarray(),
+        np.testing.assert_allclose((v * s.eigenvalues) @ v.T, laplacian(g),
                                    atol=1e-10)
 
     def test_residual_contract(self):
         g = build_ring(50)
         s = decompose(g, with_vectors=True)
         v = s.eigenvectors
-        resid = np.linalg.norm(laplacian(g).toarray() @ v - v * s.eigenvalues, axis=0)
+        resid = np.linalg.norm(laplacian(g) @ v - v * s.eigenvalues, axis=0)
         assert resid.max() <= 1e-9 * max(1.0, s.eigenvalues[-1])
 
     def test_deterministic(self):
@@ -120,10 +124,10 @@ class TestDecompose:
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_numerical_error_reports_size(self, monkeypatch):
-        def failing_eigh(*args, **kwargs):
+        def failing(work, with_vectors):
             raise np.linalg.LinAlgError("did not converge")
 
-        monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+        monkeypatch.setattr(spectral, "_lapack", lambda: dict.fromkeys(DRIVERS, failing))
         with pytest.raises(NumericalError, match="failed on a 30x30 matrix"):
             decompose(parse_graph_spec("er:30,0.3,seed=1"), with_vectors=True)
 
@@ -151,6 +155,16 @@ class TestDecompose:
         with pytest.raises(NumericalError, match="eigenpair residual"):
             _checked_residual(g, vecs, s.values)
 
+    def test_residual_check_refuses_a_nan_pair(self):
+        # a NaN residual compares false against the bound, and a running
+        # max(resid, nan) kept the finite value: the pair passed
+        g = parse_graph_spec("er:60,0.2,seed=2")
+        s = decompose(g, with_vectors=True)
+        vecs = s.eigenvectors.copy()
+        vecs[5, 17] = np.nan
+        with pytest.raises(NumericalError, match="eigenpair residual nan exceeds"):
+            _checked_residual(g, vecs, s.values)
+
 
 # a path, a triangle and an isolated node, read back without a family
 DISCONNECTED = from_edge_list("n 8\n0 1\n1 2\n2 3\n4 5\n5 6\n4 6\n")
@@ -165,7 +179,7 @@ class TestOwnedBufferSolve:
         DISCONNECTED,
     ], ids=["er800", "dendrimer8", "star12", "disconnected"])
     def test_bit_identical_to_numpy(self, g):
-        lap = laplacian(g).toarray()
+        lap = laplacian(g)
         values = decompose(g).eigenvalues
         assert np.array_equal(values.view(np.uint64),
                               np.linalg.eigvalsh(lap).view(np.uint64))
@@ -180,7 +194,7 @@ class TestOwnedBufferSolve:
     def test_bit_identical_to_scipy_on_the_full_matrix(self, spec):
         # the lower triangle alone gives what the whole matrix gives
         g = parse_graph_spec(spec)
-        lap = laplacian(g).toarray()
+        lap = laplacian(g)
         ref_values = scipy.linalg.eigh(lap, driver="evd", eigvals_only=True)
         assert np.array_equal(decompose(g).values.view(np.uint64),
                               ref_values.view(np.uint64))
@@ -194,7 +208,7 @@ class TestOwnedBufferSolve:
         g = parse_graph_spec("er:60,0.2,seed=2")
         work = _lower_laplacian(g)
         assert work.flags.f_contiguous and work.flags.writeable
-        assert np.array_equal(work, np.tril(laplacian(g).toarray()))
+        assert np.array_equal(work, np.tril(laplacian(g)))
 
     def test_lower_triangle_makes_no_edge_sized_array(self):
         g = build_erdos_renyi(3000, 1.0, seed=0)
@@ -226,10 +240,11 @@ class TestOwnedBufferSolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the Laplacian, which becomes the eigenvectors, and the 2 n^2
-        # ?syevd workspace; a copy of the input or a dense L @ V breaks it.
-        # The Laplacian sits on a mapping that tracemalloc does not see, so
-        # its n^2 doubles are added
+        # tracemalloc sees neither the Laplacian, which sits on a mapping
+        # and becomes the eigenvectors, nor the 2 n^2 workspace that LAPACKE
+        # allocates, but the residual check's blocks of rows (about 1.2 n^2
+        # here); a copy of the input or a dense L @ V breaks it. The
+        # Laplacian's n^2 doubles are added
         assert peak + 8 * g.n**2 <= 3.2 * 8 * g.n**2
 
     def test_dense_gram_makes_no_copies(self):
@@ -279,8 +294,8 @@ class TestOwnedBufferSolve:
         assert int(out.stdout) <= 0.9 * 8 * g.n**2
 
 
-@pytest.mark.skipif(spectral._two_stage_eigvalsh() is None,
-                    reason="scipy's bundled OpenBLAS with LAPACKE_dsyevd_2stage not found")
+@pytest.mark.skipif(spectral._lapack() is None,
+                    reason="scipy's bundled OpenBLAS with its LAPACKE drivers not found")
 class TestTwoStageSolve:
     """Eigenvalue-only solves from _TWO_STAGE_MIN_N nodes up take
     ?syevd_2stage, which agrees with ?syevd to rounding; below it, with
@@ -288,7 +303,7 @@ class TestTwoStageSolve:
 
     @staticmethod
     def evd_values(g):
-        return scipy.linalg.eigh(laplacian(g).toarray(), driver="evd", eigvals_only=True)
+        return scipy.linalg.eigh(laplacian(g), driver="evd", eigvals_only=True)
 
     @pytest.mark.parametrize("spec", ["er:2000,0.05,seed=1", "er:3000,0.01,seed=2"])
     def test_values_agree_with_evd(self, spec):
@@ -322,7 +337,7 @@ class TestTwoStageSolve:
         assert decompose(g, with_vectors=True).solver == "syevd"
 
     def test_unbound_driver_gives_evd_bits(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_two_stage_eigvalsh", lambda: None)
+        monkeypatch.setattr(spectral, "_lapack", lambda: None)
         g = parse_graph_spec("er:2000,0.05,seed=1")
         s = decompose(g)
         assert s.solver == "syevd"
@@ -333,15 +348,54 @@ class TestTwoStageSolve:
                              ids=["no library", "unloadable", "no symbol"])
     def test_binder_without_the_driver_gives_none(self, found, monkeypatch):
         monkeypatch.setattr(glob, "glob", lambda pattern: found)
-        assert spectral._two_stage_eigvalsh.__wrapped__() is None
+        assert spectral._lapack.__wrapped__() is None
 
     def test_failure_reports_size(self, monkeypatch):
-        def failing(work):
+        def failing(work, with_vectors):
             raise np.linalg.LinAlgError("LAPACKE_dsyevd_2stage returned 7")
 
-        monkeypatch.setattr(spectral, "_two_stage_eigvalsh", lambda: failing)
+        drivers = {**spectral._lapack(), "syevd_2stage": failing}
+        monkeypatch.setattr(spectral, "_lapack", lambda: drivers)
         with pytest.raises(NumericalError, match="failed on a 2000x2000 matrix: .* 7"):
             decompose(Graph(2000, build_ring(2000).edges))
+
+
+@pytest.mark.skipif(spectral._lapack() is None,
+                    reason="scipy's bundled OpenBLAS with its LAPACKE drivers not found")
+class TestBoundEvd:
+    """Below _TWO_STAGE_MIN_N nodes, and with vectors, decompose calls the
+    bound ?syevd, the routine that scipy.linalg.eigh(driver="evd") calls,
+    and gives its bits without loading scipy.linalg."""
+
+    @pytest.mark.parametrize("g", [
+        parse_graph_spec("er:300,0.1,seed=1"), parse_graph_spec("er:1999,0.01,seed=5"),
+        Graph(1500, build_star(1500).edges),
+    ], ids=["er300", "er1999", "star1500"])
+    def test_gives_evd_bits(self, g, monkeypatch):
+        # the star, read without its family, holds a 1498-fold level, whose
+        # eigenvectors are one basis of many
+        lap = laplacian(g)
+        want = scipy.linalg.eigh(lap, driver="evd", eigvals_only=True)
+        want_values, want_vectors = scipy.linalg.eigh(lap, driver="evd")
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("scipy.linalg.eigh called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", not_called)
+        s = decompose(g)
+        assert s.solver == "syevd"
+        assert np.array_equal(s.values.view(np.uint64), want.view(np.uint64))
+        s = decompose(g, with_vectors=True)
+        assert s.solver == "syevd"
+        assert np.array_equal(s.values.view(np.uint64), want_values.view(np.uint64))
+        assert np.array_equal(s.eigenvectors.view(np.uint64), want_vectors.view(np.uint64))
+
+    def test_refuses_a_buffer_it_cannot_solve_in_place(self):
+        solve = spectral._lapack()["syevd"]
+        for work in (np.eye(3), np.asfortranarray(np.eye(3, dtype=np.float32)),
+                     np.asfortranarray(np.ones((3, 2)))):
+            with pytest.raises(ValueError, match="Fortran-ordered"):
+                solve(work, False)
 
 
 BUDGET = spectral._BLOCK_ELEMS
@@ -377,18 +431,20 @@ class TestTraceIdentity:
         assert abs(total - 2 * g.edge_count) <= 1e-10 * max(1.0, 2 * g.edge_count)
         assert s.trace_error == abs(total - 2 * g.edge_count) / max(1.0, 2 * g.edge_count)
 
+    @pytest.mark.skipif(spectral._lapack() is None,
+                        reason="scipy's bundled OpenBLAS with its LAPACKE drivers not found")
     @pytest.mark.parametrize("with_vectors", [False, True])
     def test_solve_off_the_trace_raises(self, with_vectors, monkeypatch):
         # a solve whose eigenvalues sum 1e-5 off tr L = 2 |E| (about 4e-8
         # relative) fails its check, which runs before the residual's
-        eigh = scipy.linalg.eigh
+        syevd = spectral._lapack()["syevd"]
 
-        def off_by_1e5(*args, **kwargs):
-            result = eigh(*args, **kwargs)
-            (result[0] if with_vectors else result)[-1] += 1e-5
-            return result
+        def off_by_1e5(work, with_vectors):
+            values = syevd(work, with_vectors)
+            values[-1] += 1e-5
+            return values
 
-        monkeypatch.setattr(scipy.linalg, "eigh", off_by_1e5)
+        monkeypatch.setattr(spectral, "_lapack", lambda: dict.fromkeys(DRIVERS, off_by_1e5))
         with pytest.raises(NumericalError, match="off the trace .* 30x30 matrix"):
             decompose(parse_graph_spec("er:30,0.3,seed=1"), with_vectors)
 
@@ -592,7 +648,7 @@ def exact_levels(g):
     return sorted(table)
 
 
-def test_sparse_laplacian_matches_dense_assembly():
+def test_laplacian_matches_dense_assembly():
     # the dense oracle: degrees on the diagonal, -1 at (i, j) and (j, i) per edge
     for g in SYMMETRIC_FAMILIES + [parse_graph_spec("er:300,0.05,seed=3"),
                                    parse_graph_spec("er:800,0.02,seed=1"), DISCONNECTED]:
@@ -601,8 +657,25 @@ def test_sparse_laplacian_matches_dense_assembly():
         dense[i, j] = dense[j, i] = -1.0
         dense.flat[::g.n + 1] = g.degrees()
         lap = laplacian(g)
-        assert lap.format == "csr" and lap.nnz == 2 * g.edge_count + g.n
-        assert np.array_equal(lap.toarray(), dense)
+        assert lap.dtype == np.float64 and lap.flags.c_contiguous
+        assert np.array_equal(lap.view(np.uint64), dense.view(np.uint64))
+
+
+@pytest.mark.parametrize("draw_block", [7, graphs._DRAW_BLOCK])
+def test_laplacian_row_blocks_stack_to_the_whole(draw_block, monkeypatch):
+    # blocks of rows, each scanning the edges a few at a time or in one
+    # block, stack to the whole matrix, whose lower triangle is the one
+    # the solve is given
+    for g in [parse_graph_spec("er:300,0.05,seed=3"), build_dendrimer(4, 3), DISCONNECTED,
+              Graph(5, [])]:
+        whole = laplacian(g)
+        assert np.array_equal(np.tril(whole), _lower_laplacian(g))
+        monkeypatch.setattr(graphs, "_DRAW_BLOCK", draw_block)
+        for step in (1, 7, 64, g.n):
+            blocks = [laplacian(g, slice(lo, lo + step)) for lo in range(0, g.n, step)]
+            assert np.array_equal(np.vstack(blocks), whole)
+        assert laplacian(g, slice(3, 3)).shape == (0, g.n)
+        monkeypatch.undo()
 
 
 class TestGraphSpectrum:
@@ -990,6 +1063,10 @@ class TestPairOrbitChi:
         for module, name in [(np.linalg, "eigh"), (np.linalg, "eigvalsh"),
                              (scipy.linalg, "eigh")]:
             monkeypatch.setattr(module, name, sized(getattr(module, name)))
+        drivers = spectral._lapack()
+        if drivers is not None:
+            sized_drivers = {name: sized(solve) for name, solve in drivers.items()}
+            monkeypatch.setattr(spectral, "_lapack", lambda: sized_drivers)
         seen = {}
 
         def chi_header_only(values, index):

@@ -72,6 +72,13 @@ def commands(work: Path) -> list[tuple[str, list[str], float]]:
         # copied the builder's array)
         ("complete graph spectrum", specwalk("spectrum", "--graph", "er:5000,1",
                                              "--out", work / "complete"), 410),
+        # er:5000,1 with vectors: ?syevd overwrites the whole 200 MB
+        # Laplacian with the eigenvectors beside its 2 n^2 workspace, and
+        # the residual check applies L as dense blocks of rows (about
+        # 803 MB measured, 1415 MB when the check built the CSR matrix of
+        # the 12.5 million edges and the run imported scipy.linalg)
+        ("complete graph vectors", specwalk("run", "--graph", "er:5000,1", "--vectors",
+                                            "--out", work / "complete-vectors"), 900),
         # fit parses the 10^6 rows in one np.loadtxt call (about 154 MB
         # measured, 475 MB when it built a Python list per row)
         ("fit on the largest series",
