@@ -245,40 +245,40 @@ def _lower_laplacian(graph: Graph) -> np.ndarray:
 
 @cache
 def _lapack():
-    """The symmetric drivers of the OpenBLAS that scipy's wheels bundle
-    (scipy.libs/libscipy_openblas-*), bound through ctypes on first use:
-    {"syevd": solve, "syevd_2stage": solve}, or None where the library or
-    either symbol cannot be bound. solve(work, with_vectors) runs
-    LAPACKE_d<driver> (uplo='L') in place on a Fortran-ordered lower
-    triangle, `_lower_laplacian`'s, leaves the eigenvectors in it when
-    asked and returns the ascending eigenvalues; a failure raises
-    np.linalg.LinAlgError, as scipy's eigh does. ?syevd is the routine
-    that scipy.linalg.eigh(driver="evd") calls in the same library, so
-    both give the same bits; scipy wraps no two-stage driver, which
-    computes eigenvalues only. Binding here keeps scipy.linalg unloaded,
-    and importing the package loads no library.
+    """The symmetric drivers of the OpenBLAS that numpy's wheels bundle
+    and its products already run in (numpy.libs/libscipy_openblas64_-*),
+    bound through ctypes on first use: {"syevd": solve, "syevd_2stage":
+    solve}, or None where the library or either ILP64 symbol
+    (LAPACKE_d<driver>64_, 64-bit integers) cannot be bound.
+    solve(work, with_vectors) runs the driver (uplo='L') in place on a
+    Fortran-ordered lower triangle, `_lower_laplacian`'s, leaves the
+    eigenvectors in it when asked and returns the ascending eigenvalues; a
+    failure raises np.linalg.LinAlgError. ?syevd is the routine that
+    np.linalg.eigh and eigvalsh call in the same library, so both give the
+    same bits; numpy wraps no two-stage driver. No second library or BLAS
+    thread pool starts, and importing the package binds nothing.
     """
     import ctypes
     import glob
     import importlib.util
     import os
 
-    spec = importlib.util.find_spec("scipy")
+    spec = importlib.util.find_spec("numpy")
     if spec is None or not spec.submodule_search_locations:
         return None
     site = os.path.dirname(spec.submodule_search_locations[0])
-    libraries = glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas-*"))
+    libraries = glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas64_-*"))
     try:
         library = ctypes.CDLL(libraries[0])
-        routines = {name: getattr(library, f"scipy_LAPACKE_d{name}")
+        routines = {name: getattr(library, f"scipy_LAPACKE_d{name}64_")
                     for name in ("syevd", "syevd_2stage")}
     except (IndexError, OSError, AttributeError):
         return None
 
     def bind(name, routine):
-        routine.restype = ctypes.c_int
-        routine.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int,
-                            ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p]
+        routine.restype = ctypes.c_int64
+        routine.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
 
         def solve(work, with_vectors):
             n = len(work)
@@ -303,8 +303,8 @@ def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
     assembled here (`_lower_laplacian`), and leaves the eigenvectors in
     it. The drivers are those `_lapack` binds: eigenvalue-only solves from
     _TWO_STAGE_MIN_N nodes up take ?syevd_2stage, the rest ?syevd. Where
-    they cannot be bound, every solve takes ?syevd through
-    `scipy.linalg.eigh(driver="evd")`.
+    they cannot be bound, every solve takes the same ?syevd, with the same
+    bits, through `np.linalg.eigh` or `eigvalsh` on a copy of the buffer.
 
     The eigenvalues' sum is checked against the trace, 2 |E|, within
     TRACE_RTOL; with vectors the residual ||L v - lam v|| is checked
@@ -323,12 +323,10 @@ def decompose(graph: Graph, with_vectors: bool = False) -> Spectrum:
     try:
         if drivers is not None:
             vals = drivers[solver](work, with_vectors)
+        elif with_vectors:
+            vals, vecs = np.linalg.eigh(work, UPLO="L")
         else:
-            from scipy.linalg import eigh
-
-            result = eigh(work, lower=True, overwrite_a=True, check_finite=False,
-                          driver="evd", eigvals_only=not with_vectors)
-            vals, vecs = result if with_vectors else (result, None)
+            vals = np.linalg.eigvalsh(work, UPLO="L")
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"symmetric eigensolver failed on a {n}x{n} matrix: {exc}") from exc

@@ -217,31 +217,52 @@ class TestConfig:
 
 
 class TestColdStart:
-    """scipy loads only where a run needs it: a continuum density, or a
-    dense solve where its bundled OpenBLAS cannot be bound; never for a
-    closed-form graph run. A dense run binds the LAPACK drivers without
-    importing scipy.linalg, and checks its eigenpairs without
-    scipy.sparse."""
+    """scipy loads only where a run needs it, a continuum density; never
+    for a graph run. A dense run binds the LAPACK drivers of the OpenBLAS
+    numpy already holds, so it maps no second BLAS library, and checks its
+    eigenpairs without scipy.sparse; where the drivers cannot be bound,
+    numpy's eigh solves without scipy.linalg."""
 
-    @pytest.mark.parametrize("args", [
-        None, ["preset", "fig2a"],
-        ["run", "--graph", "dendrimer:5,3", "--vectors", "--chi"],
-        pytest.param(["run", "--graph", "er:300,0.1,seed=1", "--vectors", "--chi"],
-                     marks=pytest.mark.skipif(spectral._lapack() is None,
-                                              reason="no bundled OpenBLAS to bind"))],
-        ids=["import", "fig2a", "dendrimer-chi", "er-dense-chi"])
-    def test_loads_no_scipy(self, tmp_path, args):
+    DENSE_CHI = ["run", "--graph", "er:300,0.1,seed=1", "--vectors", "--chi"]
+    SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+    @staticmethod
+    def run_script(tmp_path, args, report, before=""):
+        """The stdout of a fresh interpreter that runs the line `before`,
+        then main(args) when args are given, then prints `report`."""
         run = "" if args is None else f"assert main({args + ['--out', str(tmp_path)]!r}) == 0"
         script = textwrap.dedent(f"""
             import sys
             sys.path.insert(0, {str(Path(__file__).parents[1] / "src")!r})
             from specwalk.cli import main
+            {before}
             {run}
-            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            print({report})
         """)
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                               text=True, check=True).stdout.strip()
+
+    @pytest.mark.parametrize("args", [
+        None, ["preset", "fig2a"],
+        ["run", "--graph", "dendrimer:5,3", "--vectors", "--chi"], DENSE_CHI],
+        ids=["import", "fig2a", "dendrimer-chi", "er-dense-chi"])
+    def test_loads_no_scipy(self, tmp_path, args):
+        assert self.run_script(tmp_path, args, self.SCIPY_MODULES) == "[]"
+
+    def test_unbound_drivers_load_no_scipy(self, tmp_path):
+        # without the bound drivers the solve takes numpy's eigh
+        before = ("import numpy as np, specwalk.spectral as spectral; "
+                  "spectral._lapack = lambda: None; calls = []; eigh = np.linalg.eigh; "
+                  "np.linalg.eigh = lambda *a, **k: calls.append(a[0].shape) or eigh(*a, **k)")
+        out = self.run_script(tmp_path, self.DENSE_CHI, f"{self.SCIPY_MODULES}, calls",
+                              before=before)
+        assert out == "[] [(300, 300)]"
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps")
+    def test_dense_run_maps_no_scipy_blas(self, tmp_path):
+        # the bound drivers are those of the OpenBLAS numpy already loaded
+        maps = "[line.split()[-1] for line in open('/proc/self/maps') if 'scipy.libs' in line]"
+        assert self.run_script(tmp_path, self.DENSE_CHI, maps) == "[]"
 
 
 class TestNodeCap:

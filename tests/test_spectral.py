@@ -55,6 +55,9 @@ def path_graph(n):
 
 # the drivers `spectral._lapack` binds
 DRIVERS = ("syevd", "syevd_2stage")
+# scipy's bundled LP64 OpenBLAS: the same drivers, with 32-bit integers
+SCIPY_OPENBLAS = glob.glob(str(Path(scipy.__file__).parents[1] / "scipy.libs"
+                               / "libscipy_openblas-*"))
 
 
 def zero_multiplicity(spectrum):
@@ -295,7 +298,7 @@ class TestOwnedBufferSolve:
 
 
 @pytest.mark.skipif(spectral._lapack() is None,
-                    reason="scipy's bundled OpenBLAS with its LAPACKE drivers not found")
+                    reason="numpy's bundled OpenBLAS with its ILP64 LAPACKE drivers not found")
 class TestTwoStageSolve:
     """Eigenvalue-only solves from _TWO_STAGE_MIN_N nodes up take
     ?syevd_2stage, which agrees with ?syevd to rounding; below it, with
@@ -339,13 +342,28 @@ class TestTwoStageSolve:
     def test_unbound_driver_gives_evd_bits(self, monkeypatch):
         monkeypatch.setattr(spectral, "_lapack", lambda: None)
         g = parse_graph_spec("er:2000,0.05,seed=1")
+        want_values, want_vectors = scipy.linalg.eigh(laplacian(g), driver="evd")
+        want = self.evd_values(g)
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("scipy.linalg.eigh called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", not_called)
         s = decompose(g)
         assert s.solver == "syevd"
-        assert np.array_equal(s.values.view(np.uint64), self.evd_values(g).view(np.uint64))
+        assert np.array_equal(s.values.view(np.uint64), want.view(np.uint64))
+        s = decompose(g, with_vectors=True)
+        assert s.solver == "syevd"
+        assert np.array_equal(s.values.view(np.uint64), want_values.view(np.uint64))
+        assert np.array_equal(s.eigenvectors.view(np.uint64), want_vectors.view(np.uint64))
 
-    @pytest.mark.parametrize("found", [[], ["/nonexistent/libscipy_openblas-0.so"],
-                                       [ctypes.util.find_library("m")]],
-                             ids=["no library", "unloadable", "no symbol"])
+    # scipy's LP64 library exports the drivers without the ILP64 names, and
+    # must never be called with 64-bit integers
+    @pytest.mark.parametrize("found", [
+        [], ["/nonexistent/libscipy_openblas-0.so"], [ctypes.util.find_library("m")],
+        pytest.param(SCIPY_OPENBLAS, marks=pytest.mark.skipif(
+            not SCIPY_OPENBLAS, reason="scipy bundles no OpenBLAS"))],
+        ids=["no library", "unloadable", "no symbol", "LP64 library"])
     def test_binder_without_the_driver_gives_none(self, found, monkeypatch):
         monkeypatch.setattr(glob, "glob", lambda pattern: found)
         assert spectral._lapack.__wrapped__() is None
@@ -361,11 +379,12 @@ class TestTwoStageSolve:
 
 
 @pytest.mark.skipif(spectral._lapack() is None,
-                    reason="scipy's bundled OpenBLAS with its LAPACKE drivers not found")
+                    reason="numpy's bundled OpenBLAS with its ILP64 LAPACKE drivers not found")
 class TestBoundEvd:
     """Below _TWO_STAGE_MIN_N nodes, and with vectors, decompose calls the
-    bound ?syevd, the routine that scipy.linalg.eigh(driver="evd") calls,
-    and gives its bits without loading scipy.linalg."""
+    bound ?syevd, the routine that np.linalg.eigh and
+    scipy.linalg.eigh(driver="evd") call, and gives their bits without
+    loading scipy.linalg."""
 
     @pytest.mark.parametrize("g", [
         parse_graph_spec("er:300,0.1,seed=1"), parse_graph_spec("er:1999,0.01,seed=5"),
@@ -432,7 +451,7 @@ class TestTraceIdentity:
         assert s.trace_error == abs(total - 2 * g.edge_count) / max(1.0, 2 * g.edge_count)
 
     @pytest.mark.skipif(spectral._lapack() is None,
-                        reason="scipy's bundled OpenBLAS with its LAPACKE drivers not found")
+                        reason="numpy's bundled OpenBLAS with its ILP64 LAPACKE drivers not found")
     @pytest.mark.parametrize("with_vectors", [False, True])
     def test_solve_off_the_trace_raises(self, with_vectors, monkeypatch):
         # a solve whose eigenvalues sum 1e-5 off tr L = 2 |E| (about 4e-8

@@ -57,11 +57,12 @@ def commands(work: Path) -> list[tuple[str, list[str], float]]:
         # while the run held the graph through its writes)
         ("large torus", specwalk("spectrum", "--graph", "torus:1000,2",
                                  "--out", work / "torus"), 240),
-        # er:5000 at the dense cap, eigenvalues only: ?syevd_2stage (or
-        # ?syevd where scipy bundles no OpenBLAS) reads only the lower
+        # er:5000 at the dense cap, eigenvalues only: ?syevd_2stage, bound
+        # from the OpenBLAS numpy already loaded, reads only the lower
         # triangle, so the upper half of the 200 MB matrix is never made
-        # resident (about 165 MB measured, 177 MB through ?syevd, 242 MB
-        # with the upper triangle written)
+        # resident (about 162 MB measured, 163 MB with scipy's OpenBLAS
+        # bound beside numpy's, 177 MB through ?syevd with scipy.linalg
+        # imported, 242 MB with the upper triangle written)
         ("large dense spectrum", specwalk("spectrum", "--graph", "er:5000,0.01,seed=1",
                                           "--out", work / "er5000"), 220),
         # er:5000,1, the complete graph at the dense cap: 12.5 million
@@ -75,8 +76,10 @@ def commands(work: Path) -> list[tuple[str, list[str], float]]:
         # er:5000,1 with vectors: ?syevd overwrites the whole 200 MB
         # Laplacian with the eigenvectors beside its 2 n^2 workspace, and
         # the residual check applies L as dense blocks of rows (about
-        # 803 MB measured, 1415 MB when the check built the CSR matrix of
-        # the 12.5 million edges and the run imported scipy.linalg)
+        # 802 MB and 19-21 s measured, 803 MB and 17-21 s with scipy's
+        # OpenBLAS bound beside numpy's, 1415 MB when the check built the
+        # CSR matrix of the 12.5 million edges and the run imported
+        # scipy.linalg)
         ("complete graph vectors", specwalk("run", "--graph", "er:5000,1", "--vectors",
                                             "--out", work / "complete-vectors"), 900),
         # fit parses the 10^6 rows in one np.loadtxt call (about 154 MB
