@@ -1,16 +1,17 @@
 """Experiment orchestration and the command-line interface.
 
 One invocation runs one experiment from one source: build a graph (or
-pick an analytic DOS, or read a series CSV), obtain the spectrum, evaluate
-the transport series on a time grid, analyze decay laws, and write CSV
-artifacts plus a manifest with checksums into the output directory. Fixed
-artifact names keep downstream plotting scripts trivial: series.csv,
-spectrum.csv, degeneracies.csv, chi.csv (with --chi), report.txt,
-deltap.csv, manifest.txt. Each stage is one call into the module that
-owns it; this module holds the config, the presets, the stage order,
-the manifest and the writes.
+read a levels table such as a run's degeneracies.csv, or pick an
+analytic DOS), obtain the spectrum, evaluate the transport series on a
+time grid, analyze decay laws, and write CSV artifacts plus a manifest
+with checksums into the output directory. Fixed artifact names keep
+downstream plotting scripts trivial: series.csv, spectrum.csv,
+degeneracies.csv, chi.csv (with --chi), report.txt, deltap.csv,
+manifest.txt. Each stage is one call into the module that owns it; this
+module holds the config, the presets, the stage order, the manifest and
+the writes.
 
-Subcommands: run, spectrum, transport, fit, preset, one row of
+Subcommands: run, spectrum, transport, preset, one row of
 `_SUBCOMMANDS` each. Exit codes: 0 on success, 1 on a parse/config
 error or a failed write, 2 on a numerical failure.
 """
@@ -30,21 +31,22 @@ from .continuum import StretchedExpDecay, asymptotic_law, continuum_series, pars
 from .errors import NumericalError, ParseError
 from .graphs import parse_graph_spec
 from .scaling import check_fit_window, efficiency_report, ratio_csv, report_text
-from .spectral import degeneracies_csv, graph_spectrum, spectrum_csv, spectrum_diagnostics
-from .transport import (chi_csv, chi_diagnostics, chi_table, parse_grid_spec,
-                        read_series_csv, series_csv, transport_series)
+from .spectral import (degeneracies_csv, graph_spectrum, read_levels, spectrum_csv,
+                       spectrum_diagnostics)
+from .transport import (chi_csv, chi_diagnostics, chi_table, parse_grid_spec, series_csv,
+                        transport_series)
 
 DEFAULT_GRID_SPEC = "log:1e-2,1e4,600"
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run depends on; exactly one source, a graph, a DOS or
-    the path of a series CSV, must be set."""
+    """Everything a run depends on; exactly one source, a graph or a DOS,
+    must be set. A DOS is a family's spec or `levels:PATH`, the path of a
+    table of levels (`spectral.read_levels`) taken whole after the colon."""
 
     graph: str | None = None
     dos: str | None = None
-    series: str | None = None
     grid: str = DEFAULT_GRID_SPEC
     fit_window: tuple[float, float] = (1.0, 100.0)
     vectors: bool = False
@@ -53,16 +55,18 @@ class ExperimentConfig:
     out: str = "out"
 
     def validate(self):
-        sources = f"graph={self.graph!r} dos={self.dos!r} series={self.series!r}"
-        if [self.graph, self.dos, self.series].count(None) != 2:
-            raise ParseError("config must set exactly one of graph/dos/series",
+        """ParseError unless the config has one source, a known fit model,
+        vectors and chi only with a graph, and a fit window the fits take."""
+        sources = f"graph={self.graph!r} dos={self.dos!r}"
+        if [self.graph, self.dos].count(None) != 1:
+            raise ParseError("config must set exactly one of graph/dos",
                              text=sources, position=0)
         if self.fit_model not in ("auto", "power", "stretched"):
             raise ParseError(f"unknown fit model {self.fit_model!r}",
                              text=self.fit_model, position=0)
         if self.graph is None and (self.vectors or self.chi):
-            raise ParseError("vectors and chi need a graph run; a DOS or a series "
-                             "has no eigenvectors", text=sources, position=0)
+            raise ParseError("vectors and chi need a graph run; a DOS has no "
+                             "eigenvectors", text=sources, position=0)
         # the fit window, by the bound the fits enforce, before anything is
         # computed or written
         check_fit_window(self.fit_window)
@@ -119,8 +123,8 @@ def preset(name: str) -> ExperimentConfig:
 class RunManifest:
     """Record of one run: the set options its subcommand takes, artifact
     checksums, version, duration, the seconds spent in each stage that
-    ran, and diagnostics: for graph runs which path produced the
-    spectrum, its cluster count and, where built, where the projectors
+    ran, and diagnostics: for graph and levels runs which path produced
+    the spectrum, its cluster count and, where built, where the projectors
     came from and the eigenpair residual, and with two or more clusters
     the smallest gap between adjacent cluster values over the cluster
     tolerance; with chi its largest column-sum error and mean return
@@ -208,8 +212,6 @@ _SUBCOMMANDS = {
     "spectrum": ("eigenvalues and degeneracies only", ("spectrum",), ("graph", "out", "chi")),
     "transport": ("transport series only", ("series",),
                   ("graph", "dos", "out", "grid", "vectors", "chi")),
-    "fit": ("decay analysis of an existing series CSV", ("analysis",),
-            ("series", "out", "fit_window", "fit_model")),
     "preset": ("run a documented preset", ("series", "spectrum", "analysis"), _RUN_FLAGS),
 }
 # the fixed-name artifacts besides manifest.txt
@@ -220,7 +222,7 @@ _ARTIFACTS = ("series.csv", "spectrum.csv", "degeneracies.csv", "chi.csv", "repo
 def _artifacts(config: ExperimentConfig, source: str, stages) -> set[str]:
     """The _ARTIFACTS a run writes. An output directory that holds any
     other is refused with ParseError, as another run's artifacts would be
-    left beside this run's; the series CSV a run reads there is its own."""
+    left beside this run's."""
     writes = {"chi.csv"} if config.chi else set()
     if source == "graph" and "spectrum" in stages:
         writes |= {"spectrum.csv", "degeneracies.csv"}
@@ -229,9 +231,7 @@ def _artifacts(config: ExperimentConfig, source: str, stages) -> set[str]:
     if "analysis" in stages:
         writes |= {"report.txt", "deltap.csv"}
     out_dir = Path(config.out)
-    read = config.series is not None and Path(config.series).resolve()
-    held = [name for name in _ARTIFACTS if name not in writes
-            and (out_dir / name).exists() and (out_dir / name).resolve() != read]
+    held = [name for name in _ARTIFACTS if name not in writes and (out_dir / name).exists()]
     if held:
         raise ParseError(f"output directory {out_dir} holds {', '.join(held)}, which "
                          f"this run does not write; give the run a directory of its own")
@@ -244,18 +244,18 @@ def run_experiment(config: ExperimentConfig, command: str = "run") -> RunManifes
 
     The subcommand's row of `_SUBCOMMANDS` gives the stages, the sources
     it takes and the options it reads, which the manifest echoes where
-    set. A source it does not take (`spectrum` from a DOS, `run` from a
-    series) raises ParseError, as its flag does on the command line, and
-    so does an output directory holding another run's artifacts, both
-    before any work. A series read from the output directory is listed
-    among the manifest's files. Every stage computes before the first
+    set. A source it does not take (`spectrum` from a DOS) raises
+    ParseError, as its flag does on the command line, and so does an
+    output directory holding another run's artifacts, both before any
+    work. A levels table (`dos="levels:PATH"`) is read as the spectrum
+    stage and takes a graph's series and `auto` fit model, the power law,
+    but writes no spectrum files. Every stage computes before the first
     write, which makes the output directory, so a run whose computation
     fails writes nothing.
     """
     config.validate()
     _, stages, flags = _SUBCOMMANDS[command]
-    source = next(name for name in ("graph", "dos", "series")
-                  if getattr(config, name) is not None)
+    source = "graph" if config.dos is None else "dos"
     if source not in flags:
         raise ParseError(f"{command} does not take a {source} source",
                          text=getattr(config, source), position=0)
@@ -268,18 +268,14 @@ def run_experiment(config: ExperimentConfig, command: str = "run") -> RunManifes
         else str(value) for name in flags if (value := getattr(config, name)) is not None})
     spectrum = chi = series = report = None
     stretched = config.fit_model == "stretched"
-    if config.series is not None:
-        read = Path(config.series)
-        with manifest.stage("read"):
-            series = read_series_csv(read)
-            if read.resolve().parent == Path(config.out).resolve():
-                manifest.files[read.name] = _sha256(read)
-    elif config.graph is not None:
+    family, _, levels = (config.dos or "").partition(":")
+    if config.graph is not None or family.strip().lower() == "levels":
         # the spectrum stage writes eigenvalues only; --vectors serves the
         # series, --chi its own artifact
         with_vectors = config.chi or (config.vectors and "series" in stages)
         with manifest.stage("spectrum"):
-            spectrum = graph_spectrum(parse_graph_spec(config.graph), with_vectors=with_vectors)
+            spectrum = (read_levels(levels) if config.graph is None else
+                        graph_spectrum(parse_graph_spec(config.graph), with_vectors=with_vectors))
         manifest.diagnostics.update(spectrum_diagnostics(spectrum))
         if config.chi:
             with manifest.stage("chi"):
@@ -307,7 +303,8 @@ def run_experiment(config: ExperimentConfig, command: str = "run") -> RunManifes
     if "spectrum.csv" in writes:
         _write(out_dir, "spectrum.csv", manifest, spectrum_csv, spectrum)
         _write(out_dir, "degeneracies.csv", manifest, degeneracies_csv, spectrum)
-    times_text = None  # series.csv's t column, which deltap.csv reuses
+    # every subcommand that analyses writes its series, whose t column's
+    # text deltap.csv reuses
     if "series.csv" in writes:
         times_text = _write(out_dir, "series.csv", manifest, series_csv, series)
     if "report.txt" in writes:
@@ -322,8 +319,8 @@ def run_experiment(config: ExperimentConfig, command: str = "run") -> RunManifes
 # argparse keywords of each flag, by the config field it sets
 _FLAGS = {
     "graph": dict(help="graph spec, e.g. ring:200 or er:1000,0.1,seed=1"),
-    "dos": dict(help="DOS spec, e.g. semicircle:nu=0.5,lmax=2"),
-    "series": dict(required=True, help="path to a series CSV"),
+    "dos": dict(help="DOS spec, e.g. semicircle:nu=0.5,lmax=2, or levels:PATH of a "
+                     "value,multiplicity table such as a run's degeneracies.csv"),
     "out": dict(help="output directory (default: out)"),
     "grid": dict(help=f"time grid spec (default: {DEFAULT_GRID_SPEC})"),
     "fit_window": dict(help="window LO,HI of both fits (default: 1,100)"),

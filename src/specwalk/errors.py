@@ -2,7 +2,7 @@
 
 
 class ParseError(ValueError):
-    """A graph/DOS/grid spec string could not be parsed.
+    """A graph/DOS/grid spec string or a levels table could not be parsed.
 
     Carries the offending text and the position of the first bad character.
     """

@@ -22,12 +22,13 @@ import math
 import mmap
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import chain, islice
 
 import numpy as np
 
 from . import graphs
 from ._csvtext import _columns, _csv_blocks, float_text, int_text
-from .errors import NumericalError
+from .errors import NumericalError, ParseError, ResourceLimitError
 from .graphs import Graph
 
 RESIDUAL_RTOL = 1e-9
@@ -64,12 +65,13 @@ class Spectrum:
     eigenvalue is its own mode, and `values` must be ascending, as the dense
     solver gives them: the clusters take them in the order given, and
     column k of `eigenvectors` pairs with `values[k]`. `path` says how the
-    eigenvalues were obtained: "dense" (the symmetric solver) or
-    "closed_form". A dense spectrum also names its LAPACK driver
-    (`solver`, "syevd" or "syevd_2stage") and carries `trace_error`,
-    |sum of eigenvalues - tr L| / max(1, tr L). `residual` is the largest
-    eigenpair residual ||L v - lam v|| over ||L||_2, where eigenvectors
-    were checked.
+    eigenvalues were obtained: "dense" (the symmetric solver),
+    "closed_form" or "levels" (`read_levels`: a table of levels and
+    multiplicities, as a run's degeneracies.csv holds them, and no graph).
+    A dense spectrum also names its LAPACK driver (`solver`, "syevd" or
+    "syevd_2stage") and carries `trace_error`, |sum of eigenvalues -
+    tr L| / max(1, tr L). `residual` is the largest eigenpair residual
+    ||L v - lam v|| over ||L||_2, where eigenvectors were checked.
 
     `pairs`, when set, is a `ShellTree` or `TorusPairs`: the pair orbits
     of a symmetric graph, on which every eigenspace projector is
@@ -618,7 +620,79 @@ def spectrum_csv(spectrum: Spectrum):
                        lambda lo, hi: text[lo:hi, None], labelled=True)
 
 
+# the columns of `degeneracies_csv`, which `read_levels` reads back
+_LEVELS_COLUMNS = ("value", "multiplicity")
+
+
 def degeneracies_csv(spectrum: Spectrum):
     """Columns value,multiplicity of the clusters, as byte blocks."""
-    return _csv_blocks("value,multiplicity\n", len(spectrum.levels), 2,
+    return _csv_blocks(",".join(_LEVELS_COLUMNS) + "\n", len(spectrum.levels), 2,
                        _columns(float_text(spectrum.levels), int_text(spectrum.mult)))
+
+
+def read_levels(path) -> Spectrum:
+    """The spectrum of a table of levels and multiplicities, as
+    `degeneracies_csv` writes it, one mode a row, `path` "levels"; the
+    header names the two columns once each, in either order. Blank lines
+    are skipped, and '#' starts no comment. The rows go through one
+    np.loadtxt call, which reads each value as float() does; only if it
+    fails, or a value is out of range, is the file scanned again. An
+    empty or header-only file, another header, a short, long or
+    non-numeric row, a level that is not finite and a multiplicity that
+    is not a positive integer raise ParseError naming the 1-based line.
+    More than `graphs.SPEC_NODE_CAP` rows, or eigenvalues in all, raise
+    ResourceLimitError; no row past the cap is read. A level below zero
+    by more than rounding is refused by `transport_series`, as on any
+    spectrum.
+    """
+    cap = graphs.SPEC_NODE_CAP
+    with open(path) as file:
+        lines = ((no, line) for no, line in enumerate(file, start=1) if line.strip())
+        # loadtxt warns on input with no rows, so the first is taken here
+        (at, header), first = next(lines, (1, "")), next(lines, None)
+        if first is None:
+            raise ParseError(f"line {at}: levels table "
+                             f"{'has no rows' if header else 'is empty'}",
+                             text=str(path), position=0)
+        names = [name.strip() for name in header.split(",")]
+        if sorted(names) != sorted(_LEVELS_COLUMNS):
+            raise ParseError(f"line {at}: levels table needs the columns value and "
+                             "multiplicity, once each", text=header.rstrip("\n"), position=0)
+        try:
+            table = np.loadtxt((line for _, line in chain([first], islice(lines, cap - 1))),
+                               delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            table = np.empty((0, 0))
+        values, counts = (table[:, names.index(name)] if table.shape[1] == 2
+                          else np.empty(0) for name in _LEVELS_COLUMNS)
+        if not (len(values) and np.isfinite([values, counts]).all() and (counts >= 1).all()
+                and (counts % 1 == 0).all()):
+            _raise_at_first_bad_level(path, names)
+        if next(lines, None) is not None or counts.sum() > cap:
+            raise ResourceLimitError(f"levels table holds more than the limit of {cap} "
+                                     "rows or eigenvalues")
+    # copies of both columns, so that the parsed table is freed
+    return Spectrum(values.copy(), counts.astype(np.int64), path="levels")
+
+
+def _raise_at_first_bad_level(path, names):
+    """ParseError at the first row of a levels table with columns `names`
+    that is not two ASCII floats without underscores, as np.loadtxt reads
+    them, or that `read_levels` cannot take."""
+    value, count = map(names.index, _LEVELS_COLUMNS)
+    with open(path) as file:
+        rows = ((no, line) for no, line in enumerate(file, start=1) if line.strip())
+        for no, line in islice(rows, 1, None):
+            fields = [field.strip() for field in line.split(",")]
+            try:
+                good = [float(field) for field in fields if field.isascii() and "_" not in field]
+            except ValueError:
+                good = []
+            if not len(good) == len(fields) == 2:
+                raise ParseError(f"line {no}: expected 2 comma-separated numbers",
+                                 text=line.rstrip("\n"), position=0)
+            if not (math.isfinite(good[value]) and good[count] >= 1
+                    and good[count].is_integer()):
+                raise ParseError(f"line {no}: a level must be finite and its multiplicity "
+                                 "a positive integer", text=line.rstrip("\n"), position=0)
+    raise ParseError("levels table rows are not all numbers", text=str(path), position=0)

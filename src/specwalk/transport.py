@@ -16,14 +16,12 @@ real arithmetic on blocks of about `spectral._BLOCK_ELEMS` / K times, at
 most three such blocks alive at once, so their cost scales with K rather
 than n and their memory does not grow with the grid.
 `parse_grid_spec` reads a run's time grid from its spec, at most
-MAX_GRID_POINTS points. `series_csv` writes a series as CSV, and
-`read_series_csv` reads one back in one numpy parse.
+MAX_GRID_POINTS points, and `series_csv` writes a series as CSV.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
@@ -35,8 +33,7 @@ from .spectral import Spectrum, _blocks, projector_factor
 # the series and its CSV are O(points) in memory: a million points write a
 # 70 MB series.csv, streamed a block of rows at a time from 24 B of text a
 # value (72 MB for three columns); the t column's text, 24 MB, is held
-# until deltap.csv is written. A series CSV that a run reads holds at most
-# one row more, the t = 0 a log grid prepends, parsed to 8 B a value
+# until deltap.csv is written
 MAX_GRID_POINTS = 1_000_000
 EIG_CLAMP_TOL = 1e-8
 # rounding may push a probability past [0, 1] by a few ulps, never by more
@@ -354,11 +351,6 @@ def chi_diagnostics(values, index) -> dict[str, str]:
 
 # -- CSV export ---------------------------------------------------------------
 
-# `series_csv` writes these columns, the last only with pi_bar, and
-# `read_series_csv` needs the first three
-_SERIES_COLUMNS = ("t", "p_bar", "alpha_bar_sq", "pi_bar")
-
-
 def series_csv(series: TransportSeries):
     """Columns t,p_bar,alpha_bar_sq[,pi_bar]; shortest round-trip floats.
 
@@ -368,83 +360,10 @@ def series_csv(series: TransportSeries):
     ASCII byte blocks whose concatenation is the CSV text, rows assembled
     a block at a time as it is consumed.
     """
-    names = _SERIES_COLUMNS[:3 if series.pi_bar is None else 4]
+    names = ("t", "p_bar", "alpha_bar_sq", "pi_bar")[:3 if series.pi_bar is None else 4]
     text = float_text([series.times] + [getattr(series, name) for name in names[1:]])
     return text[0].copy(), _csv_blocks(",".join(names) + "\n", len(series.times),
                                        len(names), _columns(*text))
-
-
-def read_series_csv(path) -> TransportSeries:
-    """The series of a CSV as `series_csv` writes it, its header naming
-    the columns in any order; blank lines are skipped, and '#' starts no
-    comment. The rows go through one np.loadtxt call, which reads each
-    value as float() does; only if it fails, or its times do not form a
-    `TimeGrid`, is the file scanned for the bad row. An empty or
-    header-only file, a missing or repeated column, a short, long or
-    non-numeric row and a row whose t is not finite, is negative in the
-    first row or does not exceed the t before it, by its 1-based line,
-    raise ParseError.
-    More than MAX_GRID_POINTS + 1 rows, the most a run writes, raise
-    ResourceLimitError; no row past them is read.
-    """
-    max_rows = MAX_GRID_POINTS + 1
-    with open(path) as file:
-        lines = filter(str.strip, file)
-        # loadtxt warns on input with no rows, so the first is taken here
-        header, first = next(lines, ""), next(lines, None)
-        if first is None:
-            raise ParseError(f"series CSV {'has no rows' if header else 'is empty'}",
-                             text=str(path), position=0)
-        names = [name.strip() for name in header.split(",")]
-        for at, name in enumerate(names):
-            if name in names[:at]:
-                raise ParseError(f"series CSV repeats the {name!r} column",
-                                 text=header.rstrip("\n"), position=0)
-        for name in _SERIES_COLUMNS[:3]:
-            if name not in names:
-                raise ParseError(f"series CSV needs a {name!r} column",
-                                 text=header.rstrip("\n"), position=0)
-        try:
-            values = np.loadtxt(chain([first], islice(lines, max_rows - 1)),
-                                delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            values = np.empty((0, 0))
-        if values.shape[1] != len(names):
-            _raise_at_bad_row(path, names)
-        if next(lines, None) is not None:
-            raise ResourceLimitError(f"series CSV holds more than the limit of {max_rows} rows")
-    columns = dict(zip(names, values.T))
-    try:
-        grid = TimeGrid(columns["t"])
-    except ValueError:
-        _raise_at_bad_row(path, names)
-    return TransportSeries(grid, *map(columns.get, _SERIES_COLUMNS[1:]))
-
-
-def _raise_at_bad_row(path, names):
-    """ParseError at the first row of a series CSV, with columns `names`,
-    that np.loadtxt refuses or that breaks the time grid: one not of
-    len(names) fields that, stripped, are ASCII, hold no underscore and
-    read as float(), or one whose t is not finite, is negative in the
-    first row or does not exceed the t before it."""
-    width, col, before = len(names), names.index("t"), None
-    with open(path) as file:
-        rows = ((no, line) for no, line in enumerate(file, start=1) if line.strip())
-        for no, line in islice(rows, 1, None):
-            fields = [field.strip() for field in line.split(",")]
-            try:
-                good = [float(field) for field in fields if field.isascii() and "_" not in field]
-            except ValueError:
-                good = []
-            if not len(good) == len(fields) == width:
-                raise ParseError(f"line {no}: expected {width} comma-separated numbers",
-                                 text=line.rstrip("\n"), position=0)
-            t = good[col]
-            if not (np.isfinite(t) and (t >= 0 if before is None else t > before)):
-                raise ParseError(f"line {no}: times must be finite, non-negative and "
-                                 "strictly increasing", text=line.rstrip("\n"), position=0)
-            before = t
-    raise ParseError("series CSV rows are not all numbers", text=str(path), position=0)
 
 
 def chi_csv(values: np.ndarray, index):

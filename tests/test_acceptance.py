@@ -17,8 +17,9 @@ import scipy
 from scipy.linalg import expm
 
 import specwalk as sw
-from specwalk.cli import PRESETS, ExperimentConfig, run_experiment
-from specwalk.transport import TimeGrid
+from specwalk.cli import DEFAULT_GRID_SPEC, PRESETS, ExperimentConfig, run_experiment
+from specwalk.spectral import degeneracies_csv, read_levels
+from specwalk.transport import TimeGrid, parse_grid_spec
 
 
 def _report(number, name, failures):
@@ -297,6 +298,64 @@ def test_criterion_8_preset_determinism(tmp_path):
                 (tmp_path / name / "b" / artifact).read_bytes()
             _check(failures, same, f"{name}: {artifact} differs between reruns")
     _report(8, "preset byte-reproducibility", failures)
+
+
+# a Laplacian-cospectral pair on 7 nodes, the first with 7 edges that an
+# exhaustive search over the connected labelled graphs on 7 nodes finds
+# (for such pairs see Godsil & McKay, Aequationes Math. 25, 257 (1982)):
+# both have the levels 0, 0.3983, 1 (twice), 3, 3.3399 and 5.2618. G1 is a
+# triangle whose vertex 1 joins a hub carrying three leaves; in G2 vertex 1
+# carries one leaf and the hub two
+COSPECTRAL = {"G1": "0-1 0-4 0-5 0-6 1-2 1-3 2-3", "G2": "0-1 0-5 0-6 1-2 1-3 1-4 2-3"}
+
+
+def test_criterion_10_measure_is_a_functional_of_the_dos(tmp_path):
+    """Two graphs with one DOS have one p_bar and one |alpha_bar|^2, and a
+    levels table carries them bit for bit; the exact quantum return
+    pi_bar is no functional of the DOS and tells the two apart."""
+    failures = []
+    grid = parse_grid_spec(DEFAULT_GRID_SPEC)
+    spectra, series = {}, {}
+    for name, edges in COSPECTRAL.items():
+        graph = sw.Graph(7, [tuple(map(int, edge.split("-"))) for edge in edges.split()])
+        spectra[name] = sw.graph_spectrum(graph, with_vectors=True)
+        series[name] = _series(spectra[name], grid, exact=True)
+    one, two = series.values()
+    for column in ("p_bar", "alpha_bar_sq"):
+        gap = np.abs(getattr(one, column) - getattr(two, column)).max()
+        _check(failures, gap <= 1e-11, f"dense {column} of the pair differ by {gap:.2e}")
+    mult = [spectra[name].mult.tolist() for name in COSPECTRAL]
+    _check(failures, mult == [[1, 1, 2, 1, 1, 1]] * 2, f"multiplicities {mult}")
+    table = tmp_path / "degeneracies.csv"
+    table.write_bytes(b"".join(degeneracies_csv(spectra["G1"])))
+    shared = _series(read_levels(table), grid)
+    for column in ("p_bar", "alpha_bar_sq"):
+        same = getattr(shared, column).view(np.uint64) == getattr(one, column).view(np.uint64)
+        _check(failures, same.all(), f"the levels table does not carry G1's {column} bit for bit")
+        gap = np.abs(getattr(shared, column) - getattr(two, column)).max()
+        _check(failures, gap <= 1e-11, f"the levels table's {column} is {gap:.2e} off G2's")
+    apart = np.abs(one.pi_bar - two.pi_bar).max()
+    _check(failures, apart > 0.1, f"pi_bar of the pair differs by only {apart:.3f}")
+    _report(10, "the measure is a functional of the DOS, pi_bar is not", failures)
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3"])
+def test_preset_reanalysed_from_its_levels_table(tmp_path, name):
+    """A graph preset's degeneracies.csv, run as `--dos levels:PATH` on the
+    preset's grid and fit window, writes its report.txt and deltap.csv
+    byte for byte and its t, p_bar and alpha_bar_sq bit for bit; fig3's
+    pi_bar needs the eigenvectors, which a levels table does not hold."""
+    graph, levels = tmp_path / "graph", tmp_path / "levels"
+    run_experiment(ExperimentConfig(**{**PRESETS[name].__dict__, "out": str(graph)}))
+    run_experiment(ExperimentConfig(dos=f"levels:{graph / 'degeneracies.csv'}",
+                                    grid=PRESETS[name].grid,
+                                    fit_window=PRESETS[name].fit_window, out=str(levels)))
+    for artifact in ("report.txt", "deltap.csv"):
+        assert (levels / artifact).read_bytes() == (graph / artifact).read_bytes(), artifact
+    want, got = (np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)
+                 for out in (graph, levels))
+    assert got.shape == (len(want), 3)
+    assert (got.view(np.uint64) == want[:, :3].view(np.uint64)).all()
 
 
 def _numeric_build():

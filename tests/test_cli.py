@@ -113,10 +113,11 @@ class TestConfig:
         with pytest.raises(ParseError):
             ExperimentConfig(graph="ring:10", dos="lifshits:b=2").validate()
         ExperimentConfig(graph="ring:10").validate()
+        ExperimentConfig(dos="levels:degeneracies.csv").validate()
 
     # a value for each flag, and what it sets its field to
     FLAG_VALUES = {"graph": ("ring:8", "ring:8"), "dos": ("lifshits:b=2", "lifshits:b=2"),
-                   "series": ("s.csv", "s.csv"), "grid": ("log:1,10,5", "log:1,10,5"),
+                   "grid": ("log:1,10,5", "log:1,10,5"),
                    "fit_window": ("2,50", (2.0, 50.0)), "vectors": (None, True),
                    "chi": (None, True), "fit_model": ("power", "power"), "out": ("o", "o")}
 
@@ -143,16 +144,13 @@ class TestConfig:
 
     def test_every_field_has_a_flag(self):
         names = {f.name for f in fields(ExperimentConfig)}
-        assert names == set(self.FLAG_VALUES)
-        assert set(self.flags("run")) == names - {"series"}
-        assert "series" in self.flags("fit")
+        assert names == set(self.FLAG_VALUES) == set(self.flags("run"))
 
     # each subcommand's flags: its sources and the options its stages read
     RUN_FLAGS = {"graph", "dos", "out", "grid", "fit_window", "vectors", "chi", "fit_model"}
     SUBCOMMAND_FLAGS = {"run": RUN_FLAGS, "preset": RUN_FLAGS,
                         "spectrum": {"graph", "out", "chi"},
-                        "transport": {"graph", "dos", "out", "grid", "vectors", "chi"},
-                        "fit": {"series", "out", "fit_window", "fit_model"}}
+                        "transport": {"graph", "dos", "out", "grid", "vectors", "chi"}}
 
     @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
     def test_subcommand_takes_the_flags_its_stages_read(self, command):
@@ -162,18 +160,14 @@ class TestConfig:
     # flags that are set, which leaves out the source it was not given
     RECORDED = {"run": RUN_FLAGS - {"dos"}, "preset": RUN_FLAGS - {"dos"},
                 "spectrum": {"graph", "out", "chi"},
-                "transport": {"graph", "out", "grid", "vectors", "chi"},
-                "fit": {"series", "out", "fit_window", "fit_model"}}
+                "transport": {"graph", "out", "grid", "vectors", "chi"}}
 
     @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
     def test_manifest_records_the_set_flags_of_its_subcommand(self, tmp_path, command):
         grid = ["--grid", "log:1e-2,1e2,80"]
         args = {"run": ["--graph", "ring:24", *grid], "preset": ["fig3"],
                 "spectrum": ["--graph", "ring:24"],
-                "transport": ["--graph", "ring:24", *grid],
-                "fit": ["--series"]}[command]
-        if command == "fit":
-            args.append(str(_series_file(tmp_path)))
+                "transport": ["--graph", "ring:24", *grid]}[command]
         out = tmp_path / "d"
         assert main([command, *args, "--out", str(out)]) == 0
         lines = (out / "manifest.txt").read_text().splitlines()
@@ -184,14 +178,12 @@ class TestConfig:
     @pytest.mark.parametrize("command, dest", [
         ("spectrum", "dos"), ("spectrum", "grid"), ("spectrum", "fit_window"),
         ("spectrum", "vectors"), ("spectrum", "fit_model"),
-        ("transport", "fit_window"), ("transport", "fit_model"),
-        ("fit", "grid"), ("fit", "vectors"), ("fit", "chi")])
+        ("transport", "fit_window"), ("transport", "fit_model")])
     def test_flag_the_stages_do_not_read_is_a_usage_error(self, tmp_path, capsys,
                                                          command, dest):
-        source = ["--series", "s.csv"] if command == "fit" else ["--graph", "ring:8"]
         flag, value = f"--{dest.replace('_', '-')}", self.FLAG_VALUES[dest][0]
         out = tmp_path / "o"
-        rc = main([command, *source, flag, *([] if value is None else [value]),
+        rc = main([command, "--graph", "ring:8", flag, *([] if value is None else [value]),
                    "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
@@ -258,6 +250,10 @@ class TestColdStart:
                               before=before)
         assert out == "[] [(300, 300)]"
 
+    def test_levels_run_loads_no_scipy(self, tmp_path):
+        args = ["run", "--dos", f"levels:{_levels_file(tmp_path / 'x', 'dendrimer:5,3')}"]
+        assert self.run_script(tmp_path, args, self.SCIPY_MODULES) == "[]"
+
     @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps")
     def test_dense_run_maps_no_scipy_blas(self, tmp_path):
         # the bound drivers are those of the OpenBLAS numpy already loaded
@@ -307,8 +303,8 @@ class TestNodeCap:
         out = tmp_path / "t"
         assert main(["transport", "--graph", "torus:200,2", "--vectors",
                      "--grid", "log:1e-2,1e4,200", "--out", str(out)]) == 0
-        series = transport.read_series_csv(out / "series.csv")
-        assert np.abs(series.pi_bar - series.alpha_bar_sq).max() <= 1e-13
+        series = _series(out / "series.csv")
+        assert np.abs(series["pi_bar"] - series["alpha_bar_sq"]).max() <= 1e-13
         rc = main(["run", "--graph", "torus:200,2", "--chi", "--out", str(tmp_path / "c")])
         err = capsys.readouterr().err
         assert rc == 1
@@ -387,12 +383,17 @@ class TestRunExperiment:
         assert "chi.csv" in ring.files and ring.files == torus.files
 
 
-def _series_file(tmp_path):
-    """The series.csv of a transport run on ring:24."""
+def _levels_file(tmp_path, graph="er:60,0.2,seed=1"):
+    """The degeneracies.csv of a spectrum run on `graph`."""
     out = tmp_path / "src"
-    run_experiment(ExperimentConfig(graph="ring:24", grid="linear:0.05,120,2400",
-                                    out=str(out)), "transport")
-    return out / "series.csv"
+    run_experiment(ExperimentConfig(graph=graph, out=str(out)), "spectrum")
+    return out / "degeneracies.csv"
+
+
+def _series(path):
+    """The columns of a series.csv, by name."""
+    names = Path(path).read_text().partition("\n")[0].split(",")
+    return dict(zip(names, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T))
 
 
 class TestMainSubcommands:
@@ -453,60 +454,6 @@ class TestMainSubcommands:
         assert (out / "series.csv").is_file()
         assert not (out / "report.txt").exists()
 
-    def test_fit_subcommand(self, tmp_path):
-        src = tmp_path / "src"
-        assert main(["transport", "--graph", "ring:24",
-                     "--grid", "linear:0.05,120,2400", "--out", str(src)]) == 0
-        out = tmp_path / "fitted"
-        rc = main(["fit", "--series", str(src / "series.csv"),
-                   "--out", str(out), "--fit-window", "1,20"])
-        assert rc == 0
-        assert "classical_exponent" in (out / "report.txt").read_text()
-
-    @pytest.mark.parametrize("flag", ["--chi", "--vectors"])
-    def test_fit_refuses_vectors_and_chi(self, tmp_path, capsys, flag):
-        src = tmp_path / "src"
-        assert main(["transport", "--graph", "ring:24",
-                     "--grid", "linear:0.05,120,2400", "--out", str(src)]) == 0
-        capsys.readouterr()
-        out = tmp_path / "fitted"
-        rc = main(["fit", "--series", str(src / "series.csv"), flag,
-                   "--out", str(out)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        # fit has no such flag: a usage error
-        assert err == f"error: unrecognized arguments: {flag}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("sources", [
-        dict(graph="er:50,0.2"), dict(dos="lifshits:b=2"),
-        dict(graph="er:50,0.2", dos="lifshits:b=2"),
-    ], ids=["graph", "dos", "graph-and-dos"])
-    def test_fit_refuses_a_second_source(self, tmp_path, sources):
-        series = _series_file(tmp_path)
-        out = tmp_path / "fitted"
-        with pytest.raises(ParseError, match="exactly one of graph/dos/series"):
-            run_experiment(ExperimentConfig(series=str(series), **sources, out=str(out)),
-                           "fit")
-        assert not out.exists()
-
-    def test_fit_manifest_echoes_the_series(self, tmp_path):
-        series = _series_file(tmp_path)
-        out = tmp_path / "fitted"
-        assert main(["fit", "--series", str(series), "--out", str(out)]) == 0
-        lines = (out / "manifest.txt").read_text().splitlines()
-        assert f"config.series = {series}" in lines
-
-    def test_fit_parses_its_grid(self, tmp_path, capsys):
-        # fit reads its times from the series, so it takes no grid at all
-        series = _series_file(tmp_path)
-        rc = main(["fit", "--series", str(series), "--grid", "log:1,10",
-                   "--out", str(tmp_path / "fitted")])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err == "error: unrecognized arguments: --grid log:1,10\n"
-        assert not (tmp_path / "fitted").exists()
-
     @pytest.mark.parametrize("command, artifacts", [
         (["run", "--graph", "star:10", "--grid", "log:1e-2,1e4,200"],
          ["degeneracies.csv", "deltap.csv", "report.txt", "series.csv", "spectrum.csv"]),
@@ -514,11 +461,8 @@ class TestMainSubcommands:
          ["degeneracies.csv", "deltap.csv", "report.txt", "series.csv", "spectrum.csv"]),
         (["spectrum", "--graph", "star:10"], ["degeneracies.csv", "spectrum.csv"]),
         (["transport", "--graph", "star:10", "--grid", "log:1e-2,1e4,200"], ["series.csv"]),
-        (["fit"], ["deltap.csv", "report.txt"]),
-    ], ids=["run", "preset", "spectrum", "transport", "fit"])
+    ], ids=["run", "preset", "spectrum", "transport"])
     def test_subcommand_artifact_sets(self, tmp_path, command, artifacts):
-        if command == ["fit"]:
-            command = ["fit", "--series", str(_series_file(tmp_path))]
         out = tmp_path / "out"
         assert main([*command, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == sorted(
@@ -590,28 +534,14 @@ class TestMainSubcommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("config, stages", [
-        (ExperimentConfig(graph="ring:8"), ("analysis",)),
-        (ExperimentConfig(dos="lifshits:b=2"), ("analysis",)),
         (ExperimentConfig(dos="lifshits:b=2"), ("spectrum",)),
-        # refused before the series, which is not there, is read
-        (ExperimentConfig(series="series.csv"), ("series",)),
-        (ExperimentConfig(series="series.csv"), ("spectrum",))])
+        # refused before the levels table, which is not there, is read
+        (ExperimentConfig(dos="levels:missing.csv"), ("spectrum",))])
     def test_run_refuses_a_stage_set_computing_nothing(self, tmp_path, config, stages):
         # the one subcommand that runs these stages alone does not take the source
         command, = (name for name, (_, run, _) in cli._SUBCOMMANDS.items() if run == stages)
-        with pytest.raises(ParseError, match=f"^{command} does not take a"):
+        with pytest.raises(ParseError, match=f"^{command} does not take a dos source"):
             run_experiment(replace(config, out=str(tmp_path / "o")), command)
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("command, source", [("run", "series"), ("preset", "series")])
-    def test_run_refuses_a_source_its_subcommand_does_not_take(self, tmp_path, command,
-                                                              source):
-        # refused before the series, which is not there, is read
-        specs = {"graph": "ring:8", "dos": "lifshits:b=2",
-                 "series": str(tmp_path / "missing.csv")}
-        config = ExperimentConfig(**{source: specs[source]}, out=str(tmp_path / "o"))
-        with pytest.raises(ParseError, match=f"^{command} does not take a {source} source"):
-            run_experiment(config, command)
         assert not (tmp_path / "o").exists()
 
     def test_unknown_preset_exit_one(self, tmp_path):
@@ -624,7 +554,8 @@ class TestMainSubcommands:
         # the envelope width and the tail fraction are no run options
         (["run", "--graph", "ring:10", "--envelope-width", "2.5"], "--envelope-width"),
         (["run", "--graph", "ring:10", "--tail-fraction", "tenth"], "--tail-fraction"),
-        (["fit"], "--series"),
+        # a series CSV is no source: a run is re-made from its levels table
+        (["run", "--series", "series.csv"], "--series"),
         # a run is configured by its flags alone
         (["run", "--graph", "ring:10", "--config", "x.cfg"], "--config"),
     ])
@@ -751,64 +682,33 @@ class TestOutputDirectory:
         assert {p.name: p.read_bytes() for p in out.iterdir()
                 if p.name != "manifest.txt"} == first
 
-    def test_fit_writes_beside_its_series(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["transport", "--graph", "ring:24", "--grid", "linear:0.05,120,2400",
-                     "--out", "d"]) == 0
-        series = (tmp_path / "d" / "series.csv").read_bytes()
-        for path in ("d/series.csv", str(tmp_path / "d" / "series.csv")):
-            assert main(["fit", "--series", path, "--out", "./d"]) == 0
-        assert (tmp_path / "d" / "series.csv").read_bytes() == series
-        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
-            "deltap.csv", "manifest.txt", "report.txt", "series.csv"]
-
-    def test_fit_refuses_another_series_beside_it(self, tmp_path, capsys):
-        series = _series_file(tmp_path)
+    def test_levels_run_beside_its_table_is_refused(self, tmp_path, capsys):
+        # a run beside the spectrum files it reads would leave them beside
+        # a manifest that does not list them
         out = tmp_path / "d"
-        assert main(["transport", "--graph", "star:12", "--out", str(out)]) == 0
+        assert main(["run", "--graph", "ring:24", "--out", str(out)]) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert main(["fit", "--series", str(series), "--out", str(out)]) == 1
-        assert f"{out} holds series.csv," in capsys.readouterr().err
+        assert main(["run", "--dos", f"levels:{out / 'degeneracies.csv'}",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: output directory {out} holds spectrum.csv, degeneracies.csv, which")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-
-    @staticmethod
-    def files(out):
-        """The file.* lines of out/manifest.txt, by artifact name."""
-        lines = (out / "manifest.txt").read_text().splitlines()
-        return dict(ln.removeprefix("file.").split(" = ") for ln in lines
-                    if ln.startswith("file."))
-
-    def test_fit_beside_its_series_keeps_it_under_a_checksum(self, tmp_path):
-        out = tmp_path / "fd"
-        assert main(["transport", "--graph", "ring:24", "--out", str(out)]) == 0
-        digest = self.files(out)["series.csv"]
-        assert main(["fit", "--series", str(out / "series.csv"), "--out", str(out)]) == 0
-        files = self.files(out)
-        assert set(files) == {"series.csv", "report.txt", "deltap.csv"}
-        assert files["series.csv"] == digest == cli._sha256(out / "series.csv")
-        manifest = cli.RunManifest(config={}, files=files)
-        assert manifest.verify(out)
-        (out / "series.csv").write_text("tampered\n")
-        assert not manifest.verify(out)
-
-    def test_fit_elsewhere_lists_no_series(self, tmp_path):
-        series = _series_file(tmp_path)
-        out = tmp_path / "fitted"
-        assert main(["fit", "--series", str(series), "--out", str(out)]) == 0
-        assert set(self.files(out)) == {"report.txt", "deltap.csv"}
 
 
 class TestFitModel:
     """fit_model picks the decay law of both fits; auto fits a stretched
-    exponential to a Lifshits DOS only, and a power law to the rest."""
+    exponential to a Lifshits DOS only, and a power law to the rest, a
+    levels table's included."""
 
     @pytest.mark.parametrize("source", ["graph=ring:200", "dos=semicircle:nu=0.5,lmax=2",
-                                        "dos=lifshits:b=2"])
+                                        "dos=lifshits:b=2", "dos=levels:"])
     @pytest.mark.parametrize("model", ["auto", "power", "stretched"])
     @pytest.mark.parametrize("by", ["flag", "config"])
     def test_report_names_the_model(self, tmp_path, source, model, by):
         # by flags, or by an ExperimentConfig handed to run_experiment
         key, spec = source.split("=", 1)
+        if spec == "levels:":
+            spec += str(_levels_file(tmp_path, "ring:200"))
         out = tmp_path / "o"
         settings = {key: spec, "grid": "linear:0.05,120,1200", "fit_model": model}
         if by == "flag":
@@ -848,163 +748,112 @@ class TestUnderflowingSeries:
             "series.csv", "report.txt", "deltap.csv", "manifest.txt"}
         self.check_exclusions(out / "series.csv", out)
 
-    def test_fit(self, tmp_path):
-        src, out = tmp_path / "src", tmp_path / "fit"
-        assert main(["transport", "--dos", "lifshits:b=2", "--grid", "log:1e-3,1e6,350",
-                     "--out", str(src)]) == 0
-        assert main(["fit", "--series", str(src / "series.csv"), "--out", str(out)]) == 0
-        assert {f.name for f in out.iterdir()} == {"report.txt", "deltap.csv", "manifest.txt"}
-        self.check_exclusions(src / "series.csv", out)
 
+class TestLevelsSource:
+    """`--dos levels:PATH` reads a value,multiplicity table, such as a
+    run's degeneracies.csv, as the spectrum of a run; bad input exits 1
+    with one line that names the line of the table at fault."""
 
-class TestAnalyzeSeriesFile:
-    def test_round_trip_analysis(self, tmp_path):
-        t = np.geomspace(1.5, 1000, 300)
-        text = "t,p_bar,alpha_bar_sq\n" + "\n".join(
-            f"{x!r},{0.9 * x**-1.0!r},{0.8 * x**-2.0!r}"
-            for x in (float(v) for v in t))
-        series = tmp_path / "series.csv"
-        series.write_text(text + "\n")
-        cfg = ExperimentConfig(series=str(series), out=str(tmp_path / "out"),
-                              fit_window=(10.0, 1000.0))
-        run_experiment(cfg, "fit")
-        report = (tmp_path / "out" / "report.txt").read_text()
-        line = [ln for ln in report.splitlines()
-                if ln.startswith("delta_p_asymptotic")][0]
-        assert float(line.split(" = ")[1]) == pytest.approx(2.0, abs=0.05)
+    def test_rerun_reproduces_the_graph_run(self, tmp_path):
+        graph, levels = tmp_path / "g", tmp_path / "l"
+        assert main(["run", "--graph", "er:60,0.2,seed=1", "--out", str(graph)]) == 0
+        table = graph / "degeneracies.csv"
+        assert main(["run", "--dos", f"levels:{table}", "--out", str(levels)]) == 0
+        for name in ("report.txt", "deltap.csv"):
+            assert (levels / name).read_bytes() == (graph / name).read_bytes()
+        got, want = _series(levels / "series.csv"), _series(graph / "series.csv")
+        assert set(got) == {"t", "p_bar", "alpha_bar_sq"}
+        for name, column in got.items():
+            assert column.view(np.uint64).tolist() == want[name].view(np.uint64).tolist()
+        manifest = (levels / "manifest.txt").read_text().splitlines()
+        keys = {ln.partition(" = ")[0] for ln in manifest}
+        assert f"config.dos = levels:{table}" in manifest
+        assert "spectrum.path = levels" in manifest
+        assert {"spectrum.clusters", "spectrum.min_gap_over_tol", "timing.spectrum_s"} <= keys
+        assert not keys & {"spectrum.solver", "spectrum.vectors", "spectrum.residual"}
+        graph_manifest = (graph / "manifest.txt").read_text().splitlines()
+        for key in ("spectrum.clusters", "spectrum.min_gap_over_tol"):
+            assert next(ln for ln in manifest if ln.startswith(key)) in graph_manifest
 
-    def test_nan_in_fit_window_exits_one(self, tmp_path, capsys):
-        t = np.geomspace(0.5, 200, 60)
-        p = t**-0.5
-        p[20] = np.nan  # t about 6.6, inside the default window (1, 100)
-        series = tmp_path / "series.csv"
-        series.write_text("t,p_bar,alpha_bar_sq\n" + "".join(
-            f"{x!r},{y!r},{x**-1.0!r}\n" for x, y in zip(t.tolist(), p.tolist())))
-        rc = main(["fit", "--series", str(series), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert "non-finite" in err and "Traceback" not in err
-        assert not (tmp_path / "out" / "report.txt").exists()
+    def test_transport_writes_the_series_alone(self, tmp_path):
+        # the family in any case, as in every spec
+        out = tmp_path / "t"
+        assert main(["transport", "--dos", f"Levels:{_levels_file(tmp_path)}",
+                     "--grid", "log:1e-2,1e2,40", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "series.csv"]
 
-    @pytest.mark.parametrize("rows, line", [
-        ("1.0,0.5,0.25\n2.0,0.4\n", 3),
-        ("1.0,0.5,0.25\n\n2.0,0.4,0.1,9\n", 4),
-        ("1.0,0.5,abc\n", 2),
+    def test_path_is_taken_whole(self, tmp_path):
+        # a path may hold the commas and equals signs a spec splits on
+        odd = tmp_path / "a,b=2, c"
+        odd.mkdir()
+        table = odd / "levels.csv"
+        table.write_bytes(_levels_file(tmp_path).read_bytes())
+        out = tmp_path / "o"
+        assert main(["run", "--dos", f"levels:{table}", "--out", str(out)]) == 0
+        assert f"config.dos = levels:{table}" in (out / "manifest.txt").read_text()
+
+    HEADER = "value,multiplicity\n"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "levels table is empty"),
+        ("\n \t\n", 1, "levels table is empty"),
+        (HEADER, 1, "levels table has no rows"),
+        ("\n" + HEADER + "\n \n", 2, "levels table has no rows"),
+        ("value,mult\n0,1\n", 1, "levels table needs the columns"),
+        ("\n\nvalue\n0\n", 3, "levels table needs the columns"),
+        ("multiplicity,value,value\n1,0,0\n", 1, "levels table needs the columns"),
+        ("value,multiplicity,multiplicity\n0,1,1\n", 1, "levels table needs the columns"),
+        ("value,multiplicity,extra\n0,1,2\n", 1, "levels table needs the columns"),
+        (HEADER + "0,1\n2\n", 3, "expected 2 comma-separated numbers"),
+        (HEADER + "0,1\n\n2,1,9\n", 4, "expected 2 comma-separated numbers"),
+        (HEADER + "0,abc\n", 2, "expected 2 comma-separated numbers"),
+        (HEADER + "0,1\n1_0,1\n", 3, "expected 2 comma-separated numbers"),
+        (HEADER + "0,1\n\u0661,1\n", 3, "expected 2 comma-separated numbers"),
+        (HEADER + "0,1\n0x1p3,1\n", 3, "expected 2 comma-separated numbers"),
+        (HEADER + "0,1\n#1,1\n", 3, "expected 2 comma-separated numbers"),
+        (HEADER + "# a comment\n0,1\n", 2, "expected 2 comma-separated numbers"),
+        (HEADER + "0,1\n2,1 # note\n", 3, "expected 2 comma-separated numbers"),
+        (HEADER + "0,1\n\nnan,1\n", 4, "a level must be finite"),
+        (HEADER + "0,1\ninf,2\n", 3, "a level must be finite"),
+        (HEADER + "-inf,1\n", 2, "a level must be finite"),
+        (HEADER + "0,1\n2,1.5\n", 3, "its multiplicity a positive integer"),
+        (HEADER + "0,inf\n", 2, "its multiplicity a positive integer"),
+        (HEADER + "0,1\n2,nan\n", 3, "its multiplicity a positive integer"),
+        (HEADER + "0,1\n2,0\n", 3, "its multiplicity a positive integer"),
+        ("multiplicity,value\n1,0\n-2,3\n", 3, "its multiplicity a positive integer"),
     ])
-    def test_ragged_row_names_its_line(self, tmp_path, capsys, rows, line):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("t,p_bar,alpha_bar_sq\n" + rows)
-        with pytest.raises(ParseError, match=f"^line {line}: expected 3 "):
-            run_experiment(ExperimentConfig(series=str(bad), out=str(tmp_path / "o")), "fit")
-        assert main(["fit", "--series", str(bad), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: line {line}:") and "Traceback" not in err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("rows, line", [
-        ("0,1,1\n2,0.5,0.5\n\n1,0.4,0.4\n3,0.3,0.3\n", 5),  # t falls
-        ("0,1,1\n2,0.5,0.5\n\n2,0.4,0.4\n", 5),             # t repeats
-        ("0,1,1\n\nnan,0.5,0.5\n3,0.3,0.3\n", 4),           # t not finite
-        ("\n-1,1,1\n2,0.5,0.5\n", 3),                        # first t negative
-    ])
-    def test_bad_time_names_its_line(self, tmp_path, capsys, rows, line):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("t,p_bar,alpha_bar_sq\n" + rows)
-        with pytest.raises(ParseError, match=f"^line {line}: times must be finite, "):
-            transport.read_series_csv(bad)
-        assert main(["fit", "--series", str(bad), "--out", str(tmp_path / "o")]) == 1
+    def test_bad_table_exits_one(self, tmp_path, capsys, recwarn, text, line, message):
+        # np.loadtxt warns on input with no rows; the reader never gives it any
+        table = tmp_path / "levels.csv"
+        table.write_text(text)
+        with pytest.raises(ParseError, match=f"^line {line}: .*{message}"):
+            spectral.read_levels(table)
+        out = tmp_path / "o"
+        assert main(["run", "--dos", f"levels:{table}", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
-        assert not (tmp_path / "o").exists()
-
-    def test_reads_what_run_writes(self, tmp_path):
-        run_experiment(ExperimentConfig(graph="star:8", vectors=True, out=str(tmp_path / "r"),
-                                        grid="log:1e-2,1e2,80"))
-        series = transport.read_series_csv(tmp_path / "r" / "series.csv")
-        text = (tmp_path / "r" / "series.csv").read_text()
-        assert b"".join(cli.series_csv(series)[1]).decode() == text
-
-    @pytest.mark.parametrize("header, rows, name", [
-        # the first t falls and the last rises
-        ("t,p_bar,alpha_bar_sq,t", "2,1,1,0\n1,0.5,0.5,1\n", "t"),
-        # a well-formed series but for the choice of p_bar
-        ("t,p_bar,p_bar,alpha_bar_sq", "0,1,1,1\n1,0.5,0.4,0.3\n", "p_bar")],
-        ids=["t", "p_bar"])
-    def test_repeated_column_is_refused_at_the_header(self, tmp_path, capsys, header,
-                                                      rows, name):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(f"{header}\n{rows}")
-        with pytest.raises(ParseError, match=f"^series CSV repeats the '{name}' column"):
-            transport.read_series_csv(bad)
-        assert main(["fit", "--series", str(bad), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: series CSV repeats the '{name}' column")
-        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
-
-    def test_missing_column_is_parse_error(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("x,y\n1,2\n")
-        with pytest.raises((ParseError, ValueError)):
-            run_experiment(ExperimentConfig(series=str(bad), out=str(tmp_path / "o")), "fit")
-
-    def test_limit_plus_one_rows_are_read(self, tmp_path, monkeypatch, capsys):
-        # a log grid of MAX_GRID_POINTS points writes one row more, its t = 0
-        monkeypatch.setattr(transport, "MAX_GRID_POINTS", 60)
-        grid = ["--grid", "log:1e-2,1e3,60"]
-        written = tmp_path / "w"
-        assert main(["transport", "--dos", "semicircle:nu=0.5,lmax=2", *grid,
-                     "--out", str(written)]) == 0
-        series = written / "series.csv"
-        text = series.read_text()
-        assert text.count("\n") == 62
-        assert main(["fit", "--series", str(series), "--out", str(tmp_path / "a")]) == 0
-        series.write_text(text + "2000.0,1e-9,1e-18\n")
-        out = tmp_path / "b"
-        assert main(["fit", "--series", str(series), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: series CSV holds more than the limit of 61 rows\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("text, message", [
-        ("", "series CSV is empty"), ("\n \t\n", "series CSV is empty"),
-        ("t,p_bar,alpha_bar_sq\n", "series CSV has no rows"),
-        ("t,p_bar,alpha_bar_sq\n\n  \n", "series CSV has no rows")])
-    def test_no_rows_exits_one(self, tmp_path, capsys, recwarn, text, message):
-        # np.loadtxt warns on input with no rows; the reader never gives it any
-        series = tmp_path / "s.csv"
-        series.write_text(text)
-        out = tmp_path / "o"
-        assert main(["fit", "--series", str(series), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
         assert not recwarn.list
         assert not out.exists()
 
-    @pytest.mark.parametrize("rows, line", [
-        ("# a comment\n1.0,0.5,0.25\n", 2),
-        ("1.0,0.5,0.25\n2.0,0.4,0.1 # note\n", 3),
-        ("1.0,0.5,0.25\n#2.0,0.4,0.1\n", 3)])
-    def test_hash_is_not_a_comment(self, tmp_path, rows, line):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("t,p_bar,alpha_bar_sq\n" + rows)
-        with pytest.raises(ParseError, match=f"^line {line}: expected 3 "):
-            run_experiment(ExperimentConfig(series=str(bad), out=str(tmp_path / "o")), "fit")
+    @pytest.mark.parametrize("rows", ["0,1\n1,1\n2,1\n3,1\n", "0,1\n1,1\n2,4\n"],
+                             ids=["rows", "eigenvalues"])
+    def test_over_the_cap_exits_one(self, tmp_path, monkeypatch, capsys, rows):
+        monkeypatch.setattr(graphs, "SPEC_NODE_CAP", 3)
+        table = tmp_path / "levels.csv"
+        table.write_text("value,multiplicity\n" + rows)
+        out = tmp_path / "o"
+        assert main(["run", "--dos", f"levels:{table}", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: levels table holds more than the limit of 3 rows or eigenvalues\n")
+        assert not out.exists()
 
-    def test_read_memory(self, tmp_path):
-        # the values are parsed straight into one array, 24 B a row of three
-        # columns; a Python list per row held about 430 B a row
-        n = 200_000
-        run_experiment(ExperimentConfig(dos="semicircle:nu=0.5,lmax=2",
-                                        grid=f"linear:0.01,1000,{n}", out=str(tmp_path)),
-                       "transport")
-        tracemalloc.start()
-        try:
-            series = transport.read_series_csv(tmp_path / "series.csv")
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(series.times) == n
-        assert held <= 25 * n and peak <= 40 * n
+    def test_missing_table_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--dos", f"levels:{tmp_path / 'none.csv'}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "none.csv" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestManifest:
@@ -1108,9 +957,9 @@ class TestManifest:
         if "analysis" not in timed:
             assert "analysis.envelope_points" not in diag
             return
-        series = transport.read_series_csv(out / "series.csv")
-        positive = series.times > 0
-        envelope = extract_envelope(series.times[positive], series.alpha_bar_sq[positive])
+        series = _series(out / "series.csv")
+        positive = series["t"] > 0
+        envelope = extract_envelope(series["t"][positive], series["alpha_bar_sq"][positive])
         assert diag["analysis.envelope_points"] == str(len(envelope.times))
 
     def test_stage_time_accumulates(self, monkeypatch):
@@ -1122,39 +971,14 @@ class TestManifest:
                 pass
         assert "timing.writing_s = 3.5" in manifest.to_text().splitlines()
 
-    def test_fit_records_analysis(self, tmp_path):
-        run_experiment(ExperimentConfig(graph="ring:12", out=str(tmp_path / "r"),
-                                        grid="log:1e-2,1e2,80"))
-        run_experiment(ExperimentConfig(series=str(tmp_path / "r" / "series.csv"),
-                                        out=str(tmp_path / "f")), "fit")
-        lines = (tmp_path / "f" / "manifest.txt").read_text().splitlines()
-        keys = {ln.split(" = ")[0] for ln in lines}
-        assert {"timing.analysis_s", "timing.writing_s",
-                "analysis.envelope_points"} <= keys
-        assert "timing.series_s" not in keys
-
-    def test_only_a_series_source_times_its_read(self, tmp_path):
-        sources = {"graph": dict(graph="ring:12"),
-                   "dos": dict(dos="semicircle:nu=0.5,lmax=2"),
-                   "series": dict(series=str(_series_file(tmp_path)))}
-        for name, source in sources.items():
-            out = tmp_path / name
-            manifest = run_experiment(ExperimentConfig(**source, out=str(out),
-                                                       grid="log:1e-2,1e2,80"),
-                                      "fit" if name == "series" else "run")
-            keys = {ln.split(" = ")[0]
-                    for ln in (out / "manifest.txt").read_text().splitlines()}
-            assert ("timing.read_s" in keys) == (name == "series")
-            assert 0 <= manifest.timings.get("read", 0.0) <= manifest.duration_s
-
-    @pytest.mark.parametrize("command", ["run", "fit"])
-    def test_failed_verification_exits_one(self, tmp_path, monkeypatch, capsys, command):
+    @pytest.mark.parametrize("source", ["run", "levels"])
+    def test_failed_verification_exits_one(self, tmp_path, monkeypatch, capsys, source):
         run_experiment(ExperimentConfig(graph="ring:12", out=str(tmp_path / "r"),
                                         grid="log:1e-2,1e2,80"))
         monkeypatch.setattr(cli.RunManifest, "verify", lambda self, out_dir: False)
-        args = (["run", "--graph", "ring:12", "--grid", "log:1e-2,1e2,80"]
-                if command == "run" else ["fit", "--series", str(tmp_path / "r" / "series.csv")])
-        rc = main([*args, "--out", str(tmp_path / "v")])
+        args = (["--graph", "ring:12"] if source == "run"
+                else ["--dos", f"levels:{tmp_path / 'r' / 'degeneracies.csv'}"])
+        rc = main(["run", *args, "--grid", "log:1e-2,1e2,80", "--out", str(tmp_path / "v")])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -1349,7 +1173,7 @@ class TestFormatsEachFloatOnce:
         formatted.clear()
 
     @pytest.mark.parametrize("name", ["fig2a", "fig3"])
-    def test_preset_and_fit(self, tmp_path, counted, name):
+    def test_preset_and_levels_rerun(self, tmp_path, counted, name):
         calls, formatted = counted
         out = tmp_path / name
         run_experiment(replace(preset(name), out=str(out)))
@@ -1360,11 +1184,10 @@ class TestFormatsEachFloatOnce:
         self.check_counts(calls, formatted, {
             "transport": [rows * cols], "scaling": [deltap],
             "spectral": [len(spectrum.values), len(spectrum.levels)]})
-        if name != "fig3":
-            return
-        # a series read from a file writes no series.csv: deltap.csv formats
-        # its times once, and its delta_p
-        run_experiment(ExperimentConfig(series=str(out / "series.csv"), out=str(tmp_path / "f")),
-                       "fit")
-        assert self.cells(tmp_path / "f" / "deltap.csv")[0] == deltap
-        self.check_counts(calls, formatted, {"scaling": [rows, deltap]})
+        # a rerun from the levels table formats no spectrum, and its series
+        # has no pi_bar
+        rerun = tmp_path / "levels"
+        run_experiment(replace(preset(name), graph=None, vectors=False, out=str(rerun),
+                               dos=f"levels:{out / 'degeneracies.csv'}"))
+        assert self.cells(rerun / "deltap.csv")[0] == deltap
+        self.check_counts(calls, formatted, {"transport": [rows * 3], "scaling": [deltap]})

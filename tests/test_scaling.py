@@ -18,6 +18,7 @@ from specwalk import (
     saturation,
     transport_series,
 )
+from specwalk._csvtext import float_text
 from specwalk.scaling import (DEFAULT_TAIL_FRACTION, HALF_WIDTH,
                               EfficiencyReport, Envelope, efficiency_report,
                               ratio_csv, report_text)
@@ -465,6 +466,6 @@ class TestReportSerialization:
     def test_ratio_csv(self):
         t = np.geomspace(1.5, 100, 50)
         ratio = efficiency_ratio_series(t, 0.9 * t**-1.0, (t, 0.9 * t**-1.0))
-        lines = b"".join(ratio_csv(ratio, t)).decode().splitlines()
+        lines = b"".join(ratio_csv(ratio, t, float_text(t))).decode().splitlines()
         assert lines[0] == "t,delta_p"
         assert len(lines) == len(ratio.times) + 1

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from specwalk import (
     Graph,
     NumericalError,
+    ParseError,
     ResourceLimitError,
     build_dendrimer,
     build_erdos_renyi,
@@ -40,7 +41,7 @@ from specwalk.cli import ExperimentConfig, run_experiment
 from specwalk.graphs import _build_tree
 from specwalk.spectral import (ShellTree, Spectrum, TorusPairs, _blocks, _checked_residual,
                                _lower_laplacian, default_cluster_tol, degeneracies_csv,
-                               projector_factor, spectrum_csv)
+                               projector_factor, read_levels, spectrum_csv)
 from specwalk.transport import TimeGrid, chi_matrix, log_grid, transport_series
 
 
@@ -1152,3 +1153,93 @@ class TestCSV:
         lines = csv_text(degeneracies_csv(s)).splitlines()
         assert lines[0] == "value,multiplicity"
         assert [int(ln.split(",")[1]) for ln in lines[1:]] == [1, 8, 1]
+
+
+class TestReadLevels:
+    """`read_levels`, the one CSV reader: what `degeneracies_csv` writes,
+    read back in one numpy parse. The bad rows it refuses, each by its
+    line, are listed in test_cli.TestLevelsSource."""
+
+    @pytest.mark.parametrize("graph", ["er:40,0.2,seed=1", "dendrimer:4,3", "star:12",
+                                       "torus:6,2"])
+    def test_reads_back_what_degeneracies_csv_writes(self, tmp_path, graph):
+        s = graph_spectrum(parse_graph_spec(graph))
+        path = tmp_path / "degeneracies.csv"
+        path.write_text(csv_text(degeneracies_csv(s)))
+        got = read_levels(path)
+        assert got.path == "levels" and got.n == s.n
+        assert got.values.view(np.uint64).tolist() == s.levels.view(np.uint64).tolist()
+        assert got.counts.dtype == np.int64 and got.counts.tolist() == s.mult.tolist()
+        # each level is its own cluster again, with the same bits
+        assert got.levels.view(np.uint64).tolist() == s.levels.view(np.uint64).tolist()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data(), st.booleans())
+    def test_reads_any_table(self, tmp_path_factory, data, swapped):
+        rows = data.draw(st.lists(st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(1, graphs.SPEC_NODE_CAP // 30)), min_size=1, max_size=30))
+        blank = st.lists(st.sampled_from(["\n", " \n", "\t\n"]), max_size=2)
+        lines = [" multiplicity , value\n" if swapped else "value,multiplicity\n"]
+        lines += [f"{c}, {v!r}\n" if swapped else f"{v!r},{c}\n" for v, c in rows]
+        path = tmp_path_factory.getbasetemp() / "levels.csv"
+        path.write_text("".join(data.draw(blank)) + "".join(
+            line + "".join(data.draw(blank)) for line in lines))
+        got = read_levels(path)
+        values, counts = zip(*rows)
+        assert got.values.view(np.uint64).tolist() == np.array(values).view(np.uint64).tolist()
+        assert got.counts.tolist() == list(counts)
+
+    def test_valid_input_is_parsed_once(self, tmp_path, monkeypatch):
+        calls, loadtxt = [], np.loadtxt
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return loadtxt(*args, **kwargs)
+
+        def boom(*args):
+            raise AssertionError("valid input scanned a second time")
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        monkeypatch.setattr(spectral, "_raise_at_first_bad_level", boom)
+        path = tmp_path / "levels.csv"
+        path.write_text("\n value , multiplicity\n0.0,1\n \n1.5,3\n")
+        got = read_levels(path)
+        assert calls == [1]
+        assert got.values.tolist() == [0.0, 1.5] and got.counts.tolist() == [1, 3]
+
+    def test_rows_past_the_limit_are_not_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphs, "SPEC_NODE_CAP", 3)
+        path = tmp_path / "levels.csv"
+        rows = "".join(f"{k}.0,1\n\n" for k in range(3))
+        path.write_text("value,multiplicity\n" + rows)
+        assert read_levels(path).n == 3
+        # the fourth row is refused for its count, so it is never parsed
+        path.write_text("value,multiplicity\n" + rows + "not,a,row\n")
+        with pytest.raises(ResourceLimitError, match="more than the limit of 3 rows"):
+            read_levels(path)
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0661", "0x1p3", "#1", "1 2", ""])
+    def test_a_field_numpy_refuses_names_its_line(self, tmp_path, field):
+        # float() takes the first two, np.loadtxt does not; the rescan
+        # must find the row the parse failed on
+        path = tmp_path / "levels.csv"
+        path.write_text(f"value,multiplicity\n1.0,2\n\n2.0,{field}\n")
+        with pytest.raises(ParseError, match="^line 4: expected 2 "):
+            read_levels(path)
+
+    def test_read_memory(self, tmp_path):
+        # the rows are parsed straight into one array, 16 B a row of two
+        # columns, and the spectrum keeps a level and a count, 16 B a row
+        n = 200_000
+        path = tmp_path / "levels.csv"
+        path.write_text("value,multiplicity\n" + "".join(f"{k * 0.001!r},{k % 7 + 1}\n"
+                                                          for k in range(n)))
+        tracemalloc.start()
+        try:
+            got = read_levels(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.n == sum(k % 7 + 1 for k in range(n))
+        assert held <= 17 * n and peak <= 40 * n

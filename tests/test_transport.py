@@ -12,8 +12,6 @@ from specwalk import spectral, transport
 from specwalk import (
     Graph,
     NumericalError,
-    ParseError,
-    ResourceLimitError,
     Spectrum,
     build_dendrimer,
     build_erdos_renyi,
@@ -34,8 +32,7 @@ import specwalk._csvtext as _csvtext
 from specwalk._csvtext import _REPR_BELOW, float_text, int_text
 from specwalk.scaling import EfficiencyRatioSeries, efficiency_report, ratio_csv
 from specwalk.spectral import _blocks, projector_factor, spectrum_csv
-from specwalk.transport import (TimeGrid, TransportSeries, chi_csv, clamp_unit_interval,
-                                read_series_csv, series_csv)
+from specwalk.transport import TimeGrid, TransportSeries, chi_csv, clamp_unit_interval, series_csv
 
 
 def csv_text(blocks):
@@ -702,9 +699,8 @@ class TestCSVWritersOracle:
         t, v = times[kept], values[kept]
         ratio = EfficiencyRatioSeries(times=t, values=v, asymptotic=1.0,
                                       excluded_points=0)
-        want = oracle_csv("t,delta_p", t, v)
-        assert csv_text(ratio_csv(ratio, times)) == want
-        assert csv_text(ratio_csv(ratio, times, float_text(times))) == want
+        assert csv_text(ratio_csv(ratio, times, float_text(times))) == oracle_csv(
+            "t,delta_p", t, v)
 
     def test_ratio_times_off_the_series_times(self):
         times = np.linspace(0.5, 2.0, 7)
@@ -712,30 +708,27 @@ class TestCSVWritersOracle:
             ratio = EfficiencyRatioSeries(times=t, values=np.ones(1), asymptotic=1.0,
                                           excluded_points=0)
             with pytest.raises(ValueError, match="not points of the series"):
-                ratio_csv(ratio, times)
+                ratio_csv(ratio, times, float_text(times))
 
     def test_deltap_csv_of_each_source(self, tmp_path):
-        # deltap.csv on a graph, a DOS and a series file whose p_bar touches
-        # 1 at interior rows, so that the ratio's rows are not contiguous
-        t = np.linspace(0.5, 60.0, 600)
-        p, alpha = np.exp(-0.05 * t), np.exp(-0.1 * t) * (0.75 + 0.25 * np.cos(3 * t))
-        p[[100, 101, 300]] = 1.0
-        crafted = tmp_path / "crafted.csv"
-        crafted.write_text(oracle_csv("t,p_bar,alpha_bar_sq", t, p, alpha))
+        # deltap.csv on a graph, a DOS whose series underflows, so that its
+        # ratio leaves points out, and a levels table
+        levels = tmp_path / "levels.csv"
+        levels.write_text("value,multiplicity\n0,1\n1,9\n10,1\n")
         sources = {"graph": dict(graph="star:10", vectors=True, grid="linear:0.01,100,2000"),
-                   "dos": dict(dos="semicircle:nu=0.5,lmax=2", grid="log:1e-2,1e2,300"),
-                   "fit": dict(series=str(crafted))}
+                   "dos": dict(dos="lifshits:b=2", grid="log:1e-3,3e5,350",
+                               fit_window=(50.0, 2e4)),
+                   "levels": dict(dos=f"levels:{levels}", grid="log:1e-2,1e2,300")}
+        excluded = {}
         for name, spec in sources.items():
             cfg = cli.ExperimentConfig(**spec, out=str(tmp_path / name))
-            cli.run_experiment(cfg, "fit" if name == "fit" else "run")
-            series = read_series_csv(crafted if name == "fit"
-                                     else tmp_path / name / "series.csv")
-            ratio = efficiency_report(series.times, series.p_bar, series.alpha_bar_sq,
-                                      cfg.fit_window).ratio
+            cli.run_experiment(cfg)
+            series = np.loadtxt(tmp_path / name / "series.csv", delimiter=",", skiprows=1)
+            ratio = efficiency_report(*series[:, :3].T, cfg.fit_window).ratio
             text = (tmp_path / name / "deltap.csv").read_text()
             assert text == oracle_csv("t,delta_p", ratio.times, ratio.values)
-        assert ratio.excluded_points == 3
-        assert (np.diff(np.searchsorted(t, ratio.times)) > 1).sum() == 2
+            excluded[name] = ratio.excluded_points
+        assert excluded["dos"] > 0
 
     @CSV_SETTINGS
     @given(st.lists(csv_floats, min_size=1, max_size=40))
@@ -751,75 +744,6 @@ class TestCSVWritersOracle:
     def test_chi_csv(self, rows):
         for got, want in chi_csv_forms(np.array(rows)):
             assert got == want
-
-
-def canonical_bits(x):
-    """The bits of x with every NaN made numpy's NaN: "nan" reads back as
-    that one NaN, whatever the payload and sign written."""
-    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
-
-
-class TestReadSeriesCSV:
-    @CSV_SETTINGS
-    @given(st.data(), st.booleans())
-    def test_reads_back_what_series_csv_writes(self, tmp_path_factory, data, with_pi):
-        times = data.draw(st.lists(st.one_of(
-            st.sampled_from([0.0, 5e-324, 1e-4, 1.0, 1e16]), st.floats(0.0, 1e300)),
-            min_size=1, max_size=40, unique=True))
-        times = np.sort(times)
-        values = st.one_of(csv_floats, st.just(1.0))
-        cols = [np.array(data.draw(st.lists(values, min_size=len(times), max_size=len(times))))
-                for _ in range(3 if with_pi else 2)]
-        series = TransportSeries(grid=TimeGrid(times), p_bar=cols[0], alpha_bar_sq=cols[1],
-                                 pi_bar=cols[2] if with_pi else None)
-        blank = st.lists(st.sampled_from(["\n", " \n", "\t\n", "  \t \n"]), max_size=2)
-        text = "".join(line + "".join(data.draw(blank)) for line in
-                       csv_text(series_csv(series)[1]).splitlines(keepends=True))
-        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
-        path.write_text(text)
-        got = read_series_csv(path)
-        assert (got.pi_bar is None) == (not with_pi)
-        for name, want in zip(["times", "p_bar", "alpha_bar_sq", "pi_bar"], [times, *cols]):
-            assert np.array_equal(canonical_bits(getattr(got, name)), canonical_bits(want))
-
-    def test_valid_input_is_parsed_once(self, tmp_path, monkeypatch):
-        calls, loadtxt = [], np.loadtxt
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return loadtxt(*args, **kwargs)
-
-        def boom(*args):
-            raise AssertionError("valid input scanned a second time")
-
-        monkeypatch.setattr(np, "loadtxt", counting)
-        monkeypatch.setattr(transport, "_raise_at_bad_row", boom)
-        path = tmp_path / "s.csv"
-        path.write_text("\n t , p_bar,alpha_bar_sq\n0.0,1.0,1.0\n \n1.5,0.5,0.25\n")
-        series = read_series_csv(path)
-        assert calls == [1]
-        assert series.times.tolist() == [0.0, 1.5] and series.alpha_bar_sq[1] == 0.25
-
-    def test_rows_past_the_limit_are_not_read(self, tmp_path, monkeypatch):
-        # the limit is MAX_GRID_POINTS + 1 rows
-        monkeypatch.setattr(transport, "MAX_GRID_POINTS", 2)
-        path = tmp_path / "s.csv"
-        rows = "".join(f"{t}.0,0.5,0.25\n\n" for t in range(3))
-        path.write_text("t,p_bar,alpha_bar_sq\n" + rows)
-        assert len(read_series_csv(path).times) == 3
-        # the fourth row is refused for its count, so it is never parsed
-        path.write_text("t,p_bar,alpha_bar_sq\n" + rows + "not,a,row\n")
-        with pytest.raises(ResourceLimitError, match="more than the limit of 3 rows"):
-            read_series_csv(path)
-
-    @pytest.mark.parametrize("field", ["1_0", "\u0661", "0x1p3", "#1", "1 2", ""])
-    def test_a_field_numpy_refuses_names_its_line(self, tmp_path, field):
-        # float() takes the first two, np.loadtxt does not; the rescan
-        # must find the row the parse failed on
-        path = tmp_path / "s.csv"
-        path.write_text(f"t,p_bar,alpha_bar_sq\n1.0,0.5,0.25\n\n2.0,0.4,{field}\n")
-        with pytest.raises(ParseError, match="^line 4: expected 3 "):
-            read_series_csv(path)
 
 
 def formatter_sweep():

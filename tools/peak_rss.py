@@ -2,11 +2,11 @@
 
     python3 tools/peak_rss.py
 
-Writes the largest series first, then runs each command of `commands`
-in a child process of its own, one after the other, on the specwalk
-sources of this checkout. Each peak comes from `os.wait4` on that child,
-so it is the child's own; RUSAGE_CHILDREN would give the largest peak of
-any child waited for so far. A child's peak starts at its parent's RSS
+Runs each command of `commands` in a child process of its own, one
+after the other, on the specwalk sources of this checkout. Each peak
+comes from `os.wait4` on that child, so it is the child's own;
+RUSAGE_CHILDREN would give the largest peak of any child waited for so
+far. A child's peak starts at its parent's RSS
 when it is spawned, as Linux keeps the high-water mark of the address
 space that exec replaces, so the tool is run from a process of its own.
 It prints each peak and the er:5000,0.01 manifest's `spectrum.solver` line,
@@ -26,9 +26,6 @@ ROOT = Path(__file__).resolve().parents[1]
 _MAIN = "import sys, specwalk.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-# 10^6 grid points, the most a run takes: a 63 MB series.csv
-LARGEST_SERIES = ["transport", "--dos", "semicircle:nu=0.5,lmax=2",
-                  "--grid", "linear:0.01,1000,1000000"]
 
 
 def specwalk(*args) -> list[str]:
@@ -38,7 +35,7 @@ def specwalk(*args) -> list[str]:
 
 def commands(work: Path) -> list[tuple[str, list[str], float]]:
     """(name, command line, bound in MB) per run; each writes under `work`,
-    where the largest series must already be, in `largest/series.csv`."""
+    and the levels run reads the table the torus run writes there."""
     return [
         # dendrimer:10,3 --chi writes a 200 MB chi.csv; the run hashes it
         # and sums its chi a block at a time, so its peak RSS stays far
@@ -82,11 +79,16 @@ def commands(work: Path) -> list[tuple[str, list[str], float]]:
         # scipy.linalg)
         ("complete graph vectors", specwalk("run", "--graph", "er:5000,1", "--vectors",
                                             "--out", work / "complete-vectors"), 900),
-        # fit parses the 10^6 rows in one np.loadtxt call (about 154 MB
-        # measured, 475 MB when it built a Python list per row)
-        ("fit on the largest series",
-         specwalk("fit", "--series", work / "largest" / "series.csv",
-                  "--fit-window", "10,100", "--out", work / "fit"), 200),
+        # 10^6 grid points, the most a run takes: a 63 MB series.csv,
+        # streamed a block of rows at a time (about 195 MB measured)
+        ("largest series", specwalk("transport", "--dos", "semicircle:nu=0.5,lmax=2",
+                                    "--grid", "linear:0.01,1000,1000000",
+                                    "--out", work / "largest"), 224),
+        # the torus run's degeneracies.csv, 125,297 levels, parsed in one
+        # np.loadtxt call and run on the default grid (about 55 MB measured)
+        ("levels run on the torus's table",
+         specwalk("run", "--dos", f"levels:{work / 'torus' / 'degeneracies.csv'}",
+                  "--out", work / "levels"), 64),
     ]
 
 
@@ -116,11 +118,8 @@ def check(rows) -> int:
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="peak-rss-") as tmp:
-        work = Path(tmp)
-        subprocess.run(specwalk(*LARGEST_SERIES, "--out", work / "largest"),
-                       check=True, env=ENV)
-        code = check(commands(work))
-        with open(work / "er5000" / "manifest.txt") as manifest:
+        code = check(commands(Path(tmp)))
+        with open(Path(tmp) / "er5000" / "manifest.txt") as manifest:
             print(*(line.strip() for line in manifest if line.startswith("spectrum.solver")))
     return code
 
